@@ -35,8 +35,8 @@ __all__ = [
     "ModeVector",
     "PoleCollisionError",
     "IllConditionedError",
+    "SingularMatrices",
     "SystemState",
-    "self_panel_integrals",
     "singular_part_matrix",
     "assemble_free",
     "mode_vector",
@@ -53,6 +53,10 @@ __all__ = [
 _COND_LIMIT = 1e12
 
 _GAMMA_FLOOR = 1e-10
+
+#: Duffy points per interpolation-basis batch; one batch holds a whole row
+#: up to order 16
+_BATCH_POINTS = 1 << 15
 
 
 class PoleCollisionError(ArithmeticError):
@@ -91,9 +95,6 @@ class DiscreteKernelOperator:
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self.weighted @ f
 
-    def compose(self, other: "DiscreteKernelOperator") -> "DiscreteKernelOperator":
-        return DiscreteKernelOperator(self.weighted @ other.matrix, self.weights, self.rule)
-
     def op_norm(self) -> float:
         """Spectral norm on L^2: similarity-transform with sqrt(w)."""
         if self.n_nodes == 0:
@@ -116,53 +117,6 @@ class ModeVector:
         return complex(np.sum(weights * self.values * self.values))
 
 
-def self_panel_integrals(rule: QuadratureRule, order: int = 16) -> np.ndarray:
-    """V_i = integral over Sigma of dS'/|x_i - x'| for every node.
-
-    The parameter rectangle is split into four triangles with apex at the
-    node; the Duffy map onto the unit square cancels the 1/r singularity
-    against the polar Jacobian.  For a periodic second parameter the window
-    is recentred on the node so the nearest periodic image does not put an
-    unresolved peak at the far edge.
-    """
-    surf = rule.surface
-    if surf is None:
-        raise ValueError("self-panel integration needs a parametrized surface")
-    (a1, b1), (a2, b2) = surf.domain
-    xg, wg = leggauss(order)
-    xg = 0.5 * (xg + 1.0)
-    wg = 0.5 * wg
-    u = xg[:, None]
-    v = xg[None, :]
-    wuv = np.outer(wg, wg)
-    out = np.empty(rule.n_nodes)
-    for i in range(rule.n_nodes):
-        q1, q2 = rule.param_nodes[i]
-        xi = rule.nodes[i]
-        if surf.periodic2:
-            half = 0.5 * (b2 - a2)
-            lo2, hi2 = q2 - half, q2 + half
-        else:
-            lo2, hi2 = a2, b2
-        corners = ((a1, lo2), (b1, lo2), (b1, hi2), (a1, hi2))
-        total = 0.0
-        for t in range(4):
-            c1, c2 = corners[t], corners[(t + 1) % 4]
-            e1 = (c1[0] - q1, c1[1] - q2)
-            e2 = (c2[0] - q1, c2[1] - q2)
-            det = e1[0] * e2[1] - e1[1] * e2[0]
-            if abs(det) < 1e-14:
-                continue
-            qq1 = q1 + u * ((1.0 - v) * e1[0] + v * e2[0])
-            qq2 = q2 + u * ((1.0 - v) * e1[1] + v * e2[1])
-            pts = surf.param_map(qq1, qq2)
-            jac = surf.jacobian(qq1, qq2)
-            r = np.linalg.norm(pts - xi, axis=-1)
-            total += abs(det) * float(np.sum(wuv * u * jac / r))
-        out[i] = total
-    return out
-
-
 def _barycentric_weights(x):
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, 1.0)
@@ -172,13 +126,12 @@ def _barycentric_weights(x):
 def _lagrange_eval(x_nodes, bw, pts):
     """L[p, j] = l_j(pts[p]) by the barycentric formula (exact at nodes)."""
     diff = pts[:, None] - x_nodes[None, :]
-    exact_p, exact_j = np.nonzero(diff == 0.0)
-    diff[exact_p, :] = 1.0  # avoid 0-division; rows fixed below
-    l = bw[None, :] / diff
-    l /= l.sum(axis=1)[:, None]
-    for p, j in zip(exact_p, exact_j):
-        l[p, :] = 0.0
-        l[p, j] = 1.0
+    exact = diff == 0.0
+    hit = exact.any(axis=1)
+    diff[hit] = 1.0  # avoid 0-division; rows fixed below
+    l = bw / diff
+    l *= (1.0 / l.sum(axis=1))[:, None]
+    l[hit] = exact[hit]
     return l
 
 
@@ -201,6 +154,141 @@ def _trig_cardinal(x_nodes, period, pts):
     return l
 
 
+def _tensor_nodes(rule: QuadratureRule):
+    """Parameter nodes (q1, q2) of a tensor rule laid out as build_quadrature's."""
+    return rule.param_nodes[::rule.order, 0], rule.param_nodes[:rule.order, 1]
+
+
+def _graded_triangles(corners):
+    """Edges (e1, e2), each (K, 2), of the sub-triangles fanning out from the apex.
+
+    ``corners`` are the four window corners relative to the apex, in
+    metric-scaled coordinates.  The base of each corner triangle is cut
+    geometrically around the foot of the apex perpendicular.
+    """
+    e1, e2 = [], []
+    for t in range(4):
+        c1, c2 = corners[t], corners[(t + 1) % 4]
+        cross = c1[0] * c2[1] - c1[1] * c2[0]
+        if abs(cross) < 1e-14:
+            continue
+        edge = c2 - c1
+        length = float(np.hypot(*edge))
+        t0 = min(max(-float(c1 @ edge) / length**2, 0.0), 1.0)
+        dist = abs(cross) / length
+        cuts = {0.0, 1.0}
+        if 0.0 < t0 < 1.0:
+            cuts.add(t0)
+        for sgn in (1.0, -1.0):
+            step = dist / length
+            while 0.0 < t0 + sgn * step < 1.0:
+                cuts.add(t0 + sgn * step)
+                step *= 2.0
+        cuts = np.array(sorted(cuts))[:, None]
+        e1.append(c1 + cuts[:-1] * edge)
+        e2.append(c1 + cuts[1:] * edge)
+    return np.concatenate(e1), np.concatenate(e2)
+
+
+def _product_rows(rule: QuadratureRule, rows, duffy_order: int):
+    """Rows ``rows`` of (p_inv, p_lin), each row one batched kernel evaluation.
+
+    The apex-Duffy points of all graded sub-triangles around the node are
+    stacked, so the parametrization, the Jacobian and both interpolation
+    bases are evaluated once per row and the row is two matrix products.
+    Above order 16 a row has more than _BATCH_POINTS points; the bases are
+    then evaluated in batches of that size to bound the memory they take.
+    """
+    surf = rule.surface
+    p = rule.order
+    q1_nodes, q2_nodes = _tensor_nodes(rule)
+    bw1 = _barycentric_weights(q1_nodes)
+    bw2 = None if surf.periodic2 else _barycentric_weights(q2_nodes)
+    (a1, b1), (a2, b2) = surf.domain
+    span2 = b2 - a2
+    xd, wd = leggauss(duffy_order)
+    xd = 0.5 * (xd + 1.0)
+    wd = 0.5 * wd
+    u = xd[:, None, None]
+    v = xd[None, :, None]
+    wu = np.outer(wd, wd) * xd[:, None]
+    p_inv = np.empty((len(rows), p * p))
+    p_lin = np.empty((len(rows), p * p))
+    for k, i in enumerate(rows):
+        q1, q2 = rule.param_nodes[i]
+        h = np.array([np.linalg.norm(surf.tangent1(q1, q2)),
+                      np.linalg.norm(surf.tangent2(q1, q2))])
+        # window relative to the node; a periodic one is recentred on it
+        lo2, hi2 = (-0.5 * span2, 0.5 * span2) if surf.periodic2 else (a2 - q2, b2 - q2)
+        corners = h * np.array([[a1 - q1, lo2], [b1 - q1, lo2],
+                                [b1 - q1, hi2], [a1 - q1, hi2]])
+        e1, e2 = _graded_triangles(corners)
+        det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        # (triangle, u, v) points of the Duffy map, parameter offsets last
+        offset = u * ((1.0 - v) * e1[:, None, None, :] + v * e2[:, None, None, :]) / h
+        qq1 = (q1 + offset[..., 0]).ravel()
+        qq2 = (q2 + offset[..., 1]).ravel()
+        r = np.linalg.norm(surf.param_map(qq1, qq2) - rule.nodes[i], axis=-1)
+        c = (det[:, None, None] * wu).ravel() * surf.jacobian(qq1, qq2) / (h[0] * h[1])
+        acc_inv = np.zeros((p, p))
+        acc_lin = np.zeros((p, p))
+        for b in range(0, len(c), _BATCH_POINTS):
+            part = slice(b, b + _BATCH_POINTS)
+            l1 = _lagrange_eval(q1_nodes, bw1, qq1[part])
+            if surf.periodic2:
+                l2 = _trig_cardinal(q2_nodes, span2, qq2[part])
+            else:
+                l2 = _lagrange_eval(q2_nodes, bw2, qq2[part])
+            acc_inv += l1.T @ ((c[part] / r[part])[:, None] * l2)
+            acc_lin += l1.T @ ((c[part] * r[part])[:, None] * l2)
+        p_inv[k] = acc_inv.ravel()
+        p_lin[k] = acc_lin.ravel()
+    return p_inv / (4.0 * math.pi), p_lin
+
+
+def _rotation_orbits(rule: QuadratureRule) -> bool:
+    """Whether shifting q2 by one node spacing maps every row onto another.
+
+    Holds when the second parameter is periodic and that shift preserves
+    the distances from every node to probe points on and off the nodes, the
+    tangent lengths and the Jacobian: then it acts on the surface as an
+    isometry (a rotation for the disk and the cap), the integrand of row
+    (i1, i2 + 1) is that of row (i1, i2) moved by one spacing, and so is
+    the trigonometric basis.
+    """
+    surf = rule.surface
+    if not surf.periodic2:
+        return False
+    p = rule.order
+    q1_nodes, q2_nodes = _tensor_nodes(rule)
+    a2, b2 = surf.domain[1]
+    q1 = np.concatenate([q1_nodes, 0.5 * (q1_nodes[1:] + q1_nodes[:-1])])[:, None]
+    for frac in (0.0, 1.0 / math.pi):
+        g1, g2 = np.broadcast_arrays(q1, q2_nodes + frac * (b2 - a2) / p)
+        probes = surf.param_map(g1, g2)
+        for ring in rule.nodes.reshape(p, p, 3):  # the nodes of one q1
+            dist = np.linalg.norm(ring[:, None, None] - probes, axis=-1)
+            if not np.allclose(np.roll(dist, 1, axis=(0, 2)), dist,
+                               rtol=0.0, atol=1e-12 * dist.max()):
+                return False
+        metric = np.stack([np.linalg.norm(surf.tangent1(g1, g2), axis=-1),
+                           np.linalg.norm(surf.tangent2(g1, g2), axis=-1),
+                           surf.jacobian(g1, g2)])
+        if not np.allclose(np.roll(metric, 1, axis=-1), metric, rtol=1e-12, atol=0.0):
+            return False
+    return True
+
+
+def _fill_orbits(first: np.ndarray, p: int) -> np.ndarray:
+    """All rows from the first row of each orbit: row (i1, s) is row (i1, 0)
+    cyclically shifted by s along the basis index j2."""
+    out = np.empty((p * p, p * p))
+    per_orbit = first.reshape(p, p, p)
+    for s in range(p):
+        out[s::p] = np.roll(per_orbit, s, axis=2).reshape(p, p * p)
+    return out
+
+
 def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None):
     """Product-integration matrices of the non-smooth kernel parts.
 
@@ -219,6 +307,10 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None):
     Both matrices are z-independent; together they let the assembly subtract
     the odd-in-r part 1/(4 pi r) - z r/(8 pi) of the nearest Yukawa image,
     leaving a remainder the plain rule integrates to high order.
+
+    On a rotationally symmetric surface (see :func:`_rotation_orbits`) only
+    the first row of each azimuthal orbit is integrated; the other rows are
+    its cyclic shifts.  Every other surface gets all rows integrated.
     """
     surf = rule.surface
     if surf is None:
@@ -226,78 +318,30 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None):
     p = rule.order
     if duffy_order is None:
         duffy_order = max(2 * p, 24)
-    (a1, b1), (a2, b2) = surf.domain
-    xg, _ = leggauss(p)
-    q1_nodes = 0.5 * (b1 - a1) * xg + 0.5 * (a1 + b1)
-    bw1 = _barycentric_weights(q1_nodes)
-    if surf.periodic2:
-        q2_nodes = a2 + (b2 - a2) * (np.arange(p) + 0.5) / p
-        bw2 = None
-    else:
-        q2_nodes = 0.5 * (b2 - a2) * xg + 0.5 * (a2 + b2)
-        bw2 = _barycentric_weights(q2_nodes)
-    xd, wd = leggauss(duffy_order)
-    xd = 0.5 * (xd + 1.0)
-    wd = 0.5 * wd
-    u = xd[:, None]
-    wuv = np.outer(wd, wd)
-    n = rule.n_nodes
-    span2 = b2 - a2
-    p_inv = np.zeros((n, n))
-    p_lin = np.zeros((n, n))
-    for i in range(n):
-        q1, q2 = rule.param_nodes[i]
-        xi = rule.nodes[i]
-        h1 = float(np.linalg.norm(surf.tangent1(q1, q2)))
-        h2 = float(np.linalg.norm(surf.tangent2(q1, q2)))
-        if surf.periodic2:
-            lo2, hi2 = q2 - 0.5 * span2, q2 + 0.5 * span2
-        else:
-            lo2, hi2 = a2, b2
-        corners = ((a1, lo2), (b1, lo2), (b1, hi2), (a1, hi2))
-        acc_inv = np.zeros((p, p))
-        acc_lin = np.zeros((p, p))
-        for t in range(4):
-            c1 = np.array([h1 * (corners[t][0] - q1), h2 * (corners[t][1] - q2)])
-            c2 = np.array([h1 * (corners[(t + 1) % 4][0] - q1),
-                           h2 * (corners[(t + 1) % 4][1] - q2)])
-            if abs(c1[0] * c2[1] - c1[1] * c2[0]) < 1e-14:
-                continue
-            edge = c2 - c1
-            length = float(np.hypot(*edge))
-            t0 = min(max(-float(c1 @ edge) / length**2, 0.0), 1.0)
-            dist = abs(c1[0] * c2[1] - c1[1] * c2[0]) / length
-            cuts = {0.0, 1.0}
-            if 0.0 < t0 < 1.0:
-                cuts.add(t0)
-            for sgn in (1.0, -1.0):
-                step = dist / length
-                while 0.0 < t0 + sgn * step < 1.0:
-                    cuts.add(t0 + sgn * step)
-                    step *= 2.0
-            cuts = sorted(cuts)
-            v = xd[None, :]
-            for k in range(len(cuts) - 1):
-                e1 = c1 + cuts[k] * edge
-                e2 = c1 + cuts[k + 1] * edge
-                det = e1[0] * e2[1] - e1[1] * e2[0]
-                qq1 = q1 + u * ((1.0 - v) * e1[0] + v * e2[0]) / h1
-                qq2 = q2 + u * ((1.0 - v) * e1[1] + v * e2[1]) / h2
-                pts = surf.param_map(qq1, qq2)
-                jac = surf.jacobian(qq1, qq2)
-                r = np.linalg.norm(pts - xi, axis=-1)
-                base = (abs(det) * wuv * u * jac / (h1 * h2)).ravel()
-                l1 = _lagrange_eval(q1_nodes, bw1, qq1.ravel())
-                if surf.periodic2:
-                    l2 = _trig_cardinal(q2_nodes, span2, qq2.ravel())
-                else:
-                    l2 = _lagrange_eval(q2_nodes, bw2, qq2.ravel())
-                rf = r.ravel()
-                acc_inv += np.einsum("p,pi,pj->ij", base / rf, l1, l2, optimize=True)
-                acc_lin += np.einsum("p,pi,pj->ij", base * rf, l1, l2, optimize=True)
-        p_inv[i] = acc_inv.ravel()
-        p_lin[i] = acc_lin.ravel()
-    return p_inv / (4.0 * math.pi), p_lin
+    if not _rotation_orbits(rule):
+        return _product_rows(rule, range(rule.n_nodes), duffy_order)
+    first_inv, first_lin = _product_rows(rule, range(0, rule.n_nodes, p), duffy_order)
+    return _fill_orbits(first_inv, p), _fill_orbits(first_lin, p)
+
+
+class SingularMatrices:
+    """(p_inv, p_lin) of one base rule, built on first use and then reused.
+
+    Under the scaling x -> delta x + (1 - delta) x0 of
+    :func:`geometry.scale_surface`, with the same order and parameter nodes,
+    1/|x - x'| dS' scales by delta and |x - x'| dS' by delta^3, so the pair
+    on the scaled rule is (delta p_inv, delta^3 p_lin) of the base rule.
+    """
+
+    def __init__(self, rule: QuadratureRule):
+        self.rule = rule
+        self._pair: tuple[np.ndarray, np.ndarray] | None = None
+
+    def scaled(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        if self._pair is None:
+            self._pair = singular_part_matrix(self.rule)
+        p_inv, p_lin = self._pair
+        return delta * p_inv, delta**3 * p_lin
 
 
 def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = None,
@@ -431,8 +475,11 @@ def neumann_apply(op: DiscreteKernelOperator, beta: float, f: np.ndarray,
 class SystemState:
     """Everything needed to evaluate eta_l / the determinant at a point z.
 
-    Caches the z-independent self-panel integrals and the mode cutoff; the
-    kernel matrices themselves are reassembled per z.
+    Caches the mode cutoff and the z-independent product-integration
+    matrices; the kernel matrices themselves are reassembled per z.  The
+    matrices are ``singular_base`` scaled by ``delta``: those of the
+    unscaled rule whose delta-image is ``rule`` (see SingularMatrices).  By
+    default they are built on ``rule`` itself, with delta = 1.
     """
 
     params: SpectralParams
@@ -440,19 +487,26 @@ class SystemState:
     ctx: SheetContext
     tail_tol: float = 1e-12
     n_cut: int | None = None
-    _singular: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    singular_base: SingularMatrices | None = field(default=None, repr=False)
+    delta: float = 1.0
+    _singular: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n_cut is None:
             self.n_cut = default_mode_cutoff(self.rule, self.ctx, self.tail_tol)
+        if self.singular_base is None and self.rule.surface is not None:
+            if self.delta != 1.0:
+                raise ValueError("a scaled state needs the base matrices it scales")
+            self.singular_base = SingularMatrices(self.rule)
 
     @property
     def singular(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Cached z-independent product-integration matrices (1/4 pi r and r)."""
-        if self.rule.surface is None:
+        if self.singular_base is None:
             return None
         if self._singular is None:
-            self._singular = singular_part_matrix(self.rule)
+            self._singular = self.singular_base.scaled(self.delta)
         return self._singular
 
     def free_op(self, z: complex) -> DiscreteKernelOperator:

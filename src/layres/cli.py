@@ -59,8 +59,10 @@ from .geometry import Surface, SurfaceValidationError, disk, rectangle_patch, \
     spherical_cap, with_anchor
 from .greens import calibrate_tail_constant, k0_cosine_sum, layer_green, \
     layer_green_modal
-from .resonance import ConvergenceError, ThresholdCollisionError, \
-    embedded_eigenvalues, find_pole, fit_power_law, im_mu_closed_form, pole_state
+# fit_power_law and im_mu_closed_form are unused here but stay importable as
+# cli attributes: perfbench/spans.py wraps every name it traces on this module
+from .resonance import embedded_eigenvalues, find_pole, fit_power_law, \
+    im_mu_closed_form, pole_state, sweep_delta
 from .specfun import SpectralParams, first_sheet, gamma_from_gap, second_sheet
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -391,40 +393,32 @@ def _run_pole(config: RunConfig) -> int:
 
 
 def _run_sweep(config: RunConfig) -> int:
-    rows = []
-    converged = []  # (delta, mu)
-    failures = []
-    n_cut_used = None
-    for d in config.deltas:
-        st = pole_state(config.surface, d, config.l, config.params,
-                        order=config.order, tail_tol=config.tail_tol,
+    base = pole_state(config.surface, 1.0, config.l, config.params,
+                      order=config.order, tail_tol=config.tail_tol,
+                      n_cut=config.n_cut)
+    sweep = sweep_delta(config.l, config.deltas, base, tol=config.root_tol,
                         n_cut=config.n_cut)
-        n_cut_used = st.n_cut
-        try:
-            res = find_pole(config.l, d, st, tol=config.root_tol)
-        except (ConvergenceError, ArithmeticError) as exc:
-            failures.append((d, str(exc)))
-            nan = float("nan")
+    converged = {res.delta: (res, cf)
+                 for res, cf in zip(sweep.poles, sweep.closed_form_im)}
+    nan = float("nan")
+    rows = []
+    for d in config.deltas:
+        if d not in converged:
             rows.append((d, nan, nan, nan, nan, nan, nan, 0, "failed"))
             continue
-        cf = im_mu_closed_form(config.l, d, st)
-        converged.append((d, res.mu))
+        res, cf = converged[d]
         rows.append((d, res.z.real, res.z.imag, res.mu.real, res.mu.imag, cf,
                      res.residual, res.iterations, "ok"))
-    if len(converged) < 4:
-        raise ConvergenceError(
-            f"only {len(converged)} poles converged; need >= 4 to fit")
-    fit_im = fit_power_law([(d, abs(m.imag)) for d, m in converged])
-    fit_re = fit_power_law([(d, abs(m.real)) for d, m in converged])
+    fit_im, fit_re = sweep.fit_im, sweep.fit_re
     extra = {
-        "n_max": n_cut_used,
+        "n_max": sweep.n_cut,
         "tail_constant": calibrate_tail_constant(),
         "fit_im_exponent": fit_im[0], "fit_im_prefactor": fit_im[1],
         "fit_im_r_squared": fit_im[2],
         "fit_re_exponent": fit_re[0], "fit_re_prefactor": fit_re[1],
         "fit_re_r_squared": fit_re[2],
     }
-    for d, msg in failures:
+    for d, msg in sweep.failures:
         extra[f"failure[{_fmt(d)}]"] = msg
     _emit(config,
           ("delta", "re_z", "im_z", "re_mu", "im_mu", "im_mu_closed_form",
@@ -490,8 +484,10 @@ def run(config: RunConfig) -> int:
         if config.mode == "sweep":
             return _run_sweep(config)
         return _run_validate(config)
-    except (ConvergenceError, ThresholdCollisionError, ArithmeticError,
-            SurfaceValidationError) as exc:
+    except (ArithmeticError, ValueError) as exc:
+        # ConvergenceError and the solver guards are ArithmeticErrors;
+        # threshold collisions, invalid scaled surfaces and numerical range
+        # limits (e.g. the Ewald spectral radius) are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -533,7 +529,10 @@ def main(argv=None) -> int:
             config.order = args.quad_order
             config.resolved["order"] = args.quad_order
         if args.seed_re is not None or args.seed_im is not None:
-            config.seed = complex(args.seed_re or 0.0, args.seed_im or 0.0)
+            seed_re = args.seed_re
+            if seed_re is None:
+                seed_re = config.params.eigenvalue(config.l)
+            config.seed = complex(seed_re, args.seed_im or 0.0)
             config.resolved["seed"] = str(config.seed)
         if config.mode in ("pole", "sweep") and config.surface is None:
             raise ConfigError(f"mode {config.mode} needs a [surface] section")
@@ -546,7 +545,8 @@ def main(argv=None) -> int:
 
             threadpoolctl.threadpool_limits(args.threads)
         except ImportError:
-            pass
+            print("warning: --threads ignored: threadpoolctl is not installed",
+                  file=sys.stderr)
     return run(config)
 
 

@@ -16,7 +16,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bs_operator import SystemState, bs_determinant, eta_l, mode_vector
+from .bs_operator import SingularMatrices, SystemState, bs_determinant, eta_l, \
+    mode_vector
 from .geometry import Surface, build_quadrature, scale_surface
 from .greens import chi_n
 from .specfun import PSI_ONE, SheetContext, SpectralParams, gamma_n, second_sheet
@@ -72,11 +73,17 @@ class PoleResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    points: list  # (delta, mu) for every converged pole
+    poles: list  # PoleResult of every converged point, in delta order
     fit_im: tuple  # (exponent, prefactor, r_squared) of |Im mu| vs delta
     fit_re: tuple
     closed_form_im: list  # Proposition value at each converged delta
     failures: list  # (delta, error message) for points that did not converge
+    n_cut: int  # mode cutoff at the largest delta
+
+    @property
+    def points(self) -> list:
+        """(delta, mu) of every converged pole."""
+        return [(res.delta, res.mu) for res in self.poles]
 
 
 def window_index(value: float) -> int:
@@ -103,15 +110,28 @@ def embedded_eigenvalues(params: SpectralParams, n_range) -> list[EigenvalueInfo
 
 def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
                order: int = 16, tail_tol: float = 1e-12,
-               n_cut: int | None = None) -> SystemState:
-    """System state on the scaled surface, on the second sheet of eps_l's window."""
+               n_cut: int | None = None,
+               singular_base: SingularMatrices | None = None) -> SystemState:
+    """System state on the scaled surface, on the second sheet of eps_l's window.
+
+    The product-integration matrices are those of the order-``order`` rule
+    on the unscaled ``surface``, scaled to delta (see SingularMatrices);
+    pass ``singular_base`` to share one build between several deltas.
+    """
     eps = params.eigenvalue(l)
     if eps < 1.0:
         raise ValueError(f"eps_{l} = {eps} is a discrete eigenvalue, not embedded")
     k = window_index(eps)
-    surf = scale_surface(surface, delta) if delta != 1.0 else surface
-    rule = build_quadrature(surf, order)
-    return SystemState(params, rule, second_sheet(k), tail_tol=tail_tol, n_cut=n_cut)
+    if singular_base is None:
+        singular_base = SingularMatrices(build_quadrature(surface, order))
+    elif singular_base.rule.surface is not surface or singular_base.rule.order != order:
+        raise ValueError("singular_base belongs to another surface or order")
+    if delta == 1.0:
+        rule = singular_base.rule
+    else:
+        rule = build_quadrature(scale_surface(surface, delta), order)
+    return SystemState(params, rule, second_sheet(k), tail_tol=tail_tol, n_cut=n_cut,
+                       singular_base=singular_base, delta=delta)
 
 
 def _newton(f: Callable[[complex], complex], seed: complex, tol: float,
@@ -299,11 +319,15 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> tuple[float, float, 
 
 
 def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
-                tol: float = 1e-12) -> SweepResult:
+                tol: float = 1e-12, n_cut: int | None = None) -> SweepResult:
     """Locate the pole at each delta and fit |Re mu|, |Im mu| power laws.
 
-    ``state`` carries the unscaled base surface, the coupling parameters and
-    the quadrature order; a fresh state on Sigma_delta is built per point.
+    ``state`` is the state on the unscaled base surface (delta = 1); it
+    carries the coupling parameters, the quadrature order and the
+    product-integration matrices, which are built once and scaled to every
+    point.  ``n_cut`` fixes the mode cutoff of every point; by default each
+    point takes its own.  Points whose root iteration fails are recorded in
+    ``failures`` and left out of the fits.
     """
     deltas = list(deltas)
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
@@ -311,20 +335,23 @@ def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
     surface = state.rule.surface
     if surface is None:
         raise ValueError("sweeping needs a parametrized base surface")
-    points, closed, failures = [], [], []
+    if state.delta != 1.0:
+        raise ValueError("sweeping starts from the state on the unscaled surface")
+    poles, closed, failures = [], [], []
     for d in deltas:
         st = pole_state(surface, d, l, state.params, order=state.rule.order,
-                        tail_tol=state.tail_tol)
+                        tail_tol=state.tail_tol, n_cut=n_cut,
+                        singular_base=state.singular_base)
         try:
             res = find_pole(l, d, st, tol=tol)
-        except (ConvergenceError, ArithmeticError) as exc:
+        except ArithmeticError as exc:
             failures.append((d, str(exc)))
             continue
-        points.append((d, res.mu))
+        poles.append(res)
         closed.append(im_mu_closed_form(l, d, st))
-    if len(points) < 4:
-        raise ConvergenceError(f"only {len(points)} poles converged; need >= 4 to fit")
-    fit_im = fit_power_law([(d, abs(m.imag)) for d, m in points])
-    fit_re = fit_power_law([(d, abs(m.real)) for d, m in points])
-    return SweepResult(points=points, fit_im=fit_im, fit_re=fit_re,
-                       closed_form_im=closed, failures=failures)
+    if len(poles) < 4:
+        raise ConvergenceError(f"only {len(poles)} poles converged; need >= 4 to fit")
+    fit_im = fit_power_law([(res.delta, abs(res.mu.imag)) for res in poles])
+    fit_re = fit_power_law([(res.delta, abs(res.mu.real)) for res in poles])
+    return SweepResult(poles=poles, fit_im=fit_im, fit_re=fit_re,
+                       closed_form_im=closed, failures=failures, n_cut=st.n_cut)

@@ -7,7 +7,10 @@ from scipy.linalg import lu_factor, lu_solve
 from layres.bs_operator import (
     IllConditionedError,
     PoleCollisionError,
+    SingularMatrices,
     SystemState,
+    _product_rows,
+    _rotation_orbits,
     assemble_A_l,
     assemble_alpha,
     assemble_free,
@@ -18,7 +21,16 @@ from layres.bs_operator import (
     neumann_apply,
     singular_part_matrix,
 )
-from layres.geometry import QuadratureRule, build_quadrature, disk, scale_surface
+from layres.geometry import (
+    QuadratureRule,
+    Surface,
+    build_quadrature,
+    disk,
+    rectangle_patch,
+    scale_surface,
+    spherical_cap,
+    with_anchor,
+)
 from layres.greens import layer_green
 from layres.specfun import SpectralParams, first_sheet, gamma_n, second_sheet
 
@@ -26,6 +38,122 @@ PARAMS = SpectralParams(alpha=0.0, beta=0.4)
 DISK = disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
 SMALL = scale_surface(DISK, 0.08)
 SYM_DISK = disk(center=(1.0, 0.0, math.pi / 2), normal=(0.0, 0.0, 1.0), radius=0.3)
+CAP = spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=0.6, polar_angle=0.9)
+RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0.0, 1.0, 0.0),
+                       direction2=(0.0, 0.0, 1.0), length1=0.6, length2=0.6)
+
+
+def _ellipse(a=0.5, b=0.3, center=(1.0, 0.0, 1.0)):
+    """Elliptic disk: periodic azimuth, but no rotation maps it onto itself."""
+    c = np.asarray(center, float)
+    ex, ey = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+
+    def param_map(u, th):
+        return c + np.multiply.outer(a * u * np.cos(th), ex) + \
+            np.multiply.outer(b * u * np.sin(th), ey)
+
+    def tangent1(u, th):
+        return np.multiply.outer(a * np.cos(th) * np.ones_like(u), ex) + \
+            np.multiply.outer(b * np.sin(th) * np.ones_like(u), ey)
+
+    def tangent2(u, th):
+        return np.multiply.outer(-a * u * np.sin(th), ex) + \
+            np.multiply.outer(b * u * np.cos(th), ey)
+
+    return Surface(name="ellipse", param_map=param_map, tangent1=tangent1,
+                   tangent2=tangent2, domain=((0.0, 1.0), (0.0, 2.0 * np.pi)),
+                   x0=c, periodic2=True)
+
+
+ELLIPSE = _ellipse()
+
+
+def _reference_singular(rule, duffy_order):
+    """Row-by-row, sub-triangle-by-sub-triangle product integration.
+
+    The plain loop form of :func:`singular_part_matrix`: same graded
+    apex-Duffy rule, but every row integrated and every sub-triangle
+    accumulated on its own.
+    """
+    surf = rule.surface
+    p = rule.order
+    (a1, b1), (a2, b2) = surf.domain
+    xg, _ = np.polynomial.legendre.leggauss(p)
+    q1_nodes = 0.5 * (b1 - a1) * xg + 0.5 * (a1 + b1)
+    if surf.periodic2:
+        q2_nodes = a2 + (b2 - a2) * (np.arange(p) + 0.5) / p
+    else:
+        q2_nodes = 0.5 * (b2 - a2) * xg + 0.5 * (a2 + b2)
+
+    def lagrange(x_nodes, pts):
+        out = np.ones((len(pts), len(x_nodes)))
+        for j, xj in enumerate(x_nodes):
+            for m, xm in enumerate(x_nodes):
+                if m != j:
+                    out[:, j] *= (pts - xm) / (xj - xm)
+        return out
+
+    def trig(pts):
+        half = math.pi * (pts[:, None] - q2_nodes[None, :]) / (b2 - a2)
+        s = np.sin(half)
+        near = np.abs(s) < 1e-12
+        s[near] = 1.0
+        if p % 2 == 0:
+            l = np.sin(p * half) * np.cos(half) / (p * s)
+        else:
+            l = np.sin(p * half) / (p * s)
+        l[near] = 1.0
+        return l
+
+    xd, wd = np.polynomial.legendre.leggauss(duffy_order)
+    xd = 0.5 * (xd + 1.0)
+    wd = 0.5 * wd
+    u, v = xd[:, None], xd[None, :]
+    wuv = np.outer(wd, wd)
+    n = rule.n_nodes
+    p_inv, p_lin = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        q1, q2 = rule.param_nodes[i]
+        h1 = float(np.linalg.norm(surf.tangent1(q1, q2)))
+        h2 = float(np.linalg.norm(surf.tangent2(q1, q2)))
+        lo2, hi2 = (q2 - 0.5 * (b2 - a2), q2 + 0.5 * (b2 - a2)) if surf.periodic2 \
+            else (a2, b2)
+        corners = ((a1, lo2), (b1, lo2), (b1, hi2), (a1, hi2))
+        for t in range(4):
+            c1 = np.array([h1 * (corners[t][0] - q1), h2 * (corners[t][1] - q2)])
+            c2 = np.array([h1 * (corners[(t + 1) % 4][0] - q1),
+                           h2 * (corners[(t + 1) % 4][1] - q2)])
+            if abs(c1[0] * c2[1] - c1[1] * c2[0]) < 1e-14:
+                continue
+            edge = c2 - c1
+            length = float(np.hypot(*edge))
+            t0 = min(max(-float(c1 @ edge) / length**2, 0.0), 1.0)
+            dist = abs(c1[0] * c2[1] - c1[1] * c2[0]) / length
+            cuts = {0.0, 1.0} | ({t0} if 0.0 < t0 < 1.0 else set())
+            for sgn in (1.0, -1.0):
+                step = dist / length
+                while 0.0 < t0 + sgn * step < 1.0:
+                    cuts.add(t0 + sgn * step)
+                    step *= 2.0
+            cuts = sorted(cuts)
+            for k in range(len(cuts) - 1):
+                e1 = c1 + cuts[k] * edge
+                e2 = c1 + cuts[k + 1] * edge
+                det = abs(e1[0] * e2[1] - e1[1] * e2[0])
+                qq1 = q1 + u * ((1.0 - v) * e1[0] + v * e2[0]) / h1
+                qq2 = q2 + u * ((1.0 - v) * e1[1] + v * e2[1]) / h2
+                r = np.linalg.norm(surf.param_map(qq1, qq2) - rule.nodes[i], axis=-1)
+                base = det * wuv * u * surf.jacobian(qq1, qq2) / (h1 * h2)
+                l1 = lagrange(q1_nodes, qq1.ravel())
+                l2 = trig(qq2.ravel()) if surf.periodic2 else lagrange(q2_nodes, qq2.ravel())
+                for kern, out in ((base / r, p_inv), (base * r, p_lin)):
+                    out[i] += (l1[:, :, None] * (kern.ravel()[:, None, None]
+                                                 * l2[:, None, :])).sum(axis=0).ravel()
+    return p_inv / (4.0 * math.pi), p_lin
+
+
+def _rel_max(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +200,15 @@ class TestAssembleFree:
         assert np.max(np.abs(a[0] - b[0])) < 1e-12
         assert np.max(np.abs(a[1] - b[1])) < 1e-12
 
+    @pytest.mark.parametrize("surface", [DISK, CAP, RECT, ELLIPSE],
+                             ids=["disk", "cap", "rectangle", "ellipse"])
+    def test_singular_matrices_match_loop_reference(self, surface):
+        rule = build_quadrature(surface, 5)
+        got = singular_part_matrix(rule, 16)
+        want = _reference_singular(rule, 16)
+        assert _rel_max(got[0], want[0]) < 1e-12
+        assert _rel_max(got[1], want[1]) < 1e-12
+
     def test_quadratic_form_refinement(self):
         # the weak form of the operator converges as the rule refines
         fn = lambda x: np.exp(-np.linalg.norm(x - np.array([1.2, 0.1, 1.3]), axis=-1) ** 2)
@@ -93,6 +230,40 @@ class TestAssembleFree:
         rule = QuadratureRule.from_tabulated(nodes, [0.3, 0.3])
         with pytest.raises(ValueError):
             assemble_free(-2.0, rule)
+
+
+class TestSingularBuild:
+    @pytest.mark.parametrize("surface, symmetric", [
+        (DISK, True), (CAP, True), (scale_surface(CAP, 0.02), True),
+        (with_anchor(DISK, (1.3, 0.2, 1.0)), True), (RECT, False), (ELLIPSE, False)],
+        ids=["disk", "cap", "scaled-cap", "anchored-disk", "rectangle", "ellipse"])
+    def test_rotation_orbits_detected_from_surface(self, surface, symmetric):
+        assert _rotation_orbits(build_quadrature(surface, 6)) is symmetric
+
+    @pytest.mark.parametrize("surface", [DISK, CAP], ids=["disk", "cap"])
+    def test_orbit_rows_match_all_rows(self, surface):
+        # relative error in the Frobenius norm: the all-rows build evaluates
+        # the parametrization at q2 + offset for q2 up to 2 pi, whose rounding
+        # puts ~1e-15 absolute noise on single entries near the polar centre
+        rule = build_quadrature(surface, 12)
+        orbit = singular_part_matrix(rule)
+        every = _product_rows(rule, range(rule.n_nodes), 24)
+        for got, want in zip(orbit, every):
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
+
+    @pytest.mark.parametrize("surface", [DISK, CAP, RECT], ids=["disk", "cap", "rectangle"])
+    @pytest.mark.parametrize("delta", [0.02, 0.08])
+    def test_homothety_matches_direct_build(self, surface, delta):
+        base = SingularMatrices(build_quadrature(surface, 8))
+        scaled = build_quadrature(scale_surface(surface, delta), 8)
+        st = SystemState(PARAMS, scaled, second_sheet(1), singular_base=base, delta=delta)
+        direct = singular_part_matrix(scaled)
+        assert _rel_max(st.singular[0], direct[0]) < 1e-12
+        assert _rel_max(st.singular[1], direct[1]) < 1e-12
+
+    def test_scaled_state_needs_its_base(self):
+        with pytest.raises(ValueError, match="base"):
+            SystemState(PARAMS, build_quadrature(SMALL, 4), second_sheet(1), delta=0.08)
 
 
 class TestModeVector:

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from layres import SpectralParams
 from layres.cli import ConfigError, main, parse_config, run
 
 MINIMAL = """
@@ -228,3 +230,34 @@ class TestMain:
         out = tmp_path / "t.csv"
         assert main(["eigenvalues", "--config", path, "--output", str(out),
                      "--threads", "1"]) == 0
+
+    def test_threads_flag_warns_without_threadpoolctl(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        path = _write(tmp_path, "eig.cfg", MINIMAL)
+        out = tmp_path / "t.csv"
+        assert main(["eigenvalues", "--config", path, "--output", str(out),
+                     "--threads", "2"]) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "--threads" in err
+
+    def test_seed_im_alone_seeds_at_eigenvalue(self, tmp_path):
+        out = tmp_path / "pole.csv"
+        path = _write(tmp_path, "pole.cfg",
+                      "[run]\nmode = pole\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      + DISK_SURFACE.strip() + "\ndelta = 0.08\n[numerics]\norder = 4\n")
+        assert main(["pole", "--config", path, "--output", str(out),
+                     "--seed-im=-1e-9"]) == 0
+        seed = [ln.split(" = ", 1)[1] for ln in out.read_text().splitlines()
+                if ln.startswith("# config seed = ")]
+        assert complex(seed[0]) == complex(SpectralParams(0.0, 0.4).eigenvalue(2), -1e-9)
+
+    def test_value_error_maps_to_exit_one(self, tmp_path, capsys):
+        # a valid disk too wide for the fixed Ewald spectral radius
+        out = tmp_path / "wide.csv"
+        path = _write(tmp_path, "wide.cfg",
+                      "[run]\nmode = pole\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      "[surface]\nfamily = disk\ncenter = 6 0 1\nnormal = 0 0 1\n"
+                      "radius = 5\ndelta = 1\n[numerics]\norder = 4\n")
+        assert main(["pole", "--config", path, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "spectral radius" in err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from layres import bs_operator
 from layres.geometry import disk
 from layres.resonance import (
     ConvergenceError,
@@ -187,10 +188,16 @@ class TestFitPowerLaw:
 
 
 class TestSweep:
-    def test_mini_sweep(self):
+    def test_mini_sweep(self, monkeypatch):
+        builds = []
+        build = bs_operator.singular_part_matrix
+        monkeypatch.setattr(bs_operator, "singular_part_matrix",
+                            lambda rule: builds.append(rule) or build(rule))
         base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
         sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1], base_state)
         assert not sw.failures
+        assert [b.surface for b in builds] == [BASE]  # one build, on the base rule
+        assert [res.delta for res in sw.poles] == [0.02, 0.035, 0.06, 0.1]
         assert 3.5 < sw.fit_im[0] < 4.5
         assert 1.8 < sw.fit_re[0] < 2.2
         assert sw.fit_im[2] > 0.99
@@ -202,6 +209,15 @@ class TestSweep:
         base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
         with pytest.raises(ValueError):
             sweep_delta(2, [0.1, 0.05, 0.2, 0.3], base_state)
+
+    def test_scaled_start_rejected(self):
+        with pytest.raises(ValueError, match="unscaled"):
+            sweep_delta(2, [0.02, 0.035, 0.06, 0.1], pole_state(BASE, 0.5, 2, PARAMS, order=4))
+
+    def test_foreign_singular_base_rejected(self):
+        other = pole_state(SYM, 1.0, 2, PARAMS, order=4).singular_base
+        with pytest.raises(ValueError, match="singular_base"):
+            pole_state(BASE, 0.08, 2, PARAMS, order=4, singular_base=other)
 
 
 class TestDerivativeLaw:
