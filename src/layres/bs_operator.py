@@ -37,7 +37,9 @@ __all__ = [
     "IllConditionedError",
     "SingularMatrices",
     "SystemState",
+    "PairLayout",
     "singular_part_matrix",
+    "pair_layout",
     "assemble_free",
     "mode_vector",
     "assemble_A_l",
@@ -282,7 +284,7 @@ def _rotation_orbits(rule: QuadratureRule) -> bool:
 def _fill_orbits(first: np.ndarray, p: int) -> np.ndarray:
     """All rows from the first row of each orbit: row (i1, s) is row (i1, 0)
     cyclically shifted by s along the basis index j2."""
-    out = np.empty((p * p, p * p))
+    out = np.empty((p * p, p * p), dtype=first.dtype)
     per_orbit = first.reshape(p, p, p)
     for s in range(p):
         out[s::p] = np.roll(per_orbit, s, axis=2).reshape(p, p * p)
@@ -344,9 +346,65 @@ class SingularMatrices:
         return delta * p_inv, delta**3 * p_lin
 
 
+def _kernel_orbits(rule: QuadratureRule) -> bool:
+    """Whether the layer kernel matrix is cyclic along the rotation orbits.
+
+    The kernel depends on the in-plane separation and on x3 and x3'.  When
+    the one-node azimuthal shift is an isometry of the nodes
+    (:func:`_rotation_orbits`) and every azimuthal ring has a single x3, the
+    shift keeps x3, x3' and the 3D distance, so it keeps the in-plane
+    separation too: it is a rotation about a vertical axis.  That holds for
+    a horizontal disk and a cap with a vertical axis, not for tilted ones.
+    """
+    if rule.surface is None or not _rotation_orbits(rule):
+        return False
+    x3 = rule.nodes[:, 2].reshape(rule.order, rule.order)
+    return bool(np.all(np.ptp(x3, axis=1) <= 1e-14 * np.max(np.abs(x3))))
+
+
+@dataclass(frozen=True)
+class PairLayout:
+    """z-independent part of the free-kernel assembly on one rule.
+
+    ``rows``, ``cols`` are the node pairs whose kernel value is evaluated:
+    the upper triangle, or with ``orbit`` the first row (i1, 0) of each
+    rotation orbit against every other node, the remaining rows being cyclic
+    shifts of those (see :func:`_kernel_orbits`).  ``inv_r`` and ``r`` are
+    the off-diagonal model matrices 1/(4 pi |x - x'|) and |x - x'|, zero on
+    the diagonal.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    orbit: bool
+    inv_r: np.ndarray
+    r: np.ndarray
+
+
+def pair_layout(rule: QuadratureRule) -> PairLayout:
+    """Pair layout of ``rule``; rejects coincident nodes."""
+    n = rule.n_nodes
+    nodes = rule.nodes
+    r = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
+    off = ~np.eye(n, dtype=bool)
+    if n > 1 and float(np.min(r[off])) == 0.0:
+        raise ValueError("quadrature nodes must be pairwise distinct")
+    inv_r = np.zeros((n, n))
+    inv_r[off] = 1.0 / (4.0 * math.pi * r[off])
+    orbit = _kernel_orbits(rule)
+    if orbit:
+        first = np.arange(0, n, rule.order)
+        rows, cols = np.nonzero(off[first])
+        rows = first[rows]
+    else:
+        rows, cols = np.triu_indices(n, k=1)
+    return PairLayout(rows, cols, orbit, inv_r, r)
+
+
 def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = None,
                   singular: tuple[np.ndarray, np.ndarray] | None = None,
-                  ewald: EwaldGreen | None = None) -> DiscreteKernelOperator:
+                  ewald: EwaldGreen | None = None,
+                  layout: PairLayout | None = None) -> DiscreteKernelOperator:
     """Nystrom matrix of the free layer resolvent R_SigmaSigma(z).
 
     The kernel is split as 1/(4 pi r) - z r/(8 pi) plus a C^2 remainder
@@ -357,32 +415,37 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
     :meth:`EwaldGreen.regularized_diag`.  For a tabulated rule without a
     parametrized surface only the regularized limit fixes the diagonal
     (documented fallback for point probes).
+
+    ``layout`` (see :func:`pair_layout`) is the z-independent pair geometry
+    of ``rule``; pass it to reuse one across several z.
     """
     ctx = ctx or first_sheet()
     n = rule.n_nodes
     if n == 0:
         return DiscreteKernelOperator(np.zeros((0, 0), complex), rule.weights, rule)
+    if layout is None:
+        layout = pair_layout(rule)
     ew = ewald if ewald is not None else EwaldGreen(z, ctx)
     nodes = rule.nodes
-    iu, ju = np.triu_indices(n, k=1)
-    r_off = np.linalg.norm(nodes[iu] - nodes[ju], axis=1)
-    if n > 1 and float(np.min(r_off)) == 0.0:
-        raise ValueError("quadrature nodes must be pairwise distinct")
+    rows, cols = layout.rows, layout.cols
     mat = np.zeros((n, n), dtype=complex)
     if n > 1:
-        vals = ew.pairs(nodes[iu], nodes[ju])
-        mat[iu, ju] = vals
-        mat[ju, iu] = vals
+        vals = ew.pairs(nodes[rows], nodes[cols])
+        if layout.orbit:
+            p = rule.order
+            first = np.zeros((p, n), dtype=complex)
+            first[rows // p, cols] = vals
+            mat = _fill_orbits(first, p)
+        else:
+            mat[rows, cols] = vals
+            mat[cols, rows] = vals
     diag = np.atleast_1d(ew.regularized_diag(nodes))
     if rule.surface is not None:
         if singular is None:
             singular = singular_part_matrix(rule)
         p_inv, p_lin = singular
         c_lin = -z / (8.0 * math.pi)
-        model = np.zeros((n, n), dtype=complex)
-        model[iu, ju] = 1.0 / (4.0 * math.pi * r_off) + c_lin * r_off
-        model[ju, iu] = model[iu, ju]
-        mat -= model
+        mat -= layout.inv_r + c_lin * layout.r
         mat[np.arange(n), np.arange(n)] = diag
         mat += (p_inv + c_lin * p_lin) / rule.weights[None, :]
     else:
@@ -412,16 +475,17 @@ def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
 
 
 def _rank_sum(z, rule, ctx, params, modes):
-    n_nodes = rule.n_nodes
-    mat = np.zeros((n_nodes, n_nodes), dtype=complex)
-    for n in modes:
-        g = gamma_n(z, n, ctx, params)
-        if abs(g) < _GAMMA_FLOOR:
+    """sum_n Gamma_n(z)^(-1) w_n w_n^T as one product (W / g) W^T, W = [w_n]."""
+    modes = list(modes)
+    w = np.empty((rule.n_nodes, len(modes)), dtype=complex)
+    g = np.empty(len(modes), dtype=complex)
+    for k, n in enumerate(modes):
+        g[k] = gamma_n(z, n, ctx, params)
+        if abs(g[k]) < _GAMMA_FLOOR:
             raise PoleCollisionError(
-                f"Gamma_{n}(z) = {g:.3e} at z = {z}; mode {n} sits on its eigenvalue")
-        w = mode_vector(z, n, rule, ctx).values
-        mat += np.multiply.outer(w, w) / g
-    return mat
+                f"Gamma_{n}(z) = {g[k]:.3e} at z = {z}; mode {n} sits on its eigenvalue")
+        w[:, k] = mode_vector(z, n, rule, ctx).values
+    return (w / g) @ w.T
 
 
 def assemble_A_l(z: complex, l: int, rule: QuadratureRule, ctx: SheetContext,
@@ -456,7 +520,8 @@ def _guarded_lu(mat, what: str, diagnostics: dict | None = None):
         cond = math.inf if rcond == 0.0 else 1.0 / rcond
         raise IllConditionedError(f"{what}: condition number {cond:.3e} exceeds 1e12")
     if diagnostics is not None:
-        diagnostics[f"cond[{what}]"] = 1.0 / rcond
+        key = f"cond[{what}]"
+        diagnostics[key] = max(diagnostics.get(key, 0.0), 1.0 / rcond)
     return lu
 
 
@@ -475,11 +540,11 @@ def neumann_apply(op: DiscreteKernelOperator, beta: float, f: np.ndarray,
 class SystemState:
     """Everything needed to evaluate eta_l / the determinant at a point z.
 
-    Caches the mode cutoff and the z-independent product-integration
-    matrices; the kernel matrices themselves are reassembled per z.  The
-    matrices are ``singular_base`` scaled by ``delta``: those of the
-    unscaled rule whose delta-image is ``rule`` (see SingularMatrices).  By
-    default they are built on ``rule`` itself, with delta = 1.
+    Caches the mode cutoff, the z-independent product-integration matrices
+    and the pair layout; only the z-dependent kernel values are recomputed
+    per z.  The matrices are ``singular_base`` scaled by ``delta``: those of
+    the unscaled rule whose delta-image is ``rule`` (see SingularMatrices).
+    By default they are built on ``rule`` itself, with delta = 1.
     """
 
     params: SpectralParams
@@ -491,6 +556,7 @@ class SystemState:
     delta: float = 1.0
     _singular: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False)
+    _layout: PairLayout | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n_cut is None:
@@ -509,8 +575,15 @@ class SystemState:
             self._singular = self.singular_base.scaled(self.delta)
         return self._singular
 
+    @property
+    def layout(self) -> PairLayout:
+        """Cached z-independent pair layout of the rule (see pair_layout)."""
+        if self._layout is None:
+            self._layout = pair_layout(self.rule)
+        return self._layout
+
     def free_op(self, z: complex) -> DiscreteKernelOperator:
-        return assemble_free(z, self.rule, self.ctx, self.singular)
+        return assemble_free(z, self.rule, self.ctx, self.singular, layout=self.layout)
 
 
 def eta_l(z: complex, l: int, state: SystemState,

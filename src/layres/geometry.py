@@ -73,13 +73,6 @@ class Surface:
         t2 = self.tangent2(np.asarray(q1, float), np.asarray(q2, float))
         return np.linalg.norm(np.cross(t1, t2), axis=-1)
 
-    def normal(self, q1, q2) -> np.ndarray:
-        """Unit normal; orientation recorded but unused by the solver."""
-        t1 = self.tangent1(np.asarray(q1, float), np.asarray(q2, float))
-        t2 = self.tangent2(np.asarray(q1, float), np.asarray(q2, float))
-        nrm = np.cross(t1, t2)
-        return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
-
 
 @dataclass(frozen=True)
 class QuadratureRule:

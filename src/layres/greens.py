@@ -213,6 +213,17 @@ def calibrate_tail_constant(z: complex = -2.0, rho: float = 0.3,
     return abs(coarse - fine) * n_max / max(abs(z), 1.0)
 
 
+def _spectral_x_max(j_max: int) -> float:
+    """Largest x = rho^2 / (4 eta) the j_max-truncated spectral polynomial supports.
+
+    The first omitted term of Phi_n is about x^(j_max+1) / (j_max+1)!,
+    amplified by up to ~50 through the incomplete-gamma coefficients of the
+    open channels; holding it at 1e-16 keeps the kernel within ~1e-13
+    absolute (about 1e-12 of its scale) for z in J_1 and J_2 on both sheets.
+    """
+    return math.exp((math.log(1e-16) + math.lgamma(j_max + 2)) / (j_max + 1))
+
+
 class EwaldGreen:
     """Ewald-summed layer kernel at fixed z, vectorized over point pairs.
 
@@ -238,8 +249,7 @@ class EwaldGreen:
         self.j_max = int(j_max)
         self.m_images = int(m_images)
         self._prepare_spectral_coeffs()
-        # largest rho the j-truncated spectral polynomial supports
-        self.rho_max = 2.0 * math.sqrt(self.eta) * math.sqrt(self.j_max) * 0.75
+        self.rho_max = 2.0 * math.sqrt(self.eta * _spectral_x_max(self.j_max))
 
     def _prepare_spectral_coeffs(self):
         beta = self.n_modes.astype(float) ** 2 - self.z

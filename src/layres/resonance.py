@@ -10,6 +10,7 @@ evaluates the closed-form lowest-order expressions for comparison.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -134,69 +135,50 @@ def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
                        singular_base=singular_base, delta=delta)
 
 
-def _newton(f: Callable[[complex], complex], seed: complex, tol: float,
-            max_iter: int) -> tuple[complex, float, int] | None:
-    z = complex(seed)
+def _secant(f: Callable[[complex], complex], seed: complex, tol: float,
+            max_iter: int) -> tuple[complex, float, int]:
+    """Secant iteration on f from (seed, seed + 1e-7 max(1, |seed|)).
+
+    One evaluation per step; stops when both |f| at the new point and the
+    step that reached it are below ``tol``, and returns (z, |f(z)|, steps).
+    """
+    z0 = complex(seed)
+    z1 = z0 + 1e-7 * max(1.0, abs(z0))
+    f0, f1 = f(z0), f(z1)
     for it in range(1, max_iter + 1):
-        fz = f(z)
-        h = 1e-7 * max(1.0, abs(z))
-        d = (f(z + h) - f(z - h)) / (2.0 * h)
-        if d == 0.0:
-            return None
-        step = fz / d
-        z = z - step
-        if abs(fz) < tol and abs(step) < tol:
-            return z, abs(f(z)), it
-    return None
-
-
-def _muller(f: Callable[[complex], complex], seeds, tol: float,
-            max_iter: int) -> tuple[complex, float, int] | None:
-    z0, z1, z2 = (complex(s) for s in seeds)
-    f0, f1, f2 = f(z0), f(z1), f(z2)
-    for it in range(1, max_iter + 1):
-        q = (z2 - z1) / (z1 - z0)
-        a = q * f2 - q * (1 + q) * f1 + q**2 * f0
-        b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q**2 * f0
-        c = (1 + q) * f2
-        disc = np.sqrt(b**2 - 4 * a * c + 0j)
-        den = b + disc if abs(b + disc) > abs(b - disc) else b - disc
-        if den == 0.0:
-            return None
-        step = (z2 - z1) * 2 * c / den
-        z3 = z2 - step
-        z0, z1, z2 = z1, z2, z3
-        f0, f1, f2 = f1, f2, f(z3)
-        if abs(f2) < tol and abs(step) < tol:
-            return z2, abs(f2), it
-    return None
-
-
-def _locate_root(f, seed, tol, max_iter=50):
-    res = _newton(f, seed, tol, max_iter)
-    if res is None:
-        # Muller fallback from three spread seeds around the first one
-        res = _muller(f, (seed, seed - 1e-3j, seed + 1e-3), tol, max_iter)
-    if res is None:
-        raise ConvergenceError(f"root iteration failed near z = {seed}")
-    return res
+        if f1 == f0:
+            break
+        step = f1 * (z1 - z0) / (f1 - f0)
+        if not cmath.isfinite(step):
+            break
+        z0, f0 = z1, f1
+        z1 = z1 - step
+        f1 = f(z1)
+        if abs(f1) < tol and abs(step) < tol:
+            return z1, abs(f1), it
+    raise ConvergenceError(f"root iteration failed near z = {seed}")
 
 
 def find_pole(l: int, delta: float, state: SystemState, seed: complex | None = None,
               tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
-    """Second-sheet pole z_l(delta) as the root of eta_l, Newton from eps_l."""
+    """Second-sheet pole z_l(delta) as the root of eta_l, secant from eps_l.
+
+    ``diagnostics`` of the result describe the whole search: the number of
+    eta_l evaluations and the worst condition number of each guarded solve.
+    """
     if tol < 1e-12:
         raise ValueError("tolerance below 1e-12 is not resolvable")
     params = state.params
     eps_l = params.eigenvalue(l)
     k = window_index(eps_l)
-    diagnostics: dict = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes}
+    diagnostics: dict = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes,
+                         "eta_evaluations": 0}
 
     def f(z):
+        diagnostics["eta_evaluations"] += 1
         return eta_l(z, l, state, diagnostics=diagnostics)
 
-    z, residual, iterations = _locate_root(f, eps_l if seed is None else seed,
-                                           tol, max_iter)
+    z, residual, iterations = _secant(f, eps_l if seed is None else seed, tol, max_iter)
     if not (k**2 < z.real < (k + 1) ** 2):
         raise ConvergenceError(f"root {z} escaped the window J_{k}")
     return PoleResult(z=z, mu=z - eps_l, l=l, k=k, delta=delta, residual=residual,
@@ -225,7 +207,7 @@ def find_determinant_root(l: int, delta: float, state: SystemState,
 
     if seed is None:
         seed = eps_l - 1e-4 - 1e-5j
-    z, residual, iterations = _locate_root(f, seed, tol, max_iter)
+    z, residual, iterations = _secant(f, seed, tol, max_iter)
     if not (k**2 < z.real < (k + 1) ** 2):
         raise ConvergenceError(f"root {z} escaped the window J_{k}")
     return PoleResult(z=z, mu=z - eps_l, l=l, k=k, delta=delta, residual=residual,
@@ -326,8 +308,10 @@ def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
     carries the coupling parameters, the quadrature order and the
     product-integration matrices, which are built once and scaled to every
     point.  ``n_cut`` fixes the mode cutoff of every point; by default each
-    point takes its own.  Points whose root iteration fails are recorded in
-    ``failures`` and left out of the fits.
+    point takes its own.  Every point after the first converged one is
+    seeded from the previous pole by the law Re mu = O(delta^2),
+    z = eps_l + mu_prev (delta / delta_prev)^2.  Points whose root iteration
+    fails are recorded in ``failures`` and left out of the fits.
     """
     deltas = list(deltas)
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
@@ -337,13 +321,18 @@ def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
         raise ValueError("sweeping needs a parametrized base surface")
     if state.delta != 1.0:
         raise ValueError("sweeping starts from the state on the unscaled surface")
+    eps_l = state.params.eigenvalue(l)
     poles, closed, failures = [], [], []
     for d in deltas:
         st = pole_state(surface, d, l, state.params, order=state.rule.order,
                         tail_tol=state.tail_tol, n_cut=n_cut,
                         singular_base=state.singular_base)
+        seed = None
+        if poles:
+            prev = poles[-1]
+            seed = eps_l + prev.mu * (d / prev.delta) ** 2
         try:
-            res = find_pole(l, d, st, tol=tol)
+            res = find_pole(l, d, st, seed=seed, tol=tol)
         except ArithmeticError as exc:
             failures.append((d, str(exc)))
             continue

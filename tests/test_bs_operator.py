@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from layres.bs_operator import (
     eta_l,
     mode_vector,
     neumann_apply,
+    pair_layout,
     singular_part_matrix,
 )
 from layres.geometry import (
@@ -41,6 +43,7 @@ SYM_DISK = disk(center=(1.0, 0.0, math.pi / 2), normal=(0.0, 0.0, 1.0), radius=0
 CAP = spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=0.6, polar_angle=0.9)
 RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0.0, 1.0, 0.0),
                        direction2=(0.0, 0.0, 1.0), length1=0.6, length2=0.6)
+TILTED = disk(center=(1.0, 0.0, 1.0), normal=(1.0, 0.0, 1.0), radius=0.5)
 
 
 def _ellipse(a=0.5, b=0.3, center=(1.0, 0.0, 1.0)):
@@ -266,6 +269,47 @@ class TestSingularBuild:
             SystemState(PARAMS, build_quadrature(SMALL, 4), second_sheet(1), delta=0.08)
 
 
+class TestPairLayout:
+    @pytest.mark.parametrize("surface", [DISK, SYM_DISK, CAP],
+                             ids=["disk", "midplane-disk", "cap"])
+    def test_orbit_fill_matches_all_pairs(self, surface):
+        rule = build_quadrature(surface, 12)
+        layout = pair_layout(rule)
+        assert layout.orbit
+        assert len(layout.rows) == 12 * (rule.n_nodes - 1)
+        iu, ju = np.triu_indices(rule.n_nodes, k=1)
+        every = dataclasses.replace(layout, rows=iu, cols=ju, orbit=False)
+        z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
+        singular = singular_part_matrix(rule)
+        got = assemble_free(z, rule, second_sheet(1), singular, layout=layout).matrix
+        want = assemble_free(z, rule, second_sheet(1), singular, layout=every).matrix
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
+
+    @pytest.mark.parametrize("surface", [TILTED, RECT], ids=["tilted-disk", "rectangle"])
+    def test_non_orbit_surfaces_keep_all_pairs(self, surface):
+        rule = build_quadrature(surface, 6)
+        layout = pair_layout(rule)
+        assert not layout.orbit
+        assert len(layout.rows) == rule.n_nodes * (rule.n_nodes - 1) // 2
+
+    def test_tilted_disk_is_rotation_symmetric_but_not_kernel_symmetric(self):
+        # its rotation axis is not vertical, so x3 varies along each ring
+        # and filling the kernel matrix along the orbits would be wrong
+        rule = build_quadrature(TILTED, 6)
+        assert _rotation_orbits(rule)
+        every = pair_layout(rule)
+        first = np.arange(0, rule.n_nodes, 6)
+        rows, cols = np.nonzero(~np.eye(rule.n_nodes, dtype=bool)[first])
+        forced = dataclasses.replace(every, rows=first[rows], cols=cols, orbit=True)
+        singular = singular_part_matrix(rule)
+        got = assemble_free(-2.0, rule, None, singular, layout=forced).matrix
+        want = assemble_free(-2.0, rule, None, singular, layout=every).matrix
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4
+
+    def test_state_caches_layout(self, small_state):
+        assert small_state.layout is small_state.layout
+
+
 class TestModeVector:
     def test_even_modes_vanish_on_midplane(self):
         rule = build_quadrature(SYM_DISK, 8)
@@ -326,6 +370,18 @@ class TestRankSums:
                           n_cut=2 * small_state.n_cut)
         b = eta_l(z, 2, st2)
         assert abs(a - b) < 1e-10
+
+    def test_product_matches_per_mode_loop(self):
+        rule = build_quadrature(RECT, 6)
+        ctx = second_sheet(2)
+        z = PARAMS.eigenvalue(3) - 0.002 - 1e-4j
+        got = assemble_A_l(z, 3, rule, ctx, PARAMS, n_cut=60).matrix
+        want = np.zeros((rule.n_nodes, rule.n_nodes), dtype=complex)
+        for n in range(1, 61):
+            if n != 3:
+                w = mode_vector(z, n, rule, ctx).values
+                want += np.multiply.outer(w, w) / gamma_n(z, n, ctx, PARAMS)
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-14
 
     def test_default_mode_cutoff(self, rule12):
         n_cut = default_mode_cutoff(rule12, second_sheet(1), tail_tol=1e-12)

@@ -198,6 +198,24 @@ class TestEwaldGreen:
         with pytest.raises(ValueError, match="rho"):
             ew(X, X + np.array([50.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("j_max", [8, 16, 32])
+    @pytest.mark.parametrize("z,ctx", [
+        (2.739 - 1e-8j, second_sheet(1)),
+        (2.739 + 1e-8j, None),
+        (8.95 - 1e-8j, second_sheet(2)),
+        (7.739 + 1e-8j, None),
+    ], ids=["J1-sheet2", "J1-sheet1", "J2-sheet2", "J2-sheet1"])
+    def test_spectral_radius_is_accurate(self, j_max, z, ctx):
+        # every admitted separation is within ~1e-12 of the kernel scale
+        # (|G| ~ 0.1 there); the bound j_max = 32 used to admit rho up to
+        # 8.49, where the truncated polynomial was off by 1e2
+        ew = EwaldGreen(z, ctx, j_max=j_max)
+        for x3p in (1.0, 2.9):
+            xp = np.array([X[0], X[1] + 0.99 * ew.rho_max, x3p])
+            assert abs(ew(X, xp) - layer_green(z, X, xp, ctx)) < 2e-13
+        with pytest.raises(ValueError, match="spectral radius"):
+            ew(X, X + np.array([1.01 * ew.rho_max, 0.0, 0.0]))
+
 
 class TestOmegaN:
     def test_zero_at_mode_nodes(self):

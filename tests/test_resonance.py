@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from layres import bs_operator
+from layres import bs_operator, resonance
 from layres.geometry import disk
 from layres.resonance import (
     ConvergenceError,
@@ -30,6 +30,22 @@ SYM = disk(center=(1.0, 0.0, math.pi / 2), normal=(0.0, 0.0, 1.0), radius=0.5)
 def pole_08():
     st = pole_state(BASE, 0.08, 2, PARAMS, order=8)
     return find_pole(2, 0.08, st), st
+
+
+@pytest.fixture(scope="module")
+def traced_pole_12():
+    """Order-12 pole with the point of every eta_l evaluation of its search."""
+    st = pole_state(BASE, 0.08, 2, PARAMS, order=12)
+    points = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resonance, "eta_l",
+                   lambda z, *args, **kw: points.append(z) or bs_operator.eta_l(z, *args, **kw))
+        res = find_pole(2, 0.08, st)
+    return res, st, points
+
+
+def _flat_eta(z, l, state, diagnostics=None):
+    return 1.0 + 0.0j
 
 
 class TestEmbeddedEigenvalues:
@@ -94,6 +110,37 @@ class TestFindPole:
     def test_discrete_mode_rejected(self):
         with pytest.raises(ValueError):
             pole_state(BASE, 0.08, 1, PARAMS, order=8)
+
+    def test_secant_needs_few_eta_evaluations(self, traced_pole_12):
+        res, _, points = traced_pole_12
+        assert len(points) <= 6
+        assert res.diagnostics["eta_evaluations"] == len(points)
+        assert res.iterations == len(points) - 2
+        assert res.residual < 1e-12
+
+    def test_diagnostics_cover_every_evaluation(self, traced_pole_12):
+        # the worst condition number of each solve over the whole search,
+        # not the last evaluation's
+        res, st, points = traced_pole_12
+        per_point = []
+        for z in points:
+            d = {}
+            bs_operator.eta_l(z, 2, st, diagnostics=d)
+            per_point.append(d)
+        for key in ("cond[I - beta R_SigmaSigma]", "cond[I - beta G A_l]"):
+            assert res.diagnostics[key] == max(d[key] for d in per_point)
+        assert res.diagnostics["n_nodes"] == 144
+
+    def test_flat_eta_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(resonance, "eta_l", _flat_eta)
+        st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
+        with pytest.raises(ConvergenceError):
+            find_pole(2, 0.08, st)
+
+    def test_iteration_budget_exhausted(self, pole_08):
+        _, st = pole_08
+        with pytest.raises(ConvergenceError):
+            find_pole(2, 0.08, st, max_iter=1)
 
     def test_above_axis_result_rejected(self):
         with pytest.raises(ArithmeticError):
@@ -204,6 +251,30 @@ class TestSweep:
         for (_, mu), cf in zip(sw.points, sw.closed_form_im):
             assert mu.imag < 0.0
             assert cf < 0.0
+
+    def test_warm_start_matches_cold_poles(self):
+        deltas = [0.02, 0.035, 0.06, 0.1]
+        base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
+        warm = sweep_delta(2, deltas, base_state)
+        cold = [find_pole(2, d, pole_state(BASE, d, 2, PARAMS, order=6,
+                                           singular_base=base_state.singular_base))
+                for d in deltas]
+        for w, c in zip(warm.poles, cold):
+            assert abs(w.z - c.z) < 1e-12
+        # points after the first start from the delta^2 extrapolation
+        assert sum(w.diagnostics["eta_evaluations"] for w in warm.poles[1:]) \
+            < sum(c.diagnostics["eta_evaluations"] for c in cold[1:])
+
+    def test_failed_point_recorded(self, monkeypatch):
+        eta = resonance.eta_l
+        monkeypatch.setattr(resonance, "eta_l", lambda z, l, state, diagnostics=None:
+                            _flat_eta(z, l, state) if state.delta == 0.035
+                            else eta(z, l, state, diagnostics=diagnostics))
+        base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
+        sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1, 0.12], base_state)
+        assert [d for d, _ in sw.failures] == [0.035]
+        assert "root iteration failed" in sw.failures[0][1]
+        assert [res.delta for res in sw.poles] == [0.02, 0.06, 0.1, 0.12]
 
     def test_unsorted_deltas_rejected(self):
         base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
