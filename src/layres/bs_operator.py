@@ -7,10 +7,13 @@ singularity subtraction: the non-smooth 1/(4 pi r) - z r/(8 pi) part is
 integrated semi-analytically over the surface (apex-Duffy transform in
 parameter space) and the C^2 remainder enters at its diagonal limit.
 
+The wire enters through the mode vectors w_n(z) = omega_n(z)|_Sigma, all
+retained modes from one call of :func:`mode_vector`.
+
 Pairing convention (consequential): the pairings written (w_n(zbar), . ) are
 implemented as the *bilinear* form sum_i w_i u_i v_i without conjugation,
-using w_n(z) in both slots.  Since omega_n(zbar) = conj(omega_n(z)), the two
-agree wherever the paper forms them, and the bilinear choice keeps every
+using w_n(z) in both slots.  Since w_n(zbar) = conj(w_n(z)), the two agree
+wherever the paper forms them, and the bilinear choice keeps every
 assembled object analytic in z on each sheet, which the root finders rely on.
 """
 
@@ -25,14 +28,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
-from . import geometry
+from . import geometry, specfun
 from .geometry import QuadratureRule
-from .greens import EwaldGreen, chi_n, omega_n
+from .greens import EwaldGreen, chi_n
 from .specfun import SheetContext, SpectralParams, first_sheet, gamma_n
 
 __all__ = [
     "DiscreteKernelOperator",
-    "ModeVector",
     "PoleCollisionError",
     "IllConditionedError",
     "SingularMatrices",
@@ -75,7 +77,6 @@ class DiscreteKernelOperator:
 
     matrix: np.ndarray
     weights: np.ndarray
-    rule: QuadratureRule | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -103,20 +104,6 @@ class DiscreteKernelOperator:
             return 0.0
         sw = np.sqrt(self.weights)
         return float(np.linalg.norm(sw[:, None] * self.matrix * sw[None, :], ord=2))
-
-
-@dataclass(frozen=True)
-class ModeVector:
-    """Restriction w_n(z) = omega_n(z)|_Sigma at the rule nodes."""
-
-    values: np.ndarray
-    n: int
-    z: complex
-    ctx: SheetContext
-
-    def norm_sq(self, weights) -> complex:
-        """Bilinear ||w_n||^2; real and positive when w_n is real."""
-        return complex(np.sum(weights * self.values * self.values))
 
 
 def _barycentric_weights(x):
@@ -403,7 +390,6 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
 
 def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = None,
                   singular: tuple[np.ndarray, np.ndarray] | None = None,
-                  ewald: EwaldGreen | None = None,
                   layout: PairLayout | None = None) -> DiscreteKernelOperator:
     """Nystrom matrix of the free layer resolvent R_SigmaSigma(z).
 
@@ -422,10 +408,10 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
     ctx = ctx or first_sheet()
     n = rule.n_nodes
     if n == 0:
-        return DiscreteKernelOperator(np.zeros((0, 0), complex), rule.weights, rule)
+        return DiscreteKernelOperator(np.zeros((0, 0), complex), rule.weights)
     if layout is None:
         layout = pair_layout(rule)
-    ew = ewald if ewald is not None else EwaldGreen(z, ctx)
+    ew = EwaldGreen(z, ctx)
     nodes = rule.nodes
     rows, cols = layout.rows, layout.cols
     mat = np.zeros((n, n), dtype=complex)
@@ -450,14 +436,22 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
         mat += (p_inv + c_lin * p_lin) / rule.weights[None, :]
     else:
         mat[np.arange(n), np.arange(n)] = diag
-    return DiscreteKernelOperator(mat, rule.weights, rule)
+    return DiscreteKernelOperator(mat, rule.weights)
 
 
-def mode_vector(z: complex, n: int, rule: QuadratureRule, ctx: SheetContext) -> ModeVector:
+def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.ndarray:
+    """Mode vector w_n(z) = omega_n(z)|_Sigma at the rule nodes.
+
+    omega_n(z; x) = (1/2 pi) Z0(kappa_n |x_perp|) chi_n(x3) is singular on
+    the wire axis, so a node there is rejected.  For an array of mode
+    indices ``n`` the result has one column per mode.
+    """
+    n = np.asarray(n)
     if rule.n_nodes == 0:
-        return ModeVector(np.zeros(0, complex), n, complex(z), ctx)
-    vals = np.asarray(omega_n(z, n, rule.nodes, ctx), dtype=complex)
-    return ModeVector(vals, n, complex(z), ctx)
+        return np.zeros((0,) + n.shape, complex)
+    x = rule.nodes
+    rho = np.hypot(x[:, 0], x[:, 1])
+    return specfun.z0_kernel(z, n, rho, ctx) * chi_n(n, x[:, 2]) / (2.0 * math.pi)
 
 
 def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
@@ -474,17 +468,15 @@ def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
     return max(ctx.k + 40, int(math.ceil(-math.log(tail_tol) / rmin)))
 
 
-def _rank_sum(z, rule, ctx, params, modes):
+def _rank_sum(z, rule, ctx, params, modes: np.ndarray):
     """sum_n Gamma_n(z)^(-1) w_n w_n^T as one product (W / g) W^T, W = [w_n]."""
-    modes = list(modes)
-    w = np.empty((rule.n_nodes, len(modes)), dtype=complex)
-    g = np.empty(len(modes), dtype=complex)
-    for k, n in enumerate(modes):
-        g[k] = gamma_n(z, n, ctx, params)
-        if abs(g[k]) < _GAMMA_FLOOR:
-            raise PoleCollisionError(
-                f"Gamma_{n}(z) = {g[k]:.3e} at z = {z}; mode {n} sits on its eigenvalue")
-        w[:, k] = mode_vector(z, n, rule, ctx).values
+    g = np.array([gamma_n(z, n, ctx, params) for n in modes], dtype=complex)
+    small = np.abs(g) < _GAMMA_FLOOR
+    if np.any(small):
+        k = int(np.argmax(small))
+        raise PoleCollisionError(f"Gamma_{modes[k]}(z) = {g[k]:.3e} at z = {z}; "
+                                 f"mode {modes[k]} sits on its eigenvalue")
+    w = mode_vector(z, modes, rule, ctx)
     return (w / g) @ w.T
 
 
@@ -494,9 +486,9 @@ def assemble_A_l(z: complex, l: int, rule: QuadratureRule, ctx: SheetContext,
     """A_l(z) = sum_{n != l} Gamma_n(z)^(-1) <w_n, . > w_n, truncated rank sum."""
     if n_cut is None:
         n_cut = default_mode_cutoff(rule, ctx, tail_tol)
-    modes = [n for n in range(1, n_cut + 1) if n != l]
-    return DiscreteKernelOperator(_rank_sum(z, rule, ctx, params, modes),
-                                  rule.weights, rule)
+    modes = np.arange(1, n_cut + 1)
+    return DiscreteKernelOperator(_rank_sum(z, rule, ctx, params, modes[modes != l]),
+                                  rule.weights)
 
 
 def assemble_alpha(z: complex, rule: QuadratureRule, ctx: SheetContext,
@@ -508,8 +500,8 @@ def assemble_alpha(z: complex, rule: QuadratureRule, ctx: SheetContext,
         n_cut = default_mode_cutoff(rule, ctx, tail_tol)
     if free is None:
         free = assemble_free(z, rule, ctx)
-    mat = free.matrix + _rank_sum(z, rule, ctx, params, range(1, n_cut + 1))
-    return DiscreteKernelOperator(mat, rule.weights, rule)
+    mat = free.matrix + _rank_sum(z, rule, ctx, params, np.arange(1, n_cut + 1))
+    return DiscreteKernelOperator(mat, rule.weights)
 
 
 def _guarded_lu(mat, what: str, diagnostics: dict | None = None):
@@ -587,7 +579,6 @@ class SystemState:
 
 
 def eta_l(z: complex, l: int, state: SystemState,
-          free: DiscreteKernelOperator | None = None,
           diagnostics: dict | None = None) -> complex:
     """Resonance function eta_l(z, delta) = Gamma_l(z) - beta theta_l(z, delta).
 
@@ -600,22 +591,20 @@ def eta_l(z: complex, l: int, state: SystemState,
     if rule.n_nodes == 0:
         return gl
     beta = params.beta
-    if free is None:
-        free = state.free_op(z)
+    free = state.free_op(z)
     n = rule.n_nodes
     eye = np.eye(n, dtype=complex)
     lu_b = _guarded_lu(eye - beta * free.weighted, "I - beta R_SigmaSigma", diagnostics)
     a_l = assemble_A_l(z, l, rule, ctx, params, state.n_cut, state.tail_tol)
     g_a = lu_solve(lu_b, a_l.weighted)
     lu_m = _guarded_lu(eye - beta * g_a, "I - beta G A_l", diagnostics)
-    w_l = mode_vector(z, l, rule, ctx).values
+    w_l = mode_vector(z, l, rule, ctx)
     t_w = lu_solve(lu_m, lu_solve(lu_b, w_l))
     theta = complex(np.sum(rule.weights * w_l * t_w))
     return gl - beta * theta
 
 
-def bs_determinant(z: complex, state: SystemState,
-                   free: DiscreteKernelOperator | None = None) -> complex:
+def bs_determinant(z: complex, state: SystemState) -> complex:
     """det(I - beta R_alpha,SigmaSigma(z)) of the weighted Nystrom matrix.
 
     Has poles at the eigenvalues eps_n of every retained mode; root finders
@@ -624,9 +613,7 @@ def bs_determinant(z: complex, state: SystemState,
     rule = state.rule
     if rule.n_nodes == 0:
         return 1.0 + 0.0j
-    if free is None:
-        free = state.free_op(z)
     r_alpha = assemble_alpha(z, rule, state.ctx, state.params, state.n_cut,
-                             state.tail_tol, free=free)
+                             state.tail_tol, free=state.free_op(z))
     eye = np.eye(rule.n_nodes, dtype=complex)
     return complex(np.linalg.det(eye - state.params.beta * r_alpha.weighted))

@@ -59,8 +59,9 @@ from .geometry import Surface, SurfaceValidationError, disk, rectangle_patch, \
     spherical_cap, with_anchor
 from .greens import calibrate_tail_constant, k0_cosine_sum, layer_green, \
     layer_green_modal
-# fit_power_law and im_mu_closed_form are unused here but stay importable as
-# cli attributes: perfbench/spans.py wraps every name it traces on this module
+# calibrate_tail_constant, fit_power_law and im_mu_closed_form are unused here
+# but stay importable as cli attributes: perfbench/spans.py wraps every name it
+# traces on this module
 from .resonance import embedded_eigenvalues, find_pole, fit_power_law, \
     im_mu_closed_form, pole_state, sweep_delta
 from .specfun import SpectralParams, first_sheet, gamma_from_gap, second_sheet
@@ -387,8 +388,7 @@ def _run_pole(config: RunConfig) -> int:
           ("l", "k", "delta", "re_z", "im_z", "re_mu", "im_mu", "residual",
            "iterations"),
           rows,
-          {"n_max": state.n_cut, "n_nodes": state.rule.n_nodes,
-           "tail_constant": calibrate_tail_constant()})
+          {"n_max": state.n_cut, "n_nodes": state.rule.n_nodes})
     return 0
 
 
@@ -412,7 +412,6 @@ def _run_sweep(config: RunConfig) -> int:
     fit_im, fit_re = sweep.fit_im, sweep.fit_re
     extra = {
         "n_max": sweep.n_cut,
-        "tail_constant": calibrate_tail_constant(),
         "fit_im_exponent": fit_im[0], "fit_im_prefactor": fit_im[1],
         "fit_im_r_squared": fit_im[2],
         "fit_re_exponent": fit_re[0], "fit_re_prefactor": fit_re[1],
@@ -459,8 +458,6 @@ def _validate_checks(params: SpectralParams):
     up = layer_green(2.5 + 1j * eps, x, xp, first_sheet())
     dn = layer_green(2.5 - 1j * eps, x, xp, second_sheet(1))
     checks.append(("edge_of_the_wedge", abs(up - dn) < 1e-6))
-
-    checks.append(("tail_constant_small", 0.0 <= calibrate_tail_constant() < 1e-6))
     return checks
 
 

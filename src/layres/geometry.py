@@ -54,8 +54,10 @@ class Surface:
     tangent2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], tuple[float, float]]
     x0: np.ndarray
-    #: second parameter is periodic over its domain (disk/cap azimuth); lets
-    #: self-panel integration recenter the window around a node
+    #: second parameter is periodic over its domain (disk/cap azimuth); the
+    #: rule then puts trapezoid nodes on it, product integration recentres its
+    #: window on each node with a trigonometric basis, and only such a surface
+    #: is checked for rotation orbits
     periodic2: bool = False
     _checked: bool = field(default=False, compare=False)
 

@@ -1,4 +1,4 @@
-"""Layer Green's kernel on both sheets, mode functions and wire vectors.
+"""Layer Green's kernel on both sheets and the transverse mode functions.
 
 Two evaluation routes are provided and cross-checked against each other:
 
@@ -29,7 +29,7 @@ from .specfun import (
     bessel_i0,
     first_sheet,
     im_positive_sqrt,
-    macdonald_k0,
+    kappa_n,
     nudge_off_axis,
 )
 
@@ -39,7 +39,6 @@ __all__ = [
     "k0_cosine_sum",
     "layer_green",
     "layer_green_modal",
-    "omega_n",
     "EwaldGreen",
     "calibrate_tail_constant",
 ]
@@ -49,8 +48,11 @@ _TWO_PI = 2.0 * math.pi
 
 
 def chi_n(n, x3):
-    """Transverse Dirichlet mode chi_n(x3) = sqrt(2/pi) sin(n x3)."""
-    return _SQRT_2_OVER_PI * np.sin(np.asarray(n) * np.asarray(x3))
+    """Transverse Dirichlet mode chi_n(x3) = sqrt(2/pi) sin(n x3).
+
+    The result has the shape of ``x3`` followed by the shape of ``n``.
+    """
+    return _SQRT_2_OVER_PI * np.sin(np.multiply.outer(x3, n))
 
 
 @dataclass(frozen=True)
@@ -130,11 +132,10 @@ def _pair_geometry(x, xp):
 
 
 def _second_sheet_correction(z, rho, x3, x3p, ctx: SheetContext):
-    corr = 0.0 + 0.0j
-    for n in range(1, ctx.k + 1):
-        kap = -1j * im_positive_sqrt(z - n * n)
-        corr += 0.5j * bessel_i0(-kap * rho) * chi_n(n, x3) * chi_n(n, x3p)
-    return corr
+    """(i/2) sum_{n<=k} I0(-kappa_n rho) chi_n(x3) chi_n(x3'), z off the axis."""
+    n = np.arange(1, ctx.k + 1)
+    i0 = bessel_i0(np.multiply.outer(rho, -kappa_n(z, n, ctx)))
+    return np.sum(0.5j * i0 * chi_n(n, x3) * chi_n(n, x3p), axis=-1)
 
 
 def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
@@ -155,7 +156,7 @@ def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
         cfg = KernelEvalConfig.for_separation(rho, k=ctx.k)
     zc = nudge_off_axis(z, ctx)
     n = np.arange(1, cfg.n_max + 1)
-    kap = -1j * im_positive_sqrt(zc - n.astype(float) ** 2)
+    kap = kappa_n(zc, n, ctx)
     x3 = float(np.asarray(x, float)[2])
     x3p = float(np.asarray(xp, float)[2])
     chi = chi_n(n, x3) * chi_n(n, x3p)
@@ -178,7 +179,7 @@ def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
         raise ValueError("mode series diverges termwise at rho = 0")
     zc = nudge_off_axis(z, ctx)
     n = np.arange(1, n_max + 1)
-    kap = -1j * im_positive_sqrt(zc - n.astype(float) ** 2)
+    kap = kappa_n(zc, n, ctx)
     x3 = float(np.asarray(x, float)[2])
     x3p = float(np.asarray(xp, float)[2])
     chi = chi_n(n, x3) * chi_n(n, x3p)
@@ -188,23 +189,12 @@ def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
     return val
 
 
-def omega_n(z: complex, n: int, x, ctx: SheetContext):
-    """Wire vector omega_n(z; x) = (1/2pi) Z0(kappa_n |x_perp|) chi_n(x3)."""
-    from .specfun import z0_kernel
-
-    x = np.asarray(x, float)
-    rho = np.hypot(x[..., 0], x[..., 1])
-    if np.any(rho == 0.0):
-        raise ValueError("omega_n is singular on the wire axis")
-    return z0_kernel(z, n, rho, ctx) * chi_n(n, x[..., 2]) / _TWO_PI
-
-
 def calibrate_tail_constant(z: complex = -2.0, rho: float = 0.3,
                             n_max: int = 2000) -> float:
     """Empirical constant C with |tail(n_max)| <= C |z| / n_max for the split.
 
-    Measured once per run and recorded in output metadata; the bound is used
-    only as a reported diagnostic, truncation itself is exponential in rho.
+    A diagnostic of the split route only; no run reports it, and truncation
+    itself is exponential in rho.
     """
     x = np.array([1.0, 0.0, 1.3])
     xp = np.array([1.0 + rho, 0.0, 0.9])

@@ -231,15 +231,13 @@ def mu_lowest_order(l: int, delta: float, state: SystemState) -> complex:
     beta = params.beta
     eps_l = complex(params.eigenvalue(l))
     w = rule.weights
-    w_l = mode_vector(eps_l, l, rule, ctx).values
+    w_l = mode_vector(eps_l, l, rule, ctx)
     norm_sq = complex(np.sum(w * w_l * w_l))
-    cross = 0.0 + 0.0j
-    for n in range(1, state.n_cut + 1):
-        if n == l:
-            continue
-        w_n = mode_vector(eps_l, n, rule, ctx).values
-        pair = complex(np.sum(w * w_l * w_n))
-        cross += pair**2 / gamma_n(eps_l, n, ctx, params)
+    modes = np.arange(1, state.n_cut + 1)
+    modes = modes[modes != l]
+    pairs = (w * w_l) @ mode_vector(eps_l, modes, rule, ctx)
+    gammas = np.array([gamma_n(eps_l, n, ctx, params) for n in modes], dtype=complex)
+    cross = complex(np.sum(pairs**2 / gammas))
     free = state.free_op(eps_l)
     dressed = complex(np.sum(w * w_l * free.apply(w_l)))
     return 4.0 * math.pi * params.xi_alpha * beta * (
@@ -269,14 +267,16 @@ def im_mu_closed_form(l: int, delta: float, state: SystemState) -> float:
     eps_l = params.eigenvalue(l)
     k = window_index(eps_l)
     w = rule.weights
-    w_l = mode_vector(complex(eps_l), l, rule, ctx).values
+    w_l = mode_vector(complex(eps_l), l, rule, ctx)
+    open_modes = np.arange(1, k + 1)
+    w_open = mode_vector(complex(eps_l), open_modes, rule, ctx)
+    chi_open = chi_n(open_modes, rule.nodes[:, 2])
     total = 0.0
     for n in range(1, k + 1):
-        w_n = mode_vector(complex(eps_l), n, rule, ctx).values
-        pair = complex(np.sum(w * w_l * w_n))
+        pair = complex(np.sum(w * w_l * w_open[:, n - 1]))
         a, b = pair.real, pair.imag
         iota = _iota(eps_l, n, params.alpha)
-        coupling = float(np.real(np.sum(w * w_l * chi_n(n, rule.nodes[:, 2]))))
+        coupling = float(np.real(np.sum(w * w_l * chi_open[:, n - 1])))
         total += (8.0 * iota * a * b + (a * a - b * b)) / (iota**2 + 0.0625)
         total += coupling**2
     return math.pi * params.xi_alpha * params.beta**2 * total

@@ -167,18 +167,22 @@ def bessel_i0(w):
     return out
 
 
-def kappa_n(z: complex, n: int, ctx: SheetContext | None = None):
+def kappa_n(z: complex, n, ctx: SheetContext | None = None):
     """Longitudinal decay rate kappa_n(z) = -i sqrt(z - n^2), Im sqrt > 0.
 
     Re kappa_n > 0 away from the mode's cut [n^2, oo); for real z < n^2 the
     value is the positive root sqrt(n^2 - z).  Real z >= n^2 is resolved by
     the sheet convention of ``ctx`` (+i0 on the first sheet, -i0 on the
-    second); ``ctx=None`` means first sheet.
+    second); ``ctx=None`` means first sheet.  ``n`` may be an array of mode
+    indices; the result then has its shape.
     """
-    if n < 1:
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("mode index n must be >= 1")
-    if complex(z) == complex(n * n):
-        raise BranchPointError(f"z = n^2 = {n * n} is a branch point")
+    on_branch = n * n == complex(z)
+    if np.any(on_branch):
+        m = int(n[on_branch][0])
+        raise BranchPointError(f"z = n^2 = {m * m} is a branch point")
     z = nudge_off_axis(z, ctx or first_sheet())
     return -1j * im_positive_sqrt(z - n * n)
 
@@ -217,17 +221,21 @@ def gamma_from_gap(w: complex, n: int, ctx: SheetContext, params: SpectralParams
     return complex(val)
 
 
-def z0_kernel(z: complex, n: int, rho: float, ctx: SheetContext):
+def z0_kernel(z: complex, n, rho, ctx: SheetContext):
     """Kernel building block Z0: K0(kappa_n rho), plus i pi I0(-kappa_n rho)
     for open modes on the second sheet.
 
-    This is the single place where sheet logic enters kernel evaluation.
+    ``n`` may be an array of mode indices; the result has the shape of
+    ``rho`` followed by the shape of ``n``.  This is the single place where
+    sheet logic enters kernel evaluation.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr <= 0.0):
         raise ValueError("z0_kernel requires rho > 0")
-    kap = kappa_n(z, n, ctx)
-    val = macdonald_k0(kap * rho_arr)
-    if ctx.second and n <= ctx.k:
-        val = val + 1j * math.pi * bessel_i0(-kap * rho_arr)
-    return val
+    n = np.asarray(n)
+    arg = np.multiply.outer(rho_arr, kappa_n(z, n, ctx))
+    val = np.asarray(macdonald_k0(arg))
+    if ctx.second:
+        open_ = np.broadcast_to(n <= ctx.k, val.shape)
+        val[open_] += 1j * math.pi * bessel_i0(-arg[open_])
+    return complex(val) if val.ndim == 0 else val

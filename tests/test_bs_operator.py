@@ -34,7 +34,8 @@ from layres.geometry import (
     with_anchor,
 )
 from layres.greens import layer_green
-from layres.specfun import SpectralParams, first_sheet, gamma_n, second_sheet
+from layres.specfun import BranchPointError, SpectralParams, first_sheet, gamma_n, \
+    second_sheet
 
 PARAMS = SpectralParams(alpha=0.0, beta=0.4)
 DISK = disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
@@ -310,18 +311,51 @@ class TestPairLayout:
         assert small_state.layout is small_state.layout
 
 
+def _norm_sq(w, weights) -> complex:
+    """Bilinear ||w||^2 = sum_i weights_i w_i^2."""
+    return complex(np.sum(weights * w * w))
+
+
+def _point_rule(x) -> QuadratureRule:
+    """Unit-weight rule on the given node or nodes."""
+    nodes = np.atleast_2d(x)
+    return QuadratureRule.from_tabulated(nodes, np.ones(len(nodes)))
+
+
 class TestModeVector:
     def test_even_modes_vanish_on_midplane(self):
         rule = build_quadrature(SYM_DISK, 8)
         for n in (2, 4):
             w = mode_vector(-2.0, n, rule, first_sheet())
-            assert np.max(np.abs(w.values)) < 1e-14
+            assert np.max(np.abs(w)) < 1e-14
+
+    def test_zero_at_mode_nodes(self):
+        rule = _point_rule([1.0, 0.0, math.pi / 2])
+        assert mode_vector(2.0, 2, rule, first_sheet())[0] == pytest.approx(0.0, abs=1e-15)
+
+    def test_real_below_threshold(self):
+        p = SpectralParams(alpha=0.0, beta=1.0)
+        z = p.eigenvalue(1)  # below the first threshold, all kappa_n real
+        val = mode_vector(z, 1, _point_rule([0.8, 0.3, 1.1]), first_sheet())[0]
+        assert abs(np.imag(val)) < 1e-15
+
+    def test_conjugation_symmetry(self):
+        z = 2.5 + 0.3j
+        rule = _point_rule([0.8, 0.3, 1.1])
+        for n in (1, 2, 4):
+            a = mode_vector(np.conj(z), n, rule, first_sheet())
+            b = np.conj(mode_vector(z, n, rule, first_sheet()))
+            assert a == pytest.approx(b, abs=1e-13)
+
+    def test_on_wire_rejected(self):
+        with pytest.raises(ValueError):
+            mode_vector(2.0, 1, _point_rule([0.0, 0.0, 1.0]), first_sheet())
 
     def test_decay_in_mode_number(self, rule12):
         # below every threshold the restriction decays like exp(-kappa_n r_min);
         # divide out the transverse factor sin(n x3)^2 (all nodes at x3 = 1)
         z = -1.0
-        norms = [abs(mode_vector(z, n, rule12, first_sheet()).norm_sq(rule12.weights))
+        norms = [abs(_norm_sq(mode_vector(z, n, rule12, first_sheet()), rule12.weights))
                  / math.sin(n * 1.0) ** 2 for n in (6, 8, 10)]
         assert norms[1] < norms[0] * math.exp(-2 * 0.4)
         assert norms[2] < norms[1] * math.exp(-2 * 0.4)
@@ -332,9 +366,34 @@ class TestModeVector:
         norms = []
         for d in deltas:
             r = build_quadrature(scale_surface(DISK, d), 8)
-            norms.append(abs(mode_vector(z, 1, r, first_sheet()).norm_sq(r.weights)))
+            norms.append(abs(_norm_sq(mode_vector(z, 1, r, first_sheet()), r.weights)))
         slope = np.polyfit(np.log(deltas), np.log(norms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("surface, z, ctx", [
+        (SMALL, PARAMS.eigenvalue(2) - 0.002 - 1e-4j, second_sheet(1)),
+        (RECT, PARAMS.eigenvalue(3) - 0.002 - 1e-4j, second_sheet(2)),
+        (DISK, 2.5 + 0.3j, first_sheet()),
+    ], ids=["disk-second-k1", "rect-second-k2", "disk-first"])
+    def test_mode_array_matches_scalar_calls(self, surface, z, ctx):
+        rule = build_quadrature(surface, 6)
+        modes = np.arange(1, 61)
+        w = mode_vector(z, modes, rule, ctx)
+        assert w.shape == (rule.n_nodes, len(modes))
+        for j, n in enumerate(range(1, 61)):
+            assert np.array_equal(w[:, j], mode_vector(z, n, rule, ctx))
+
+    def test_scalar_mode_gives_a_vector(self, rule12):
+        assert mode_vector(-1.0, 3, rule12, first_sheet()).shape == (rule12.n_nodes,)
+
+    def test_bad_entry_in_mode_array_rejected(self, rule12):
+        with pytest.raises(BranchPointError, match="n\\^2 = 4"):
+            mode_vector(4.0, np.array([1, 2, 3]), rule12, first_sheet())
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            mode_vector(-1.0, np.array([1, 0, 3]), rule12, first_sheet())
+        rule = _point_rule([[0.8, 0.3, 1.1], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="rho > 0"):
+            mode_vector(-1.0, np.array([1, 2]), rule, first_sheet())
 
 
 class TestRankSums:
@@ -379,7 +438,7 @@ class TestRankSums:
         want = np.zeros((rule.n_nodes, rule.n_nodes), dtype=complex)
         for n in range(1, 61):
             if n != 3:
-                w = mode_vector(z, n, rule, ctx).values
+                w = mode_vector(z, n, rule, ctx)
                 want += np.multiply.outer(w, w) / gamma_n(z, n, ctx, PARAMS)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-14
 
@@ -429,7 +488,7 @@ class TestEtaL:
         bad = SpectralParams(alpha=0.0, beta=1.0 / lam)
         st = SystemState(bad, rule12, first_sheet())
         with pytest.raises(IllConditionedError):
-            eta_l(-5.0, 1, st, free=op)
+            eta_l(-5.0, 1, st)
 
 
 class TestDeterminant:
@@ -451,7 +510,7 @@ class TestDeterminant:
         lu_b = lu_factor(eye - beta * free.weighted)
         g_a = lu_solve(lu_b, a_l.weighted)
         lu_m = lu_factor(eye - beta * g_a)
-        w_l = mode_vector(z, 2, rule, ctx).values
+        w_l = mode_vector(z, 2, rule, ctx)
         t_w = lu_solve(lu_m, lu_solve(lu_b, w_l))
         gl = gamma_n(z, 2, ctx, st.params)
         lhs = eye - beta * r_a.weighted

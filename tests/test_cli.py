@@ -161,7 +161,7 @@ class TestPoleMode:
         assert run(cfg) == 0
         lines = out.read_text().splitlines()
         assert any(ln.startswith("# n_max = ") for ln in lines)
-        assert any(ln.startswith("# tail_constant = ") for ln in lines)
+        assert not any(ln.startswith("# tail_constant") for ln in lines)
         body = [ln for ln in lines if not ln.startswith("#")]
         header = body[0].split(",")
         row = dict(zip(header, body[1].split(",")))

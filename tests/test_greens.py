@@ -13,7 +13,6 @@ from layres.greens import (
     k0_cosine_sum,
     layer_green,
     layer_green_modal,
-    omega_n,
 )
 from layres.specfun import SpectralParams, first_sheet, gamma_from_gap, second_sheet
 
@@ -33,6 +32,12 @@ class TestChiN:
     def test_amplitude(self):
         assert chi_n(1, math.pi / 2) == pytest.approx(math.sqrt(2 / math.pi), abs=1e-14)
         assert chi_n(1, math.pi / 2) == pytest.approx(0.7978845608, abs=1e-9)
+
+    def test_mode_array_is_last_axis(self):
+        x3 = np.array([0.3, 1.1, 2.0, 2.9])
+        val = chi_n(np.array([1, 3]), x3)
+        assert val.shape == (4, 2)
+        assert np.array_equal(val[:, 1], chi_n(3, x3))
 
     def test_orthonormality(self):
         x, w = leggauss(64)
@@ -215,31 +220,6 @@ class TestEwaldGreen:
             assert abs(ew(X, xp) - layer_green(z, X, xp, ctx)) < 2e-13
         with pytest.raises(ValueError, match="spectral radius"):
             ew(X, X + np.array([1.01 * ew.rho_max, 0.0, 0.0]))
-
-
-class TestOmegaN:
-    def test_zero_at_mode_nodes(self):
-        x = np.array([1.0, 0.0, math.pi / 2])
-        assert omega_n(2.0, 2, x, first_sheet()) == pytest.approx(0.0, abs=1e-15)
-
-    def test_real_below_threshold(self):
-        p = SpectralParams(alpha=0.0, beta=1.0)
-        z = p.eigenvalue(1)  # below the first threshold, all kappa_n real
-        x = np.array([0.8, 0.3, 1.1])
-        val = omega_n(z, 1, x, first_sheet())
-        assert abs(np.imag(val)) < 1e-15
-
-    def test_conjugation_symmetry(self):
-        z = 2.5 + 0.3j
-        x = np.array([0.8, 0.3, 1.1])
-        for n in (1, 2, 4):
-            a = omega_n(np.conj(z), n, x, first_sheet())
-            b = np.conj(omega_n(z, n, x, first_sheet()))
-            assert a == pytest.approx(b, abs=1e-13)
-
-    def test_on_wire_rejected(self):
-        with pytest.raises(ValueError):
-            omega_n(2.0, 1, np.array([0.0, 0.0, 1.0]), first_sheet())
 
 
 class TestResidueLaw:

@@ -173,6 +173,23 @@ class TestLowestOrder:
         assert abs(a.real + b.real) < 0.05 * abs(a.real)
         assert a.imag == pytest.approx(b.imag, rel=1e-12)
 
+    def test_matches_per_mode_loop(self):
+        # reference: one mode vector and one pairing per mode; the batched
+        # pairings only sum in another order
+        st = pole_state(BASE, 0.05, 2, PARAMS, order=6)
+        rule, ctx, w = st.rule, st.ctx, st.rule.weights
+        eps = complex(PARAMS.eigenvalue(2))
+        w_l = bs_operator.mode_vector(eps, 2, rule, ctx)
+        cross = 0.0 + 0.0j
+        for n in range(1, st.n_cut + 1):
+            if n != 2:
+                w_n = bs_operator.mode_vector(eps, n, rule, ctx)
+                cross += complex(np.sum(w * w_l * w_n)) ** 2 / gamma_n(eps, n, ctx, PARAMS)
+        dressed = complex(np.sum(w * w_l * st.free_op(eps).apply(w_l)))
+        want = 4.0 * math.pi * PARAMS.xi_alpha * PARAMS.beta * (
+            complex(np.sum(w * w_l * w_l)) + PARAMS.beta * (cross + dressed))
+        assert abs(mu_lowest_order(2, 0.05, st) - want) <= 1e-12 * abs(want)
+
 
 class TestImClosedForm:
     def test_negative_and_matches_pole(self, pole_08):
@@ -251,6 +268,20 @@ class TestSweep:
         for (_, mu), cf in zip(sw.points, sw.closed_form_im):
             assert mu.imag < 0.0
             assert cf < 0.0
+
+    def test_poles_pinned(self):
+        # 17-digit poles recorded at commit 54a7e27, where every mode vector
+        # was built on its own; refactors must not move them
+        res = find_pole(2, 0.08, pole_state(BASE, 0.08, 2, PARAMS, order=6))
+        assert abs(res.z - complex(2.7389992754637413, -8.3332677049346686e-09)) <= 1e-12
+        pinned = [(0.02, complex(2.7390496577400354, -3.2257848907156498e-11)),
+                  (0.035, complex(2.7390427632041172, -3.0326857089933782e-10)),
+                  (0.06, complex(2.739022848417632, -2.6291310898165579e-09)),
+                  (0.1, complex(2.7389688444957905, -2.0400351833858323e-08))]
+        sw = sweep_delta(2, [d for d, _ in pinned], pole_state(BASE, 1.0, 2, PARAMS, order=6))
+        assert [res.delta for res in sw.poles] == [d for d, _ in pinned]
+        for res, (_, z) in zip(sw.poles, pinned):
+            assert abs(res.z - z) <= 1e-12
 
     def test_warm_start_matches_cold_poles(self):
         deltas = [0.02, 0.035, 0.06, 0.1]

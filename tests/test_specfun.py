@@ -259,3 +259,13 @@ class TestZ0Kernel:
     def test_rho_zero_rejected(self):
         with pytest.raises(ValueError):
             z0_kernel(2.5, 1, 0.0, first_sheet())
+
+    def test_mode_array_is_last_axis(self):
+        z, rho, n = 2.5 - 0.02j, np.array([0.3, 0.8, 1.5]), np.array([1, 2, 5])
+        for ctx in (first_sheet(), second_sheet(1)):
+            val = z0_kernel(z, n, rho, ctx)
+            assert val.shape == (3, 3)
+            for j, m in enumerate((1, 2, 5)):
+                assert np.array_equal(val[:, j], z0_kernel(z, m, rho, ctx))
+                assert val[1, j] == z0_kernel(z, m, 0.8, ctx)
+            assert z0_kernel(z, n, 0.8, ctx).shape == (3,)
