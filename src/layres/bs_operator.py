@@ -20,7 +20,7 @@ assembled object analytic in z on each sheet, which the root finders rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "DiscreteKernelOperator",
     "PoleCollisionError",
     "IllConditionedError",
-    "SingularMatrices",
     "SystemState",
     "PairLayout",
     "singular_part_matrix",
@@ -313,26 +312,6 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None):
     return _fill_orbits(first_inv, p), _fill_orbits(first_lin, p)
 
 
-class SingularMatrices:
-    """(p_inv, p_lin) of one base rule, built on first use and then reused.
-
-    Under the scaling x -> delta x + (1 - delta) x0 of
-    :func:`geometry.scale_surface`, with the same order and parameter nodes,
-    1/|x - x'| dS' scales by delta and |x - x'| dS' by delta^3, so the pair
-    on the scaled rule is (delta p_inv, delta^3 p_lin) of the base rule.
-    """
-
-    def __init__(self, rule: QuadratureRule):
-        self.rule = rule
-        self._pair: tuple[np.ndarray, np.ndarray] | None = None
-
-    def scaled(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        if self._pair is None:
-            self._pair = singular_part_matrix(self.rule)
-        p_inv, p_lin = self._pair
-        return delta * p_inv, delta**3 * p_lin
-
-
 def _kernel_orbits(rule: QuadratureRule) -> bool:
     """Whether the layer kernel matrix is cyclic along the rotation orbits.
 
@@ -351,33 +330,49 @@ def _kernel_orbits(rule: QuadratureRule) -> bool:
 
 @dataclass(frozen=True)
 class PairLayout:
-    """z-independent part of the free-kernel assembly on one rule.
+    """Everything z-independent of the free-kernel assembly on one rule.
 
     ``rows``, ``cols`` are the node pairs whose kernel value is evaluated:
     the upper triangle, or with ``orbit`` the first row (i1, 0) of each
     rotation orbit against every other node, the remaining rows being cyclic
-    shifts of those (see :func:`_kernel_orbits`).  ``inv_r`` and ``r`` are
-    the off-diagonal model matrices 1/(4 pi |x - x'|) and |x - x'|, zero on
-    the diagonal.
+    shifts of those (see :func:`_kernel_orbits`).  ``corr_inv`` and
+    ``corr_lin`` swap the plain Nystrom values of the model kernels
+    1/(4 pi |x - x'|) and |x - x'| for their product integrals
+    (:func:`singular_part_matrix`): p_inv / w - 1/(4 pi r) and p_lin / w - r,
+    with w the rule weights and the model zero on the diagonal.  Both are
+    zero for a tabulated rule without a surface.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     orbit: bool
-    inv_r: np.ndarray
-    r: np.ndarray
+    corr_inv: np.ndarray
+    corr_lin: np.ndarray
+
+    def scaled(self, delta: float) -> "PairLayout":
+        """Layout of the delta-image of the rule under :func:`geometry.scale_surface`.
+
+        The map x -> delta x + (1 - delta) x0 with the same order and
+        parameter nodes keeps the rotation orbits and the x3-rings, so the
+        pairs stay; p_inv scales by delta, p_lin by delta^3, w by delta^2
+        and r by delta, so corr_inv scales by 1/delta and corr_lin by delta.
+        """
+        return replace(self, corr_inv=self.corr_inv / delta,
+                       corr_lin=delta * self.corr_lin)
 
 
 def pair_layout(rule: QuadratureRule) -> PairLayout:
-    """Pair layout of ``rule``; rejects coincident nodes."""
+    """Pairs to evaluate and singular corrections of ``rule`` (see :class:`PairLayout`).
+
+    The corrections come from :func:`singular_part_matrix` when the rule has
+    a parametrized surface.  Coincident nodes are rejected.
+    """
     n = rule.n_nodes
     nodes = rule.nodes
     r = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
     off = ~np.eye(n, dtype=bool)
     if n > 1 and float(np.min(r[off])) == 0.0:
         raise ValueError("quadrature nodes must be pairwise distinct")
-    inv_r = np.zeros((n, n))
-    inv_r[off] = 1.0 / (4.0 * math.pi * r[off])
     orbit = _kernel_orbits(rule)
     if orbit:
         first = np.arange(0, n, rule.order)
@@ -385,25 +380,30 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
         rows = first[rows]
     else:
         rows, cols = np.triu_indices(n, k=1)
-    return PairLayout(rows, cols, orbit, inv_r, r)
+    if rule.surface is None:
+        return PairLayout(rows, cols, orbit, np.zeros((n, n)), np.zeros((n, n)))
+    inv_r = np.zeros((n, n))
+    inv_r[off] = 1.0 / (4.0 * math.pi * r[off])
+    p_inv, p_lin = singular_part_matrix(rule)
+    w = rule.weights
+    return PairLayout(rows, cols, orbit, p_inv / w - inv_r, p_lin / w - r)
 
 
 def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = None,
-                  singular: tuple[np.ndarray, np.ndarray] | None = None,
                   layout: PairLayout | None = None) -> DiscreteKernelOperator:
     """Nystrom matrix of the free layer resolvent R_SigmaSigma(z).
 
     The kernel is split as 1/(4 pi r) - z r/(8 pi) plus a C^2 remainder
     (those are the odd-in-r terms of the nearest image exp(-s r)/(4 pi r)
-    through order r).  The non-smooth part enters through the z-independent
-    product-integration matrices (:func:`singular_part_matrix`); the
-    remainder is handled by plain Nystrom with its diagonal limit from
-    :meth:`EwaldGreen.regularized_diag`.  For a tabulated rule without a
-    parametrized surface only the regularized limit fixes the diagonal
-    (documented fallback for point probes).
+    through order r).  The remainder is handled by plain Nystrom with its
+    diagonal limit from :meth:`EwaldGreen.regularized_diag`; the non-smooth
+    part enters through the layout's corrections, which replace its Nystrom
+    values by product integrals.  For a tabulated rule without a
+    parametrized surface the corrections are zero and only the regularized
+    limit fixes the diagonal (documented fallback for point probes).
 
-    ``layout`` (see :func:`pair_layout`) is the z-independent pair geometry
-    of ``rule``; pass it to reuse one across several z.
+    ``layout`` (see :func:`pair_layout`) holds everything z-independent of
+    ``rule``; pass it to reuse one across several z.
     """
     ctx = ctx or first_sheet()
     n = rule.n_nodes
@@ -425,17 +425,8 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
         else:
             mat[rows, cols] = vals
             mat[cols, rows] = vals
-    diag = np.atleast_1d(ew.regularized_diag(nodes))
-    if rule.surface is not None:
-        if singular is None:
-            singular = singular_part_matrix(rule)
-        p_inv, p_lin = singular
-        c_lin = -z / (8.0 * math.pi)
-        mat -= layout.inv_r + c_lin * layout.r
-        mat[np.arange(n), np.arange(n)] = diag
-        mat += (p_inv + c_lin * p_lin) / rule.weights[None, :]
-    else:
-        mat[np.arange(n), np.arange(n)] = diag
+    mat[np.arange(n), np.arange(n)] = ew.regularized_diag(nodes)
+    mat += layout.corr_inv - z / (8.0 * math.pi) * layout.corr_lin
     return DiscreteKernelOperator(mat, rule.weights)
 
 
@@ -470,7 +461,7 @@ def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
 
 def _rank_sum(z, rule, ctx, params, modes: np.ndarray):
     """sum_n Gamma_n(z)^(-1) w_n w_n^T as one product (W / g) W^T, W = [w_n]."""
-    g = np.array([gamma_n(z, n, ctx, params) for n in modes], dtype=complex)
+    g = gamma_n(z, modes, ctx, params)
     small = np.abs(g) < _GAMMA_FLOOR
     if np.any(small):
         k = int(np.argmax(small))
@@ -481,23 +472,17 @@ def _rank_sum(z, rule, ctx, params, modes: np.ndarray):
 
 
 def assemble_A_l(z: complex, l: int, rule: QuadratureRule, ctx: SheetContext,
-                 params: SpectralParams, n_cut: int | None = None,
-                 tail_tol: float = 1e-12) -> DiscreteKernelOperator:
-    """A_l(z) = sum_{n != l} Gamma_n(z)^(-1) <w_n, . > w_n, truncated rank sum."""
-    if n_cut is None:
-        n_cut = default_mode_cutoff(rule, ctx, tail_tol)
+                 params: SpectralParams, n_cut: int) -> DiscreteKernelOperator:
+    """A_l(z) = sum_{n != l} Gamma_n(z)^(-1) <w_n, . > w_n over modes n <= n_cut."""
     modes = np.arange(1, n_cut + 1)
     return DiscreteKernelOperator(_rank_sum(z, rule, ctx, params, modes[modes != l]),
                                   rule.weights)
 
 
 def assemble_alpha(z: complex, rule: QuadratureRule, ctx: SheetContext,
-                   params: SpectralParams, n_cut: int | None = None,
-                   tail_tol: float = 1e-12,
+                   params: SpectralParams, n_cut: int,
                    free: DiscreteKernelOperator | None = None) -> DiscreteKernelOperator:
-    """Full wire-dressed operator R_alpha = R_SigmaSigma + sum_n Gamma_n^(-1) <w_n, .> w_n."""
-    if n_cut is None:
-        n_cut = default_mode_cutoff(rule, ctx, tail_tol)
+    """Wire-dressed R_alpha = R_SigmaSigma + sum_{n <= n_cut} Gamma_n^(-1) <w_n, .> w_n."""
     if free is None:
         free = assemble_free(z, rule, ctx)
     mat = free.matrix + _rank_sum(z, rule, ctx, params, np.arange(1, n_cut + 1))
@@ -532,11 +517,11 @@ def neumann_apply(op: DiscreteKernelOperator, beta: float, f: np.ndarray,
 class SystemState:
     """Everything needed to evaluate eta_l / the determinant at a point z.
 
-    Caches the mode cutoff, the z-independent product-integration matrices
-    and the pair layout; only the z-dependent kernel values are recomputed
-    per z.  The matrices are ``singular_base`` scaled by ``delta``: those of
-    the unscaled rule whose delta-image is ``rule`` (see SingularMatrices).
-    By default they are built on ``rule`` itself, with delta = 1.
+    Holds the mode cutoff and the z-independent pair layout of ``rule``, so
+    only the z-dependent kernel values are recomputed per z.  Without a
+    ``layout`` the state builds one on ``rule`` itself.  ``delta`` is the
+    scaling parameter of ``rule``; :func:`resonance.pole_state` passes the
+    layout of the unscaled rule scaled to it.
     """
 
     params: SpectralParams
@@ -544,38 +529,17 @@ class SystemState:
     ctx: SheetContext
     tail_tol: float = 1e-12
     n_cut: int | None = None
-    singular_base: SingularMatrices | None = field(default=None, repr=False)
+    layout: PairLayout | None = field(default=None, repr=False)
     delta: float = 1.0
-    _singular: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False)
-    _layout: PairLayout | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n_cut is None:
             self.n_cut = default_mode_cutoff(self.rule, self.ctx, self.tail_tol)
-        if self.singular_base is None and self.rule.surface is not None:
-            if self.delta != 1.0:
-                raise ValueError("a scaled state needs the base matrices it scales")
-            self.singular_base = SingularMatrices(self.rule)
-
-    @property
-    def singular(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Cached z-independent product-integration matrices (1/4 pi r and r)."""
-        if self.singular_base is None:
-            return None
-        if self._singular is None:
-            self._singular = self.singular_base.scaled(self.delta)
-        return self._singular
-
-    @property
-    def layout(self) -> PairLayout:
-        """Cached z-independent pair layout of the rule (see pair_layout)."""
-        if self._layout is None:
-            self._layout = pair_layout(self.rule)
-        return self._layout
+        if self.layout is None:
+            self.layout = pair_layout(self.rule)
 
     def free_op(self, z: complex) -> DiscreteKernelOperator:
-        return assemble_free(z, self.rule, self.ctx, self.singular, layout=self.layout)
+        return assemble_free(z, self.rule, self.ctx, self.layout)
 
 
 def eta_l(z: complex, l: int, state: SystemState,
@@ -595,7 +559,7 @@ def eta_l(z: complex, l: int, state: SystemState,
     n = rule.n_nodes
     eye = np.eye(n, dtype=complex)
     lu_b = _guarded_lu(eye - beta * free.weighted, "I - beta R_SigmaSigma", diagnostics)
-    a_l = assemble_A_l(z, l, rule, ctx, params, state.n_cut, state.tail_tol)
+    a_l = assemble_A_l(z, l, rule, ctx, params, state.n_cut)
     g_a = lu_solve(lu_b, a_l.weighted)
     lu_m = _guarded_lu(eye - beta * g_a, "I - beta G A_l", diagnostics)
     w_l = mode_vector(z, l, rule, ctx)
@@ -614,6 +578,6 @@ def bs_determinant(z: complex, state: SystemState) -> complex:
     if rule.n_nodes == 0:
         return 1.0 + 0.0j
     r_alpha = assemble_alpha(z, rule, state.ctx, state.params, state.n_cut,
-                             state.tail_tol, free=state.free_op(z))
+                             free=state.free_op(z))
     eye = np.eye(rule.n_nodes, dtype=complex)
     return complex(np.linalg.det(eye - state.params.beta * r_alpha.weighted))

@@ -258,6 +258,8 @@ def parse_config(text: str) -> RunConfig:
             f"line {typed_surface['deltas'][1]}: deltas must be strictly increasing")
     if not 0.0 < delta <= 1.0:
         raise ConfigError(f"delta must lie in (0, 1], got {delta}")
+    if not all(0.0 < d <= 1.0 for d in deltas):
+        raise ConfigError(f"every delta in deltas must lie in (0, 1], got {deltas}")
 
     l = _as_int(run_sec["l"][0], "l", run_sec["l"][1]) if "l" in run_sec else 2
     n_min = _as_int(run_sec["n_min"][0], "n_min", run_sec["n_min"][1]) \
@@ -277,6 +279,12 @@ def parse_config(text: str) -> RunConfig:
         if "root_tol" in numer else 1e-12
     n_cut = _as_int(numer["n_cut"][0], "n_cut", numer["n_cut"][1]) \
         if "n_cut" in numer else None
+    if not 0.0 < tail_tol < 1.0:
+        raise ConfigError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    if not root_tol >= 1e-12:
+        raise ConfigError(f"root_tol below 1e-12 is not resolvable, got {root_tol}")
+    if n_cut is not None and n_cut < 1:
+        raise ConfigError(f"n_cut must be >= 1, got {n_cut}")
 
     fmt = out.get("format", ("csv", 0))[0]
     if fmt not in ("csv", "json"):

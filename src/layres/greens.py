@@ -45,6 +45,11 @@ __all__ = [
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _TWO_PI = 2.0 * math.pi
+#: lattice terms summed exactly in k0_cosine_sum before the Euler-Maclaurin tail
+_N_LATTICE = 512
+#: Ewald splitting parameter and the image range |m| <= _M_IMAGES of EwaldGreen
+_ETA = 1.0
+_M_IMAGES = 3
 
 
 def chi_n(n, x3):
@@ -101,7 +106,7 @@ def _lattice_tail_integral(m0, aa, rho):
             - math.asinh((_TWO_PI * m0 + aa) / rho)) / _TWO_PI
 
 
-def k0_cosine_sum(rho: float, a: float, n_lattice: int = 512) -> float:
+def k0_cosine_sum(rho: float, a: float) -> float:
     """Closed form of the lattice sum sum_{n>=1} K0(n rho) cos(n a).
 
     Leading image 1/(2 sqrt(rho^2+a^2)) plus a logarithmic constant and two
@@ -113,8 +118,8 @@ def k0_cosine_sum(rho: float, a: float, n_lattice: int = 512) -> float:
     a = float(a) % _TWO_PI
     val = 0.5 * (math.log(rho / (4.0 * math.pi)) + EULER_GAMMA)
     val += math.pi / (2.0 * math.hypot(rho, a))
-    m = np.arange(1, n_lattice + 1, dtype=float)
-    m0 = n_lattice + 0.5
+    m = np.arange(1, _N_LATTICE + 1, dtype=float)
+    m0 = _N_LATTICE + 0.5
     lattice = 0.0
     for aa in (a, -a):
         lattice += float(np.sum(_lattice_term(m, aa, rho)))
@@ -217,37 +222,31 @@ def _spectral_x_max(j_max: int) -> float:
 class EwaldGreen:
     """Ewald-summed layer kernel at fixed z, vectorized over point pairs.
 
-    The cosine-series form of the kernel is split at Ewald parameter eta:
-    the large-t (spectral) part keeps ~sqrt(Re z + 40/eta) modes with
-    Gaussian decay, the small-t part Poisson-sums into screened image
-    charges e^{-sR} erfc(...) over |m| <= m_images.  The a-independent n = 0
+    The cosine-series form of the kernel is split at Ewald parameter
+    eta = _ETA: the large-t (spectral) part keeps ~sqrt(Re z + 40/eta) modes
+    with Gaussian decay, the small-t part Poisson-sums into screened image
+    charges e^{-sR} erfc(...) over |m| <= _M_IMAGES.  The a-independent n = 0
     term cancels between the two transverse cosine arguments and is dropped,
     which also removes the spurious sqrt(-z) cut below the first threshold.
     """
 
-    def __init__(self, z: complex, ctx: SheetContext | None = None, eta: float = 1.0,
-                 n_spectral: int | None = None, j_max: int = 32, m_images: int = 3):
+    def __init__(self, z: complex, ctx: SheetContext | None = None, j_max: int = 32):
         self.ctx = ctx or first_sheet()
         self.z = nudge_off_axis(z, self.ctx)
-        if eta <= 0.0:
-            raise ValueError("Ewald parameter eta must be positive")
-        self.eta = float(eta)
         self.s = -1j * im_positive_sqrt(self.z)  # sqrt(-z), branch-matched
-        if n_spectral is None:
-            n_spectral = int(math.ceil(math.sqrt(max(self.z.real, 0.0) + 42.0 / eta))) + 2
+        n_spectral = int(math.ceil(math.sqrt(max(self.z.real, 0.0) + 42.0 / _ETA))) + 2
         self.n_modes = np.arange(1, n_spectral + 1)
         self.j_max = int(j_max)
-        self.m_images = int(m_images)
         self._prepare_spectral_coeffs()
-        self.rho_max = 2.0 * math.sqrt(self.eta * _spectral_x_max(self.j_max))
+        self.rho_max = 2.0 * math.sqrt(_ETA * _spectral_x_max(self.j_max))
 
     def _prepare_spectral_coeffs(self):
         beta = self.n_modes.astype(float) ** 2 - self.z
-        x = beta * self.eta
+        x = beta * _ETA
         emx = np.exp(-x)
         d = np.empty((self.j_max + 1, len(beta)), dtype=complex)
         d[0] = _sp.exp1(x)
-        inv_eta = 1.0 / self.eta
+        inv_eta = 1.0 / _ETA
         pw = 1.0
         for j in range(1, self.j_max + 1):
             pw *= inv_eta
@@ -265,16 +264,16 @@ class EwaldGreen:
 
     def _realspace_f(self, R):
         # f(R) = e^{-sR} erfc(R/2 sqrt(eta) - s sqrt(eta)) + (s -> -s), via erfcx
-        u = R / (2.0 * math.sqrt(self.eta))
-        sv = self.s * math.sqrt(self.eta)
-        pref = np.exp(-R * R / (4.0 * self.eta) + self.z * self.eta)
+        u = R / (2.0 * math.sqrt(_ETA))
+        sv = self.s * math.sqrt(_ETA)
+        pref = np.exp(-R * R / (4.0 * _ETA) + self.z * _ETA)
         return pref * (_sp.erfcx(u - sv) + _sp.erfcx(u + sv))
 
     def _real_sum(self, rho, a):
         total = np.zeros(np.broadcast_shapes(np.shape(rho), np.shape(a)), dtype=complex)
         # screened images beyond R_cut are below 1e-14 of the kernel scale
-        r_cut = 2.0 * math.sqrt(self.eta * (40.0 + max(self.z.real, 0.0) * self.eta))
-        for m in range(-self.m_images, self.m_images + 1):
+        r_cut = 2.0 * math.sqrt(_ETA * (40.0 + max(self.z.real, 0.0) * _ETA))
+        for m in range(-_M_IMAGES, _M_IMAGES + 1):
             R = np.hypot(rho, a + _TWO_PI * m)
             keep = R < r_cut
             if not np.any(keep):
@@ -333,12 +332,12 @@ class EwaldGreen:
         spectral = 2.0 * np.sum(cos_diff * phi0, axis=-1)
         # a_minus = 0 images, m != 0 (pairs m, -m coincide)
         real_minus = np.zeros_like(x3, dtype=complex)
-        for m in range(1, self.m_images + 1):
+        for m in range(1, _M_IMAGES + 1):
             R = _TWO_PI * m
             real_minus += 2.0 * self._realspace_f(np.full_like(x3, R)) / R
-        sv = self.s * math.sqrt(self.eta)
+        sv = self.s * math.sqrt(_ETA)
         f_prime0 = -2.0 * self.s * _sp.erf(sv) \
-            - 2.0 * np.exp(self.z * self.eta) / math.sqrt(math.pi * self.eta)
+            - 2.0 * np.exp(self.z * _ETA) / math.sqrt(math.pi * _ETA)
         real_minus += f_prime0
         real = 0.5 * math.pi * real_minus - self._real_sum(zero, a_plus)
         val = (spectral + real) / (4.0 * math.pi ** 2)

@@ -17,8 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bs_operator import SingularMatrices, SystemState, bs_determinant, eta_l, \
-    mode_vector
+from .bs_operator import SystemState, bs_determinant, eta_l, mode_vector, pair_layout
 from .geometry import Surface, build_quadrature, scale_surface
 from .greens import chi_n
 from .specfun import PSI_ONE, SheetContext, SpectralParams, gamma_n, second_sheet
@@ -111,28 +110,32 @@ def embedded_eigenvalues(params: SpectralParams, n_range) -> list[EigenvalueInfo
 
 def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
                order: int = 16, tail_tol: float = 1e-12,
-               n_cut: int | None = None,
-               singular_base: SingularMatrices | None = None) -> SystemState:
+               n_cut: int | None = None, base: SystemState | None = None) -> SystemState:
     """System state on the scaled surface, on the second sheet of eps_l's window.
 
-    The product-integration matrices are those of the order-``order`` rule
-    on the unscaled ``surface``, scaled to delta (see SingularMatrices);
-    pass ``singular_base`` to share one build between several deltas.
+    The pair layout is that of the order-``order`` rule on the unscaled
+    ``surface``, scaled to delta (see :meth:`PairLayout.scaled`); this is
+    the one place where the homothety is applied.  Pass ``base``, the state
+    of that unscaled rule (delta = 1), to share its layout between several
+    deltas; otherwise the layout is built here.
     """
     eps = params.eigenvalue(l)
     if eps < 1.0:
         raise ValueError(f"eps_{l} = {eps} is a discrete eigenvalue, not embedded")
     k = window_index(eps)
-    if singular_base is None:
-        singular_base = SingularMatrices(build_quadrature(surface, order))
-    elif singular_base.rule.surface is not surface or singular_base.rule.order != order:
-        raise ValueError("singular_base belongs to another surface or order")
+    if base is None:
+        base_rule = build_quadrature(surface, order)
+        layout = pair_layout(base_rule)
+    elif base.rule.surface is not surface or base.rule.order != order or base.delta != 1.0:
+        raise ValueError("base is not the unscaled state of this surface and order")
+    else:
+        base_rule, layout = base.rule, base.layout
     if delta == 1.0:
-        rule = singular_base.rule
+        rule = base_rule
     else:
         rule = build_quadrature(scale_surface(surface, delta), order)
     return SystemState(params, rule, second_sheet(k), tail_tol=tail_tol, n_cut=n_cut,
-                       singular_base=singular_base, delta=delta)
+                       layout=layout.scaled(delta), delta=delta)
 
 
 def _secant(f: Callable[[complex], complex], seed: complex, tol: float,
@@ -236,8 +239,7 @@ def mu_lowest_order(l: int, delta: float, state: SystemState) -> complex:
     modes = np.arange(1, state.n_cut + 1)
     modes = modes[modes != l]
     pairs = (w * w_l) @ mode_vector(eps_l, modes, rule, ctx)
-    gammas = np.array([gamma_n(eps_l, n, ctx, params) for n in modes], dtype=complex)
-    cross = complex(np.sum(pairs**2 / gammas))
+    cross = complex(np.sum(pairs**2 / gamma_n(eps_l, modes, ctx, params)))
     free = state.free_op(eps_l)
     dressed = complex(np.sum(w * w_l * free.apply(w_l)))
     return 4.0 * math.pi * params.xi_alpha * beta * (
@@ -305,10 +307,11 @@ def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
     """Locate the pole at each delta and fit |Re mu|, |Im mu| power laws.
 
     ``state`` is the state on the unscaled base surface (delta = 1); it
-    carries the coupling parameters, the quadrature order and the
-    product-integration matrices, which are built once and scaled to every
-    point.  ``n_cut`` fixes the mode cutoff of every point; by default each
-    point takes its own.  Every point after the first converged one is
+    carries the coupling parameters, the quadrature order and the pair
+    layout, which every point takes scaled to its delta through
+    ``pole_state(..., base=state)``, so the layout is built once per sweep.
+    ``n_cut`` fixes the mode cutoff of every point; by default each point
+    takes its own.  Every point after the first converged one is
     seeded from the previous pole by the law Re mu = O(delta^2),
     z = eps_l + mu_prev (delta / delta_prev)^2.  Points whose root iteration
     fails are recorded in ``failures`` and left out of the fits.
@@ -325,8 +328,7 @@ def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
     poles, closed, failures = [], [], []
     for d in deltas:
         st = pole_state(surface, d, l, state.params, order=state.rule.order,
-                        tail_tol=state.tail_tol, n_cut=n_cut,
-                        singular_base=state.singular_base)
+                        tail_tol=state.tail_tol, n_cut=n_cut, base=state)
         seed = None
         if poles:
             prev = poles[-1]

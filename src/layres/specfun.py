@@ -176,6 +176,13 @@ def kappa_n(z: complex, n, ctx: SheetContext | None = None):
     second); ``ctx=None`` means first sheet.  ``n`` may be an array of mode
     indices; the result then has its shape.
     """
+    n = _modes_off_branch(z, n)
+    z = nudge_off_axis(z, ctx or first_sheet())
+    return -1j * im_positive_sqrt(z - n * n)
+
+
+def _modes_off_branch(z: complex, n) -> np.ndarray:
+    """Mode indices ``n`` as an array; rejects n < 1 and any branch point n^2 = z."""
     n = np.asarray(n)
     if np.any(n < 1):
         raise ValueError("mode index n must be >= 1")
@@ -183,42 +190,42 @@ def kappa_n(z: complex, n, ctx: SheetContext | None = None):
     if np.any(on_branch):
         m = int(n[on_branch][0])
         raise BranchPointError(f"z = n^2 = {m * m} is a branch point")
-    z = nudge_off_axis(z, ctx or first_sheet())
-    return -1j * im_positive_sqrt(z - n * n)
+    return n
 
 
-def gamma_n(z: complex, n: int, ctx: SheetContext, params: SpectralParams) -> complex:
+def gamma_n(z: complex, n, ctx: SheetContext, params: SpectralParams):
     """Wire Birman-Schwinger function Gamma_n(z) on either sheet.
 
     First sheet: (1/2pi)(2 pi alpha - psi(1) + ln(sqrt(z - n^2)/(2i))).
     Second sheet adds -i/2 for the open modes n <= ctx.k and is identical to
     the first sheet otherwise.  The only zero on the first sheet is the
-    eigenvalue eps_n = xi_alpha + n^2.
+    eigenvalue eps_n = xi_alpha + n^2.  ``n`` may be an array of mode
+    indices; the result then has its shape.
     """
-    if complex(z) == complex(n * n):
-        raise BranchPointError(f"z = n^2 = {n * n} is a branch point")
+    n = _modes_off_branch(z, n)
     z = nudge_off_axis(z, ctx)
     return gamma_from_gap(z - n * n, n, ctx, params)
 
 
-def gamma_from_gap(w: complex, n: int, ctx: SheetContext, params: SpectralParams) -> complex:
+def gamma_from_gap(w, n, ctx: SheetContext, params: SpectralParams):
     """Gamma_n evaluated from the gap w = z - n^2 supplied directly.
 
     Near an eigenvalue the gap is tiny (down to ~1e-11 for strong repulsive
     alpha) and forming z = n^2 + w in double precision would wipe it out;
     callers that know the gap exactly (eigenvalue checks, Taylor arguments)
-    use this entry point.
+    use this entry point.  ``w`` and ``n`` may be arrays of one shape.
     """
-    if n < 1:
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("mode index n must be >= 1")
-    w = complex(w)
-    if w == 0.0:
-        raise BranchPointError(f"z = n^2 = {n * n} is a branch point")
+    w = np.asarray(w, dtype=complex)
+    if np.any(w == 0.0):
+        raise BranchPointError("zero gap: z = n^2 is a branch point")
     s = im_positive_sqrt(w)
     val = (2.0 * math.pi * params.alpha - PSI_ONE + np.log(s / 2.0j)) / (2.0 * math.pi)
-    if ctx.second and n <= ctx.k:
-        val -= 0.5j
-    return complex(val)
+    if ctx.second:
+        val = np.where(n <= ctx.k, val - 0.5j, val)
+    return complex(val) if np.ndim(val) == 0 else val
 
 
 def z0_kernel(z: complex, n, rho, ctx: SheetContext):

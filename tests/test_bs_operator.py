@@ -7,8 +7,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from layres.bs_operator import (
     IllConditionedError,
+    PairLayout,
     PoleCollisionError,
-    SingularMatrices,
     SystemState,
     _product_rows,
     _rotation_orbits,
@@ -258,16 +258,12 @@ class TestSingularBuild:
     @pytest.mark.parametrize("surface", [DISK, CAP, RECT], ids=["disk", "cap", "rectangle"])
     @pytest.mark.parametrize("delta", [0.02, 0.08])
     def test_homothety_matches_direct_build(self, surface, delta):
-        base = SingularMatrices(build_quadrature(surface, 8))
-        scaled = build_quadrature(scale_surface(surface, delta), 8)
-        st = SystemState(PARAMS, scaled, second_sheet(1), singular_base=base, delta=delta)
-        direct = singular_part_matrix(scaled)
-        assert _rel_max(st.singular[0], direct[0]) < 1e-12
-        assert _rel_max(st.singular[1], direct[1]) < 1e-12
-
-    def test_scaled_state_needs_its_base(self):
-        with pytest.raises(ValueError, match="base"):
-            SystemState(PARAMS, build_quadrature(SMALL, 4), second_sheet(1), delta=0.08)
+        got = pair_layout(build_quadrature(surface, 8)).scaled(delta)
+        want = pair_layout(build_quadrature(scale_surface(surface, delta), 8))
+        assert got.orbit == want.orbit
+        assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+        assert _rel_max(got.corr_inv, want.corr_inv) < 1e-12
+        assert _rel_max(got.corr_lin, want.corr_lin) < 1e-12
 
 
 class TestPairLayout:
@@ -281,9 +277,8 @@ class TestPairLayout:
         iu, ju = np.triu_indices(rule.n_nodes, k=1)
         every = dataclasses.replace(layout, rows=iu, cols=ju, orbit=False)
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
-        singular = singular_part_matrix(rule)
-        got = assemble_free(z, rule, second_sheet(1), singular, layout=layout).matrix
-        want = assemble_free(z, rule, second_sheet(1), singular, layout=every).matrix
+        got = assemble_free(z, rule, second_sheet(1), layout).matrix
+        want = assemble_free(z, rule, second_sheet(1), every).matrix
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
     @pytest.mark.parametrize("surface", [TILTED, RECT], ids=["tilted-disk", "rectangle"])
@@ -302,13 +297,21 @@ class TestPairLayout:
         first = np.arange(0, rule.n_nodes, 6)
         rows, cols = np.nonzero(~np.eye(rule.n_nodes, dtype=bool)[first])
         forced = dataclasses.replace(every, rows=first[rows], cols=cols, orbit=True)
-        singular = singular_part_matrix(rule)
-        got = assemble_free(-2.0, rule, None, singular, layout=forced).matrix
-        want = assemble_free(-2.0, rule, None, singular, layout=every).matrix
+        got = assemble_free(-2.0, rule, None, forced).matrix
+        want = assemble_free(-2.0, rule, None, every).matrix
         assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4
 
     def test_state_caches_layout(self, small_state):
-        assert small_state.layout is small_state.layout
+        # the state builds its layout once; a layout passed in is kept
+        layout = small_state.layout
+        assert isinstance(layout, PairLayout)
+        st = SystemState(PARAMS, small_state.rule, small_state.ctx, layout=layout)
+        assert st.layout is layout
+
+    def test_tabulated_rule_has_no_correction(self):
+        rule = _point_rule([[1.0, 0.0, 1.0], [1.1, 0.0, 1.2]])
+        layout = pair_layout(rule)
+        assert not np.any(layout.corr_inv) and not np.any(layout.corr_lin)
 
 
 def _norm_sq(w, weights) -> complex:
@@ -479,7 +482,7 @@ class TestEtaL:
         assert abs(dre - dim) < 1e-5 * max(1.0, abs(dre))
 
     def test_pole_collision_guard(self, small_state):
-        with pytest.raises(PoleCollisionError):
+        with pytest.raises(PoleCollisionError, match="mode 3 "):
             eta_l(complex(PARAMS.eigenvalue(3)), 2, small_state)
 
     def test_ill_conditioned_guard(self, rule12):

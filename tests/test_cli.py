@@ -251,6 +251,24 @@ class TestMain:
                 if ln.startswith("# config seed = ")]
         assert complex(seed[0]) == complex(SpectralParams(0.0, 0.4).eigenvalue(2), -1e-9)
 
+    @pytest.mark.parametrize("surface_line, numerics_line", [
+        ("deltas = 0.02 0.04 0.08 1.5", ""),
+        ("", "n_cut = 0"),
+        ("", "tail_tol = 0"),
+        ("", "root_tol = 1e-13"),
+    ], ids=["deltas", "n_cut", "tail_tol", "root_tol"])
+    def test_out_of_range_numerics_exit_two(self, tmp_path, capsys, surface_line,
+                                            numerics_line):
+        out = tmp_path / "sweep.csv"
+        path = _write(tmp_path, "range.cfg",
+                      "[run]\nmode = sweep\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      + DISK_SURFACE.strip() + f"\n{surface_line}\n"
+                      f"[numerics]\norder = 6\n{numerics_line}\n")
+        assert main(["sweep", "--config", path, "--output", str(out)]) == 2
+        key = (surface_line or numerics_line).split(" = ")[0]
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_value_error_maps_to_exit_one(self, tmp_path, capsys):
         # a valid disk too wide for the fixed Ewald spectral radius
         out = tmp_path / "wide.csv"

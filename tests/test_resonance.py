@@ -253,14 +253,20 @@ class TestFitPowerLaw:
 
 class TestSweep:
     def test_mini_sweep(self, monkeypatch):
-        builds = []
+        builds, layouts = [], []
         build = bs_operator.singular_part_matrix
         monkeypatch.setattr(bs_operator, "singular_part_matrix",
                             lambda rule: builds.append(rule) or build(rule))
+        layout = bs_operator.pair_layout
+        for module in (bs_operator, resonance):
+            monkeypatch.setattr(module, "pair_layout",
+                                lambda rule: layouts.append(rule) or layout(rule))
         base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
         sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1], base_state)
         assert not sw.failures
-        assert [b.surface for b in builds] == [BASE]  # one build, on the base rule
+        # one singular build and one pair layout, both on the base rule
+        assert [b.surface for b in builds] == [BASE]
+        assert [r.surface for r in layouts] == [BASE]
         assert [res.delta for res in sw.poles] == [0.02, 0.035, 0.06, 0.1]
         assert 3.5 < sw.fit_im[0] < 4.5
         assert 1.8 < sw.fit_re[0] < 2.2
@@ -287,8 +293,7 @@ class TestSweep:
         deltas = [0.02, 0.035, 0.06, 0.1]
         base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
         warm = sweep_delta(2, deltas, base_state)
-        cold = [find_pole(2, d, pole_state(BASE, d, 2, PARAMS, order=6,
-                                           singular_base=base_state.singular_base))
+        cold = [find_pole(2, d, pole_state(BASE, d, 2, PARAMS, order=6, base=base_state))
                 for d in deltas]
         for w, c in zip(warm.poles, cold):
             assert abs(w.z - c.z) < 1e-12
@@ -316,10 +321,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="unscaled"):
             sweep_delta(2, [0.02, 0.035, 0.06, 0.1], pole_state(BASE, 0.5, 2, PARAMS, order=4))
 
-    def test_foreign_singular_base_rejected(self):
-        other = pole_state(SYM, 1.0, 2, PARAMS, order=4).singular_base
-        with pytest.raises(ValueError, match="singular_base"):
-            pole_state(BASE, 0.08, 2, PARAMS, order=4, singular_base=other)
+    def test_foreign_base_rejected(self):
+        for other in (pole_state(SYM, 1.0, 2, PARAMS, order=4),  # other surface
+                      pole_state(BASE, 1.0, 2, PARAMS, order=5),  # other order
+                      pole_state(BASE, 0.5, 2, PARAMS, order=4)):  # scaled base
+            with pytest.raises(ValueError, match="not the unscaled state"):
+                pole_state(BASE, 0.08, 2, PARAMS, order=4, base=other)
 
 
 class TestDerivativeLaw:

@@ -234,6 +234,22 @@ class TestGammaN:
             der = (gamma_n(eps_n + h, n, ctx, p) - gamma_n(eps_n - h, n, ctx, p)) / (2 * h)
             assert der == pytest.approx(1.0 / (4 * math.pi * p.xi_alpha), abs=1e-8)
 
+    @pytest.mark.parametrize("ctx", [first_sheet(2), second_sheet(2)], ids=["first", "second"])
+    def test_mode_array_matches_scalar_calls(self, ctx):
+        p = SpectralParams(alpha=0.1, beta=1.0)
+        modes = np.arange(1, 278)
+        for z in (6.0, 5.9 - 0.01j):
+            got = gamma_n(z, modes, ctx, p)
+            assert got.shape == modes.shape
+            assert np.array_equal(got, [gamma_n(z, int(n), ctx, p) for n in modes])
+
+    def test_mode_array_branch_point_names_mode(self):
+        p = SpectralParams(alpha=0.0, beta=1.0)
+        with pytest.raises(BranchPointError, match="= 9 "):
+            gamma_n(9.0, np.arange(1, 6), second_sheet(2), p)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            gamma_n(2.5, np.arange(0, 3), first_sheet(), p)
+
 
 class TestZ0Kernel:
     def test_first_sheet_collapses_to_k0(self):
