@@ -234,50 +234,112 @@ def _product_rows(rule: QuadratureRule, rows, duffy_order: int):
     return p_inv / (4.0 * math.pi), p_lin
 
 
-def _rotation_orbits(rule: QuadratureRule) -> bool:
-    """Whether shifting q2 by one node spacing maps every row onto another.
+def _node_distances(nodes: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
 
-    Holds when the second parameter is periodic and that shift preserves
-    the distances from every node to probe points on and off the nodes, the
-    tangent lengths and the Jacobian: then it acts on the surface as an
-    isometry (a rotation for the disk and the cap), the integrand of row
-    (i1, i2 + 1) is that of row (i1, i2) moved by one spacing, and so is
-    the trigonometric basis.
+
+def _candidate_symmetries(rule: QuadratureRule):
+    """(node permutation, parameter map) of each candidate generator.
+
+    The permutation g takes node i to node g[i], and the parameter map takes
+    every parameter point along.  The candidates are the one-node q2 shift
+    of a periodic second parameter and the reflections q1 -> a1 + b1 - q1
+    and q2 -> a2 + b2 - q2; each maps the tensor nodes of
+    :func:`geometry.build_quadrature` onto themselves.
     """
-    surf = rule.surface
-    if not surf.periodic2:
+    (a1, b1), (a2, b2) = rule.surface.domain
+    grid = np.arange(rule.n_nodes).reshape(rule.order, rule.order)
+    candidates = [(grid[::-1].ravel(), lambda q1, q2: (a1 + b1 - q1, q2)),
+                  (grid[:, ::-1].ravel(), lambda q1, q2: (q1, a2 + b2 - q2))]
+    if rule.surface.periodic2:
+        step = (b2 - a2) / rule.order
+        candidates.append((np.roll(grid, -1, axis=1).ravel(),
+                           lambda q1, q2: (q1, q2 + step)))
+    return candidates
+
+
+def _is_isometry(rule: QuadratureRule, perm, param_map, dist) -> bool:
+    """Whether a candidate of :func:`_candidate_symmetries` is an isometry.
+
+    It must keep the node-to-node distances ``dist`` (a cheap prefilter),
+    the squared distances from every node to probe points between the
+    nodes, the tangent lengths and the Jacobian.  Then it acts on the
+    surface as an isometry that keeps the rule, the integrand of row g[i]
+    of the singular matrices is that of row i carried along, and so are
+    both interpolation bases (their nodes are symmetric).
+    """
+    if not np.allclose(dist[np.ix_(perm, perm)], dist, rtol=0.0, atol=1e-12 * dist.max()):
         return False
-    p = rule.order
-    q1_nodes, q2_nodes = _tensor_nodes(rule)
-    a2, b2 = surf.domain[1]
-    q1 = np.concatenate([q1_nodes, 0.5 * (q1_nodes[1:] + q1_nodes[:-1])])[:, None]
-    for frac in (0.0, 1.0 / math.pi):
-        g1, g2 = np.broadcast_arrays(q1, q2_nodes + frac * (b2 - a2) / p)
-        probes = surf.param_map(g1, g2)
-        for ring in rule.nodes.reshape(p, p, 3):  # the nodes of one q1
-            dist = np.linalg.norm(ring[:, None, None] - probes, axis=-1)
-            if not np.allclose(np.roll(dist, 1, axis=(0, 2)), dist,
-                               rtol=0.0, atol=1e-12 * dist.max()):
-                return False
-        metric = np.stack([np.linalg.norm(surf.tangent1(g1, g2), axis=-1),
-                           np.linalg.norm(surf.tangent2(g1, g2), axis=-1),
-                           surf.jacobian(g1, g2)])
-        if not np.allclose(np.roll(metric, 1, axis=-1), metric, rtol=1e-12, atol=0.0):
-            return False
-    return True
+    surf = rule.surface
+    # off-node probes; the prefilter has covered the nodes
+    g1, g2 = np.meshgrid(*(q[:-1] + np.diff(q) / math.pi for q in _tensor_nodes(rule)),
+                         indexing="ij")
+    m1, m2 = param_map(g1, g2)
+    centre = rule.nodes.mean(axis=0)
+    nodes = rule.nodes - centre
+    norm2 = np.sum(nodes * nodes, axis=1)[:, None]
+
+    def sq_dist(points):  # squared node-to-point distances, (n, points)
+        points = points.reshape(-1, 3) - centre
+        return norm2 + np.sum(points * points, axis=1) - 2.0 * nodes @ points.T
+
+    d2 = sq_dist(surf.param_map(g1, g2))
+    if not np.allclose(sq_dist(surf.param_map(m1, m2))[perm], d2,
+                       rtol=0.0, atol=1e-12 * d2.max()):
+        return False
+
+    def metric(a, b):
+        return np.stack([np.linalg.norm(surf.tangent1(a, b), axis=-1),
+                         np.linalg.norm(surf.tangent2(a, b), axis=-1),
+                         surf.jacobian(a, b)])
+
+    return np.allclose(metric(m1, m2), metric(g1, g2), rtol=1e-12, atol=0.0)
 
 
-def _fill_orbits(first: np.ndarray, p: int) -> np.ndarray:
-    """All rows from the first row of each orbit: row (i1, s) is row (i1, 0)
-    cyclically shifted by s along the basis index j2."""
-    out = np.empty((p * p, p * p), dtype=first.dtype)
-    per_orbit = first.reshape(p, p, p)
-    for s in range(p):
-        out[s::p] = np.roll(per_orbit, s, axis=2).reshape(p, p * p)
-    return out
+def _node_group(rule: QuadratureRule, dist: np.ndarray | None = None) -> np.ndarray:
+    """Node permutations of the rule that act on its surface as isometries.
+
+    One row per group element, the identity first: the closure of the
+    candidates that pass :func:`_is_isometry`.  A tabulated rule gets the
+    identity alone.  ``dist`` is the node-to-node distance matrix.
+    """
+    group = [np.arange(rule.n_nodes)]
+    if rule.surface is None:
+        return np.array(group)
+    if dist is None:
+        dist = _node_distances(rule.nodes)
+    gens = [perm for perm, param_map in _candidate_symmetries(rule)
+            if _is_isometry(rule, perm, param_map, dist)]
+    seen = {group[0].tobytes()}
+    for g in group:  # grows until closed under the generators
+        for s in gens:
+            h = s[g]
+            if h.tobytes() not in seen:
+                seen.add(h.tobytes())
+                group.append(h)
+    return np.array(group)
 
 
-def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None):
+def _orbit_map(group: np.ndarray):
+    """Orbit representatives of the nodes and columns carried along with them.
+
+    rep[i] is the smallest node in the orbit of node i, and col[i, j] the
+    smallest h[j] over the elements h that take i to rep[i].  So every
+    matrix the group keeps (m[g[i], g[j]] = m[i, j]) has
+    m[i, j] = m[rep[i], col[i, j]], and (rep[i], col[i, j]) is the smallest
+    pair in the orbit of the pair (i, j).
+    """
+    rep = group.min(axis=0)
+    n = len(rep)
+    col = np.full((n, n), n)
+    for h in group:
+        hit = h == rep
+        col[hit] = np.minimum(col[hit], h)
+    return rep, col
+
+
+def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
+                         group: np.ndarray | None = None):
     """Product-integration matrices of the non-smooth kernel parts.
 
     Returns (p_inv, p_lin): nodal-action matrices for the kernels
@@ -296,46 +358,53 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None):
     the odd-in-r part 1/(4 pi r) - z r/(8 pi) of the nearest Yukawa image,
     leaving a remainder the plain rule integrates to high order.
 
-    On a rotationally symmetric surface (see :func:`_rotation_orbits`) only
-    the first row of each azimuthal orbit is integrated; the other rows are
-    its cyclic shifts.  Every other surface gets all rows integrated.
+    Only one row per orbit of ``group`` (:func:`_node_group` of the rule
+    when not given) is integrated; the others follow from
+    p[g[i], g[j]] = p[i, j].
     """
-    surf = rule.surface
-    if surf is None:
+    if rule.surface is None:
         raise ValueError("product integration needs a parametrized surface")
-    p = rule.order
     if duffy_order is None:
-        duffy_order = max(2 * p, 24)
-    if not _rotation_orbits(rule):
-        return _product_rows(rule, range(rule.n_nodes), duffy_order)
-    first_inv, first_lin = _product_rows(rule, range(0, rule.n_nodes, p), duffy_order)
-    return _fill_orbits(first_inv, p), _fill_orbits(first_lin, p)
+        duffy_order = max(2 * rule.order, 24)
+    if group is None:
+        group = _node_group(rule)
+    rep, col = _orbit_map(group)
+    rows = np.unique(rep)
+    at = np.searchsorted(rows, rep)[:, None]
+    p_inv, p_lin = _product_rows(rule, rows, duffy_order)
+    return p_inv[at, col], p_lin[at, col]
 
 
-def _kernel_orbits(rule: QuadratureRule) -> bool:
-    """Whether the layer kernel matrix is cyclic along the rotation orbits.
+def _pair_orbits(group: np.ndarray):
+    """Representative pairs and the n x n index of the pair orbits of ``group``.
 
-    The kernel depends on the in-plane separation and on x3 and x3'.  When
-    the one-node azimuthal shift is an isometry of the nodes
-    (:func:`_rotation_orbits`) and every azimuthal ring has a single x3, the
-    shift keeps x3, x3' and the 3D distance, so it keeps the in-plane
-    separation too: it is a rotation about a vertical axis.  That holds for
-    a horizontal disk and a cap with a vertical axis, not for tilted ones.
+    A pair orbit is that of (i, j) under the group and transposition; its
+    representative is its smallest pair, so i < j.  ``index`` points every
+    off-diagonal pair at its representative and the diagonal one past the
+    last.
     """
-    if rule.surface is None or not _rotation_orbits(rule):
-        return False
-    x3 = rule.nodes[:, 2].reshape(rule.order, rule.order)
-    return bool(np.all(np.ptp(x3, axis=1) <= 1e-14 * np.max(np.abs(x3))))
+    rep, col = _orbit_map(group)
+    n = len(rep)
+    key = rep[:, None] * n + col
+    key = np.minimum(key, key.T)
+    own = key.ravel() == np.arange(n * n)
+    own[::n + 1] = False
+    rows, cols = np.divmod(np.flatnonzero(own), n)
+    slot = np.zeros(n * n, dtype=np.intp)
+    slot[own] = np.arange(len(rows))
+    index = slot[key]
+    index[np.diag_indices(n)] = len(rows)
+    return rows, cols, index
 
 
 @dataclass(frozen=True)
 class PairLayout:
     """Everything z-independent of the free-kernel assembly on one rule.
 
-    ``rows``, ``cols`` are the node pairs whose kernel value is evaluated:
-    the upper triangle, or with ``orbit`` the first row (i1, 0) of each
-    rotation orbit against every other node, the remaining rows being cyclic
-    shifts of those (see :func:`_kernel_orbits`).  ``corr_inv`` and
+    ``rows``, ``cols`` are the node pairs whose kernel value is evaluated,
+    one per pair orbit of the kernel group (:func:`pair_layout`), and
+    ``index`` (n x n) points every off-diagonal pair at its representative
+    and the diagonal at one slot past them.  ``corr_inv`` and
     ``corr_lin`` swap the plain Nystrom values of the model kernels
     1/(4 pi |x - x'|) and |x - x'| for their product integrals
     (:func:`singular_part_matrix`): p_inv / w - 1/(4 pi r) and p_lin / w - r,
@@ -345,7 +414,7 @@ class PairLayout:
 
     rows: np.ndarray
     cols: np.ndarray
-    orbit: bool
+    index: np.ndarray
     corr_inv: np.ndarray
     corr_lin: np.ndarray
 
@@ -353,9 +422,11 @@ class PairLayout:
         """Layout of the delta-image of the rule under :func:`geometry.scale_surface`.
 
         The map x -> delta x + (1 - delta) x0 with the same order and
-        parameter nodes keeps the rotation orbits and the x3-rings, so the
-        pairs stay; p_inv scales by delta, p_lin by delta^3, w by delta^2
-        and r by delta, so corr_inv scales by 1/delta and corr_lin by delta.
+        parameter nodes is a similarity: it carries every isometry of the
+        rule along with the same node permutation and keeps equal x3 equal,
+        so the node group, its kernel subgroup and the pairs stay; p_inv
+        scales by delta, p_lin by delta^3, w by delta^2 and r by delta, so
+        corr_inv scales by 1/delta and corr_lin by delta.
         """
         return replace(self, corr_inv=self.corr_inv / delta,
                        corr_lin=delta * self.corr_lin)
@@ -364,29 +435,31 @@ class PairLayout:
 def pair_layout(rule: QuadratureRule) -> PairLayout:
     """Pairs to evaluate and singular corrections of ``rule`` (see :class:`PairLayout`).
 
-    The corrections come from :func:`singular_part_matrix` when the rule has
-    a parametrized surface.  Coincident nodes are rejected.
+    The node group (:func:`_node_group`) is found once here.  The kernel
+    depends on the in-plane separation, x3 and x3', so its pairs are grouped
+    under the elements that keep every node's x3 (they keep the 3D distance
+    too, hence the in-plane one).  The corrections come from
+    :func:`singular_part_matrix` under the whole group when the rule has a
+    parametrized surface.  Coincident nodes are rejected.
     """
     n = rule.n_nodes
     nodes = rule.nodes
-    r = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
+    r = _node_distances(nodes)
     off = ~np.eye(n, dtype=bool)
     if n > 1 and float(np.min(r[off])) == 0.0:
         raise ValueError("quadrature nodes must be pairwise distinct")
-    orbit = _kernel_orbits(rule)
-    if orbit:
-        first = np.arange(0, n, rule.order)
-        rows, cols = np.nonzero(off[first])
-        rows = first[rows]
-    else:
-        rows, cols = np.triu_indices(n, k=1)
+    group = _node_group(rule, r)
+    x3 = nodes[:, 2]
+    keeps_x3 = np.all(np.abs(x3[group] - x3) <= 1e-14 * np.max(np.abs(x3), initial=0.0),
+                      axis=1)
+    rows, cols, index = _pair_orbits(group[keeps_x3])
     if rule.surface is None:
-        return PairLayout(rows, cols, orbit, np.zeros((n, n)), np.zeros((n, n)))
+        return PairLayout(rows, cols, index, np.zeros((n, n)), np.zeros((n, n)))
     inv_r = np.zeros((n, n))
     inv_r[off] = 1.0 / (4.0 * math.pi * r[off])
-    p_inv, p_lin = singular_part_matrix(rule)
+    p_inv, p_lin = singular_part_matrix(rule, group=group)
     w = rule.weights
-    return PairLayout(rows, cols, orbit, p_inv / w - inv_r, p_lin / w - r)
+    return PairLayout(rows, cols, index, p_inv / w - inv_r, p_lin / w - r)
 
 
 def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = None,
@@ -413,19 +486,9 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
         layout = pair_layout(rule)
     ew = EwaldGreen(z, ctx)
     nodes = rule.nodes
-    rows, cols = layout.rows, layout.cols
-    mat = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        vals = ew.pairs(nodes[rows], nodes[cols])
-        if layout.orbit:
-            p = rule.order
-            first = np.zeros((p, n), dtype=complex)
-            first[rows // p, cols] = vals
-            mat = _fill_orbits(first, p)
-        else:
-            mat[rows, cols] = vals
-            mat[cols, rows] = vals
-    mat[np.arange(n), np.arange(n)] = ew.regularized_diag(nodes)
+    vals = ew.pairs(nodes[layout.rows], nodes[layout.cols]) if n > 1 else np.zeros(0, complex)
+    mat = np.append(vals, 0.0)[layout.index]
+    mat[np.diag_indices(n)] = ew.regularized_diag(nodes)
     mat += layout.corr_inv - z / (8.0 * math.pi) * layout.corr_lin
     return DiscreteKernelOperator(mat, rule.weights)
 

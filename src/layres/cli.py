@@ -262,6 +262,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"every delta in deltas must lie in (0, 1], got {deltas}")
 
     l = _as_int(run_sec["l"][0], "l", run_sec["l"][1]) if "l" in run_sec else 2
+    if l < 1:
+        raise ConfigError(f"mode index l must be >= 1, got {l}")
     n_min = _as_int(run_sec["n_min"][0], "n_min", run_sec["n_min"][1]) \
         if "n_min" in run_sec else 1
     n_max = _as_int(run_sec["n_max"][0], "n_max", run_sec["n_max"][1]) \
@@ -528,6 +530,8 @@ def main(argv=None) -> int:
         if args.output:
             config.path = args.output
             config.resolved["path"] = args.output
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.quad_order is not None:
             if args.quad_order < 2:
                 raise ConfigError("quadrature order must be >= 2")

@@ -56,8 +56,9 @@ class Surface:
     x0: np.ndarray
     #: second parameter is periodic over its domain (disk/cap azimuth); the
     #: rule then puts trapezoid nodes on it, product integration recentres its
-    #: window on each node with a trigonometric basis, and only such a surface
-    #: is checked for rotation orbits
+    #: window on each node with a trigonometric basis, and the one-node shift
+    #: along it joins the reflections of q1 and q2 about their midpoints as a
+    #: candidate node symmetry (bs_operator._node_group)
     periodic2: bool = False
     _checked: bool = field(default=False, compare=False)
 

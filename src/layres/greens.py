@@ -323,7 +323,8 @@ class EwaldGreen:
         f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
         """
         x = np.atleast_2d(np.asarray(x, float))
-        x3 = x[..., 2]
+        # the limit depends on x3 alone: evaluate once per distinct x3
+        x3, back = np.unique(x[..., 2].ravel(), return_inverse=True)
         a_plus = 2.0 * x3
         zero = np.zeros_like(x3)
         phi0 = self._phi(zero)  # (..., N): Phi_n(0) = E1(beta eta)/2
@@ -343,6 +344,7 @@ class EwaldGreen:
         val = (spectral + real) / (4.0 * math.pi ** 2)
         if self.ctx.second:
             val = val + _second_sheet_correction(self.z, zero, x3, x3, self.ctx)
+        val = val[back].reshape(x.shape[:-1])
         if val.size == 1:
             return complex(val.reshape(())[()])
         return val

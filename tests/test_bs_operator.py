@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from layres import bs_operator
 from layres.bs_operator import (
     IllConditionedError,
     PairLayout,
     PoleCollisionError,
     SystemState,
+    _node_group,
+    _pair_orbits,
     _product_rows,
-    _rotation_orbits,
     assemble_A_l,
     assemble_alpha,
     assemble_free,
@@ -45,6 +47,11 @@ CAP = spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=0.6, polar_angle=0.9)
 RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0.0, 1.0, 0.0),
                        direction2=(0.0, 0.0, 1.0), length1=0.6, length2=0.6)
 TILTED = disk(center=(1.0, 0.0, 1.0), normal=(1.0, 0.0, 1.0), radius=0.5)
+FLAT_RECT = rectangle_patch(center=(1.0, 0.0, 1.0), direction1=(1.0, 0.0, 0.0),
+                            direction2=(0.0, 1.0, 0.0), length1=0.6, length2=0.4)
+#: neither side is horizontal, so no reflection keeps x3
+SLANTED = rectangle_patch(center=(1.0, 0.0, 1.2), direction1=(1.0, 0.0, 1.0),
+                          direction2=(0.0, 1.0, 1.0), length1=0.6, length2=0.4)
 
 
 def _ellipse(a=0.5, b=0.3, center=(1.0, 0.0, 1.0)):
@@ -236,20 +243,47 @@ class TestAssembleFree:
             assemble_free(-2.0, rule)
 
 
+def _shift(p):
+    """Node permutation of the one-node q2 shift on an order-p tensor rule."""
+    return np.roll(np.arange(p * p).reshape(p, p), -1, axis=1).ravel()
+
+
+def _with_pairs(layout, group):
+    """``layout`` with the pairs of ``group`` (rows are node permutations)."""
+    rows, cols, index = _pair_orbits(np.asarray(group))
+    return dataclasses.replace(layout, rows=rows, cols=cols, index=index)
+
+
+def _all_pairs(layout, n):
+    return _with_pairs(layout, [np.arange(n)])
+
+
+#: order-12 surfaces with their group size, integrated rows and kernel pairs
+GROUPS = [
+    (DISK, 24, 12, 534), (CAP, 24, 12, 534), (RECT, 4, 36, 5184),
+    (FLAT_RECT, 4, 36, 2628), (SLANTED, 4, 36, 10296), (TILTED, 24, 12, 5184),
+    (ELLIPSE, 2, 72, 5184)]
+GROUP_IDS = ["disk", "cap", "rectangle", "flat-rectangle", "slanted-rectangle",
+             "tilted-disk", "ellipse"]
+
+
 class TestSingularBuild:
     @pytest.mark.parametrize("surface, symmetric", [
         (DISK, True), (CAP, True), (scale_surface(CAP, 0.02), True),
         (with_anchor(DISK, (1.3, 0.2, 1.0)), True), (RECT, False), (ELLIPSE, False)],
         ids=["disk", "cap", "scaled-cap", "anchored-disk", "rectangle", "ellipse"])
     def test_rotation_orbits_detected_from_surface(self, surface, symmetric):
-        assert _rotation_orbits(build_quadrature(surface, 6)) is symmetric
+        group = _node_group(build_quadrature(surface, 6))
+        assert any(np.array_equal(g, _shift(6)) for g in group) is symmetric
 
-    @pytest.mark.parametrize("surface", [DISK, CAP], ids=["disk", "cap"])
-    def test_orbit_rows_match_all_rows(self, surface):
+    @pytest.mark.parametrize("surface, order", [
+        (DISK, 12), (CAP, 12), (RECT, 8), (FLAT_RECT, 8), (SLANTED, 8), (TILTED, 8),
+        (ELLIPSE, 8)], ids=GROUP_IDS)
+    def test_orbit_rows_match_all_rows(self, surface, order):
         # relative error in the Frobenius norm: the all-rows build evaluates
         # the parametrization at q2 + offset for q2 up to 2 pi, whose rounding
         # puts ~1e-15 absolute noise on single entries near the polar centre
-        rule = build_quadrature(surface, 12)
+        rule = build_quadrature(surface, order)
         orbit = singular_part_matrix(rule)
         every = _product_rows(rule, range(rule.n_nodes), 24)
         for got, want in zip(orbit, every):
@@ -260,43 +294,80 @@ class TestSingularBuild:
     def test_homothety_matches_direct_build(self, surface, delta):
         got = pair_layout(build_quadrature(surface, 8)).scaled(delta)
         want = pair_layout(build_quadrature(scale_surface(surface, delta), 8))
-        assert got.orbit == want.orbit
         assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+        assert np.array_equal(got.index, want.index)
         assert _rel_max(got.corr_inv, want.corr_inv) < 1e-12
         assert _rel_max(got.corr_lin, want.corr_lin) < 1e-12
 
 
+class TestNodeGroup:
+    @pytest.mark.parametrize("surface, size, n_rows, n_pairs", GROUPS, ids=GROUP_IDS)
+    def test_group_rows_and_pairs(self, surface, size, n_rows, n_pairs, monkeypatch):
+        rule = build_quadrature(surface, 12)
+        assert len(_node_group(rule)) == size
+        integrated = []
+
+        def rows_only(rule, rows, duffy_order):
+            integrated.extend(rows)
+            blank = np.zeros((len(rows), rule.n_nodes))
+            return blank, blank
+
+        monkeypatch.setattr(bs_operator, "_product_rows", rows_only)
+        layout = pair_layout(rule)
+        assert len(integrated) == n_rows
+        assert len(layout.rows) == n_pairs
+        assert np.all(layout.rows < layout.cols)
+
+    def test_elements_are_distinct_permutations(self):
+        group = _node_group(build_quadrature(DISK, 6))
+        assert np.array_equal(group[0], np.arange(36))
+        assert np.array_equal(np.sort(group, axis=1), np.broadcast_to(np.arange(36), group.shape))
+        assert len({g.tobytes() for g in group}) == len(group)
+
+    def test_tabulated_rule_gets_the_identity(self):
+        rule = _point_rule([[1.0, 0.0, 1.0], [1.1, 0.0, 1.2], [1.0, 0.1, 1.0]])
+        assert np.array_equal(_node_group(rule), [np.arange(3)])
+        layout = pair_layout(rule)
+        assert np.array_equal(layout.rows, [0, 0, 1]) and np.array_equal(layout.cols, [1, 2, 2])
+        assert np.array_equal(layout.index, [[3, 0, 1], [0, 3, 2], [1, 2, 3]])
+
+    def test_forced_x3_changing_reflection_is_wrong(self):
+        # the q2 reflection of the benchmark rectangle is an isometry but
+        # flips x3 about the centre, so the kernel does not share its orbits
+        rule = build_quadrature(RECT, 12)
+        layout = pair_layout(rule)
+        group = _node_group(rule)
+        assert len(group) == 4 and len(layout.rows) == 5184
+        forced = _with_pairs(layout, group)
+        z = PARAMS.eigenvalue(3) - 0.001 - 1e-4j
+        got = assemble_free(z, rule, second_sheet(2), forced).matrix
+        want = assemble_free(z, rule, second_sheet(2), layout).matrix
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4
+
+
 class TestPairLayout:
-    @pytest.mark.parametrize("surface", [DISK, SYM_DISK, CAP],
-                             ids=["disk", "midplane-disk", "cap"])
+    @pytest.mark.parametrize("surface", [DISK, SYM_DISK, CAP, RECT, FLAT_RECT, SLANTED,
+                                         TILTED, ELLIPSE],
+                             ids=["disk", "midplane-disk", "cap", "rectangle",
+                                  "flat-rectangle", "slanted-rectangle", "tilted-disk",
+                                  "ellipse"])
     def test_orbit_fill_matches_all_pairs(self, surface):
         rule = build_quadrature(surface, 12)
         layout = pair_layout(rule)
-        assert layout.orbit
-        assert len(layout.rows) == 12 * (rule.n_nodes - 1)
-        iu, ju = np.triu_indices(rule.n_nodes, k=1)
-        every = dataclasses.replace(layout, rows=iu, cols=ju, orbit=False)
+        every = _all_pairs(layout, rule.n_nodes)
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         got = assemble_free(z, rule, second_sheet(1), layout).matrix
         want = assemble_free(z, rule, second_sheet(1), every).matrix
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
-    @pytest.mark.parametrize("surface", [TILTED, RECT], ids=["tilted-disk", "rectangle"])
-    def test_non_orbit_surfaces_keep_all_pairs(self, surface):
-        rule = build_quadrature(surface, 6)
-        layout = pair_layout(rule)
-        assert not layout.orbit
-        assert len(layout.rows) == rule.n_nodes * (rule.n_nodes - 1) // 2
-
     def test_tilted_disk_is_rotation_symmetric_but_not_kernel_symmetric(self):
         # its rotation axis is not vertical, so x3 varies along each ring
-        # and filling the kernel matrix along the orbits would be wrong
+        # and filling the kernel matrix along the rotation orbits would be wrong
         rule = build_quadrature(TILTED, 6)
-        assert _rotation_orbits(rule)
-        every = pair_layout(rule)
-        first = np.arange(0, rule.n_nodes, 6)
-        rows, cols = np.nonzero(~np.eye(rule.n_nodes, dtype=bool)[first])
-        forced = dataclasses.replace(every, rows=first[rows], cols=cols, orbit=True)
+        group = _node_group(rule)
+        assert any(np.array_equal(g, _shift(6)) for g in group)
+        every = _all_pairs(pair_layout(rule), rule.n_nodes)
+        forced = _with_pairs(every, group)
         got = assemble_free(-2.0, rule, None, forced).matrix
         want = assemble_free(-2.0, rule, None, every).matrix
         assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4

@@ -231,6 +231,15 @@ class TestMain:
         assert main(["eigenvalues", "--config", path, "--output", str(out),
                      "--threads", "1"]) == 0
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
+        path = _write(tmp_path, "eig.cfg", MINIMAL)
+        out = tmp_path / "t.csv"
+        assert main(["eigenvalues", "--config", path, "--output", str(out),
+                     f"--threads={threads}"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_flag_warns_without_threadpoolctl(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
         path = _write(tmp_path, "eig.cfg", MINIMAL)
@@ -267,6 +276,17 @@ class TestMain:
         assert main(["sweep", "--config", path, "--output", str(out)]) == 2
         key = (surface_line or numerics_line).split(" = ")[0]
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("l", ["0", "-1"])
+    def test_mode_index_below_one_exit_two(self, tmp_path, capsys, l):
+        out = tmp_path / "pole.csv"
+        path = _write(tmp_path, "l.cfg",
+                      f"[run]\nmode = pole\nl = {l}\n[coupling]\nbeta = 0.4\n"
+                      + DISK_SURFACE.strip() + "\ndelta = 0.08\n[numerics]\norder = 4\n")
+        assert main(["pole", "--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "l must be >= 1" in err
         assert not out.exists()
 
     def test_value_error_maps_to_exit_one(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import kv
 
+from layres.geometry import build_quadrature, disk, rectangle_patch
 from layres.greens import (
     EwaldGreen,
     KernelEvalConfig,
@@ -16,6 +17,11 @@ from layres.greens import (
 )
 from layres.specfun import SpectralParams, first_sheet, gamma_from_gap, second_sheet
 
+SURFACES = {
+    "disk": disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5),
+    "rectangle": rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0.0, 1.0, 0.0),
+                                 direction2=(0.0, 0.0, 1.0), length1=0.6, length2=0.6),
+}
 X = np.array([1.0, 0.2, 1.3])
 XP = np.array([0.6, -0.1, 0.9])
 
@@ -184,6 +190,20 @@ class TestEwaldGreen:
             # remainder approaches gd linearly in r
             assert abs(v2 - gd) < 2e-5
             assert abs(v2 - gd) < 0.2 * abs(v1 - gd) + 1e-10
+
+    @pytest.mark.parametrize("surface, order, z, ctx, distinct", [
+        ("disk", 16, 4.0 - 1e-3j, second_sheet(1), 1),
+        ("rectangle", 16, 9.5 - 1e-3j, second_sheet(2), 16),
+        ("rectangle", 12, -2.0, first_sheet(), 12)],
+        ids=["disk", "rectangle", "rectangle-first-sheet"])
+    def test_regularized_diag_once_per_x3(self, surface, order, z, ctx, distinct):
+        # evaluated once per distinct x3 and broadcast back: bitwise the
+        # value of each node on its own
+        nodes = build_quadrature(SURFACES[surface], order).nodes
+        assert len(np.unique(nodes[:, 2])) == distinct
+        ew = EwaldGreen(z, ctx)
+        each = np.array([ew.regularized_diag(x) for x in nodes])
+        assert np.array_equal(ew.regularized_diag(nodes), each)
 
     def test_pairs_vectorized_consistent(self):
         rng = np.random.default_rng(5)

@@ -256,7 +256,7 @@ class TestSweep:
         builds, layouts = [], []
         build = bs_operator.singular_part_matrix
         monkeypatch.setattr(bs_operator, "singular_part_matrix",
-                            lambda rule: builds.append(rule) or build(rule))
+                            lambda rule, **kw: builds.append(rule) or build(rule, **kw))
         layout = bs_operator.pair_layout
         for module in (bs_operator, resonance):
             monkeypatch.setattr(module, "pair_layout",
