@@ -1,8 +1,9 @@
 """Nystrom discretization of the surface operators and the resonance function.
 
 Everything here acts on L^2(Sigma_delta) through a quadrature rule: an
-operator with kernel K becomes the matrix K(x_i, x_j) combined with the rule
-weights, (Af)_i = sum_j K_ij w_j f_j.  The free kernel diagonal is fixed by
+operator with kernel K becomes its Nystrom matrix K diag(w), entries
+K(x_i, x_j) w_j, so (Af)_i = sum_j K_ij w_j f_j.  Every assembly returns that
+matrix as a plain complex ndarray.  The free kernel diagonal is fixed by
 singularity subtraction: the non-smooth 1/(4 pi r) - z r/(8 pi) part is
 integrated semi-analytically over the surface (apex-Duffy transform in
 parameter space) and the C^2 remainder enters at its diagonal limit.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,7 +34,6 @@ from .greens import EwaldGreen, chi_n
 from .specfun import SheetContext, SpectralParams, first_sheet, gamma_n
 
 __all__ = [
-    "DiscreteKernelOperator",
     "PoleCollisionError",
     "IllConditionedError",
     "SystemState",
@@ -68,41 +67,6 @@ class PoleCollisionError(ArithmeticError):
 
 class IllConditionedError(ArithmeticError):
     """A Birman-Schwinger solve exceeded the condition-number budget."""
-
-
-@dataclass(frozen=True)
-class DiscreteKernelOperator:
-    """Nystrom matrix of an integral operator on the rule's nodes."""
-
-    matrix: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        w = np.asarray(self.weights, dtype=float)
-        if m.shape != (len(w), len(w)):
-            raise ValueError("matrix shape does not match the weight vector")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.weights)
-
-    @cached_property
-    def weighted(self) -> np.ndarray:
-        """Matrix of the nodal action f -> K diag(w) f."""
-        return self.matrix * self.weights[None, :]
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.weighted @ f
-
-    def op_norm(self) -> float:
-        """Spectral norm on L^2: similarity-transform with sqrt(w)."""
-        if self.n_nodes == 0:
-            return 0.0
-        sw = np.sqrt(self.weights)
-        return float(np.linalg.norm(sw[:, None] * self.matrix * sw[None, :], ord=2))
 
 
 def _barycentric_weights(x):
@@ -463,8 +427,8 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
 
 
 def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = None,
-                  layout: PairLayout | None = None) -> DiscreteKernelOperator:
-    """Nystrom matrix of the free layer resolvent R_SigmaSigma(z).
+                  layout: PairLayout | None = None) -> np.ndarray:
+    """Nystrom matrix K diag(w) of the free layer resolvent R_SigmaSigma(z).
 
     The kernel is split as 1/(4 pi r) - z r/(8 pi) plus a C^2 remainder
     (those are the odd-in-r terms of the nearest image exp(-s r)/(4 pi r)
@@ -481,7 +445,7 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
     ctx = ctx or first_sheet()
     n = rule.n_nodes
     if n == 0:
-        return DiscreteKernelOperator(np.zeros((0, 0), complex), rule.weights)
+        return np.zeros((0, 0), complex)
     if layout is None:
         layout = pair_layout(rule)
     ew = EwaldGreen(z, ctx)
@@ -490,7 +454,7 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
     mat = np.append(vals, 0.0)[layout.index]
     mat[np.diag_indices(n)] = ew.regularized_diag(nodes)
     mat += layout.corr_inv - z / (8.0 * math.pi) * layout.corr_lin
-    return DiscreteKernelOperator(mat, rule.weights)
+    return mat * rule.weights
 
 
 def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.ndarray:
@@ -535,21 +499,19 @@ def _rank_sum(z, rule, ctx, params, modes: np.ndarray):
 
 
 def assemble_A_l(z: complex, l: int, rule: QuadratureRule, ctx: SheetContext,
-                 params: SpectralParams, n_cut: int) -> DiscreteKernelOperator:
-    """A_l(z) = sum_{n != l} Gamma_n(z)^(-1) <w_n, . > w_n over modes n <= n_cut."""
+                 params: SpectralParams, n_cut: int) -> np.ndarray:
+    """Nystrom matrix of A_l(z) = sum_{n != l} Gamma_n(z)^(-1) <w_n, . > w_n over n <= n_cut."""
     modes = np.arange(1, n_cut + 1)
-    return DiscreteKernelOperator(_rank_sum(z, rule, ctx, params, modes[modes != l]),
-                                  rule.weights)
+    return _rank_sum(z, rule, ctx, params, modes[modes != l]) * rule.weights
 
 
 def assemble_alpha(z: complex, rule: QuadratureRule, ctx: SheetContext,
                    params: SpectralParams, n_cut: int,
-                   free: DiscreteKernelOperator | None = None) -> DiscreteKernelOperator:
-    """Wire-dressed R_alpha = R_SigmaSigma + sum_{n <= n_cut} Gamma_n^(-1) <w_n, .> w_n."""
+                   free: np.ndarray | None = None) -> np.ndarray:
+    """Nystrom matrix of R_alpha = R_SigmaSigma + sum_{n <= n_cut} Gamma_n^(-1) <w_n, .> w_n."""
     if free is None:
         free = assemble_free(z, rule, ctx)
-    mat = free.matrix + _rank_sum(z, rule, ctx, params, np.arange(1, n_cut + 1))
-    return DiscreteKernelOperator(mat, rule.weights)
+    return free + _rank_sum(z, rule, ctx, params, np.arange(1, n_cut + 1)) * rule.weights
 
 
 def _guarded_lu(mat, what: str, diagnostics: dict | None = None):
@@ -565,13 +527,13 @@ def _guarded_lu(mat, what: str, diagnostics: dict | None = None):
     return lu
 
 
-def neumann_apply(op: DiscreteKernelOperator, beta: float, f: np.ndarray,
+def neumann_apply(op: np.ndarray, beta: float, f: np.ndarray,
                   terms: int = 60) -> np.ndarray:
-    """(I - beta K)^(-1) f via the Neumann series; cross-check for the solve."""
+    """(I - beta op)^(-1) f via the Neumann series; cross-check for the solve."""
     acc = np.array(f, dtype=complex)
     cur = np.array(f, dtype=complex)
     for _ in range(terms):
-        cur = beta * op.apply(cur)
+        cur = beta * (op @ cur)
         acc += cur
     return acc
 
@@ -601,9 +563,6 @@ class SystemState:
         if self.layout is None:
             self.layout = pair_layout(self.rule)
 
-    def free_op(self, z: complex) -> DiscreteKernelOperator:
-        return assemble_free(z, self.rule, self.ctx, self.layout)
-
 
 def eta_l(z: complex, l: int, state: SystemState,
           diagnostics: dict | None = None) -> complex:
@@ -618,12 +577,10 @@ def eta_l(z: complex, l: int, state: SystemState,
     if rule.n_nodes == 0:
         return gl
     beta = params.beta
-    free = state.free_op(z)
-    n = rule.n_nodes
-    eye = np.eye(n, dtype=complex)
-    lu_b = _guarded_lu(eye - beta * free.weighted, "I - beta R_SigmaSigma", diagnostics)
-    a_l = assemble_A_l(z, l, rule, ctx, params, state.n_cut)
-    g_a = lu_solve(lu_b, a_l.weighted)
+    free = assemble_free(z, rule, ctx, state.layout)
+    eye = np.eye(rule.n_nodes, dtype=complex)
+    lu_b = _guarded_lu(eye - beta * free, "I - beta R_SigmaSigma", diagnostics)
+    g_a = lu_solve(lu_b, assemble_A_l(z, l, rule, ctx, params, state.n_cut))
     lu_m = _guarded_lu(eye - beta * g_a, "I - beta G A_l", diagnostics)
     w_l = mode_vector(z, l, rule, ctx)
     t_w = lu_solve(lu_m, lu_solve(lu_b, w_l))
@@ -641,6 +598,6 @@ def bs_determinant(z: complex, state: SystemState) -> complex:
     if rule.n_nodes == 0:
         return 1.0 + 0.0j
     r_alpha = assemble_alpha(z, rule, state.ctx, state.params, state.n_cut,
-                             free=state.free_op(z))
+                             free=assemble_free(z, rule, state.ctx, state.layout))
     eye = np.eye(rule.n_nodes, dtype=complex)
-    return complex(np.linalg.det(eye - state.params.beta * r_alpha.weighted))
+    return complex(np.linalg.det(eye - state.params.beta * r_alpha))

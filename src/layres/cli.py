@@ -341,15 +341,21 @@ def _write_csv(path, header, rows, meta):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
+def _json_value(x):
+    """Floats as _fmt writes them; NaN, the value of a failed point, as null."""
+    if not isinstance(x, float):
+        return x
+    return None if math.isnan(x) else float(_fmt(x))
+
+
 def _write_json(path, header, rows, meta):
     payload = {
         "metadata": [m.lstrip("# ") for m in meta],
         "columns": list(header),
-        "rows": [[x if not isinstance(x, float) else float(_fmt(x)) for x in row]
-                 for row in rows],
+        "rows": [[_json_value(x) for x in row] for row in rows],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -538,6 +544,9 @@ def main(argv=None) -> int:
             config.order = args.quad_order
             config.resolved["order"] = args.quad_order
         if args.seed_re is not None or args.seed_im is not None:
+            if config.mode != "pole":
+                raise ConfigError(f"--seed-re and --seed-im apply to pole mode only, "
+                                  f"not {config.mode}")
             seed_re = args.seed_re
             if seed_re is None:
                 seed_re = config.params.eigenvalue(config.l)

@@ -18,7 +18,6 @@ The second sheet (continuation through J_k) is a finite additive correction
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -34,7 +33,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "KernelEvalConfig",
     "chi_n",
     "k0_cosine_sum",
     "layer_green",
@@ -60,35 +58,17 @@ def chi_n(n, x3):
     return _SQRT_2_OVER_PI * np.sin(np.multiply.outer(x3, n))
 
 
-@dataclass(frozen=True)
-class KernelEvalConfig:
-    """Truncation policy for the split (difference-series) evaluation.
+def _split_n_max(rho: float, k: int) -> int:
+    """Modes of the split difference series at in-plane separation rho > 0.
 
-    ``n_max`` caps the mode series; ``tail_tol`` is the absolute tail target
-    the truncation is meant to honour.  The empirical tail constant relating
-    the two is measured by :func:`calibrate_tail_constant`.
+    Enough for its exponential tail e^(-rho n) to fall below e^(-30), and at
+    least k + 40; more than 5 000 000 is refused.
     """
-
-    n_max: int
-    tail_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError("tail_tol must lie in (0, 1)")
-
-    @classmethod
-    def for_separation(cls, rho: float, tail_tol: float = 1e-10, k: int = 1) -> "KernelEvalConfig":
-        """Pick n_max so the exponential tail e^(-rho n) drops below tail_tol."""
-        if rho <= 0.0:
-            raise ValueError("separation rho must be positive")
-        n_exp = int(math.ceil(max(-math.log(tail_tol), 30.0) / rho)) + 20
-        n_max = max(n_exp, k + 40)
-        if n_max > 5_000_000:
-            raise ValueError(f"separation rho = {rho:g} needs n_max = {n_max}; "
-                             "use EwaldGreen for nearly coincident in-plane points")
-        return cls(n_max=n_max, tail_tol=tail_tol)
+    n_max = max(int(math.ceil(30.0 / rho)) + 20, k + 40)
+    if n_max > 5_000_000:
+        raise ValueError(f"separation rho = {rho:g} needs n_max = {n_max}; "
+                         "use EwaldGreen for nearly coincident in-plane points")
+    return n_max
 
 
 def _lattice_term(m, aa, rho):
@@ -144,11 +124,12 @@ def _second_sheet_correction(z, rho, x3, x3p, ctx: SheetContext):
 
 
 def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
-                cfg: KernelEvalConfig | None = None) -> complex:
+                n_max: int | None = None) -> complex:
     """Layer kernel via the split evaluation (single point pair).
 
-    Difference series (smooth, truncated at cfg.n_max) plus the exact closed
-    form of the K0(n rho) lattice part through :func:`k0_cosine_sum`.
+    Difference series (smooth, truncated after ``n_max`` modes; by default
+    enough for its exponential tail to fall below e^(-30)) plus the exact
+    closed form of the K0(n rho) lattice part through :func:`k0_cosine_sum`.
     Requires an in-plane separation rho > 0.
     """
     ctx = ctx or first_sheet()
@@ -157,10 +138,12 @@ def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
     if rho == 0.0:
         raise ValueError("split evaluation needs in-plane separation rho > 0 "
                          "(use EwaldGreen for vertically aligned pairs)")
-    if cfg is None:
-        cfg = KernelEvalConfig.for_separation(rho, k=ctx.k)
+    if n_max is None:
+        n_max = _split_n_max(rho, ctx.k)
+    elif n_max < 1:
+        raise ValueError("n_max must be >= 1")
     zc = nudge_off_axis(z, ctx)
-    n = np.arange(1, cfg.n_max + 1)
+    n = np.arange(1, n_max + 1)
     kap = kappa_n(zc, n, ctx)
     x3 = float(np.asarray(x, float)[2])
     x3p = float(np.asarray(xp, float)[2])
@@ -203,8 +186,8 @@ def calibrate_tail_constant(z: complex = -2.0, rho: float = 0.3,
     """
     x = np.array([1.0, 0.0, 1.3])
     xp = np.array([1.0 + rho, 0.0, 0.9])
-    coarse = layer_green(z, x, xp, cfg=KernelEvalConfig(n_max=n_max))
-    fine = layer_green(z, x, xp, cfg=KernelEvalConfig(n_max=8 * n_max))
+    coarse = layer_green(z, x, xp, n_max=n_max)
+    fine = layer_green(z, x, xp, n_max=8 * n_max)
     return abs(coarse - fine) * n_max / max(abs(z), 1.0)
 
 

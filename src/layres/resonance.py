@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bs_operator import SystemState, bs_determinant, eta_l, mode_vector, pair_layout
+from .bs_operator import SystemState, assemble_free, bs_determinant, eta_l, mode_vector, \
+    pair_layout
 from .geometry import Surface, build_quadrature, scale_surface
 from .greens import chi_n
 from .specfun import PSI_ONE, SheetContext, SpectralParams, gamma_n, second_sheet
@@ -162,6 +163,28 @@ def _secant(f: Callable[[complex], complex], seed: complex, tol: float,
     raise ConvergenceError(f"root iteration failed near z = {seed}")
 
 
+def _window_root(f: Callable[[complex, dict], complex], l: int, delta: float,
+                 state: SystemState, seed: complex | None, seed_offset: complex,
+                 tol: float, max_iter: int) -> PoleResult:
+    """Root of f(z, diagnostics) in the window J_k of eps_l, by :func:`_secant`.
+
+    The iteration starts from ``seed``, or from eps_l + seed_offset when it
+    is None.  ``diagnostics`` starts with n_cut and n_nodes; f may add to it.
+    """
+    if tol < 1e-12:
+        raise ValueError("tolerance below 1e-12 is not resolvable")
+    eps_l = state.params.eigenvalue(l)
+    k = window_index(eps_l)
+    diagnostics: dict = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes}
+    if seed is None:
+        seed = eps_l + seed_offset
+    z, residual, iterations = _secant(lambda z: f(z, diagnostics), seed, tol, max_iter)
+    if not (k**2 < z.real < (k + 1) ** 2):
+        raise ConvergenceError(f"root {z} escaped the window J_{k}")
+    return PoleResult(z=z, mu=z - eps_l, l=l, k=k, delta=delta, residual=residual,
+                      iterations=iterations, diagnostics=diagnostics)
+
+
 def find_pole(l: int, delta: float, state: SystemState, seed: complex | None = None,
               tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
     """Second-sheet pole z_l(delta) as the root of eta_l, secant from eps_l.
@@ -169,23 +192,11 @@ def find_pole(l: int, delta: float, state: SystemState, seed: complex | None = N
     ``diagnostics`` of the result describe the whole search: the number of
     eta_l evaluations and the worst condition number of each guarded solve.
     """
-    if tol < 1e-12:
-        raise ValueError("tolerance below 1e-12 is not resolvable")
-    params = state.params
-    eps_l = params.eigenvalue(l)
-    k = window_index(eps_l)
-    diagnostics: dict = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes,
-                         "eta_evaluations": 0}
-
-    def f(z):
-        diagnostics["eta_evaluations"] += 1
+    def f(z, diagnostics):
+        diagnostics["eta_evaluations"] = diagnostics.get("eta_evaluations", 0) + 1
         return eta_l(z, l, state, diagnostics=diagnostics)
 
-    z, residual, iterations = _secant(f, eps_l if seed is None else seed, tol, max_iter)
-    if not (k**2 < z.real < (k + 1) ** 2):
-        raise ConvergenceError(f"root {z} escaped the window J_{k}")
-    return PoleResult(z=z, mu=z - eps_l, l=l, k=k, delta=delta, residual=residual,
-                      iterations=iterations, diagnostics=diagnostics)
+    return _window_root(f, l, delta, state, seed, 0.0, tol, max_iter)
 
 
 def find_determinant_root(l: int, delta: float, state: SystemState,
@@ -198,23 +209,10 @@ def find_determinant_root(l: int, delta: float, state: SystemState,
     the default seed sits slightly off eps_l because the assembled rank sum
     itself is singular exactly at the eigenvalue.
     """
-    if tol < 1e-12:
-        raise ValueError("tolerance below 1e-12 is not resolvable")
-    params = state.params
-    eps_l = params.eigenvalue(l)
-    k = window_index(eps_l)
-    diagnostics: dict = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes}
+    def f(z, diagnostics):
+        return gamma_n(z, l, state.ctx, state.params) * bs_determinant(z, state)
 
-    def f(z):
-        return gamma_n(z, l, state.ctx, params) * bs_determinant(z, state)
-
-    if seed is None:
-        seed = eps_l - 1e-4 - 1e-5j
-    z, residual, iterations = _secant(f, seed, tol, max_iter)
-    if not (k**2 < z.real < (k + 1) ** 2):
-        raise ConvergenceError(f"root {z} escaped the window J_{k}")
-    return PoleResult(z=z, mu=z - eps_l, l=l, k=k, delta=delta, residual=residual,
-                      iterations=iterations, diagnostics=diagnostics)
+    return _window_root(f, l, delta, state, seed, -1e-4 - 1e-5j, tol, max_iter)
 
 
 def mu_lowest_order(l: int, delta: float, state: SystemState) -> complex:
@@ -240,8 +238,8 @@ def mu_lowest_order(l: int, delta: float, state: SystemState) -> complex:
     modes = modes[modes != l]
     pairs = (w * w_l) @ mode_vector(eps_l, modes, rule, ctx)
     cross = complex(np.sum(pairs**2 / gamma_n(eps_l, modes, ctx, params)))
-    free = state.free_op(eps_l)
-    dressed = complex(np.sum(w * w_l * free.apply(w_l)))
+    free = assemble_free(eps_l, rule, ctx, state.layout)
+    dressed = complex(np.sum(w * w_l * (free @ w_l)))
     return 4.0 * math.pi * params.xi_alpha * beta * (
         norm_sq + beta * cross + beta * dressed)
 

@@ -163,6 +163,12 @@ def _reference_singular(rule, duffy_order):
     return p_inv / (4.0 * math.pi), p_lin
 
 
+def _op_norm(op, weights) -> float:
+    """Spectral norm on L^2 of the Nystrom matrix op = K diag(w)."""
+    sw = np.sqrt(weights)
+    return float(np.linalg.norm(sw[:, None] * op / sw[None, :], ord=2))
+
+
 def _rel_max(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -184,15 +190,15 @@ class TestAssembleFree:
         # matrix is just the kernel at the node pairs
         nodes = np.array([[1.0, 0.0, 1.0], [3.0, 0.5, 2.0]])
         rule = QuadratureRule.from_tabulated(nodes, [0.3, 0.3])
-        op = assemble_free(-2.0, rule)
+        mat = assemble_free(-2.0, rule) / rule.weights
         want = layer_green(-2.0, nodes[0], nodes[1])
-        assert op.matrix[0, 1] == pytest.approx(want, abs=1e-12)
-        assert op.matrix[1, 0] == pytest.approx(want, abs=1e-12)
+        assert mat[0, 1] == pytest.approx(want, abs=1e-12)
+        assert mat[1, 0] == pytest.approx(want, abs=1e-12)
 
     def test_positive_definite_below_spectrum(self, rule12):
         op = assemble_free(-5.0, rule12)
         sw = np.sqrt(rule12.weights)
-        sym = sw[:, None] * op.matrix.real * sw[None, :]
+        sym = sw[:, None] * op.real / sw[None, :]
         ev = np.linalg.eigvalsh(0.5 * (sym + sym.T))
         assert ev.min() > 0.0
 
@@ -200,8 +206,8 @@ class TestAssembleFree:
         op = assemble_free(-5.0, rule12)
         f = np.exp(-8.0 * np.linalg.norm(rule12.nodes - rule12.nodes.mean(0), axis=1) ** 2)
         g = np.cos(3 * rule12.nodes[:, 0]) + rule12.nodes[:, 2]
-        a = np.sum(rule12.weights * f * op.apply(g))
-        b = np.sum(rule12.weights * g * op.apply(f))
+        a = np.sum(rule12.weights * f * (op @ g))
+        b = np.sum(rule12.weights * g * (op @ f))
         assert abs(a - b) < 1e-8
 
     def test_singular_matrices_duffy_converged(self):
@@ -228,13 +234,12 @@ class TestAssembleFree:
             r = build_quadrature(DISK, p)
             op = assemble_free(-5.0, r)
             f = fn(r.nodes)
-            vals.append(np.sum(r.weights * f * op.apply(f)))
+            vals.append(np.sum(r.weights * f * (op @ f)))
         assert abs(vals[0] - vals[1]) < 1e-5
 
     def test_empty_rule(self):
         rule = QuadratureRule.from_tabulated(np.zeros((0, 3)), np.zeros(0))
-        op = assemble_free(-2.0, rule)
-        assert op.matrix.shape == (0, 0)
+        assert assemble_free(-2.0, rule).shape == (0, 0)
 
     def test_coincident_nodes_rejected(self):
         nodes = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
@@ -340,8 +345,8 @@ class TestNodeGroup:
         assert len(group) == 4 and len(layout.rows) == 5184
         forced = _with_pairs(layout, group)
         z = PARAMS.eigenvalue(3) - 0.001 - 1e-4j
-        got = assemble_free(z, rule, second_sheet(2), forced).matrix
-        want = assemble_free(z, rule, second_sheet(2), layout).matrix
+        got = assemble_free(z, rule, second_sheet(2), forced) / rule.weights
+        want = assemble_free(z, rule, second_sheet(2), layout) / rule.weights
         assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4
 
 
@@ -356,8 +361,8 @@ class TestPairLayout:
         layout = pair_layout(rule)
         every = _all_pairs(layout, rule.n_nodes)
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
-        got = assemble_free(z, rule, second_sheet(1), layout).matrix
-        want = assemble_free(z, rule, second_sheet(1), every).matrix
+        got = assemble_free(z, rule, second_sheet(1), layout) / rule.weights
+        want = assemble_free(z, rule, second_sheet(1), every) / rule.weights
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
     def test_tilted_disk_is_rotation_symmetric_but_not_kernel_symmetric(self):
@@ -368,8 +373,8 @@ class TestPairLayout:
         assert any(np.array_equal(g, _shift(6)) for g in group)
         every = _all_pairs(pair_layout(rule), rule.n_nodes)
         forced = _with_pairs(every, group)
-        got = assemble_free(-2.0, rule, None, forced).matrix
-        want = assemble_free(-2.0, rule, None, every).matrix
+        got = assemble_free(-2.0, rule, None, forced) / rule.weights
+        want = assemble_free(-2.0, rule, None, every) / rule.weights
         assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4
 
     def test_state_caches_layout(self, small_state):
@@ -479,21 +484,22 @@ class TestRankSums:
         full = assemble_alpha(-2.0, rule, ctx, PARAMS, n_cut=12)
         free = assemble_free(-2.0, rule, ctx)
         a_2 = assemble_A_l(-2.0, 2, rule, ctx, PARAMS, n_cut=12)
-        assert np.max(np.abs(full.matrix - free.matrix - a_2.matrix)) < 1e-13
+        assert np.max(np.abs((full - free - a_2) / rule.weights)) < 1e-13
 
     def test_a_l_norm_scales_with_area(self):
         deltas = np.array([0.02, 0.04, 0.08])
         norms = []
         for d in deltas:
             r = build_quadrature(scale_surface(DISK, d), 6)
-            norms.append(assemble_A_l(-2.0, 1, r, first_sheet(), PARAMS, n_cut=20).op_norm())
+            norms.append(_op_norm(assemble_A_l(-2.0, 1, r, first_sheet(), PARAMS, n_cut=20),
+                                  r.weights))
         slope = np.polyfit(np.log(deltas), np.log(norms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_rank_bound(self):
         rule = build_quadrature(SMALL, 6)
         op = assemble_A_l(-2.0, 1, rule, first_sheet(), PARAMS, n_cut=15)
-        rank = np.linalg.matrix_rank(op.matrix, tol=1e-13)
+        rank = np.linalg.matrix_rank(op / rule.weights, tol=1e-13)
         assert rank <= 14
 
     def test_mode_cutoff_doubling_converged(self, small_state):
@@ -508,7 +514,7 @@ class TestRankSums:
         rule = build_quadrature(RECT, 6)
         ctx = second_sheet(2)
         z = PARAMS.eigenvalue(3) - 0.002 - 1e-4j
-        got = assemble_A_l(z, 3, rule, ctx, PARAMS, n_cut=60).matrix
+        got = assemble_A_l(z, 3, rule, ctx, PARAMS, n_cut=60) / rule.weights
         want = np.zeros((rule.n_nodes, rule.n_nodes), dtype=complex)
         for n in range(1, 61):
             if n != 3:
@@ -558,7 +564,7 @@ class TestEtaL:
 
     def test_ill_conditioned_guard(self, rule12):
         op = assemble_free(-5.0, rule12)
-        lam = np.linalg.eigvals(op.weighted).real.max()
+        lam = np.linalg.eigvals(op).real.max()
         bad = SpectralParams(alpha=0.0, beta=1.0 / lam)
         st = SystemState(bad, rule12, first_sheet())
         with pytest.raises(IllConditionedError):
@@ -578,17 +584,17 @@ class TestDeterminant:
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         n = rule.n_nodes
         eye = np.eye(n, dtype=complex)
-        free = st.free_op(z)
+        free = assemble_free(z, rule, ctx, st.layout)
         a_l = assemble_A_l(z, 2, rule, ctx, st.params, st.n_cut)
         r_a = assemble_alpha(z, rule, ctx, st.params, st.n_cut, free=free)
-        lu_b = lu_factor(eye - beta * free.weighted)
-        g_a = lu_solve(lu_b, a_l.weighted)
+        lu_b = lu_factor(eye - beta * free)
+        g_a = lu_solve(lu_b, a_l)
         lu_m = lu_factor(eye - beta * g_a)
         w_l = mode_vector(z, 2, rule, ctx)
         t_w = lu_solve(lu_m, lu_solve(lu_b, w_l))
         gl = gamma_n(z, 2, ctx, st.params)
-        lhs = eye - beta * r_a.weighted
-        rhs = ((eye - beta * free.weighted) @ (eye - beta * g_a)
+        lhs = eye - beta * r_a
+        rhs = ((eye - beta * free) @ (eye - beta * g_a)
                @ (eye - beta * np.outer(t_w, rule.weights * w_l) / gl))
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -610,10 +616,11 @@ class TestDeterminant:
 class TestNeumann:
     def test_matches_direct_solve(self, rule12):
         op = assemble_free(-2.0, rule12)
-        beta = 0.25 / op.op_norm()
-        assert beta * op.op_norm() < 0.3
+        norm = _op_norm(op, rule12.weights)
+        beta = 0.25 / norm
+        assert beta * norm < 0.3
         f = np.cos(rule12.nodes[:, 1])
         eye = np.eye(rule12.n_nodes, dtype=complex)
-        direct = lu_solve(lu_factor(eye - beta * op.weighted), f.astype(complex))
+        direct = lu_solve(lu_factor(eye - beta * op), f.astype(complex))
         series = neumann_apply(op, beta, f)
         assert np.max(np.abs(direct - series)) < 1e-8

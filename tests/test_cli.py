@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from layres import SpectralParams
+from layres import SpectralParams, resonance
 from layres.cli import ConfigError, main, parse_config, run
 
 MINIMAL = """
@@ -195,6 +195,34 @@ class TestSweepMode:
         assert str(out) in script
 
 
+    def test_failed_point_is_null_in_json(self, tmp_path, monkeypatch):
+        real = resonance.find_pole
+
+        def fail_at_0035(l, delta, *args, **kwargs):
+            if delta == 0.035:
+                raise resonance.ConvergenceError("forced failure")
+            return real(l, delta, *args, **kwargs)
+
+        monkeypatch.setattr(resonance, "find_pole", fail_at_0035)
+        out = tmp_path / "sweep.json"
+        text = ("[run]\nmode = sweep\nl = 2\n[coupling]\nbeta = 0.4\n"
+                + DISK_SURFACE.strip() + "\ndeltas = 0.02 0.035 0.05 0.07 0.1\n"
+                "[numerics]\norder = 4\n"
+                f"[output]\npath = {out}\nformat = json\n")
+        assert run(parse_config(text)) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        rows = {row[0]: dict(zip(payload["columns"], row)) for row in payload["rows"]}
+        assert rows[0.035]["status"] == "failed"
+        assert rows[0.035]["re_z"] is None and rows[0.035]["im_mu_closed_form"] is None
+        assert all(isinstance(rows[d]["re_z"], float) for d in (0.02, 0.05, 0.07, 0.1))
+        assert [m for m in payload["metadata"] if m.startswith("failure[")] == [
+            "failure[0.035000000000000003] = forced failure"]
+
+
 class TestMain:
     def test_missing_config_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == 2
@@ -259,6 +287,21 @@ class TestMain:
         seed = [ln.split(" = ", 1)[1] for ln in out.read_text().splitlines()
                 if ln.startswith("# config seed = ")]
         assert complex(seed[0]) == complex(SpectralParams(0.0, 0.4).eigenvalue(2), -1e-9)
+
+    @pytest.mark.parametrize("mode, extra", [
+        ("sweep", DISK_SURFACE.strip() + "\ndeltas = 0.02 0.04 0.06 0.08\n"),
+        ("eigenvalues", ""),
+    ], ids=["sweep", "eigenvalues"])
+    def test_seed_outside_pole_mode_exit_two(self, tmp_path, capsys, mode, extra):
+        out = tmp_path / "run.csv"
+        path = _write(tmp_path, "run.cfg",
+                      f"[run]\nmode = {mode}\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      f"{extra}[numerics]\norder = 6\n")
+        assert main([mode, "--config", path, "--output", str(out),
+                     "--seed-re", "2.5", "--seed-im=-0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "pole mode only" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("surface_line, numerics_line", [
         ("deltas = 0.02 0.04 0.08 1.5", ""),

@@ -8,7 +8,6 @@ from scipy.special import kv
 from layres.geometry import build_quadrature, disk, rectangle_patch
 from layres.greens import (
     EwaldGreen,
-    KernelEvalConfig,
     calibrate_tail_constant,
     chi_n,
     k0_cosine_sum,
@@ -114,12 +113,18 @@ class TestLayerGreenSplit:
         assert a == pytest.approx(b, abs=1e-13)
 
     def test_truncation_robustness(self):
-        cfg = KernelEvalConfig.for_separation(0.5, tail_tol=1e-10)
-        cfg2 = KernelEvalConfig(n_max=2 * cfg.n_max, tail_tol=cfg.tail_tol)
+        # X, XP are 0.5 apart in the plane: the default sums 80 modes
         for z in (-2.0, 2.5 + 0.2j):
-            a = layer_green(z, X, XP, cfg=cfg)
-            b = layer_green(z, X, XP, cfg=cfg2)
-            assert abs(a - b) < cfg.tail_tol
+            a = layer_green(z, X, XP)
+            b = layer_green(z, X, XP, n_max=160)
+            assert abs(a - b) < 1e-10
+
+    def test_mode_count_checks(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            layer_green(-2.0, X, XP, n_max=0)
+        # rho = 1e-6 would need 3e7 modes by default
+        with pytest.raises(ValueError, match="use EwaldGreen"):
+            layer_green(-2.0, X, X + np.array([1e-6, 0.0, 0.1]))
 
     def test_in_plane_coincidence_rejected(self):
         with pytest.raises(ValueError):

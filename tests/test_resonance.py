@@ -148,6 +148,46 @@ class TestFindPole:
                        iterations=1, diagnostics={})
 
 
+def _linear_routes(monkeypatch, root):
+    """Replace the function of both root routes by the linear z - root."""
+    monkeypatch.setattr(resonance, "eta_l", lambda z, l, state, diagnostics=None: z - root)
+    monkeypatch.setattr(resonance, "gamma_n", lambda z, l, ctx, params: 1.0)
+    monkeypatch.setattr(resonance, "bs_determinant", lambda z, state: z - root)
+
+
+@pytest.fixture(scope="module")
+def state4():
+    return pole_state(BASE, 0.08, 2, PARAMS, order=4)
+
+
+@pytest.mark.parametrize("route", [find_pole, find_determinant_root],
+                         ids=["eta", "determinant"])
+class TestRootDriver:
+    def test_linear_stand_in_converges(self, route, state4, monkeypatch):
+        root = PARAMS.eigenvalue(2) - 0.01 - 0.001j
+        _linear_routes(monkeypatch, root)
+        res = route(2, 0.08, state4)
+        assert res.z == pytest.approx(root, abs=1e-14) and res.k == 1
+        assert res.mu == res.z - PARAMS.eigenvalue(2)
+        assert res.diagnostics["n_nodes"] == 16
+
+    def test_tolerance_below_floor_rejected(self, route, state4):
+        with pytest.raises(ValueError, match="not resolvable"):
+            route(2, 0.08, state4, tol=1e-13)
+
+    def test_root_outside_window_raises(self, route, state4, monkeypatch):
+        # eps_2 lies in J_1 = (1, 4); the only root lies in J_2
+        _linear_routes(monkeypatch, 4.5 - 0.01j)
+        with pytest.raises(ConvergenceError, match="escaped the window J_1"):
+            route(2, 0.08, state4)
+
+    def test_one_iteration_is_not_enough(self, route, state4, monkeypatch):
+        # the first secant step lands on the root but is itself far above tol
+        _linear_routes(monkeypatch, PARAMS.eigenvalue(2) - 0.01 - 0.001j)
+        with pytest.raises(ConvergenceError, match="root iteration failed"):
+            route(2, 0.08, state4, max_iter=1)
+
+
 class TestLowestOrder:
     def test_agrees_with_pole_at_small_delta(self):
         st = pole_state(BASE, 0.02, 2, PARAMS, order=8)
@@ -185,7 +225,8 @@ class TestLowestOrder:
             if n != 2:
                 w_n = bs_operator.mode_vector(eps, n, rule, ctx)
                 cross += complex(np.sum(w * w_l * w_n)) ** 2 / gamma_n(eps, n, ctx, PARAMS)
-        dressed = complex(np.sum(w * w_l * st.free_op(eps).apply(w_l)))
+        free = bs_operator.assemble_free(eps, rule, ctx, st.layout)
+        dressed = complex(np.sum(w * w_l * (free @ w_l)))
         want = 4.0 * math.pi * PARAMS.xi_alpha * PARAMS.beta * (
             complex(np.sum(w * w_l * w_l)) + PARAMS.beta * (cross + dressed))
         assert abs(mu_lowest_order(2, 0.05, st) - want) <= 1e-12 * abs(want)
