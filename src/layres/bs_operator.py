@@ -50,8 +50,9 @@ __all__ = [
     "default_mode_cutoff",
 ]
 
-#: rcond below this means (I - beta R) sits on top of an impurity-band
-#: resonance; results there would be numerical noise, so we refuse.
+#: rcond below this means M_l = I - beta (R_SigmaSigma + A_l) is singular to working
+#: precision (z on the spectrum of the impurity problem without mode l, a pole of
+#: theta_l); eta_l there would be numerical noise, so we refuse.
 _COND_LIMIT = 1e12
 
 _GAMMA_FLOOR = 1e-10
@@ -569,23 +570,20 @@ def eta_l(z: complex, l: int, state: SystemState,
     """Resonance function eta_l(z, delta) = Gamma_l(z) - beta theta_l(z, delta).
 
     theta_l = <w_l, T_l w_l> with T_l = (I - beta G A_l)^(-1) G and
-    G = (I - beta R_SigmaSigma)^(-1); both inverses are direct dense solves
-    with condition-number guards.
+    G = (I - beta R_SigmaSigma)^(-1).  So T_l = (G^(-1) - beta A_l)^(-1) = M_l^(-1)
+    with M_l = I - beta (R_SigmaSigma + A_l): one guarded dense solve.
     """
     params, rule, ctx = state.params, state.rule, state.ctx
     gl = gamma_n(z, l, ctx, params)
     if rule.n_nodes == 0:
         return gl
     beta = params.beta
-    free = assemble_free(z, rule, ctx, state.layout)
-    eye = np.eye(rule.n_nodes, dtype=complex)
-    lu_b = _guarded_lu(eye - beta * free, "I - beta R_SigmaSigma", diagnostics)
-    g_a = lu_solve(lu_b, assemble_A_l(z, l, rule, ctx, params, state.n_cut))
-    lu_m = _guarded_lu(eye - beta * g_a, "I - beta G A_l", diagnostics)
+    a = assemble_free(z, rule, ctx, state.layout) \
+        + assemble_A_l(z, l, rule, ctx, params, state.n_cut)
+    lu = _guarded_lu(np.eye(rule.n_nodes) - beta * a, "I - beta (R_SigmaSigma + A_l)",
+                     diagnostics)
     w_l = mode_vector(z, l, rule, ctx)
-    t_w = lu_solve(lu_m, lu_solve(lu_b, w_l))
-    theta = complex(np.sum(rule.weights * w_l * t_w))
-    return gl - beta * theta
+    return gl - beta * complex(np.sum(rule.weights * w_l * lu_solve(lu, w_l)))
 
 
 def bs_determinant(z: complex, state: SystemState) -> complex:

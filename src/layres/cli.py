@@ -27,7 +27,7 @@ computation starts.  Recognized layout::
     length2 = 0.4
     anchor = 1.5 0.0 1.0   # optional scaling fixed point
     delta = 0.08           # pole mode
-    deltas = 0.02 0.04 0.08  # sweep mode; default 8 log-spaced in [0.02, 0.12]
+    deltas = 0.02 0.04 0.06 0.08  # sweep mode, >= 4; default 8 log-spaced in [0.02, 0.12]
 
     [numerics]
     order = 16
@@ -38,7 +38,7 @@ computation starts.  Recognized layout::
     [output]
     path = run.csv
     format = csv           # csv | json
-    emit_plot_script = false
+    emit_plot_script = false   # csv only; writes a gnuplot script of a sweep
 
 Exit codes: 0 success, 1 computation failure, 2 configuration error.
 """
@@ -62,8 +62,8 @@ from .greens import calibrate_tail_constant, k0_cosine_sum, layer_green, \
 # calibrate_tail_constant, fit_power_law and im_mu_closed_form are unused here
 # but stay importable as cli attributes: perfbench/spans.py wraps every name it
 # traces on this module
-from .resonance import embedded_eigenvalues, find_pole, fit_power_law, \
-    im_mu_closed_form, pole_state, sweep_delta
+from .resonance import MIN_SWEEP_POINTS, embedded_eigenvalues, find_pole, \
+    fit_power_law, im_mu_closed_form, pole_state, sweep_delta
 from .specfun import SpectralParams, first_sheet, gamma_from_gap, second_sheet
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -295,9 +295,9 @@ def parse_config(text: str) -> RunConfig:
     emit_plot = _as_bool(out["emit_plot_script"][0], "emit_plot_script",
                          out["emit_plot_script"][1]) \
         if "emit_plot_script" in out else False
-
-    if mode in ("pole", "sweep") and surface is None:
-        raise ConfigError(f"mode {mode} needs a [surface] section with a family")
+    if emit_plot and fmt != "csv":
+        raise ConfigError("emit_plot_script needs format = csv: the gnuplot script "
+                          "reads the output as CSV")
 
     resolved = {
         "mode": mode, "l": l, "n_min": n_min, "n_max": n_max,
@@ -488,8 +488,21 @@ def _run_validate(config: RunConfig) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _check_mode(config: RunConfig):
+    """Checks that depend on the mode; ``config.mode`` is the mode that runs."""
+    if config.mode in ("pole", "sweep") and config.surface is None:
+        raise ConfigError(f"mode {config.mode} needs a [surface] section with a family")
+    if config.mode == "sweep" and len(config.deltas) < MIN_SWEEP_POINTS:
+        raise ConfigError(f"a sweep fits power laws to at least {MIN_SWEEP_POINTS} "
+                          f"deltas, got {len(config.deltas)}")
+    if config.seed is not None and config.mode != "pole":
+        raise ConfigError(f"--seed-re and --seed-im apply to pole mode only, "
+                          f"not {config.mode}")
+
+
 def run(config: RunConfig) -> int:
     try:
+        _check_mode(config)
         if config.mode == "eigenvalues":
             return _run_eigenvalues(config)
         if config.mode == "pole":
@@ -497,6 +510,9 @@ def run(config: RunConfig) -> int:
         if config.mode == "sweep":
             return _run_sweep(config)
         return _run_validate(config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (ArithmeticError, ValueError) as exc:
         # ConvergenceError and the solver guards are ArithmeticErrors;
         # threshold collisions, invalid scaled surfaces and numerical range
@@ -544,16 +560,11 @@ def main(argv=None) -> int:
             config.order = args.quad_order
             config.resolved["order"] = args.quad_order
         if args.seed_re is not None or args.seed_im is not None:
-            if config.mode != "pole":
-                raise ConfigError(f"--seed-re and --seed-im apply to pole mode only, "
-                                  f"not {config.mode}")
             seed_re = args.seed_re
             if seed_re is None:
                 seed_re = config.params.eigenvalue(config.l)
             config.seed = complex(seed_re, args.seed_im or 0.0)
             config.resolved["seed"] = str(config.seed)
-        if config.mode in ("pole", "sweep") and config.surface is None:
-            raise ConfigError(f"mode {config.mode} needs a [surface] section")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from .bs_operator import SystemState, assemble_free, bs_determinant, eta_l, mode
     pair_layout
 from .geometry import Surface, build_quadrature, scale_surface
 from .greens import chi_n
-from .specfun import PSI_ONE, SheetContext, SpectralParams, gamma_n, second_sheet
+from .specfun import PSI_ONE, SpectralParams, gamma_n, second_sheet
 
 __all__ = [
     "EigenvalueInfo",
@@ -38,7 +38,11 @@ __all__ = [
     "im_mu_closed_form",
     "sweep_delta",
     "fit_power_law",
+    "MIN_SWEEP_POINTS",
 ]
+
+#: fewest converged poles a sweep fits its power laws to
+MIN_SWEEP_POINTS = 4
 
 
 class ThresholdCollisionError(ValueError):
@@ -190,7 +194,7 @@ def find_pole(l: int, delta: float, state: SystemState, seed: complex | None = N
     """Second-sheet pole z_l(delta) as the root of eta_l, secant from eps_l.
 
     ``diagnostics`` of the result describe the whole search: the number of
-    eta_l evaluations and the worst condition number of each guarded solve.
+    eta_l evaluations and the worst condition number of the guarded solve.
     """
     def f(z, diagnostics):
         diagnostics["eta_evaluations"] = diagnostics.get("eta_evaluations", 0) + 1
@@ -312,9 +316,13 @@ def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
     takes its own.  Every point after the first converged one is
     seeded from the previous pole by the law Re mu = O(delta^2),
     z = eps_l + mu_prev (delta / delta_prev)^2.  Points whose root iteration
-    fails are recorded in ``failures`` and left out of the fits.
+    fails are recorded in ``failures`` and left out of the fits; fewer than
+    MIN_SWEEP_POINTS deltas are refused before the first pole.
     """
     deltas = list(deltas)
+    if len(deltas) < MIN_SWEEP_POINTS:
+        raise ValueError(f"a sweep needs at least {MIN_SWEEP_POINTS} deltas to fit, "
+                         f"got {len(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly increasing")
     surface = state.rule.surface
@@ -338,8 +346,9 @@ def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
             continue
         poles.append(res)
         closed.append(im_mu_closed_form(l, d, st))
-    if len(poles) < 4:
-        raise ConvergenceError(f"only {len(poles)} poles converged; need >= 4 to fit")
+    if len(poles) < MIN_SWEEP_POINTS:
+        raise ConvergenceError(f"only {len(poles)} poles converged; "
+                               f"need >= {MIN_SWEEP_POINTS} to fit")
     fit_im = fit_power_law([(res.delta, abs(res.mu.imag)) for res in poles])
     fit_re = fit_power_law([(res.delta, abs(res.mu.real)) for res in poles])
     return SweepResult(poles=poles, fit_im=fit_im, fit_re=fit_re,

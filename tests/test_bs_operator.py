@@ -563,12 +563,32 @@ class TestEtaL:
             eta_l(complex(PARAMS.eigenvalue(3)), 2, small_state)
 
     def test_ill_conditioned_guard(self, rule12):
-        op = assemble_free(-5.0, rule12)
+        # beta = 1 / lambda_max(R + A_1) makes M_1 = I - beta (R + A_1) singular
+        ctx = first_sheet()
+        n_cut = default_mode_cutoff(rule12, ctx)
+        op = assemble_free(-5.0, rule12) + assemble_A_l(-5.0, 1, rule12, ctx, PARAMS, n_cut)
         lam = np.linalg.eigvals(op).real.max()
-        bad = SpectralParams(alpha=0.0, beta=1.0 / lam)
-        st = SystemState(bad, rule12, first_sheet())
-        with pytest.raises(IllConditionedError):
+        st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12, ctx)
+        with pytest.raises(IllConditionedError, match=r"I - beta \(R_SigmaSigma \+ A_l\)"):
             eta_l(-5.0, 1, st)
+
+    def test_one_factorization_per_eta(self, small_state, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(bs_operator, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("lu_factor", "lu_solve"):
+            monkeypatch.setattr(bs_operator, name, counted(name))
+        diagnostics = {}
+        eta_l(PARAMS.eigenvalue(2) - 0.001 - 1e-4j, 2, small_state, diagnostics)
+        assert calls == ["lu_factor", "lu_solve"]
+        assert list(diagnostics) == ["cond[I - beta (R_SigmaSigma + A_l)]"]
 
 
 class TestDeterminant:
@@ -601,6 +621,25 @@ class TestDeterminant:
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             resid = np.max(np.abs((lhs - rhs) @ v)) / np.max(np.abs(lhs @ v))
             assert resid < 1e-9
+
+    @pytest.mark.parametrize("point", ["second-sheet", "singular-free-part"])
+    def test_eta_determinant_identity(self, small_state, rule12, point):
+        # Gamma_l det(I - beta R_alpha) = eta_l det(M_l), M_l = I - beta (R + A_l)
+        if point == "second-sheet":
+            st, z, l = small_state, PARAMS.eigenvalue(2) - 0.001 - 1e-4j, 2
+        else:
+            # I - beta R is singular here (cond 2e15), M_1 is not
+            lam = np.linalg.eigvals(assemble_free(-5.0, rule12)).real.max()
+            st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12, first_sheet())
+            z, l = -5.0, 1
+        rule, ctx, params, beta = st.rule, st.ctx, st.params, st.params.beta
+        eye = np.eye(rule.n_nodes)
+        free = assemble_free(z, rule, ctx, st.layout)
+        m_l = eye - beta * (free + assemble_A_l(z, l, rule, ctx, params, st.n_cut))
+        r_a = assemble_alpha(z, rule, ctx, params, st.n_cut, free=free)
+        lhs = gamma_n(z, l, ctx, params) * np.linalg.det(eye - beta * r_a)
+        rhs = eta_l(z, l, st) * np.linalg.det(m_l)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_sheet_continuity_across_cut(self, rule12):
         # det is continuous from above (sheet I) to below (sheet II)

@@ -79,10 +79,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="does not apply"):
             parse_config(text)
 
-    def test_pole_needs_surface(self):
+    def test_pole_needs_surface(self, capsys):
+        # checked against the mode that runs, so by run(), not by parse_config
         text = "[run]\nmode = pole\n[coupling]\nbeta = 0.4\n"
-        with pytest.raises(ConfigError, match="surface"):
-            parse_config(text)
+        assert run(parse_config(text)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "surface" in err
 
     def test_unsorted_deltas_rejected(self):
         text = ("[run]\nmode = sweep\n[coupling]\nbeta = 0.4\n"
@@ -252,6 +254,37 @@ class TestMain:
         path = _write(tmp_path, "eig.cfg", MINIMAL)
         assert main(["pole", "--config", path]) == 2
         assert "surface" in capsys.readouterr().err
+
+    def test_mode_checks_follow_the_mode_that_runs(self, tmp_path, capsys):
+        # [run] mode = pole without a surface, run as eigenvalues
+        path = _write(tmp_path, "eig.cfg", MINIMAL.replace("eigenvalues", "pole"))
+        out = tmp_path / "eig.csv"
+        assert main(["eigenvalues", "--config", path, "--output", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("config_mode, deltas, output, message", [
+        ("sweep", "0.02 0.04 0.08", "", "at least 4 deltas"),
+        ("pole", "0.02 0.04 0.08", "", "at least 4 deltas"),
+        ("sweep", "0.02 0.04 0.06 0.08", "format = json\nemit_plot_script = true\n",
+         "format = csv"),
+    ], ids=["three-deltas", "three-deltas-pole-config", "json-plot-script"])
+    def test_sweep_config_errors_exit_two_before_any_pole(self, tmp_path, capsys,
+                                                          monkeypatch, config_mode,
+                                                          deltas, output, message):
+        def no_pole(*args, **kwargs):
+            raise AssertionError("a pole was computed")
+
+        for name in ("pole_state", "sweep_delta"):
+            monkeypatch.setattr(f"layres.cli.{name}", no_pole)
+        out = tmp_path / "sweep.out"
+        path = _write(tmp_path, "sweep.cfg",
+                      f"[run]\nmode = {config_mode}\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      + DISK_SURFACE.strip() + f"\ndeltas = {deltas}\n"
+                      f"[numerics]\norder = 4\n[output]\n{output}")
+        assert main(["sweep", "--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+        assert not out.exists()
 
     def test_threads_flag(self, tmp_path):
         path = _write(tmp_path, "eig.cfg", MINIMAL)

@@ -127,8 +127,9 @@ class TestFindPole:
             d = {}
             bs_operator.eta_l(z, 2, st, diagnostics=d)
             per_point.append(d)
-        for key in ("cond[I - beta R_SigmaSigma]", "cond[I - beta G A_l]"):
-            assert res.diagnostics[key] == max(d[key] for d in per_point)
+        key = "cond[I - beta (R_SigmaSigma + A_l)]"
+        assert [k for k in res.diagnostics if k.startswith("cond[")] == [key]
+        assert res.diagnostics[key] == max(d[key] for d in per_point)
         assert res.diagnostics["n_nodes"] == 144
 
     def test_flat_eta_raises_convergence_error(self, monkeypatch):
@@ -315,6 +316,17 @@ class TestSweep:
         for (_, mu), cf in zip(sw.points, sw.closed_form_im):
             assert mu.imag < 0.0
             assert cf < 0.0
+
+    def test_fewer_than_four_deltas_refused_before_any_pole(self, monkeypatch):
+        base_state = pole_state(BASE, 1.0, 2, PARAMS, order=4)
+
+        def no_pole(*args, **kwargs):
+            raise AssertionError("a pole was computed")
+
+        monkeypatch.setattr(resonance, "pole_state", no_pole)
+        monkeypatch.setattr(resonance, "find_pole", no_pole)
+        with pytest.raises(ValueError, match="at least 4 deltas"):
+            sweep_delta(2, [0.02, 0.04, 0.08], base_state)
 
     def test_poles_pinned(self):
         # 17-digit poles recorded at commit 54a7e27, where every mode vector

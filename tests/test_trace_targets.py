@@ -2,9 +2,12 @@
 
 ``perfbench/spans.py`` wraps public calls by module attribute from outside;
 a renamed or removed name breaks a traced benchmark run.  These checks load
-that file as it is and look every wrapped name up on its owner.
+that file as it is and look every wrapped name up on its owner.  An import
+a module does not use is allowed only for such a wrapped name.
 """
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -12,7 +15,9 @@ import pytest
 
 from layres import bs_operator, cli, geometry, greens, resonance, specfun
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+SOURCES = sorted((ROOT / "src" / "layres").glob("*.py"))
 
 
 def _targets():
@@ -31,3 +36,23 @@ TARGETS = [(name, owner, attr) for name, owner, attr, _ in _targets()]
                               for _, owner, attr in TARGETS])
 def test_traced_name_is_callable_on_its_owner(name, owner, attr):
     assert callable(getattr(owner, attr, None)), f"{name} is traced as {owner.__name__}.{attr}"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_is_used_exported_or_traced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    name = "layres" if path.stem == "__init__" else f"layres.{path.stem}"
+    module = importlib.import_module(name)
+    traced = {attr for _, owner, attr in TARGETS if owner is module}
+    unused = [n for n in _imported_names(tree)
+              if n not in used and n not in getattr(module, "__all__", ()) and n not in traced]
+    assert not unused, f"{path.name} imports {unused} without using them"
