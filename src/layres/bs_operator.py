@@ -546,8 +546,8 @@ class SystemState:
     Holds the mode cutoff and the z-independent pair layout of ``rule``, so
     only the z-dependent kernel values are recomputed per z.  Without a
     ``layout`` the state builds one on ``rule`` itself.  ``delta`` is the
-    scaling parameter of ``rule``; :func:`resonance.pole_state` passes the
-    layout of the unscaled rule scaled to it.
+    scaling parameter of ``rule``, which a pole found on this state records;
+    :mod:`resonance` passes the layout of the unscaled rule scaled to it.
     """
 
     params: SpectralParams

@@ -36,7 +36,7 @@ computation starts.  Recognized layout::
     n_cut = 60             # optional mode-sum override
 
     [output]
-    path = run.csv
+    path = run.csv         # default layres_<mode>.<format>, for the mode that runs
     format = csv           # csv | json
     emit_plot_script = false   # csv only; writes a gnuplot script of a sweep
 
@@ -110,7 +110,7 @@ class RunConfig:
     tail_tol: float
     root_tol: float
     n_cut: int | None
-    path: str
+    path: str | None  # None: run() names it after the mode that runs
     format: str
     emit_plot_script: bool
     seed: complex | None = None
@@ -291,7 +291,7 @@ def parse_config(text: str) -> RunConfig:
     fmt = out.get("format", ("csv", 0))[0]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be csv or json, got {fmt!r}")
-    path = out.get("path", (f"layres_{mode}.{fmt}", 0))[0]
+    path = out.get("path", (None, 0))[0]
     emit_plot = _as_bool(out["emit_plot_script"][0], "emit_plot_script",
                          out["emit_plot_script"][1]) \
         if "emit_plot_script" in out else False
@@ -396,8 +396,7 @@ def _run_pole(config: RunConfig) -> int:
     state = pole_state(config.surface, config.delta, config.l, config.params,
                        order=config.order, tail_tol=config.tail_tol,
                        n_cut=config.n_cut)
-    res = find_pole(config.l, config.delta, state, seed=config.seed,
-                    tol=config.root_tol)
+    res = find_pole(config.l, state, seed=config.seed, tol=config.root_tol)
     rows = [(res.l, res.k, res.delta, res.z.real, res.z.imag, res.mu.real,
              res.mu.imag, res.residual, res.iterations)]
     _emit(config,
@@ -409,11 +408,9 @@ def _run_pole(config: RunConfig) -> int:
 
 
 def _run_sweep(config: RunConfig) -> int:
-    base = pole_state(config.surface, 1.0, config.l, config.params,
-                      order=config.order, tail_tol=config.tail_tol,
-                      n_cut=config.n_cut)
-    sweep = sweep_delta(config.l, config.deltas, base, tol=config.root_tol,
-                        n_cut=config.n_cut)
+    sweep = sweep_delta(config.l, config.deltas, config.surface, config.params,
+                        order=config.order, tail_tol=config.tail_tol,
+                        n_cut=config.n_cut, tol=config.root_tol)
     converged = {res.delta: (res, cf)
                  for res, cf in zip(sweep.poles, sweep.closed_form_im)}
     nan = float("nan")
@@ -501,6 +498,8 @@ def _check_mode(config: RunConfig):
 
 
 def run(config: RunConfig) -> int:
+    if config.path is None:
+        config.path = config.resolved["path"] = f"layres_{config.mode}.{config.format}"
     try:
         _check_mode(config)
         if config.mode == "eigenvalues":

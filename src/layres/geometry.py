@@ -9,7 +9,7 @@ parameter grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,13 +60,10 @@ class Surface:
     #: along it joins the reflections of q1 and q2 about their midpoints as a
     #: candidate node symmetry (bs_operator._node_group)
     periodic2: bool = False
-    _checked: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        if not self._checked:
-            _validate_surface(self)
-            object.__setattr__(self, "_checked", True)
+        _validate_surface(self)
 
     def points(self, q1, q2) -> np.ndarray:
         return self.param_map(np.asarray(q1, float), np.asarray(q2, float))

@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bs_operator import SystemState, assemble_free, bs_determinant, eta_l, mode_vector, \
-    pair_layout
-from .geometry import Surface, build_quadrature, scale_surface
+from .bs_operator import PairLayout, SystemState, assemble_free, bs_determinant, eta_l, \
+    mode_vector, pair_layout
+from .geometry import QuadratureRule, Surface, build_quadrature, scale_surface
 from .greens import chi_n
 from .specfun import PSI_ONE, SpectralParams, gamma_n, second_sheet
 
@@ -85,11 +85,6 @@ class SweepResult:
     failures: list  # (delta, error message) for points that did not converge
     n_cut: int  # mode cutoff at the largest delta
 
-    @property
-    def points(self) -> list:
-        """(delta, mu) of every converged pole."""
-        return [(res.delta, res.mu) for res in self.poles]
-
 
 def window_index(value: float) -> int:
     """k with value in J_k = (k^2, (k+1)^2); rejects threshold collisions."""
@@ -113,34 +108,40 @@ def embedded_eigenvalues(params: SpectralParams, n_range) -> list[EigenvalueInfo
     return out
 
 
-def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
-               order: int = 16, tail_tol: float = 1e-12,
-               n_cut: int | None = None, base: SystemState | None = None) -> SystemState:
-    """System state on the scaled surface, on the second sheet of eps_l's window.
-
-    The pair layout is that of the order-``order`` rule on the unscaled
-    ``surface``, scaled to delta (see :meth:`PairLayout.scaled`); this is
-    the one place where the homothety is applied.  Pass ``base``, the state
-    of that unscaled rule (delta = 1), to share its layout between several
-    deltas; otherwise the layout is built here.
-    """
+def _window(l: int, params: SpectralParams) -> int:
+    """Window index k of eps_l; rejects a discrete eps_l."""
     eps = params.eigenvalue(l)
     if eps < 1.0:
         raise ValueError(f"eps_{l} = {eps} is a discrete eigenvalue, not embedded")
-    k = window_index(eps)
-    if base is None:
-        base_rule = build_quadrature(surface, order)
-        layout = pair_layout(base_rule)
-    elif base.rule.surface is not surface or base.rule.order != order or base.delta != 1.0:
-        raise ValueError("base is not the unscaled state of this surface and order")
-    else:
-        base_rule, layout = base.rule, base.layout
-    if delta == 1.0:
-        rule = base_rule
-    else:
-        rule = build_quadrature(scale_surface(surface, delta), order)
+    return window_index(eps)
+
+
+def _delta_state(base_rule: QuadratureRule, layout: PairLayout, delta: float, k: int,
+                 params: SpectralParams, tail_tol: float,
+                 n_cut: int | None) -> SystemState:
+    """State at ``delta`` from the unscaled rule and its layout: the one homothety.
+
+    The rule is rebuilt on the scaled surface, the layout scaled by
+    :meth:`PairLayout.scaled`.
+    """
+    rule = base_rule if delta == 1.0 else \
+        build_quadrature(scale_surface(base_rule.surface, delta), base_rule.order)
     return SystemState(params, rule, second_sheet(k), tail_tol=tail_tol, n_cut=n_cut,
                        layout=layout.scaled(delta), delta=delta)
+
+
+def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
+               order: int = 16, tail_tol: float = 1e-12,
+               n_cut: int | None = None) -> SystemState:
+    """System state on the scaled surface, on the second sheet of eps_l's window.
+
+    The pair layout is built on the order-``order`` rule of the unscaled
+    ``surface`` and scaled to delta, the only delta the pole routines read.
+    """
+    k = _window(l, params)
+    base_rule = build_quadrature(surface, order)
+    return _delta_state(base_rule, pair_layout(base_rule), delta, k, params, tail_tol,
+                        n_cut)
 
 
 def _secant(f: Callable[[complex], complex], seed: complex, tol: float,
@@ -167,9 +168,9 @@ def _secant(f: Callable[[complex], complex], seed: complex, tol: float,
     raise ConvergenceError(f"root iteration failed near z = {seed}")
 
 
-def _window_root(f: Callable[[complex, dict], complex], l: int, delta: float,
-                 state: SystemState, seed: complex | None, seed_offset: complex,
-                 tol: float, max_iter: int) -> PoleResult:
+def _window_root(f: Callable[[complex, dict], complex], l: int, state: SystemState,
+                 seed: complex | None, seed_offset: complex, tol: float,
+                 max_iter: int) -> PoleResult:
     """Root of f(z, diagnostics) in the window J_k of eps_l, by :func:`_secant`.
 
     The iteration starts from ``seed``, or from eps_l + seed_offset when it
@@ -185,13 +186,13 @@ def _window_root(f: Callable[[complex, dict], complex], l: int, delta: float,
     z, residual, iterations = _secant(lambda z: f(z, diagnostics), seed, tol, max_iter)
     if not (k**2 < z.real < (k + 1) ** 2):
         raise ConvergenceError(f"root {z} escaped the window J_{k}")
-    return PoleResult(z=z, mu=z - eps_l, l=l, k=k, delta=delta, residual=residual,
+    return PoleResult(z=z, mu=z - eps_l, l=l, k=k, delta=state.delta, residual=residual,
                       iterations=iterations, diagnostics=diagnostics)
 
 
-def find_pole(l: int, delta: float, state: SystemState, seed: complex | None = None,
+def find_pole(l: int, state: SystemState, seed: complex | None = None,
               tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
-    """Second-sheet pole z_l(delta) as the root of eta_l, secant from eps_l.
+    """Second-sheet pole z_l(delta) at the delta of ``state``, secant from eps_l.
 
     ``diagnostics`` of the result describe the whole search: the number of
     eta_l evaluations and the worst condition number of the guarded solve.
@@ -200,12 +201,11 @@ def find_pole(l: int, delta: float, state: SystemState, seed: complex | None = N
         diagnostics["eta_evaluations"] = diagnostics.get("eta_evaluations", 0) + 1
         return eta_l(z, l, state, diagnostics=diagnostics)
 
-    return _window_root(f, l, delta, state, seed, 0.0, tol, max_iter)
+    return _window_root(f, l, state, seed, 0.0, tol, max_iter)
 
 
-def find_determinant_root(l: int, delta: float, state: SystemState,
-                          seed: complex | None = None, tol: float = 1e-12,
-                          max_iter: int = 50) -> PoleResult:
+def find_determinant_root(l: int, state: SystemState, seed: complex | None = None,
+                          tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
     """Same pole from the full determinant; independent of the eta_l route.
 
     The determinant has a Gamma_l^(-1) pole sitting at eps_l, so the root
@@ -216,10 +216,10 @@ def find_determinant_root(l: int, delta: float, state: SystemState,
     def f(z, diagnostics):
         return gamma_n(z, l, state.ctx, state.params) * bs_determinant(z, state)
 
-    return _window_root(f, l, delta, state, seed, -1e-4 - 1e-5j, tol, max_iter)
+    return _window_root(f, l, state, seed, -1e-4 - 1e-5j, tol, max_iter)
 
 
-def mu_lowest_order(l: int, delta: float, state: SystemState) -> complex:
+def mu_lowest_order(l: int, state: SystemState) -> complex:
     """Lowest-order pole shift mu_l(delta).
 
     4 pi xi_alpha beta { ||w_l||^2
@@ -253,7 +253,7 @@ def _iota(l_eps: float, n: int, alpha: float) -> float:
             - PSI_ONE) / (2.0 * math.pi)
 
 
-def im_mu_closed_form(l: int, delta: float, state: SystemState) -> float:
+def im_mu_closed_form(l: int, state: SystemState) -> float:
     """Closed-form lowest order of Im mu(delta); always <= 0 for small delta.
 
     pi xi_alpha beta^2 sum_{n <= k} ( [8 iota Re Im + ((Re)^2 - (Im)^2)]
@@ -304,17 +304,16 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> tuple[float, float, 
     return float(slope), float(math.exp(intercept)), r_sq
 
 
-def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
-                tol: float = 1e-12, n_cut: int | None = None) -> SweepResult:
+def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: SpectralParams,
+                order: int = 16, tail_tol: float = 1e-12, n_cut: int | None = None,
+                tol: float = 1e-12) -> SweepResult:
     """Locate the pole at each delta and fit |Re mu|, |Im mu| power laws.
 
-    ``state`` is the state on the unscaled base surface (delta = 1); it
-    carries the coupling parameters, the quadrature order and the pair
-    layout, which every point takes scaled to its delta through
-    ``pole_state(..., base=state)``, so the layout is built once per sweep.
-    ``n_cut`` fixes the mode cutoff of every point; by default each point
-    takes its own.  Every point after the first converged one is
-    seeded from the previous pole by the law Re mu = O(delta^2),
+    The pair layout of the order-``order`` rule on the unscaled ``surface``
+    is built once; each delta gets a state with its scaled copy, as in
+    :func:`pole_state`.  ``n_cut`` fixes the mode cutoff of every point; by
+    default each point takes its own.  Every point after the first converged
+    one is seeded from the previous pole by the law Re mu = O(delta^2),
     z = eps_l + mu_prev (delta / delta_prev)^2.  Points whose root iteration
     fails are recorded in ``failures`` and left out of the fits; fewer than
     MIN_SWEEP_POINTS deltas are refused before the first pole.
@@ -325,27 +324,24 @@ def sweep_delta(l: int, deltas: Sequence[float], state: SystemState,
                          f"got {len(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly increasing")
-    surface = state.rule.surface
-    if surface is None:
-        raise ValueError("sweeping needs a parametrized base surface")
-    if state.delta != 1.0:
-        raise ValueError("sweeping starts from the state on the unscaled surface")
-    eps_l = state.params.eigenvalue(l)
+    k = _window(l, params)
+    base_rule = build_quadrature(surface, order)
+    layout = pair_layout(base_rule)
+    eps_l = params.eigenvalue(l)
     poles, closed, failures = [], [], []
     for d in deltas:
-        st = pole_state(surface, d, l, state.params, order=state.rule.order,
-                        tail_tol=state.tail_tol, n_cut=n_cut, base=state)
+        st = _delta_state(base_rule, layout, d, k, params, tail_tol, n_cut)
         seed = None
         if poles:
             prev = poles[-1]
             seed = eps_l + prev.mu * (d / prev.delta) ** 2
         try:
-            res = find_pole(l, d, st, seed=seed, tol=tol)
+            res = find_pole(l, st, seed=seed, tol=tol)
         except ArithmeticError as exc:
             failures.append((d, str(exc)))
             continue
         poles.append(res)
-        closed.append(im_mu_closed_form(l, d, st))
+        closed.append(im_mu_closed_form(l, st))
     if len(poles) < MIN_SWEEP_POINTS:
         raise ConvergenceError(f"only {len(poles)} poles converged; "
                                f"need >= {MIN_SWEEP_POINTS} to fit")

@@ -53,19 +53,18 @@ def _report(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def pole16():
     state = pole_state(DISK, 0.08, 2, PARAMS, order=16)
-    eta_root = find_pole(2, 0.08, state)
-    det_root = find_determinant_root(2, 0.08, state)
+    eta_root = find_pole(2, state)
+    det_root = find_determinant_root(2, state)
     return state, eta_root, det_root
 
 
 @pytest.fixture(scope="module")
 def sweep14():
     deltas = [float(d) for d in np.geomspace(0.02, 0.12, 8)]
-    base = pole_state(DISK, 1.0, 2, PARAMS, order=14)
     start = time.monotonic()
-    sw = sweep_delta(2, deltas, base)
+    sw = sweep_delta(2, deltas, DISK, PARAMS, order=14)
     elapsed = time.monotonic() - start
-    return sw, deltas, elapsed, base
+    return sw, deltas, elapsed
 
 
 def test_criterion_1_embedded_eigenvalue_zeros():
@@ -123,24 +122,24 @@ def test_criterion_4_scalar_determinant_equivalence(pole16):
 
 
 def test_criterion_5_width_scaling(sweep14):
-    sw, _, elapsed, base = sweep14
+    sw, _, elapsed = sweep14
     p_im, _, r2 = sw.fit_im
     p_re = sw.fit_re[0]
     ok = (3.8 < p_im < 4.2 and r2 > 0.999 and 1.9 < p_re < 2.1
           and not sw.failures and elapsed < 300.0)
     _report(5, ok,
             f"|Im mu| slope {p_im:.3f} (R^2 = {r2:.7f}), |Re mu| slope {p_re:.3f}, "
-            f"{base.rule.n_nodes}-node sweep in {elapsed:.0f}s")
+            f"{sw.poles[0].diagnostics['n_nodes']}-node sweep in {elapsed:.0f}s")
 
 
 def test_criterion_6_sign_and_closed_form(sweep14):
-    sw, deltas, _, _ = sweep14
-    all_negative = all(mu.imag < 0.0 for _, mu in sw.points)
-    d0, mu0 = sw.points[0]
+    sw, deltas, _ = sweep14
+    all_negative = all(res.mu.imag < 0.0 for res in sw.poles)
+    d0, mu0 = sw.poles[0].delta, sw.poles[0].mu
     ratio = mu0.imag / sw.closed_form_im[0]
     st = pole_state(DISK, d0, 2, PARAMS, order=8)
     st_m = pole_state(DISK, d0, 2, SpectralParams(alpha=0.0, beta=-0.4), order=8)
-    even = im_mu_closed_form(2, d0, st) == im_mu_closed_form(2, d0, st_m)
+    even = im_mu_closed_form(2, st) == im_mu_closed_form(2, st_m)
     _report(6, all_negative and 0.75 < ratio < 1.25 and even,
             f"Im mu < 0 at all 8 points: {all_negative}; "
             f"ratio to closed form {ratio:.3f} at delta = {d0:.3g}; "
@@ -149,7 +148,7 @@ def test_criterion_6_sign_and_closed_form(sweep14):
 
 def test_criterion_7_symmetry_persistence():
     state = pole_state(SYM_DISK, 0.08, 2, PARAMS, order=16)
-    res = find_pole(2, 0.08, state)
+    res = find_pole(2, state)
     d_re = abs(res.z.real - PARAMS.eigenvalue(2))
     ok = d_re < 1e-12 and abs(res.z.imag) < 1e-12
     _report(7, ok,
@@ -160,12 +159,12 @@ def test_criterion_7_symmetry_persistence():
 def test_criterion_8_discretization_convergence(pole16):
     state16, eta_root, _ = pole16
     state32 = pole_state(DISK, 0.08, 2, PARAMS, order=32)
-    res32 = find_pole(2, 0.08, state32, seed=eta_root.z)
+    res32 = find_pole(2, state32, seed=eta_root.z)
     d_order = abs(res32.z - eta_root.z)
 
     state_2n = pole_state(DISK, 0.08, 2, PARAMS, order=16,
                           n_cut=2 * state16.n_cut)
-    res_2n = find_pole(2, 0.08, state_2n, seed=eta_root.z)
+    res_2n = find_pole(2, state_2n, seed=eta_root.z)
     d_modes = abs(res_2n.z - eta_root.z)
     _report(8, d_order < 1e-6 and d_modes < state16.tail_tol,
             f"order 16->32 moves pole {d_order:.2e} (<1e-6); "

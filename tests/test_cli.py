@@ -200,10 +200,10 @@ class TestSweepMode:
     def test_failed_point_is_null_in_json(self, tmp_path, monkeypatch):
         real = resonance.find_pole
 
-        def fail_at_0035(l, delta, *args, **kwargs):
-            if delta == 0.035:
+        def fail_at_0035(l, state, **kwargs):
+            if state.delta == 0.035:
                 raise resonance.ConvergenceError("forced failure")
-            return real(l, delta, *args, **kwargs)
+            return real(l, state, **kwargs)
 
         monkeypatch.setattr(resonance, "find_pole", fail_at_0035)
         out = tmp_path / "sweep.json"
@@ -249,6 +249,16 @@ class TestMain:
         out = tmp_path / "val.csv"
         assert main(["validate", "--config", path, "--output", str(out)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_default_path_names_the_mode_that_runs(self, tmp_path, monkeypatch):
+        # [run] mode = eigenvalues, no [output] path, run as validate
+        path = _write(tmp_path, "eig.cfg", MINIMAL)
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--config", path]) == 0
+        assert not (tmp_path / "layres_eigenvalues.csv").exists()
+        lines = (tmp_path / "layres_validate.csv").read_text().splitlines()
+        assert "# config mode = validate" in lines
+        assert "# config path = layres_validate.csv" in lines
 
     def test_pole_mode_without_surface_rejected(self, tmp_path, capsys):
         path = _write(tmp_path, "eig.cfg", MINIMAL)

@@ -29,7 +29,7 @@ SYM = disk(center=(1.0, 0.0, math.pi / 2), normal=(0.0, 0.0, 1.0), radius=0.5)
 @pytest.fixture(scope="module")
 def pole_08():
     st = pole_state(BASE, 0.08, 2, PARAMS, order=8)
-    return find_pole(2, 0.08, st), st
+    return find_pole(2, st), st
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def traced_pole_12():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resonance, "eta_l",
                    lambda z, *args, **kw: points.append(z) or bs_operator.eta_l(z, *args, **kw))
-        res = find_pole(2, 0.08, st)
+        res = find_pole(2, st)
     return res, st, points
 
 
@@ -92,20 +92,25 @@ class TestFindPole:
     def test_mu_shrinks_with_delta(self, pole_08):
         res, _ = pole_08
         st_small = pole_state(BASE, 0.02, 2, PARAMS, order=8)
-        small = find_pole(2, 0.02, st_small)
+        small = find_pole(2, st_small)
         assert abs(small.mu) < 0.1 * abs(res.mu)
         assert abs(res.mu) < 1e-3
 
     def test_determinant_root_agrees(self, pole_08):
         res, st = pole_08
-        other = find_determinant_root(2, 0.08, st)
+        other = find_determinant_root(2, st)
         assert abs(other.z - res.z) < 1e-8
 
     def test_symmetric_plane_pole_stays_embedded(self):
         st = pole_state(SYM, 0.08, 2, PARAMS, order=8)
-        res = find_pole(2, 0.08, st)
+        res = find_pole(2, st)
         assert res.z.real == pytest.approx(PARAMS.eigenvalue(2), abs=1e-12)
         assert abs(res.z.imag) < 1e-12
+
+    def test_delta_comes_from_the_state(self, pole_08):
+        res, st = pole_08
+        assert st.delta == 0.08 and res.delta == 0.08
+        assert find_determinant_root(2, st).delta == 0.08
 
     def test_discrete_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -136,12 +141,12 @@ class TestFindPole:
         monkeypatch.setattr(resonance, "eta_l", _flat_eta)
         st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
         with pytest.raises(ConvergenceError):
-            find_pole(2, 0.08, st)
+            find_pole(2, st)
 
     def test_iteration_budget_exhausted(self, pole_08):
         _, st = pole_08
         with pytest.raises(ConvergenceError):
-            find_pole(2, 0.08, st, max_iter=1)
+            find_pole(2, st, max_iter=1)
 
     def test_above_axis_result_rejected(self):
         with pytest.raises(ArithmeticError):
@@ -167,33 +172,33 @@ class TestRootDriver:
     def test_linear_stand_in_converges(self, route, state4, monkeypatch):
         root = PARAMS.eigenvalue(2) - 0.01 - 0.001j
         _linear_routes(monkeypatch, root)
-        res = route(2, 0.08, state4)
+        res = route(2, state4)
         assert res.z == pytest.approx(root, abs=1e-14) and res.k == 1
         assert res.mu == res.z - PARAMS.eigenvalue(2)
         assert res.diagnostics["n_nodes"] == 16
 
     def test_tolerance_below_floor_rejected(self, route, state4):
         with pytest.raises(ValueError, match="not resolvable"):
-            route(2, 0.08, state4, tol=1e-13)
+            route(2, state4, tol=1e-13)
 
     def test_root_outside_window_raises(self, route, state4, monkeypatch):
         # eps_2 lies in J_1 = (1, 4); the only root lies in J_2
         _linear_routes(monkeypatch, 4.5 - 0.01j)
         with pytest.raises(ConvergenceError, match="escaped the window J_1"):
-            route(2, 0.08, state4)
+            route(2, state4)
 
     def test_one_iteration_is_not_enough(self, route, state4, monkeypatch):
         # the first secant step lands on the root but is itself far above tol
         _linear_routes(monkeypatch, PARAMS.eigenvalue(2) - 0.01 - 0.001j)
         with pytest.raises(ConvergenceError, match="root iteration failed"):
-            route(2, 0.08, state4, max_iter=1)
+            route(2, state4, max_iter=1)
 
 
 class TestLowestOrder:
     def test_agrees_with_pole_at_small_delta(self):
         st = pole_state(BASE, 0.02, 2, PARAMS, order=8)
-        res = find_pole(2, 0.02, st)
-        mu0 = mu_lowest_order(2, 0.02, st)
+        res = find_pole(2, st)
+        mu0 = mu_lowest_order(2, st)
         assert abs(mu0 - res.mu) / abs(res.mu) < 0.2
 
     def test_real_part_scales_with_area(self):
@@ -201,15 +206,15 @@ class TestLowestOrder:
         vals = []
         for d in deltas:
             st = pole_state(BASE, d, 2, PARAMS, order=6)
-            vals.append(abs(mu_lowest_order(2, d, st).real))
+            vals.append(abs(mu_lowest_order(2, st).real))
         slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_beta_sign(self):
         st = pole_state(BASE, 0.05, 2, PARAMS, order=6)
         stm = pole_state(BASE, 0.05, 2, SpectralParams(alpha=0.0, beta=-0.4), order=6)
-        a = mu_lowest_order(2, 0.05, st)
-        b = mu_lowest_order(2, 0.05, stm)
+        a = mu_lowest_order(2, st)
+        b = mu_lowest_order(2, stm)
         # leading (odd-in-beta) real part flips; the beta^2 imaginary part stays
         assert abs(a.real + b.real) < 0.05 * abs(a.real)
         assert a.imag == pytest.approx(b.imag, rel=1e-12)
@@ -230,27 +235,27 @@ class TestLowestOrder:
         dressed = complex(np.sum(w * w_l * (free @ w_l)))
         want = 4.0 * math.pi * PARAMS.xi_alpha * PARAMS.beta * (
             complex(np.sum(w * w_l * w_l)) + PARAMS.beta * (cross + dressed))
-        assert abs(mu_lowest_order(2, 0.05, st) - want) <= 1e-12 * abs(want)
+        assert abs(mu_lowest_order(2, st) - want) <= 1e-12 * abs(want)
 
 
 class TestImClosedForm:
     def test_negative_and_matches_pole(self, pole_08):
         res, st = pole_08
-        cf = im_mu_closed_form(2, 0.08, st)
+        cf = im_mu_closed_form(2, st)
         assert cf < 0.0
         assert 0.75 < res.mu.imag / cf < 1.25
 
     def test_exactly_even_in_beta(self):
         st = pole_state(BASE, 0.05, 2, PARAMS, order=6)
         stm = pole_state(BASE, 0.05, 2, SpectralParams(alpha=0.0, beta=-0.4), order=6)
-        assert im_mu_closed_form(2, 0.05, st) == im_mu_closed_form(2, 0.05, stm)
+        assert im_mu_closed_form(2, st) == im_mu_closed_form(2, stm)
 
     def test_quartic_scaling(self):
         deltas = np.array([0.02, 0.04, 0.08])
         vals = []
         for d in deltas:
             st = pole_state(BASE, d, 2, PARAMS, order=6)
-            vals.append(-im_mu_closed_form(2, d, st))
+            vals.append(-im_mu_closed_form(2, st))
         slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.2)
 
@@ -258,7 +263,7 @@ class TestImClosedForm:
         # chi_2(pi/2) only vanishes to roundoff, so "exact zero" means the
         # square of a ~1e-16 residue
         st = pole_state(SYM, 0.08, 2, PARAMS, order=8)
-        assert abs(im_mu_closed_form(2, 0.08, st)) < 1e-30
+        assert abs(im_mu_closed_form(2, st)) < 1e-30
 
 
 class TestFitPowerLaw:
@@ -303,83 +308,80 @@ class TestSweep:
         for module in (bs_operator, resonance):
             monkeypatch.setattr(module, "pair_layout",
                                 lambda rule: layouts.append(rule) or layout(rule))
-        base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
-        sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1], base_state)
+        sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1], BASE, PARAMS, order=6)
         assert not sw.failures
-        # one singular build and one pair layout, both on the base rule
+        # one singular build and one pair layout, both on the unscaled rule
         assert [b.surface for b in builds] == [BASE]
         assert [r.surface for r in layouts] == [BASE]
         assert [res.delta for res in sw.poles] == [0.02, 0.035, 0.06, 0.1]
         assert 3.5 < sw.fit_im[0] < 4.5
         assert 1.8 < sw.fit_re[0] < 2.2
         assert sw.fit_im[2] > 0.99
-        for (_, mu), cf in zip(sw.points, sw.closed_form_im):
-            assert mu.imag < 0.0
+        for res, cf in zip(sw.poles, sw.closed_form_im):
+            assert res.mu.imag < 0.0
             assert cf < 0.0
 
     def test_fewer_than_four_deltas_refused_before_any_pole(self, monkeypatch):
-        base_state = pole_state(BASE, 1.0, 2, PARAMS, order=4)
-
         def no_pole(*args, **kwargs):
             raise AssertionError("a pole was computed")
 
-        monkeypatch.setattr(resonance, "pole_state", no_pole)
-        monkeypatch.setattr(resonance, "find_pole", no_pole)
+        for name in ("pair_layout", "_delta_state", "find_pole"):
+            monkeypatch.setattr(resonance, name, no_pole)
         with pytest.raises(ValueError, match="at least 4 deltas"):
-            sweep_delta(2, [0.02, 0.04, 0.08], base_state)
+            sweep_delta(2, [0.02, 0.04, 0.08], BASE, PARAMS, order=4)
+
+    def test_discrete_mode_refused_before_any_layout(self, monkeypatch):
+        def no_layout(*args, **kwargs):
+            raise AssertionError("a layout was built")
+
+        for name in ("build_quadrature", "pair_layout"):
+            monkeypatch.setattr(resonance, name, no_layout)
+        with pytest.raises(ValueError, match="discrete"):
+            sweep_delta(1, [0.02, 0.035, 0.06, 0.1], BASE, PARAMS, order=4)
 
     def test_poles_pinned(self):
         # 17-digit poles recorded at commit 54a7e27, where every mode vector
         # was built on its own; refactors must not move them
-        res = find_pole(2, 0.08, pole_state(BASE, 0.08, 2, PARAMS, order=6))
+        res = find_pole(2, pole_state(BASE, 0.08, 2, PARAMS, order=6))
         assert abs(res.z - complex(2.7389992754637413, -8.3332677049346686e-09)) <= 1e-12
         pinned = [(0.02, complex(2.7390496577400354, -3.2257848907156498e-11)),
                   (0.035, complex(2.7390427632041172, -3.0326857089933782e-10)),
                   (0.06, complex(2.739022848417632, -2.6291310898165579e-09)),
                   (0.1, complex(2.7389688444957905, -2.0400351833858323e-08))]
-        sw = sweep_delta(2, [d for d, _ in pinned], pole_state(BASE, 1.0, 2, PARAMS, order=6))
+        sw = sweep_delta(2, [d for d, _ in pinned], BASE, PARAMS, order=6)
         assert [res.delta for res in sw.poles] == [d for d, _ in pinned]
         for res, (_, z) in zip(sw.poles, pinned):
             assert abs(res.z - z) <= 1e-12
 
     def test_warm_start_matches_cold_poles(self):
         deltas = [0.02, 0.035, 0.06, 0.1]
-        base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
-        warm = sweep_delta(2, deltas, base_state)
-        cold = [find_pole(2, d, pole_state(BASE, d, 2, PARAMS, order=6, base=base_state))
-                for d in deltas]
+        warm = sweep_delta(2, deltas, BASE, PARAMS, order=6)
+        cold = [find_pole(2, pole_state(BASE, d, 2, PARAMS, order=6)) for d in deltas]
         for w, c in zip(warm.poles, cold):
             assert abs(w.z - c.z) < 1e-12
         # points after the first start from the delta^2 extrapolation
         assert sum(w.diagnostics["eta_evaluations"] for w in warm.poles[1:]) \
             < sum(c.diagnostics["eta_evaluations"] for c in cold[1:])
 
+    def test_fixed_mode_cutoff_reaches_every_pole(self):
+        sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1], BASE, PARAMS, order=4, n_cut=45)
+        assert len(sw.poles) == 4
+        assert [res.diagnostics["n_cut"] for res in sw.poles] == [45] * 4
+        assert sw.n_cut == 45
+
     def test_failed_point_recorded(self, monkeypatch):
         eta = resonance.eta_l
         monkeypatch.setattr(resonance, "eta_l", lambda z, l, state, diagnostics=None:
                             _flat_eta(z, l, state) if state.delta == 0.035
                             else eta(z, l, state, diagnostics=diagnostics))
-        base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
-        sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1, 0.12], base_state)
+        sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1, 0.12], BASE, PARAMS, order=6)
         assert [d for d, _ in sw.failures] == [0.035]
         assert "root iteration failed" in sw.failures[0][1]
         assert [res.delta for res in sw.poles] == [0.02, 0.06, 0.1, 0.12]
 
     def test_unsorted_deltas_rejected(self):
-        base_state = pole_state(BASE, 1.0, 2, PARAMS, order=6)
         with pytest.raises(ValueError):
-            sweep_delta(2, [0.1, 0.05, 0.2, 0.3], base_state)
-
-    def test_scaled_start_rejected(self):
-        with pytest.raises(ValueError, match="unscaled"):
-            sweep_delta(2, [0.02, 0.035, 0.06, 0.1], pole_state(BASE, 0.5, 2, PARAMS, order=4))
-
-    def test_foreign_base_rejected(self):
-        for other in (pole_state(SYM, 1.0, 2, PARAMS, order=4),  # other surface
-                      pole_state(BASE, 1.0, 2, PARAMS, order=5),  # other order
-                      pole_state(BASE, 0.5, 2, PARAMS, order=4)):  # scaled base
-            with pytest.raises(ValueError, match="not the unscaled state"):
-                pole_state(BASE, 0.08, 2, PARAMS, order=4, base=other)
+            sweep_delta(2, [0.1, 0.05, 0.2, 0.3], BASE, PARAMS, order=6)
 
 
 class TestDerivativeLaw:
