@@ -543,37 +543,42 @@ def neumann_apply(op: np.ndarray, beta: float, f: np.ndarray,
 class SystemState:
     """Everything needed to evaluate eta_l / the determinant at a point z.
 
-    Holds the mode cutoff and the z-independent pair layout of ``rule``, so
-    only the z-dependent kernel values are recomputed per z.  Without a
-    ``layout`` the state builds one on ``rule`` itself.  ``delta`` is the
-    scaling parameter of ``rule``, which a pole found on this state records;
+    ``l`` names eps_l; a second-sheet ``ctx`` whose window J_k misses eps_l is
+    refused.  Holds the mode cutoff and the z-independent pair layout of ``rule``,
+    so only the z-dependent kernel values are recomputed per z.  Without a
+    ``layout`` the state builds one on ``rule`` itself.  ``delta`` is the scaling
+    parameter of ``rule``, which a pole found on this state records;
     :mod:`resonance` passes the layout of the unscaled rule scaled to it.
     """
 
     params: SpectralParams
     rule: QuadratureRule
     ctx: SheetContext
+    l: int
     tail_tol: float = 1e-12
     n_cut: int | None = None
     layout: PairLayout | None = field(default=None, repr=False)
     delta: float = 1.0
 
     def __post_init__(self):
+        eps_l, (lo, hi) = self.params.eigenvalue(self.l), self.ctx.window
+        if self.ctx.second and not lo < eps_l < hi:
+            raise ValueError(f"l = {self.l}: eps_l = {eps_l} lies outside the window "
+                             f"J_{self.ctx.k} = ({lo:g}, {hi:g}) of the second sheet")
         if self.n_cut is None:
             self.n_cut = default_mode_cutoff(self.rule, self.ctx, self.tail_tol)
         if self.layout is None:
             self.layout = pair_layout(self.rule)
 
 
-def eta_l(z: complex, l: int, state: SystemState,
-          diagnostics: dict | None = None) -> complex:
-    """Resonance function eta_l(z, delta) = Gamma_l(z) - beta theta_l(z, delta).
+def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> complex:
+    """eta_l(z, delta) = Gamma_l(z) - beta theta_l(z, delta) at the l, delta of ``state``.
 
     theta_l = <w_l, T_l w_l> with T_l = (I - beta G A_l)^(-1) G and
     G = (I - beta R_SigmaSigma)^(-1).  So T_l = (G^(-1) - beta A_l)^(-1) = M_l^(-1)
     with M_l = I - beta (R_SigmaSigma + A_l): one guarded dense solve.
     """
-    params, rule, ctx = state.params, state.rule, state.ctx
+    params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     gl = gamma_n(z, l, ctx, params)
     if rule.n_nodes == 0:
         return gl

@@ -141,9 +141,12 @@ def _parse_lines(text: str):
 
 def _as_float(value, key, num):
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
-        raise ConfigError(f"line {num}: {key} must be a number, got {value!r}") from None
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"line {num}: {key} must be a finite number, got {value!r}")
+    return x
 
 
 def _as_int(value, key, num):
@@ -396,7 +399,7 @@ def _run_pole(config: RunConfig) -> int:
     state = pole_state(config.surface, config.delta, config.l, config.params,
                        order=config.order, tail_tol=config.tail_tol,
                        n_cut=config.n_cut)
-    res = find_pole(config.l, state, seed=config.seed, tol=config.root_tol)
+    res = find_pole(state, seed=config.seed, tol=config.root_tol)
     rows = [(res.l, res.k, res.delta, res.z.real, res.z.imag, res.mu.real,
              res.mu.imag, res.residual, res.iterations)]
     _emit(config,
@@ -559,6 +562,9 @@ def main(argv=None) -> int:
             config.order = args.quad_order
             config.resolved["order"] = args.quad_order
         if args.seed_re is not None or args.seed_im is not None:
+            for flag, value in (("--seed-re", args.seed_re), ("--seed-im", args.seed_im)):
+                if value is not None and not math.isfinite(value):
+                    raise ConfigError(f"{flag} must be a finite number, got {value}")
             seed_re = args.seed_re
             if seed_re is None:
                 seed_re = config.params.eigenvalue(config.l)

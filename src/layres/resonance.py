@@ -116,18 +116,19 @@ def _window(l: int, params: SpectralParams) -> int:
     return window_index(eps)
 
 
-def _delta_state(base_rule: QuadratureRule, layout: PairLayout, delta: float, k: int,
+def _delta_state(base_rule: QuadratureRule, layout: PairLayout, delta: float, l: int,
                  params: SpectralParams, tail_tol: float,
                  n_cut: int | None) -> SystemState:
-    """State at ``delta`` from the unscaled rule and its layout: the one homothety.
+    """State of eps_l at ``delta`` from the unscaled rule and its layout: one homothety.
 
     The rule is rebuilt on the scaled surface, the layout scaled by
     :meth:`PairLayout.scaled`.
     """
     rule = base_rule if delta == 1.0 else \
         build_quadrature(scale_surface(base_rule.surface, delta), base_rule.order)
-    return SystemState(params, rule, second_sheet(k), tail_tol=tail_tol, n_cut=n_cut,
-                       layout=layout.scaled(delta), delta=delta)
+    return SystemState(params, rule, second_sheet(_window(l, params)), l,
+                       tail_tol=tail_tol, n_cut=n_cut, layout=layout.scaled(delta),
+                       delta=delta)
 
 
 def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
@@ -138,9 +139,9 @@ def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
     The pair layout is built on the order-``order`` rule of the unscaled
     ``surface`` and scaled to delta, the only delta the pole routines read.
     """
-    k = _window(l, params)
+    _window(l, params)  # a discrete eps_l is refused before any layout is built
     base_rule = build_quadrature(surface, order)
-    return _delta_state(base_rule, pair_layout(base_rule), delta, k, params, tail_tol,
+    return _delta_state(base_rule, pair_layout(base_rule), delta, l, params, tail_tol,
                         n_cut)
 
 
@@ -151,60 +152,60 @@ def _secant(f: Callable[[complex], complex], seed: complex, tol: float,
     One evaluation per step; stops when both |f| at the new point and the
     step that reached it are below ``tol``, and returns (z, |f(z)|, steps).
     """
-    z0 = complex(seed)
+    z0 = seed = complex(seed)
     z1 = z0 + 1e-7 * max(1.0, abs(z0))
     f0, f1 = f(z0), f(z1)
-    for it in range(1, max_iter + 1):
-        if f1 == f0:
-            break
+    steps = 0
+    while steps < max_iter and f1 != f0:
         step = f1 * (z1 - z0) / (f1 - f0)
         if not cmath.isfinite(step):
             break
         z0, f0 = z1, f1
         z1 = z1 - step
         f1 = f(z1)
+        steps += 1
         if abs(f1) < tol and abs(step) < tol:
-            return z1, abs(f1), it
-    raise ConvergenceError(f"root iteration failed near z = {seed}")
+            return z1, abs(f1), steps
+    raise ConvergenceError(f"root iteration failed after {steps} steps from z = {seed}: "
+                           f"stopped at z = {z1} with |f| = {abs(f1):.3g}")
 
 
-def _window_root(f: Callable[[complex, dict], complex], l: int, state: SystemState,
+def _window_root(f: Callable[[complex, dict], complex], state: SystemState,
                  seed: complex | None, seed_offset: complex, tol: float,
                  max_iter: int) -> PoleResult:
-    """Root of f(z, diagnostics) in the window J_k of eps_l, by :func:`_secant`.
+    """Root of f(z, diagnostics) in J_k of the state's eps_l, by :func:`_secant`.
 
     The iteration starts from ``seed``, or from eps_l + seed_offset when it
     is None.  ``diagnostics`` starts with n_cut and n_nodes; f may add to it.
     """
     if tol < 1e-12:
         raise ValueError("tolerance below 1e-12 is not resolvable")
-    eps_l = state.params.eigenvalue(l)
-    k = window_index(eps_l)
+    eps_l, k = state.params.eigenvalue(state.l), state.ctx.k
     diagnostics: dict = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes}
     if seed is None:
         seed = eps_l + seed_offset
     z, residual, iterations = _secant(lambda z: f(z, diagnostics), seed, tol, max_iter)
     if not (k**2 < z.real < (k + 1) ** 2):
         raise ConvergenceError(f"root {z} escaped the window J_{k}")
-    return PoleResult(z=z, mu=z - eps_l, l=l, k=k, delta=state.delta, residual=residual,
-                      iterations=iterations, diagnostics=diagnostics)
+    return PoleResult(z=z, mu=z - eps_l, l=state.l, k=k, delta=state.delta,
+                      residual=residual, iterations=iterations, diagnostics=diagnostics)
 
 
-def find_pole(l: int, state: SystemState, seed: complex | None = None,
+def find_pole(state: SystemState, seed: complex | None = None,
               tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
-    """Second-sheet pole z_l(delta) at the delta of ``state``, secant from eps_l.
+    """Second-sheet pole z_l(delta) at the l and delta of ``state``, secant from eps_l.
 
     ``diagnostics`` of the result describe the whole search: the number of
     eta_l evaluations and the worst condition number of the guarded solve.
     """
     def f(z, diagnostics):
         diagnostics["eta_evaluations"] = diagnostics.get("eta_evaluations", 0) + 1
-        return eta_l(z, l, state, diagnostics=diagnostics)
+        return eta_l(z, state, diagnostics=diagnostics)
 
-    return _window_root(f, l, state, seed, 0.0, tol, max_iter)
+    return _window_root(f, state, seed, 0.0, tol, max_iter)
 
 
-def find_determinant_root(l: int, state: SystemState, seed: complex | None = None,
+def find_determinant_root(state: SystemState, seed: complex | None = None,
                           tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
     """Same pole from the full determinant; independent of the eta_l route.
 
@@ -214,12 +215,12 @@ def find_determinant_root(l: int, state: SystemState, seed: complex | None = Non
     itself is singular exactly at the eigenvalue.
     """
     def f(z, diagnostics):
-        return gamma_n(z, l, state.ctx, state.params) * bs_determinant(z, state)
+        return gamma_n(z, state.l, state.ctx, state.params) * bs_determinant(z, state)
 
-    return _window_root(f, l, state, seed, -1e-4 - 1e-5j, tol, max_iter)
+    return _window_root(f, state, seed, -1e-4 - 1e-5j, tol, max_iter)
 
 
-def mu_lowest_order(l: int, state: SystemState) -> complex:
+def mu_lowest_order(state: SystemState) -> complex:
     """Lowest-order pole shift mu_l(delta).
 
     4 pi xi_alpha beta { ||w_l||^2
@@ -232,7 +233,7 @@ def mu_lowest_order(l: int, state: SystemState) -> complex:
     coincide with the modulus squares, for the open channels n <= k the
     difference feeds the imaginary part.
     """
-    params, rule, ctx = state.params, state.rule, state.ctx
+    params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     beta = params.beta
     eps_l = complex(params.eigenvalue(l))
     w = rule.weights
@@ -253,7 +254,7 @@ def _iota(l_eps: float, n: int, alpha: float) -> float:
             - PSI_ONE) / (2.0 * math.pi)
 
 
-def im_mu_closed_form(l: int, state: SystemState) -> float:
+def im_mu_closed_form(state: SystemState) -> float:
     """Closed-form lowest order of Im mu(delta); always <= 0 for small delta.
 
     pi xi_alpha beta^2 sum_{n <= k} ( [8 iota Re Im + ((Re)^2 - (Im)^2)]
@@ -267,9 +268,8 @@ def im_mu_closed_form(l: int, state: SystemState) -> float:
     term.  Everything reduces to scalar surface integrals; no operator is
     assembled, keeping this route independent of eta_l.
     """
-    params, rule, ctx = state.params, state.rule, state.ctx
-    eps_l = params.eigenvalue(l)
-    k = window_index(eps_l)
+    params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
+    eps_l, k = params.eigenvalue(l), ctx.k
     w = rule.weights
     w_l = mode_vector(complex(eps_l), l, rule, ctx)
     open_modes = np.arange(1, k + 1)
@@ -324,24 +324,24 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
                          f"got {len(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly increasing")
-    k = _window(l, params)
+    _window(l, params)  # a discrete eps_l is refused before any layout is built
     base_rule = build_quadrature(surface, order)
     layout = pair_layout(base_rule)
     eps_l = params.eigenvalue(l)
     poles, closed, failures = [], [], []
     for d in deltas:
-        st = _delta_state(base_rule, layout, d, k, params, tail_tol, n_cut)
+        st = _delta_state(base_rule, layout, d, l, params, tail_tol, n_cut)
         seed = None
         if poles:
             prev = poles[-1]
             seed = eps_l + prev.mu * (d / prev.delta) ** 2
         try:
-            res = find_pole(l, st, seed=seed, tol=tol)
+            res = find_pole(st, seed=seed, tol=tol)
         except ArithmeticError as exc:
             failures.append((d, str(exc)))
             continue
         poles.append(res)
-        closed.append(im_mu_closed_form(l, st))
+        closed.append(im_mu_closed_form(st))
     if len(poles) < MIN_SWEEP_POINTS:
         raise ConvergenceError(f"only {len(poles)} poles converged; "
                                f"need >= {MIN_SWEEP_POINTS} to fit")

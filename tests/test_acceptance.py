@@ -53,8 +53,8 @@ def _report(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def pole16():
     state = pole_state(DISK, 0.08, 2, PARAMS, order=16)
-    eta_root = find_pole(2, state)
-    det_root = find_determinant_root(2, state)
+    eta_root = find_pole(state)
+    det_root = find_determinant_root(state)
     return state, eta_root, det_root
 
 
@@ -139,7 +139,7 @@ def test_criterion_6_sign_and_closed_form(sweep14):
     ratio = mu0.imag / sw.closed_form_im[0]
     st = pole_state(DISK, d0, 2, PARAMS, order=8)
     st_m = pole_state(DISK, d0, 2, SpectralParams(alpha=0.0, beta=-0.4), order=8)
-    even = im_mu_closed_form(2, st) == im_mu_closed_form(2, st_m)
+    even = im_mu_closed_form(st) == im_mu_closed_form(st_m)
     _report(6, all_negative and 0.75 < ratio < 1.25 and even,
             f"Im mu < 0 at all 8 points: {all_negative}; "
             f"ratio to closed form {ratio:.3f} at delta = {d0:.3g}; "
@@ -148,7 +148,7 @@ def test_criterion_6_sign_and_closed_form(sweep14):
 
 def test_criterion_7_symmetry_persistence():
     state = pole_state(SYM_DISK, 0.08, 2, PARAMS, order=16)
-    res = find_pole(2, state)
+    res = find_pole(state)
     d_re = abs(res.z.real - PARAMS.eigenvalue(2))
     ok = d_re < 1e-12 and abs(res.z.imag) < 1e-12
     _report(7, ok,
@@ -159,12 +159,12 @@ def test_criterion_7_symmetry_persistence():
 def test_criterion_8_discretization_convergence(pole16):
     state16, eta_root, _ = pole16
     state32 = pole_state(DISK, 0.08, 2, PARAMS, order=32)
-    res32 = find_pole(2, state32, seed=eta_root.z)
+    res32 = find_pole(state32, seed=eta_root.z)
     d_order = abs(res32.z - eta_root.z)
 
     state_2n = pole_state(DISK, 0.08, 2, PARAMS, order=16,
                           n_cut=2 * state16.n_cut)
-    res_2n = find_pole(2, state_2n, seed=eta_root.z)
+    res_2n = find_pole(state_2n, seed=eta_root.z)
     d_modes = abs(res_2n.z - eta_root.z)
     _report(8, d_order < 1e-6 and d_modes < state16.tail_tol,
             f"order 16->32 moves pole {d_order:.2e} (<1e-6); "

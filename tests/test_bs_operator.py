@@ -181,7 +181,7 @@ def rule12():
 @pytest.fixture(scope="module")
 def small_state():
     ctx = second_sheet(1)
-    return SystemState(PARAMS, build_quadrature(SMALL, 8), ctx)
+    return SystemState(PARAMS, build_quadrature(SMALL, 8), ctx, 2)
 
 
 class TestAssembleFree:
@@ -381,7 +381,7 @@ class TestPairLayout:
         # the state builds its layout once; a layout passed in is kept
         layout = small_state.layout
         assert isinstance(layout, PairLayout)
-        st = SystemState(PARAMS, small_state.rule, small_state.ctx, layout=layout)
+        st = SystemState(PARAMS, small_state.rule, small_state.ctx, 2, layout=layout)
         assert st.layout is layout
 
     def test_tabulated_rule_has_no_correction(self):
@@ -504,10 +504,10 @@ class TestRankSums:
 
     def test_mode_cutoff_doubling_converged(self, small_state):
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
-        a = eta_l(z, 2, small_state)
-        st2 = SystemState(PARAMS, small_state.rule, small_state.ctx,
+        a = eta_l(z, small_state)
+        st2 = SystemState(PARAMS, small_state.rule, small_state.ctx, 2,
                           n_cut=2 * small_state.n_cut)
-        b = eta_l(z, 2, st2)
+        b = eta_l(z, st2)
         assert abs(a - b) < 1e-10
 
     def test_product_matches_per_mode_loop(self):
@@ -530,23 +530,23 @@ class TestRankSums:
 class TestEtaL:
     def test_empty_surface_reduces_to_gamma(self):
         rule = QuadratureRule.from_tabulated(np.zeros((0, 3)), np.zeros(0))
-        st = SystemState(PARAMS, rule, second_sheet(1))
+        st = SystemState(PARAMS, rule, second_sheet(1), 2)
         z = 2.6 - 0.01j
-        assert eta_l(z, 2, st) == pytest.approx(gamma_n(z, 2, st.ctx, PARAMS), abs=0)
+        assert eta_l(z, st) == pytest.approx(gamma_n(z, 2, st.ctx, PARAMS), abs=0)
 
     def test_symmetric_plane_decouples(self):
         # impurity on the x3 = pi/2 midplane: w_2 = 0, so eta_2 = Gamma_2
         rule = build_quadrature(SYM_DISK, 8)
-        st = SystemState(PARAMS, rule, second_sheet(1))
+        st = SystemState(PARAMS, rule, second_sheet(1), 2)
         z = PARAMS.eigenvalue(2) - 0.002 - 1e-4j
-        assert abs(eta_l(z, 2, st) - gamma_n(z, 2, st.ctx, PARAMS)) < 1e-25
+        assert abs(eta_l(z, st) - gamma_n(z, 2, st.ctx, PARAMS)) < 1e-25
 
     def test_rule_refinement(self):
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         vals = []
         for p in (8, 12):
-            st = SystemState(PARAMS, build_quadrature(SMALL, p), second_sheet(1))
-            vals.append(eta_l(z, 2, st))
+            st = SystemState(PARAMS, build_quadrature(SMALL, p), second_sheet(1), 2)
+            vals.append(eta_l(z, st))
         assert abs(vals[0] - vals[1]) < 1e-9
 
     def test_analytic_in_z(self, small_state):
@@ -554,13 +554,13 @@ class TestEtaL:
         z = PARAMS.eigenvalue(2) - 0.003 - 2e-4j
         h = 1e-6
         free = None
-        dre = (eta_l(z + h, 2, small_state) - eta_l(z - h, 2, small_state)) / (2 * h)
-        dim = (eta_l(z + 1j * h, 2, small_state) - eta_l(z - 1j * h, 2, small_state)) / (2j * h)
+        dre = (eta_l(z + h, small_state) - eta_l(z - h, small_state)) / (2 * h)
+        dim = (eta_l(z + 1j * h, small_state) - eta_l(z - 1j * h, small_state)) / (2j * h)
         assert abs(dre - dim) < 1e-5 * max(1.0, abs(dre))
 
     def test_pole_collision_guard(self, small_state):
         with pytest.raises(PoleCollisionError, match="mode 3 "):
-            eta_l(complex(PARAMS.eigenvalue(3)), 2, small_state)
+            eta_l(complex(PARAMS.eigenvalue(3)), small_state)
 
     def test_ill_conditioned_guard(self, rule12):
         # beta = 1 / lambda_max(R + A_1) makes M_1 = I - beta (R + A_1) singular
@@ -568,9 +568,9 @@ class TestEtaL:
         n_cut = default_mode_cutoff(rule12, ctx)
         op = assemble_free(-5.0, rule12) + assemble_A_l(-5.0, 1, rule12, ctx, PARAMS, n_cut)
         lam = np.linalg.eigvals(op).real.max()
-        st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12, ctx)
+        st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12, ctx, 1)
         with pytest.raises(IllConditionedError, match=r"I - beta \(R_SigmaSigma \+ A_l\)"):
-            eta_l(-5.0, 1, st)
+            eta_l(-5.0, st)
 
     def test_one_factorization_per_eta(self, small_state, monkeypatch):
         calls = []
@@ -586,7 +586,7 @@ class TestEtaL:
         for name in ("lu_factor", "lu_solve"):
             monkeypatch.setattr(bs_operator, name, counted(name))
         diagnostics = {}
-        eta_l(PARAMS.eigenvalue(2) - 0.001 - 1e-4j, 2, small_state, diagnostics)
+        eta_l(PARAMS.eigenvalue(2) - 0.001 - 1e-4j, small_state, diagnostics)
         assert calls == ["lu_factor", "lu_solve"]
         assert list(diagnostics) == ["cond[I - beta (R_SigmaSigma + A_l)]"]
 
@@ -594,7 +594,7 @@ class TestEtaL:
 class TestDeterminant:
     def test_small_beta_near_one(self, rule12):
         weak = SpectralParams(alpha=0.0, beta=1e-8)
-        st = SystemState(weak, rule12, first_sheet(), n_cut=10)
+        st = SystemState(weak, rule12, first_sheet(), 1, n_cut=10)
         assert bs_determinant(-5.0, st) == pytest.approx(1.0, abs=1e-5)
 
     def test_factorization_identity(self, small_state):
@@ -626,27 +626,28 @@ class TestDeterminant:
     def test_eta_determinant_identity(self, small_state, rule12, point):
         # Gamma_l det(I - beta R_alpha) = eta_l det(M_l), M_l = I - beta (R + A_l)
         if point == "second-sheet":
-            st, z, l = small_state, PARAMS.eigenvalue(2) - 0.001 - 1e-4j, 2
+            st, z = small_state, PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         else:
             # I - beta R is singular here (cond 2e15), M_1 is not
             lam = np.linalg.eigvals(assemble_free(-5.0, rule12)).real.max()
-            st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12, first_sheet())
-            z, l = -5.0, 1
-        rule, ctx, params, beta = st.rule, st.ctx, st.params, st.params.beta
+            st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12,
+                             first_sheet(), 1)
+            z = -5.0
+        rule, ctx, params, beta, l = st.rule, st.ctx, st.params, st.params.beta, st.l
         eye = np.eye(rule.n_nodes)
         free = assemble_free(z, rule, ctx, st.layout)
         m_l = eye - beta * (free + assemble_A_l(z, l, rule, ctx, params, st.n_cut))
         r_a = assemble_alpha(z, rule, ctx, params, st.n_cut, free=free)
         lhs = gamma_n(z, l, ctx, params) * np.linalg.det(eye - beta * r_a)
-        rhs = eta_l(z, l, st) * np.linalg.det(m_l)
+        rhs = eta_l(z, st) * np.linalg.det(m_l)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_sheet_continuity_across_cut(self, rule12):
         # det is continuous from above (sheet I) to below (sheet II)
         eps = 1e-7
         lam = 1.9
-        st_up = SystemState(PARAMS, rule12, first_sheet(), n_cut=45)
-        st_dn = SystemState(PARAMS, rule12, second_sheet(1), n_cut=45)
+        st_up = SystemState(PARAMS, rule12, first_sheet(), 2, n_cut=45)
+        st_dn = SystemState(PARAMS, rule12, second_sheet(1), 2, n_cut=45)
         up = bs_determinant(lam + 1j * eps, st_up)
         dn = bs_determinant(lam - 1j * eps, st_dn)
         assert abs(up - dn) < 1e-5 * abs(up)

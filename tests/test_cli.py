@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -200,10 +201,10 @@ class TestSweepMode:
     def test_failed_point_is_null_in_json(self, tmp_path, monkeypatch):
         real = resonance.find_pole
 
-        def fail_at_0035(l, state, **kwargs):
+        def fail_at_0035(state, **kwargs):
             if state.delta == 0.035:
                 raise resonance.ConvergenceError("forced failure")
-            return real(l, state, **kwargs)
+            return real(state, **kwargs)
 
         monkeypatch.setattr(resonance, "find_pole", fail_at_0035)
         out = tmp_path / "sweep.json"
@@ -351,7 +352,8 @@ class TestMain:
         ("", "n_cut = 0"),
         ("", "tail_tol = 0"),
         ("", "root_tol = 1e-13"),
-    ], ids=["deltas", "n_cut", "tail_tol", "root_tol"])
+        ("", "root_tol = inf"),
+    ], ids=["deltas", "n_cut", "tail_tol", "root_tol", "root_tol-inf"])
     def test_out_of_range_numerics_exit_two(self, tmp_path, capsys, surface_line,
                                             numerics_line):
         out = tmp_path / "sweep.csv"
@@ -362,6 +364,34 @@ class TestMain:
         assert main(["sweep", "--config", path, "--output", str(out)]) == 2
         key = (surface_line or numerics_line).split(" = ")[0]
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "nan"), ("alpha", "inf"), ("beta", "nan"), ("beta", "inf"),
+        ("beta", "-inf"), ("radius", "nan"), ("center", "1.0 nan 1.0"),
+        ("normal", "0.0 0.0 inf"),
+    ])
+    def test_non_finite_numbers_exit_two(self, tmp_path, capsys, key, value):
+        out = tmp_path / "pole.csv"
+        text = ("[run]\nmode = pole\nl = 2\n[coupling]\nalpha = 0.0\nbeta = 0.4\n"
+                + DISK_SURFACE.strip() + "\ndelta = 0.08\n[numerics]\norder = 4\n")
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+        path = _write(tmp_path, "nonfinite.cfg", text)
+        assert main(["pole", "--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"{key} must be a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seed-re=nan", "--seed-im=inf", "--seed-re=-inf"])
+    def test_non_finite_seed_exit_two(self, tmp_path, capsys, flag):
+        out = tmp_path / "pole.csv"
+        path = _write(tmp_path, "pole.cfg",
+                      "[run]\nmode = pole\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      + DISK_SURFACE.strip() + "\ndelta = 0.08\n[numerics]\norder = 4\n")
+        assert main(["pole", "--config", path, "--output", str(out), flag]) == 2
+        err = capsys.readouterr().err
+        name = flag.split("=")[0]
+        assert err.startswith("config error") and f"{name} must be a finite number" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("l", ["0", "-1"])

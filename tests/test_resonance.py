@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from layres.resonance import (
     sweep_delta,
     window_index,
 )
-from layres.specfun import EULER_GAMMA, SpectralParams, gamma_from_gap, gamma_n
+from layres.specfun import EULER_GAMMA, SpectralParams, first_sheet, gamma_from_gap, gamma_n
 
 PARAMS = SpectralParams(alpha=0.0, beta=0.4)
 BASE = disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
@@ -29,7 +30,7 @@ SYM = disk(center=(1.0, 0.0, math.pi / 2), normal=(0.0, 0.0, 1.0), radius=0.5)
 @pytest.fixture(scope="module")
 def pole_08():
     st = pole_state(BASE, 0.08, 2, PARAMS, order=8)
-    return find_pole(2, st), st
+    return find_pole(st), st
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +41,11 @@ def traced_pole_12():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resonance, "eta_l",
                    lambda z, *args, **kw: points.append(z) or bs_operator.eta_l(z, *args, **kw))
-        res = find_pole(2, st)
+        res = find_pole(st)
     return res, st, points
 
 
-def _flat_eta(z, l, state, diagnostics=None):
+def _flat_eta(z, state, diagnostics=None):
     return 1.0 + 0.0j
 
 
@@ -62,7 +63,6 @@ class TestEmbeddedEigenvalues:
         assert embedded_eigenvalues(p, [1])[0].value < 1.0
 
     def test_gamma_vanishes_at_eigenvalues(self):
-        from layres.specfun import first_sheet
         for info in embedded_eigenvalues(PARAMS, range(1, 21)):
             g = gamma_from_gap(complex(PARAMS.xi_alpha), info.n, first_sheet(), PARAMS)
             assert abs(g) < 1e-12
@@ -92,25 +92,39 @@ class TestFindPole:
     def test_mu_shrinks_with_delta(self, pole_08):
         res, _ = pole_08
         st_small = pole_state(BASE, 0.02, 2, PARAMS, order=8)
-        small = find_pole(2, st_small)
+        small = find_pole(st_small)
         assert abs(small.mu) < 0.1 * abs(res.mu)
         assert abs(res.mu) < 1e-3
 
     def test_determinant_root_agrees(self, pole_08):
         res, st = pole_08
-        other = find_determinant_root(2, st)
+        other = find_determinant_root(st)
         assert abs(other.z - res.z) < 1e-8
 
     def test_symmetric_plane_pole_stays_embedded(self):
         st = pole_state(SYM, 0.08, 2, PARAMS, order=8)
-        res = find_pole(2, st)
+        res = find_pole(st)
         assert res.z.real == pytest.approx(PARAMS.eigenvalue(2), abs=1e-12)
         assert abs(res.z.imag) < 1e-12
 
     def test_delta_comes_from_the_state(self, pole_08):
         res, st = pole_08
         assert st.delta == 0.08 and res.delta == 0.08
-        assert find_determinant_root(2, st).delta == 0.08
+        assert find_determinant_root(st).delta == 0.08
+
+    def test_state_names_its_eigenvalue(self, pole_08):
+        res, st = pole_08
+        assert st.l == 2 and res.l == 2
+        res3 = find_pole(pole_state(BASE, 0.08, 3, PARAMS, order=4))
+        assert (res3.l, res3.k) == (3, 2)
+
+    def test_state_outside_its_window_refused(self, pole_08):
+        # eps_3 lies in J_2, but the state of eps_2 continues through J_1
+        _, st = pole_08
+        with pytest.raises(ValueError, match=r"l = 3: eps_l = 7\.73.* J_1 = \(1, 4\)"):
+            dataclasses.replace(st, l=3)
+        # the first sheet is one sheet for every l
+        assert dataclasses.replace(st, ctx=first_sheet(), l=3).l == 3
 
     def test_discrete_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +144,7 @@ class TestFindPole:
         per_point = []
         for z in points:
             d = {}
-            bs_operator.eta_l(z, 2, st, diagnostics=d)
+            bs_operator.eta_l(z, st, diagnostics=d)
             per_point.append(d)
         key = "cond[I - beta (R_SigmaSigma + A_l)]"
         assert [k for k in res.diagnostics if k.startswith("cond[")] == [key]
@@ -140,13 +154,18 @@ class TestFindPole:
     def test_flat_eta_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(resonance, "eta_l", _flat_eta)
         st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
-        with pytest.raises(ConvergenceError):
-            find_pole(2, st)
+        seed = complex(PARAMS.eigenvalue(2))
+        # the secant's second start point is where a flat function stops it
+        stop = seed + 1e-7 * abs(seed)
+        with pytest.raises(ConvergenceError) as info:
+            find_pole(st)
+        assert str(info.value) == (f"root iteration failed after 0 steps from z = {seed}: "
+                                   f"stopped at z = {stop} with |f| = 1")
 
     def test_iteration_budget_exhausted(self, pole_08):
         _, st = pole_08
         with pytest.raises(ConvergenceError):
-            find_pole(2, st, max_iter=1)
+            find_pole(st, max_iter=1)
 
     def test_above_axis_result_rejected(self):
         with pytest.raises(ArithmeticError):
@@ -156,7 +175,7 @@ class TestFindPole:
 
 def _linear_routes(monkeypatch, root):
     """Replace the function of both root routes by the linear z - root."""
-    monkeypatch.setattr(resonance, "eta_l", lambda z, l, state, diagnostics=None: z - root)
+    monkeypatch.setattr(resonance, "eta_l", lambda z, state, diagnostics=None: z - root)
     monkeypatch.setattr(resonance, "gamma_n", lambda z, l, ctx, params: 1.0)
     monkeypatch.setattr(resonance, "bs_determinant", lambda z, state: z - root)
 
@@ -172,33 +191,33 @@ class TestRootDriver:
     def test_linear_stand_in_converges(self, route, state4, monkeypatch):
         root = PARAMS.eigenvalue(2) - 0.01 - 0.001j
         _linear_routes(monkeypatch, root)
-        res = route(2, state4)
+        res = route(state4)
         assert res.z == pytest.approx(root, abs=1e-14) and res.k == 1
         assert res.mu == res.z - PARAMS.eigenvalue(2)
         assert res.diagnostics["n_nodes"] == 16
 
     def test_tolerance_below_floor_rejected(self, route, state4):
         with pytest.raises(ValueError, match="not resolvable"):
-            route(2, state4, tol=1e-13)
+            route(state4, tol=1e-13)
 
     def test_root_outside_window_raises(self, route, state4, monkeypatch):
         # eps_2 lies in J_1 = (1, 4); the only root lies in J_2
         _linear_routes(monkeypatch, 4.5 - 0.01j)
         with pytest.raises(ConvergenceError, match="escaped the window J_1"):
-            route(2, state4)
+            route(state4)
 
     def test_one_iteration_is_not_enough(self, route, state4, monkeypatch):
         # the first secant step lands on the root but is itself far above tol
         _linear_routes(monkeypatch, PARAMS.eigenvalue(2) - 0.01 - 0.001j)
         with pytest.raises(ConvergenceError, match="root iteration failed"):
-            route(2, state4, max_iter=1)
+            route(state4, max_iter=1)
 
 
 class TestLowestOrder:
     def test_agrees_with_pole_at_small_delta(self):
         st = pole_state(BASE, 0.02, 2, PARAMS, order=8)
-        res = find_pole(2, st)
-        mu0 = mu_lowest_order(2, st)
+        res = find_pole(st)
+        mu0 = mu_lowest_order(st)
         assert abs(mu0 - res.mu) / abs(res.mu) < 0.2
 
     def test_real_part_scales_with_area(self):
@@ -206,15 +225,15 @@ class TestLowestOrder:
         vals = []
         for d in deltas:
             st = pole_state(BASE, d, 2, PARAMS, order=6)
-            vals.append(abs(mu_lowest_order(2, st).real))
+            vals.append(abs(mu_lowest_order(st).real))
         slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_beta_sign(self):
         st = pole_state(BASE, 0.05, 2, PARAMS, order=6)
         stm = pole_state(BASE, 0.05, 2, SpectralParams(alpha=0.0, beta=-0.4), order=6)
-        a = mu_lowest_order(2, st)
-        b = mu_lowest_order(2, stm)
+        a = mu_lowest_order(st)
+        b = mu_lowest_order(stm)
         # leading (odd-in-beta) real part flips; the beta^2 imaginary part stays
         assert abs(a.real + b.real) < 0.05 * abs(a.real)
         assert a.imag == pytest.approx(b.imag, rel=1e-12)
@@ -235,27 +254,27 @@ class TestLowestOrder:
         dressed = complex(np.sum(w * w_l * (free @ w_l)))
         want = 4.0 * math.pi * PARAMS.xi_alpha * PARAMS.beta * (
             complex(np.sum(w * w_l * w_l)) + PARAMS.beta * (cross + dressed))
-        assert abs(mu_lowest_order(2, st) - want) <= 1e-12 * abs(want)
+        assert abs(mu_lowest_order(st) - want) <= 1e-12 * abs(want)
 
 
 class TestImClosedForm:
     def test_negative_and_matches_pole(self, pole_08):
         res, st = pole_08
-        cf = im_mu_closed_form(2, st)
+        cf = im_mu_closed_form(st)
         assert cf < 0.0
         assert 0.75 < res.mu.imag / cf < 1.25
 
     def test_exactly_even_in_beta(self):
         st = pole_state(BASE, 0.05, 2, PARAMS, order=6)
         stm = pole_state(BASE, 0.05, 2, SpectralParams(alpha=0.0, beta=-0.4), order=6)
-        assert im_mu_closed_form(2, st) == im_mu_closed_form(2, stm)
+        assert im_mu_closed_form(st) == im_mu_closed_form(stm)
 
     def test_quartic_scaling(self):
         deltas = np.array([0.02, 0.04, 0.08])
         vals = []
         for d in deltas:
             st = pole_state(BASE, d, 2, PARAMS, order=6)
-            vals.append(-im_mu_closed_form(2, st))
+            vals.append(-im_mu_closed_form(st))
         slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.2)
 
@@ -263,7 +282,7 @@ class TestImClosedForm:
         # chi_2(pi/2) only vanishes to roundoff, so "exact zero" means the
         # square of a ~1e-16 residue
         st = pole_state(SYM, 0.08, 2, PARAMS, order=8)
-        assert abs(im_mu_closed_form(2, st)) < 1e-30
+        assert abs(im_mu_closed_form(st)) < 1e-30
 
 
 class TestFitPowerLaw:
@@ -342,7 +361,7 @@ class TestSweep:
     def test_poles_pinned(self):
         # 17-digit poles recorded at commit 54a7e27, where every mode vector
         # was built on its own; refactors must not move them
-        res = find_pole(2, pole_state(BASE, 0.08, 2, PARAMS, order=6))
+        res = find_pole(pole_state(BASE, 0.08, 2, PARAMS, order=6))
         assert abs(res.z - complex(2.7389992754637413, -8.3332677049346686e-09)) <= 1e-12
         pinned = [(0.02, complex(2.7390496577400354, -3.2257848907156498e-11)),
                   (0.035, complex(2.7390427632041172, -3.0326857089933782e-10)),
@@ -356,7 +375,7 @@ class TestSweep:
     def test_warm_start_matches_cold_poles(self):
         deltas = [0.02, 0.035, 0.06, 0.1]
         warm = sweep_delta(2, deltas, BASE, PARAMS, order=6)
-        cold = [find_pole(2, pole_state(BASE, d, 2, PARAMS, order=6)) for d in deltas]
+        cold = [find_pole(pole_state(BASE, d, 2, PARAMS, order=6)) for d in deltas]
         for w, c in zip(warm.poles, cold):
             assert abs(w.z - c.z) < 1e-12
         # points after the first start from the delta^2 extrapolation
@@ -371,9 +390,9 @@ class TestSweep:
 
     def test_failed_point_recorded(self, monkeypatch):
         eta = resonance.eta_l
-        monkeypatch.setattr(resonance, "eta_l", lambda z, l, state, diagnostics=None:
-                            _flat_eta(z, l, state) if state.delta == 0.035
-                            else eta(z, l, state, diagnostics=diagnostics))
+        monkeypatch.setattr(resonance, "eta_l", lambda z, state, diagnostics=None:
+                            _flat_eta(z, state) if state.delta == 0.035
+                            else eta(z, state, diagnostics=diagnostics))
         sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1, 0.12], BASE, PARAMS, order=6)
         assert [d for d, _ in sw.failures] == [0.035]
         assert "root iteration failed" in sw.failures[0][1]
