@@ -57,8 +57,8 @@ _COND_LIMIT = 1e12
 
 _GAMMA_FLOOR = 1e-10
 
-#: Duffy points per interpolation-basis batch; one batch holds a whole row
-#: up to order 16
+#: Duffy points per modal-basis batch; one batch holds a whole folded disk
+#: row up to order 21, and an unfolded row up to order 16
 _BATCH_POINTS = 1 << 15
 
 
@@ -70,41 +70,55 @@ class IllConditionedError(ArithmeticError):
     """A Birman-Schwinger solve exceeded the condition-number budget."""
 
 
-def _barycentric_weights(x):
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, 1.0)
-    return 1.0 / np.prod(d, axis=1)
+def _legendre_basis(t, p):
+    """P_a(t) for a < p as a (p, N) array, by the three-term recurrence."""
+    out = np.empty((p, len(t)))
+    out[0] = 1.0
+    out[1] = t
+    for a in range(1, p - 1):
+        out[a + 1] = ((2 * a + 1) * t * out[a] - a * out[a - 1]) / (a + 1)
+    return out
 
 
-def _lagrange_eval(x_nodes, bw, pts):
-    """L[p, j] = l_j(pts[p]) by the barycentric formula (exact at nodes)."""
-    diff = pts[:, None] - x_nodes[None, :]
-    exact = diff == 0.0
-    hit = exact.any(axis=1)
-    diff[hit] = 1.0  # avoid 0-division; rows fixed below
-    l = bw / diff
-    l *= (1.0 / l.sum(axis=1))[:, None]
-    l[hit] = exact[hit]
-    return l
+def _trig_basis(psi, p):
+    """[1, cos k psi, sin k psi for k < p/2, cos(p psi / 2) if p is even] as (p, N).
 
-
-def _trig_cardinal(x_nodes, period, pts):
-    """L[p, j] = periodic cardinal interpolant of node j at pts[p].
-
-    Nodes must be equispaced over one period; the Dirichlet-kernel cardinal
-    functions are periodic, so evaluation needs no seam handling.
+    Built by angle addition.  These span the trigonometric interpolants on p
+    equispaced nodes psi_j = 2 pi j / p.
     """
-    n = len(x_nodes)
-    half = math.pi * (pts[:, None] - x_nodes[None, :]) / period
-    s = np.sin(half)
-    near = np.abs(s) < 1e-12
-    s[near] = 1.0
-    if n % 2 == 0:
-        l = np.sin(n * half) * np.cos(half) / (n * s)
-    else:
-        l = np.sin(n * half) / (n * s)
-    l[near] = 1.0
-    return l
+    out = np.empty((p, len(psi)))
+    out[0] = 1.0
+    out[1] = np.cos(psi)
+    if p > 2:
+        out[2] = np.sin(psi)
+    for k in range(2, p // 2 + 1):
+        cos_prev, sin_prev = out[2 * k - 3], out[2 * k - 2]
+        out[2 * k - 1] = cos_prev * out[1] - sin_prev * out[2]
+        if 2 * k < p:
+            out[2 * k] = sin_prev * out[1] + cos_prev * out[2]
+    return out
+
+
+def _legendre_map(p):
+    """C with l_j = sum_a C[a, j] P_a for the Lagrange cardinals l_j on p Gauss nodes.
+
+    Exact by Gauss quadrature: C[a, j] = (2a + 1)/2 w_j P_a(x_j).
+    """
+    x, w = leggauss(p)
+    return (np.arange(p) + 0.5)[:, None] * _legendre_basis(x, p) * w
+
+
+def _trig_map(p):
+    """C with l_j = sum_a C[a, j] F_a for the cardinals l_j of :func:`_trig_basis`.
+
+    The Dirichlet kernel: 1/p for the constant, 2/p cos or sin(k psi_j) for
+    k < p/2 and half weight, 1/p cos(p psi_j / 2), for k = p/2.
+    """
+    weight = np.full(p, 2.0 / p)
+    weight[0] = 1.0 / p
+    if p % 2 == 0:
+        weight[-1] = 1.0 / p
+    return weight[:, None] * _trig_basis(2.0 * math.pi * np.arange(p) / p, p)
 
 
 def _tensor_nodes(rule: QuadratureRule):
@@ -143,30 +157,51 @@ def _graded_triangles(corners):
     return np.concatenate(e1), np.concatenate(e2)
 
 
-def _product_rows(rule: QuadratureRule, rows, duffy_order: int):
+def _product_rows(rule: QuadratureRule, rows, duffy_order: int, group: np.ndarray):
     """Rows ``rows`` of (p_inv, p_lin), each row one batched kernel evaluation.
 
     The apex-Duffy points of all graded sub-triangles around the node are
-    stacked, so the parametrization, the Jacobian and both interpolation
-    bases are evaluated once per row and the row is two matrix products.
-    Above order 16 a row has more than _BATCH_POINTS points; the bases are
-    then evaluated in batches of that size to bound the memory they take.
+    stacked, so the parametrization and the Jacobian are evaluated once per
+    row.  The kernel is integrated against the modal bases, Legendre
+    polynomials in q1 and in q2 or the trigonometric basis in a periodic q2,
+    built by recurrence as (p, N) arrays; two fixed p x p maps
+    (:func:`_legendre_map`, :func:`_trig_map`) then take the p x p moments to
+    the cardinal basis of the nodes.  A row with more than _BATCH_POINTS
+    points (a folded disk row above order 21) has its bases evaluated in
+    batches of that size, to bound the memory they take.
+
+    A row whose node is fixed by a reflection h in ``group`` that moves only
+    one parameter index (every node keeps its q1 index, or every node keeps
+    its q2 index) is folded: its window and its sub-triangles are mirror
+    images about the node's parameter line, the graded cuts split each
+    self-mirrored edge at its foot, so only the sub-triangles on the
+    negative side are integrated and the row is half + half[h].  A node
+    fixed by a reflection in each parameter is folded twice.
     """
     surf = rule.surface
     p = rule.order
-    q1_nodes, q2_nodes = _tensor_nodes(rule)
-    bw1 = _barycentric_weights(q1_nodes)
-    bw2 = None if surf.periodic2 else _barycentric_weights(q2_nodes)
+    n = rule.n_nodes
     (a1, b1), (a2, b2) = surf.domain
     span2 = b2 - a2
+    map1 = _legendre_map(p)
+    map2 = _trig_map(p) if surf.periodic2 else map1
+    basis2 = _trig_basis if surf.periodic2 else _legendre_basis
+    # psi = 0 at the first q2 node, t = 0 mid-domain
+    origin2 = rule.param_nodes[0, 1] if surf.periodic2 else 0.5 * (a2 + b2)
+    scale2 = 2.0 * math.pi / span2 if surf.periodic2 else 2.0 / span2
+    # elements moving only q1 (axis 0) and only q2 (axis 1)
+    index1, index2 = np.divmod(np.arange(n), p)
+    moves = np.any(group != np.arange(n), axis=1)
+    moves_only = [moves & np.all(group % p == index2, axis=1),
+                  moves & np.all(group // p == index1, axis=1)]
     xd, wd = leggauss(duffy_order)
     xd = 0.5 * (xd + 1.0)
     wd = 0.5 * wd
     u = xd[:, None, None]
     v = xd[None, :, None]
     wu = np.outer(wd, wd) * xd[:, None]
-    p_inv = np.empty((len(rows), p * p))
-    p_lin = np.empty((len(rows), p * p))
+    p_inv = np.empty((len(rows), n))
+    p_lin = np.empty((len(rows), n))
     for k, i in enumerate(rows):
         q1, q2 = rule.param_nodes[i]
         h = np.array([np.linalg.norm(surf.tangent1(q1, q2)),
@@ -176,6 +211,12 @@ def _product_rows(rule: QuadratureRule, rows, duffy_order: int):
         corners = h * np.array([[a1 - q1, lo2], [b1 - q1, lo2],
                                 [b1 - q1, hi2], [a1 - q1, hi2]])
         e1, e2 = _graded_triangles(corners)
+        fixed = group[:, i] == i
+        folds = [(axis, group[np.argmax(only & fixed)])
+                 for axis, only in enumerate(moves_only) if np.any(only & fixed)]
+        for axis, _ in folds:
+            negative = e1[:, axis] + e2[:, axis] < 0.0
+            e1, e2 = e1[negative], e2[negative]
         det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         # (triangle, u, v) points of the Duffy map, parameter offsets last
         offset = u * ((1.0 - v) * e1[:, None, None, :] + v * e2[:, None, None, :]) / h
@@ -183,19 +224,24 @@ def _product_rows(rule: QuadratureRule, rows, duffy_order: int):
         qq2 = (q2 + offset[..., 1]).ravel()
         r = np.linalg.norm(surf.param_map(qq1, qq2) - rule.nodes[i], axis=-1)
         c = (det[:, None, None] * wu).ravel() * surf.jacobian(qq1, qq2) / (h[0] * h[1])
+        c_inv, c_lin = c / r, c * r
+        t1 = (2.0 * qq1 - a1 - b1) / (b1 - a1)
+        t2 = scale2 * (qq2 - origin2)
         acc_inv = np.zeros((p, p))
         acc_lin = np.zeros((p, p))
         for b in range(0, len(c), _BATCH_POINTS):
             part = slice(b, b + _BATCH_POINTS)
-            l1 = _lagrange_eval(q1_nodes, bw1, qq1[part])
-            if surf.periodic2:
-                l2 = _trig_cardinal(q2_nodes, span2, qq2[part])
-            else:
-                l2 = _lagrange_eval(q2_nodes, bw2, qq2[part])
-            acc_inv += l1.T @ ((c[part] / r[part])[:, None] * l2)
-            acc_lin += l1.T @ ((c[part] * r[part])[:, None] * l2)
-        p_inv[k] = acc_inv.ravel()
-        p_lin[k] = acc_lin.ravel()
+            f1 = _legendre_basis(t1[part], p)
+            f2 = basis2(t2[part], p).T
+            acc_inv += (f1 * c_inv[part]) @ f2
+            acc_lin += (f1 * c_lin[part]) @ f2
+        row_inv = (map1.T @ acc_inv @ map2).ravel()
+        row_lin = (map1.T @ acc_lin @ map2).ravel()
+        for _, mirror in folds:
+            row_inv = row_inv + row_inv[mirror]
+            row_lin = row_lin + row_lin[mirror]
+        p_inv[k] = row_inv
+        p_lin[k] = row_lin
     return p_inv / (4.0 * math.pi), p_lin
 
 
@@ -230,8 +276,8 @@ def _is_isometry(rule: QuadratureRule, perm, param_map, dist) -> bool:
     the squared distances from every node to probe points between the
     nodes, the tangent lengths and the Jacobian.  Then it acts on the
     surface as an isometry that keeps the rule, the integrand of row g[i]
-    of the singular matrices is that of row i carried along, and so are
-    both interpolation bases (their nodes are symmetric).
+    of the singular matrices is that of row i carried along, and so is
+    the cardinal basis (its nodes are symmetric).
     """
     if not np.allclose(dist[np.ix_(perm, perm)], dist, rtol=0.0, atol=1e-12 * dist.max()):
         return False
@@ -308,10 +354,13 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
     """Product-integration matrices of the non-smooth kernel parts.
 
     Returns (p_inv, p_lin): nodal-action matrices for the kernels
-    1/(4 pi |x - x'|) and |x - x'|.  Row i integrates the kernel against the
-    interpolation basis of node j (Legendre cardinal; trigonometric in a
-    periodic second direction) with an apex-Duffy
-    quadrature around node i (the Duffy Jacobian cancels the 1/r
+    1/(4 pi |x - x'|) and |x - x'|.  Entry (i, j) integrates the kernel
+    against the cardinal function of node j, the polynomial (trigonometric
+    in a periodic second direction) interpolant that is 1 at node j and 0 at
+    the others.  It is computed in modal form (:func:`_product_rows`):
+    moments against Legendre polynomials, or the trigonometric basis, mapped
+    to the cardinal basis by fixed matrices.  The quadrature is apex-Duffy
+    around node i (the Duffy Jacobian cancels the 1/r
     singularity; the |x - x'| kink sits at the apex too).  The triangle
     split is done in metric-scaled parameter coordinates -- each direction
     divided by the local tangent length at the node -- so the apex looks
@@ -325,7 +374,8 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
 
     Only one row per orbit of ``group`` (:func:`_node_group` of the rule
     when not given) is integrated; the others follow from
-    p[g[i], g[j]] = p[i, j].
+    p[g[i], g[j]] = p[i, j].  A row that a reflection of ``group`` fixes is
+    integrated over half its window and folded (:func:`_product_rows`).
     """
     if rule.surface is None:
         raise ValueError("product integration needs a parametrized surface")
@@ -336,7 +386,7 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
     rep, col = _orbit_map(group)
     rows = np.unique(rep)
     at = np.searchsorted(rows, rep)[:, None]
-    p_inv, p_lin = _product_rows(rule, rows, duffy_order)
+    p_inv, p_lin = _product_rows(rule, rows, duffy_order, group)
     return p_inv[at, col], p_lin[at, col]
 
 

@@ -490,8 +490,13 @@ def _run_validate(config: RunConfig) -> int:
 
 def _check_mode(config: RunConfig):
     """Checks that depend on the mode; ``config.mode`` is the mode that runs."""
-    if config.mode in ("pole", "sweep") and config.surface is None:
-        raise ConfigError(f"mode {config.mode} needs a [surface] section with a family")
+    if config.mode in ("pole", "sweep"):
+        if config.surface is None:
+            raise ConfigError(f"mode {config.mode} needs a [surface] section with a family")
+        eps = config.params.eigenvalue(config.l)
+        if eps < 1.0:
+            raise ConfigError(f"l = {config.l}: eps_l = {eps} is a discrete eigenvalue, "
+                              f"below the first threshold 1")
     if config.mode == "sweep" and len(config.deltas) < MIN_SWEEP_POINTS:
         raise ConfigError(f"a sweep fits power laws to at least {MIN_SWEEP_POINTS} "
                           f"deltas, got {len(config.deltas)}")

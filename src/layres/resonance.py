@@ -87,7 +87,13 @@ class SweepResult:
 
 
 def window_index(value: float) -> int:
-    """k with value in J_k = (k^2, (k+1)^2); rejects threshold collisions."""
+    """k with value in J_k = (k^2, (k+1)^2); rejects threshold collisions.
+
+    A value below the first threshold 1 lies in no window and is refused.
+    """
+    if value < 1.0:
+        raise ValueError(f"eigenvalue {value} lies below the first threshold 1: "
+                         f"it is discrete, in no window J_k")
     k = int(math.floor(math.sqrt(value)))
     if abs(value - k**2) < 1e-8 or abs(value - (k + 1) ** 2) < 1e-8:
         raise ThresholdCollisionError(f"eigenvalue {value} sits on a threshold")
@@ -109,11 +115,8 @@ def embedded_eigenvalues(params: SpectralParams, n_range) -> list[EigenvalueInfo
 
 
 def _window(l: int, params: SpectralParams) -> int:
-    """Window index k of eps_l; rejects a discrete eps_l."""
-    eps = params.eigenvalue(l)
-    if eps < 1.0:
-        raise ValueError(f"eps_{l} = {eps} is a discrete eigenvalue, not embedded")
-    return window_index(eps)
+    """Window index k of eps_l; :func:`window_index` rejects a discrete eps_l."""
+    return window_index(params.eigenvalue(l))
 
 
 def _delta_state(base_rule: QuadratureRule, layout: PairLayout, delta: float, l: int,

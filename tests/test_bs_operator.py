@@ -217,10 +217,15 @@ class TestAssembleFree:
         assert np.max(np.abs(a[0] - b[0])) < 1e-12
         assert np.max(np.abs(a[1] - b[1])) < 1e-12
 
-    @pytest.mark.parametrize("surface", [DISK, CAP, RECT, ELLIPSE],
-                             ids=["disk", "cap", "rectangle", "ellipse"])
-    def test_singular_matrices_match_loop_reference(self, surface):
-        rule = build_quadrature(surface, 5)
+    @pytest.mark.parametrize("surface, order", [
+        pytest.param(surface, order, id=name if order == 5 else f"{name}-order{order}")
+        for order in (5, 6)
+        for name, surface in (("disk", DISK), ("cap", CAP), ("rectangle", RECT),
+                              ("ellipse", ELLIPSE))])
+    def test_singular_matrices_match_loop_reference(self, surface, order):
+        # order 6 reaches the half-weight k = p/2 trigonometric column, order 5
+        # the folded middle rows of the rectangle and the ellipse
+        rule = build_quadrature(surface, order)
         got = singular_part_matrix(rule, 16)
         want = _reference_singular(rule, 16)
         assert _rel_max(got[0], want[0]) < 1e-12
@@ -290,9 +295,34 @@ class TestSingularBuild:
         # puts ~1e-15 absolute noise on single entries near the polar centre
         rule = build_quadrature(surface, order)
         orbit = singular_part_matrix(rule)
-        every = _product_rows(rule, range(rule.n_nodes), 24)
+        every = _product_rows(rule, range(rule.n_nodes), 24, np.arange(rule.n_nodes)[None])
         for got, want in zip(orbit, every):
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
+
+    @pytest.mark.parametrize("surface, share", [(DISK, 0.5), (RECT, 1.0)],
+                             ids=["disk", "even-rectangle"])
+    def test_mirror_rows_integrate_half_the_points(self, surface, share):
+        # every integrated disk row is fixed by a reflection and folded; an
+        # even-order rectangle has no node on a mirror line
+        rule = build_quadrature(surface, 8)
+        group = _node_group(rule)
+        rows = np.unique(group.min(axis=0))
+        points = []
+
+        def counted(q1, q2):
+            points.append(np.size(q1))
+            return surface.param_map(q1, q2)
+
+        counting = dataclasses.replace(
+            rule, surface=dataclasses.replace(surface, param_map=counted))
+        counts = []
+        for g in (group, np.arange(rule.n_nodes)[None]):
+            points.clear()
+            _product_rows(counting, rows, 16, g)
+            counts.append(list(points))
+        folded, whole = np.array(counts)
+        assert len(whole) == len(rows)
+        assert np.array_equal(folded, share * whole)
 
     @pytest.mark.parametrize("surface", [DISK, CAP, RECT], ids=["disk", "cap", "rectangle"])
     @pytest.mark.parametrize("delta", [0.02, 0.08])
@@ -312,7 +342,7 @@ class TestNodeGroup:
         assert len(_node_group(rule)) == size
         integrated = []
 
-        def rows_only(rule, rows, duffy_order):
+        def rows_only(rule, rows, duffy_order, group):
             integrated.extend(rows)
             blank = np.zeros((len(rows), rule.n_nodes))
             return blank, blank

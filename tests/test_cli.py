@@ -394,6 +394,20 @@ class TestMain:
         assert err.startswith("config error") and f"{name} must be a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["pole", "sweep"])
+    def test_discrete_eigenvalue_exit_two(self, tmp_path, capsys, mode):
+        # eps_1 = xi_alpha + 1 < 1 at beta = 0.4: a bound state, in no window
+        out = tmp_path / "discrete.csv"
+        path = _write(tmp_path, "l.cfg",
+                      "[run]\nmode = pole\nl = 1\n[coupling]\nbeta = 0.4\n"
+                      + DISK_SURFACE.strip()
+                      + "\ndeltas = 0.02 0.04 0.06 0.08\n[numerics]\norder = 4\n")
+        assert main([mode, "--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: l = 1: eps_l = -0.26")
+        assert "discrete" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("l", ["0", "-1"])
     def test_mode_index_below_one_exit_two(self, tmp_path, capsys, l):
         out = tmp_path / "pole.csv"

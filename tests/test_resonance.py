@@ -79,6 +79,12 @@ class TestEmbeddedEigenvalues:
         assert window_index(2.739) == 1
         assert window_index(7.739) == 2
 
+    @pytest.mark.parametrize("value", [0.5, -0.26])
+    def test_window_index_refuses_discrete_values(self, value):
+        with pytest.raises(ValueError,
+                           match=f"eigenvalue {value} lies below the first threshold 1"):
+            window_index(value)
+
 
 class TestFindPole:
     def test_reference_pole(self, pole_08):
