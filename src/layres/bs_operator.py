@@ -311,12 +311,10 @@ def _node_group(rule: QuadratureRule, dist: np.ndarray | None = None) -> np.ndar
     """Node permutations of the rule that act on its surface as isometries.
 
     One row per group element, the identity first: the closure of the
-    candidates that pass :func:`_is_isometry`.  A tabulated rule gets the
-    identity alone.  ``dist`` is the node-to-node distance matrix.
+    candidates that pass :func:`_is_isometry`, the identity alone when none
+    does.  ``dist`` is the node-to-node distance matrix.
     """
     group = [np.arange(rule.n_nodes)]
-    if rule.surface is None:
-        return np.array(group)
     if dist is None:
         dist = _node_distances(rule.nodes)
     gens = [perm for perm, param_map in _candidate_symmetries(rule)
@@ -377,8 +375,6 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
     p[g[i], g[j]] = p[i, j].  A row that a reflection of ``group`` fixes is
     integrated over half its window and folded (:func:`_product_rows`).
     """
-    if rule.surface is None:
-        raise ValueError("product integration needs a parametrized surface")
     if duffy_order is None:
         duffy_order = max(2 * rule.order, 24)
     if group is None:
@@ -423,8 +419,7 @@ class PairLayout:
     ``corr_lin`` swap the plain Nystrom values of the model kernels
     1/(4 pi |x - x'|) and |x - x'| for their product integrals
     (:func:`singular_part_matrix`): p_inv / w - 1/(4 pi r) and p_lin / w - r,
-    with w the rule weights and the model zero on the diagonal.  Both are
-    zero for a tabulated rule without a surface.
+    with w the rule weights and the model zero on the diagonal.
     """
 
     rows: np.ndarray
@@ -454,22 +449,19 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
     depends on the in-plane separation, x3 and x3', so its pairs are grouped
     under the elements that keep every node's x3 (they keep the 3D distance
     too, hence the in-plane one).  The corrections come from
-    :func:`singular_part_matrix` under the whole group when the rule has a
-    parametrized surface.  Coincident nodes are rejected.
+    :func:`singular_part_matrix` under the whole group.  Coincident nodes
+    (a parametrization that folds onto itself) are rejected.
     """
     n = rule.n_nodes
     nodes = rule.nodes
     r = _node_distances(nodes)
     off = ~np.eye(n, dtype=bool)
-    if n > 1 and float(np.min(r[off])) == 0.0:
+    if float(np.min(r[off])) == 0.0:
         raise ValueError("quadrature nodes must be pairwise distinct")
     group = _node_group(rule, r)
     x3 = nodes[:, 2]
-    keeps_x3 = np.all(np.abs(x3[group] - x3) <= 1e-14 * np.max(np.abs(x3), initial=0.0),
-                      axis=1)
+    keeps_x3 = np.all(np.abs(x3[group] - x3) <= 1e-14 * np.max(np.abs(x3)), axis=1)
     rows, cols, index = _pair_orbits(group[keeps_x3])
-    if rule.surface is None:
-        return PairLayout(rows, cols, index, np.zeros((n, n)), np.zeros((n, n)))
     inv_r = np.zeros((n, n))
     inv_r[off] = 1.0 / (4.0 * math.pi * r[off])
     p_inv, p_lin = singular_part_matrix(rule, group=group)
@@ -486,24 +478,18 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
     through order r).  The remainder is handled by plain Nystrom with its
     diagonal limit from :meth:`EwaldGreen.regularized_diag`; the non-smooth
     part enters through the layout's corrections, which replace its Nystrom
-    values by product integrals.  For a tabulated rule without a
-    parametrized surface the corrections are zero and only the regularized
-    limit fixes the diagonal (documented fallback for point probes).
+    values by product integrals.
 
     ``layout`` (see :func:`pair_layout`) holds everything z-independent of
     ``rule``; pass it to reuse one across several z.
     """
     ctx = ctx or first_sheet()
-    n = rule.n_nodes
-    if n == 0:
-        return np.zeros((0, 0), complex)
     if layout is None:
         layout = pair_layout(rule)
     ew = EwaldGreen(z, ctx)
     nodes = rule.nodes
-    vals = ew.pairs(nodes[layout.rows], nodes[layout.cols]) if n > 1 else np.zeros(0, complex)
-    mat = np.append(vals, 0.0)[layout.index]
-    mat[np.diag_indices(n)] = ew.regularized_diag(nodes)
+    mat = np.append(ew.pairs(nodes[layout.rows], nodes[layout.cols]), 0.0)[layout.index]
+    mat[np.diag_indices(rule.n_nodes)] = ew.regularized_diag(nodes)
     mat += layout.corr_inv - z / (8.0 * math.pi) * layout.corr_lin
     return mat * rule.weights
 
@@ -512,12 +498,10 @@ def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.nd
     """Mode vector w_n(z) = omega_n(z)|_Sigma at the rule nodes.
 
     omega_n(z; x) = (1/2 pi) Z0(kappa_n |x_perp|) chi_n(x3) is singular on
-    the wire axis, so a node there is rejected.  For an array of mode
-    indices ``n`` the result has one column per mode.
+    the wire axis, which every :class:`geometry.Surface` keeps away from.
+    For an array of mode indices ``n`` the result has one column per mode.
     """
     n = np.asarray(n)
-    if rule.n_nodes == 0:
-        return np.zeros((0,) + n.shape, complex)
     x = rule.nodes
     rho = np.hypot(x[:, 0], x[:, 1])
     return specfun.z0_kernel(z, n, rho, ctx) * chi_n(n, x[:, 2]) / (2.0 * math.pi)
@@ -526,12 +510,7 @@ def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.nd
 def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
                         tail_tol: float = 1e-12) -> int:
     """n_max = max(k + 40, ceil(-ln tail_tol / r_min)) for the rank sums."""
-    if rule.surface is not None:
-        rmin = geometry.r_min(rule.surface)
-    elif rule.n_nodes:
-        rmin = float(np.min(np.hypot(rule.nodes[:, 0], rule.nodes[:, 1])))
-    else:
-        rmin = 1.0
+    rmin = geometry.r_min(rule.surface)
     if rmin <= 0.0:
         raise ValueError("surface touches the wire axis; mode sums diverge")
     return max(ctx.k + 40, int(math.ceil(-math.log(tail_tol) / rmin)))
@@ -630,8 +609,6 @@ def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> co
     """
     params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     gl = gamma_n(z, l, ctx, params)
-    if rule.n_nodes == 0:
-        return gl
     beta = params.beta
     a = assemble_free(z, rule, ctx, state.layout) \
         + assemble_A_l(z, l, rule, ctx, params, state.n_cut)
@@ -648,8 +625,6 @@ def bs_determinant(z: complex, state: SystemState) -> complex:
     should work with Gamma_l(z) * det(...) to cancel the l-pole.
     """
     rule = state.rule
-    if rule.n_nodes == 0:
-        return 1.0 + 0.0j
     r_alpha = assemble_alpha(z, rule, state.ctx, state.params, state.n_cut,
                              free=assemble_free(z, rule, state.ctx, state.layout))
     eye = np.eye(rule.n_nodes, dtype=complex)

@@ -63,7 +63,7 @@ from .greens import calibrate_tail_constant, k0_cosine_sum, layer_green, \
 # but stay importable as cli attributes: perfbench/spans.py wraps every name it
 # traces on this module
 from .resonance import MIN_SWEEP_POINTS, embedded_eigenvalues, find_pole, \
-    fit_power_law, im_mu_closed_form, pole_state, sweep_delta
+    fit_power_law, im_mu_closed_form, pole_state, sweep_delta, window_index
 from .specfun import SpectralParams, first_sheet, gamma_from_gap, second_sheet
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -494,9 +494,10 @@ def _check_mode(config: RunConfig):
         if config.surface is None:
             raise ConfigError(f"mode {config.mode} needs a [surface] section with a family")
         eps = config.params.eigenvalue(config.l)
-        if eps < 1.0:
-            raise ConfigError(f"l = {config.l}: eps_l = {eps} is a discrete eigenvalue, "
-                              f"below the first threshold 1")
+        try:
+            window_index(eps)
+        except ValueError as exc:
+            raise ConfigError(f"l = {config.l}: eps_l = {eps}: {exc}") from None
     if config.mode == "sweep" and len(config.deltas) < MIN_SWEEP_POINTS:
         raise ConfigError(f"a sweep fits power laws to at least {MIN_SWEEP_POINTS} "
                           f"deltas, got {len(config.deltas)}")

@@ -35,7 +35,7 @@ _CHECK_GRID = 48
 
 
 class SurfaceValidationError(ValueError):
-    """Surface leaves the layer or touches the wire axis."""
+    """Surface is degenerate, leaves the layer or touches the wire axis."""
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,13 @@ class Surface:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nystrom nodes/weights on a surface; weights carry the area Jacobian."""
+    """Tensor-product Nystrom rule on a surface; weights carry the area Jacobian."""
 
     nodes: np.ndarray
     weights: np.ndarray
     param_nodes: np.ndarray
-    surface: Surface | None = None
-    order: int = 0
+    surface: Surface
+    order: int
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
@@ -95,15 +95,6 @@ class QuadratureRule:
     @property
     def area(self) -> float:
         return float(np.sum(self.weights))
-
-    @classmethod
-    def from_tabulated(cls, nodes, weights, param_nodes=None) -> "QuadratureRule":
-        """Escape hatch for externally meshed surfaces."""
-        nodes = np.asarray(nodes, float)
-        weights = np.asarray(weights, float)
-        if param_nodes is None:
-            param_nodes = np.zeros((len(weights), 2))
-        return cls(nodes=nodes, weights=weights, param_nodes=np.asarray(param_nodes, float))
 
 
 def _param_grid(surface: Surface, n: int):
@@ -164,6 +155,8 @@ def _distance_to_surface(surface: Surface, x, pts, g1, g2) -> float:
 
 def _orthonormal_frame(normal: np.ndarray):
     n = np.asarray(normal, float)
+    if not np.linalg.norm(n) > 0.0:
+        raise SurfaceValidationError("normal has zero length")
     n = n / np.linalg.norm(n)
     helper = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(n, helper)
@@ -182,8 +175,10 @@ def rectangle_patch(center, direction1, direction2, length1: float, length2: flo
     """Planar rectangle patch spanned by two orthogonal in-plane directions."""
     c = np.asarray(center, float)
     u1 = np.asarray(direction1, float)
-    u1 = u1 / np.linalg.norm(u1)
     u2 = np.asarray(direction2, float)
+    if not np.linalg.norm(np.cross(u1, u2)) > 1e-12 * np.linalg.norm(u1) * np.linalg.norm(u2):
+        raise SurfaceValidationError("direction1 and direction2 do not span a plane")
+    u1 = u1 / np.linalg.norm(u1)
     u2 = u2 - u1 * (u1 @ u2)
     u2 /= np.linalg.norm(u2)
 

@@ -26,7 +26,6 @@ from layres.bs_operator import (
     singular_part_matrix,
 )
 from layres.geometry import (
-    QuadratureRule,
     Surface,
     build_quadrature,
     disk,
@@ -186,14 +185,16 @@ def small_state():
 
 class TestAssembleFree:
     def test_far_probe_matches_kernel(self):
-        # two distant point masses: no self-interaction subtleties, the
-        # matrix is just the kernel at the node pairs
-        nodes = np.array([[1.0, 0.0, 1.0], [3.0, 0.5, 2.0]])
-        rule = QuadratureRule.from_tabulated(nodes, [0.3, 0.3])
-        mat = assemble_free(-2.0, rule) / rule.weights
-        want = layer_green(-2.0, nodes[0], nodes[1])
-        assert mat[0, 1] == pytest.approx(want, abs=1e-12)
-        assert mat[1, 0] == pytest.approx(want, abs=1e-12)
+        # less its singular corrections, every off-diagonal entry is the
+        # kernel at the node pair
+        z = -2.0
+        rule = build_quadrature(DISK, 6)
+        layout = pair_layout(rule)
+        mat = assemble_free(z, rule, None, layout) / rule.weights \
+            - layout.corr_inv + z / (8.0 * math.pi) * layout.corr_lin
+        for i, j in zip(*np.nonzero(~np.eye(rule.n_nodes, dtype=bool))):
+            want = layer_green(z, rule.nodes[i], rule.nodes[j])
+            assert mat[i, j] == pytest.approx(want, abs=1e-12)
 
     def test_positive_definite_below_spectrum(self, rule12):
         op = assemble_free(-5.0, rule12)
@@ -242,15 +243,19 @@ class TestAssembleFree:
             vals.append(np.sum(r.weights * f * (op @ f)))
         assert abs(vals[0] - vals[1]) < 1e-5
 
-    def test_empty_rule(self):
-        rule = QuadratureRule.from_tabulated(np.zeros((0, 3)), np.zeros(0))
-        assert assemble_free(-2.0, rule).shape == (0, 0)
-
     def test_coincident_nodes_rejected(self):
-        nodes = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
-        rule = QuadratureRule.from_tabulated(nodes, [0.3, 0.3])
-        with pytest.raises(ValueError):
-            assemble_free(-2.0, rule)
+        # x(q) = c + |q1| L u1 + q2 L u2 folds the square onto its right half:
+        # a valid surface whose Gauss nodes q1 and -q1 coincide
+        c, u1, u2, length = np.array([1.0, 0.0, 1.0]), np.eye(3)[0], np.eye(3)[1], 0.4
+        folded = Surface(
+            name="folded",
+            param_map=lambda q1, q2: c + np.multiply.outer(np.abs(q1) * length, u1)
+            + np.multiply.outer(q2 * length, u2),
+            tangent1=lambda q1, q2: np.multiply.outer(np.sign(q1) * length + 0.0 * q2, u1),
+            tangent2=lambda q1, q2: np.multiply.outer(length + 0.0 * (q1 + q2), u2),
+            domain=((-0.5, 0.5), (-0.5, 0.5)), x0=c)
+        with pytest.raises(ValueError, match="quadrature nodes must be pairwise distinct"):
+            assemble_free(-2.0, build_quadrature(folded, 4))
 
 
 def _shift(p):
@@ -360,11 +365,16 @@ class TestNodeGroup:
         assert len({g.tobytes() for g in group}) == len(group)
 
     def test_tabulated_rule_gets_the_identity(self):
-        rule = _point_rule([[1.0, 0.0, 1.0], [1.1, 0.0, 1.2], [1.0, 0.1, 1.0]])
-        assert np.array_equal(_node_group(rule), [np.arange(3)])
+        # no reflection of the slanted rectangle keeps x3, so the kernel
+        # subgroup is the identity: every upper-triangle pair is evaluated
+        rule = build_quadrature(SLANTED, 3)
+        assert len(_node_group(rule)) == 4
         layout = pair_layout(rule)
-        assert np.array_equal(layout.rows, [0, 0, 1]) and np.array_equal(layout.cols, [1, 2, 2])
-        assert np.array_equal(layout.index, [[3, 0, 1], [0, 3, 2], [1, 2, 3]])
+        rows, cols = np.triu_indices(9, 1)
+        assert np.array_equal(layout.rows, rows) and np.array_equal(layout.cols, cols)
+        index = np.full((9, 9), len(rows))
+        index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+        assert np.array_equal(layout.index, index)
 
     def test_forced_x3_changing_reflection_is_wrong(self):
         # the q2 reflection of the benchmark rectangle is an isometry but
@@ -414,51 +424,33 @@ class TestPairLayout:
         st = SystemState(PARAMS, small_state.rule, small_state.ctx, 2, layout=layout)
         assert st.layout is layout
 
-    def test_tabulated_rule_has_no_correction(self):
-        rule = _point_rule([[1.0, 0.0, 1.0], [1.1, 0.0, 1.2]])
-        layout = pair_layout(rule)
-        assert not np.any(layout.corr_inv) and not np.any(layout.corr_lin)
-
 
 def _norm_sq(w, weights) -> complex:
     """Bilinear ||w||^2 = sum_i weights_i w_i^2."""
     return complex(np.sum(weights * w * w))
 
 
-def _point_rule(x) -> QuadratureRule:
-    """Unit-weight rule on the given node or nodes."""
-    nodes = np.atleast_2d(x)
-    return QuadratureRule.from_tabulated(nodes, np.ones(len(nodes)))
-
-
 class TestModeVector:
     def test_even_modes_vanish_on_midplane(self):
         rule = build_quadrature(SYM_DISK, 8)
-        for n in (2, 4):
-            w = mode_vector(-2.0, n, rule, first_sheet())
-            assert np.max(np.abs(w)) < 1e-14
-
-    def test_zero_at_mode_nodes(self):
-        rule = _point_rule([1.0, 0.0, math.pi / 2])
-        assert mode_vector(2.0, 2, rule, first_sheet())[0] == pytest.approx(0.0, abs=1e-15)
+        for z in (-2.0, 2.0):
+            for n in (2, 4):
+                w = mode_vector(z, n, rule, first_sheet())
+                assert np.max(np.abs(w)) < 1e-15
 
     def test_real_below_threshold(self):
         p = SpectralParams(alpha=0.0, beta=1.0)
         z = p.eigenvalue(1)  # below the first threshold, all kappa_n real
-        val = mode_vector(z, 1, _point_rule([0.8, 0.3, 1.1]), first_sheet())[0]
-        assert abs(np.imag(val)) < 1e-15
+        val = mode_vector(z, 1, build_quadrature(DISK, 6), first_sheet())
+        assert np.max(np.abs(np.imag(val))) < 1e-15
 
     def test_conjugation_symmetry(self):
         z = 2.5 + 0.3j
-        rule = _point_rule([0.8, 0.3, 1.1])
+        rule = build_quadrature(DISK, 6)
         for n in (1, 2, 4):
             a = mode_vector(np.conj(z), n, rule, first_sheet())
             b = np.conj(mode_vector(z, n, rule, first_sheet()))
             assert a == pytest.approx(b, abs=1e-13)
-
-    def test_on_wire_rejected(self):
-        with pytest.raises(ValueError):
-            mode_vector(2.0, 1, _point_rule([0.0, 0.0, 1.0]), first_sheet())
 
     def test_decay_in_mode_number(self, rule12):
         # below every threshold the restriction decays like exp(-kappa_n r_min);
@@ -500,9 +492,6 @@ class TestModeVector:
             mode_vector(4.0, np.array([1, 2, 3]), rule12, first_sheet())
         with pytest.raises(ValueError, match="n must be >= 1"):
             mode_vector(-1.0, np.array([1, 0, 3]), rule12, first_sheet())
-        rule = _point_rule([[0.8, 0.3, 1.1], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="rho > 0"):
-            mode_vector(-1.0, np.array([1, 2]), rule, first_sheet())
 
 
 class TestRankSums:
@@ -558,12 +547,6 @@ class TestRankSums:
 
 
 class TestEtaL:
-    def test_empty_surface_reduces_to_gamma(self):
-        rule = QuadratureRule.from_tabulated(np.zeros((0, 3)), np.zeros(0))
-        st = SystemState(PARAMS, rule, second_sheet(1), 2)
-        z = 2.6 - 0.01j
-        assert eta_l(z, st) == pytest.approx(gamma_n(z, 2, st.ctx, PARAMS), abs=0)
-
     def test_symmetric_plane_decouples(self):
         # impurity on the x3 = pi/2 midplane: w_2 = 0, so eta_2 = Gamma_2
         rule = build_quadrature(SYM_DISK, 8)

@@ -408,6 +408,36 @@ class TestMain:
         assert "discrete" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["pole", "sweep"])
+    def test_threshold_eigenvalue_exit_two(self, tmp_path, capsys, mode):
+        # alpha tuned so xi_alpha = -3 at beta = 0.4, putting eps_2 = 1 on the threshold
+        out = tmp_path / "threshold.csv"
+        path = _write(tmp_path, "l.cfg",
+                      "[run]\nmode = pole\nl = 2\n[coupling]\n"
+                      "alpha = -0.06897371436434314\nbeta = 0.4\n" + DISK_SURFACE.strip()
+                      + "\ndeltas = 0.02 0.04 0.06 0.08\n[numerics]\norder = 4\n")
+        assert main([mode, "--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: l = 2: eps_l = 1.0")
+        assert "sits on a threshold" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("surface, message", [
+        (DISK_SURFACE.replace("normal = 0.0 0.0 1.0", "normal = 0 0 0"),
+         "normal has zero length"),
+        ("[surface]\nfamily = rectangle\ncenter = 1.0 0.0 1.0\ndirection1 = 1 0 0\n"
+         "direction2 = 2 0 0\nlength1 = 0.5\nlength2 = 0.5\n", "do not span a plane"),
+    ], ids=["zero-normal", "parallel-directions"])
+    def test_degenerate_surface_exit_two(self, tmp_path, capsys, surface, message):
+        out = tmp_path / "pole.csv"
+        path = _write(tmp_path, "degenerate.cfg",
+                      "[run]\nmode = pole\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      + surface.strip() + "\ndelta = 0.08\n[numerics]\norder = 4\n")
+        assert main(["pole", "--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid surface:") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("l", ["0", "-1"])
     def test_mode_index_below_one_exit_two(self, tmp_path, capsys, l):
         out = tmp_path / "pole.csv"

@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from layres.geometry import (
-    QuadratureRule,
     SurfaceValidationError,
     build_quadrature,
     disk,
@@ -54,6 +54,19 @@ class TestFactories:
     def test_surface_through_axis_rejected(self):
         with pytest.raises(SurfaceValidationError):
             disk(center=(0.1, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
+
+    def test_zero_normal_rejected(self):
+        with pytest.raises(SurfaceValidationError, match="normal has zero length"):
+            disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 0.0), radius=0.5)
+
+    @pytest.mark.parametrize("direction1, direction2", [
+        ((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)), ((0.0, 1.0, 1.0), (0.0, -3.0, -3.0)),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)), ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))],
+        ids=["parallel", "antiparallel", "zero-direction1", "zero-direction2"])
+    def test_directions_spanning_no_plane_rejected(self, direction1, direction2):
+        with pytest.raises(SurfaceValidationError, match="do not span a plane"):
+            rectangle_patch(center=(1.0, 0.0, 1.0), direction1=direction1,
+                            direction2=direction2, length1=0.5, length2=0.5)
 
     def test_bad_anchor_rejected(self):
         s = make_disk()
@@ -143,12 +156,7 @@ class TestRMin:
 
 
 class TestTabulated:
-    def test_from_tabulated(self):
-        nodes = np.array([[1.0, 0.0, 1.0], [1.1, 0.0, 1.0]])
-        q = QuadratureRule.from_tabulated(nodes, [0.5, 0.5])
-        assert q.area == pytest.approx(1.0)
-        assert q.surface is None
-
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureRule.from_tabulated(np.zeros((2, 3)), [0.5, -0.5])
+        rule = build_quadrature(make_disk(), 4)
+        with pytest.raises(ValueError, match="weights must be positive"):
+            dataclasses.replace(rule, weights=-rule.weights)
