@@ -511,8 +511,6 @@ def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
                         tail_tol: float = 1e-12) -> int:
     """n_max = max(k + 40, ceil(-ln tail_tol / r_min)) for the rank sums."""
     rmin = geometry.r_min(rule.surface)
-    if rmin <= 0.0:
-        raise ValueError("surface touches the wire axis; mode sums diverge")
     return max(ctx.k + 40, int(math.ceil(-math.log(tail_tol) / rmin)))
 
 

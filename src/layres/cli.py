@@ -498,6 +498,14 @@ def _check_mode(config: RunConfig):
             window_index(eps)
         except ValueError as exc:
             raise ConfigError(f"l = {config.l}: eps_l = {eps}: {exc}") from None
+    if config.mode == "eigenvalues":
+        for n in range(config.n_min, config.n_max + 1):
+            eps = config.params.eigenvalue(n)
+            try:
+                if eps >= 1.0:  # a discrete eps_n has no window to collide with
+                    window_index(eps)
+            except ValueError as exc:
+                raise ConfigError(f"n = {n}: eps_n = {eps}: {exc}") from None
     if config.mode == "sweep" and len(config.deltas) < MIN_SWEEP_POINTS:
         raise ConfigError(f"a sweep fits power laws to at least {MIN_SWEEP_POINTS} "
                           f"deltas, got {len(config.deltas)}")

@@ -2,14 +2,16 @@
 
 Three analytic families are built in (planar rectangle patch, planar disk,
 spherical cap); each carries closed-form tangents so Jacobians are exact.
-Surfaces must stay strictly inside the layer 0 < x3 < pi and away from the
-wire axis (r_min > 0); both are enforced at construction time on a dense
-parameter grid.
+Every ``Surface`` checks on a dense parameter grid that it stays in the layer
+0 <= x3 <= pi, touching a wall at most on its rim, with a nondegenerate
+Jacobian, and searches its distance to the wire axis once (``r_min``, which
+must exceed 1e-6).  Only :func:`with_anchor` searches for x0 on the surface:
+the families put x0 there, and a delta-copy keeps it as its fixed point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,7 +32,7 @@ __all__ = [
 
 LAYER_HEIGHT = np.pi
 
-#: grid used for invariant checks and as the r_min search seed
+#: grid of the layer, wall and Jacobian checks
 _CHECK_GRID = 48
 
 
@@ -45,7 +47,8 @@ class Surface:
     ``param_map``, ``tangent1`` and ``tangent2`` accept array arguments
     (broadcasting over q1, q2) and return stacked (..., 3) coordinates.
     ``domain`` is the parameter rectangle ((q1min, q1max), (q2min, q2max)).
-    ``x0`` is the anchor of the delta-scaling and must lie on the surface.
+    ``x0`` is the anchor of the delta-scaling and lies on the surface (checked
+    by :func:`with_anchor`).  ``r_min`` is the distance to the wire axis.
     """
 
     name: str
@@ -60,6 +63,7 @@ class Surface:
     #: along it joins the reflections of q1 and q2 about their midpoints as a
     #: candidate node symmetry (bs_operator._node_group)
     periodic2: bool = False
+    r_min: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -115,42 +119,27 @@ def _validate_surface(surface: Surface) -> None:
     interior = pts[1:-1, 1:-1, 2]
     if interior.size and (np.any(interior <= tol) or np.any(interior >= LAYER_HEIGHT - tol)):
         raise SurfaceValidationError(f"surface {surface.name!r} touches a wall in its interior")
-    if _axial_min(surface, pts, g1, g2) <= 1e-6:
+    rmin = _search_min(surface, lambda p: np.hypot(p[..., 0], p[..., 1]))
+    if not rmin > 1e-6:
         raise SurfaceValidationError(f"surface {surface.name!r} touches the wire axis")
+    object.__setattr__(surface, "r_min", rmin)
     jac = surface.jacobian(g1[1:-1, 1:-1], g2[1:-1, 1:-1])
     if jac.size and np.min(jac) <= 0.0:
         raise SurfaceValidationError(f"surface {surface.name!r} has a degenerate Jacobian")
-    d0 = _distance_to_surface(surface, surface.x0, pts, g1, g2)
-    if d0 > 1e-8 * max(1.0, float(np.max(np.abs(pts)))):
-        raise SurfaceValidationError(f"x0 of surface {surface.name!r} does not lie on the surface")
 
 
-def _axial_min(surface: Surface, pts, g1, g2) -> float:
-    axial = np.hypot(pts[..., 0], pts[..., 1])
-    i, j = np.unravel_index(np.argmin(axial), axial.shape)
-    (a1, b1), (a2, b2) = surface.domain
+def _search_min(surface: Surface, residual) -> float:
+    """min of residual(x(q)) over the domain: 96 x 96 grid argmin, then bounded L-BFGS-B."""
+    g1, g2 = _param_grid(surface, 96)
+    f = residual(surface.param_map(g1, g2))
+    i, j = np.unravel_index(np.argmin(f), f.shape)
 
     def objective(q):
-        p = surface.param_map(np.array(q[0]), np.array(q[1]))
-        return float(np.hypot(p[..., 0], p[..., 1]))
+        return float(residual(surface.param_map(np.array(q[0]), np.array(q[1]))))
 
-    res = minimize(objective, x0=[g1[i, j], g2[i, j]], bounds=[(a1, b1), (a2, b2)],
-                   method="L-BFGS-B", options={"ftol": 1e-15, "gtol": 1e-12})
-    return min(float(axial[i, j]), float(res.fun))
-
-
-def _distance_to_surface(surface: Surface, x, pts, g1, g2) -> float:
-    d = np.linalg.norm(pts - np.asarray(x, float), axis=-1)
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    (a1, b1), (a2, b2) = surface.domain
-
-    def objective(q):
-        p = surface.param_map(np.array(q[0]), np.array(q[1]))
-        return float(np.linalg.norm(np.asarray(p, float) - x))
-
-    res = minimize(objective, x0=[g1[i, j], g2[i, j]], bounds=[(a1, b1), (a2, b2)],
+    res = minimize(objective, x0=[g1[i, j], g2[i, j]], bounds=surface.domain,
                    method="L-BFGS-B", options={"ftol": 1e-16, "gtol": 1e-14})
-    return min(float(d[i, j]), float(res.fun))
+    return min(float(f[i, j]), float(res.fun))
 
 
 def _orthonormal_frame(normal: np.ndarray):
@@ -250,17 +239,21 @@ def spherical_cap(sphere_center, radius: float, polar_angle: float, axis=(0.0, 0
 
 
 def with_anchor(surface: Surface, x0) -> Surface:
-    """Same surface with a different scaling anchor (must lie on the surface)."""
-    return Surface(name=surface.name, param_map=surface.param_map, tangent1=surface.tangent1,
-                   tangent2=surface.tangent2, domain=surface.domain, x0=np.asarray(x0, float),
-                   periodic2=surface.periodic2)
+    """Same surface with a different scaling anchor, checked to lie on the surface."""
+    s = Surface(name=surface.name, param_map=surface.param_map, tangent1=surface.tangent1,
+                tangent2=surface.tangent2, domain=surface.domain, x0=x0,
+                periodic2=surface.periodic2)
+    scale = max(1.0, float(np.max(np.abs(s.points(*_param_grid(s, _CHECK_GRID))))))
+    if _search_min(s, lambda p: np.linalg.norm(p - s.x0, axis=-1)) > 1e-8 * scale:
+        raise SurfaceValidationError(f"x0 of surface {s.name!r} does not lie on the surface")
+    return s
 
 
 def scale_surface(surface: Surface, delta: float) -> Surface:
     """Shrink the surface toward its anchor: x_delta(q) = delta x(q) + (1-delta) x0.
 
-    Areas scale by delta^2; the scaled surface is re-validated against the
-    layer and wire constraints.
+    The homothety keeps x0, stays in the (convex) layer and scales Jacobians
+    and areas by delta^2; only the copy's r_min is searched again.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must satisfy 0 < delta <= 1")
@@ -321,9 +314,7 @@ def build_quadrature(surface: Surface, order: int) -> QuadratureRule:
 def r_min(surface: Surface) -> float:
     """Minimum distance of the surface to the wire axis |x_perp| = 0.
 
-    Dense-grid scan refined by bounded local descent; exact for the built-in
-    analytic families at the 1e-9 level.
+    Searched once when the surface is checked (``Surface.r_min``); exact for
+    the built-in analytic families at the 1e-9 level.
     """
-    g1, g2 = _param_grid(surface, 96)
-    pts = surface.param_map(g1, g2)
-    return _axial_min(surface, pts, g1, g2)
+    return surface.r_min

@@ -541,9 +541,16 @@ class TestRankSums:
                 want += np.multiply.outer(w, w) / gamma_n(z, n, ctx, PARAMS)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-14
 
-    def test_default_mode_cutoff(self, rule12):
-        n_cut = default_mode_cutoff(rule12, second_sheet(1), tail_tol=1e-12)
-        assert n_cut >= 41
+    @pytest.mark.parametrize("surface, delta, k, expected", [
+        (RECT, 1.0, 2, 277), (RECT, 0.4, 2, 277), (RECT, 0.05, 2, 277),
+        (DISK, 1.0, 1, 56), (DISK, 0.08, 1, 41), (TILTED, 1.0, 1, 43),
+    ], ids=["rectangle-1", "rectangle-0.4", "rectangle-0.05", "disk-1", "disk-0.08",
+            "tilted-1"])
+    def test_default_mode_cutoff(self, surface, delta, k, expected):
+        # ceil(-ln 1e-12 / r_min), at least k + 40: one mode more or less moves a
+        # pole by about exp(-n_cut r_min), below what the pole gates resolve
+        rule = build_quadrature(scale_surface(surface, delta), 4)
+        assert default_mode_cutoff(rule, second_sheet(k), tail_tol=1e-12) == expected
 
 
 class TestEtaL:

@@ -408,9 +408,10 @@ class TestMain:
         assert "discrete" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", ["pole", "sweep"])
+    @pytest.mark.parametrize("mode", ["pole", "sweep", "eigenvalues"])
     def test_threshold_eigenvalue_exit_two(self, tmp_path, capsys, mode):
-        # alpha tuned so xi_alpha = -3 at beta = 0.4, putting eps_2 = 1 on the threshold
+        # alpha tuned so xi_alpha = -3 at beta = 0.4, putting eps_2 = 1 on the
+        # threshold; eigenvalues mode meets it at n = 2 of its default n range
         out = tmp_path / "threshold.csv"
         path = _write(tmp_path, "l.cfg",
                       "[run]\nmode = pole\nl = 2\n[coupling]\n"
@@ -418,7 +419,8 @@ class TestMain:
                       + "\ndeltas = 0.02 0.04 0.06 0.08\n[numerics]\norder = 4\n")
         assert main([mode, "--config", path, "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: l = 2: eps_l = 1.0")
+        index = "n" if mode == "eigenvalues" else "l"
+        assert err.startswith(f"config error: {index} = 2: eps_{index} = 1.0")
         assert "sits on a threshold" in err
         assert not out.exists()
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from layres import geometry
 from layres.geometry import (
+    Surface,
     SurfaceValidationError,
     build_quadrature,
     disk,
@@ -18,6 +20,26 @@ from layres.geometry import (
 
 def make_disk(radius=0.5):
     return disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=radius)
+
+
+def half_cylinder(radius=0.5):
+    """x(q) = (R cos q2, R sin q2, q1) around the wire; x0 at q2 = 0."""
+    def param_map(q1, q2):
+        q1, q2 = np.broadcast_arrays(q1, q2)
+        return np.stack([radius * np.cos(q2), radius * np.sin(q2), q1], axis=-1)
+
+    def tangent1(q1, q2):
+        q1, q2 = np.broadcast_arrays(q1, q2)
+        return np.stack([np.zeros_like(q1), np.zeros_like(q1), np.ones_like(q1)], axis=-1)
+
+    def tangent2(q1, q2):
+        q1, q2 = np.broadcast_arrays(q1, q2)
+        return np.stack([-radius * np.sin(q2), radius * np.cos(q2), np.zeros_like(q1)],
+                        axis=-1)
+
+    return Surface(name="half-cylinder", param_map=param_map, tangent1=tangent1,
+                   tangent2=tangent2, domain=((1.0, 2.0), (0.0, np.pi)),
+                   x0=(radius, 0.0, 1.5))
 
 
 class TestFactories:
@@ -77,6 +99,18 @@ class TestFactories:
         s = with_anchor(make_disk(), (1.5, 0.0, 1.0))
         assert np.allclose(s.x0, [1.5, 0.0, 1.0])
 
+    @pytest.mark.parametrize("surface, anchor", [
+        (make_disk(), (0.0, 0.0)),
+        (disk(center=(1.0, 0.0, 1.0), normal=(1.0, 0.0, 1.0), radius=0.5), (0.0, 0.0)),
+        (rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0, 1, 0), direction2=(0, 0, 1),
+                         length1=0.6, length2=0.6), (0.0, 0.0)),
+        (spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=0.6, polar_angle=0.9),
+         (0.45, math.pi)),
+    ], ids=["disk", "tilted-disk", "rectangle", "cap"])
+    def test_family_anchor_on_surface(self, surface, anchor):
+        # the families put x0 on the surface by construction; nothing else checks it
+        assert np.array_equal(surface.x0, surface.points(*anchor))
+
 
 class TestAreas:
     def test_rectangle_area_exact(self):
@@ -132,6 +166,16 @@ class TestScaling:
             with pytest.raises(ValueError):
                 scale_surface(s, bad)
 
+    def test_copy_reaching_the_axis_refused(self):
+        # a non-convex base: shrinking toward x0 pulls the far side onto the
+        # wire, at distance R |2 delta - 1|
+        s = half_cylinder()
+        assert r_min(s) == pytest.approx(0.5, abs=1e-9)
+        with pytest.raises(SurfaceValidationError, match="touches the wire axis"):
+            scale_surface(s, 0.5)
+        assert r_min(scale_surface(s, 0.9)) == pytest.approx(0.4, abs=1e-9)
+        assert r_min(scale_surface(s, 0.3)) == pytest.approx(0.2, abs=1e-9)
+
     def test_scaling_cannot_escape_constraints(self):
         # anchor on the rim closest to the axis: shrinking keeps r_min positive
         s = with_anchor(make_disk(), (0.5, 0.0, 1.0))
@@ -153,6 +197,32 @@ class TestRMin:
                             direction2=(0, 0, 1), length1=0.5, length2=0.5)
         # plane x = 2, y in [-0.25, 0.25]: closest point is y = 0
         assert r_min(s) == pytest.approx(2.0, abs=1e-9)
+
+
+class TestChecksRunOnce:
+    def test_bounded_searches(self, monkeypatch):
+        calls = []
+        search = geometry.minimize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "minimize", counted)
+
+        def searches(make):
+            calls.clear()
+            out = make()
+            return out, len(calls)
+
+        base, n = searches(make_disk)
+        assert n == 1  # r_min; the anchor is the center by construction
+        copy, n = searches(lambda: scale_surface(base, 0.08))
+        assert n == 1  # only the copy's r_min
+        _, n = searches(lambda: r_min(copy))
+        assert n == 0
+        _, n = searches(lambda: with_anchor(base, (1.5, 0.0, 1.0)))
+        assert n == 2  # r_min and the outside anchor
 
 
 class TestTabulated:
