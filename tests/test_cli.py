@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import layres
 from layres import SpectralParams, resonance
 from layres.cli import ConfigError, main, parse_config, run
 
@@ -429,7 +433,12 @@ class TestMain:
          "normal has zero length"),
         ("[surface]\nfamily = rectangle\ncenter = 1.0 0.0 1.0\ndirection1 = 1 0 0\n"
          "direction2 = 2 0 0\nlength1 = 0.5\nlength2 = 0.5\n", "do not span a plane"),
-    ], ids=["zero-normal", "parallel-directions"])
+        (DISK_SURFACE.replace("radius = 0.5", "radius = -0.5"), "radius must be positive"),
+        (DISK_SURFACE.replace("radius = 0.5", "radius = 0"), "radius must be positive"),
+        ("[surface]\nfamily = rectangle\ncenter = 1.0 0.0 1.0\ndirection1 = 1 0 0\n"
+         "direction2 = 0 1 0\nlength1 = 0.5\nlength2 = -0.5\n", "length2 must be positive"),
+    ], ids=["zero-normal", "parallel-directions", "negative-radius", "zero-radius",
+            "negative-length2"])
     def test_degenerate_surface_exit_two(self, tmp_path, capsys, surface, message):
         out = tmp_path / "pole.csv"
         path = _write(tmp_path, "degenerate.cfg",
@@ -461,3 +470,12 @@ class TestMain:
         assert main(["pole", "--config", path, "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "spectral radius" in err
+
+
+def test_import_leaves_out_scipy_optimize():
+    # geometry searches on numpy alone; scipy.optimize would add to every start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(layres.__file__).resolve().parent.parent))
+    code = "import sys, layres.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -95,9 +95,31 @@ class TestFactories:
         with pytest.raises(SurfaceValidationError):
             with_anchor(s, (2.5, 0.0, 1.0))
 
+    @pytest.mark.parametrize("anchor", [(1.5 + 1e-7, 0.0, 1.0), (1.2, 0.1, 1.0 + 1e-7)],
+                             ids=["beyond-rim", "above-plane"])
+    def test_anchor_just_off_the_surface_rejected(self, anchor):
+        with pytest.raises(SurfaceValidationError, match="does not lie on the surface"):
+            with_anchor(make_disk(), anchor)
+
     def test_anchor_on_rim_accepted(self):
         s = with_anchor(make_disk(), (1.5, 0.0, 1.0))
         assert np.allclose(s.x0, [1.5, 0.0, 1.0])
+
+    @pytest.mark.parametrize("make, key", [
+        (lambda size: make_disk(radius=size), "radius"),
+        (lambda size: spherical_cap(sphere_center=(1.5, 0.0, 1.5), radius=size,
+                                    polar_angle=0.8), "radius"),
+        (lambda size: rectangle_patch(center=(1.0, 0.0, 1.0), direction1=(1, 0, 0),
+                                      direction2=(0, 1, 0), length1=size, length2=0.5),
+         "length1"),
+        (lambda size: rectangle_patch(center=(1.0, 0.0, 1.0), direction1=(1, 0, 0),
+                                      direction2=(0, 1, 0), length1=0.5, length2=size),
+         "length2"),
+    ], ids=["disk", "cap", "rectangle-length1", "rectangle-length2"])
+    @pytest.mark.parametrize("size", [0.0, -0.5])
+    def test_nonpositive_size_rejected(self, make, key, size):
+        with pytest.raises(SurfaceValidationError, match=f"{key} must be positive"):
+            make(size)
 
     @pytest.mark.parametrize("surface, anchor", [
         (make_disk(), (0.0, 0.0)),
@@ -198,17 +220,28 @@ class TestRMin:
         # plane x = 2, y in [-0.25, 0.25]: closest point is y = 0
         assert r_min(s) == pytest.approx(2.0, abs=1e-9)
 
+    def test_minimum_on_the_periodic_seam(self):
+        # the rim point closest to the axis, (0, -0.5, 1), is theta = 0 = 2 pi
+        s = disk(center=(0.0, -1.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
+        assert abs(r_min(s) - 0.5) < 1e-12
+
+    def test_minimum_at_a_corner(self):
+        # both parameter bounds active: the corner (0.75, 0.75)
+        s = rectangle_patch(center=(1.0, 1.0, 1.0), direction1=(1, 0, 0),
+                            direction2=(0, 1, 0), length1=0.5, length2=0.5)
+        assert abs(r_min(s) - 0.75 * math.sqrt(2.0)) < 1e-12
+
 
 class TestChecksRunOnce:
     def test_bounded_searches(self, monkeypatch):
         calls = []
-        search = geometry.minimize
+        search = geometry._search_min
 
         def counted(*args, **kwargs):
             calls.append(1)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "minimize", counted)
+        monkeypatch.setattr(geometry, "_search_min", counted)
 
         def searches(make):
             calls.clear()
@@ -221,8 +254,9 @@ class TestChecksRunOnce:
         assert n == 1  # only the copy's r_min
         _, n = searches(lambda: r_min(copy))
         assert n == 0
-        _, n = searches(lambda: with_anchor(base, (1.5, 0.0, 1.0)))
-        assert n == 2  # r_min and the outside anchor
+        anchored, n = searches(lambda: with_anchor(base, (1.5, 0.0, 1.0)))
+        assert n == 1  # only the outside anchor; r_min is carried over
+        assert r_min(anchored) == r_min(base)
 
 
 class TestTabulated:
