@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -30,7 +31,7 @@ from scipy.linalg.lapack import zgecon
 
 from . import geometry, specfun
 from .geometry import QuadratureRule
-from .greens import EwaldGreen, chi_n
+from .greens import EwaldGreen, EwaldSplit, EwaldTables, chi_n
 from .specfun import SheetContext, SpectralParams, first_sheet, gamma_n
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "PairLayout",
     "singular_part_matrix",
     "pair_layout",
+    "free_tables",
     "assemble_free",
     "mode_vector",
     "assemble_A_l",
@@ -469,8 +471,21 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
     return PairLayout(rows, cols, index, p_inv / w - inv_r, p_lin / w - r)
 
 
+def free_tables(rule: QuadratureRule, layout: PairLayout, ctx: SheetContext) -> EwaldTables:
+    """Ewald tables of the layout's pairs on ``rule``, sized for z in J_k of ``ctx``.
+
+    The split is chosen from the largest in-plane separation of the pairs
+    (:meth:`EwaldSplit.for_separation`), with re_top the window top (k+1)^2.
+    """
+    x, xp = rule.nodes[layout.rows], rule.nodes[layout.cols]
+    rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
+    split = EwaldSplit.for_separation(float(np.max(rho)), (ctx.k + 1) ** 2)
+    return EwaldTables(x, xp, split, ctx)
+
+
 def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = None,
-                  layout: PairLayout | None = None) -> np.ndarray:
+                  layout: PairLayout | None = None,
+                  tables: EwaldTables | None = None) -> np.ndarray:
     """Nystrom matrix K diag(w) of the free layer resolvent R_SigmaSigma(z).
 
     The kernel is split as 1/(4 pi r) - z r/(8 pi) plus a C^2 remainder
@@ -480,16 +495,18 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
     part enters through the layout's corrections, which replace its Nystrom
     values by product integrals.
 
-    ``layout`` (see :func:`pair_layout`) holds everything z-independent of
-    ``rule``; pass it to reuse one across several z.
+    ``layout`` (see :func:`pair_layout`) and ``tables`` (see
+    :func:`free_tables`) hold everything z-independent of ``rule``; pass
+    them to reuse them across several z.
     """
     ctx = ctx or first_sheet()
     if layout is None:
         layout = pair_layout(rule)
-    ew = EwaldGreen(z, ctx)
-    nodes = rule.nodes
-    mat = np.append(ew.pairs(nodes[layout.rows], nodes[layout.cols]), 0.0)[layout.index]
-    mat[np.diag_indices(rule.n_nodes)] = ew.regularized_diag(nodes)
+    if tables is None:
+        tables = free_tables(rule, layout, ctx)
+    ew = EwaldGreen(z, ctx, split=tables.split)
+    mat = np.append(ew.pairs(tables=tables), 0.0)[layout.index]
+    mat[np.diag_indices(rule.n_nodes)] = ew.regularized_diag(rule.nodes)
     mat += layout.corr_inv - z / (8.0 * math.pi) * layout.corr_lin
     return mat * rule.weights
 
@@ -571,8 +588,9 @@ class SystemState:
     """Everything needed to evaluate eta_l / the determinant at a point z.
 
     ``l`` names eps_l; a second-sheet ``ctx`` whose window J_k misses eps_l is
-    refused.  Holds the mode cutoff and the z-independent pair layout of ``rule``,
-    so only the z-dependent kernel values are recomputed per z.  Without a
+    refused, and so is an ``n_cut`` below k there.  Holds the mode cutoff, the
+    z-independent pair layout of ``rule`` and its Ewald tables, so only the
+    z-dependent kernel values are recomputed per z.  Without a
     ``layout`` the state builds one on ``rule`` itself.  ``delta`` is the scaling
     parameter of ``rule``, which a pole found on this state records;
     :mod:`resonance` passes the layout of the unscaled rule scaled to it.
@@ -594,8 +612,19 @@ class SystemState:
                              f"J_{self.ctx.k} = ({lo:g}, {hi:g}) of the second sheet")
         if self.n_cut is None:
             self.n_cut = default_mode_cutoff(self.rule, self.ctx, self.tail_tol)
+        elif self.ctx.second and self.n_cut < self.ctx.k:
+            raise ValueError(f"n_cut = {self.n_cut} is below the window index k = "
+                             f"{self.ctx.k}: it would drop open channels")
         if self.layout is None:
             self.layout = pair_layout(self.rule)
+
+    @cached_property
+    def tables(self) -> EwaldTables:
+        """Ewald tables of the layout's pairs (:func:`free_tables`).
+
+        Built at the first kernel assembly and freed with the state.
+        """
+        return free_tables(self.rule, self.layout, self.ctx)
 
 
 def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> complex:
@@ -608,7 +637,7 @@ def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> co
     params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     gl = gamma_n(z, l, ctx, params)
     beta = params.beta
-    a = assemble_free(z, rule, ctx, state.layout) \
+    a = assemble_free(z, rule, ctx, state.layout, state.tables) \
         + assemble_A_l(z, l, rule, ctx, params, state.n_cut)
     lu = _guarded_lu(np.eye(rule.n_nodes) - beta * a, "I - beta (R_SigmaSigma + A_l)",
                      diagnostics)
@@ -624,6 +653,7 @@ def bs_determinant(z: complex, state: SystemState) -> complex:
     """
     rule = state.rule
     r_alpha = assemble_alpha(z, rule, state.ctx, state.params, state.n_cut,
-                             free=assemble_free(z, rule, state.ctx, state.layout))
+                             free=assemble_free(z, rule, state.ctx, state.layout,
+                                                state.tables))
     eye = np.eye(rule.n_nodes, dtype=complex)
     return complex(np.linalg.det(eye - state.params.beta * r_alpha))

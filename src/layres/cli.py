@@ -495,9 +495,12 @@ def _check_mode(config: RunConfig):
             raise ConfigError(f"mode {config.mode} needs a [surface] section with a family")
         eps = config.params.eigenvalue(config.l)
         try:
-            window_index(eps)
+            k = window_index(eps)
         except ValueError as exc:
             raise ConfigError(f"l = {config.l}: eps_l = {eps}: {exc}") from None
+        if config.n_cut is not None and config.n_cut < k:
+            raise ConfigError(f"n_cut = {config.n_cut} is below the window index k = {k} "
+                              f"of eps_l = {eps}: it would drop open channels")
     if config.mode == "eigenvalues":
         for n in range(config.n_min, config.n_max + 1):
             eps = config.params.eigenvalue(n)

@@ -18,6 +18,7 @@ The second sheet (continuation through J_k) is a finite additive correction
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -38,6 +39,8 @@ __all__ = [
     "layer_green",
     "layer_green_modal",
     "EwaldGreen",
+    "EwaldSplit",
+    "EwaldTables",
     "calibrate_tail_constant",
 ]
 
@@ -45,9 +48,10 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _TWO_PI = 2.0 * math.pi
 #: lattice terms summed exactly in k0_cosine_sum before the Euler-Maclaurin tail
 _N_LATTICE = 512
-#: Ewald splitting parameter and the image range |m| <= _M_IMAGES of EwaldGreen
-_ETA = 1.0
-_M_IMAGES = 3
+#: floor of the Ewald parameter chosen from the geometry (EwaldSplit.for_separation)
+_ETA_FLOOR = 0.15
+#: largest spectral truncation order the geometry may ask for
+_J_MAX = 32
 
 
 def chi_n(n, x3):
@@ -116,11 +120,20 @@ def _pair_geometry(x, xp):
     return rho, np.abs(x[..., 2] - xp[..., 2]), x[..., 2] + xp[..., 2]
 
 
-def _second_sheet_correction(z, rho, x3, x3p, ctx: SheetContext):
-    """(i/2) sum_{n<=k} I0(-kappa_n rho) chi_n(x3) chi_n(x3'), z off the axis."""
+def _open_chi(x3, x3p, ctx: SheetContext):
+    """chi_n(x3) chi_n(x3') of the open modes n <= k, mode index last."""
+    n = np.arange(1, ctx.k + 1)
+    return chi_n(n, x3) * chi_n(n, x3p)
+
+
+def _second_sheet_correction(z, rho, open_chi, ctx: SheetContext):
+    """(i/2) sum_{n<=k} I0(-kappa_n rho) chi_n(x3) chi_n(x3'), z off the axis.
+
+    ``open_chi`` holds the products of :func:`_open_chi`.
+    """
     n = np.arange(1, ctx.k + 1)
     i0 = bessel_i0(np.multiply.outer(rho, -kappa_n(z, n, ctx)))
-    return np.sum(0.5j * i0 * chi_n(n, x3) * chi_n(n, x3p), axis=-1)
+    return np.sum(0.5j * i0 * open_chi, axis=-1)
 
 
 def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
@@ -153,7 +166,7 @@ def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
     val += (k0_cosine_sum(rho, float(a_minus)) - k0_cosine_sum(rho, float(a_plus))) \
         / (2.0 * math.pi ** 2)
     if ctx.second:
-        val += _second_sheet_correction(zc, rho, x3, x3p, ctx)
+        val += _second_sheet_correction(zc, rho, _open_chi(x3, x3p, ctx), ctx)
     return val
 
 
@@ -173,7 +186,7 @@ def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
     chi = chi_n(n, x3) * chi_n(n, x3p)
     val = complex(np.sum(_sp.kv(0, kap * rho) * chi)) / _TWO_PI
     if ctx.second:
-        val += _second_sheet_correction(zc, rho, x3, x3p, ctx)
+        val += _second_sheet_correction(zc, rho, _open_chi(x3, x3p, ctx), ctx)
     return val
 
 
@@ -202,94 +215,181 @@ def _spectral_x_max(j_max: int) -> float:
     return math.exp((math.log(1e-16) + math.lgamma(j_max + 2)) / (j_max + 1))
 
 
+@dataclass(frozen=True)
+class EwaldSplit:
+    """Ewald parameter eta, spectral truncation j_max, and the ranges they need.
+
+    ``re_top`` sizes the ranges.  The spectral part keeps
+    ceil(sqrt(re_top + 42/eta)) + 2 modes, which leaves each omitted one
+    below e^(-42) of its Gaussian scale, and the image charges beyond
+    r_cut = 2 sqrt(eta (40 + re_top eta)) are below 1e-14 of the kernel
+    scale.  A larger Re z is served too: what the ranges leave out grows
+    like e^(eta Re z), as does the rounding error of the open channels'
+    cancellation, and stays e^(-40) below it.  Pairs are admitted up to the
+    in-plane separation rho_max = 2 sqrt(eta x), x = :func:`_spectral_x_max` (j_max).
+    """
+
+    eta: float
+    j_max: int
+    re_top: float
+
+    @property
+    def n_spectral(self) -> int:
+        return int(math.ceil(math.sqrt(max(self.re_top, 0.0) + 42.0 / self.eta))) + 2
+
+    @property
+    def r_cut(self) -> float:
+        return 2.0 * math.sqrt(self.eta * (40.0 + max(self.re_top, 0.0) * self.eta))
+
+    @property
+    def rho_max(self) -> float:
+        return 2.0 * math.sqrt(self.eta * _spectral_x_max(self.j_max))
+
+    @classmethod
+    def for_separation(cls, rho: float, re_top: float) -> "EwaldSplit":
+        """The split for in-plane separations up to ``rho``, chosen from the geometry.
+
+        eta is the smallest value in [_ETA_FLOOR, 1] whose j_max = _J_MAX
+        spectral radius admits rho: a smaller eta keeps fewer images and
+        more (cheap, tabulated) spectral modes.  Then j_max is the smallest
+        order whose radius at that eta still admits rho.  A rho beyond the
+        radius at eta = 1 is refused: a larger eta multiplies the cancellation
+        of the open channels by e^(Re z eta).
+        """
+        x_top = _spectral_x_max(_J_MAX)
+        eta = max(_ETA_FLOOR, rho * rho / (4.0 * x_top))
+        if eta > 1.0:
+            raise ValueError(f"pair separation rho = {rho:.3f} exceeds the j_max = {_J_MAX} "
+                             f"spectral radius {2.0 * math.sqrt(x_top):.3f}")
+        x = rho * rho / (4.0 * eta)
+        j_max = next((j for j in range(_J_MAX) if _spectral_x_max(j) >= x), _J_MAX)
+        return cls(eta, j_max, re_top)
+
+
+class EwaldTables:
+    """Everything z-independent of :meth:`EwaldGreen.pairs` for stacked pairs x, xp.
+
+    For one split: the spectral table cos(n a-) - cos(n a+) over its modes,
+    the powers rho^(2j) up to its j_max, and the image charges a-/+ + 2 pi m
+    at distance 0 < R < r_cut, each as pair index, R / (2 sqrt(eta)) and
+    weight +-e^(-R^2 / 4 eta) / R (+ for a-, - for a+).  On the second sheet
+    also rho and the products chi_n(x3) chi_n(x3') of the open modes.
+    Coincident pairs and separations beyond the split's rho_max are refused,
+    except that ``diagonal`` tables (x = xp, for
+    :meth:`EwaldGreen.regularized_diag`) skip the coincidence check; their
+    singular m = 0 image is left out like every R = 0.
+    """
+
+    def __init__(self, x, xp, split: EwaldSplit, ctx: SheetContext,
+                 diagonal: bool = False):
+        x = np.asarray(x, float)
+        xp = np.asarray(xp, float)
+        rho, a_minus, a_plus = (np.atleast_1d(v) for v in _pair_geometry(x, xp))
+        if not diagonal and np.any((rho == 0.0) & (a_minus == 0.0)):
+            raise ValueError("coincident points; use regularized_diag for the diagonal limit")
+        if float(np.max(rho)) > split.rho_max:
+            raise ValueError(f"pair separation rho = {np.max(rho):.3f} exceeds the "
+                             f"j_max = {split.j_max} spectral radius {split.rho_max:.3f}")
+        self.split, self.ctx = split, ctx
+        self.shape = rho.shape
+        rho, a_minus, a_plus = rho.ravel(), a_minus.ravel(), a_plus.ravel()
+        n = np.arange(1, split.n_spectral + 1)
+        self.cos_diff = np.cos(np.multiply.outer(a_minus, n)) \
+            - np.cos(np.multiply.outer(a_plus, n))
+        self.powers = (rho * rho)[:, None] ** np.arange(split.j_max + 1)
+        index, dist, sign = [], [], []
+        for a, s in ((a_minus, 1.0), (a_plus, -1.0)):
+            # every m that can bring |a + 2 pi m| below r_cut
+            m_lo = math.floor((-split.r_cut - a.max()) / _TWO_PI)
+            m_hi = math.ceil((split.r_cut - a.min()) / _TWO_PI)
+            for m in range(m_lo, m_hi + 1):
+                R = np.hypot(rho, a + _TWO_PI * m)
+                keep = np.flatnonzero((R > 0.0) & (R < split.r_cut))
+                index.append(keep)
+                dist.append(R[keep])
+                sign.append(np.full(len(keep), s))
+        dist = np.concatenate(dist)
+        self.image_pair = np.concatenate(index)
+        self.image_u = dist / (2.0 * math.sqrt(split.eta))
+        self.image_weight = np.concatenate(sign) * np.exp(-dist * dist / (4.0 * split.eta)) / dist
+        if ctx.second:
+            self.rho = rho
+            self.chi = np.broadcast_to(_open_chi(x[..., 2], xp[..., 2], ctx),
+                                       self.shape + (ctx.k,)).reshape(-1, ctx.k)
+
+
 class EwaldGreen:
     """Ewald-summed layer kernel at fixed z, vectorized over point pairs.
 
-    The cosine-series form of the kernel is split at Ewald parameter
-    eta = _ETA: the large-t (spectral) part keeps ~sqrt(Re z + 40/eta) modes
-    with Gaussian decay, the small-t part Poisson-sums into screened image
-    charges e^{-sR} erfc(...) over |m| <= _M_IMAGES.  The a-independent n = 0
-    term cancels between the two transverse cosine arguments and is dropped,
-    which also removes the spurious sqrt(-z) cut below the first threshold.
+    The cosine-series form of the kernel is split at the Ewald parameter
+    eta of an :class:`EwaldSplit`: the large-t (spectral) part keeps
+    ~sqrt(Re z + 42/eta) modes with Gaussian decay, the small-t part
+    Poisson-sums into screened image charges e^{-sR} erfc(...) within the
+    split's r_cut.  The a-independent n = 0 term cancels between the two
+    transverse cosine arguments and is dropped, which also removes the
+    spurious sqrt(-z) cut below the first threshold.
+
+    Without a ``split`` the kernel takes eta = 1, the given ``j_max`` and
+    the ranges of Re z itself.  Everything z-independent of a set of pairs
+    is an :class:`EwaldTables` of the same split, built once and evaluated
+    at any z.
     """
 
-    def __init__(self, z: complex, ctx: SheetContext | None = None, j_max: int = 32):
+    def __init__(self, z: complex, ctx: SheetContext | None = None, j_max: int = 32,
+                 split: EwaldSplit | None = None):
         self.ctx = ctx or first_sheet()
         self.z = nudge_off_axis(z, self.ctx)
         self.s = -1j * im_positive_sqrt(self.z)  # sqrt(-z), branch-matched
-        n_spectral = int(math.ceil(math.sqrt(max(self.z.real, 0.0) + 42.0 / _ETA))) + 2
-        self.n_modes = np.arange(1, n_spectral + 1)
-        self.j_max = int(j_max)
+        self.split = split or EwaldSplit(1.0, int(j_max), max(self.z.real, 0.0))
         self._prepare_spectral_coeffs()
-        self.rho_max = 2.0 * math.sqrt(_ETA * _spectral_x_max(self.j_max))
+
+    @property
+    def rho_max(self) -> float:
+        return self.split.rho_max
 
     def _prepare_spectral_coeffs(self):
-        beta = self.n_modes.astype(float) ** 2 - self.z
-        x = beta * _ETA
+        eta, j_max = self.split.eta, self.split.j_max
+        beta = np.arange(1, self.split.n_spectral + 1) ** 2 - self.z
+        x = beta * eta
         emx = np.exp(-x)
-        d = np.empty((self.j_max + 1, len(beta)), dtype=complex)
+        d = np.empty((j_max + 1, len(beta)), dtype=complex)
         d[0] = _sp.exp1(x)
-        inv_eta = 1.0 / _ETA
         pw = 1.0
-        for j in range(1, self.j_max + 1):
-            pw *= inv_eta
-            # d_j = beta^j Gamma(-j, beta eta), by downward recurrence from E1
+        for j in range(1, j_max + 1):
+            pw /= eta
+            # d_j = beta^j Gamma(-j, beta eta), by upward recurrence from E1
             d[j] = (pw * emx - beta * d[j - 1]) / j
-        j = np.arange(self.j_max + 1)
-        fac = _sp.factorial(j)
+        j = np.arange(j_max + 1)
         # Phi_n(rho) = 1/2 sum_j (-rho^2/4)^j / j! * d[j, n]
-        self._poly = 0.5 * ((-0.25) ** j / fac)[:, None] * d  # (J+1, N)
+        self._poly = 0.5 * ((-0.25) ** j / _sp.factorial(j))[:, None] * d  # (J+1, N)
 
-    def _phi(self, rho2):
-        # rho2: (...,) -> (..., N) values of Phi_n(rho)
-        powers = rho2[..., None] ** np.arange(self.j_max + 1)  # (..., J+1)
-        return powers @ self._poly
-
-    def _realspace_f(self, R):
-        # f(R) = e^{-sR} erfc(R/2 sqrt(eta) - s sqrt(eta)) + (s -> -s), via erfcx
-        u = R / (2.0 * math.sqrt(_ETA))
-        sv = self.s * math.sqrt(_ETA)
-        pref = np.exp(-R * R / (4.0 * _ETA) + self.z * _ETA)
-        return pref * (_sp.erfcx(u - sv) + _sp.erfcx(u + sv))
-
-    def _real_sum(self, rho, a):
-        total = np.zeros(np.broadcast_shapes(np.shape(rho), np.shape(a)), dtype=complex)
-        # screened images beyond R_cut are below 1e-14 of the kernel scale
-        r_cut = 2.0 * math.sqrt(_ETA * (40.0 + max(self.z.real, 0.0) * _ETA))
-        for m in range(-_M_IMAGES, _M_IMAGES + 1):
-            R = np.hypot(rho, a + _TWO_PI * m)
-            keep = R < r_cut
-            if not np.any(keep):
-                continue
-            if np.all(keep):
-                total += self._realspace_f(R) / R
-            else:
-                Rk = R[keep]
-                total[keep] += self._realspace_f(Rk) / Rk
-        return 0.5 * math.pi * total
-
-    def pairs(self, x, xp):
-        """Kernel values for stacked pairs x, xp of shape (..., 3)."""
-        rho, a_minus, a_plus = _pair_geometry(x, xp)
-        rho = np.atleast_1d(np.asarray(rho, float))
-        a_minus = np.atleast_1d(np.asarray(a_minus, float))
-        a_plus = np.atleast_1d(np.asarray(a_plus, float))
-        if np.any((rho == 0.0) & (a_minus == 0.0)):
-            raise ValueError("coincident points; use regularized_diag for the diagonal limit")
-        if float(np.max(rho)) > self.rho_max:
-            raise ValueError(f"pair separation rho = {np.max(rho):.3f} exceeds the "
-                             f"j_max = {self.j_max} spectral radius {self.rho_max:.3f}")
-        phi = self._phi(rho * rho)  # (..., N)
-        n = self.n_modes
-        cos_diff = np.cos(np.multiply.outer(a_minus, n)) - np.cos(np.multiply.outer(a_plus, n))
-        spectral = 2.0 * np.sum(cos_diff * phi, axis=-1)
-        real = self._real_sum(rho, a_minus) - self._real_sum(rho, a_plus)
+    def _kernel(self, tables: EwaldTables):
+        """Kernel values of the pairs of ``tables``, in their shape."""
+        if tables.split != self.split or tables.ctx != self.ctx:
+            raise ValueError("the tables were built for another Ewald split or sheet")
+        spectral = 2.0 * np.sum(tables.cos_diff * (tables.powers @ self._poly), axis=-1)
+        # f(R) / R with f(R) = e^{-sR} erfc(R/2 sqrt(eta) - s sqrt(eta)) + (s -> -s), via erfcx
+        sv = self.s * math.sqrt(self.split.eta)
+        u = tables.image_u
+        f = tables.image_weight * (_sp.erfcx(u - sv) + _sp.erfcx(u + sv))
+        size = len(spectral)
+        real = (np.bincount(tables.image_pair, f.real, size)
+                + 1j * np.bincount(tables.image_pair, f.imag, size)) \
+            * (0.5 * math.pi * np.exp(self.z * self.split.eta))
         val = (spectral + real) / (4.0 * math.pi ** 2)
         if self.ctx.second:
-            x3 = np.atleast_1d(np.asarray(x, float)[..., 2])
-            x3p = np.atleast_1d(np.asarray(xp, float)[..., 2])
-            val = val + _second_sheet_correction(self.z, rho, x3, x3p, self.ctx)
-        return val
+            val = val + _second_sheet_correction(self.z, tables.rho, tables.chi, self.ctx)
+        return val.reshape(tables.shape)
+
+    def pairs(self, x=None, xp=None, tables: EwaldTables | None = None):
+        """Kernel values for stacked pairs x, xp of shape (..., 3), or for ``tables``.
+
+        Points are tabulated first (:class:`EwaldTables`, under this
+        kernel's split), so both take one path.
+        """
+        if tables is None:
+            tables = EwaldTables(x, xp, self.split, self.ctx)
+        return self._kernel(tables)
 
     def __call__(self, x, xp):
         out = self.pairs(np.atleast_2d(np.asarray(x, float)),
@@ -301,32 +401,20 @@ class EwaldGreen:
     def regularized_diag(self, x):
         """Diagonal limit of the kernel minus its 1/(4 pi |x - x'|) singularity.
 
-        The m = 0 image of the a_minus sum carries the singularity; its
-        regularized value is (pi/2) f'(0) with
-        f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
+        The m = 0 image of the a_minus sum carries the singularity; the
+        diagonal tables leave it out, and its regularized value is
+        (pi/2) f'(0) with f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
         """
         x = np.atleast_2d(np.asarray(x, float))
         # the limit depends on x3 alone: evaluate once per distinct x3
         x3, back = np.unique(x[..., 2].ravel(), return_inverse=True)
-        a_plus = 2.0 * x3
-        zero = np.zeros_like(x3)
-        phi0 = self._phi(zero)  # (..., N): Phi_n(0) = E1(beta eta)/2
-        n = self.n_modes
-        cos_diff = 1.0 - np.cos(np.multiply.outer(a_plus, n))
-        spectral = 2.0 * np.sum(cos_diff * phi0, axis=-1)
-        # a_minus = 0 images, m != 0 (pairs m, -m coincide)
-        real_minus = np.zeros_like(x3, dtype=complex)
-        for m in range(1, _M_IMAGES + 1):
-            R = _TWO_PI * m
-            real_minus += 2.0 * self._realspace_f(np.full_like(x3, R)) / R
-        sv = self.s * math.sqrt(_ETA)
-        f_prime0 = -2.0 * self.s * _sp.erf(sv) \
-            - 2.0 * np.exp(self.z * _ETA) / math.sqrt(math.pi * _ETA)
-        real_minus += f_prime0
-        real = 0.5 * math.pi * real_minus - self._real_sum(zero, a_plus)
-        val = (spectral + real) / (4.0 * math.pi ** 2)
-        if self.ctx.second:
-            val = val + _second_sheet_correction(self.z, zero, x3, x3, self.ctx)
+        points = np.zeros((len(x3), 3))
+        points[:, 2] = x3
+        eta = self.split.eta
+        f_prime0 = -2.0 * self.s * _sp.erf(self.s * math.sqrt(eta)) \
+            - 2.0 * np.exp(self.z * eta) / math.sqrt(math.pi * eta)
+        val = self._kernel(EwaldTables(points, points, self.split, self.ctx, diagonal=True)) \
+            + f_prime0 / (8.0 * math.pi)
         val = val[back].reshape(x.shape[:-1])
         if val.size == 1:
             return complex(val.reshape(())[()])

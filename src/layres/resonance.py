@@ -148,16 +148,22 @@ def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
                         n_cut)
 
 
-def _secant(f: Callable[[complex], complex], seed: complex, tol: float,
-            max_iter: int) -> tuple[complex, float, int]:
-    """Secant iteration on f from (seed, seed + 1e-7 max(1, |seed|)).
+def _blind_step(z0: complex, f0: complex) -> complex:
+    """Second secant point z0 + 1e-7 max(1, |z0|), whatever f is."""
+    return z0 + 1e-7 * max(1.0, abs(z0))
+
+
+def _secant(f: Callable[[complex], complex], seed: complex, tol: float, max_iter: int,
+            first_step: Callable[[complex, complex], complex]) -> tuple[complex, float, int]:
+    """Secant iteration on f from (seed, first_step(seed, f(seed))).
 
     One evaluation per step; stops when both |f| at the new point and the
     step that reached it are below ``tol``, and returns (z, |f(z)|, steps).
     """
     z0 = seed = complex(seed)
-    z1 = z0 + 1e-7 * max(1.0, abs(z0))
-    f0, f1 = f(z0), f(z1)
+    f0 = f(z0)
+    z1 = first_step(z0, f0)
+    f1 = f(z1)
     steps = 0
     while steps < max_iter and f1 != f0:
         step = f1 * (z1 - z0) / (f1 - f0)
@@ -174,12 +180,13 @@ def _secant(f: Callable[[complex], complex], seed: complex, tol: float,
 
 
 def _window_root(f: Callable[[complex, dict], complex], state: SystemState,
-                 seed: complex | None, seed_offset: complex, tol: float,
-                 max_iter: int) -> PoleResult:
+                 seed: complex | None, seed_offset: complex, tol: float, max_iter: int,
+                 first_step: Callable[[complex, complex], complex]) -> PoleResult:
     """Root of f(z, diagnostics) in J_k of the state's eps_l, by :func:`_secant`.
 
     The iteration starts from ``seed``, or from eps_l + seed_offset when it
-    is None.  ``diagnostics`` starts with n_cut and n_nodes; f may add to it.
+    is None, and takes its second point from ``first_step``.
+    ``diagnostics`` starts with n_cut and n_nodes; f may add to it.
     """
     if tol < 1e-12:
         raise ValueError("tolerance below 1e-12 is not resolvable")
@@ -187,7 +194,8 @@ def _window_root(f: Callable[[complex, dict], complex], state: SystemState,
     diagnostics: dict = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes}
     if seed is None:
         seed = eps_l + seed_offset
-    z, residual, iterations = _secant(lambda z: f(z, diagnostics), seed, tol, max_iter)
+    z, residual, iterations = _secant(lambda z: f(z, diagnostics), seed, tol, max_iter,
+                                      first_step)
     if not (k**2 < z.real < (k + 1) ** 2):
         raise ConvergenceError(f"root {z} escaped the window J_{k}")
     return PoleResult(z=z, mu=z - eps_l, l=state.l, k=k, delta=state.delta,
@@ -198,14 +206,20 @@ def find_pole(state: SystemState, seed: complex | None = None,
               tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
     """Second-sheet pole z_l(delta) at the l and delta of ``state``, secant from eps_l.
 
-    ``diagnostics`` of the result describe the whole search: the number of
-    eta_l evaluations and the worst condition number of the guarded solve.
+    The second point is a Newton step with the slope of Gamma_l alone,
+    Gamma_l'(z) = 1/(4 pi (z - l^2)): eta_l = Gamma_l - beta theta_l, and
+    theta_l is O(delta^2) and varies slowly.  ``diagnostics`` of the result
+    describe the whole search: the number of eta_l evaluations and the worst
+    condition number of the guarded solve.
     """
     def f(z, diagnostics):
         diagnostics["eta_evaluations"] = diagnostics.get("eta_evaluations", 0) + 1
         return eta_l(z, state, diagnostics=diagnostics)
 
-    return _window_root(f, state, seed, 0.0, tol, max_iter)
+    def newton_step(z0, f0):
+        return z0 - f0 * 4.0 * math.pi * (z0 - state.l**2)
+
+    return _window_root(f, state, seed, 0.0, tol, max_iter, newton_step)
 
 
 def find_determinant_root(state: SystemState, seed: complex | None = None,
@@ -215,12 +229,13 @@ def find_determinant_root(state: SystemState, seed: complex | None = None,
     The determinant has a Gamma_l^(-1) pole sitting at eps_l, so the root
     iteration works on the regular product Gamma_l(z) det(I - beta R_alpha);
     the default seed sits slightly off eps_l because the assembled rank sum
-    itself is singular exactly at the eigenvalue.
+    itself is singular exactly at the eigenvalue.  The product has no known
+    slope, so the second point is the blind z0 + 1e-7 max(1, |z0|).
     """
     def f(z, diagnostics):
         return gamma_n(z, state.l, state.ctx, state.params) * bs_determinant(z, state)
 
-    return _window_root(f, state, seed, -1e-4 - 1e-5j, tol, max_iter)
+    return _window_root(f, state, seed, -1e-4 - 1e-5j, tol, max_iter, _blind_step)
 
 
 def mu_lowest_order(state: SystemState) -> complex:
@@ -246,7 +261,7 @@ def mu_lowest_order(state: SystemState) -> complex:
     modes = modes[modes != l]
     pairs = (w * w_l) @ mode_vector(eps_l, modes, rule, ctx)
     cross = complex(np.sum(pairs**2 / gamma_n(eps_l, modes, ctx, params)))
-    free = assemble_free(eps_l, rule, ctx, state.layout)
+    free = assemble_free(eps_l, rule, ctx, state.layout, state.tables)
     dressed = complex(np.sum(w * w_l * (free @ w_l)))
     return 4.0 * math.pi * params.xi_alpha * beta * (
         norm_sq + beta * cross + beta * dressed)

@@ -47,6 +47,9 @@ PSI_ONE = -EULER_GAMMA
 #: K0 underflows double precision far before this; returning exact 0 is policy.
 _K0_UNDERFLOW_RE = 700.0
 
+#: largest |Im w| / |w| for which macdonald_k0 takes K0(w) from real functions
+_REAL_K0_RATIO = 1e-7
+
 #: imaginary nudge used to select the side of the continuous spectrum for
 #: exactly-real spectral parameters; far below any physical scale.
 _AXIS_NUDGE = 1e-250
@@ -149,11 +152,27 @@ def macdonald_k0(w):
 
     Returns exact 0 once Re w > 700 (the true value is below double
     precision range).  w = 0 is a logarithmic singularity and rejected.
+
+    A nearly real w, Re w > 0 and |Im w| <= _REAL_K0_RATIO |w|, takes the
+    Taylor series of K0 about x = Re w from the real k0 and k1 (K0' = -K1,
+    K1' = -K0 - K1/x):
+    K0(x + iy) = K0 - iy K1 - (y^2/2)(K0 + K1/x) + (iy^3/6)(K1 + K0/x + 2K1/x^2).
+    With y <= 1e-7 x the omitted y^4 term is below 1e-17 of K0 up to
+    x = 700.  Every other w goes to the complex kv.
     """
     w_arr = np.asarray(w, dtype=complex)
     if np.any(w_arr == 0.0):
         raise ValueError("K0 has a logarithmic singularity at w = 0")
-    out = np.where(w_arr.real > _K0_UNDERFLOW_RE, 0.0 + 0.0j, _sp.kv(0, w_arr))
+    x, y = w_arr.real, w_arr.imag
+    near = (x > 0.0) & (np.abs(y) <= _REAL_K0_RATIO * np.abs(w_arr))
+    out = np.empty(w_arr.shape, dtype=complex)
+    xn, yn = x[near], y[near]
+    k0, k1 = _sp.k0(xn), _sp.k1(xn)
+    y2 = yn * yn
+    out.real[near] = k0 - 0.5 * y2 * (k0 + k1 / xn)
+    out.imag[near] = yn * (y2 / 6.0 * (k1 + (k0 + 2.0 * k1 / xn) / xn) - k1)
+    out[~near] = _sp.kv(0, w_arr[~near])
+    out[x > _K0_UNDERFLOW_RE] = 0.0
     if out.ndim == 0:
         return complex(out)
     return out
@@ -234,7 +253,9 @@ def z0_kernel(z: complex, n, rho, ctx: SheetContext):
 
     ``n`` may be an array of mode indices; the result has the shape of
     ``rho`` followed by the shape of ``n``.  This is the single place where
-    sheet logic enters kernel evaluation.
+    sheet logic enters kernel evaluation.  A closed mode away from its
+    threshold has a nearly real kappa_n, and the same |Im w| / |w| at every
+    rho, so :func:`macdonald_k0` takes its whole column from real functions.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr <= 0.0):

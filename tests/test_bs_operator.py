@@ -34,7 +34,7 @@ from layres.geometry import (
     spherical_cap,
     with_anchor,
 )
-from layres.greens import layer_green
+from layres.greens import EwaldGreen, EwaldSplit, EwaldTables, layer_green
 from layres.specfun import BranchPointError, SpectralParams, first_sheet, gamma_n, \
     second_sheet
 
@@ -423,6 +423,34 @@ class TestPairLayout:
         assert isinstance(layout, PairLayout)
         st = SystemState(PARAMS, small_state.rule, small_state.ctx, 2, layout=layout)
         assert st.layout is layout
+
+    def test_state_tables_serve_every_z(self):
+        # built once per state and sized for J_k; far above the window top
+        # they give the kernel of tables sized for that z (a tall rectangle
+        # has images between the two cut-offs)
+        tall = rectangle_patch(center=(0.1, 0.0, 1.2), direction1=(0.0, 1.0, 0.0),
+                               direction2=(0.0, 0.0, 1.0), length1=0.6, length2=1.6)
+        rule, ctx = build_quadrature(tall, 6), second_sheet(2)
+        st = SystemState(PARAMS, rule, ctx, 3)
+        tables = st.tables
+        assert st.tables is tables and tables.split.re_top == 9.0
+        assert np.array_equal(assemble_free(7.7 - 1e-3j, rule, ctx, st.layout, tables),
+                              assemble_free(7.7 - 1e-3j, rule, ctx, st.layout))
+        z = 100.0 - 0.3j
+        wide = EwaldSplit(tables.split.eta, tables.split.j_max, z.real)
+        x, xp = rule.nodes[st.layout.rows], rule.nodes[st.layout.cols]
+        wide_tables = EwaldTables(x, xp, wide, ctx)
+        assert len(wide_tables.image_u) > len(tables.image_u)
+        got = EwaldGreen(z, ctx, split=tables.split).pairs(tables=tables)
+        want = EwaldGreen(z, ctx, split=wide).pairs(tables=wide_tables)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_mode_cutoff_below_window_index_refused(self):
+        # l = 3 lies in J_2: n_cut = 1 would drop the open channel n = 2
+        rule = build_quadrature(scale_surface(RECT, 0.2), 4)
+        with pytest.raises(ValueError, match="n_cut = 1 is below the window index k = 2"):
+            SystemState(PARAMS, rule, second_sheet(2), 3, n_cut=1)
+        assert SystemState(PARAMS, rule, second_sheet(2), 3, n_cut=2).n_cut == 2
 
 
 def _norm_sq(w, weights) -> complex:

@@ -460,6 +460,23 @@ class TestMain:
         assert err.startswith("config error") and "l must be >= 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, delta_line", [("pole", "delta = 0.2"),
+                                                  ("sweep", "deltas = 0.05 0.1 0.2 0.4")])
+    def test_mode_cutoff_below_window_index_exit_two(self, tmp_path, capsys, mode,
+                                                     delta_line):
+        # l = 3 lies in J_2; n_cut = 1 used to drop the open channel n = 2 and
+        # exit 0 with a wrong Im mu
+        out = tmp_path / "cut.csv"
+        path = _write(tmp_path, "cut.cfg",
+                      f"[run]\nmode = {mode}\nl = 3\n[coupling]\nbeta = 0.4\n"
+                      "[surface]\nfamily = rectangle\ncenter = 0.1 0 1\n"
+                      "direction1 = 0 1 0\ndirection2 = 0 0 1\nlength1 = 0.6\n"
+                      f"length2 = 0.6\n{delta_line}\n[numerics]\norder = 8\nn_cut = 1\n")
+        assert main([mode, "--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "n_cut = 1" in err and "k = 2" in err
+        assert not out.exists()
+
     def test_value_error_maps_to_exit_one(self, tmp_path, capsys):
         # a valid disk too wide for the fixed Ewald spectral radius
         out = tmp_path / "wide.csv"

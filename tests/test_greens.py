@@ -5,9 +5,12 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import kv
 
-from layres.geometry import build_quadrature, disk, rectangle_patch
+from layres.bs_operator import SystemState, pair_layout
+from layres.geometry import build_quadrature, disk, rectangle_patch, scale_surface
 from layres.greens import (
     EwaldGreen,
+    EwaldSplit,
+    EwaldTables,
     calibrate_tail_constant,
     chi_n,
     k0_cosine_sum,
@@ -245,6 +248,81 @@ class TestEwaldGreen:
             assert abs(ew(X, xp) - layer_green(z, X, xp, ctx)) < 2e-13
         with pytest.raises(ValueError, match="spectral radius"):
             ew(X, X + np.array([1.01 * ew.rho_max, 0.0, 0.0]))
+
+
+#: the benchmark sweeps (surface, l, order, deltas), each also at delta = 1
+SWEEPS = {
+    "disk": ("disk", 2, 12, tuple(np.geomspace(0.02, 0.12, 8)) + (1.0,)),
+    "rectangle": ("rectangle", 3, 12, (0.05, 0.1, 0.2, 0.4, 1.0)),
+}
+SWEEP_PARAMS = SpectralParams(alpha=0.0, beta=0.4)
+
+
+class TestEwaldTables:
+    @pytest.mark.parametrize("sweep", SWEEPS, ids=list(SWEEPS))
+    def test_state_tables_match_split_kernel(self, sweep):
+        # every state takes the floor eta = 0.15, and its tables give the
+        # kernel of the split route at z near eps_l and across J_k, within
+        # 2e-13 absolute or, for the 1/(4 pi r)-sized kernel of the closest
+        # pairs, relative
+        surface, l, order, deltas = SWEEPS[sweep]
+        base = build_quadrature(SURFACES[surface], order)
+        layout = pair_layout(base)
+        eps = SWEEP_PARAMS.eigenvalue(l)
+        k = int(math.floor(math.sqrt(eps)))
+        rng = np.random.default_rng(3)
+        for delta in deltas:
+            rule = build_quadrature(scale_surface(base.surface, delta), order)
+            state = SystemState(SWEEP_PARAMS, rule, second_sheet(k), l,
+                                layout=layout.scaled(delta), delta=delta)
+            tables = state.tables
+            assert state.tables is tables
+            assert tables.split.eta == 0.15 and tables.split.re_top == (k + 1) ** 2
+            x, xp = rule.nodes[layout.rows], rule.nodes[layout.cols]
+            rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
+            apart = np.flatnonzero(rho > 0.0)  # layer_green needs rho > 0
+            sample = np.concatenate([[np.argmax(rho), apart[np.argmin(rho[apart])]],
+                                     rng.choice(apart, 4, replace=False)])
+            for z in (eps - 1e-4j, k * k + 0.3 - 0.02j, (k + 1) ** 2 - 0.3 - 0.02j):
+                ew = EwaldGreen(z, state.ctx, split=tables.split)
+                got = ew.pairs(tables=tables)[sample]
+                want = np.array([layer_green(z, x[i], xp[i], state.ctx) for i in sample])
+                assert np.all(np.abs(got - want) < 2e-13 * np.maximum(1.0, np.abs(want))), \
+                    (delta, z)
+
+    def test_split_from_the_geometry(self):
+        # eta at the floor while it admits rho, then the smallest eta that
+        # does; j_max the smallest order that admits rho at that eta
+        near = EwaldSplit.for_separation(0.6, 9.0)
+        assert near.eta == 0.15 and near.rho_max >= 0.6
+        assert EwaldSplit(0.15, near.j_max - 1, 9.0).rho_max < 0.6
+        wide = EwaldSplit.for_separation(3.0, 9.0)
+        assert 0.15 < wide.eta < 1.0 and wide.j_max == 32
+        assert wide.rho_max == pytest.approx(3.0, rel=1e-12)
+        with pytest.raises(ValueError, match="spectral radius"):
+            EwaldSplit.for_separation(4.2, 9.0)
+
+    def test_images_reach_r_cut(self):
+        # the image range follows r_cut: every image inside it is kept, and a
+        # larger cut-off changes the kernel by less than 1e-14 of its scale
+        z, ctx = 8.9 - 1e-3j, second_sheet(2)
+        x = np.array([[1.0, 0.2, 0.3], [1.0, 0.2, 2.9], [1.3, 0.0, 1.5]])
+        xp = np.array([[1.2, 0.1, 2.8], [1.0, 0.6, 0.2], [1.0, 0.0, 1.4]])
+        split = EwaldSplit.for_separation(0.5, 9.0)
+        wide = EwaldSplit(split.eta, split.j_max, 200.0)
+        tables = EwaldTables(x, xp, split, ctx)
+        u_cut = split.r_cut / (2.0 * math.sqrt(split.eta))
+        assert np.all(tables.image_u < u_cut)
+        assert len(EwaldTables(x, xp, wide, ctx).image_u) > len(tables.image_u)
+        got = EwaldGreen(z, ctx, split=split).pairs(tables=tables)
+        want = EwaldGreen(z, ctx, split=wide).pairs(x, xp)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+    def test_tables_of_another_split_refused(self):
+        split = EwaldSplit.for_separation(0.5, 9.0)
+        tables = EwaldTables(X, XP, split, second_sheet(2))
+        with pytest.raises(ValueError, match="another Ewald split or sheet"):
+            EwaldGreen(8.9 - 1e-3j, second_sheet(2)).pairs(tables=tables)
 
 
 class TestResidueLaw:

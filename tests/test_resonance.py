@@ -161,12 +161,48 @@ class TestFindPole:
         monkeypatch.setattr(resonance, "eta_l", _flat_eta)
         st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
         seed = complex(PARAMS.eigenvalue(2))
-        # the secant's second start point is where a flat function stops it
-        stop = seed + 1e-7 * abs(seed)
+        # the secant's second start point, the Newton step with Gamma_l' =
+        # 1/(4 pi (z - l^2)) from f = 1, is where a flat function stops it
+        stop = seed - 1.0 * 4.0 * math.pi * (seed - 4)
         with pytest.raises(ConvergenceError) as info:
             find_pole(st)
         assert str(info.value) == (f"root iteration failed after 0 steps from z = {seed}: "
                                    f"stopped at z = {stop} with |f| = 1")
+
+    def test_flat_determinant_stops_at_the_blind_point(self, monkeypatch):
+        # Gamma_l det has no known slope: its second point stays z0 + 1e-7 |z0|
+        monkeypatch.setattr(resonance, "gamma_n", lambda z, l, ctx, params: 1.0)
+        monkeypatch.setattr(resonance, "bs_determinant", lambda z, state: 1.0 + 0.0j)
+        st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
+        seed = PARAMS.eigenvalue(2) - 1e-4 - 1e-5j
+        stop = seed + 1e-7 * abs(seed)
+        with pytest.raises(ConvergenceError) as info:
+            find_determinant_root(st)
+        assert str(info.value) == (f"root iteration failed after 0 steps from z = {seed}: "
+                                   f"stopped at z = {stop} with |f| = 1")
+
+    def test_newton_start_saves_evaluations(self, monkeypatch):
+        # a stand-in eta = Gamma_l(z) - Gamma_l(root) with a root mu away
+        # from eps_l: from the same seed, the Newton start needs fewer
+        # evaluations than the blind one of the determinant route
+        st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
+        eps = PARAMS.eigenvalue(2)
+        root = eps + 2e-3 - 3e-6j
+        calls = []
+
+        def stand_in(z, state, diagnostics=None):
+            calls.append(z)
+            return gamma_n(z, 2, state.ctx, PARAMS) - gamma_n(root, 2, state.ctx, PARAMS)
+
+        monkeypatch.setattr(resonance, "eta_l", stand_in)
+        monkeypatch.setattr(resonance, "gamma_n", lambda z, l, ctx, params: 1.0)
+        monkeypatch.setattr(resonance, "bs_determinant", lambda z, state: stand_in(z, state))
+        newton = find_pole(st, seed=eps)
+        n_newton, calls[:] = len(calls), []
+        blind = find_determinant_root(st, seed=eps)
+        assert newton.z == pytest.approx(root, abs=1e-13)
+        assert blind.z == pytest.approx(root, abs=1e-13)
+        assert n_newton == newton.diagnostics["eta_evaluations"] < len(calls)
 
     def test_iteration_budget_exhausted(self, pole_08):
         _, st = pole_08

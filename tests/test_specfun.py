@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import iv, kv
 
 from layres.specfun import (
     gamma_from_gap,
@@ -29,6 +30,17 @@ def k0_integral_oracle(w: float) -> float:
     tail, e2 = quad(lambda t: math.exp(-w * math.cosh(t)), 1.0, 30.0, epsabs=1e-14, epsrel=1e-13)
     assert e1 + e2 < 1e-11
     return head + tail
+
+
+def k0_scaled_integral_oracle(w: complex) -> complex:
+    # K0(w) = e^-w int_0^inf exp(-w (cosh t - 1)) dt for Re w > 0; the scaled
+    # integrand has no underflow, and beyond t = 2 it is below e^(-3 Re w)
+    def part(t, trig):
+        return math.exp(-w.real * (math.cosh(t) - 1.0)) * trig(-w.imag * (math.cosh(t) - 1.0))
+
+    re = quad(part, 0.0, 2.0, args=(math.cos,), epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+    im = quad(part, 0.0, 2.0, args=(math.sin,), epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+    return complex(re, im) * complex(np.exp(-w))
 
 
 def i0_series_oracle(w: complex) -> complex:
@@ -99,6 +111,15 @@ class TestMacdonaldK0:
     def test_underflow_policy(self):
         assert macdonald_k0(701.0) == 0.0
         assert macdonald_k0(690.0) != 0.0
+
+    @pytest.mark.parametrize("x", [300.0, 500.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nearly_real_argument_vs_integral(self, x, sign):
+        # at |Im w| = 1e-7 Re w the y^3 term of the real-function series is
+        # 2e-14 of K0 at x = 500, beyond the tolerance
+        w = complex(x, sign * 1e-7 * x)
+        want = k0_scaled_integral_oracle(w)
+        assert abs(macdonald_k0(w) - want) < 1e-14 * abs(want)
 
     def test_complex_argument_vs_series(self):
         # K0 via the defining relation K0 = lim of the series representation:
@@ -275,6 +296,47 @@ class TestZ0Kernel:
     def test_rho_zero_rejected(self):
         with pytest.raises(ValueError):
             z0_kernel(2.5, 1, 0.0, first_sheet())
+
+    @pytest.mark.parametrize("ratio", [1e-9, 1e-8, 1e-7])
+    def test_closed_columns_match_complex_kv(self, ratio):
+        # Im z = -2 ratio (n^2 - Re z) puts |Im kappa_n| / |kappa_n| at about
+        # ratio for a closed n; columns at or below the guard take real k0/k1
+        rho = np.geomspace(0.05, 3.0, 40)
+        n = np.arange(3, 120)
+        for sign in (1.0, -1.0):
+            z = 7.7 - sign * 2.0 * ratio * (60.0**2 - 7.7) * 1j
+            kap = kappa_n(z, n, second_sheet(2))
+            guarded = np.abs(kap.imag) <= 1e-7 * np.abs(kap)
+            assert np.count_nonzero(guarded) > 20
+            arg = np.multiply.outer(rho, kap[guarded])
+            want = kv(0, arg)
+            keep = (arg.real < 650.0) & (want != 0.0)  # complex kv loses digits above
+            got = z0_kernel(z, n[guarded], rho, second_sheet(2))
+            assert np.max(np.abs(got - want)[keep] / np.abs(want[keep])) < 1e-14
+
+    def test_mixed_columns_on_the_second_sheet(self):
+        # k = 2: two open columns (kv plus the I0 term), closed columns near
+        # their threshold through complex kv, and guarded ones through k0/k1
+        ctx = second_sheet(2)
+        z, rho, n = 7.7 - 1e-4j, np.array([0.1, 0.35, 0.9]), np.arange(1, 80)
+        kap = kappa_n(z, n, ctx)
+        guarded = np.abs(kap.imag) <= 1e-7 * np.abs(kap)
+        assert np.any(guarded) and np.any(~guarded & (n > 2))
+        arg = np.multiply.outer(rho, kap)
+        want = kv(0, arg) + np.where(n <= 2, 1j * math.pi * iv(0, -arg), 0.0)
+        got = z0_kernel(z, n, rho, ctx)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+        assert np.array_equal(got[:, ~guarded], kv(0, arg[:, ~guarded])
+                              + np.where(n[~guarded] <= 2,
+                                         1j * math.pi * iv(0, -arg[:, ~guarded]), 0.0))
+
+    def test_exact_zero_beyond_underflow_on_both_paths(self):
+        w = np.array([701.0, 701.0 + 1e-8j, 701.0 - 50.0j, 690.0 + 1e-8j])
+        assert np.array_equal(macdonald_k0(w)[:3], np.zeros(3))
+        assert macdonald_k0(w)[3] != 0.0
+        # a closed column of z0_kernel whose argument passes Re w = 700
+        val = z0_kernel(2.5 - 1e-6j, np.array([300, 400]), np.array([1.0, 2.5]), first_sheet())
+        assert np.all(val[0] != 0.0) and np.all(val[1] == 0.0)
 
     def test_mode_array_is_last_axis(self):
         z, rho, n = 2.5 - 0.02j, np.array([0.3, 0.8, 1.5]), np.array([1, 2, 5])
