@@ -32,7 +32,7 @@ from scipy.linalg.lapack import zgecon
 from . import geometry, specfun
 from .geometry import QuadratureRule
 from .greens import EwaldGreen, EwaldSplit, EwaldTables, chi_n
-from .specfun import SheetContext, SpectralParams, first_sheet, gamma_n
+from .specfun import SheetContext, SpectralParams, gamma_n
 
 __all__ = [
     "PoleCollisionError",
@@ -41,7 +41,6 @@ __all__ = [
     "PairLayout",
     "singular_part_matrix",
     "pair_layout",
-    "free_tables",
     "assemble_free",
     "mode_vector",
     "assemble_A_l",
@@ -416,16 +415,18 @@ class PairLayout:
 
     ``rows``, ``cols`` are the node pairs whose kernel value is evaluated,
     one per pair orbit of the kernel group (:func:`pair_layout`), and
-    ``index`` (n x n) points every off-diagonal pair at its representative
-    and the diagonal at one slot past them.  ``corr_inv`` and
-    ``corr_lin`` swap the plain Nystrom values of the model kernels
-    1/(4 pi |x - x'|) and |x - x'| for their product integrals
-    (:func:`singular_part_matrix`): p_inv / w - 1/(4 pi r) and p_lin / w - r,
-    with w the rule weights and the model zero on the diagonal.
+    ``diag`` one node per distinct x3, where the diagonal limit is
+    evaluated.  ``index`` (n x n) points every off-diagonal pair at its
+    representative and every diagonal entry at the slot of its x3 after
+    them.  ``corr_inv`` and ``corr_lin`` swap the plain Nystrom values of
+    the model kernels 1/(4 pi |x - x'|) and |x - x'| for their product
+    integrals (:func:`singular_part_matrix`): p_inv / w - 1/(4 pi r) and
+    p_lin / w - r, with w the rule weights and the model zero on the diagonal.
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    diag: np.ndarray
     index: np.ndarray
     corr_inv: np.ndarray
     corr_lin: np.ndarray
@@ -436,9 +437,9 @@ class PairLayout:
         The map x -> delta x + (1 - delta) x0 with the same order and
         parameter nodes is a similarity: it carries every isometry of the
         rule along with the same node permutation and keeps equal x3 equal,
-        so the node group, its kernel subgroup and the pairs stay; p_inv
-        scales by delta, p_lin by delta^3, w by delta^2 and r by delta, so
-        corr_inv scales by 1/delta and corr_lin by delta.
+        so the node group, its kernel subgroup, the pairs and the diagonal
+        nodes stay; p_inv scales by delta, p_lin by delta^3, w by delta^2
+        and r by delta, so corr_inv scales by 1/delta and corr_lin by delta.
         """
         return replace(self, corr_inv=self.corr_inv / delta,
                        corr_lin=delta * self.corr_lin)
@@ -450,7 +451,8 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
     The node group (:func:`_node_group`) is found once here.  The kernel
     depends on the in-plane separation, x3 and x3', so its pairs are grouped
     under the elements that keep every node's x3 (they keep the 3D distance
-    too, hence the in-plane one).  The corrections come from
+    too, hence the in-plane one), and its diagonal limit depends on x3
+    alone.  The corrections come from
     :func:`singular_part_matrix` under the whole group.  Coincident nodes
     (a parametrization that folds onto itself) are rejected.
     """
@@ -464,28 +466,16 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
     x3 = nodes[:, 2]
     keeps_x3 = np.all(np.abs(x3[group] - x3) <= 1e-14 * np.max(np.abs(x3)), axis=1)
     rows, cols, index = _pair_orbits(group[keeps_x3])
+    _, diag, slot = np.unique(x3, return_index=True, return_inverse=True)
+    index[np.diag_indices(n)] += slot
     inv_r = np.zeros((n, n))
     inv_r[off] = 1.0 / (4.0 * math.pi * r[off])
     p_inv, p_lin = singular_part_matrix(rule, group=group)
     w = rule.weights
-    return PairLayout(rows, cols, index, p_inv / w - inv_r, p_lin / w - r)
+    return PairLayout(rows, cols, diag, index, p_inv / w - inv_r, p_lin / w - r)
 
 
-def free_tables(rule: QuadratureRule, layout: PairLayout, ctx: SheetContext) -> EwaldTables:
-    """Ewald tables of the layout's pairs on ``rule``, sized for z in J_k of ``ctx``.
-
-    The split is chosen from the largest in-plane separation of the pairs
-    (:meth:`EwaldSplit.for_separation`), with re_top the window top (k+1)^2.
-    """
-    x, xp = rule.nodes[layout.rows], rule.nodes[layout.cols]
-    rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
-    split = EwaldSplit.for_separation(float(np.max(rho)), (ctx.k + 1) ** 2)
-    return EwaldTables(x, xp, split, ctx)
-
-
-def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = None,
-                  layout: PairLayout | None = None,
-                  tables: EwaldTables | None = None) -> np.ndarray:
+def assemble_free(z: complex, state: SystemState) -> np.ndarray:
     """Nystrom matrix K diag(w) of the free layer resolvent R_SigmaSigma(z).
 
     The kernel is split as 1/(4 pi r) - z r/(8 pi) plus a C^2 remainder
@@ -493,22 +483,14 @@ def assemble_free(z: complex, rule: QuadratureRule, ctx: SheetContext | None = N
     through order r).  The remainder is handled by plain Nystrom with its
     diagonal limit from :meth:`EwaldGreen.regularized_diag`; the non-smooth
     part enters through the layout's corrections, which replace its Nystrom
-    values by product integrals.
-
-    ``layout`` (see :func:`pair_layout`) and ``tables`` (see
-    :func:`free_tables`) hold everything z-independent of ``rule``; pass
-    them to reuse them across several z.
+    values by product integrals.  Everything z-independent comes from
+    ``state``: its layout and its Ewald tables (:attr:`SystemState.tables`).
     """
-    ctx = ctx or first_sheet()
-    if layout is None:
-        layout = pair_layout(rule)
-    if tables is None:
-        tables = free_tables(rule, layout, ctx)
-    ew = EwaldGreen(z, ctx, split=tables.split)
-    mat = np.append(ew.pairs(tables=tables), 0.0)[layout.index]
-    mat[np.diag_indices(rule.n_nodes)] = ew.regularized_diag(rule.nodes)
+    layout, (pairs, diag) = state.layout, state.tables
+    ew = EwaldGreen(z, pairs.split, state.ctx)
+    mat = np.concatenate([ew.pairs(pairs), ew.regularized_diag(diag)])[layout.index]
     mat += layout.corr_inv - z / (8.0 * math.pi) * layout.corr_lin
-    return mat * rule.weights
+    return mat * state.rule.weights
 
 
 def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.ndarray:
@@ -531,32 +513,27 @@ def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
     return max(ctx.k + 40, int(math.ceil(-math.log(tail_tol) / rmin)))
 
 
-def _rank_sum(z, rule, ctx, params, modes: np.ndarray):
+def _rank_sum(z, state: SystemState, modes: np.ndarray):
     """sum_n Gamma_n(z)^(-1) w_n w_n^T as one product (W / g) W^T, W = [w_n]."""
-    g = gamma_n(z, modes, ctx, params)
+    g = gamma_n(z, modes, state.ctx, state.params)
     small = np.abs(g) < _GAMMA_FLOOR
     if np.any(small):
         k = int(np.argmax(small))
         raise PoleCollisionError(f"Gamma_{modes[k]}(z) = {g[k]:.3e} at z = {z}; "
                                  f"mode {modes[k]} sits on its eigenvalue")
-    w = mode_vector(z, modes, rule, ctx)
-    return (w / g) @ w.T
+    w = mode_vector(z, modes, state.rule, state.ctx)
+    return (w / g) @ w.T * state.rule.weights
 
 
-def assemble_A_l(z: complex, l: int, rule: QuadratureRule, ctx: SheetContext,
-                 params: SpectralParams, n_cut: int) -> np.ndarray:
+def assemble_A_l(z: complex, state: SystemState) -> np.ndarray:
     """Nystrom matrix of A_l(z) = sum_{n != l} Gamma_n(z)^(-1) <w_n, . > w_n over n <= n_cut."""
-    modes = np.arange(1, n_cut + 1)
-    return _rank_sum(z, rule, ctx, params, modes[modes != l]) * rule.weights
+    modes = np.arange(1, state.n_cut + 1)
+    return _rank_sum(z, state, modes[modes != state.l])
 
 
-def assemble_alpha(z: complex, rule: QuadratureRule, ctx: SheetContext,
-                   params: SpectralParams, n_cut: int,
-                   free: np.ndarray | None = None) -> np.ndarray:
+def assemble_alpha(z: complex, state: SystemState) -> np.ndarray:
     """Nystrom matrix of R_alpha = R_SigmaSigma + sum_{n <= n_cut} Gamma_n^(-1) <w_n, .> w_n."""
-    if free is None:
-        free = assemble_free(z, rule, ctx)
-    return free + _rank_sum(z, rule, ctx, params, np.arange(1, n_cut + 1)) * rule.weights
+    return assemble_free(z, state) + _rank_sum(z, state, np.arange(1, state.n_cut + 1))
 
 
 def _guarded_lu(mat, what: str, diagnostics: dict | None = None):
@@ -619,12 +596,18 @@ class SystemState:
             self.layout = pair_layout(self.rule)
 
     @cached_property
-    def tables(self) -> EwaldTables:
-        """Ewald tables of the layout's pairs (:func:`free_tables`).
+    def tables(self) -> tuple[EwaldTables, EwaldTables]:
+        """Ewald tables of the layout's pairs and diagonal nodes, built at the first assembly.
 
-        Built at the first kernel assembly and freed with the state.
+        Their split is chosen from the pairs' largest in-plane separation
+        (:meth:`EwaldSplit.for_separation`), with re_top the window top (k+1)^2.
         """
-        return free_tables(self.rule, self.layout, self.ctx)
+        nodes, layout = self.rule.nodes, self.layout
+        x, xp, diag = nodes[layout.rows], nodes[layout.cols], nodes[layout.diag]
+        rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
+        split = EwaldSplit.for_separation(float(np.max(rho)), (self.ctx.k + 1) ** 2)
+        return (EwaldTables(x, xp, split, self.ctx),
+                EwaldTables(diag, diag, split, self.ctx, diagonal=True))
 
 
 def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> complex:
@@ -637,8 +620,7 @@ def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> co
     params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     gl = gamma_n(z, l, ctx, params)
     beta = params.beta
-    a = assemble_free(z, rule, ctx, state.layout, state.tables) \
-        + assemble_A_l(z, l, rule, ctx, params, state.n_cut)
+    a = assemble_free(z, state) + assemble_A_l(z, state)
     lu = _guarded_lu(np.eye(rule.n_nodes) - beta * a, "I - beta (R_SigmaSigma + A_l)",
                      diagnostics)
     w_l = mode_vector(z, l, rule, ctx)
@@ -651,9 +633,5 @@ def bs_determinant(z: complex, state: SystemState) -> complex:
     Has poles at the eigenvalues eps_n of every retained mode; root finders
     should work with Gamma_l(z) * det(...) to cancel the l-pole.
     """
-    rule = state.rule
-    r_alpha = assemble_alpha(z, rule, state.ctx, state.params, state.n_cut,
-                             free=assemble_free(z, rule, state.ctx, state.layout,
-                                                state.tables))
-    eye = np.eye(rule.n_nodes, dtype=complex)
-    return complex(np.linalg.det(eye - state.params.beta * r_alpha))
+    eye = np.eye(state.rule.n_nodes, dtype=complex)
+    return complex(np.linalg.det(eye - state.params.beta * assemble_alpha(z, state)))

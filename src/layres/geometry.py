@@ -6,7 +6,8 @@ and each refuses a size (radius, length1, length2) that is not positive.
 Every ``Surface`` checks on a dense parameter grid that it stays in the layer
 0 <= x3 <= pi, touching a wall at most on its rim, with a nondegenerate
 Jacobian, and searches its distance to the wire axis once (``r_min``, which
-must exceed 1e-6).  Only :func:`with_anchor` searches for x0 on the surface:
+must exceed 1e-6); a disk or rectangle that the axis crosses is refused in
+closed form first.  Only :func:`with_anchor` searches for x0 on the surface:
 the families put x0 there, and a delta-copy keeps it as its fixed point.
 Both searches are one zoom grid on numpy alone (:func:`_search_min`).
 """
@@ -177,6 +178,23 @@ def _centroid_x0(param_map, domain):
     return np.asarray(param_map(np.array(0.5 * (a1 + b1)), np.array(0.5 * (a2 + b2))), float)
 
 
+def _refuse_axis_crossing(name: str, center, e1, e2, inside) -> None:
+    """Refuse a planar surface that the wire axis x1 = x2 = 0 crosses.
+
+    The axis meets the plane through ``center`` spanned by the orthonormal
+    e1, e2 at one point, unless it is parallel to the plane.  ``inside(s1,
+    s2)`` says whether the point center + s1 e1 + s2 e2 lies in the surface.
+    The grid search of r_min can miss such a crossing by a grid step, so it
+    is found in closed form.
+    """
+    normal = np.cross(e1, e2)
+    if normal[2] == 0.0:
+        return
+    offset = np.array([0.0, 0.0, (normal @ center) / normal[2]]) - center
+    if inside(offset @ e1, offset @ e2):
+        raise SurfaceValidationError(f"surface {name!r} touches the wire axis")
+
+
 def _positive(value, key: str) -> float:
     value = float(value)
     if not value > 0.0:
@@ -196,6 +214,8 @@ def rectangle_patch(center, direction1, direction2, length1: float, length2: flo
     u1 = u1 / np.linalg.norm(u1)
     u2 = u2 - u1 * (u1 @ u2)
     u2 /= np.linalg.norm(u2)
+    _refuse_axis_crossing(name, c, u1, u2,
+                          lambda s1, s2: abs(s1) <= 0.5 * length1 and abs(s2) <= 0.5 * length2)
 
     def param_map(q1, q2):
         return c + np.multiply.outer(q1 * length1, u1) + np.multiply.outer(q2 * length2, u2)
@@ -216,6 +236,7 @@ def disk(center, normal, radius: float, name: str = "disk") -> Surface:
     c = np.asarray(center, float)
     e1, e2, _ = _orthonormal_frame(normal)
     R = _positive(radius, "radius")
+    _refuse_axis_crossing(name, c, e1, e2, lambda s1, s2: np.hypot(s1, s2) <= R)
 
     def param_map(u, th):
         return (c

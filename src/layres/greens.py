@@ -319,33 +319,25 @@ class EwaldTables:
 
 
 class EwaldGreen:
-    """Ewald-summed layer kernel at fixed z, vectorized over point pairs.
+    """Ewald-summed layer kernel at fixed z under one :class:`EwaldSplit`.
 
     The cosine-series form of the kernel is split at the Ewald parameter
-    eta of an :class:`EwaldSplit`: the large-t (spectral) part keeps
+    eta of the split: the large-t (spectral) part keeps
     ~sqrt(Re z + 42/eta) modes with Gaussian decay, the small-t part
     Poisson-sums into screened image charges e^{-sR} erfc(...) within the
     split's r_cut.  The a-independent n = 0 term cancels between the two
     transverse cosine arguments and is dropped, which also removes the
     spurious sqrt(-z) cut below the first threshold.
 
-    Without a ``split`` the kernel takes eta = 1, the given ``j_max`` and
-    the ranges of Re z itself.  Everything z-independent of a set of pairs
-    is an :class:`EwaldTables` of the same split, built once and evaluated
-    at any z.
+    Everything z-independent of a set of pairs is an :class:`EwaldTables`
+    of the same split, built once and evaluated at any z.
     """
 
-    def __init__(self, z: complex, ctx: SheetContext | None = None, j_max: int = 32,
-                 split: EwaldSplit | None = None):
-        self.ctx = ctx or first_sheet()
-        self.z = nudge_off_axis(z, self.ctx)
+    def __init__(self, z: complex, split: EwaldSplit, ctx: SheetContext):
+        self.split, self.ctx = split, ctx
+        self.z = nudge_off_axis(z, ctx)
         self.s = -1j * im_positive_sqrt(self.z)  # sqrt(-z), branch-matched
-        self.split = split or EwaldSplit(1.0, int(j_max), max(self.z.real, 0.0))
         self._prepare_spectral_coeffs()
-
-    @property
-    def rho_max(self) -> float:
-        return self.split.rho_max
 
     def _prepare_spectral_coeffs(self):
         eta, j_max = self.split.eta, self.split.j_max
@@ -381,41 +373,25 @@ class EwaldGreen:
             val = val + _second_sheet_correction(self.z, tables.rho, tables.chi, self.ctx)
         return val.reshape(tables.shape)
 
-    def pairs(self, x=None, xp=None, tables: EwaldTables | None = None):
-        """Kernel values for stacked pairs x, xp of shape (..., 3), or for ``tables``.
-
-        Points are tabulated first (:class:`EwaldTables`, under this
-        kernel's split), so both take one path.
-        """
-        if tables is None:
-            tables = EwaldTables(x, xp, self.split, self.ctx)
+    def pairs(self, tables: EwaldTables):
+        """Kernel values of the pairs of ``tables``, in their shape."""
         return self._kernel(tables)
 
     def __call__(self, x, xp):
-        out = self.pairs(np.atleast_2d(np.asarray(x, float)),
-                         np.atleast_2d(np.asarray(xp, float)))
+        """Kernel values for stacked points x, xp of shape (..., 3), tabulated first."""
+        out = self.pairs(EwaldTables(*np.atleast_2d(x, xp), self.split, self.ctx))
         if out.size == 1:
             return complex(out.reshape(())[()])
         return out
 
-    def regularized_diag(self, x):
+    def regularized_diag(self, tables: EwaldTables):
         """Diagonal limit of the kernel minus its 1/(4 pi |x - x'|) singularity.
 
         The m = 0 image of the a_minus sum carries the singularity; the
-        diagonal tables leave it out, and its regularized value is
+        ``diagonal`` tables leave it out, and its regularized value is
         (pi/2) f'(0) with f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
         """
-        x = np.atleast_2d(np.asarray(x, float))
-        # the limit depends on x3 alone: evaluate once per distinct x3
-        x3, back = np.unique(x[..., 2].ravel(), return_inverse=True)
-        points = np.zeros((len(x3), 3))
-        points[:, 2] = x3
         eta = self.split.eta
         f_prime0 = -2.0 * self.s * _sp.erf(self.s * math.sqrt(eta)) \
             - 2.0 * np.exp(self.z * eta) / math.sqrt(math.pi * eta)
-        val = self._kernel(EwaldTables(points, points, self.split, self.ctx, diagonal=True)) \
-            + f_prime0 / (8.0 * math.pi)
-        val = val[back].reshape(x.shape[:-1])
-        if val.size == 1:
-            return complex(val.reshape(())[()])
-        return val
+        return self._kernel(tables) + f_prime0 / (8.0 * math.pi)

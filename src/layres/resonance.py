@@ -261,7 +261,7 @@ def mu_lowest_order(state: SystemState) -> complex:
     modes = modes[modes != l]
     pairs = (w * w_l) @ mode_vector(eps_l, modes, rule, ctx)
     cross = complex(np.sum(pairs**2 / gamma_n(eps_l, modes, ctx, params)))
-    free = assemble_free(eps_l, rule, ctx, state.layout, state.tables)
+    free = assemble_free(eps_l, state)
     dressed = complex(np.sum(w * w_l * (free @ w_l)))
     return 4.0 * math.pi * params.xi_alpha * beta * (
         norm_sq + beta * cross + beta * dressed)
@@ -322,6 +322,17 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> tuple[float, float, 
     return float(slope), float(math.exp(intercept)), r_sq
 
 
+def _fit_if_positive(points) -> tuple[float, float, float]:
+    """:func:`fit_power_law` of the points, or (nan, nan, nan) if a value is not positive.
+
+    A |Re mu| or |Im mu| that underflows to 0 has no logarithm; the poles
+    themselves are still reported.
+    """
+    if all(y > 0.0 for _, y in points):
+        return fit_power_law(points)
+    return (math.nan,) * 3
+
+
 def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: SpectralParams,
                 order: int = 16, tail_tol: float = 1e-12, n_cut: int | None = None,
                 tol: float = 1e-12) -> SweepResult:
@@ -334,7 +345,8 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
     one is seeded from the previous pole by the law Re mu = O(delta^2),
     z = eps_l + mu_prev (delta / delta_prev)^2.  Points whose root iteration
     fails are recorded in ``failures`` and left out of the fits; fewer than
-    MIN_SWEEP_POINTS deltas are refused before the first pole.
+    MIN_SWEEP_POINTS deltas are refused before the first pole.  A fit whose
+    values are not all positive is (nan, nan, nan).
     """
     deltas = list(deltas)
     if len(deltas) < MIN_SWEEP_POINTS:
@@ -363,7 +375,7 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
     if len(poles) < MIN_SWEEP_POINTS:
         raise ConvergenceError(f"only {len(poles)} poles converged; "
                                f"need >= {MIN_SWEEP_POINTS} to fit")
-    fit_im = fit_power_law([(res.delta, abs(res.mu.imag)) for res in poles])
-    fit_re = fit_power_law([(res.delta, abs(res.mu.real)) for res in poles])
+    fit_im = _fit_if_positive([(res.delta, abs(res.mu.imag)) for res in poles])
+    fit_re = _fit_if_positive([(res.delta, abs(res.mu.real)) for res in poles])
     return SweepResult(poles=poles, fit_im=fit_im, fit_re=fit_re,
                        closed_form_im=closed, failures=failures, n_cut=st.n_cut)

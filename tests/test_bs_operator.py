@@ -172,9 +172,19 @@ def _rel_max(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _state(rule, ctx=None, l=1, **kwargs):
+    """State of eps_l on ``rule``; the first sheet by default."""
+    return SystemState(PARAMS, rule, ctx or first_sheet(), l, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def rule12():
     return build_quadrature(DISK, 12)
+
+
+@pytest.fixture(scope="module")
+def state12(rule12):
+    return _state(rule12)
 
 
 @pytest.fixture(scope="module")
@@ -189,22 +199,23 @@ class TestAssembleFree:
         # kernel at the node pair
         z = -2.0
         rule = build_quadrature(DISK, 6)
-        layout = pair_layout(rule)
-        mat = assemble_free(z, rule, None, layout) / rule.weights \
+        st = _state(rule)
+        layout = st.layout
+        mat = assemble_free(z, st) / rule.weights \
             - layout.corr_inv + z / (8.0 * math.pi) * layout.corr_lin
         for i, j in zip(*np.nonzero(~np.eye(rule.n_nodes, dtype=bool))):
             want = layer_green(z, rule.nodes[i], rule.nodes[j])
             assert mat[i, j] == pytest.approx(want, abs=1e-12)
 
-    def test_positive_definite_below_spectrum(self, rule12):
-        op = assemble_free(-5.0, rule12)
+    def test_positive_definite_below_spectrum(self, rule12, state12):
+        op = assemble_free(-5.0, state12)
         sw = np.sqrt(rule12.weights)
         sym = sw[:, None] * op.real / sw[None, :]
         ev = np.linalg.eigvalsh(0.5 * (sym + sym.T))
         assert ev.min() > 0.0
 
-    def test_bilinear_form_symmetric(self, rule12):
-        op = assemble_free(-5.0, rule12)
+    def test_bilinear_form_symmetric(self, rule12, state12):
+        op = assemble_free(-5.0, state12)
         f = np.exp(-8.0 * np.linalg.norm(rule12.nodes - rule12.nodes.mean(0), axis=1) ** 2)
         g = np.cos(3 * rule12.nodes[:, 0]) + rule12.nodes[:, 2]
         a = np.sum(rule12.weights * f * (op @ g))
@@ -238,7 +249,7 @@ class TestAssembleFree:
         vals = []
         for p in (12, 24):
             r = build_quadrature(DISK, p)
-            op = assemble_free(-5.0, r)
+            op = assemble_free(-5.0, _state(r))
             f = fn(r.nodes)
             vals.append(np.sum(r.weights * f * (op @ f)))
         assert abs(vals[0] - vals[1]) < 1e-5
@@ -255,7 +266,7 @@ class TestAssembleFree:
             tangent2=lambda q1, q2: np.multiply.outer(length + 0.0 * (q1 + q2), u2),
             domain=((-0.5, 0.5), (-0.5, 0.5)), x0=c)
         with pytest.raises(ValueError, match="quadrature nodes must be pairwise distinct"):
-            assemble_free(-2.0, build_quadrature(folded, 4))
+            assemble_free(-2.0, _state(build_quadrature(folded, 4)))
 
 
 def _shift(p):
@@ -266,6 +277,7 @@ def _shift(p):
 def _with_pairs(layout, group):
     """``layout`` with the pairs of ``group`` (rows are node permutations)."""
     rows, cols, index = _pair_orbits(np.asarray(group))
+    index[np.diag_indices(len(index))] += np.diagonal(layout.index) - len(layout.rows)
     return dataclasses.replace(layout, rows=rows, cols=cols, index=index)
 
 
@@ -335,7 +347,7 @@ class TestSingularBuild:
         got = pair_layout(build_quadrature(surface, 8)).scaled(delta)
         want = pair_layout(build_quadrature(scale_surface(surface, delta), 8))
         assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
-        assert np.array_equal(got.index, want.index)
+        assert np.array_equal(got.diag, want.diag) and np.array_equal(got.index, want.index)
         assert _rel_max(got.corr_inv, want.corr_inv) < 1e-12
         assert _rel_max(got.corr_lin, want.corr_lin) < 1e-12
 
@@ -372,8 +384,11 @@ class TestNodeGroup:
         layout = pair_layout(rule)
         rows, cols = np.triu_indices(9, 1)
         assert np.array_equal(layout.rows, rows) and np.array_equal(layout.cols, cols)
+        x3, slot = np.unique(rule.nodes[:, 2], return_inverse=True)
+        assert np.array_equal(rule.nodes[layout.diag, 2], x3)
         index = np.full((9, 9), len(rows))
         index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+        index[np.diag_indices(9)] += slot
         assert np.array_equal(layout.index, index)
 
     def test_forced_x3_changing_reflection_is_wrong(self):
@@ -385,8 +400,8 @@ class TestNodeGroup:
         assert len(group) == 4 and len(layout.rows) == 5184
         forced = _with_pairs(layout, group)
         z = PARAMS.eigenvalue(3) - 0.001 - 1e-4j
-        got = assemble_free(z, rule, second_sheet(2), forced) / rule.weights
-        want = assemble_free(z, rule, second_sheet(2), layout) / rule.weights
+        got = assemble_free(z, _state(rule, second_sheet(2), 3, layout=forced)) / rule.weights
+        want = assemble_free(z, _state(rule, second_sheet(2), 3, layout=layout)) / rule.weights
         assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4
 
 
@@ -401,8 +416,8 @@ class TestPairLayout:
         layout = pair_layout(rule)
         every = _all_pairs(layout, rule.n_nodes)
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
-        got = assemble_free(z, rule, second_sheet(1), layout) / rule.weights
-        want = assemble_free(z, rule, second_sheet(1), every) / rule.weights
+        got = assemble_free(z, _state(rule, second_sheet(1), 2, layout=layout)) / rule.weights
+        want = assemble_free(z, _state(rule, second_sheet(1), 2, layout=every)) / rule.weights
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
     def test_tilted_disk_is_rotation_symmetric_but_not_kernel_symmetric(self):
@@ -413,8 +428,8 @@ class TestPairLayout:
         assert any(np.array_equal(g, _shift(6)) for g in group)
         every = _all_pairs(pair_layout(rule), rule.n_nodes)
         forced = _with_pairs(every, group)
-        got = assemble_free(-2.0, rule, None, forced) / rule.weights
-        want = assemble_free(-2.0, rule, None, every) / rule.weights
+        got = assemble_free(-2.0, _state(rule, layout=forced)) / rule.weights
+        want = assemble_free(-2.0, _state(rule, layout=every)) / rule.weights
         assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4
 
     def test_state_caches_layout(self, small_state):
@@ -432,17 +447,16 @@ class TestPairLayout:
                                direction2=(0.0, 0.0, 1.0), length1=0.6, length2=1.6)
         rule, ctx = build_quadrature(tall, 6), second_sheet(2)
         st = SystemState(PARAMS, rule, ctx, 3)
-        tables = st.tables
-        assert st.tables is tables and tables.split.re_top == 9.0
-        assert np.array_equal(assemble_free(7.7 - 1e-3j, rule, ctx, st.layout, tables),
-                              assemble_free(7.7 - 1e-3j, rule, ctx, st.layout))
+        tables, diag = st.tables
+        assert st.tables[0] is tables and tables.split.re_top == 9.0
+        assert diag.split == tables.split
         z = 100.0 - 0.3j
         wide = EwaldSplit(tables.split.eta, tables.split.j_max, z.real)
         x, xp = rule.nodes[st.layout.rows], rule.nodes[st.layout.cols]
         wide_tables = EwaldTables(x, xp, wide, ctx)
         assert len(wide_tables.image_u) > len(tables.image_u)
-        got = EwaldGreen(z, ctx, split=tables.split).pairs(tables=tables)
-        want = EwaldGreen(z, ctx, split=wide).pairs(tables=wide_tables)
+        got = EwaldGreen(z, tables.split, ctx).pairs(tables)
+        want = EwaldGreen(z, wide, ctx).pairs(wide_tables)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_mode_cutoff_below_window_index_refused(self):
@@ -528,9 +542,10 @@ class TestRankSums:
         # mode changes nothing, while for l = 1 it removes the leading term
         rule = build_quadrature(SYM_DISK, 6)
         ctx = first_sheet()
-        full = assemble_alpha(-2.0, rule, ctx, PARAMS, n_cut=12)
-        free = assemble_free(-2.0, rule, ctx)
-        a_2 = assemble_A_l(-2.0, 2, rule, ctx, PARAMS, n_cut=12)
+        st = _state(rule, ctx, 2, n_cut=12)
+        full = assemble_alpha(-2.0, st)
+        free = assemble_free(-2.0, st)
+        a_2 = assemble_A_l(-2.0, st)
         assert np.max(np.abs((full - free - a_2) / rule.weights)) < 1e-13
 
     def test_a_l_norm_scales_with_area(self):
@@ -538,14 +553,13 @@ class TestRankSums:
         norms = []
         for d in deltas:
             r = build_quadrature(scale_surface(DISK, d), 6)
-            norms.append(_op_norm(assemble_A_l(-2.0, 1, r, first_sheet(), PARAMS, n_cut=20),
-                                  r.weights))
+            norms.append(_op_norm(assemble_A_l(-2.0, _state(r, n_cut=20)), r.weights))
         slope = np.polyfit(np.log(deltas), np.log(norms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_rank_bound(self):
         rule = build_quadrature(SMALL, 6)
-        op = assemble_A_l(-2.0, 1, rule, first_sheet(), PARAMS, n_cut=15)
+        op = assemble_A_l(-2.0, _state(rule, n_cut=15))
         rank = np.linalg.matrix_rank(op / rule.weights, tol=1e-13)
         assert rank <= 14
 
@@ -561,7 +575,7 @@ class TestRankSums:
         rule = build_quadrature(RECT, 6)
         ctx = second_sheet(2)
         z = PARAMS.eigenvalue(3) - 0.002 - 1e-4j
-        got = assemble_A_l(z, 3, rule, ctx, PARAMS, n_cut=60) / rule.weights
+        got = assemble_A_l(z, _state(rule, ctx, 3, n_cut=60)) / rule.weights
         want = np.zeros((rule.n_nodes, rule.n_nodes), dtype=complex)
         for n in range(1, 61):
             if n != 3:
@@ -610,15 +624,30 @@ class TestEtaL:
         with pytest.raises(PoleCollisionError, match="mode 3 "):
             eta_l(complex(PARAMS.eigenvalue(3)), small_state)
 
-    def test_ill_conditioned_guard(self, rule12):
+    def test_ill_conditioned_guard(self, rule12, state12):
         # beta = 1 / lambda_max(R + A_1) makes M_1 = I - beta (R + A_1) singular
-        ctx = first_sheet()
-        n_cut = default_mode_cutoff(rule12, ctx)
-        op = assemble_free(-5.0, rule12) + assemble_A_l(-5.0, 1, rule12, ctx, PARAMS, n_cut)
+        op = assemble_free(-5.0, state12) + assemble_A_l(-5.0, state12)
         lam = np.linalg.eigvals(op).real.max()
-        st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12, ctx, 1)
+        st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12, first_sheet(), 1,
+                         layout=state12.layout)
         with pytest.raises(IllConditionedError, match=r"I - beta \(R_SigmaSigma \+ A_l\)"):
             eta_l(-5.0, st)
+
+    def test_tables_built_once_per_state(self, monkeypatch):
+        # the pairs and the diagonal are tabulated at the first eta_l; later
+        # z only evaluate them
+        built = []
+        init = EwaldTables.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("diagonal", False))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EwaldTables, "__init__", counted)
+        st = SystemState(PARAMS, build_quadrature(SMALL, 8), second_sheet(1), 2)
+        for dz in (-0.001 - 1e-4j, -0.002 - 1e-4j, -0.003 - 2e-4j):
+            eta_l(PARAMS.eigenvalue(2) + dz, st)
+        assert built == [False, True]
 
     def test_one_factorization_per_eta(self, small_state, monkeypatch):
         calls = []
@@ -652,9 +681,9 @@ class TestDeterminant:
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         n = rule.n_nodes
         eye = np.eye(n, dtype=complex)
-        free = assemble_free(z, rule, ctx, st.layout)
-        a_l = assemble_A_l(z, 2, rule, ctx, st.params, st.n_cut)
-        r_a = assemble_alpha(z, rule, ctx, st.params, st.n_cut, free=free)
+        free = assemble_free(z, st)
+        a_l = assemble_A_l(z, st)
+        r_a = assemble_alpha(z, st)
         lu_b = lu_factor(eye - beta * free)
         g_a = lu_solve(lu_b, a_l)
         lu_m = lu_factor(eye - beta * g_a)
@@ -671,21 +700,21 @@ class TestDeterminant:
             assert resid < 1e-9
 
     @pytest.mark.parametrize("point", ["second-sheet", "singular-free-part"])
-    def test_eta_determinant_identity(self, small_state, rule12, point):
+    def test_eta_determinant_identity(self, small_state, rule12, state12, point):
         # Gamma_l det(I - beta R_alpha) = eta_l det(M_l), M_l = I - beta (R + A_l)
         if point == "second-sheet":
             st, z = small_state, PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         else:
             # I - beta R is singular here (cond 2e15), M_1 is not
-            lam = np.linalg.eigvals(assemble_free(-5.0, rule12)).real.max()
+            lam = np.linalg.eigvals(assemble_free(-5.0, state12)).real.max()
             st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12,
-                             first_sheet(), 1)
+                             first_sheet(), 1, layout=state12.layout)
             z = -5.0
         rule, ctx, params, beta, l = st.rule, st.ctx, st.params, st.params.beta, st.l
         eye = np.eye(rule.n_nodes)
-        free = assemble_free(z, rule, ctx, st.layout)
-        m_l = eye - beta * (free + assemble_A_l(z, l, rule, ctx, params, st.n_cut))
-        r_a = assemble_alpha(z, rule, ctx, params, st.n_cut, free=free)
+        free = assemble_free(z, st)
+        m_l = eye - beta * (free + assemble_A_l(z, st))
+        r_a = assemble_alpha(z, st)
         lhs = gamma_n(z, l, ctx, params) * np.linalg.det(eye - beta * r_a)
         rhs = eta_l(z, st) * np.linalg.det(m_l)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -702,8 +731,8 @@ class TestDeterminant:
 
 
 class TestNeumann:
-    def test_matches_direct_solve(self, rule12):
-        op = assemble_free(-2.0, rule12)
+    def test_matches_direct_solve(self, rule12, state12):
+        op = assemble_free(-2.0, state12)
         norm = _op_norm(op, rule12.weights)
         beta = 0.25 / norm
         assert beta * norm < 0.3

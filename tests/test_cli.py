@@ -230,6 +230,34 @@ class TestSweepMode:
             "failure[0.035000000000000003] = forced failure"]
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_underflowing_re_mu_keeps_the_poles(self, tmp_path, fmt):
+        # r_min = 5.16: every Re mu rounds to 0.0 at Re z ~ 45 and Im mu is
+        # ~1e-21; the poles are written, and only the Re mu fit is nan
+        out = tmp_path / f"sweep.{fmt}"
+        path = _write(tmp_path, "underflow.cfg",
+                      "[run]\nmode = sweep\nl = 7\n[coupling]\nalpha = -0.082\nbeta = 0.082\n"
+                      "[surface]\nfamily = rectangle\ncenter = 0.926 5.177 1.001\n"
+                      "direction1 = -0.748 0.021 -0.618\ndirection2 = -0.22 0.625 0.731\n"
+                      "length1 = 0.219\nlength2 = 0.301\ndeltas = 0.0183 0.0238 0.031 0.0402\n"
+                      f"[numerics]\norder = 5\n[output]\nformat = {fmt}\n")
+        assert main(["sweep", "--config", path, "--output", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        if fmt == "json":
+            payload = json.loads(text)
+            meta, rows = payload["metadata"], payload["rows"]
+            statuses = [row[-1] for row in rows]
+        else:
+            meta = [ln[2:] for ln in text.splitlines() if ln.startswith("# ")]
+            rows = [ln for ln in text.splitlines() if not ln.startswith("#")][1:]
+            statuses = [ln.split(",")[-1] for ln in rows]
+        assert statuses == ["ok"] * 4
+        fits = dict(m.split(" = ") for m in meta if m.startswith("fit_"))
+        assert [fits[f"fit_re_{key}"] for key in ("exponent", "prefactor", "r_squared")] \
+            == ["nan"] * 3
+        assert 3.8 < float(fits["fit_im_exponent"]) < 4.2
+
+
 class TestMain:
     def test_missing_config_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == 2
@@ -437,8 +465,12 @@ class TestMain:
         (DISK_SURFACE.replace("radius = 0.5", "radius = 0"), "radius must be positive"),
         ("[surface]\nfamily = rectangle\ncenter = 1.0 0.0 1.0\ndirection1 = 1 0 0\n"
          "direction2 = 0 1 0\nlength1 = 0.5\nlength2 = -0.5\n", "length2 must be positive"),
+        # the axis meets the plane 0.0155 from the centre; the grid search of
+        # r_min missed it (2.0e-4) and a delta-copy failed with exit 1
+        ("[surface]\nfamily = disk\ncenter = -0.001 -0.014 0.97\n"
+         "normal = -0.94 0.336 0.582\nradius = 0.561\n", "touches the wire axis"),
     ], ids=["zero-normal", "parallel-directions", "negative-radius", "zero-radius",
-            "negative-length2"])
+            "negative-length2", "pierced-disk"])
     def test_degenerate_surface_exit_two(self, tmp_path, capsys, surface, message):
         out = tmp_path / "pole.csv"
         path = _write(tmp_path, "degenerate.cfg",

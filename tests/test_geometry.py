@@ -225,6 +225,27 @@ class TestRMin:
         s = disk(center=(0.0, -1.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
         assert abs(r_min(s) - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("make", [
+        lambda: disk(center=(-0.001, -0.014, 0.97), normal=(-0.94, 0.336, 0.582),
+                     radius=0.561),
+        lambda: rectangle_patch(center=(0.05, -0.03, 1.2), direction1=(1.0, 0.0, 0.4),
+                                direction2=(0.2, 1.0, -0.7), length1=0.3, length2=0.2)],
+        ids=["tilted-disk", "tilted-rectangle"])
+    def test_pierced_surface_refused(self, make):
+        # the axis crosses the surface's plane inside it, so r_min is 0; on the
+        # disk the grid search alone found 2.0e-4
+        with pytest.raises(SurfaceValidationError, match="touches the wire axis"):
+            make()
+
+    def test_crossing_outside_the_surface_accepted(self):
+        # the axis meets the plane 0.05 beyond the rim of a horizontal disk
+        # and of a tilted one; both keep the searched r_min
+        flat = disk(center=(0.55, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
+        assert r_min(flat) == pytest.approx(0.05, abs=1e-9)
+        tilted = disk(center=(0.5, 0.0, 1.0), normal=(1.0, 0.0, 1.0),
+                      radius=0.5 * math.sqrt(2.0) - 0.05)
+        assert 0.0 < r_min(tilted) < 0.05
+
     def test_minimum_at_a_corner(self):
         # both parameter bounds active: the corner (0.75, 0.75)
         s = rectangle_patch(center=(1.0, 1.0, 1.0), direction1=(1, 0, 0),

@@ -26,6 +26,17 @@ SURFACES = {
 }
 X = np.array([1.0, 0.2, 1.3])
 XP = np.array([0.6, -0.1, 0.9])
+FIRST = first_sheet()
+
+
+def ewald(z, ctx=FIRST, rho=0.6):
+    """The kernel at z under the split a state takes for pairs up to rho apart in-plane."""
+    return EwaldGreen(z, EwaldSplit.for_separation(rho, (ctx.k + 1) ** 2), ctx)
+
+
+def diagonal(split, ctx, x):
+    """Diagonal tables of the points x."""
+    return EwaldTables(x, x, split, ctx, diagonal=True)
 
 
 def brute_k0_cosine(rho, a, n_terms=100_000):
@@ -145,13 +156,14 @@ class TestEwaldGreen:
         (6.0 - 0.2j, second_sheet(2)),
     ])
     def test_matches_modal_sum(self, z, ctx):
-        ew = EwaldGreen(z, ctx)
+        ctx = ctx or FIRST
+        ew = ewald(z, ctx)
         got = ew(X, XP)
         want = layer_green_modal(z, X, XP, ctx, n_max=20_000)
         assert abs(got - want) < 1e-12
 
     def test_matches_split_near_diagonal(self):
-        ew = EwaldGreen(-2.0)
+        ew = ewald(-2.0)
         for r in (1e-2, 1e-3):
             xp = X + np.array([r, 0.0, 0.0])
             assert abs(ew(X, xp) - layer_green(-2.0, X, xp)) < 1e-10
@@ -160,7 +172,7 @@ class TestEwaldGreen:
         # rho = 0 with x3 separation: split cannot do this, Ewald can;
         # compare against split at tiny-but-nonzero rho
         xp = np.array([1.0, 0.2, 0.9])
-        ew = EwaldGreen(-2.0)
+        ew = ewald(-2.0)
         val = ew(X, xp)
         near = layer_green(-2.0, X, np.array([1.0 + 1e-4, 0.2, 0.9]))
         assert abs(val - near) < 1e-6
@@ -168,18 +180,18 @@ class TestEwaldGreen:
     def test_edge_of_the_wedge(self):
         eps = 1e-8
         for lam, k in ((2.5, 1), (6.0, 2)):
-            up = EwaldGreen(lam + 1j * eps)(X, XP)
-            down = EwaldGreen(lam - 1j * eps, second_sheet(k))(X, XP)
+            up = ewald(lam + 1j * eps, first_sheet(k))(X, XP)
+            down = ewald(lam - 1j * eps, second_sheet(k))(X, XP)
             assert abs(up - down) < 1e-6
 
     def test_below_first_threshold_no_spurious_cut(self):
         # the kernel is analytic across (0, 1); +-i0 values must agree
-        up = EwaldGreen(0.5 + 1e-12j)(X, XP)
-        down = EwaldGreen(0.5 - 1e-12j)(X, XP)
+        up = ewald(0.5 + 1e-12j)(X, XP)
+        down = ewald(0.5 - 1e-12j)(X, XP)
         assert abs(up - down) < 1e-10
 
     def test_singular_part_bounded(self):
-        ew = EwaldGreen(-2.0)
+        ew = ewald(-2.0)
         d = np.array([1.0, 0.5, 1.0]) / np.linalg.norm([1.0, 0.5, 1.0])
         vals = []
         for r in (1e-3, 1e-4, 1e-5, 1e-6):
@@ -188,9 +200,9 @@ class TestEwaldGreen:
         assert np.all(np.abs(vals) < 1.0)
 
     def test_regularized_diag_is_the_limit(self):
-        for z, ctx in ((-2.0, None), (2.5 - 0.05j, second_sheet(1))):
-            ew = EwaldGreen(z, ctx)
-            gd = ew.regularized_diag(X)
+        for z, ctx in ((-2.0, FIRST), (2.5 - 0.05j, second_sheet(1))):
+            ew = ewald(z, ctx)
+            gd = ew.regularized_diag(diagonal(ew.split, ctx, X))[0]
             d = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
             r1, r2 = 1e-4, 1e-5
             v1 = ew(X, X + r1 * d) - 1.0 / (4 * math.pi * r1)
@@ -205,49 +217,55 @@ class TestEwaldGreen:
         ("rectangle", 12, -2.0, first_sheet(), 12)],
         ids=["disk", "rectangle", "rectangle-first-sheet"])
     def test_regularized_diag_once_per_x3(self, surface, order, z, ctx, distinct):
-        # evaluated once per distinct x3 and broadcast back: bitwise the
-        # value of each node on its own
-        nodes = build_quadrature(SURFACES[surface], order).nodes
-        assert len(np.unique(nodes[:, 2])) == distinct
-        ew = EwaldGreen(z, ctx)
-        each = np.array([ew.regularized_diag(x) for x in nodes])
-        assert np.array_equal(ew.regularized_diag(nodes), each)
+        # the state tabulates the diagonal once per distinct x3, and the
+        # layout's index takes every node to its slot: bitwise the value of
+        # each node on its own
+        rule = build_quadrature(SURFACES[surface], order)
+        state = SystemState(SWEEP_PARAMS, rule, ctx, 2 if ctx.k == 1 else 3)
+        layout, (pairs, diag) = state.layout, state.tables
+        assert len(layout.diag) == len(np.unique(rule.nodes[:, 2])) == distinct
+        ew = EwaldGreen(z, pairs.split, ctx)
+        values = np.concatenate([ew.pairs(pairs), ew.regularized_diag(diag)])
+        each = [ew.regularized_diag(diagonal(pairs.split, ctx, x[None]))[0] for x in rule.nodes]
+        assert np.array_equal(values[np.diagonal(layout.index)], each)
 
     def test_pairs_vectorized_consistent(self):
         rng = np.random.default_rng(5)
         a = np.column_stack([1 + rng.random(8), rng.random(8), 0.5 + 2 * rng.random(8)])
         b = np.column_stack([1 + rng.random(8), rng.random(8), 0.5 + 2 * rng.random(8)])
-        ew = EwaldGreen(2.5 + 0.1j)
-        vec = ew.pairs(a, b)
+        ew = ewald(2.5 + 0.1j, rho=1.5)
+        vec = ew(a, b)
         for i in range(8):
             assert vec[i] == pytest.approx(ew(a[i], b[i]), abs=1e-14)
 
     def test_coincident_pair_rejected(self):
         with pytest.raises(ValueError):
-            EwaldGreen(-2.0)(X, X)
+            ewald(-2.0)(X, X)
 
     def test_large_rho_guard(self):
-        ew = EwaldGreen(-2.0, j_max=8)
+        ew = EwaldGreen(-2.0, EwaldSplit(1.0, 8, 0.0), FIRST)
         with pytest.raises(ValueError, match="rho"):
             ew(X, X + np.array([50.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("j_max", [8, 16, 32])
     @pytest.mark.parametrize("z,ctx", [
         (2.739 - 1e-8j, second_sheet(1)),
-        (2.739 + 1e-8j, None),
+        (2.739 + 1e-8j, FIRST),
         (8.95 - 1e-8j, second_sheet(2)),
-        (7.739 + 1e-8j, None),
+        (7.739 + 1e-8j, FIRST),
     ], ids=["J1-sheet2", "J1-sheet1", "J2-sheet2", "J2-sheet1"])
     def test_spectral_radius_is_accurate(self, j_max, z, ctx):
         # every admitted separation is within ~1e-12 of the kernel scale
-        # (|G| ~ 0.1 there); the bound j_max = 32 used to admit rho up to
-        # 8.49, where the truncated polynomial was off by 1e2
-        ew = EwaldGreen(z, ctx, j_max=j_max)
+        # (|G| ~ 0.1 there) at eta = 1, the largest the geometry may choose;
+        # the bound j_max = 32 used to admit rho up to 8.49, where the
+        # truncated polynomial was off by 1e2
+        split = EwaldSplit(1.0, j_max, z.real)
+        ew = EwaldGreen(z, split, ctx)
         for x3p in (1.0, 2.9):
-            xp = np.array([X[0], X[1] + 0.99 * ew.rho_max, x3p])
+            xp = np.array([X[0], X[1] + 0.99 * split.rho_max, x3p])
             assert abs(ew(X, xp) - layer_green(z, X, xp, ctx)) < 2e-13
         with pytest.raises(ValueError, match="spectral radius"):
-            ew(X, X + np.array([1.01 * ew.rho_max, 0.0, 0.0]))
+            ew(X, X + np.array([1.01 * split.rho_max, 0.0, 0.0]))
 
 
 #: the benchmark sweeps (surface, l, order, deltas), each also at delta = 1
@@ -275,8 +293,8 @@ class TestEwaldTables:
             rule = build_quadrature(scale_surface(base.surface, delta), order)
             state = SystemState(SWEEP_PARAMS, rule, second_sheet(k), l,
                                 layout=layout.scaled(delta), delta=delta)
-            tables = state.tables
-            assert state.tables is tables
+            tables, _ = state.tables
+            assert state.tables[0] is tables
             assert tables.split.eta == 0.15 and tables.split.re_top == (k + 1) ** 2
             x, xp = rule.nodes[layout.rows], rule.nodes[layout.cols]
             rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
@@ -284,8 +302,7 @@ class TestEwaldTables:
             sample = np.concatenate([[np.argmax(rho), apart[np.argmin(rho[apart])]],
                                      rng.choice(apart, 4, replace=False)])
             for z in (eps - 1e-4j, k * k + 0.3 - 0.02j, (k + 1) ** 2 - 0.3 - 0.02j):
-                ew = EwaldGreen(z, state.ctx, split=tables.split)
-                got = ew.pairs(tables=tables)[sample]
+                got = EwaldGreen(z, tables.split, state.ctx).pairs(tables)[sample]
                 want = np.array([layer_green(z, x[i], xp[i], state.ctx) for i in sample])
                 assert np.all(np.abs(got - want) < 2e-13 * np.maximum(1.0, np.abs(want))), \
                     (delta, z)
@@ -314,15 +331,15 @@ class TestEwaldTables:
         u_cut = split.r_cut / (2.0 * math.sqrt(split.eta))
         assert np.all(tables.image_u < u_cut)
         assert len(EwaldTables(x, xp, wide, ctx).image_u) > len(tables.image_u)
-        got = EwaldGreen(z, ctx, split=split).pairs(tables=tables)
-        want = EwaldGreen(z, ctx, split=wide).pairs(x, xp)
+        got = EwaldGreen(z, split, ctx).pairs(tables)
+        want = EwaldGreen(z, wide, ctx)(x, xp)
         assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
     def test_tables_of_another_split_refused(self):
         split = EwaldSplit.for_separation(0.5, 9.0)
         tables = EwaldTables(X, XP, split, second_sheet(2))
         with pytest.raises(ValueError, match="another Ewald split or sheet"):
-            EwaldGreen(8.9 - 1e-3j, second_sheet(2)).pairs(tables=tables)
+            EwaldGreen(8.9 - 1e-3j, EwaldSplit(1.0, 32, 9.0), second_sheet(2)).pairs(tables)
 
 
 class TestResidueLaw:

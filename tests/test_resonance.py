@@ -292,7 +292,7 @@ class TestLowestOrder:
             if n != 2:
                 w_n = bs_operator.mode_vector(eps, n, rule, ctx)
                 cross += complex(np.sum(w * w_l * w_n)) ** 2 / gamma_n(eps, n, ctx, PARAMS)
-        free = bs_operator.assemble_free(eps, rule, ctx, st.layout)
+        free = bs_operator.assemble_free(eps, st)
         dressed = complex(np.sum(w * w_l * (free @ w_l)))
         want = 4.0 * math.pi * PARAMS.xi_alpha * PARAMS.beta * (
             complex(np.sum(w * w_l * w_l)) + PARAMS.beta * (cross + dressed))
