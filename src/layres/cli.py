@@ -40,6 +40,11 @@ computation starts.  Recognized layout::
     format = csv           # csv | json
     emit_plot_script = false   # csv only; writes a gnuplot script of a sweep
 
+A key is one ``_KEYS`` entry (section, parser, default), so a new key is one
+entry there, plus a ``RunConfig`` field if a run reads it; a surface family
+is one ``_FAMILIES`` entry.  Every output file echoes the resolved config,
+``RunConfig.resolved``, in its ``#`` header.
+
 Exit codes: 0 success, 1 computation failure, 2 configuration error.
 """
 
@@ -49,10 +54,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import kv
 
 from . import __version__
 from .geometry import Surface, SurfaceValidationError, disk, rectangle_patch, \
@@ -64,7 +68,8 @@ from .greens import calibrate_tail_constant, k0_cosine_sum, layer_green, \
 # traces on this module
 from .resonance import MIN_SWEEP_POINTS, embedded_eigenvalues, find_pole, \
     fit_power_law, im_mu_closed_form, pole_state, sweep_delta, window_index
-from .specfun import SpectralParams, first_sheet, gamma_from_gap, second_sheet
+from .specfun import SpectralParams, first_sheet, gamma_from_gap, macdonald_k0, \
+    second_sheet
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -73,27 +78,11 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration; maps to exit code 2."""
 
 
-_SECTION_KEYS = {
-    "run": {"mode", "l", "n_min", "n_max"},
-    "coupling": {"alpha", "beta"},
-    "surface": {"family", "center", "normal", "radius", "polar_angle",
-                "direction1", "direction2", "length1", "length2", "anchor",
-                "delta", "deltas"},
-    "numerics": {"order", "tail_tol", "root_tol", "n_cut"},
-    "output": {"path", "format", "emit_plot_script"},
-}
-
-_FAMILY_KEYS = {
-    "disk": {"family", "center", "normal", "radius", "anchor", "delta", "deltas"},
-    "rectangle": {"family", "center", "direction1", "direction2", "length1",
-                  "length2", "anchor", "delta", "deltas"},
-    "spherical_cap": {"family", "center", "radius", "polar_angle", "anchor",
-                      "delta", "deltas"},
-}
-
-_MODES = ("eigenvalues", "pole", "sweep", "validate")
-
-_DEFAULT_DELTAS = tuple(float(d) for d in np.geomspace(0.02, 0.12, 8))
+def _echo(value):
+    """A resolved value as the header shows it: None is 'auto', a tuple one line."""
+    if isinstance(value, tuple):
+        return " ".join(map(_fmt, value))
+    return "auto" if value is None else value
 
 
 @dataclass
@@ -114,29 +103,22 @@ class RunConfig:
     format: str
     emit_plot_script: bool
     seed: complex | None = None
-    resolved: dict = field(default_factory=dict)
+    surface_lines: dict = field(default_factory=dict)  # [surface] key -> text as written
+
+    @property
+    def resolved(self) -> dict:
+        """The config every output header echoes: fields and couplings in
+        ``_KEYS`` order, the ``[surface]`` lines as written, the seed."""
+        own = {**vars(self.params), **vars(self)}
+        echo = {key: _echo(own[key]) for _, key in _KEYS if key in own}
+        echo.update((f"surface.{key}", text) for key, text in self.surface_lines.items())
+        if self.seed is not None:
+            echo["seed"] = str(self.seed)
+        return echo
 
 
-def _parse_lines(text: str):
-    """(section, key, value, line_number) tuples with fail-closed checks."""
-    section = None
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
-                raise ConfigError(f"line {num}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {num}: expected 'key = value', got {raw!r}")
-        if section is None:
-            raise ConfigError(f"line {num}: key outside of any [section]")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[section]:
-            raise ConfigError(f"line {num}: unknown key {key!r} in [{section}]")
-        yield section, key, value, num
+def _as_text(value, key, num):
+    return value
 
 
 def _as_float(value, key, num):
@@ -149,6 +131,10 @@ def _as_float(value, key, num):
     return x
 
 
+def _as_floats(value, key, num):
+    return tuple(_as_float(p, key, num) for p in value.split())
+
+
 def _as_int(value, key, num):
     try:
         return int(value)
@@ -157,10 +143,9 @@ def _as_int(value, key, num):
 
 
 def _as_vec(value, key, num):
-    parts = value.split()
-    if len(parts) != 3:
+    if len(value.split()) != 3:
         raise ConfigError(f"line {num}: {key} needs three components")
-    return tuple(_as_float(p, key, num) for p in parts)
+    return _as_floats(value, key, num)
 
 
 def _as_bool(value, key, num):
@@ -172,29 +157,86 @@ def _as_bool(value, key, num):
     raise ConfigError(f"line {num}: {key} must be true/false, got {value!r}")
 
 
-def _build_surface(raw: dict) -> Surface | None:
-    if "family" not in raw:
+_REQUIRED = object()
+
+#: (section, key) -> (parser, default): the only list of keys.  Key names are
+#: unique across sections; a key whose default is _REQUIRED must be given.
+#: The order is the order of the ``# config`` lines.
+_KEYS = {
+    ("run", "mode"): (_as_text, _REQUIRED),
+    ("run", "l"): (_as_int, 2),
+    ("run", "n_min"): (_as_int, 1),
+    ("run", "n_max"): (_as_int, 5),
+    ("coupling", "alpha"): (_as_float, 0.0),
+    ("coupling", "beta"): (_as_float, _REQUIRED),
+    ("surface", "delta"): (_as_float, 0.08),
+    ("surface", "deltas"): (_as_floats, tuple(np.geomspace(0.02, 0.12, 8).tolist())),
+    ("numerics", "order"): (_as_int, 16),
+    ("numerics", "tail_tol"): (_as_float, 1e-12),
+    ("numerics", "root_tol"): (_as_float, 1e-12),
+    ("numerics", "n_cut"): (_as_int, None),
+    ("output", "path"): (_as_text, None),
+    ("output", "format"): (_as_text, "csv"),
+    ("output", "emit_plot_script"): (_as_bool, False),
+    ("surface", "family"): (_as_text, None),
+    ("surface", "center"): (_as_vec, None),
+    ("surface", "normal"): (_as_vec, None),
+    ("surface", "radius"): (_as_float, None),
+    ("surface", "polar_angle"): (_as_float, None),
+    ("surface", "direction1"): (_as_vec, None),
+    ("surface", "direction2"): (_as_vec, None),
+    ("surface", "length1"): (_as_float, None),
+    ("surface", "length2"): (_as_float, None),
+    ("surface", "anchor"): (_as_vec, None),
+}
+
+#: family -> (factory, {config key: factory keyword}).  A [surface] key that
+#: no family names here (anchor, delta, deltas) applies to every family.
+_FAMILIES = {
+    "disk": (disk, {k: k for k in ("center", "normal", "radius")}),
+    "rectangle": (rectangle_patch, {k: k for k in ("center", "direction1", "direction2",
+                                                   "length1", "length2")}),
+    "spherical_cap": (spherical_cap, {"center": "sphere_center", "radius": "radius",
+                                      "polar_angle": "polar_angle"}),
+}
+
+
+def _parse_lines(text: str) -> dict:
+    """{(section, key): (value, line number)} in file order, checked fail-closed."""
+    sections = {name for name, _ in _KEYS}
+    lines, section = {}, None
+    for num, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in sections:
+                raise ConfigError(f"line {num}: unknown section [{section}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {num}: expected 'key = value', got {raw!r}")
+        if section is None:
+            raise ConfigError(f"line {num}: key outside of any [section]")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if (section, key) not in _KEYS:
+            raise ConfigError(f"line {num}: unknown key {key!r} in [{section}]")
+        if (section, key) in lines:
+            raise ConfigError(f"line {num}: duplicate key {key!r}")
+        lines[section, key] = (value, num)
+    return lines
+
+
+def _build_surface(given: dict) -> Surface | None:
+    """The surface of the parsed values; None without a family."""
+    if "family" not in given:
         return None
-    family, _ = raw["family"]
+    family = given["family"]
+    factory, keywords = _FAMILIES[family]
     try:
-        if family == "disk":
-            s = disk(center=raw["center"][0], normal=raw["normal"][0],
-                     radius=raw["radius"][0])
-        elif family == "rectangle":
-            s = rectangle_patch(center=raw["center"][0],
-                                direction1=raw["direction1"][0],
-                                direction2=raw["direction2"][0],
-                                length1=raw["length1"][0],
-                                length2=raw["length2"][0])
-        elif family == "spherical_cap":
-            s = spherical_cap(sphere_center=raw["center"][0],
-                              radius=raw["radius"][0],
-                              polar_angle=raw["polar_angle"][0])
-        else:
-            num = raw["family"][1]
-            raise ConfigError(f"line {num}: unknown surface family {family!r}")
-        if "anchor" in raw:
-            s = with_anchor(s, raw["anchor"][0])
+        s = factory(**{kw: given[key] for key, kw in keywords.items()})
+        if "anchor" in given:
+            s = with_anchor(s, given["anchor"])
         return s
     except KeyError as exc:
         raise ConfigError(
@@ -204,120 +246,44 @@ def _build_surface(raw: dict) -> Surface | None:
 
 
 def parse_config(text: str) -> RunConfig:
-    values: dict[str, dict] = {name: {} for name in _SECTION_KEYS}
-    for section, key, value, num in _parse_lines(text):
-        if key in values[section]:
-            raise ConfigError(f"line {num}: duplicate key {key!r}")
-        values[section][key] = (value, num)
+    """The config of ``text``; run() checks the ranges, after any override."""
+    lines = _parse_lines(text)
+    for (section, key), (_, default) in _KEYS.items():
+        if default is _REQUIRED and (section, key) not in lines:
+            raise ConfigError(f"missing required key: [{section}] {key}")
 
-    run_sec, coup, surf_sec = values["run"], values["coupling"], values["surface"]
-    numer, out = values["numerics"], values["output"]
-
-    if "mode" not in run_sec:
-        raise ConfigError("missing required key: [run] mode")
-    mode, mode_line = run_sec["mode"]
-    if mode not in _MODES:
-        raise ConfigError(f"line {mode_line}: mode must be one of {', '.join(_MODES)}")
-
-    if "family" in surf_sec:
-        family, fam_line = surf_sec["family"]
-        allowed = _FAMILY_KEYS.get(family)
-        if allowed is None:
-            raise ConfigError(f"line {fam_line}: unknown surface family {family!r}")
-        for key, (_, num) in surf_sec.items():
-            if key not in allowed:
+    mode, num = lines["run", "mode"]
+    if mode not in _RUNNERS:
+        raise ConfigError(f"line {num}: mode must be one of {', '.join(_RUNNERS)}")
+    surface_lines = {key: vn for (section, key), vn in lines.items() if section == "surface"}
+    if "family" in surface_lines:
+        family, num = surface_lines["family"]
+        if family not in _FAMILIES:
+            raise ConfigError(f"line {num}: unknown surface family {family!r}")
+        keywords = _FAMILIES[family][1]
+        for key, (_, num) in surface_lines.items():
+            if key not in keywords and any(key in kws for _, kws in _FAMILIES.values()):
                 raise ConfigError(
                     f"line {num}: key {key!r} does not apply to family {family!r}")
 
-    alpha = _as_float(coup["alpha"][0], "alpha", coup["alpha"][1]) \
-        if "alpha" in coup else 0.0
-    if "beta" not in coup:
-        raise ConfigError("missing required key: [coupling] beta")
-    beta = _as_float(coup["beta"][0], "beta", coup["beta"][1])
-    if beta == 0.0:
+    given = {key: _KEYS[section, key][0](value, key, num)
+             for (section, key), (value, num) in lines.items()}
+    values = {key: given.get(key, default) for (_, key), (_, default) in _KEYS.items()}
+    if values["beta"] == 0.0:
         raise ConfigError(
-            f"line {coup['beta'][1]}: beta = 0 switches the impurity off; "
+            f"line {lines['coupling', 'beta'][1]}: beta = 0 switches the impurity off; "
             "the coupling must be nonzero")
-    params = SpectralParams(alpha=alpha, beta=beta)
-
-    typed_surface = {}
-    for key, (value, num) in surf_sec.items():
-        if key in ("center", "normal", "direction1", "direction2", "anchor"):
-            typed_surface[key] = (_as_vec(value, key, num), num)
-        elif key in ("radius", "polar_angle", "length1", "length2", "delta"):
-            typed_surface[key] = (_as_float(value, key, num), num)
-        elif key == "deltas":
-            ds = tuple(_as_float(p, "deltas", num) for p in value.split())
-            typed_surface[key] = (ds, num)
-        else:
-            typed_surface[key] = (value, num)
-    surface = _build_surface(typed_surface)
-
-    delta = typed_surface.get("delta", (0.08, 0))[0]
-    deltas = typed_surface.get("deltas", (_DEFAULT_DELTAS, 0))[0]
-    if "deltas" in typed_surface and any(
-            b <= a for a, b in zip(deltas, deltas[1:])):
+    surface = _build_surface(given)
+    deltas = values["deltas"]
+    if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigError(
-            f"line {typed_surface['deltas'][1]}: deltas must be strictly increasing")
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"delta must lie in (0, 1], got {delta}")
-    if not all(0.0 < d <= 1.0 for d in deltas):
-        raise ConfigError(f"every delta in deltas must lie in (0, 1], got {deltas}")
+            f"line {lines['surface', 'deltas'][1]}: deltas must be strictly increasing")
 
-    l = _as_int(run_sec["l"][0], "l", run_sec["l"][1]) if "l" in run_sec else 2
-    if l < 1:
-        raise ConfigError(f"mode index l must be >= 1, got {l}")
-    n_min = _as_int(run_sec["n_min"][0], "n_min", run_sec["n_min"][1]) \
-        if "n_min" in run_sec else 1
-    n_max = _as_int(run_sec["n_max"][0], "n_max", run_sec["n_max"][1]) \
-        if "n_max" in run_sec else 5
-    if n_min < 1 or n_max < n_min:
-        raise ConfigError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
-
-    order = _as_int(numer["order"][0], "order", numer["order"][1]) \
-        if "order" in numer else 16
-    if order < 2:
-        raise ConfigError("quadrature order must be >= 2")
-    tail_tol = _as_float(numer["tail_tol"][0], "tail_tol", numer["tail_tol"][1]) \
-        if "tail_tol" in numer else 1e-12
-    root_tol = _as_float(numer["root_tol"][0], "root_tol", numer["root_tol"][1]) \
-        if "root_tol" in numer else 1e-12
-    n_cut = _as_int(numer["n_cut"][0], "n_cut", numer["n_cut"][1]) \
-        if "n_cut" in numer else None
-    if not 0.0 < tail_tol < 1.0:
-        raise ConfigError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if not root_tol >= 1e-12:
-        raise ConfigError(f"root_tol below 1e-12 is not resolvable, got {root_tol}")
-    if n_cut is not None and n_cut < 1:
-        raise ConfigError(f"n_cut must be >= 1, got {n_cut}")
-
-    fmt = out.get("format", ("csv", 0))[0]
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be csv or json, got {fmt!r}")
-    path = out.get("path", (None, 0))[0]
-    emit_plot = _as_bool(out["emit_plot_script"][0], "emit_plot_script",
-                         out["emit_plot_script"][1]) \
-        if "emit_plot_script" in out else False
-    if emit_plot and fmt != "csv":
-        raise ConfigError("emit_plot_script needs format = csv: the gnuplot script "
-                          "reads the output as CSV")
-
-    resolved = {
-        "mode": mode, "l": l, "n_min": n_min, "n_max": n_max,
-        "alpha": alpha, "beta": beta,
-        "delta": delta, "deltas": " ".join(f"{d:.17g}" for d in deltas),
-        "order": order, "tail_tol": tail_tol, "root_tol": root_tol,
-        "n_cut": "auto" if n_cut is None else n_cut,
-        "path": path, "format": fmt, "emit_plot_script": emit_plot,
-    }
-    for key, (value, _) in surf_sec.items():
-        resolved[f"surface.{key}"] = value
-
-    return RunConfig(mode=mode, params=params, surface=surface, l=l,
-                     n_min=n_min, n_max=n_max, delta=delta, deltas=deltas,
-                     order=order, tail_tol=tail_tol, root_tol=root_tol,
-                     n_cut=n_cut, path=path, format=fmt,
-                     emit_plot_script=emit_plot, resolved=resolved)
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(params=SpectralParams(alpha=values["alpha"], beta=values["beta"]),
+                     surface=surface,
+                     surface_lines={key: text for key, (text, _) in surface_lines.items()},
+                     **{key: v for key, v in values.items() if key in names})
 
 
 def _fmt(x) -> str:
@@ -362,12 +328,11 @@ def _write_json(path, header, rows, meta):
         fh.write("\n")
 
 
+_WRITERS = {"csv": _write_csv, "json": _write_json}
+
+
 def _emit(config, header, rows, extra):
-    meta = _metadata(config, extra)
-    if config.format == "json":
-        _write_json(config.path, header, rows, meta)
-    else:
-        _write_csv(config.path, header, rows, meta)
+    _WRITERS[config.format](config.path, header, rows, _metadata(config, extra))
 
 
 def _plot_script(config: RunConfig) -> str:
@@ -463,7 +428,7 @@ def _validate_checks(params: SpectralParams):
     checks.append(("gamma_derivative_law", abs(slope - want) < 1e-8))
 
     n_arr = np.arange(1, 50_001)
-    brute = float(np.sum(kv(0, n_arr * 0.5) * np.cos(n_arr * 1.0)))
+    brute = float(np.sum(macdonald_k0(n_arr * 0.5).real * np.cos(n_arr * 1.0)))
     checks.append(("prudnikov_cosine_sum", abs(k0_cosine_sum(0.5, 1.0) - brute) < 1e-8))
 
     split = layer_green(-2.0, x, xp)
@@ -488,8 +453,30 @@ def _run_validate(config: RunConfig) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def _check_mode(config: RunConfig):
-    """Checks that depend on the mode; ``config.mode`` is the mode that runs."""
+def _check(config: RunConfig):
+    """Range checks of the values and checks that depend on the mode, made
+    after every command-line override; ``config.mode`` is the mode that runs."""
+    if not 0.0 < config.delta <= 1.0:
+        raise ConfigError(f"delta must lie in (0, 1], got {config.delta}")
+    if not all(0.0 < d <= 1.0 for d in config.deltas):
+        raise ConfigError(f"every delta in deltas must lie in (0, 1], got {config.deltas}")
+    if config.l < 1:
+        raise ConfigError(f"mode index l must be >= 1, got {config.l}")
+    if config.n_min < 1 or config.n_max < config.n_min:
+        raise ConfigError(f"need 1 <= n_min <= n_max, got {config.n_min}..{config.n_max}")
+    if config.order < 2:
+        raise ConfigError("quadrature order must be >= 2")
+    if not 0.0 < config.tail_tol < 1.0:
+        raise ConfigError(f"tail_tol must lie in (0, 1), got {config.tail_tol}")
+    if not config.root_tol >= 1e-12:
+        raise ConfigError(f"root_tol below 1e-12 is not resolvable, got {config.root_tol}")
+    if config.n_cut is not None and config.n_cut < 1:
+        raise ConfigError(f"n_cut must be >= 1, got {config.n_cut}")
+    if config.format not in _WRITERS:
+        raise ConfigError(f"output format must be csv or json, got {config.format!r}")
+    if config.emit_plot_script and config.format != "csv":
+        raise ConfigError("emit_plot_script needs format = csv: the gnuplot script "
+                          "reads the output as CSV")
     if config.mode in ("pole", "sweep"):
         if config.surface is None:
             raise ConfigError(f"mode {config.mode} needs a [surface] section with a family")
@@ -517,19 +504,17 @@ def _check_mode(config: RunConfig):
                           f"not {config.mode}")
 
 
+_RUNNERS = {"eigenvalues": _run_eigenvalues, "pole": _run_pole, "sweep": _run_sweep,
+            "validate": _run_validate}
+
+
 def run(config: RunConfig) -> int:
     if config.path is None:
-        config.path = config.resolved["path"] = f"layres_{config.mode}.{config.format}"
+        config.path = f"layres_{config.mode}.{config.format}"
     try:
-        _check_mode(config)
-        if config.mode == "eigenvalues":
-            return _run_eigenvalues(config)
-        if config.mode == "pole":
-            return _run_pole(config)
-        if config.mode == "sweep":
-            return _run_sweep(config)
-        return _run_validate(config)
-    except ConfigError as exc:
+        _check(config)
+        return _RUNNERS[config.mode](config)
+    except (ConfigError, OSError) as exc:  # OSError: the output is not writable
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError) as exc:
@@ -540,54 +525,34 @@ def run(config: RunConfig) -> int:
         return 1
 
 
-def _build_parser():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="layres", description=__doc__.split("\n")[0])
-    parser.add_argument("mode", choices=_MODES)
+    parser.add_argument("mode", choices=_RUNNERS)
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--output", help="override [output] path")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread count")
-    parser.add_argument("--seed-re", type=float, default=None,
-                        help="pole-mode root seed, real part")
-    parser.add_argument("--seed-im", type=float, default=None,
-                        help="pole-mode root seed, imaginary part")
-    parser.add_argument("--quad-order", type=int, default=None,
-                        help="override [numerics] order")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser.add_argument("--threads", type=int, help="cap BLAS thread count")
+    parser.add_argument("--seed-re", type=float, help="pole-mode root seed, real part")
+    parser.add_argument("--seed-im", type=float, help="pole-mode root seed, imaginary part")
+    parser.add_argument("--quad-order", type=int, help="override [numerics] order")
+    args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = parse_config(text)
+            config = parse_config(fh.read())
         config.mode = args.mode
-        config.resolved["mode"] = args.mode
-        if args.output:
-            config.path = args.output
-            config.resolved["path"] = args.output
+        config.path = args.output or config.path
+        if args.quad_order is not None:
+            config.order = args.quad_order
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        if args.quad_order is not None:
-            if args.quad_order < 2:
-                raise ConfigError("quadrature order must be >= 2")
-            config.order = args.quad_order
-            config.resolved["order"] = args.quad_order
+        for flag, value in (("--seed-re", args.seed_re), ("--seed-im", args.seed_im)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{flag} must be a finite number, got {value}")
         if args.seed_re is not None or args.seed_im is not None:
-            for flag, value in (("--seed-re", args.seed_re), ("--seed-im", args.seed_im)):
-                if value is not None and not math.isfinite(value):
-                    raise ConfigError(f"{flag} must be a finite number, got {value}")
             seed_re = args.seed_re
             if seed_re is None:
                 seed_re = config.params.eigenvalue(config.l)
             config.seed = complex(seed_re, args.seed_im or 0.0)
-            config.resolved["seed"] = str(config.seed)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: the config file is not readable
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.threads is not None:

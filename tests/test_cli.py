@@ -520,6 +520,139 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "spectral radius" in err
 
+    def test_missing_output_directory_exit_two(self, tmp_path, capsys):
+        path = _write(tmp_path, "eig.cfg",
+                      MINIMAL + f"[output]\npath = {tmp_path / 'missing' / 'out.csv'}\n")
+        assert main(["eigenvalues", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "No such file or directory" in err
+
+    def test_output_is_a_directory_exit_two(self, tmp_path, capsys):
+        path = _write(tmp_path, "eig.cfg", MINIMAL)
+        assert main(["eigenvalues", "--config", path, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Is a directory" in err
+
+    @pytest.mark.parametrize("config_order, flag_order",
+                             [(1, None), (16, 1)], ids=["config", "flag"])
+    def test_order_below_two_exit_two(self, tmp_path, capsys, config_order, flag_order):
+        path = _write(tmp_path, "eig.cfg", MINIMAL + f"[numerics]\norder = {config_order}\n")
+        flags = [] if flag_order is None else ["--quad-order", str(flag_order)]
+        out = tmp_path / "eig.csv"
+        assert main(["eigenvalues", "--config", path, "--output", str(out), *flags]) == 2
+        assert capsys.readouterr().err == "config error: quadrature order must be >= 2\n"
+        assert not out.exists()
+
+
+_DELTAS = ("0.02 0.025834166841814936 0.033370208820536512 0.043104577110797224 "
+           "0.055678541836310623 0.071920436965411033 0.092900228395033188 0.12")
+
+_EIGENVALUES_HEADER = """\
+# layres {version}
+# config mode = eigenvalues
+# config l = 2
+# config n_min = 1
+# config n_max = 5
+# config alpha = 0
+# config beta = 0.40000000000000002
+# config delta = 0.080000000000000002
+# config deltas = {deltas}
+# config order = 16
+# config tail_tol = 9.9999999999999998e-13
+# config root_tol = 9.9999999999999998e-13
+# config n_cut = auto
+# config path = layres_eigenvalues.csv
+# config format = csv
+# config emit_plot_script = False
+# xi_alpha = -1.2609470067487736
+"""
+
+_POLE_HEADER = """\
+# layres {version}
+# config mode = pole
+# config l = 2
+# config n_min = 1
+# config n_max = 5
+# config alpha = 0.050000000000000003
+# config beta = 0.40000000000000002
+# config delta = 0.080000000000000002
+# config deltas = {deltas}
+# config order = 5
+# config tail_tol = 9.9999999999999998e-13
+# config root_tol = 9.9999999999999998e-13
+# config n_cut = 30
+# config path = {path}
+# config format = csv
+# config emit_plot_script = False
+# config surface.family = disk
+# config surface.center = 1.0 0.0 1.0
+# config surface.normal = 0.0 0.0 1.0
+# config surface.radius = 0.3
+# config surface.anchor = 1.1 0.0 1.0
+# config surface.delta = 0.08
+# config seed = (3.3-0.001j)
+# n_max = 30
+# n_nodes = 25
+"""
+
+_VALIDATE_HEADER = """\
+# layres {version}
+# config mode = validate
+# config l = 2
+# config n_min = 1
+# config n_max = 5
+# config alpha = 0
+# config beta = 0.40000000000000002
+# config delta = 0.080000000000000002
+# config deltas = {deltas}
+# config order = 16
+# config tail_tol = 9.9999999999999998e-13
+# config root_tol = 9.9999999999999998e-13
+# config n_cut = auto
+# config path = layres_validate.json
+# config format = json
+# config emit_plot_script = False
+# passed = 5
+# failed = 0
+"""
+
+
+class TestMetadataHeader:
+    """Every ``#`` line, in order and byte for byte, path substituted."""
+
+    @staticmethod
+    def _want(template, path=None):
+        return template.format(version=layres.__version__, deltas=_DELTAS,
+                               path=path).splitlines()
+
+    def test_eigenvalues_defaults(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "eig.cfg", "[run]\nmode = eigenvalues\n[coupling]\nbeta = 0.4\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["eigenvalues", "--config", path]) == 0
+        lines = (tmp_path / "layres_eigenvalues.csv").read_text(encoding="utf-8").splitlines()
+        assert [ln for ln in lines if ln.startswith("#")] == self._want(_EIGENVALUES_HEADER)
+
+    def test_pole_with_overrides(self, tmp_path):
+        path = _write(tmp_path, "pole.cfg",
+                      "[run]\nmode = pole\nl = 2\n[coupling]\nalpha = 0.05\nbeta = 0.4\n"
+                      "[surface]\nfamily = disk\ncenter = 1.0 0.0 1.0\n"
+                      "normal = 0.0 0.0 1.0\nradius = 0.3\nanchor = 1.1 0.0 1.0\n"
+                      "delta = 0.08\n[numerics]\norder = 4\nn_cut = 30\n")
+        out = tmp_path / "pole.csv"
+        assert main(["pole", "--config", path, "--output", str(out), "--quad-order", "5",
+                     "--seed-re", "3.3", "--seed-im", "-0.001"]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [ln for ln in lines if ln.startswith("#")] == self._want(_POLE_HEADER, out)
+
+    def test_validate_json(self, tmp_path, monkeypatch, capsys):
+        path = _write(tmp_path, "val.cfg",
+                      "[run]\nmode = validate\n[coupling]\nbeta = 0.4\n"
+                      "[output]\nformat = json\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--config", path]) == 0
+        meta = json.loads((tmp_path / "layres_validate.json").read_text())["metadata"]
+        assert meta == [ln[2:] for ln in self._want(_VALIDATE_HEADER)]
+
 
 def test_import_leaves_out_scipy_optimize():
     # geometry searches on numpy alone; scipy.optimize would add to every start-up

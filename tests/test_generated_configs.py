@@ -13,17 +13,35 @@ resolved: far from the wire Im mu falls to 1e-23 while that bound is near
 Sizes stay below 0.8 of the distance from the wire axis to the centre (of
 the sphere, for a cap), so r_min is at least a fifth of that distance and
 the default mode cutoff stays below about 1400.
+
+Larger batches, at other seeds or quadrature orders, run outside the test
+suite with the same per-run checks:
+
+    python tests/test_generated_configs.py --seed 1 --count 100 --orders 6 8
+
+It prints the wall time and the count of each exit code, and stops at the
+first run that breaks the contract.
 """
 
+import argparse
 import csv
 import math
 import random
+import sys
+import tempfile
+import time
+from collections import Counter
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: import layres from this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from layres.cli import main
 from layres.specfun import SpectralParams
 
 N_CONFIGS = 100
 SEED = 20261018
+ORDERS = (3, 5)  # quadrature orders are drawn from this closed range
 
 
 def _vec(values):
@@ -57,7 +75,7 @@ def _surface(rng, family):
     return lines
 
 
-def _config(rng):
+def _config(rng, orders=ORDERS):
     """(mode, l, params, deltas, config text) of one generated run."""
     family = rng.choice(["disk", "rectangle", "spherical_cap"])
     mode = "sweep" if rng.random() < 0.7 else "pole"
@@ -73,7 +91,7 @@ def _config(rng):
         ["[run]", f"mode = {mode}", f"l = {l}",
          "[coupling]", f"alpha = {alpha}", f"beta = {beta}",
          "[surface]", *_surface(rng, family), f"{key} = {' '.join(map(repr, deltas))}",
-         "[numerics]", f"order = {rng.randint(3, 5)}", ""])
+         "[numerics]", f"order = {rng.randint(*orders)}", ""])
     return mode, l, SpectralParams(alpha=alpha, beta=beta), deltas, text
 
 
@@ -82,13 +100,14 @@ def _rows(path):
         return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
 
 
-def test_generated_configs_keep_the_exit_code_contract(tmp_path):
-    rng = random.Random(SEED)
+def _run_batch(seed, count, orders, workdir):
+    """Exit codes of ``count`` generated runs, each held to the contract."""
+    rng = random.Random(seed)
     codes = []
-    for i in range(N_CONFIGS):
-        mode, l, params, deltas, text = _config(rng)
-        cfg = tmp_path / f"{i}.cfg"
-        out = tmp_path / f"{i}.csv"
+    for i in range(count):
+        mode, l, params, deltas, text = _config(rng, orders)
+        cfg = workdir / f"{i}.cfg"
+        out = workdir / f"{i}.csv"
         cfg.write_text(text, encoding="utf-8")
         code = main([mode, "--config", str(cfg), "--output", str(out)])
         assert code in (0, 1, 2), text
@@ -104,5 +123,25 @@ def test_generated_configs_keep_the_exit_code_contract(tmp_path):
             z = complex(float(row["re_z"]), float(row["im_z"]))
             resolution = float(row["residual"]) * 4.0 * math.pi * abs(z - l * l)
             assert z.imag < resolution and k * k < z.real < (k + 1) ** 2, (text, row)
+    return codes
+
+
+def test_generated_configs_keep_the_exit_code_contract(tmp_path):
+    codes = _run_batch(SEED, N_CONFIGS, ORDERS, tmp_path)
     # the batch reaches both poles and config refusals, not one outcome only
     assert codes.count(0) >= 20 and codes.count(2) >= 5, codes
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Run a batch of generated configs.")
+    parser.add_argument("--seed", type=int, default=SEED)
+    parser.add_argument("--count", type=int, default=N_CONFIGS)
+    parser.add_argument("--orders", type=int, nargs=2, default=ORDERS, metavar=("LO", "HI"),
+                        help="closed range of the quadrature orders drawn")
+    args = parser.parse_args()
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory() as tmp:
+        codes = _run_batch(args.seed, args.count, args.orders, Path(tmp))
+    counts = ", ".join(f"exit {c}: {n}" for c, n in sorted(Counter(codes).items()))
+    print(f"seed {args.seed}, {args.count} configs, orders {args.orders[0]}-{args.orders[1]}: "
+          f"{counts} in {time.monotonic() - start:.1f} s")
