@@ -47,7 +47,6 @@ __all__ = [
     "assemble_alpha",
     "eta_l",
     "bs_determinant",
-    "neumann_apply",
     "default_mode_cutoff",
 ]
 
@@ -547,17 +546,6 @@ def _guarded_lu(mat, what: str, diagnostics: dict | None = None):
         key = f"cond[{what}]"
         diagnostics[key] = max(diagnostics.get(key, 0.0), 1.0 / rcond)
     return lu
-
-
-def neumann_apply(op: np.ndarray, beta: float, f: np.ndarray,
-                  terms: int = 60) -> np.ndarray:
-    """(I - beta op)^(-1) f via the Neumann series; cross-check for the solve."""
-    acc = np.array(f, dtype=complex)
-    cur = np.array(f, dtype=complex)
-    for _ in range(terms):
-        cur = beta * (op @ cur)
-        acc += cur
-    return acc
 
 
 @dataclass

@@ -51,8 +51,10 @@ Exit codes: 0 success, 1 computation failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -453,9 +455,24 @@ def _run_validate(config: RunConfig) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _refuse_unwritable(path: str):
+    """Raise the OSError that writing ``path`` would raise; opens nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _check(config: RunConfig):
-    """Range checks of the values and checks that depend on the mode, made
-    after every command-line override; ``config.mode`` is the mode that runs."""
+    """Range checks of the values, checks that depend on the mode and the
+    check that the outputs are writable, made after every command-line
+    override; ``config.mode`` is the mode that runs."""
     if not 0.0 < config.delta <= 1.0:
         raise ConfigError(f"delta must lie in (0, 1], got {config.delta}")
     if not all(0.0 < d <= 1.0 for d in config.deltas):
@@ -502,6 +519,9 @@ def _check(config: RunConfig):
     if config.seed is not None and config.mode != "pole":
         raise ConfigError(f"--seed-re and --seed-im apply to pole mode only, "
                           f"not {config.mode}")
+    _refuse_unwritable(config.path)
+    if config.mode == "sweep" and config.emit_plot_script:
+        _refuse_unwritable(config.path + ".gp")
 
 
 _RUNNERS = {"eigenvalues": _run_eigenvalues, "pole": _run_pole, "sweep": _run_sweep,

@@ -5,7 +5,8 @@ Two evaluation routes are provided and cross-checked against each other:
 * :func:`layer_green` — the split evaluation: a truncated difference series
   ``sum [K0(kappa_n rho) - K0(n rho)] chi chi'`` plus the closed form of the
   lattice sum ``sum K0(n rho) cos(na)`` (:func:`k0_cosine_sum`).  Transparent
-  and auditable, but termwise; cost grows like 1/rho near the diagonal.
+  and auditable, but termwise; cost grows like 1/rho near the diagonal.  Its
+  mode sum, with K0 from ``specfun``, is that of :func:`layer_green_modal`.
 * :class:`EwaldGreen` — the same kernel Ewald-summed (spectral part with
   incomplete-gamma coefficients + erfc-screened image charges), uniformly
   accurate in the separation and vectorized over point pairs.  This is what
@@ -30,6 +31,7 @@ from .specfun import (
     first_sheet,
     im_positive_sqrt,
     kappa_n,
+    macdonald_k0,
     nudge_off_axis,
 )
 
@@ -136,6 +138,22 @@ def _second_sheet_correction(z, rho, open_chi, ctx: SheetContext):
     return np.sum(0.5j * i0 * open_chi, axis=-1)
 
 
+def _mode_sum(z, x, xp, rho: float, ctx: SheetContext, n_max: int, split: bool) -> complex:
+    """(1/2 pi) sum_{n <= n_max} [K0(kappa_n rho) - K0(n rho) if split] chi_n(x3) chi_n(x3'),
+    plus the second-sheet term of the open modes, at in-plane separation rho > 0."""
+    zc = nudge_off_axis(z, ctx)
+    n = np.arange(1, n_max + 1)
+    x3 = float(np.asarray(x, float)[2])
+    x3p = float(np.asarray(xp, float)[2])
+    k0 = macdonald_k0(kappa_n(zc, n, ctx) * rho)
+    if split:
+        k0 = k0 - macdonald_k0(n * rho)
+    val = complex(np.sum(k0 * chi_n(n, x3) * chi_n(n, x3p))) / _TWO_PI
+    if ctx.second:
+        val += _second_sheet_correction(zc, rho, _open_chi(x3, x3p, ctx), ctx)
+    return val
+
+
 def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
                 n_max: int | None = None) -> complex:
     """Layer kernel via the split evaluation (single point pair).
@@ -146,8 +164,7 @@ def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
     Requires an in-plane separation rho > 0.
     """
     ctx = ctx or first_sheet()
-    rho, a_minus, a_plus = _pair_geometry(x, xp)
-    rho = float(rho)
+    rho, a_minus, a_plus = (float(v) for v in _pair_geometry(x, xp))
     if rho == 0.0:
         raise ValueError("split evaluation needs in-plane separation rho > 0 "
                          "(use EwaldGreen for vertically aligned pairs)")
@@ -155,39 +172,18 @@ def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
         n_max = _split_n_max(rho, ctx.k)
     elif n_max < 1:
         raise ValueError("n_max must be >= 1")
-    zc = nudge_off_axis(z, ctx)
-    n = np.arange(1, n_max + 1)
-    kap = kappa_n(zc, n, ctx)
-    x3 = float(np.asarray(x, float)[2])
-    x3p = float(np.asarray(xp, float)[2])
-    chi = chi_n(n, x3) * chi_n(n, x3p)
-    diff = _sp.kv(0, kap * rho) - _sp.kv(0, n * rho)
-    val = complex(np.sum(diff * chi)) / _TWO_PI
-    val += (k0_cosine_sum(rho, float(a_minus)) - k0_cosine_sum(rho, float(a_plus))) \
-        / (2.0 * math.pi ** 2)
-    if ctx.second:
-        val += _second_sheet_correction(zc, rho, _open_chi(x3, x3p, ctx), ctx)
-    return val
+    lattice = k0_cosine_sum(rho, a_minus) - k0_cosine_sum(rho, a_plus)
+    return _mode_sum(z, x, xp, rho, ctx, n_max, split=True) + lattice / (2.0 * math.pi ** 2)
 
 
 def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
                       n_max: int = 10_000) -> complex:
     """Brute-force mode-series summation; slow reference for cross-checks."""
     ctx = ctx or first_sheet()
-    rho, _, _ = _pair_geometry(x, xp)
-    rho = float(rho)
+    rho = float(_pair_geometry(x, xp)[0])
     if rho == 0.0:
         raise ValueError("mode series diverges termwise at rho = 0")
-    zc = nudge_off_axis(z, ctx)
-    n = np.arange(1, n_max + 1)
-    kap = kappa_n(zc, n, ctx)
-    x3 = float(np.asarray(x, float)[2])
-    x3p = float(np.asarray(xp, float)[2])
-    chi = chi_n(n, x3) * chi_n(n, x3p)
-    val = complex(np.sum(_sp.kv(0, kap * rho) * chi)) / _TWO_PI
-    if ctx.second:
-        val += _second_sheet_correction(zc, rho, _open_chi(x3, x3p, ctx), ctx)
-    return val
+    return _mode_sum(z, x, xp, rho, ctx, n_max, split=False)
 
 
 def calibrate_tail_constant(z: complex = -2.0, rho: float = 0.3,
@@ -353,7 +349,8 @@ class EwaldGreen:
             d[j] = (pw * emx - beta * d[j - 1]) / j
         j = np.arange(j_max + 1)
         # Phi_n(rho) = 1/2 sum_j (-rho^2/4)^j / j! * d[j, n]
-        self._poly = 0.5 * ((-0.25) ** j / _sp.factorial(j))[:, None] * d  # (J+1, N)
+        fact = np.array([math.factorial(i) for i in j], dtype=float)
+        self._poly = 0.5 * ((-0.25) ** j / fact)[:, None] * d  # (J+1, N)
 
     def _kernel(self, tables: EwaldTables):
         """Kernel values of the pairs of ``tables``, in their shape."""

@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bs_operator import PairLayout, SystemState, assemble_free, bs_determinant, eta_l, \
-    mode_vector, pair_layout
+from .bs_operator import PairLayout, SystemState, assemble_A_l, assemble_free, \
+    bs_determinant, eta_l, mode_vector, pair_layout
 from .geometry import QuadratureRule, Surface, build_quadrature, scale_surface
 from .greens import chi_n
 from .specfun import PSI_ONE, SpectralParams, gamma_n, second_sheet
@@ -249,22 +249,16 @@ def mu_lowest_order(state: SystemState) -> complex:
     lowest-order analysis).  The pairings are the analytic bilinear squares,
     which is what the expansion of theta_l actually produces; for n > k they
     coincide with the modulus squares, for the open channels n <= k the
-    difference feeds the imaginary part.
+    difference feeds the imaginary part.  The two beta-terms are
+    (w_l, (R_SigmaSigma + A_l) w_l), from the matrices that eta_l solves with.
     """
     params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     beta = params.beta
     eps_l = complex(params.eigenvalue(l))
-    w = rule.weights
     w_l = mode_vector(eps_l, l, rule, ctx)
-    norm_sq = complex(np.sum(w * w_l * w_l))
-    modes = np.arange(1, state.n_cut + 1)
-    modes = modes[modes != l]
-    pairs = (w * w_l) @ mode_vector(eps_l, modes, rule, ctx)
-    cross = complex(np.sum(pairs**2 / gamma_n(eps_l, modes, ctx, params)))
-    free = assemble_free(eps_l, state)
-    dressed = complex(np.sum(w * w_l * (free @ w_l)))
-    return 4.0 * math.pi * params.xi_alpha * beta * (
-        norm_sq + beta * cross + beta * dressed)
+    a = assemble_free(eps_l, state) + assemble_A_l(eps_l, state)
+    return 4.0 * math.pi * params.xi_alpha * beta * complex(
+        np.sum(rule.weights * w_l * (w_l + beta * (a @ w_l))))
 
 
 def _iota(l_eps: float, n: int, alpha: float) -> float:

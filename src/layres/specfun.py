@@ -252,8 +252,9 @@ def z0_kernel(z: complex, n, rho, ctx: SheetContext):
     for open modes on the second sheet.
 
     ``n`` may be an array of mode indices; the result has the shape of
-    ``rho`` followed by the shape of ``n``.  This is the single place where
-    sheet logic enters kernel evaluation.  A closed mode away from its
+    ``rho`` followed by the shape of ``n``.  The mode vectors take their
+    sheet logic from here; the layer kernel adds its own open-mode term
+    (``greens._second_sheet_correction``).  A closed mode away from its
     threshold has a nearly real kappa_n, and the same |Im w| / |w| at every
     rho, so :func:`macdonald_k0` takes its whole column from real functions.
     """

@@ -21,7 +21,6 @@ from layres.bs_operator import (
     default_mode_cutoff,
     eta_l,
     mode_vector,
-    neumann_apply,
     pair_layout,
     singular_part_matrix,
 )
@@ -728,16 +727,3 @@ class TestDeterminant:
         up = bs_determinant(lam + 1j * eps, st_up)
         dn = bs_determinant(lam - 1j * eps, st_dn)
         assert abs(up - dn) < 1e-5 * abs(up)
-
-
-class TestNeumann:
-    def test_matches_direct_solve(self, rule12, state12):
-        op = assemble_free(-2.0, state12)
-        norm = _op_norm(op, rule12.weights)
-        beta = 0.25 / norm
-        assert beta * norm < 0.3
-        f = np.cos(rule12.nodes[:, 1])
-        eye = np.eye(rule12.n_nodes, dtype=complex)
-        direct = lu_solve(lu_factor(eye - beta * op), f.astype(complex))
-        series = neumann_apply(op, beta, f)
-        assert np.max(np.abs(direct - series)) < 1e-8

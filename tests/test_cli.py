@@ -533,6 +533,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Is a directory" in err
 
+    @pytest.mark.parametrize("output, plot, message", [
+        ("missing/sweep.csv", "false", "No such file or directory"),
+        ("sweep.csv/out.csv", "false", "Not a directory"),
+        ("sweep.csv", "true", "Is a directory"),
+    ], ids=["missing-directory", "file-as-directory", "plot-script-is-a-directory"])
+    def test_unwritable_sweep_output_exit_two_before_any_pole(self, tmp_path, capsys,
+                                                              monkeypatch, output, plot,
+                                                              message):
+        def no_pole(*args, **kwargs):
+            raise AssertionError("a pole was computed")
+
+        for name in ("pole_state", "sweep_delta"):
+            monkeypatch.setattr(f"layres.cli.{name}", no_pole)
+        kept = tmp_path / "sweep.csv"
+        kept.write_text("kept\n")
+        (tmp_path / "sweep.csv.gp").mkdir()
+        path = _write(tmp_path, "sweep.cfg",
+                      "[run]\nmode = sweep\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      + DISK_SURFACE.strip() + "\n[numerics]\norder = 4\n"
+                      f"[output]\nemit_plot_script = {plot}\n")
+        assert main(["sweep", "--config", path, "--output", str(tmp_path / output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        # nothing is created or truncated
+        assert kept.read_text() == "kept\n"
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("config_order, flag_order",
                              [(1, None), (16, 1)], ids=["config", "flag"])
     def test_order_below_two_exit_two(self, tmp_path, capsys, config_order, flag_order):

@@ -109,9 +109,10 @@ class TestLayerGreenSplit:
 
     def test_split_matches_modal_sum(self):
         xp = X + np.array([0.5, 0.0, -0.3])
-        for z in (-2.0, 2.5 + 0.3j):
-            split = layer_green(z, X, xp)
-            modal = layer_green_modal(z, X, xp, n_max=10_000)
+        for z, ctx in ((-2.0, FIRST), (2.5 + 0.3j, FIRST),
+                       (2.5 - 0.3j, second_sheet(1)), (6.0 - 0.2j, second_sheet(2))):
+            split = layer_green(z, X, xp, ctx)
+            modal = layer_green_modal(z, X, xp, ctx, n_max=10_000)
             assert abs(split - modal) < 1e-9
 
     def test_edge_of_the_wedge(self):
@@ -141,8 +142,11 @@ class TestLayerGreenSplit:
             layer_green(-2.0, X, X + np.array([1e-6, 0.0, 0.1]))
 
     def test_in_plane_coincidence_rejected(self):
-        with pytest.raises(ValueError):
-            layer_green(-2.0, X, np.array([1.0, 0.2, 0.7]))
+        above = np.array([1.0, 0.2, 0.7])
+        with pytest.raises(ValueError, match="rho > 0"):
+            layer_green(-2.0, X, above)
+        with pytest.raises(ValueError, match="diverges termwise"):
+            layer_green_modal(-2.0, X, above)
 
     def test_tail_constant_is_small(self):
         assert 0.0 <= calibrate_tail_constant() < 1e-6

@@ -1,14 +1,17 @@
-"""The benchmark tracer's contract with the program.
+"""The benchmark tracer's contract with the program, and its scipy surface.
 
 ``perfbench/spans.py`` wraps public calls by module attribute from outside;
 a renamed or removed name breaks a traced benchmark run.  These checks load
 that file as it is and look every wrapped name up on its owner.  An import
-a module does not use is allowed only for such a wrapped name.
+a module does not use is allowed only for such a wrapped name.  The scipy
+functions the program calls are listed once here, so that a scipy call
+added or removed shows as an edit to that list.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,36 @@ def test_every_import_is_used_exported_or_traced(path):
     unused = [n for n in _imported_names(tree)
               if n not in used and n not in getattr(module, "__all__", ()) and n not in traced]
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+#: every scipy function ``src/layres`` calls, by module
+SCIPY_CALLS = {
+    "specfun": {"k0", "k1", "kv", "iv"},
+    "greens": {"exp1", "erfcx", "erf"},
+    "bs_operator": {"lu_factor", "lu_solve", "zgecon"},
+}
+
+
+def _scipy_calls(tree):
+    """Names of the scipy functions a module imports directly or calls on a scipy module."""
+    modules, calls = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name.startswith("scipy")}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            owner = importlib.import_module(node.module)
+            for a in node.names:
+                if inspect.ismodule(getattr(owner, a.name)):
+                    modules.add(a.asname or a.name)
+                else:
+                    calls.add(a.name)
+    calls |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules}
+    return calls
+
+
+def test_scipy_surface_is_pinned():
+    found = {path.stem: _scipy_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES}
+    assert {stem: calls for stem, calls in found.items() if calls} == SCIPY_CALLS
