@@ -26,8 +26,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
 
 from . import geometry, specfun
 from .geometry import QuadratureRule
@@ -50,9 +48,11 @@ __all__ = [
     "default_mode_cutoff",
 ]
 
-#: rcond below this means M_l = I - beta (R_SigmaSigma + A_l) is singular to working
-#: precision (z on the spectrum of the impurity problem without mode l, a pole of
-#: theta_l); eta_l there would be numerical noise, so we refuse.
+#: A 1-norm condition number above this means M_l = I - beta (R_SigmaSigma + A_l) is
+#: singular to working precision (z on the spectrum of the impurity problem without
+#: mode l, a pole of theta_l); eta_l there would be numerical noise, so we refuse.
+#: The number compared is an upper bound (see :func:`_guarded_solve`), so a matrix
+#: is never accepted above the limit.
 _COND_LIMIT = 1e12
 
 _GAMMA_FLOOR = 1e-10
@@ -380,7 +380,9 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
     if group is None:
         group = _node_group(rule)
     rep, col = _orbit_map(group)
-    rows = np.unique(rep)
+    # the distinct representatives; np.unique without index outputs would
+    # import numpy.ma (about 15 ms) on its first call
+    rows = np.flatnonzero(np.bincount(rep))
     at = np.searchsorted(rows, rep)[:, None]
     p_inv, p_lin = _product_rows(rule, rows, duffy_order, group)
     return p_inv[at, col], p_lin[at, col]
@@ -498,11 +500,14 @@ def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.nd
     omega_n(z; x) = (1/2 pi) Z0(kappa_n |x_perp|) chi_n(x3) is singular on
     the wire axis, which every :class:`geometry.Surface` keeps away from.
     For an array of mode indices ``n`` the result has one column per mode.
+    Z0 is evaluated once per distinct distance from the wire and chi_n once
+    per distinct height, then gathered to the nodes.
     """
     n = np.asarray(n)
     x = rule.nodes
-    rho = np.hypot(x[:, 0], x[:, 1])
-    return specfun.z0_kernel(z, n, rho, ctx) * chi_n(n, x[:, 2]) / (2.0 * math.pi)
+    rho, at_rho = np.unique(np.hypot(x[:, 0], x[:, 1]), return_inverse=True)
+    x3, at_x3 = np.unique(x[:, 2], return_inverse=True)
+    return specfun.z0_kernel(z, n, rho, ctx)[at_rho] * chi_n(n, x3)[at_x3] / (2.0 * math.pi)
 
 
 def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
@@ -535,17 +540,34 @@ def assemble_alpha(z: complex, state: SystemState) -> np.ndarray:
     return assemble_free(z, state) + _rank_sum(z, state, np.arange(1, state.n_cut + 1))
 
 
-def _guarded_lu(mat, what: str, diagnostics: dict | None = None):
-    lu = lu_factor(mat)
+def _guarded_solve(e, rhs, what: str, diagnostics: dict | None = None):
+    """Solution of (I - e) x = rhs, refused when cond_1(I - e) exceeds _COND_LIMIT.
+
+    With ||e||_1 < 1 the Neumann series bounds ||(I - e)^(-1)||_1 by
+    1 / (1 - ||e||_1), so cond_1 <= ||I - e||_1 / (1 - ||e||_1); a bound
+    within the limit is accepted as it stands and the system solved once.
+    Otherwise the exact cond_1 comes from the inverse, which then gives x.
+    The number recorded in ``diagnostics`` is the one compared with the limit.
+    """
+    mat = np.eye(len(e)) - e
     anorm = np.linalg.norm(mat, 1)
-    rcond, info = zgecon(lu[0], anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond == 0.0 or 1.0 / rcond > _COND_LIMIT:
-        cond = math.inf if rcond == 0.0 else 1.0 / rcond
-        raise IllConditionedError(f"{what}: condition number {cond:.3e} exceeds 1e12")
+    enorm = np.linalg.norm(e, 1)
+    cond = anorm / (1.0 - enorm) if enorm < 1.0 else math.inf
+    if cond <= _COND_LIMIT:
+        x = np.linalg.solve(mat, rhs)
+    else:
+        try:
+            inv = np.linalg.inv(mat)
+            cond = anorm * np.linalg.norm(inv, 1)
+        except np.linalg.LinAlgError:  # exactly singular
+            cond = math.inf
+        if not cond <= _COND_LIMIT:
+            raise IllConditionedError(f"{what}: condition number {cond:.3e} exceeds 1e12")
+        x = inv @ rhs
     if diagnostics is not None:
         key = f"cond[{what}]"
-        diagnostics[key] = max(diagnostics.get(key, 0.0), 1.0 / rcond)
-    return lu
+        diagnostics[key] = max(diagnostics.get(key, 0.0), cond)
+    return x
 
 
 @dataclass
@@ -608,11 +630,10 @@ def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> co
     params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     gl = gamma_n(z, l, ctx, params)
     beta = params.beta
-    a = assemble_free(z, state) + assemble_A_l(z, state)
-    lu = _guarded_lu(np.eye(rule.n_nodes) - beta * a, "I - beta (R_SigmaSigma + A_l)",
-                     diagnostics)
+    e = beta * (assemble_free(z, state) + assemble_A_l(z, state))
     w_l = mode_vector(z, l, rule, ctx)
-    return gl - beta * complex(np.sum(rule.weights * w_l * lu_solve(lu, w_l)))
+    t_w = _guarded_solve(e, w_l, "I - beta (R_SigmaSigma + A_l)", diagnostics)
+    return gl - beta * complex(np.sum(rule.weights * w_l * t_w))
 
 
 def bs_determinant(z: complex, state: SystemState) -> complex:

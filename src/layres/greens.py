@@ -22,12 +22,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .specfun import (
     EULER_GAMMA,
     SheetContext,
     bessel_i0,
+    erf,
+    erfcx,
+    exp1,
     first_sheet,
     im_positive_sqrt,
     kappa_n,
@@ -341,7 +343,7 @@ class EwaldGreen:
         x = beta * eta
         emx = np.exp(-x)
         d = np.empty((j_max + 1, len(beta)), dtype=complex)
-        d[0] = _sp.exp1(x)
+        d[0] = exp1(x)
         pw = 1.0
         for j in range(1, j_max + 1):
             pw /= eta
@@ -360,7 +362,8 @@ class EwaldGreen:
         # f(R) / R with f(R) = e^{-sR} erfc(R/2 sqrt(eta) - s sqrt(eta)) + (s -> -s), via erfcx
         sv = self.s * math.sqrt(self.split.eta)
         u = tables.image_u
-        f = tables.image_weight * (_sp.erfcx(u - sv) + _sp.erfcx(u + sv))
+        both = erfcx(np.concatenate([u - sv, u + sv]))
+        f = tables.image_weight * (both[:len(u)] + both[len(u):])
         size = len(spectral)
         real = (np.bincount(tables.image_pair, f.real, size)
                 + 1j * np.bincount(tables.image_pair, f.imag, size)) \
@@ -389,6 +392,6 @@ class EwaldGreen:
         (pi/2) f'(0) with f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
         """
         eta = self.split.eta
-        f_prime0 = -2.0 * self.s * _sp.erf(self.s * math.sqrt(eta)) \
+        f_prime0 = -2.0 * self.s * erf(self.s * math.sqrt(eta)) \
             - 2.0 * np.exp(self.z * eta) / math.sqrt(math.pi * eta)
         return self._kernel(tables) + f_prime0 / (8.0 * math.pi)

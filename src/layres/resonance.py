@@ -159,10 +159,14 @@ def _secant(f: Callable[[complex], complex], seed: complex, tol: float, max_iter
 
     One evaluation per step; stops when both |f| at the new point and the
     step that reached it are below ``tol``, and returns (z, |f(z)|, steps).
+    A seed whose |f| is below ``tol`` and whose first step does not move it
+    is a root to working precision and is returned after no step.
     """
     z0 = seed = complex(seed)
     f0 = f(z0)
     z1 = first_step(z0, f0)
+    if z1 == z0 and abs(f0) < tol:
+        return z0, abs(f0), 0
     f1 = f(z1)
     steps = 0
     while steps < max_iter and f1 != f0:

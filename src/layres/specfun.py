@@ -16,12 +16,14 @@ second sheet (see :func:`nudge_off_axis`).
 
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
+from numpy.polynomial.chebyshev import chebval
 
 __all__ = [
     "EULER_GAMMA",
@@ -34,6 +36,9 @@ __all__ = [
     "nudge_off_axis",
     "macdonald_k0",
     "bessel_i0",
+    "exp1",
+    "erfcx",
+    "erf",
     "kappa_n",
     "gamma_n",
     "gamma_from_gap",
@@ -53,6 +58,106 @@ _REAL_K0_RATIO = 1e-7
 #: imaginary nudge used to select the side of the continuous spectrum for
 #: exactly-real spectral parameters; far below any physical scale.
 _AXIS_NUDGE = 1e-250
+
+
+def _ascending_table(terms: int = 13):
+    """Coefficients in q = w^2/4 of the ascending sums of I0, K0, I1 and K1, for |w| <= 2.
+
+    Columns, for s = 0 then 1 and c_m = 1 / (m! (m + s)!): c_m, then
+    c_m (psi(m+1) + psi(m+1+s)) / 2 with psi(m+1) = H_m - gamma.  Their sums
+    i_s and S_s give I0 = i_0, I1 = (w/2) i_1, K0 = S_0 - log(w/2) i_0 and
+    K1 = 1/w + (w/2) (log(w/2) i_1 - S_1) (DLMF 10.31.1-2).  The first
+    omitted term is below 3e-20.
+    """
+    psi = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, terms + 1))]) - EULER_GAMMA
+    m = np.arange(terms)
+    columns = []
+    for shift in (0, 1):
+        c = np.array([1.0 / (math.factorial(k) * math.factorial(k + shift)) for k in m])
+        columns += [c, c * 0.5 * (psi[m] + psi[m + shift])]
+    return np.stack(columns, axis=1)
+
+
+_ASCENDING = _ascending_table()
+
+#: nodes s^2 and weights h e^(-s^2) (doubled off s = 0) of the trapezoidal rule of _k0_laplace
+_LAPLACE_S2 = (0.2 * np.arange(31)) ** 2
+_LAPLACE_WEIGHTS = np.where(_LAPLACE_S2 == 0.0, 0.2, 0.4) * np.exp(-_LAPLACE_S2)
+
+
+@functools.cache
+def _laguerre_rule(n: int = 96):
+    """Nodes and weights of the n-point Gauss-Laguerre rule (Golub-Welsch), built at first use.
+
+    exp1 applies it off its series region.  The n-point value is the n-th
+    convergent of the continued fraction of E1, which converges slowest on
+    the edge |z| + Re z = 2 of that region, where 96 points suffice.
+    """
+    off = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(2.0 * np.arange(n) + 1.0)
+                                    + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vectors[0] ** 2
+
+
+def _weideman_coefficients(n: int):
+    """L and the n polynomial coefficients (lowest degree first) of Weideman's erfcx.
+
+    The coefficients are the real parts of a discrete Fourier transform of
+    2n samples, summed directly (one small product; numpy.fft costs more to
+    import than this).
+    """
+    m = 2 * n
+    big_l = math.sqrt(n / math.sqrt(2.0))
+    t = big_l * np.tan(0.5 * math.pi * np.arange(-m + 1, m) / m)
+    f = np.roll(np.concatenate([[0.0], np.exp(-t * t) * (big_l * big_l + t * t)]), m)
+    phase = np.outer(np.arange(1, n + 1), np.arange(2 * m)) % (2 * m)  # exact, in [0, 2m)
+    return big_l, np.cos(math.pi / m * phase) @ f / (2 * m)
+
+
+_WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_coefficients(40)
+
+#: Chebyshev coefficients of sqrt(x) e^x K_nu(x), nu = 0, 1 (columns), on
+#: the pieces [lo, hi] of x >= 2, in t mapping 1/x linearly onto [-1, 1];
+#: generated by tools/k01_chebyshev.py
+_K01_CHEB = {
+    (2.0, 8.0): np.array([
+        [1.2117802604833603, 1.3872156703486942],
+        [-0.02235652605699819, 0.07571989953199368],
+        [0.0007734181154693858, -0.0014410515564754062],
+        [-4.281006688886099e-05, 6.650116955125748e-05],
+        [3.0817001738629747e-06, -4.369984709520141e-06],
+        [-2.639367222009665e-07, 3.5402774997630525e-07],
+        [2.563713036403469e-08, -3.311163779293292e-08],
+        [-2.7427055499002012e-09, 3.4459775819010535e-09],
+        [3.1694296580974997e-10, -3.898932347475427e-10],
+        [-3.902353286962184e-11, 4.720819750465836e-11],
+        [5.068040698188575e-12, -6.047835662875356e-12],
+        [-6.889574741007871e-13, 8.128494874865875e-13],
+        [9.744978497825918e-14, -1.138694574714789e-13],
+        [-1.4273328418845485e-14, 1.654035840846228e-14],
+        [2.156412571021463e-15, -2.4809025677068848e-15],
+        [-3.3496542551495625e-16, 3.8292378907024097e-16],
+        [5.3352602169529114e-17, -6.064734104001242e-17],
+        [-8.693669980890753e-18, 9.832425623264862e-18],
+    ]),
+    (8.0, math.inf): np.array([
+        [1.243990650868462, 1.281896541718695],
+        [-0.009174852691025696, 0.02832887813049721],
+        [0.00014445509317750059, -0.00024753706739052506],
+        [-4.01361417543571e-06, 5.771972451607249e-06],
+        [1.5678318108523108e-07, -2.0689392195365484e-07],
+        [-7.770110438521738e-09, 9.739983441381804e-09],
+        [4.6111825761797177e-10, -5.585336140380625e-10],
+        [-3.158592997860566e-11, 3.7329966340461855e-11],
+        [2.435018039365041e-12, -2.8250519610232256e-12],
+        [-2.0743313873983479e-13, 2.372019002484144e-13],
+        [1.925787280589917e-14, -2.176677387991754e-14],
+        [-1.927554805838956e-15, 2.1579141616160325e-15],
+        [2.0621980291978182e-16, -2.290196930718269e-16],
+        [-2.3416851175792425e-17, 2.582885729823275e-17],
+        [2.8059028106430423e-18, -3.076752641268463e-18],
+    ]),
+}
 
 
 class BranchPointError(ValueError):
@@ -147,31 +252,128 @@ def nudge_off_axis(z: complex, ctx: SheetContext) -> complex:
     return z
 
 
+def _series_terms(r: float, tol: float) -> int:
+    """Smallest n with r^n/n! <= tol max_j r^j/j!: where an exponential-type series may stop."""
+    n, term, top = 0, 1.0, 1.0
+    while term > tol * top or n < r:
+        n += 1
+        term *= r / n
+        top = max(top, term)
+    return n
+
+
+def _horner(x, coeffs):
+    """sum_m coeffs[m] x^m by Horner's rule, in place; further axes of
+    ``coeffs`` lead the shape of the result."""
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * np.ndim(x))
+    acc = coeffs[-1] * np.ones_like(x)
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _i0_series(w, r: float):
+    """Ascending series sum_m (w^2/4)^m / (m!)^2 of I0, for |w| <= 2r.
+
+    Summed forward until the terms fall below 1e-18 of the largest: a term
+    that small no longer changes a sum without cancellation (|w| - |Re w| <= 2),
+    so no value depends on how many terms a larger |w| in the array asked for.
+    """
+    q = 0.25 * w * w
+    term = np.ones_like(q)
+    total = term.copy()
+    for m in range(1, _series_terms(r, 1e-9)):
+        term *= q
+        term *= 1.0 / (m * m)
+        total += term
+    return total
+
+
+def _k0_k1(x):
+    """Real K0(x) and K1(x), x > 0.
+
+    Below x = 2 the ascending sums of _ASCENDING, above it the Chebyshev
+    series of sqrt(x) e^x K_nu(x) on the pieces of _K01_CHEB.
+    """
+    k0, k1 = np.empty_like(x), np.empty_like(x)
+    small = x <= 2.0
+    if np.any(small):
+        xs = x[small]
+        log_half = np.log(0.5 * xs)
+        i0, s0, i1, s1 = _horner(0.25 * xs * xs, _ASCENDING)
+        k0[small] = s0 - log_half * i0
+        k1[small] = 1.0 / xs + 0.5 * xs * (log_half * i1 - s1)
+    for (lo, hi), table in _K01_CHEB.items():
+        piece = (x > lo) & (x <= hi)
+        if np.any(piece):
+            xp = x[piece]
+            mid, half = 0.5 * (1.0 / lo + 1.0 / hi), 0.5 * (1.0 / lo - 1.0 / hi)
+            k0[piece], k1[piece] = chebval((1.0 / xp - mid) / half, table) \
+                * (np.exp(-xp) / np.sqrt(xp))
+    return k0, k1
+
+
+def _k0_laplace(w):
+    """K0(w) off the negative real axis where |w| + Re w >= 2.
+
+    K0(w) = e^-w (2w)^(-1/2) int e^(-s^2) (1 + s^2/2w)^(-1/2) ds over the
+    real line (DLMF 10.32.8 with t = s^2), by the trapezoidal rule on
+    s = 0, 0.2, ..., 6.  The integrand is analytic in the strip
+    |Im s| < (|w| + Re w)^(1/2), which keeps the rule within about 3e-16
+    of K0 relative, times max(1, |w|) for the rounding of e^-w.
+    """
+    return np.exp(-w) * np.sqrt(0.5 / w) * np.sum(
+        _LAPLACE_WEIGHTS / np.sqrt(1.0 + _LAPLACE_S2 / (2.0 * w[..., None])), axis=-1)
+
+
+def _k0_complex(w):
+    """K0 of a 1-d array w: the ascending series for |w| <= 2, else :func:`_k0_laplace`."""
+    size = np.abs(w)
+    far = size > 2.0
+    if np.any(far & (size + w.real < 2.0)):
+        raise ValueError("K0 is not evaluated next to its cut: |w| > 2 with |w| + Re w < 2")
+    out = np.empty_like(w)
+    if not np.all(far):
+        ws = w[~far]
+        i0, s0 = _horner(0.25 * ws * ws, _ASCENDING[:, :2])
+        out[~far] = s0 - np.log(0.5 * ws) * i0
+    if np.any(far):
+        out[far] = _k0_laplace(w[far])
+    return out
+
+
 def macdonald_k0(w):
-    """Macdonald function K0 for complex arguments off the cut.
+    """Macdonald function K0 on the principal branch, for w off the cut.
 
     Returns exact 0 once Re w > 700 (the true value is below double
-    precision range).  w = 0 is a logarithmic singularity and rejected.
+    precision range).  w = 0 is a logarithmic singularity and rejected, and
+    so is |w| > 2 with |w| + Re w < 2, next to the cut, which no evaluation
+    here covers.
 
     A nearly real w, Re w > 0 and |Im w| <= _REAL_K0_RATIO |w|, takes the
-    Taylor series of K0 about x = Re w from the real k0 and k1 (K0' = -K1,
+    Taylor series of K0 about x = Re w from the real K0 and K1 (K0' = -K1,
     K1' = -K0 - K1/x):
     K0(x + iy) = K0 - iy K1 - (y^2/2)(K0 + K1/x) + (iy^3/6)(K1 + K0/x + 2K1/x^2).
     With y <= 1e-7 x the omitted y^4 term is below 1e-17 of K0 up to
-    x = 700.  Every other w goes to the complex kv.
+    x = 700.  Every other w with |w| <= 2 takes the ascending series
+    K0 = S_0 - log(w/2) I0 (DLMF 10.31.2), and the rest the Laplace
+    integral of :func:`_k0_laplace`.
     """
     w_arr = np.asarray(w, dtype=complex)
-    if np.any(w_arr == 0.0):
+    x, y, size = w_arr.real, w_arr.imag, np.abs(w_arr)
+    if np.any(size == 0.0):
         raise ValueError("K0 has a logarithmic singularity at w = 0")
-    x, y = w_arr.real, w_arr.imag
-    near = (x > 0.0) & (np.abs(y) <= _REAL_K0_RATIO * np.abs(w_arr))
+    near = (x > 0.0) & (np.abs(y) <= _REAL_K0_RATIO * size)
     out = np.empty(w_arr.shape, dtype=complex)
-    xn, yn = x[near], y[near]
-    k0, k1 = _sp.k0(xn), _sp.k1(xn)
-    y2 = yn * yn
-    out.real[near] = k0 - 0.5 * y2 * (k0 + k1 / xn)
-    out.imag[near] = yn * (y2 / 6.0 * (k1 + (k0 + 2.0 * k1 / xn) / xn) - k1)
-    out[~near] = _sp.kv(0, w_arr[~near])
+    if np.any(near):
+        xn, yn = x[near], y[near]
+        k0, k1 = _k0_k1(xn)
+        y2 = yn * yn
+        out.real[near] = k0 - 0.5 * y2 * (k0 + k1 / xn)
+        out.imag[near] = yn * (y2 / 6.0 * (k1 + (k0 + 2.0 * k1 / xn) / xn) - k1)
+    if not np.all(near):
+        out[~near] = _k0_complex(w_arr[~near])
     out[x > _K0_UNDERFLOW_RE] = 0.0
     if out.ndim == 0:
         return complex(out)
@@ -179,11 +381,95 @@ def macdonald_k0(w):
 
 
 def bessel_i0(w):
-    """Modified Bessel function I0 (entire)."""
-    out = _sp.iv(0, np.asarray(w, dtype=complex))
+    """Modified Bessel function I0 (entire).
+
+    For |w| <= 2 the ascending series of _ASCENDING.  I0 is even, so
+    further out w is taken with Re w >= 0: where |w| - Re w <= 2 the
+    ascending series, summed as far as |w| needs, loses at most a factor e^2
+    to cancellation; elsewhere I0(w) = i sgn(Im w) (K0(w) - K0(-w)) / pi
+    (DLMF 10.34.2), both K0 from :func:`_k0_laplace`, whose strip
+    |w| + Re(-w) > 2 is then wide enough.
+    """
+    w_arr = np.asarray(w, dtype=complex)
+    small = np.abs(w_arr) <= 2.0
+    out = np.empty(w_arr.shape, dtype=complex)
+    ws = w_arr[small]
+    out[small] = _horner(0.25 * ws * ws, _ASCENDING[:, 0])
+    if not np.all(small):
+        v = w_arr[~small]
+        v = np.where(v.real < 0.0, -v, v)
+        far = np.abs(v) - v.real > 2.0
+        i0 = np.empty_like(v)
+        if not np.all(far):
+            vs = v[~far]
+            i0[~far] = _i0_series(vs, 0.5 * float(np.max(np.abs(vs))))
+        vf = v[far]
+        i0[far] = (1j / math.pi) * np.sign(vf.imag) * (_k0_laplace(vf) - _k0_laplace(-vf))
+        out[~small] = i0
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def exp1(z):
+    """Exponential integral E1 on the principal branch, cut along Re z <= 0.
+
+    Where |z| + Re z <= 2 the series E1 = -gamma - log z - sum_k (-z)^k / (k k!)
+    (DLMF 6.6.2), whose cancellation grows with |z| + Re z, is within about
+    2e-15 relative.  Elsewhere E1 = e^-z int_0^oo e^-s / (z + s) ds
+    (DLMF 6.2.2) by the Gauss-Laguerre rule of :func:`_laguerre_rule`, whose
+    value is a convergent of the continued fraction of E1 (DLMF 6.9.1); it
+    is within about 1.2e-15 there.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    series = np.abs(z) + z.real <= 2.0
+    if np.any(series):
+        x = z[series]
+        term = x.copy()  # (-1)^(k+1) x^k / (k k!), from k = 1
+        total = x.copy()
+        for k in range(1, _series_terms(float(np.max(np.abs(x))), 1e-17)):
+            term *= x
+            term *= -k / (k + 1) ** 2
+            total += term
+        out[series] = total - EULER_GAMMA - np.log(x)
+    if not np.all(series):
+        y = z[~series]
+        nodes, weights = _laguerre_rule()
+        out[~series] = np.exp(-y) * ((1.0 / (y[:, None] + nodes)) @ weights)
+    return out
+
+
+def erfcx(w):
+    """Scaled complementary error function e^(w^2) erfc(w).
+
+    Weideman's rational series (SIAM J. Numer. Anal. 31, 1994) with
+    N = 40 terms for Re w >= 0, where it is within about 1e-15 relative;
+    Re w < 0 by erfcx(w) = 2 e^(w^2) - erfcx(-w).
+    """
+    w = np.asarray(w, dtype=complex)
+    left = w.real < 0.0
+    v = np.where(left, -w, w)
+    lv = _WEIDEMAN_L + v
+    poly = _horner((_WEIDEMAN_L - v) / lv, _WEIDEMAN_COEFFS)
+    out = np.asarray(2.0 * poly / (lv * lv) + 1.0 / (math.sqrt(math.pi) * lv))
+    out[left] = 2.0 * np.exp(w[left] * w[left]) - out[left]
+    return out
+
+
+def erf(w) -> complex:
+    """Error function of one complex w: its Maclaurin series for |w| <= 2, else from erfcx."""
+    w = complex(w)
+    if abs(w) <= 2.0:
+        total, term, n = w, w, 0
+        while abs(term) > 1e-17 * abs(total):
+            n += 1
+            term *= -w * w / n
+            total += term / (2 * n + 1)
+        return 2.0 / math.sqrt(math.pi) * total
+    sign = 1.0 if w.real >= 0.0 else -1.0
+    v = sign * w
+    return sign * (1.0 - cmath.exp(-v * v) * complex(erfcx(v)))
 
 
 def kappa_n(z: complex, n, ctx: SheetContext | None = None):

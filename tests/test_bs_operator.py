@@ -649,22 +649,52 @@ class TestEtaL:
         assert built == [False, True]
 
     def test_one_factorization_per_eta(self, small_state, monkeypatch):
+        # ||E||_1 < 1 certifies M_l: one solve, no inverse, and the recorded
+        # Neumann bound never lies below the exact condition number
         calls = []
 
         def counted(name):
-            real = getattr(bs_operator, name)
+            real = getattr(np.linalg, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("lu_factor", "lu_solve"):
-            monkeypatch.setattr(bs_operator, name, counted(name))
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         diagnostics = {}
-        eta_l(PARAMS.eigenvalue(2) - 0.001 - 1e-4j, small_state, diagnostics)
-        assert calls == ["lu_factor", "lu_solve"]
-        assert list(diagnostics) == ["cond[I - beta (R_SigmaSigma + A_l)]"]
+        eta_l(z, small_state, diagnostics)
+        assert calls == ["solve"]
+        key = "cond[I - beta (R_SigmaSigma + A_l)]"
+        assert list(diagnostics) == [key]
+        e = PARAMS.beta * (assemble_free(z, small_state) + assemble_A_l(z, small_state))
+        enorm = np.linalg.norm(e, 1)
+        assert enorm < 1.0
+        exact = np.linalg.cond(np.eye(len(e)) - e, 1)
+        assert exact <= diagnostics[key] <= exact * (1.0 + enorm) / (1.0 - enorm)
+
+    def test_failed_certificate_takes_the_exact_condition(self, rule12, state12):
+        # beta = -2 / lambda_max(R + A_1): ||E||_1 >= 2 certifies nothing, yet
+        # M_1 = I + 2 (R + A_1) / lambda_max is well conditioned, since R + A_1
+        # is positive definite below the spectrum
+        op = assemble_free(-5.0, state12) + assemble_A_l(-5.0, state12)
+        lam = np.linalg.eigvals(op).real.max()
+        params = SpectralParams(alpha=0.0, beta=-2.0 / lam)
+        st = SystemState(params, rule12, first_sheet(), 1, layout=state12.layout)
+        e = params.beta * op
+        assert np.linalg.norm(e, 1) > 1.0
+        m_l = np.eye(rule12.n_nodes) - e
+        diagnostics = {}
+        eta = eta_l(-5.0, st, diagnostics)
+        cond = diagnostics["cond[I - beta (R_SigmaSigma + A_l)]"]
+        assert cond == pytest.approx(np.linalg.cond(m_l, 1), rel=1e-12)
+        assert cond < 10.0
+        w_l = mode_vector(-5.0, 1, rule12, first_sheet())
+        direct = gamma_n(-5.0, 1, first_sheet(), params) \
+            - params.beta * np.sum(rule12.weights * w_l * np.linalg.solve(m_l, w_l))
+        assert eta == pytest.approx(direct, rel=1e-12)
 
 
 class TestDeterminant:

@@ -8,7 +8,13 @@ invariants: Re z inside the window J_k of eps_l, and Im z < 0 up to the
 pole's own resolution.  A converged z is within |eta_l(z)| / |Gamma_l'(z)| =
 residual * 4 pi |z - l^2| of the root, so the sign of a smaller Im z is not
 resolved: far from the wire Im mu falls to 1e-23 while that bound is near
-1e-15, and one such pole of this batch comes out at Im z = +4.6e-23.
+1e-15, and one such pole (the fixed sweep ``FAR_DISK``) comes out at
+Im z = +4.6e-23.
+
+``l`` is drawn from 2-7: eps_1 = xi_alpha + 1 < 1 for every alpha, so an
+l = 1 config is always the same discrete-eigenvalue refusal, and the fixed
+config ``DISCRETE_L1`` keeps one of them.  The fixed configs run after the
+generated ones.
 
 Sizes stay below 0.8 of the distance from the wire axis to the centre (of
 the sphere, for a cap), so r_min is at least a fifth of that distance and
@@ -43,6 +49,14 @@ N_CONFIGS = 100
 SEED = 20261018
 ORDERS = (3, 5)  # quadrature orders are drawn from this closed range
 
+#: (mode, l, alpha, beta, deltas, [surface] lines, order) of the fixed configs
+FAR_DISK = ("sweep", 2, -0.051, 0.421, [0.0001547, 0.0003289, 0.0004937, 0.06626],
+            ["family = disk", "center = -2.34938 4.22715 2.41066",
+             "normal = 0.251183 -0.69099 0.67782", "radius = 0.404019"], 3)
+DISCRETE_L1 = ("sweep", 1, 0.245, -0.836, [0.0001908, 0.01223, 0.2399, 0.8122],
+               ["family = disk", "center = -3.81444 -0.192709 0.334611",
+                "normal = 0.472865 0.480669 0.738482", "radius = 1.04767"], 3)
+
 
 def _vec(values):
     return " ".join(f"{v:.6g}" for v in values)
@@ -75,24 +89,30 @@ def _surface(rng, family):
     return lines
 
 
+def _text(mode, l, alpha, beta, deltas, surface, order):
+    """(mode, l, params, deltas, config text) of one run."""
+    key = "deltas" if mode == "sweep" else "delta"
+    text = "\n".join(
+        ["[run]", f"mode = {mode}", f"l = {l}",
+         "[coupling]", f"alpha = {alpha}", f"beta = {beta}",
+         "[surface]", *surface, f"{key} = {' '.join(map(repr, deltas))}",
+         "[numerics]", f"order = {order}", ""])
+    return mode, l, SpectralParams(alpha=alpha, beta=beta), deltas, text
+
+
 def _config(rng, orders=ORDERS):
     """(mode, l, params, deltas, config text) of one generated run."""
     family = rng.choice(["disk", "rectangle", "spherical_cap"])
     mode = "sweep" if rng.random() < 0.7 else "pole"
-    l = rng.randint(1, 7)
+    l = rng.randint(2, 7)
     alpha = round(rng.uniform(-0.1, 0.3), 3)
     beta = round(rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 1.0), 3)
     count = 4 if mode == "sweep" else 1
     deltas = sorted({float(f"{10.0 ** rng.uniform(-5.0, 0.0):.4g}") for _ in range(count)})
     while len(deltas) < count:  # rounding merged two
         deltas = sorted(set(deltas) | {float(f"{10.0 ** rng.uniform(-5.0, 0.0):.4g}")})
-    key = "deltas" if mode == "sweep" else "delta"
-    text = "\n".join(
-        ["[run]", f"mode = {mode}", f"l = {l}",
-         "[coupling]", f"alpha = {alpha}", f"beta = {beta}",
-         "[surface]", *_surface(rng, family), f"{key} = {' '.join(map(repr, deltas))}",
-         "[numerics]", f"order = {rng.randint(*orders)}", ""])
-    return mode, l, SpectralParams(alpha=alpha, beta=beta), deltas, text
+    surface = _surface(rng, family)
+    return _text(mode, l, alpha, beta, deltas, surface, rng.randint(*orders))
 
 
 def _rows(path):
@@ -101,11 +121,12 @@ def _rows(path):
 
 
 def _run_batch(seed, count, orders, workdir):
-    """Exit codes of ``count`` generated runs, each held to the contract."""
+    """Exit codes of ``count`` generated runs and the fixed ones, each held to the contract."""
     rng = random.Random(seed)
+    runs = [_config(rng, orders) for _ in range(count)]
+    runs += [_text(*fixed) for fixed in (FAR_DISK, DISCRETE_L1)]
     codes = []
-    for i in range(count):
-        mode, l, params, deltas, text = _config(rng, orders)
+    for i, (mode, l, params, deltas, text) in enumerate(runs):
         cfg = workdir / f"{i}.cfg"
         out = workdir / f"{i}.csv"
         cfg.write_text(text, encoding="utf-8")
@@ -143,5 +164,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         codes = _run_batch(args.seed, args.count, args.orders, Path(tmp))
     counts = ", ".join(f"exit {c}: {n}" for c, n in sorted(Counter(codes).items()))
-    print(f"seed {args.seed}, {args.count} configs, orders {args.orders[0]}-{args.orders[1]}: "
+    print(f"seed {args.seed}, {args.count} configs, orders {args.orders[0]}-{args.orders[1]}, "
+          f"and 2 fixed: "
           f"{counts} in {time.monotonic() - start:.1f} s")

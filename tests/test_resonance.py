@@ -169,6 +169,17 @@ class TestFindPole:
         assert str(info.value) == (f"root iteration failed after 0 steps from z = {seed}: "
                                    f"stopped at z = {stop} with |f| = 1")
 
+    def test_seed_on_the_root_is_the_root(self, monkeypatch):
+        # f vanishes at the seed, so the Newton step does not move it; the
+        # seed is returned after no step instead of failing on f1 == f0
+        st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
+        root = complex(PARAMS.eigenvalue(2)) - 1e-4 - 1e-6j
+        monkeypatch.setattr(resonance, "eta_l",
+                            lambda z, state, diagnostics=None: (z - root) * 1e-3)
+        res = find_pole(st, seed=root)
+        assert (res.z, res.residual, res.iterations) == (root, 0.0, 0)
+        assert res.diagnostics["eta_evaluations"] == 1
+
     def test_flat_determinant_stops_at_the_blind_point(self, monkeypatch):
         # Gamma_l det has no known slope: its second point stays z0 + 1e-7 |z0|
         monkeypatch.setattr(resonance, "gamma_n", lambda z, l, ctx, params: 1.0)

@@ -1,10 +1,14 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 from scipy.special import iv, kv
 
+from layres import specfun
 from layres.specfun import (
     gamma_from_gap,
     EULER_GAMMA,
@@ -13,6 +17,9 @@ from layres.specfun import (
     SheetContext,
     SpectralParams,
     bessel_i0,
+    erf,
+    erfcx,
+    exp1,
     first_sheet,
     gamma_n,
     im_positive_sqrt,
@@ -326,9 +333,9 @@ class TestZ0Kernel:
         want = kv(0, arg) + np.where(n <= 2, 1j * math.pi * iv(0, -arg), 0.0)
         got = z0_kernel(z, n, rho, ctx)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
-        assert np.array_equal(got[:, ~guarded], kv(0, arg[:, ~guarded])
+        assert np.array_equal(got[:, ~guarded], macdonald_k0(arg[:, ~guarded])
                               + np.where(n[~guarded] <= 2,
-                                         1j * math.pi * iv(0, -arg[:, ~guarded]), 0.0))
+                                         1j * math.pi * bessel_i0(-arg[:, ~guarded]), 0.0))
 
     def test_exact_zero_beyond_underflow_on_both_paths(self):
         w = np.array([701.0, 701.0 + 1e-8j, 701.0 - 50.0j, 690.0 + 1e-8j])
@@ -347,3 +354,100 @@ class TestZ0Kernel:
                 assert np.array_equal(val[:, j], z0_kernel(z, m, rho, ctx))
                 assert val[1, j] == z0_kernel(z, m, 0.8, ctx)
             assert z0_kernel(z, n, 0.8, ctx).shape == (3,)
+
+
+def _polar_grid(r_lo, r_hi, phase_lo, phase_hi, n_r=120, n_phase=61):
+    r = np.geomspace(r_lo, r_hi, n_r)[:, None]
+    return (r * np.exp(1j * np.linspace(phase_lo, phase_hi, n_phase))).ravel()
+
+
+class TestAgainstScipy:
+    """The numpy special functions against scipy.special over the arguments
+    the test suite and the benchmark reach.  Where scipy is the less
+    accurate of the two (against mpmath), the bound is scipy's error."""
+
+    def test_real_k0_k1(self):
+        x = np.geomspace(1e-6, 2.5e4, 4000)
+        k0, k1 = specfun._k0_k1(x)
+        live = x < 700.0  # beyond, both are below 1e-300 (macdonald_k0 returns 0)
+        assert np.max(np.abs(k0[live] / special.k0(x[live]) - 1.0)) < 3e-15
+        assert np.max(np.abs(k1[live] / special.k1(x[live]) - 1.0)) < 3e-15
+        assert np.all(k0[~live] < 1e-300) and np.all(k1[~live] < 1e-300)
+
+    def test_complex_k0(self):
+        # the rounding of e^-w makes K0 relatively uncertain by about |w| ulp
+        w = _polar_grid(2.6e-5, 703.0, -math.pi / 2, math.pi / 2)
+        got, want = macdonald_k0(w), kv(0, w)
+        keep = np.abs(want) > 1e-290  # scipy flushes smaller values to zero
+        err = np.abs(got - want)[keep] / np.abs(want[keep])
+        assert np.max(err / np.maximum(1.0, np.abs(w[keep]))) < 5e-15
+        assert np.all(got[w.real > 700.0] == 0.0)
+
+    def test_i0(self):
+        # I0 has zeros near the imaginary axis: errors relative to its scale
+        w = _polar_grid(1e-3, 35.1, -math.pi, math.pi, n_phase=121)
+        w = w[w.real >= -1.5]
+        scale = np.exp(np.abs(w.real)) / np.sqrt(np.maximum(1.0, np.abs(w)))
+        assert np.max(np.abs(bessel_i0(w) - iv(0, w)) / scale) < 5e-15
+
+    def test_exp1(self):
+        # scipy's complex exp1 loses up to 5e-13 here, its real one does not
+        w = _polar_grid(1.5e-4, 92.3, -0.999 * math.pi, 0.999 * math.pi, n_phase=121)
+        w = w[w.real >= -14.85]
+        assert np.max(np.abs(exp1(w) / special.exp1(w) - 1.0)) < 1e-12
+        x = np.geomspace(1.5e-4, 92.3, 500)
+        assert np.max(np.abs(exp1(x) / special.exp1(x) - 1.0)) < 5e-15
+        for side in (1e-30j, -1e-30j):  # both sides of the cut
+            axis = -x[x <= 14.85] + side
+            assert np.max(np.abs(exp1(axis) / special.exp1(axis) - 1.0)) < 5e-15
+
+    def test_erfcx(self):
+        # scipy loses up to 3e-14 near the imaginary axis at |w| = 8
+        w = _polar_grid(1e-4, 8.37, -math.pi, math.pi, n_phase=121)
+        w = w[w.real >= -0.87]
+        assert np.max(np.abs(erfcx(w) / special.erfcx(w) - 1.0)) < 5e-14
+
+    def test_erf(self):
+        w = _polar_grid(0.47, 2.71, -math.pi, math.pi, n_r=40)
+        got = np.array([erf(v) for v in w])
+        assert np.max(np.abs(got / special.erf(w) - 1.0)) < 5e-15
+
+
+class TestAgainstMpmath:
+    """Spot values at 30 digits, where scipy's own error would hide ours."""
+
+    @pytest.fixture(scope="class")
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            yield mpmath
+
+    def test_exp1_off_the_axis(self, mp):
+        w = _polar_grid(1.5e-4, 92.3, -0.99 * math.pi, 0.99 * math.pi, n_r=25, n_phase=25)
+        want = np.array([complex(mp.expint(1, mp.mpc(v.real, v.imag))) for v in w])
+        assert np.max(np.abs(exp1(w) / want - 1.0)) < 1e-14
+
+    def test_erfcx_near_the_imaginary_axis(self, mp):
+        w = _polar_grid(1e-4, 8.37, 0.4 * math.pi, 0.6 * math.pi, n_r=25, n_phase=11)
+        want = np.array([complex(mp.exp(mp.mpc(v.real, v.imag) ** 2)
+                                 * mp.erfc(mp.mpc(v.real, v.imag))) for v in w])
+        assert np.max(np.abs(erfcx(w) / want - 1.0)) < 2e-15
+
+    def test_k0_and_i0_on_the_imaginary_axis(self, mp):
+        w = 1j * np.geomspace(1e-3, 35.0, 60)
+        k0 = np.array([complex(mp.besselk(0, mp.mpc(0, v.imag))) for v in w])
+        i0 = np.array([complex(mp.besseli(0, mp.mpc(0, v.imag))) for v in w])
+        assert np.max(np.abs(macdonald_k0(w) / k0 - 1.0) / np.maximum(1.0, np.abs(w))) < 1e-15
+        assert np.max(np.abs(bessel_i0(w) - i0) / np.sqrt(np.maximum(1.0, np.abs(w)))) < 1e-15
+
+
+def test_chebyshev_table_regenerates():
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parents[1] / "tools" / "k01_chebyshev.py"
+    spec = importlib.util.spec_from_file_location("k01_chebyshev", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tables = tool.table()
+    assert tables.keys() == specfun._K01_CHEB.keys()
+    for piece, coeffs in tables.items():
+        assert np.allclose(coeffs, specfun._K01_CHEB[piece], rtol=1e-15, atol=0.0), piece

@@ -3,9 +3,9 @@
 ``perfbench/spans.py`` wraps public calls by module attribute from outside;
 a renamed or removed name breaks a traced benchmark run.  These checks load
 that file as it is and look every wrapped name up on its owner.  An import
-a module does not use is allowed only for such a wrapped name.  The scipy
-functions the program calls are listed once here, so that a scipy call
-added or removed shows as an edit to that list.
+a module does not use is allowed only for such a wrapped name.  The program
+calls no scipy function; the list of them stays here, empty, so that a
+scipy call added shows as an edit to it.
 """
 
 import ast
@@ -62,11 +62,7 @@ def test_every_import_is_used_exported_or_traced(path):
 
 
 #: every scipy function ``src/layres`` calls, by module
-SCIPY_CALLS = {
-    "specfun": {"k0", "k1", "kv", "iv"},
-    "greens": {"exp1", "erfcx", "erf"},
-    "bs_operator": {"lu_factor", "lu_solve", "zgecon"},
-}
+SCIPY_CALLS = {}
 
 
 def _scipy_calls(tree):
