@@ -482,14 +482,13 @@ def assemble_free(z: complex, state: SystemState) -> np.ndarray:
     The kernel is split as 1/(4 pi r) - z r/(8 pi) plus a C^2 remainder
     (those are the odd-in-r terms of the nearest image exp(-s r)/(4 pi r)
     through order r).  The remainder is handled by plain Nystrom with its
-    diagonal limit from :meth:`EwaldGreen.regularized_diag`; the non-smooth
-    part enters through the layout's corrections, which replace its Nystrom
-    values by product integrals.  Everything z-independent comes from
-    ``state``: its layout and its Ewald tables (:attr:`SystemState.tables`).
+    diagonal limit from the coincident pairs of the state's Ewald tables
+    (:attr:`SystemState.tables`); the non-smooth part enters through the
+    layout's corrections, which replace its Nystrom values by product
+    integrals.  Everything z-independent comes from ``state``.
     """
-    layout, (pairs, diag) = state.layout, state.tables
-    ew = EwaldGreen(z, pairs.split, state.ctx)
-    mat = np.concatenate([ew.pairs(pairs), ew.regularized_diag(diag)])[layout.index]
+    layout, tables = state.layout, state.tables
+    mat = EwaldGreen(z, tables.split, state.ctx).pairs(tables)[layout.index]
     mat += layout.corr_inv - z / (8.0 * math.pi) * layout.corr_lin
     return mat * state.rule.weights
 
@@ -606,18 +605,19 @@ class SystemState:
             self.layout = pair_layout(self.rule)
 
     @cached_property
-    def tables(self) -> tuple[EwaldTables, EwaldTables]:
-        """Ewald tables of the layout's pairs and diagonal nodes, built at the first assembly.
+    def tables(self) -> EwaldTables:
+        """Ewald tables of the layout's pairs, then (d, d) for its diagonal nodes d.
 
-        Their split is chosen from the pairs' largest in-plane separation
-        (:meth:`EwaldSplit.for_separation`), with re_top the window top (k+1)^2.
+        Built at the first assembly.  Their split is chosen from the largest
+        in-plane separation (:meth:`EwaldSplit.for_separation`), with re_top
+        the window top (k+1)^2.
         """
         nodes, layout = self.rule.nodes, self.layout
-        x, xp, diag = nodes[layout.rows], nodes[layout.cols], nodes[layout.diag]
+        x = nodes[np.concatenate([layout.rows, layout.diag])]
+        xp = nodes[np.concatenate([layout.cols, layout.diag])]
         rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
         split = EwaldSplit.for_separation(float(np.max(rho)), (self.ctx.k + 1) ** 2)
-        return (EwaldTables(x, xp, split, self.ctx),
-                EwaldTables(diag, diag, split, self.ctx, diagonal=True))
+        return EwaldTables(x, xp, split, self.ctx)
 
 
 def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> complex:

@@ -281,8 +281,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"line {lines['surface', 'deltas'][1]}: deltas must be strictly increasing")
 
+    try:
+        params = SpectralParams(alpha=values["alpha"], beta=values["beta"])
+    except ValueError as exc:
+        raise ConfigError(f"line {lines['coupling', 'alpha'][1]}: {exc}") from None
     names = {f.name for f in fields(RunConfig)}
-    return RunConfig(params=SpectralParams(alpha=values["alpha"], beta=values["beta"]),
+    return RunConfig(params=params,
                      surface=surface,
                      surface_lines={key: text for key, (text, _) in surface_lines.items()},
                      **{key: v for key, v in values.items() if key in names})
@@ -325,9 +329,10 @@ def _write_json(path, header, rows, meta):
         "columns": list(header),
         "rows": [[_json_value(x) for x in row] for row in rows],
     }
+    # the whole text first: a value JSON cannot hold raises before the file opens
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 _WRITERS = {"csv": _write_csv, "json": _write_json}

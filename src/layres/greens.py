@@ -54,6 +54,9 @@ _TWO_PI = 2.0 * math.pi
 _N_LATTICE = 512
 #: floor of the Ewald parameter chosen from the geometry (EwaldSplit.for_separation)
 _ETA_FLOOR = 0.15
+#: largest eta * re_top the geometry may choose: the open channels' cancellation
+#: grows like e^(eta Re z)
+_ETA_RE_TOP = 7.0
 #: largest spectral truncation order the geometry may ask for
 _J_MAX = 32
 
@@ -206,9 +209,11 @@ def _spectral_x_max(j_max: int) -> float:
     """Largest x = rho^2 / (4 eta) the j_max-truncated spectral polynomial supports.
 
     The first omitted term of Phi_n is about x^(j_max+1) / (j_max+1)!,
-    amplified by up to ~50 through the incomplete-gamma coefficients of the
-    open channels; holding it at 1e-16 keeps the kernel within ~1e-13
-    absolute (about 1e-12 of its scale) for z in J_1 and J_2 on both sheets.
+    amplified through the incomplete-gamma coefficients of the open channels
+    by a factor that grows like e^(eta Re z); holding it at 1e-16 keeps the
+    kernel within ~1e-13 absolute (about 1e-12 of its scale) on both sheets
+    for z up to the window top re_top, while eta re_top <= 7 (the cap of
+    :meth:`EwaldSplit.for_separation`).
     """
     return math.exp((math.log(1e-16) + math.lgamma(j_max + 2)) / (j_max + 1))
 
@@ -247,50 +252,51 @@ class EwaldSplit:
     def for_separation(cls, rho: float, re_top: float) -> "EwaldSplit":
         """The split for in-plane separations up to ``rho``, chosen from the geometry.
 
-        eta is the smallest value in [_ETA_FLOOR, 1] whose j_max = _J_MAX
-        spectral radius admits rho: a smaller eta keeps fewer images and
-        more (cheap, tabulated) spectral modes.  Then j_max is the smallest
-        order whose radius at that eta still admits rho.  A rho beyond the
-        radius at eta = 1 is refused: a larger eta multiplies the cancellation
-        of the open channels by e^(Re z eta).
+        eta is the smallest value in [_ETA_FLOOR, cap] whose j_max = _J_MAX
+        spectral radius admits rho, rounded radius included: a smaller eta
+        keeps fewer images and more (cheap, tabulated) spectral modes.  Then
+        j_max is the smallest order whose radius at that eta still admits
+        rho.  The cap is min(1, 7 / re_top): a larger eta multiplies the
+        cancellation of the open channels by e^(eta Re z), which past e^7
+        spoils the kernel in the windows J_k, k >= 3.  Where the cap lies
+        below _ETA_FLOOR it is the floor too, and a rho beyond the radius at
+        the cap is refused.
         """
         x_top = _spectral_x_max(_J_MAX)
-        eta = max(_ETA_FLOOR, rho * rho / (4.0 * x_top))
-        if eta > 1.0:
+        cap = _ETA_RE_TOP / max(re_top, _ETA_RE_TOP)  # min(1, 7 / re_top)
+        eta = max(min(_ETA_FLOOR, cap), rho * rho / (4.0 * x_top))
+        while cls(eta, _J_MAX, re_top).rho_max < rho:  # short of rho by rounding alone
+            eta = math.nextafter(eta, math.inf)
+        if eta > cap:
             raise ValueError(f"pair separation rho = {rho:.3f} exceeds the j_max = {_J_MAX} "
-                             f"spectral radius {2.0 * math.sqrt(x_top):.3f}")
-        x = rho * rho / (4.0 * eta)
-        j_max = next((j for j in range(_J_MAX) if _spectral_x_max(j) >= x), _J_MAX)
-        return cls(eta, j_max, re_top)
+                             f"spectral radius {2.0 * math.sqrt(cap * x_top):.3f} "
+                             f"at eta = {cap:.4g}")
+        splits = (cls(eta, j_max, re_top) for j_max in range(_J_MAX + 1))
+        return next(split for split in splits if split.rho_max >= rho)
 
 
 class EwaldTables:
-    """Everything z-independent of :meth:`EwaldGreen.pairs` for stacked pairs x, xp.
+    """Everything z-independent of :meth:`EwaldGreen.pairs` for the pairs x, xp.
 
-    For one split: the spectral table cos(n a-) - cos(n a+) over its modes,
-    the powers rho^(2j) up to its j_max, and the image charges a-/+ + 2 pi m
-    at distance 0 < R < r_cut, each as pair index, R / (2 sqrt(eta)) and
-    weight +-e^(-R^2 / 4 eta) / R (+ for a-, - for a+).  On the second sheet
-    also rho and the products chi_n(x3) chi_n(x3') of the open modes.
-    Coincident pairs and separations beyond the split's rho_max are refused,
-    except that ``diagonal`` tables (x = xp, for
-    :meth:`EwaldGreen.regularized_diag`) skip the coincidence check; their
-    singular m = 0 image is left out like every R = 0.
+    x and xp are points of shape (3,) or (N, 3), paired row by row; the
+    tables are flat, one entry per pair.  For one split: the spectral table
+    cos(n a-) - cos(n a+) over its modes, the powers rho^(2j) up to its
+    j_max, and the image charges a-/+ + 2 pi m at distance 0 < R < r_cut,
+    each as pair index, R / (2 sqrt(eta)) and weight +-e^(-R^2 / 4 eta) / R
+    (+ for a-, - for a+).  On the second sheet also rho and the products
+    chi_n(x3) chi_n(x3') of the open modes.  ``coincident`` indexes the
+    pairs with x = x', whose singular m = 0 image is left out like every
+    R = 0.  Separations beyond the split's rho_max are refused.
     """
 
-    def __init__(self, x, xp, split: EwaldSplit, ctx: SheetContext,
-                 diagonal: bool = False):
-        x = np.asarray(x, float)
-        xp = np.asarray(xp, float)
-        rho, a_minus, a_plus = (np.atleast_1d(v) for v in _pair_geometry(x, xp))
-        if not diagonal and np.any((rho == 0.0) & (a_minus == 0.0)):
-            raise ValueError("coincident points; use regularized_diag for the diagonal limit")
+    def __init__(self, x, xp, split: EwaldSplit, ctx: SheetContext):
+        x, xp = np.atleast_2d(x, xp)
+        rho, a_minus, a_plus = _pair_geometry(x, xp)
         if float(np.max(rho)) > split.rho_max:
             raise ValueError(f"pair separation rho = {np.max(rho):.3f} exceeds the "
                              f"j_max = {split.j_max} spectral radius {split.rho_max:.3f}")
         self.split, self.ctx = split, ctx
-        self.shape = rho.shape
-        rho, a_minus, a_plus = rho.ravel(), a_minus.ravel(), a_plus.ravel()
+        self.coincident = np.flatnonzero((rho == 0.0) & (a_minus == 0.0))
         n = np.arange(1, split.n_spectral + 1)
         self.cos_diff = np.cos(np.multiply.outer(a_minus, n)) \
             - np.cos(np.multiply.outer(a_plus, n))
@@ -312,8 +318,7 @@ class EwaldTables:
         self.image_weight = np.concatenate(sign) * np.exp(-dist * dist / (4.0 * split.eta)) / dist
         if ctx.second:
             self.rho = rho
-            self.chi = np.broadcast_to(_open_chi(x[..., 2], xp[..., 2], ctx),
-                                       self.shape + (ctx.k,)).reshape(-1, ctx.k)
+            self.chi = _open_chi(x[:, 2], xp[:, 2], ctx)
 
 
 class EwaldGreen:
@@ -354,8 +359,15 @@ class EwaldGreen:
         fact = np.array([math.factorial(i) for i in j], dtype=float)
         self._poly = 0.5 * ((-0.25) ** j / fact)[:, None] * d  # (J+1, N)
 
-    def _kernel(self, tables: EwaldTables):
-        """Kernel values of the pairs of ``tables``, in their shape."""
+    def pairs(self, tables: EwaldTables):
+        """Kernel values of the pairs of ``tables``, one per pair.
+
+        At a coincident pair the value is the diagonal limit of the kernel
+        minus its 1/(4 pi |x - x'|) singularity.  The m = 0 image of the
+        a_minus sum carries the singularity; the tables leave it out, and its
+        regularized value is (pi/2) f'(0) with
+        f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
+        """
         if tables.split != self.split or tables.ctx != self.ctx:
             raise ValueError("the tables were built for another Ewald split or sheet")
         spectral = 2.0 * np.sum(tables.cos_diff * (tables.powers @ self._poly), axis=-1)
@@ -371,27 +383,24 @@ class EwaldGreen:
         val = (spectral + real) / (4.0 * math.pi ** 2)
         if self.ctx.second:
             val = val + _second_sheet_correction(self.z, tables.rho, tables.chi, self.ctx)
-        return val.reshape(tables.shape)
-
-    def pairs(self, tables: EwaldTables):
-        """Kernel values of the pairs of ``tables``, in their shape."""
-        return self._kernel(tables)
+        if len(tables.coincident):
+            eta = self.split.eta
+            f_prime0 = -2.0 * self.s * erf(sv) \
+                - 2.0 * np.exp(self.z * eta) / math.sqrt(math.pi * eta)
+            val[tables.coincident] += f_prime0 / (8.0 * math.pi)
+        return val
 
     def __call__(self, x, xp):
-        """Kernel values for stacked points x, xp of shape (..., 3), tabulated first."""
-        out = self.pairs(EwaldTables(*np.atleast_2d(x, xp), self.split, self.ctx))
-        if out.size == 1:
-            return complex(out.reshape(())[()])
-        return out
+        """Kernel values for points x, xp of shape (3,) or (N, 3); coincident points are refused."""
+        tables = EwaldTables(x, xp, self.split, self.ctx)
+        if len(tables.coincident):
+            raise ValueError("coincident points; use regularized_diag for the diagonal limit")
+        return self._values(tables)
 
-    def regularized_diag(self, tables: EwaldTables):
-        """Diagonal limit of the kernel minus its 1/(4 pi |x - x'|) singularity.
+    def regularized_diag(self, x):
+        """Diagonal limit of the kernel minus its singularity at points x: the (x, x) pairs."""
+        return self._values(EwaldTables(x, x, self.split, self.ctx))
 
-        The m = 0 image of the a_minus sum carries the singularity; the
-        ``diagonal`` tables leave it out, and its regularized value is
-        (pi/2) f'(0) with f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
-        """
-        eta = self.split.eta
-        f_prime0 = -2.0 * self.s * erf(self.s * math.sqrt(eta)) \
-            - 2.0 * np.exp(self.z * eta) / math.sqrt(math.pi * eta)
-        return self._kernel(tables) + f_prime0 / (8.0 * math.pi)
+    def _values(self, tables: EwaldTables):
+        out = self.pairs(tables)
+        return complex(out[0]) if out.size == 1 else out

@@ -218,7 +218,13 @@ class SpectralParams:
     def __post_init__(self) -> None:
         if self.beta == 0.0:
             raise ValueError("surface coupling beta must be nonzero")
-        xi = -4.0 * math.exp(2.0 * (-2.0 * math.pi * self.alpha + PSI_ONE))
+        try:
+            xi = -4.0 * math.exp(2.0 * (-2.0 * math.pi * self.alpha + PSI_ONE))
+        except OverflowError:
+            xi = -math.inf
+        if not math.isfinite(xi):
+            raise ValueError(f"alpha = {self.alpha} makes xi_alpha = "
+                             f"-4 exp(2(-2 pi alpha + psi(1))) overflow")
         object.__setattr__(self, "xi_alpha", xi)
 
     def eigenvalue(self, n: int) -> float:

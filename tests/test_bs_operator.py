@@ -446,12 +446,13 @@ class TestPairLayout:
                                direction2=(0.0, 0.0, 1.0), length1=0.6, length2=1.6)
         rule, ctx = build_quadrature(tall, 6), second_sheet(2)
         st = SystemState(PARAMS, rule, ctx, 3)
-        tables, diag = st.tables
-        assert st.tables[0] is tables and tables.split.re_top == 9.0
-        assert diag.split == tables.split
+        tables = st.tables
+        assert st.tables is tables and tables.split.re_top == 9.0
         z = 100.0 - 0.3j
         wide = EwaldSplit(tables.split.eta, tables.split.j_max, z.real)
-        x, xp = rule.nodes[st.layout.rows], rule.nodes[st.layout.cols]
+        layout = st.layout
+        x = rule.nodes[np.concatenate([layout.rows, layout.diag])]
+        xp = rule.nodes[np.concatenate([layout.cols, layout.diag])]
         wide_tables = EwaldTables(x, xp, wide, ctx)
         assert len(wide_tables.image_u) > len(tables.image_u)
         got = EwaldGreen(z, tables.split, ctx).pairs(tables)
@@ -633,20 +634,39 @@ class TestEtaL:
             eta_l(-5.0, st)
 
     def test_tables_built_once_per_state(self, monkeypatch):
-        # the pairs and the diagonal are tabulated at the first eta_l; later
-        # z only evaluate them
+        # the pairs and the diagonal are tabulated together, in one table, at
+        # the first eta_l; later z only evaluate it
         built = []
         init = EwaldTables.__init__
 
-        def counted(self, *args, **kwargs):
-            built.append(kwargs.get("diagonal", False))
-            init(self, *args, **kwargs)
+        def counted(self, x, *args):
+            built.append(len(x))
+            init(self, x, *args)
 
         monkeypatch.setattr(EwaldTables, "__init__", counted)
         st = SystemState(PARAMS, build_quadrature(SMALL, 8), second_sheet(1), 2)
         for dz in (-0.001 - 1e-4j, -0.002 - 1e-4j, -0.003 - 2e-4j):
             eta_l(PARAMS.eigenvalue(2) + dz, st)
-        assert built == [False, True]
+        assert built == [len(st.layout.rows) + len(st.layout.diag)]
+
+    def test_one_kernel_call_per_assembly(self, small_state, monkeypatch):
+        # the diagonal is the coincident pairs of the state's one table: each
+        # assemble_free evaluates the kernel once, and never regularized_diag
+        calls = []
+
+        def counted(name):
+            real = getattr(EwaldGreen, name)
+
+            def wrapper(self, *args):
+                calls.append(name)
+                return real(self, *args)
+            return wrapper
+
+        for name in ("pairs", "regularized_diag"):
+            monkeypatch.setattr(EwaldGreen, name, counted(name))
+        for dz in (-0.001 - 1e-4j, -0.002 - 1e-4j, -0.003 - 2e-4j):
+            assemble_free(PARAMS.eigenvalue(2) + dz, small_state)
+        assert calls == ["pairs"] * 3
 
     def test_one_factorization_per_eta(self, small_state, monkeypatch):
         # ||E||_1 < 1 certifies M_l: one solve, no inverse, and the recorded

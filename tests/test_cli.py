@@ -9,7 +9,7 @@ import pytest
 
 import layres
 from layres import SpectralParams, resonance
-from layres.cli import ConfigError, main, parse_config, run
+from layres.cli import ConfigError, _write_json, main, parse_config, run
 
 MINIMAL = """
 [run]
@@ -519,6 +519,48 @@ class TestMain:
         assert main(["pole", "--config", path, "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "spectral radius" in err
+
+    def test_wide_surface_in_a_high_window_exit_one(self, tmp_path, capsys, monkeypatch):
+        # eps_7 lies in J_6, where eta is capped at 7/49 and the spectral
+        # radius is 1.569: the 2.88-wide disk is refused at the first eta_l,
+        # before any secant step (it used to exit 0 on kernels off by 1.6e-3)
+        calls = []
+        real = resonance.eta_l
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(resonance, "eta_l", counted)
+        out = tmp_path / "wide.csv"
+        path = _write(tmp_path, "wide.cfg",
+                      "[run]\nmode = pole\nl = 7\n[coupling]\nbeta = 0.4\n"
+                      "[surface]\nfamily = disk\ncenter = 3 0 1.5\nnormal = 0 0 1\n"
+                      "radius = 1.8\ndelta = 0.8\n[numerics]\norder = 8\n")
+        assert main(["pole", "--config", path, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "spectral radius 1.569 at eta = 0.1429" in err
+        assert len(calls) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("alpha", ["-60", "-56.5"])
+    def test_overflowing_xi_alpha_exit_two(self, tmp_path, capsys, alpha, fmt):
+        # xi_alpha = -4 exp(2(-2 pi alpha + psi(1))) overflows: at -60 the
+        # exponential itself, at -56.5 the product, to -inf
+        out = tmp_path / f"eig.{fmt}"
+        path = _write(tmp_path, "alpha.cfg",
+                      MINIMAL.replace("alpha = 0.0", f"alpha = {alpha}")
+                      + f"[output]\nformat = {fmt}\n")
+        assert main(["eigenvalues", "--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 7: alpha = ") and "overflow" in err
+        assert not out.exists()
+
+    def test_json_text_is_built_before_the_file_opens(self, tmp_path):
+        out = tmp_path / "inf.json"
+        with pytest.raises(ValueError):
+            _write_json(str(out), ["x"], [[float("inf")]], ["# layres"])
+        assert not out.exists()
 
     def test_missing_output_directory_exit_two(self, tmp_path, capsys):
         path = _write(tmp_path, "eig.cfg",

@@ -1,0 +1,52 @@
+"""tools/compare_outputs.py on two small layres outputs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+CSV = """\
+# layres 0.1.0
+# config path = {path}
+# fit_im_exponent = 4.0078751533476522
+delta,re_z,im_z,status
+0.02,2.7390496577406207,-3.2257837584953791e-11,ok
+0.04,2.7391,nan,failed
+"""
+
+
+def _json(path, im_z):
+    return json.dumps({"metadata": ["layres 0.1.0", f"config path = {path}"],
+                       "columns": ["delta", "im_z"], "rows": [[0.02, im_z]]}, indent=2)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_compare_outputs(tmp_path, capsys, fmt):
+    a, b, c = (tmp_path / f"{name}.{fmt}" for name in "abc")
+    if fmt == "csv":
+        a.write_text(CSV.format(path=a))
+        b.write_text(CSV.format(path=b))
+        c.write_text(CSV.format(path=c).replace("-3.2257837584953791e-11", "-3.2e-11")
+                     .replace("nan,failed", "-1e-12,ok"))
+    else:
+        a.write_text(_json(a, -3.2257837584953791e-11))
+        b.write_text(_json(b, -3.2257837584953791e-11))
+        c.write_text(_json(c, None))
+    # the config path is all that differs
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "identical\n"
+    assert compare_outputs.main([str(a), str(c)]) == 1
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert "column delta: max |delta| = 0\n" in out
+        assert "column im_z: max |delta| = inf\n" in out  # nan in one file only
+        assert "column status: 1 of 2 rows differ\n" in out
+        assert "config path" not in out
+    else:
+        assert out == "column delta: max |delta| = 0\ncolumn im_z: max |delta| = inf\n"

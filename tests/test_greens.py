@@ -34,11 +34,6 @@ def ewald(z, ctx=FIRST, rho=0.6):
     return EwaldGreen(z, EwaldSplit.for_separation(rho, (ctx.k + 1) ** 2), ctx)
 
 
-def diagonal(split, ctx, x):
-    """Diagonal tables of the points x."""
-    return EwaldTables(x, x, split, ctx, diagonal=True)
-
-
 def brute_k0_cosine(rho, a, n_terms=100_000):
     n = np.arange(1, n_terms + 1)
     return float(np.sum(kv(0, n * rho) * np.cos(n * a)))
@@ -206,7 +201,7 @@ class TestEwaldGreen:
     def test_regularized_diag_is_the_limit(self):
         for z, ctx in ((-2.0, FIRST), (2.5 - 0.05j, second_sheet(1))):
             ew = ewald(z, ctx)
-            gd = ew.regularized_diag(diagonal(ew.split, ctx, X))[0]
+            gd = ew.regularized_diag(X)
             d = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
             r1, r2 = 1e-4, 1e-5
             v1 = ew(X, X + r1 * d) - 1.0 / (4 * math.pi * r1)
@@ -221,16 +216,17 @@ class TestEwaldGreen:
         ("rectangle", 12, -2.0, first_sheet(), 12)],
         ids=["disk", "rectangle", "rectangle-first-sheet"])
     def test_regularized_diag_once_per_x3(self, surface, order, z, ctx, distinct):
-        # the state tabulates the diagonal once per distinct x3, and the
-        # layout's index takes every node to its slot: bitwise the value of
-        # each node on its own
+        # the state tabulates the diagonal once per distinct x3, as coincident
+        # pairs after the others, and the layout's index takes every node to
+        # its slot: bitwise the value of each node on its own
         rule = build_quadrature(SURFACES[surface], order)
         state = SystemState(SWEEP_PARAMS, rule, ctx, 2 if ctx.k == 1 else 3)
-        layout, (pairs, diag) = state.layout, state.tables
+        layout, tables = state.layout, state.tables
         assert len(layout.diag) == len(np.unique(rule.nodes[:, 2])) == distinct
-        ew = EwaldGreen(z, pairs.split, ctx)
-        values = np.concatenate([ew.pairs(pairs), ew.regularized_diag(diag)])
-        each = [ew.regularized_diag(diagonal(pairs.split, ctx, x[None]))[0] for x in rule.nodes]
+        assert np.array_equal(tables.coincident, len(layout.rows) + np.arange(distinct))
+        ew = EwaldGreen(z, tables.split, ctx)
+        values = ew.pairs(tables)
+        each = [ew.regularized_diag(x) for x in rule.nodes]
         assert np.array_equal(values[np.diagonal(layout.index)], each)
 
     def test_pairs_vectorized_consistent(self):
@@ -271,6 +267,33 @@ class TestEwaldGreen:
         with pytest.raises(ValueError, match="spectral radius"):
             ew(X, X + np.array([1.01 * split.rho_max, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_window_at_the_widest_admitted_pair(self, k):
+        # the split the geometry takes for the widest pair it admits keeps
+        # the kernel within 2e-13 of the split route across J_k on both
+        # sheets; a wider pair is refused with that split's radius (eta up
+        # to 1 used to be admitted, off by 1e-7 at k = 4 and 1e14 at k = 7)
+        re_top = (k + 1) ** 2
+        lo, hi = 0.0, 10.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            try:
+                EwaldSplit.for_separation(mid, re_top)
+                lo = mid
+            except ValueError:
+                hi = mid
+        split = EwaldSplit.for_separation(lo, re_top)
+        with pytest.raises(ValueError, match=f"spectral radius {split.rho_max:.3f}"):
+            EwaldSplit.for_separation(hi, re_top)
+        for t in (0.05, 0.5, 0.95):
+            for ctx, im in ((first_sheet(k), 1e-3), (second_sheet(k), -1e-3)):
+                z = complex(k * k + t * (2 * k + 1), im)
+                ew = EwaldGreen(z, split, ctx)
+                x = np.array([1.0, 0.0, 1.3])
+                for x3p in (0.2, 2.9):
+                    xp = np.array([1.0, lo, x3p])  # exactly lo apart in-plane
+                    assert abs(ew(x, xp) - layer_green(z, x, xp, ctx)) < 2e-13, (z, x3p)
+
 
 #: the benchmark sweeps (surface, l, order, deltas), each also at delta = 1
 SWEEPS = {
@@ -297,8 +320,8 @@ class TestEwaldTables:
             rule = build_quadrature(scale_surface(base.surface, delta), order)
             state = SystemState(SWEEP_PARAMS, rule, second_sheet(k), l,
                                 layout=layout.scaled(delta), delta=delta)
-            tables, _ = state.tables
-            assert state.tables[0] is tables
+            tables = state.tables
+            assert state.tables is tables
             assert tables.split.eta == 0.15 and tables.split.re_top == (k + 1) ** 2
             x, xp = rule.nodes[layout.rows], rule.nodes[layout.cols]
             rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])

@@ -1,0 +1,106 @@
+"""Compare two layres outputs, CSV or JSON, ignoring the ``config path`` line.
+
+    python tools/compare_outputs.py A B
+
+When the files agree byte for byte apart from that line it prints
+``identical`` and exits 0.  Otherwise it prints the largest |delta| of each
+numeric column and of each numeric metadata value, and every other
+difference (a text column or metadata value, the columns, the row count),
+and exits 1.
+"""
+
+import argparse
+import json
+import math
+import sys
+
+_PATH_KEY = "config path"
+
+
+def _without_path(text: str) -> list[str]:
+    return [line for line in text.splitlines(keepends=True) if f"{_PATH_KEY} = " not in line]
+
+
+def _parse(text: str):
+    """(metadata {key: value}, columns, rows) of a layres CSV or JSON output."""
+    if text.lstrip().startswith("{"):
+        payload = json.loads(text)
+        meta, columns, rows = payload["metadata"], payload["columns"], payload["rows"]
+    else:
+        lines = text.splitlines()
+        meta = [line.lstrip("# ") for line in lines if line.startswith("#")]
+        body = [line.split(",") for line in lines if line and not line.startswith("#")]
+        columns, rows = body[0], body[1:]
+    pairs = (line.partition(" = ") for line in meta)
+    return {key: value for key, _, value in pairs if key != _PATH_KEY}, columns, rows
+
+
+def _number(value):
+    """``value`` as a float (null as nan), or None for text."""
+    if value is None:
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _delta(a, b) -> float:
+    if math.isnan(a) and math.isnan(b):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b) if a != b else 0.0
+
+
+def differences(text_a: str, text_b: str) -> list[str]:
+    """Lines describing how two outputs differ; empty when they are identical."""
+    if _without_path(text_a) == _without_path(text_b):
+        return []
+    meta_a, columns_a, rows_a = _parse(text_a)
+    meta_b, columns_b, rows_b = _parse(text_b)
+    out = []
+    for key in sorted(meta_a.keys() | meta_b.keys()):
+        a, b = meta_a.get(key), meta_b.get(key)
+        if a == b:
+            continue
+        na, nb = _number(a), _number(b)
+        if a is None or b is None or na is None or nb is None:
+            out.append(f"metadata {key}: {a!r} vs {b!r}")
+        else:
+            out.append(f"metadata {key}: |delta| = {_delta(na, nb):.3g}")
+    if columns_a != columns_b:
+        out.append(f"columns: {columns_a} vs {columns_b}")
+    if len(rows_a) != len(rows_b):
+        out.append(f"rows: {len(rows_a)} vs {len(rows_b)}")
+    for j, name in enumerate(columns_a):
+        if name not in columns_b:
+            continue
+        jb = columns_b.index(name)
+        values = [(row_a[j], row_b[jb]) for row_a, row_b in zip(rows_a, rows_b)]
+        numbers = [(_number(a), _number(b)) for a, b in values]
+        if all(na is not None and nb is not None for na, nb in numbers):
+            worst = max((_delta(na, nb) for na, nb in numbers), default=0.0)
+            out.append(f"column {name}: max |delta| = {worst:.3g}")
+        else:
+            differ = sum(a != b for a, b in values)
+            out.append(f"column {name}: {differ} of {len(values)} rows differ")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("a")
+    parser.add_argument("b")
+    args = parser.parse_args(argv)
+    texts = []
+    for path in (args.a, args.b):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    found = differences(*texts)
+    print("\n".join(found) if found else "identical")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
