@@ -1,19 +1,19 @@
 """Layer Green's kernel on both sheets and the transverse mode functions.
 
-Two evaluation routes are provided and cross-checked against each other:
-
-* :func:`layer_green` — the split evaluation: a truncated difference series
-  ``sum [K0(kappa_n rho) - K0(n rho)] chi chi'`` plus the closed form of the
-  lattice sum ``sum K0(n rho) cos(na)`` (:func:`k0_cosine_sum`).  Transparent
-  and auditable, but termwise; cost grows like 1/rho near the diagonal.  Its
-  mode sum, with K0 from ``specfun``, is that of :func:`layer_green_modal`.
-* :class:`EwaldGreen` — the same kernel Ewald-summed (spectral part with
+* :class:`EwaldGreen` — the kernel Ewald-summed (spectral part with
   incomplete-gamma coefficients + erfc-screened image charges), uniformly
-  accurate in the separation and vectorized over point pairs.  This is what
-  the matrix assembly uses; the split route serves as its independent check.
+  accurate in the separation and vectorized over point pairs.  Every matrix
+  assembly uses it.
+* :func:`layer_green_modal` — its reference, the mode series
+  ``(1/2 pi) sum_n Z0(kappa_n rho) chi_n chi_n'`` with the Z0 of the mode
+  vectors (``specfun.z0_kernel``).  One point pair at a time, about 37/rho
+  modes, in-plane separation rho > 0.
 
-The second sheet (continuation through J_k) is a finite additive correction
-``(i/2) sum_{n<=k} I0(-kappa_n rho) chi_n chi_n'`` on either route.
+The second sheet (continuation through J_k) adds
+``(i/2) sum_{n<=k} I0(-kappa_n rho) chi_n chi_n'`` to either; in the mode
+series it is Z0's open-mode term.  :func:`k0_cosine_sum` is the closed form
+of the lattice sum ``sum K0(n rho) cos(na)`` (the paper's Prudnikov
+identity); it is scored against the brute sum and feeds no kernel.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from .specfun import (
     first_sheet,
     im_positive_sqrt,
     kappa_n,
-    macdonald_k0,
     nudge_off_axis,
+    z0_kernel,
 )
 
 __all__ = [
     "chi_n",
     "k0_cosine_sum",
-    "layer_green",
     "layer_green_modal",
     "EwaldGreen",
     "EwaldSplit",
@@ -67,19 +66,6 @@ def chi_n(n, x3):
     The result has the shape of ``x3`` followed by the shape of ``n``.
     """
     return _SQRT_2_OVER_PI * np.sin(np.multiply.outer(x3, n))
-
-
-def _split_n_max(rho: float, k: int) -> int:
-    """Modes of the split difference series at in-plane separation rho > 0.
-
-    Enough for its exponential tail e^(-rho n) to fall below e^(-30), and at
-    least k + 40; more than 5 000 000 is refused.
-    """
-    n_max = max(int(math.ceil(30.0 / rho)) + 20, k + 40)
-    if n_max > 5_000_000:
-        raise ValueError(f"separation rho = {rho:g} needs n_max = {n_max}; "
-                         "use EwaldGreen for nearly coincident in-plane points")
-    return n_max
 
 
 def _lattice_term(m, aa, rho):
@@ -143,65 +129,45 @@ def _second_sheet_correction(z, rho, open_chi, ctx: SheetContext):
     return np.sum(0.5j * i0 * open_chi, axis=-1)
 
 
-def _mode_sum(z, x, xp, rho: float, ctx: SheetContext, n_max: int, split: bool) -> complex:
-    """(1/2 pi) sum_{n <= n_max} [K0(kappa_n rho) - K0(n rho) if split] chi_n(x3) chi_n(x3'),
-    plus the second-sheet term of the open modes, at in-plane separation rho > 0."""
-    zc = nudge_off_axis(z, ctx)
-    n = np.arange(1, n_max + 1)
-    x3 = float(np.asarray(x, float)[2])
-    x3p = float(np.asarray(xp, float)[2])
-    k0 = macdonald_k0(kappa_n(zc, n, ctx) * rho)
-    if split:
-        k0 = k0 - macdonald_k0(n * rho)
-    val = complex(np.sum(k0 * chi_n(n, x3) * chi_n(n, x3p))) / _TWO_PI
-    if ctx.second:
-        val += _second_sheet_correction(zc, rho, _open_chi(x3, x3p, ctx), ctx)
-    return val
-
-
-def layer_green(z: complex, x, xp, ctx: SheetContext | None = None,
-                n_max: int | None = None) -> complex:
-    """Layer kernel via the split evaluation (single point pair).
-
-    Difference series (smooth, truncated after ``n_max`` modes; by default
-    enough for its exponential tail to fall below e^(-30)) plus the exact
-    closed form of the K0(n rho) lattice part through :func:`k0_cosine_sum`.
-    Requires an in-plane separation rho > 0.
-    """
-    ctx = ctx or first_sheet()
-    rho, a_minus, a_plus = (float(v) for v in _pair_geometry(x, xp))
-    if rho == 0.0:
-        raise ValueError("split evaluation needs in-plane separation rho > 0 "
-                         "(use EwaldGreen for vertically aligned pairs)")
-    if n_max is None:
-        n_max = _split_n_max(rho, ctx.k)
-    elif n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    lattice = k0_cosine_sum(rho, a_minus) - k0_cosine_sum(rho, a_plus)
-    return _mode_sum(z, x, xp, rho, ctx, n_max, split=True) + lattice / (2.0 * math.pi ** 2)
-
-
 def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
-                      n_max: int = 10_000) -> complex:
-    """Brute-force mode-series summation; slow reference for cross-checks."""
+                      n_max: int | None = None) -> complex:
+    """Layer kernel as its mode series (single point pair): the reference for EwaldGreen.
+
+    (1/2 pi) sum_{n <= n_max} Z0(kappa_n rho) chi_n(x3) chi_n(x3') with the
+    mode vectors' building block Z0 (:func:`specfun.z0_kernel`), which on
+    the second sheet carries the open modes' i pi I0 term.  By default it
+    sums ceil(37/rho) + k + 40 modes, enough for the tail e^(-rho n) to fall
+    below e^(-37); more than 5 000 000 is refused.  Requires an in-plane
+    separation rho > 0.
+    """
     ctx = ctx or first_sheet()
     rho = float(_pair_geometry(x, xp)[0])
     if rho == 0.0:
-        raise ValueError("mode series diverges termwise at rho = 0")
-    return _mode_sum(z, x, xp, rho, ctx, n_max, split=False)
+        raise ValueError("mode series diverges termwise at rho = 0 "
+                         "(use EwaldGreen for vertically aligned pairs)")
+    if n_max is None:
+        n_max = math.ceil(37.0 / rho) + ctx.k + 40
+        if n_max > 5_000_000:
+            raise ValueError(f"separation rho = {rho:g} needs n_max = {n_max}; "
+                             "use EwaldGreen for nearly coincident in-plane points")
+    elif n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    n = np.arange(1, n_max + 1)
+    chi = chi_n(n, float(np.asarray(x, float)[2])) * chi_n(n, float(np.asarray(xp, float)[2]))
+    return complex(np.sum(z0_kernel(z, n, rho, ctx) * chi)) / _TWO_PI
 
 
 def calibrate_tail_constant(z: complex = -2.0, rho: float = 0.3,
                             n_max: int = 2000) -> float:
-    """Empirical constant C with |tail(n_max)| <= C |z| / n_max for the split.
+    """Empirical constant C with |tail(n_max)| <= C |z| / n_max for the mode series.
 
-    A diagnostic of the split route only; no run reports it, and truncation
-    itself is exponential in rho.
+    A diagnostic only; no run reports it, and truncation itself is
+    exponential in rho.
     """
     x = np.array([1.0, 0.0, 1.3])
     xp = np.array([1.0 + rho, 0.0, 0.9])
-    coarse = layer_green(z, x, xp, n_max=n_max)
-    fine = layer_green(z, x, xp, n_max=8 * n_max)
+    coarse = layer_green_modal(z, x, xp, n_max=n_max)
+    fine = layer_green_modal(z, x, xp, n_max=8 * n_max)
     return abs(coarse - fine) * n_max / max(abs(z), 1.0)
 
 

@@ -544,11 +544,11 @@ def z0_kernel(z: complex, n, rho, ctx: SheetContext):
     for open modes on the second sheet.
 
     ``n`` may be an array of mode indices; the result has the shape of
-    ``rho`` followed by the shape of ``n``.  The mode vectors take their
-    sheet logic from here; the layer kernel adds its own open-mode term
-    (``greens._second_sheet_correction``).  A closed mode away from its
-    threshold has a nearly real kappa_n, and the same |Im w| / |w| at every
-    rho, so :func:`macdonald_k0` takes its whole column from real functions.
+    ``rho`` followed by the shape of ``n``.  The mode vectors and the mode
+    series of the layer kernel (``greens.layer_green_modal``) take their
+    sheet logic from here.  A closed mode away from its threshold has a
+    nearly real kappa_n, and the same |Im w| / |w| at every rho, so
+    :func:`macdonald_k0` takes its whole column from real functions.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr <= 0.0):

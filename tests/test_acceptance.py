@@ -12,7 +12,7 @@ import pytest
 from scipy.special import kv
 
 from layres.geometry import disk
-from layres.greens import k0_cosine_sum, layer_green
+from layres.greens import k0_cosine_sum, layer_green_modal
 from layres.resonance import (
     find_determinant_root,
     find_pole,
@@ -105,8 +105,8 @@ def test_criterion_3_edge_of_the_wedge():
                           rng.uniform(0.5, 2.5)])
             xp = x + rng.uniform(0.2, 0.8, size=3)
             xp[2] = rng.uniform(0.5, 2.5)
-            d = layer_green(lam + 1j * eps, x, xp, up_ctx) - \
-                layer_green(lam - 1j * eps, x, xp, dn_ctx)
+            d = layer_green_modal(lam + 1j * eps, x, xp, up_ctx) - \
+                layer_green_modal(lam - 1j * eps, x, xp, dn_ctx)
             worst_g = max(worst_g, abs(d))
     _report(3, worst_g < 1e-6 and worst_gam < 1e-8,
             f"max kernel jump {worst_g:.2e} (<1e-6), "

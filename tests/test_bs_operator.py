@@ -33,7 +33,7 @@ from layres.geometry import (
     spherical_cap,
     with_anchor,
 )
-from layres.greens import EwaldGreen, EwaldSplit, EwaldTables, layer_green
+from layres.greens import EwaldGreen, EwaldSplit, EwaldTables, layer_green_modal
 from layres.specfun import BranchPointError, SpectralParams, first_sheet, gamma_n, \
     second_sheet
 
@@ -203,7 +203,7 @@ class TestAssembleFree:
         mat = assemble_free(z, st) / rule.weights \
             - layout.corr_inv + z / (8.0 * math.pi) * layout.corr_lin
         for i, j in zip(*np.nonzero(~np.eye(rule.n_nodes, dtype=bool))):
-            want = layer_green(z, rule.nodes[i], rule.nodes[j])
+            want = layer_green_modal(z, rule.nodes[i], rule.nodes[j])
             assert mat[i, j] == pytest.approx(want, abs=1e-12)
 
     def test_positive_definite_below_spectrum(self, rule12, state12):

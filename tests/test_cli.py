@@ -283,6 +283,22 @@ class TestMain:
         assert main(["validate", "--config", path, "--output", str(out)]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_validate_passes_every_check(self, tmp_path, fmt):
+        path = _write(tmp_path, "val.cfg", "[run]\nmode = validate\n[coupling]\nbeta = 0.4\n"
+                      f"[output]\nformat = {fmt}\n")
+        out = tmp_path / f"val.{fmt}"
+        assert main(["validate", "--config", path, "--output", str(out)]) == 0
+        text = out.read_text()
+        if fmt == "json":
+            rows = json.loads(text)["rows"]
+        else:
+            rows = [ln.split(",") for ln in text.splitlines() if ln and not ln.startswith("#")]
+            assert rows.pop(0) == ["check", "status"]
+        assert rows == [[name, "pass"] for name in (
+            "gamma_vanishes_at_eigenvalue", "gamma_derivative_law", "prudnikov_cosine_sum",
+            "ewald_vs_modal", "edge_of_the_wedge")]
+
     def test_default_path_names_the_mode_that_runs(self, tmp_path, monkeypatch):
         # [run] mode = eigenvalues, no [output] path, run as validate
         path = _write(tmp_path, "eig.cfg", MINIMAL)

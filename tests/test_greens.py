@@ -14,7 +14,6 @@ from layres.greens import (
     calibrate_tail_constant,
     chi_n,
     k0_cosine_sum,
-    layer_green,
     layer_green_modal,
 )
 from layres.specfun import SpectralParams, first_sheet, gamma_from_gap, second_sheet
@@ -88,59 +87,63 @@ class TestK0CosineSum:
 
 
 class TestLayerGreenSplit:
+    """The mode series layer_green_modal, the reference kernel of a single pair."""
+
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             x = np.array([1 + rng.random(), rng.random(), 0.5 + 2 * rng.random()])
             xp = np.array([1 + rng.random(), rng.random(), 0.5 + 2 * rng.random()])
-            a = layer_green(-2.0, x, xp)
-            b = layer_green(-2.0, xp, x)
+            a = layer_green_modal(-2.0, x, xp)
+            b = layer_green_modal(-2.0, xp, x)
             assert a == pytest.approx(b, abs=1e-12)
 
     @pytest.mark.parametrize("x3p", [1e-9, math.pi - 1e-9])
     def test_dirichlet_walls(self, x3p):
         xp = np.array([0.6, -0.1, x3p])
-        assert abs(layer_green(-2.0, X, xp)) < 1e-8
-
-    def test_split_matches_modal_sum(self):
-        xp = X + np.array([0.5, 0.0, -0.3])
-        for z, ctx in ((-2.0, FIRST), (2.5 + 0.3j, FIRST),
-                       (2.5 - 0.3j, second_sheet(1)), (6.0 - 0.2j, second_sheet(2))):
-            split = layer_green(z, X, xp, ctx)
-            modal = layer_green_modal(z, X, xp, ctx, n_max=10_000)
-            assert abs(split - modal) < 1e-9
+        assert abs(layer_green_modal(-2.0, X, xp)) < 1e-8
 
     def test_edge_of_the_wedge(self):
         eps = 1e-8
-        up = layer_green(2.5 + 1j * eps, X, XP, first_sheet())
-        down = layer_green(2.5 - 1j * eps, X, XP, second_sheet(1))
+        up = layer_green_modal(2.5 + 1j * eps, X, XP, first_sheet())
+        down = layer_green_modal(2.5 - 1j * eps, X, XP, second_sheet(1))
         assert abs(up - down) < 1e-6
 
     def test_conjugation_symmetry(self):
         z = 1.5 + 0.4j
-        a = layer_green(np.conj(z), X, XP)
-        b = np.conj(layer_green(z, X, XP))
+        a = layer_green_modal(np.conj(z), X, XP)
+        b = np.conj(layer_green_modal(z, X, XP))
         assert a == pytest.approx(b, abs=1e-13)
 
     def test_truncation_robustness(self):
-        # X, XP are 0.5 apart in the plane: the default sums 80 modes
-        for z in (-2.0, 2.5 + 0.2j):
-            a = layer_green(z, X, XP)
-            b = layer_green(z, X, XP, n_max=160)
+        # X, XP are 0.5 apart in the plane: the default sums 115 modes
+        for z, ctx in ((-2.0, FIRST), (2.5 + 0.2j, FIRST), (2.5 - 0.2j, second_sheet(1))):
+            a = layer_green_modal(z, X, XP, ctx)
+            b = layer_green_modal(z, X, XP, ctx, n_max=230)
             assert abs(a - b) < 1e-10
+
+    @pytest.mark.parametrize("rho", [1e-3, 1e-4])
+    @pytest.mark.parametrize("z,ctx", [(-2.0, FIRST), (2.5 + 0.3j, FIRST),
+                                       (2.5 - 0.3j, second_sheet(1))],
+                             ids=["below", "J1-sheet1", "J1-sheet2"])
+    def test_default_mode_count_follows_rho(self, rho, z, ctx):
+        # the mode count grows like 1/rho: 10 000 modes are off by 1e-5
+        # (relative) at rho = 1e-3 and by 0.2 at rho = 1e-4
+        xp = X + np.array([rho, 0.0, 0.0])
+        want = ewald(z, ctx)(X, xp)
+        assert abs(layer_green_modal(z, X, xp, ctx) - want) < 1e-11 * abs(want)
 
     def test_mode_count_checks(self):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
-            layer_green(-2.0, X, XP, n_max=0)
-        # rho = 1e-6 would need 3e7 modes by default
-        with pytest.raises(ValueError, match="use EwaldGreen"):
-            layer_green(-2.0, X, X + np.array([1e-6, 0.0, 0.1]))
+            layer_green_modal(-2.0, X, XP, n_max=0)
+        # rho = 1e-6 would need 3.7e7 modes by default
+        with pytest.raises(ValueError, match=r"rho = 1e-06 needs n_max = 370000\d\d; "
+                                             r"use EwaldGreen for nearly coincident"):
+            layer_green_modal(-2.0, X, X + np.array([1e-6, 0.0, 0.1]))
 
     def test_in_plane_coincidence_rejected(self):
         above = np.array([1.0, 0.2, 0.7])
-        with pytest.raises(ValueError, match="rho > 0"):
-            layer_green(-2.0, X, above)
-        with pytest.raises(ValueError, match="diverges termwise"):
+        with pytest.raises(ValueError, match="diverges termwise at rho = 0"):
             layer_green_modal(-2.0, X, above)
 
     def test_tail_constant_is_small(self):
@@ -158,22 +161,22 @@ class TestEwaldGreen:
         ctx = ctx or FIRST
         ew = ewald(z, ctx)
         got = ew(X, XP)
-        want = layer_green_modal(z, X, XP, ctx, n_max=20_000)
+        want = layer_green_modal(z, X, XP, ctx)
         assert abs(got - want) < 1e-12
 
     def test_matches_split_near_diagonal(self):
         ew = ewald(-2.0)
         for r in (1e-2, 1e-3):
             xp = X + np.array([r, 0.0, 0.0])
-            assert abs(ew(X, xp) - layer_green(-2.0, X, xp)) < 1e-10
+            assert abs(ew(X, xp) - layer_green_modal(-2.0, X, xp)) < 1e-10
 
     def test_vertical_pairs_supported(self):
-        # rho = 0 with x3 separation: split cannot do this, Ewald can;
-        # compare against split at tiny-but-nonzero rho
+        # rho = 0 with x3 separation: the mode series cannot do this, Ewald
+        # can; compare against the mode series at tiny-but-nonzero rho
         xp = np.array([1.0, 0.2, 0.9])
         ew = ewald(-2.0)
         val = ew(X, xp)
-        near = layer_green(-2.0, X, np.array([1.0 + 1e-4, 0.2, 0.9]))
+        near = layer_green_modal(-2.0, X, np.array([1.0 + 1e-4, 0.2, 0.9]))
         assert abs(val - near) < 1e-6
 
     def test_edge_of_the_wedge(self):
@@ -263,14 +266,14 @@ class TestEwaldGreen:
         ew = EwaldGreen(z, split, ctx)
         for x3p in (1.0, 2.9):
             xp = np.array([X[0], X[1] + 0.99 * split.rho_max, x3p])
-            assert abs(ew(X, xp) - layer_green(z, X, xp, ctx)) < 2e-13
+            assert abs(ew(X, xp) - layer_green_modal(z, X, xp, ctx)) < 2e-13
         with pytest.raises(ValueError, match="spectral radius"):
             ew(X, X + np.array([1.01 * split.rho_max, 0.0, 0.0]))
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_every_window_at_the_widest_admitted_pair(self, k):
         # the split the geometry takes for the widest pair it admits keeps
-        # the kernel within 2e-13 of the split route across J_k on both
+        # the kernel within 2e-13 of the mode series across J_k on both
         # sheets; a wider pair is refused with that split's radius (eta up
         # to 1 used to be admitted, off by 1e-7 at k = 4 and 1e14 at k = 7)
         re_top = (k + 1) ** 2
@@ -292,7 +295,7 @@ class TestEwaldGreen:
                 x = np.array([1.0, 0.0, 1.3])
                 for x3p in (0.2, 2.9):
                     xp = np.array([1.0, lo, x3p])  # exactly lo apart in-plane
-                    assert abs(ew(x, xp) - layer_green(z, x, xp, ctx)) < 2e-13, (z, x3p)
+                    assert abs(ew(x, xp) - layer_green_modal(z, x, xp, ctx)) < 2e-13, (z, x3p)
 
 
 #: the benchmark sweeps (surface, l, order, deltas), each also at delta = 1
@@ -307,7 +310,7 @@ class TestEwaldTables:
     @pytest.mark.parametrize("sweep", SWEEPS, ids=list(SWEEPS))
     def test_state_tables_match_split_kernel(self, sweep):
         # every state takes the floor eta = 0.15, and its tables give the
-        # kernel of the split route at z near eps_l and across J_k, within
+        # kernel of the mode series at z near eps_l and across J_k, within
         # 2e-13 absolute or, for the 1/(4 pi r)-sized kernel of the closest
         # pairs, relative
         surface, l, order, deltas = SWEEPS[sweep]
@@ -325,12 +328,12 @@ class TestEwaldTables:
             assert tables.split.eta == 0.15 and tables.split.re_top == (k + 1) ** 2
             x, xp = rule.nodes[layout.rows], rule.nodes[layout.cols]
             rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
-            apart = np.flatnonzero(rho > 0.0)  # layer_green needs rho > 0
+            apart = np.flatnonzero(rho > 0.0)  # the mode series needs rho > 0
             sample = np.concatenate([[np.argmax(rho), apart[np.argmin(rho[apart])]],
                                      rng.choice(apart, 4, replace=False)])
             for z in (eps - 1e-4j, k * k + 0.3 - 0.02j, (k + 1) ** 2 - 0.3 - 0.02j):
                 got = EwaldGreen(z, tables.split, state.ctx).pairs(tables)[sample]
-                want = np.array([layer_green(z, x[i], xp[i], state.ctx) for i in sample])
+                want = np.array([layer_green_modal(z, x[i], xp[i], state.ctx) for i in sample])
                 assert np.all(np.abs(got - want) < 2e-13 * np.maximum(1.0, np.abs(want))), \
                     (delta, z)
 
