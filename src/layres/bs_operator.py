@@ -617,7 +617,7 @@ class SystemState:
         xp = nodes[np.concatenate([layout.cols, layout.diag])]
         rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
         split = EwaldSplit.for_separation(float(np.max(rho)), (self.ctx.k + 1) ** 2)
-        return EwaldTables(x, xp, split, self.ctx)
+        return EwaldTables(x, xp, split)
 
 
 def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> complex:

@@ -5,13 +5,15 @@
   accurate in the separation and vectorized over point pairs.  Every matrix
   assembly uses it.
 * :func:`layer_green_modal` — its reference, the mode series
-  ``(1/2 pi) sum_n Z0(kappa_n rho) chi_n chi_n'`` with the Z0 of the mode
+  ``(1/2 pi) sum_n Z0(z, n, rho) chi_n chi_n'`` with the Z0 of the mode
   vectors (``specfun.z0_kernel``).  One point pair at a time, about 37/rho
   modes, in-plane separation rho > 0.
 
 The second sheet (continuation through J_k) adds
-``(i/2) sum_{n<=k} I0(-kappa_n rho) chi_n chi_n'`` to either; in the mode
-series it is Z0's open-mode term.  :func:`k0_cosine_sum` is the closed form
+``(i/2) sum_{n<=k} I0(rho sqrt(n^2 - z)) chi_n chi_n'`` to the first: in the
+mode series it is Z0's open-mode term, in EwaldGreen the 2 pi i that E1 gains
+across its cut in the open modes' spectral coefficients.
+:func:`k0_cosine_sum` is the closed form
 of the lattice sum ``sum K0(n rho) cos(na)`` (the paper's Prudnikov
 identity); it is scored against the brute sum and feeds no kernel.
 """
@@ -26,13 +28,11 @@ import numpy as np
 from .specfun import (
     EULER_GAMMA,
     SheetContext,
-    bessel_i0,
     erf,
     erfcx,
     exp1,
     first_sheet,
     im_positive_sqrt,
-    kappa_n,
     nudge_off_axis,
     z0_kernel,
 )
@@ -113,27 +113,11 @@ def _pair_geometry(x, xp):
     return rho, np.abs(x[..., 2] - xp[..., 2]), x[..., 2] + xp[..., 2]
 
 
-def _open_chi(x3, x3p, ctx: SheetContext):
-    """chi_n(x3) chi_n(x3') of the open modes n <= k, mode index last."""
-    n = np.arange(1, ctx.k + 1)
-    return chi_n(n, x3) * chi_n(n, x3p)
-
-
-def _second_sheet_correction(z, rho, open_chi, ctx: SheetContext):
-    """(i/2) sum_{n<=k} I0(-kappa_n rho) chi_n(x3) chi_n(x3'), z off the axis.
-
-    ``open_chi`` holds the products of :func:`_open_chi`.
-    """
-    n = np.arange(1, ctx.k + 1)
-    i0 = bessel_i0(np.multiply.outer(rho, -kappa_n(z, n, ctx)))
-    return np.sum(0.5j * i0 * open_chi, axis=-1)
-
-
 def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
                       n_max: int | None = None) -> complex:
     """Layer kernel as its mode series (single point pair): the reference for EwaldGreen.
 
-    (1/2 pi) sum_{n <= n_max} Z0(kappa_n rho) chi_n(x3) chi_n(x3') with the
+    (1/2 pi) sum_{n <= n_max} Z0(z, n, rho) chi_n(x3) chi_n(x3') with the
     mode vectors' building block Z0 (:func:`specfun.z0_kernel`), which on
     the second sheet carries the open modes' i pi I0 term.  By default it
     sums ceil(37/rho) + k + 40 modes, enough for the tail e^(-rho n) to fall
@@ -249,19 +233,19 @@ class EwaldTables:
     cos(n a-) - cos(n a+) over its modes, the powers rho^(2j) up to its
     j_max, and the image charges a-/+ + 2 pi m at distance 0 < R < r_cut,
     each as pair index, R / (2 sqrt(eta)) and weight +-e^(-R^2 / 4 eta) / R
-    (+ for a-, - for a+).  On the second sheet also rho and the products
-    chi_n(x3) chi_n(x3') of the open modes.  ``coincident`` indexes the
-    pairs with x = x', whose singular m = 0 image is left out like every
-    R = 0.  Separations beyond the split's rho_max are refused.
+    (+ for a-, - for a+).  Nothing in them depends on the sheet.
+    ``coincident`` indexes the pairs with x = x', whose singular m = 0 image
+    is left out like every R = 0.  Separations beyond the split's rho_max are
+    refused.
     """
 
-    def __init__(self, x, xp, split: EwaldSplit, ctx: SheetContext):
+    def __init__(self, x, xp, split: EwaldSplit):
         x, xp = np.atleast_2d(x, xp)
         rho, a_minus, a_plus = _pair_geometry(x, xp)
         if float(np.max(rho)) > split.rho_max:
             raise ValueError(f"pair separation rho = {np.max(rho):.3f} exceeds the "
                              f"j_max = {split.j_max} spectral radius {split.rho_max:.3f}")
-        self.split, self.ctx = split, ctx
+        self.split = split
         self.coincident = np.flatnonzero((rho == 0.0) & (a_minus == 0.0))
         n = np.arange(1, split.n_spectral + 1)
         self.cos_diff = np.cos(np.multiply.outer(a_minus, n)) \
@@ -282,9 +266,6 @@ class EwaldTables:
         self.image_pair = np.concatenate(index)
         self.image_u = dist / (2.0 * math.sqrt(split.eta))
         self.image_weight = np.concatenate(sign) * np.exp(-dist * dist / (4.0 * split.eta)) / dist
-        if ctx.second:
-            self.rho = rho
-            self.chi = _open_chi(x[:, 2], xp[:, 2], ctx)
 
 
 class EwaldGreen:
@@ -315,6 +296,14 @@ class EwaldGreen:
         emx = np.exp(-x)
         d = np.empty((j_max + 1, len(beta)), dtype=complex)
         d[0] = exp1(x)
+        if self.ctx.second:
+            # E1 of the open modes n <= k continued across its cut,
+            # E1(x e^(-2 pi i)) = E1(x) + 2 pi i (DLMF 6.4).  The recurrence
+            # carries it as 2 pi i (-beta)^j / j!, so Phi_n gains
+            # i pi I0(rho sqrt(beta)): the kernel gains (i/2) I0 chi_n chi_n'.
+            # Every open mode is a spectral one: n_spectral >= sqrt(re_top) + 2,
+            # and every caller takes re_top = (k+1)^2.
+            d[0, :self.ctx.k] += 2j * math.pi
         pw = 1.0
         for j in range(1, j_max + 1):
             pw /= eta
@@ -328,14 +317,15 @@ class EwaldGreen:
     def pairs(self, tables: EwaldTables):
         """Kernel values of the pairs of ``tables``, one per pair.
 
-        At a coincident pair the value is the diagonal limit of the kernel
-        minus its 1/(4 pi |x - x'|) singularity.  The m = 0 image of the
-        a_minus sum carries the singularity; the tables leave it out, and its
-        regularized value is (pi/2) f'(0) with
-        f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
+        The tables must be of this kernel's split, and serve either sheet:
+        the sheet is in the spectral coefficients.  At a coincident pair the
+        value is the diagonal limit of the kernel minus its 1/(4 pi |x - x'|)
+        singularity.  The m = 0 image of the a_minus sum carries the
+        singularity; the tables leave it out, and its regularized value is
+        (pi/2) f'(0) with f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
         """
-        if tables.split != self.split or tables.ctx != self.ctx:
-            raise ValueError("the tables were built for another Ewald split or sheet")
+        if tables.split != self.split:
+            raise ValueError("the tables were built for another Ewald split")
         spectral = 2.0 * np.sum(tables.cos_diff * (tables.powers @ self._poly), axis=-1)
         # f(R) / R with f(R) = e^{-sR} erfc(R/2 sqrt(eta) - s sqrt(eta)) + (s -> -s), via erfcx
         sv = self.s * math.sqrt(self.split.eta)
@@ -347,8 +337,6 @@ class EwaldGreen:
                 + 1j * np.bincount(tables.image_pair, f.imag, size)) \
             * (0.5 * math.pi * np.exp(self.z * self.split.eta))
         val = (spectral + real) / (4.0 * math.pi ** 2)
-        if self.ctx.second:
-            val = val + _second_sheet_correction(self.z, tables.rho, tables.chi, self.ctx)
         if len(tables.coincident):
             eta = self.split.eta
             f_prime0 = -2.0 * self.s * erf(sv) \
@@ -357,16 +345,19 @@ class EwaldGreen:
         return val
 
     def __call__(self, x, xp):
-        """Kernel values for points x, xp of shape (3,) or (N, 3); coincident points are refused."""
-        tables = EwaldTables(x, xp, self.split, self.ctx)
+        """Kernel values for points x, xp of shape (3,) or (N, 3); coincident points are refused.
+
+        A complex for two (3,) points, else an array with one value per pair.
+        """
+        tables = EwaldTables(x, xp, self.split)
         if len(tables.coincident):
             raise ValueError("coincident points; use regularized_diag for the diagonal limit")
-        return self._values(tables)
+        return self._values(tables, np.ndim(x) == np.ndim(xp) == 1)
 
     def regularized_diag(self, x):
         """Diagonal limit of the kernel minus its singularity at points x: the (x, x) pairs."""
-        return self._values(EwaldTables(x, x, self.split, self.ctx))
+        return self._values(EwaldTables(x, x, self.split), np.ndim(x) == 1)
 
-    def _values(self, tables: EwaldTables):
+    def _values(self, tables: EwaldTables, point: bool):
         out = self.pairs(tables)
-        return complex(out[0]) if out.size == 1 else out
+        return complex(out[0]) if point else out

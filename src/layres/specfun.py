@@ -5,7 +5,11 @@ The dispersion bookkeeping lives here: the longitudinal decay rates
 building block ``z0_kernel``.  All branch logic is centralised in
 :func:`im_positive_sqrt`; the second sheet is realised by explicit additive
 corrections for the open modes ``n <= k`` rather than by winding a generic
-logarithm, so each branch can be tested in isolation.
+logarithm, so each branch can be tested in isolation.  There are three, one
+per function continued through J_k: ``gamma_n`` gains -i/2 (its log),
+``z0_kernel`` gains i pi I0(-kappa_n rho), and the Ewald kernel's spectral
+coefficients (``greens.EwaldGreen``) take E1 across its cut,
+E1(x e^(-2 pi i)) = E1(x) + 2 pi i (DLMF 6.4).
 
 Sign conventions
 ----------------

@@ -453,7 +453,7 @@ class TestPairLayout:
         layout = st.layout
         x = rule.nodes[np.concatenate([layout.rows, layout.diag])]
         xp = rule.nodes[np.concatenate([layout.cols, layout.diag])]
-        wide_tables = EwaldTables(x, xp, wide, ctx)
+        wide_tables = EwaldTables(x, xp, wide)
         assert len(wide_tables.image_u) > len(tables.image_u)
         got = EwaldGreen(z, tables.split, ctx).pairs(tables)
         want = EwaldGreen(z, wide, ctx).pairs(wide_tables)

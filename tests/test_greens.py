@@ -16,7 +16,14 @@ from layres.greens import (
     k0_cosine_sum,
     layer_green_modal,
 )
-from layres.specfun import SpectralParams, first_sheet, gamma_from_gap, second_sheet
+from layres.specfun import (
+    SpectralParams,
+    bessel_i0,
+    first_sheet,
+    gamma_from_gap,
+    kappa_n,
+    second_sheet,
+)
 
 SURFACES = {
     "disk": disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5),
@@ -31,6 +38,19 @@ FIRST = first_sheet()
 def ewald(z, ctx=FIRST, rho=0.6):
     """The kernel at z under the split a state takes for pairs up to rho apart in-plane."""
     return EwaldGreen(z, EwaldSplit.for_separation(rho, (ctx.k + 1) ** 2), ctx)
+
+
+def widest_admitted(re_top):
+    """The widest separation EwaldSplit.for_separation admits (lo) and one it refuses (hi)."""
+    lo, hi = 0.0, 10.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        try:
+            EwaldSplit.for_separation(mid, re_top)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo, hi
 
 
 def brute_k0_cosine(rho, a, n_terms=100_000):
@@ -241,6 +261,19 @@ class TestEwaldGreen:
         for i in range(8):
             assert vec[i] == pytest.approx(ew(a[i], b[i]), abs=1e-14)
 
+    @pytest.mark.parametrize("z,ctx", [(2.5 + 0.1j, FIRST), (2.5 - 0.1j, second_sheet(1))],
+                             ids=["sheet1", "sheet2"])
+    def test_one_row_is_an_array(self, z, ctx):
+        # a (1, 3) input is one row of pairs, like (N, 3): only two (3,)
+        # points give a complex
+        ew = ewald(z, ctx)
+        row = ew(X[None], XP[None])
+        assert isinstance(ew(X, XP), complex) and row.shape == (1,)
+        assert row[0] == ew(X, XP)
+        diag = ew.regularized_diag(X[None])
+        assert isinstance(ew.regularized_diag(X), complex) and diag.shape == (1,)
+        assert diag[0] == ew.regularized_diag(X)
+
     def test_coincident_pair_rejected(self):
         with pytest.raises(ValueError):
             ewald(-2.0)(X, X)
@@ -277,25 +310,42 @@ class TestEwaldGreen:
         # sheets; a wider pair is refused with that split's radius (eta up
         # to 1 used to be admitted, off by 1e-7 at k = 4 and 1e14 at k = 7)
         re_top = (k + 1) ** 2
-        lo, hi = 0.0, 10.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            try:
-                EwaldSplit.for_separation(mid, re_top)
-                lo = mid
-            except ValueError:
-                hi = mid
+        lo, hi = widest_admitted(re_top)
         split = EwaldSplit.for_separation(lo, re_top)
         with pytest.raises(ValueError, match=f"spectral radius {split.rho_max:.3f}"):
             EwaldSplit.for_separation(hi, re_top)
+        sheets = [(first_sheet(k), im) for im in (1e-3, 0.3)] \
+            + [(second_sheet(k), im) for im in (-1e-3, -0.3)]
         for t in (0.05, 0.5, 0.95):
-            for ctx, im in ((first_sheet(k), 1e-3), (second_sheet(k), -1e-3)):
+            for ctx, im in sheets:
                 z = complex(k * k + t * (2 * k + 1), im)
                 ew = EwaldGreen(z, split, ctx)
                 x = np.array([1.0, 0.0, 1.3])
                 for x3p in (0.2, 2.9):
                     xp = np.array([1.0, lo, x3p])  # exactly lo apart in-plane
                     assert abs(ew(x, xp) - layer_green_modal(z, x, xp, ctx)) < 2e-13, (z, x3p)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_second_sheet_is_the_open_mode_i0_term(self, k):
+        # the 2 pi i on the open modes' E1 adds, through the spectral
+        # polynomial, (i/2) sum_{n<=k} I0(-kappa_n rho) chi_n chi_n' to the
+        # first sheet: checked against that sum at every admitted separation
+        re_top = (k + 1) ** 2
+        widest = widest_admitted(re_top)[0]
+        split = EwaldSplit.for_separation(widest, re_top)
+        n = np.arange(1, k + 1)
+        x = np.array([1.0, 0.0, 1.3])
+        for t in (0.05, 0.5, 0.95):
+            for im in (-1e-3, -0.3):
+                z = complex(k * k + t * (2 * k + 1), im)
+                up = EwaldGreen(z, split, first_sheet(k))
+                down = EwaldGreen(z, split, second_sheet(k))
+                for rho in (widest, 0.5 * widest, 1e-2):
+                    for x3p in (0.2, 2.9):
+                        xp = np.array([1.0, rho, x3p])
+                        i0 = bessel_i0(-kappa_n(z, n, second_sheet(k)) * rho)
+                        want = 0.5j * np.sum(i0 * chi_n(n, x[2]) * chi_n(n, x3p))
+                        assert abs(down(x, xp) - up(x, xp) - want) < 1e-13, (z, rho, x3p)
 
 
 #: the benchmark sweeps (surface, l, order, deltas), each also at delta = 1
@@ -357,18 +407,31 @@ class TestEwaldTables:
         xp = np.array([[1.2, 0.1, 2.8], [1.0, 0.6, 0.2], [1.0, 0.0, 1.4]])
         split = EwaldSplit.for_separation(0.5, 9.0)
         wide = EwaldSplit(split.eta, split.j_max, 200.0)
-        tables = EwaldTables(x, xp, split, ctx)
+        tables = EwaldTables(x, xp, split)
         u_cut = split.r_cut / (2.0 * math.sqrt(split.eta))
         assert np.all(tables.image_u < u_cut)
-        assert len(EwaldTables(x, xp, wide, ctx).image_u) > len(tables.image_u)
+        assert len(EwaldTables(x, xp, wide).image_u) > len(tables.image_u)
         got = EwaldGreen(z, split, ctx).pairs(tables)
         want = EwaldGreen(z, wide, ctx)(x, xp)
         assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
+    def test_tables_serve_both_sheets(self):
+        # the tables hold nothing of the sheet: one set gives the point calls
+        # of a first- and a second-sheet kernel
+        x = np.array([[1.0, 0.2, 0.3], [1.0, 0.2, 2.9], [1.3, 0.0, 1.5]])
+        xp = np.array([[1.2, 0.1, 2.8], [1.0, 0.6, 0.2], [1.0, 0.0, 1.4]])
+        split = EwaldSplit.for_separation(0.5, 9.0)
+        tables = EwaldTables(x, xp, split)
+        for ctx, z in ((first_sheet(2), 8.9 + 1e-3j), (second_sheet(2), 8.9 - 1e-3j)):
+            ew = EwaldGreen(z, split, ctx)
+            got = ew.pairs(tables)
+            assert np.array_equal(got, ew(x, xp))
+            assert np.max(np.abs(got - [ew(x[i], xp[i]) for i in range(3)])) < 1e-15
+
     def test_tables_of_another_split_refused(self):
         split = EwaldSplit.for_separation(0.5, 9.0)
-        tables = EwaldTables(X, XP, split, second_sheet(2))
-        with pytest.raises(ValueError, match="another Ewald split or sheet"):
+        tables = EwaldTables(X, XP, split)
+        with pytest.raises(ValueError, match="another Ewald split"):
             EwaldGreen(8.9 - 1e-3j, EwaldSplit(1.0, 32, 9.0), second_sheet(2)).pairs(tables)
 
 
