@@ -154,52 +154,58 @@ def _blind_step(z0: complex, f0: complex) -> complex:
 
 
 def _secant(f: Callable[[complex], complex], seed: complex, tol: float, max_iter: int,
-            first_step: Callable[[complex, complex], complex]) -> tuple[complex, float, int]:
+            first_step: Callable[[complex, complex], complex],
+            step_tol: float) -> tuple[complex, complex, int]:
     """Secant iteration on f from (seed, first_step(seed, f(seed))).
 
-    One evaluation per step; stops when both |f| at the new point and the
-    step that reached it are below ``tol``, and returns (z, |f(z)|, steps).
-    A seed whose |f| is below ``tol`` and whose first step does not move it
-    is a root to working precision and is returned after no step.
+    One evaluation per point.  Stops at the first point whose |f| is below
+    ``tol`` and whose step from the point before is at most ``step_tol``
+    (the seed's step counts as infinite), and returns (z, f(z), secant
+    steps taken after the two start points).
     """
+    def done(step, fz):
+        return abs(fz) < tol and abs(step) <= step_tol
+
     z0 = seed = complex(seed)
     f0 = f(z0)
+    if done(math.inf, f0):
+        return z0, f0, 0
     z1 = first_step(z0, f0)
-    if z1 == z0 and abs(f0) < tol:
-        return z0, abs(f0), 0
+    if not cmath.isfinite(z1):
+        raise _stalled(seed, 0, z0, f0)
     f1 = f(z1)
     steps = 0
-    while steps < max_iter and f1 != f0:
-        step = f1 * (z1 - z0) / (f1 - f0)
-        if not cmath.isfinite(step):
-            break
+    while not done(z1 - z0, f1):
+        step = f1 * (z1 - z0) / (f1 - f0) if f1 != f0 else math.inf
+        if steps == max_iter or not cmath.isfinite(step):
+            raise _stalled(seed, steps, z1, f1)
         z0, f0 = z1, f1
         z1 = z1 - step
         f1 = f(z1)
         steps += 1
-        if abs(f1) < tol and abs(step) < tol:
-            return z1, abs(f1), steps
-    raise ConvergenceError(f"root iteration failed after {steps} steps from z = {seed}: "
-                           f"stopped at z = {z1} with |f| = {abs(f1):.3g}")
+    return z1, f1, steps
 
 
-def _window_root(f: Callable[[complex, dict], complex], state: SystemState,
-                 seed: complex | None, seed_offset: complex, tol: float, max_iter: int,
-                 first_step: Callable[[complex, complex], complex]) -> PoleResult:
-    """Root of f(z, diagnostics) in J_k of the state's eps_l, by :func:`_secant`.
+def _stalled(seed: complex, steps: int, z: complex, fz: complex) -> ConvergenceError:
+    """Error of a search from ``seed`` that stopped at z, with f(z) = fz, after ``steps``."""
+    return ConvergenceError(f"root iteration failed after {steps} steps from z = {seed}: "
+                            f"stopped at z = {z} with |f| = {abs(fz):.3g}")
 
-    The iteration starts from ``seed``, or from eps_l + seed_offset when it
-    is None, and takes its second point from ``first_step``.
-    ``diagnostics`` starts with n_cut and n_nodes; f may add to it.
+
+def _window_root(state: SystemState, seed: complex | None, seed_offset: complex,
+                 tol: float, locate: Callable[[complex, dict], tuple]) -> PoleResult:
+    """Root in J_k of the state's eps_l, from ``locate(seed, diagnostics)``.
+
+    ``locate`` returns (z, residual, iterations).  The search starts from
+    ``seed``, or from eps_l + seed_offset when it is None.  ``diagnostics``
+    starts with n_cut and n_nodes; ``locate`` may add to it.
     """
     if tol < 1e-12:
         raise ValueError("tolerance below 1e-12 is not resolvable")
     eps_l, k = state.params.eigenvalue(state.l), state.ctx.k
     diagnostics: dict = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes}
-    if seed is None:
-        seed = eps_l + seed_offset
-    z, residual, iterations = _secant(lambda z: f(z, diagnostics), seed, tol, max_iter,
-                                      first_step)
+    z, residual, iterations = locate(eps_l + seed_offset if seed is None else seed,
+                                     diagnostics)
     if not (k**2 < z.real < (k + 1) ** 2):
         raise ConvergenceError(f"root {z} escaped the window J_{k}")
     return PoleResult(z=z, mu=z - eps_l, l=state.l, k=k, delta=state.delta,
@@ -208,22 +214,46 @@ def _window_root(f: Callable[[complex, dict], complex], state: SystemState,
 
 def find_pole(state: SystemState, seed: complex | None = None,
               tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
-    """Second-sheet pole z_l(delta) at the l and delta of ``state``, secant from eps_l.
+    """Second-sheet pole z_l(delta) at the l and delta of ``state``, from eps_l.
 
-    The second point is a Newton step with the slope of Gamma_l alone,
-    Gamma_l'(z) = 1/(4 pi (z - l^2)): eta_l = Gamma_l - beta theta_l, and
-    theta_l is O(delta^2) and varies slowly.  ``diagnostics`` of the result
-    describe the whole search: the number of eta_l evaluations and the worst
-    condition number of the guarded solve.
+    For l > k, Gamma_l(z) = (2 pi alpha - psi(1) + ln(sqrt(z - l^2) / 2i)) / 2 pi
+    inverts exactly, so eta_l = Gamma_l - beta theta_l = 0 is the fixed point
+    z = F(z) = l^2 + (z - l^2) exp(-4 pi eta_l(z)).  F contracts by
+    |4 pi beta (z - l^2) theta_l'|, small since theta_l is O(delta^2).  The
+    secant runs on g(z) = z - F(z) = (z - l^2)(1 - exp(-4 pi eta_l(z))) from
+    the seed and F(seed), stops at the first point with |g| < tol and
+    returns F there, z - g, at no further eta_l.  The residual |g| is the
+    distance in z from that point to F of it.  A point with |4 pi eta_l| >= 1
+    is refused: g vanishes there only because z = l^2 or exp(-4 pi eta_l) = 1.
+    ``diagnostics`` of the result describe the whole search: the number of
+    eta_l evaluations, the worst condition number of the guarded solve and
+    ``contraction``, the estimate |1 - (g1 - g0)/(z1 - z0)| of |F'| from the
+    last two points.
     """
-    def f(z, diagnostics):
+    l2 = state.l**2
+    last: list = []
+
+    def g(z, diagnostics):
         diagnostics["eta_evaluations"] = diagnostics.get("eta_evaluations", 0) + 1
-        return eta_l(z, state, diagnostics=diagnostics)
+        eta = eta_l(z, state, diagnostics=diagnostics)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gz = (z - l2) * complex(-np.expm1(-4.0 * math.pi * eta))
+        if not cmath.isfinite(gz):  # exp overflowed; an infinite g stops the secant
+            return complex(math.inf)
+        if last and z != last[0]:
+            diagnostics["contraction"] = abs(1.0 - (gz - last[1]) / (z - last[0]))
+        last[:] = z, gz, eta
+        return gz
 
-    def newton_step(z0, f0):
-        return z0 - f0 * 4.0 * math.pi * (z0 - state.l**2)
+    def locate(seed, diagnostics):
+        z, gz, steps = _secant(lambda z: g(z, diagnostics), seed, tol, max_iter,
+                               lambda z, gz: z - gz, math.inf)
+        if not abs(4.0 * math.pi * last[2]) < 1.0:
+            raise ConvergenceError(f"root iteration stopped at z = {z}, where g vanishes "
+                                   f"but eta_l = {last[2]:.3g} is not 0")
+        return z - gz, abs(gz), steps
 
-    return _window_root(f, state, seed, 0.0, tol, max_iter, newton_step)
+    return _window_root(state, seed, 0.0, tol, locate)
 
 
 def find_determinant_root(state: SystemState, seed: complex | None = None,
@@ -234,12 +264,17 @@ def find_determinant_root(state: SystemState, seed: complex | None = None,
     iteration works on the regular product Gamma_l(z) det(I - beta R_alpha);
     the default seed sits slightly off eps_l because the assembled rank sum
     itself is singular exactly at the eigenvalue.  The product has no known
-    slope, so the second point is the blind z0 + 1e-7 max(1, |z0|).
+    slope, so the second point is the blind z0 + 1e-7 max(1, |z0|).  The
+    secant stops when both |f| and the last step are below ``tol``.
     """
-    def f(z, diagnostics):
+    def f(z):
         return gamma_n(z, state.l, state.ctx, state.params) * bs_determinant(z, state)
 
-    return _window_root(f, state, seed, -1e-4 - 1e-5j, tol, max_iter, _blind_step)
+    def locate(seed, diagnostics):
+        z, fz, steps = _secant(f, seed, tol, max_iter, _blind_step, tol)
+        return z, abs(fz), steps
+
+    return _window_root(state, seed, -1e-4 - 1e-5j, tol, locate)
 
 
 def mu_lowest_order(state: SystemState) -> complex:

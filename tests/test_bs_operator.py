@@ -11,6 +11,7 @@ from layres.bs_operator import (
     PairLayout,
     PoleCollisionError,
     SystemState,
+    _duffy_orders,
     _node_group,
     _pair_orbits,
     _product_rows,
@@ -310,10 +311,34 @@ class TestSingularBuild:
         # the parametrization at q2 + offset for q2 up to 2 pi, whose rounding
         # puts ~1e-15 absolute noise on single entries near the polar centre
         rule = build_quadrature(surface, order)
-        orbit = singular_part_matrix(rule)
-        every = _product_rows(rule, range(rule.n_nodes), 24, np.arange(rule.n_nodes)[None])
+        orbit = singular_part_matrix(rule, 24)
+        every = _product_rows(rule, range(rule.n_nodes), (24, 24),
+                              np.arange(rule.n_nodes)[None])
         for got, want in zip(orbit, every):
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
+
+    @pytest.mark.parametrize("order", [12, 16])
+    @pytest.mark.parametrize("surface", [DISK, TILTED, CAP, RECT],
+                             ids=["disk", "tilted-disk", "cap", "rectangle"])
+    def test_angular_duffy_order_holds_the_matrices(self, surface, order):
+        # p + 4 points along the base of each sub-triangle, 2p towards it,
+        # against 3p in both Duffy variables
+        rule = build_quadrature(surface, order)
+        group = _node_group(rule)
+        assert _duffy_orders(rule, group) == (2 * order, order + 4)
+        got = singular_part_matrix(rule, group=group)
+        want = singular_part_matrix(rule, 3 * order, group=group)
+        assert _rel_max(got[0], want[0]) < 1e-13
+        assert _rel_max(got[1], want[1]) < 1e-13
+
+    def test_periodic_surface_without_rotation_keeps_the_radial_order(self):
+        # p + 4 angular points leave 2.6e-7 on the elliptic disk at order 12
+        rule = build_quadrature(ELLIPSE, 8)
+        group = _node_group(rule)
+        assert _duffy_orders(rule, group) == (24, 24)
+        got = singular_part_matrix(rule, group=group)
+        want = singular_part_matrix(rule, 24, group=group)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("surface, share", [(DISK, 0.5), (RECT, 1.0)],
                              ids=["disk", "even-rectangle"])
@@ -334,7 +359,7 @@ class TestSingularBuild:
         counts = []
         for g in (group, np.arange(rule.n_nodes)[None]):
             points.clear()
-            _product_rows(counting, rows, 16, g)
+            _product_rows(counting, rows, (16, 16), g)
             counts.append(list(points))
         folded, whole = np.array(counts)
         assert len(whole) == len(rows)
@@ -358,7 +383,7 @@ class TestNodeGroup:
         assert len(_node_group(rule)) == size
         integrated = []
 
-        def rows_only(rule, rows, duffy_order, group):
+        def rows_only(rule, rows, orders, group):
             integrated.extend(rows)
             blank = np.zeros((len(rows), rule.n_nodes))
             return blank, blank

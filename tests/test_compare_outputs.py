@@ -50,3 +50,27 @@ def test_compare_outputs(tmp_path, capsys, fmt):
         assert "config path" not in out
     else:
         assert out == "column delta: max |delta| = 0\ncolumn im_z: max |delta| = inf\n"
+
+
+def test_tolerance(tmp_path, capsys):
+    # two runs whose poles and fit moved in the last digits
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(CSV.format(path=a))
+    b.write_text(CSV.format(path=b).replace("2.7390496577406207,-3.2257837584953791e-11",
+                                            "2.7390496577406212,-3.2257837584953801e-11")
+                 .replace("4.0078751533476522", "4.0078751533476529"))
+    b_text = b.read_text()
+    assert compare_outputs.main(["--tol", "1e-12", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "agree within 1e-12\n"
+    assert compare_outputs.main(["--tol", "1e-17", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "column re_z: max |delta| = 4.44e-16\n" in out
+    assert "metadata fit_im_exponent: |delta| = 8.88e-16\n" in out
+    assert "column im_z" not in out  # it moved by 1.3e-26
+    assert "column delta" not in out  # equal columns agree at any tol
+    # nan against a number, text and row counts are never within a tolerance
+    b.write_text(b_text.replace("0.04,2.7391,nan,failed", "0.04,2.7391,-1e-12,ok")
+                 + "0.06,2.7,0,ok\n")
+    assert compare_outputs.main(["--tol", "1", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == ("rows: 2 vs 3\ncolumn im_z: max |delta| = inf\n"
+                                       "column status: 1 of 2 rows differ\n")

@@ -3,8 +3,9 @@
 Each workload of ``perfbench/workloads.py`` writes its seed-0 config, the
 CLI runs it, and every pole of the output passes the benchmark's own gate:
 |z - z_ref| <= 1e-12 against ``perfbench/reference.json``, Im z < 0,
-Re z in J_k and, on the acceptance sweep, the fitted exponents.  The
-benchmark files are only read.
+Re z in J_k and, on the acceptance sweep, the fitted exponents.  The same
+in-process run counts the eta_l evaluations and keeps every pole's
+diagnostics.  The benchmark files are only read.
 """
 
 import importlib.util
@@ -13,9 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from layres import bs_operator, cli, resonance
 from layres.cli import main
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+#: most eta_l evaluations a seed-0 run may make; upper bounds, so that a
+#: later saving keeps them true
+MAX_ETA = {"sweep_disk12": 21, "pole_disk16": 3, "sweep_rect_wire12": 12}
 
 
 def _workloads():
@@ -30,14 +36,62 @@ WL = _workloads()
 REFERENCE = WL.load_reference()
 
 
-@pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
-def test_seed_zero_poles_match_reference(tmp_path, name):
+def _run(directory, name):
+    """(meta, rows, eta_l evaluations, PoleResults) of the seed-0 run of ``name``."""
     workload = WL.WORKLOADS[name]
-    out = tmp_path / f"{name}.csv"
-    config = tmp_path / f"{name}.cfg"
+    out = directory / f"{name}.csv"
+    config = directory / f"{name}.cfg"
     config.write_text(workload.config(0, str(out)), encoding="utf-8")
-    assert main([workload.mode, "--config", str(config)]) == 0
-    meta, rows = WL.read_csv(out)
+    calls, poles = [], []
+    find_pole = resonance.find_pole
+
+    def eta(*args, **kwargs):
+        calls.append(args[0])
+        return bs_operator.eta_l(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        poles.append(find_pole(*args, **kwargs))
+        return poles[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resonance, "eta_l", eta)
+        mp.setattr(resonance, "find_pole", recorded)
+        mp.setattr(cli, "find_pole", recorded)
+        assert main([workload.mode, "--config", str(config)]) == 0
+    return (*WL.read_csv(out), len(calls), poles)
+
+
+@pytest.fixture(scope="module")
+def seed_zero(tmp_path_factory):
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = _run(tmp_path_factory.mktemp(name), name)
+        return runs[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
+def test_seed_zero_poles_match_reference(seed_zero, name):
+    workload = WL.WORKLOADS[name]
+    meta, rows, _, _ = seed_zero(name)
     verdicts = WL.check_poles(workload, meta, rows, REFERENCE[name])
     assert len(verdicts) == len(workload.deltas)
     assert verdicts == dict.fromkeys(verdicts), verdicts
+
+
+@pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
+def test_seed_zero_eta_evaluations(seed_zero, name):
+    _, _, evaluations, poles = seed_zero(name)
+    assert len(poles) == len(WL.WORKLOADS[name].deltas)
+    assert evaluations == sum(res.diagnostics["eta_evaluations"] for res in poles)
+    assert evaluations <= MAX_ETA[name]
+
+
+@pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
+def test_seed_zero_fixed_point_contracts(seed_zero, name):
+    # the last secant slope estimates |F'| = |4 pi beta (z - l^2) theta_l'|
+    for res in seed_zero(name)[3]:
+        assert res.diagnostics["contraction"] < 0.1

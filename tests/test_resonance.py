@@ -137,11 +137,15 @@ class TestFindPole:
             pole_state(BASE, 0.08, 1, PARAMS, order=8)
 
     def test_secant_needs_few_eta_evaluations(self, traced_pole_12):
-        res, _, points = traced_pole_12
-        assert len(points) <= 6
+        res, st, points = traced_pole_12
+        assert len(points) <= 3
         assert res.diagnostics["eta_evaluations"] == len(points)
         assert res.iterations == len(points) - 2
         assert res.residual < 1e-12
+        # the second point is F(z0) = z0 - g(z0), the first step of the fixed point
+        z0 = points[0]
+        g0 = (z0 - 4) * -np.expm1(-4.0 * math.pi * bs_operator.eta_l(z0, st))
+        assert points[1] == z0 - g0
 
     def test_diagnostics_cover_every_evaluation(self, traced_pole_12):
         # the worst condition number of each solve over the whole search,
@@ -161,17 +165,49 @@ class TestFindPole:
         monkeypatch.setattr(resonance, "eta_l", _flat_eta)
         st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
         seed = complex(PARAMS.eigenvalue(2))
-        # the secant's second start point, the Newton step with Gamma_l' =
-        # 1/(4 pi (z - l^2)) from f = 1, is where a flat function stops it
-        stop = seed - 1.0 * 4.0 * math.pi * (seed - 4)
+        # the secant's second start point is F(seed) = seed - g(seed), with
+        # g = (z - l^2)(1 - exp(-4 pi eta)); no step is allowed after it
+        g0 = (seed - 4) * complex(-np.expm1(-4.0 * math.pi))
+        stop = seed - g0
+        g1 = abs(g0) * math.exp(-4.0 * math.pi)  # F contracts by exp(-4 pi)
+        with pytest.raises(ConvergenceError) as info:
+            find_pole(st, max_iter=0)
+        assert str(info.value) == (f"root iteration failed after 0 steps from z = {seed}: "
+                                   f"stopped at z = {stop} with |f| = {g1:.3g}")
+        # eta has no root, so F has only its spurious fixed point l^2 = 4, the
+        # top of J_1, where g vanishes whatever eta is; it is refused there
         with pytest.raises(ConvergenceError) as info:
             find_pole(st)
-        assert str(info.value) == (f"root iteration failed after 0 steps from z = {seed}: "
-                                   f"stopped at z = {stop} with |f| = 1")
+        assert str(info.value) == ("root iteration stopped at z = (4+0j), where g vanishes "
+                                   "but eta_l = 1+0j is not 0")
+
+    def test_fixed_point_on_another_branch_refused(self, monkeypatch):
+        # eta = Gamma_l(z) - Gamma_l(root) + i/2: exp(-4 pi eta) is the same
+        # as without the i/2, so F(seed) is the root, but eta_l is i/2 there
+        st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
+        root = PARAMS.eigenvalue(2) + 2e-3 - 3e-6j
+        monkeypatch.setattr(resonance, "eta_l", lambda z, state, diagnostics=None:
+                            gamma_n(z, 2, state.ctx, PARAMS)
+                            - gamma_n(root, 2, state.ctx, PARAMS) + 0.5j)
+        with pytest.raises(ConvergenceError, match=r"but eta_l = .*0\.5j is not 0$"):
+            find_pole(st)
+
+    @pytest.mark.parametrize("root, at_seed", [(4.5 - 0.01j, False), (1e3, True)],
+                             ids=["far-root", "at-seed"])
+    def test_overflowing_exponential_stops_the_search(self, monkeypatch, root, at_seed):
+        # exp(-4 pi eta) overflows, at F(seed) = -5.1e9 for a root far in J_2
+        # and at the seed for a root at 1e3: g is infinite there, the search
+        # ends in a ConvergenceError and numpy warns of nothing
+        monkeypatch.setattr(resonance, "eta_l", lambda z, state, diagnostics=None: z - root)
+        st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
+        seed = complex(PARAMS.eigenvalue(2))
+        with pytest.raises(ConvergenceError, match=r"after 0 steps .* with \|f\| = inf$") as info:
+            find_pole(st)
+        assert (f"stopped at z = {seed} " in str(info.value)) is at_seed
 
     def test_seed_on_the_root_is_the_root(self, monkeypatch):
-        # f vanishes at the seed, so the Newton step does not move it; the
-        # seed is returned after no step instead of failing on f1 == f0
+        # eta vanishes at the seed, so |g| < tol there and F(seed) = seed is
+        # returned after no step
         st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
         root = complex(PARAMS.eigenvalue(2)) - 1e-4 - 1e-6j
         monkeypatch.setattr(resonance, "eta_l",
@@ -192,10 +228,11 @@ class TestFindPole:
         assert str(info.value) == (f"root iteration failed after 0 steps from z = {seed}: "
                                    f"stopped at z = {stop} with |f| = 1")
 
-    def test_newton_start_saves_evaluations(self, monkeypatch):
+    def test_fixed_point_start_saves_evaluations(self, monkeypatch):
         # a stand-in eta = Gamma_l(z) - Gamma_l(root) with a root mu away
-        # from eps_l: from the same seed, the Newton start needs fewer
-        # evaluations than the blind one of the determinant route
+        # from eps_l: F inverts Gamma_l exactly, so F(seed) is the root and
+        # the search ends there after two evaluations, fewer than the blind
+        # start of the determinant route needs from the same seed
         st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
         eps = PARAMS.eigenvalue(2)
         root = eps + 2e-3 - 3e-6j
@@ -208,17 +245,19 @@ class TestFindPole:
         monkeypatch.setattr(resonance, "eta_l", stand_in)
         monkeypatch.setattr(resonance, "gamma_n", lambda z, l, ctx, params: 1.0)
         monkeypatch.setattr(resonance, "bs_determinant", lambda z, state: stand_in(z, state))
-        newton = find_pole(st, seed=eps)
-        n_newton, calls[:] = len(calls), []
+        fixed_point = find_pole(st, seed=eps)
+        n_fixed_point, calls[:] = len(calls), []
         blind = find_determinant_root(st, seed=eps)
-        assert newton.z == pytest.approx(root, abs=1e-13)
+        assert fixed_point.z == pytest.approx(root, abs=1e-13)
         assert blind.z == pytest.approx(root, abs=1e-13)
-        assert n_newton == newton.diagnostics["eta_evaluations"] < len(calls)
+        assert n_fixed_point == fixed_point.diagnostics["eta_evaluations"] == 2 < len(calls)
+        assert fixed_point.iterations == 0
 
     def test_iteration_budget_exhausted(self, pole_08):
-        _, st = pole_08
+        res, st = pole_08
+        assert res.iterations >= 1
         with pytest.raises(ConvergenceError):
-            find_pole(st, max_iter=1)
+            find_pole(st, max_iter=res.iterations - 1)
 
     def test_above_axis_result_rejected(self):
         with pytest.raises(ArithmeticError):
@@ -227,8 +266,13 @@ class TestFindPole:
 
 
 def _linear_routes(monkeypatch, root):
-    """Replace the function of both root routes by the linear z - root."""
-    monkeypatch.setattr(resonance, "eta_l", lambda z, state, diagnostics=None: z - root)
+    """Replace the function of both root routes by the linear z - root.
+
+    For the eta route that function is g = (z - l^2)(1 - exp(-4 pi eta)),
+    which eta = Gamma_l(z) - Gamma_l(root) makes z - root: F inverts Gamma_l.
+    """
+    monkeypatch.setattr(resonance, "eta_l", lambda z, state, diagnostics=None:
+                        gamma_n(z, 2, state.ctx, PARAMS) - gamma_n(root, 2, state.ctx, PARAMS))
     monkeypatch.setattr(resonance, "gamma_n", lambda z, l, ctx, params: 1.0)
     monkeypatch.setattr(resonance, "bs_determinant", lambda z, state: z - root)
 
@@ -260,8 +304,14 @@ class TestRootDriver:
             route(state4)
 
     def test_one_iteration_is_not_enough(self, route, state4, monkeypatch):
-        # the first secant step lands on the root but is itself far above tol
-        _linear_routes(monkeypatch, PARAMS.eigenvalue(2) - 0.01 - 0.001j)
+        # the determinant's first secant step lands on the root but is itself
+        # far above tol; the eta route stops on |g| alone, so it is given the
+        # linear eta = z - root, whose g F(seed) and one step do not solve
+        root = PARAMS.eigenvalue(2) - 0.01 - 0.001j
+        _linear_routes(monkeypatch, root)
+        if route is find_pole:
+            monkeypatch.setattr(resonance, "eta_l",
+                                lambda z, state, diagnostics=None: z - root)
         with pytest.raises(ConvergenceError, match="root iteration failed"):
             route(state4, max_iter=1)
 
@@ -448,7 +498,8 @@ class TestSweep:
                             else eta(z, state, diagnostics=diagnostics))
         sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1, 0.12], BASE, PARAMS, order=6)
         assert [d for d, _ in sw.failures] == [0.035]
-        assert "root iteration failed" in sw.failures[0][1]
+        # a flat eta drives F to its spurious fixed point l^2 (see above)
+        assert sw.failures[0][1].startswith("root iteration stopped at z = (4+0j)")
         assert [res.delta for res in sw.poles] == [0.02, 0.06, 0.1, 0.12]
 
     def test_unsorted_deltas_rejected(self):

@@ -1,12 +1,15 @@
 """Compare two layres outputs, CSV or JSON, ignoring the ``config path`` line.
 
-    python tools/compare_outputs.py A B
+    python tools/compare_outputs.py [--tol X] A B
 
 When the files agree byte for byte apart from that line it prints
 ``identical`` and exits 0.  Otherwise it prints the largest |delta| of each
 numeric column and of each numeric metadata value, and every other
 difference (a text column or metadata value, the columns, the row count),
-and exits 1.
+and exits 1.  With ``--tol X`` a numeric column or metadata value whose
+largest |delta| is at most X agrees, and so does a text column with no
+differing row; neither is printed, and when nothing else differs the tool
+prints ``agree within X`` and exits 0.
 """
 
 import argparse
@@ -53,8 +56,15 @@ def _delta(a, b) -> float:
     return abs(a - b) if a != b else 0.0
 
 
-def differences(text_a: str, text_b: str) -> list[str]:
-    """Lines describing how two outputs differ; empty when they are identical."""
+def differences(text_a: str, text_b: str, tol: float | None = None) -> list[str]:
+    """Lines describing how two outputs differ; empty when they are identical.
+
+    With ``tol``, numbers whose largest |delta| is at most ``tol`` agree, and
+    so do text columns that do not differ.
+    """
+    def agree(delta):
+        return tol is not None and delta <= tol
+
     if _without_path(text_a) == _without_path(text_b):
         return []
     meta_a, columns_a, rows_a = _parse(text_a)
@@ -67,7 +77,7 @@ def differences(text_a: str, text_b: str) -> list[str]:
         na, nb = _number(a), _number(b)
         if a is None or b is None or na is None or nb is None:
             out.append(f"metadata {key}: {a!r} vs {b!r}")
-        else:
+        elif not agree(_delta(na, nb)):
             out.append(f"metadata {key}: |delta| = {_delta(na, nb):.3g}")
     if columns_a != columns_b:
         out.append(f"columns: {columns_a} vs {columns_b}")
@@ -81,15 +91,19 @@ def differences(text_a: str, text_b: str) -> list[str]:
         numbers = [(_number(a), _number(b)) for a, b in values]
         if all(na is not None and nb is not None for na, nb in numbers):
             worst = max((_delta(na, nb) for na, nb in numbers), default=0.0)
-            out.append(f"column {name}: max |delta| = {worst:.3g}")
+            if not agree(worst):
+                out.append(f"column {name}: max |delta| = {worst:.3g}")
         else:
             differ = sum(a != b for a, b in values)
-            out.append(f"column {name}: {differ} of {len(values)} rows differ")
+            if differ or tol is None:
+                out.append(f"column {name}: {differ} of {len(values)} rows differ")
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--tol", type=float, metavar="X",
+                        help="numbers whose largest |delta| is at most X agree")
     parser.add_argument("a")
     parser.add_argument("b")
     args = parser.parse_args(argv)
@@ -97,8 +111,13 @@ def main(argv=None) -> int:
     for path in (args.a, args.b):
         with open(path, encoding="utf-8") as fh:
             texts.append(fh.read())
-    found = differences(*texts)
-    print("\n".join(found) if found else "identical")
+    found = differences(*texts, tol=args.tol)
+    if found:
+        print("\n".join(found))
+    elif _without_path(texts[0]) == _without_path(texts[1]):
+        print("identical")
+    else:
+        print(f"agree within {args.tol:g}")
     return 1 if found else 0
 
 
