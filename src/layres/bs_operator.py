@@ -57,6 +57,11 @@ _COND_LIMIT = 1e12
 
 _GAMMA_FLOOR = 1e-10
 
+#: Largest n_nodes * n_cut of a state: the rank sum holds an n_nodes x n_cut
+#: complex mode table (80 MB at the limit), and a surface next to the wire
+#: axis or a huge n_cut would ask for gigabytes.
+_MAX_MODE_TABLE = 5_000_000
+
 #: Duffy points per modal-basis batch; one batch holds a whole folded disk
 #: row up to order 29, and an unfolded row up to order 23
 _BATCH_POINTS = 1 << 15
@@ -599,7 +604,8 @@ class SystemState:
     """Everything needed to evaluate eta_l / the determinant at a point z.
 
     ``l`` names eps_l; a second-sheet ``ctx`` whose window J_k misses eps_l is
-    refused, and so is an ``n_cut`` below k there.  Holds the mode cutoff, the
+    refused, and so is an ``n_cut`` below k there, or one whose mode table
+    would hold more than _MAX_MODE_TABLE entries.  Holds the mode cutoff, the
     z-independent pair layout of ``rule`` and its Ewald tables, so only the
     z-dependent kernel values are recomputed per z.  Without a
     ``layout`` the state builds one on ``rule`` itself.  ``delta`` is the scaling
@@ -626,6 +632,11 @@ class SystemState:
         elif self.ctx.second and self.n_cut < self.ctx.k:
             raise ValueError(f"n_cut = {self.n_cut} is below the window index k = "
                              f"{self.ctx.k}: it would drop open channels")
+        entries = self.n_cut * self.rule.n_nodes
+        if entries > _MAX_MODE_TABLE:
+            raise ValueError(f"n_cut = {self.n_cut} modes on {self.rule.n_nodes} nodes "
+                             f"(r_min = {geometry.r_min(self.rule.surface):.3g}) need a "
+                             f"mode table of {entries} entries; the limit is {_MAX_MODE_TABLE}")
         if self.layout is None:
             self.layout = pair_layout(self.rule)
 

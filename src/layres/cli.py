@@ -531,6 +531,8 @@ def _check(config: RunConfig):
     if config.seed is not None and config.mode != "pole":
         raise ConfigError(f"--seed-re and --seed-im apply to pole mode only, "
                           f"not {config.mode}")
+    if not config.path:
+        raise ConfigError("[output] path is empty")
     _refuse_unwritable(config.path)
     if config.mode == "sweep" and config.emit_plot_script:
         _refuse_unwritable(config.path + ".gp")
@@ -584,7 +586,8 @@ def main(argv=None) -> int:
             if seed_re is None:
                 seed_re = config.params.eigenvalue(config.l)
             config.seed = complex(seed_re, args.seed_im or 0.0)
-    except (ConfigError, OSError) as exc:  # OSError: the config file is not readable
+    # OSError: the config file is not readable; UnicodeDecodeError: it is not UTF-8
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.threads is not None:

@@ -302,7 +302,8 @@ def scale_surface(surface: Surface, delta: float) -> Surface:
     """Shrink the surface toward its anchor: x_delta(q) = delta x(q) + (1-delta) x0.
 
     The homothety keeps x0, stays in the (convex) layer and scales Jacobians
-    and areas by delta^2; only the copy's r_min is searched again.
+    and areas by delta^2.  The copy is a new Surface, so it is checked in
+    full: the layer and wall grid, the r_min search and the Jacobian check.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must satisfy 0 < delta <= 1")

@@ -56,7 +56,7 @@ PSI_ONE = -EULER_GAMMA
 #: K0 underflows double precision far before this; returning exact 0 is policy.
 _K0_UNDERFLOW_RE = 700.0
 
-#: largest |Im w| / |w| for which macdonald_k0 takes K0(w) from real functions
+#: largest |Im w| / |w| for which macdonald_k0 takes K0(w) from its Chebyshev series
 _REAL_K0_RATIO = 1e-7
 
 #: imaginary nudge used to select the side of the continuous spectrum for
@@ -65,21 +65,16 @@ _AXIS_NUDGE = 1e-250
 
 
 def _ascending_table(terms: int = 13):
-    """Coefficients in q = w^2/4 of the ascending sums of I0, K0, I1 and K1, for |w| <= 2.
+    """Coefficients in q = w^2/4 of the ascending sums of I0 and K0, for |w| <= 2.
 
-    Columns, for s = 0 then 1 and c_m = 1 / (m! (m + s)!): c_m, then
-    c_m (psi(m+1) + psi(m+1+s)) / 2 with psi(m+1) = H_m - gamma.  Their sums
-    i_s and S_s give I0 = i_0, I1 = (w/2) i_1, K0 = S_0 - log(w/2) i_0 and
-    K1 = 1/w + (w/2) (log(w/2) i_1 - S_1) (DLMF 10.31.1-2).  The first
-    omitted term is below 3e-20.
+    Columns c_m = 1 / (m!)^2 and c_m psi(m+1), psi(m+1) = H_m - gamma.
+    Their sums i_0 and S_0 give K0 = S_0 - log(w/2) i_0 (DLMF 10.31.2).
+    The first omitted term is below 3e-20.
     """
     psi = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, terms + 1))]) - EULER_GAMMA
     m = np.arange(terms)
-    columns = []
-    for shift in (0, 1):
-        c = np.array([1.0 / (math.factorial(k) * math.factorial(k + shift)) for k in m])
-        columns += [c, c * 0.5 * (psi[m] + psi[m + shift])]
-    return np.stack(columns, axis=1)
+    c = np.array([1.0 / math.factorial(k) ** 2 for k in m])
+    return np.stack([c, c * psi[m]], axis=1)
 
 
 _ASCENDING = _ascending_table()
@@ -120,46 +115,46 @@ def _weideman_coefficients(n: int):
 
 _WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_coefficients(40)
 
-#: Chebyshev coefficients of sqrt(x) e^x K_nu(x), nu = 0, 1 (columns), on
-#: the pieces [lo, hi] of x >= 2, in t mapping 1/x linearly onto [-1, 1];
-#: generated by tools/k01_chebyshev.py
-_K01_CHEB = {
+#: Chebyshev coefficients of sqrt(x) e^x K0(x) on the pieces [lo, hi] of
+#: x >= 2, in t mapping 1/x linearly onto [-1, 1]; generated by
+#: tools/k0_chebyshev.py
+_K0_CHEB = {
     (2.0, 8.0): np.array([
-        [1.2117802604833603, 1.3872156703486942],
-        [-0.02235652605699819, 0.07571989953199368],
-        [0.0007734181154693858, -0.0014410515564754062],
-        [-4.281006688886099e-05, 6.650116955125748e-05],
-        [3.0817001738629747e-06, -4.369984709520141e-06],
-        [-2.639367222009665e-07, 3.5402774997630525e-07],
-        [2.563713036403469e-08, -3.311163779293292e-08],
-        [-2.7427055499002012e-09, 3.4459775819010535e-09],
-        [3.1694296580974997e-10, -3.898932347475427e-10],
-        [-3.902353286962184e-11, 4.720819750465836e-11],
-        [5.068040698188575e-12, -6.047835662875356e-12],
-        [-6.889574741007871e-13, 8.128494874865875e-13],
-        [9.744978497825918e-14, -1.138694574714789e-13],
-        [-1.4273328418845485e-14, 1.654035840846228e-14],
-        [2.156412571021463e-15, -2.4809025677068848e-15],
-        [-3.3496542551495625e-16, 3.8292378907024097e-16],
-        [5.3352602169529114e-17, -6.064734104001242e-17],
-        [-8.693669980890753e-18, 9.832425623264862e-18],
+        1.2117802604833603,
+        -0.02235652605699819,
+        0.0007734181154693858,
+        -4.281006688886099e-05,
+        3.0817001738629747e-06,
+        -2.639367222009665e-07,
+        2.563713036403469e-08,
+        -2.7427055499002012e-09,
+        3.1694296580974997e-10,
+        -3.902353286962184e-11,
+        5.068040698188575e-12,
+        -6.889574741007871e-13,
+        9.744978497825918e-14,
+        -1.4273328418845485e-14,
+        2.156412571021463e-15,
+        -3.3496542551495625e-16,
+        5.3352602169529114e-17,
+        -8.693669980890753e-18,
     ]),
     (8.0, math.inf): np.array([
-        [1.243990650868462, 1.281896541718695],
-        [-0.009174852691025696, 0.02832887813049721],
-        [0.00014445509317750059, -0.00024753706739052506],
-        [-4.01361417543571e-06, 5.771972451607249e-06],
-        [1.5678318108523108e-07, -2.0689392195365484e-07],
-        [-7.770110438521738e-09, 9.739983441381804e-09],
-        [4.6111825761797177e-10, -5.585336140380625e-10],
-        [-3.158592997860566e-11, 3.7329966340461855e-11],
-        [2.435018039365041e-12, -2.8250519610232256e-12],
-        [-2.0743313873983479e-13, 2.372019002484144e-13],
-        [1.925787280589917e-14, -2.176677387991754e-14],
-        [-1.927554805838956e-15, 2.1579141616160325e-15],
-        [2.0621980291978182e-16, -2.290196930718269e-16],
-        [-2.3416851175792425e-17, 2.582885729823275e-17],
-        [2.8059028106430423e-18, -3.076752641268463e-18],
+        1.243990650868462,
+        -0.009174852691025696,
+        0.00014445509317750059,
+        -4.01361417543571e-06,
+        1.5678318108523108e-07,
+        -7.770110438521738e-09,
+        4.6111825761797177e-10,
+        -3.158592997860566e-11,
+        2.435018039365041e-12,
+        -2.0743313873983479e-13,
+        1.925787280589917e-14,
+        -1.927554805838956e-15,
+        2.0621980291978182e-16,
+        -2.3416851175792425e-17,
+        2.8059028106430423e-18,
     ]),
 }
 
@@ -300,28 +295,22 @@ def _i0_series(w, r: float):
     return total
 
 
-def _k0_k1(x):
-    """Real K0(x) and K1(x), x > 0.
+def _k0_chebyshev(w):
+    """K0 of a 1-d array w with Re w > 2, from the Chebyshev series of _K0_CHEB.
 
-    Below x = 2 the ascending sums of _ASCENDING, above it the Chebyshev
-    series of sqrt(x) e^x K_nu(x) on the pieces of _K01_CHEB.
+    Each piece is chosen by Re w and its series of sqrt(x) e^x K0(x)
+    summed at x = w itself, so t = (1/w - mid) / half is complex; for
+    |Im w| <= _REAL_K0_RATIO |w| it stays within 3e-7 of [-1, 1],
+    where the series converges as on the real line.
     """
-    k0, k1 = np.empty_like(x), np.empty_like(x)
-    small = x <= 2.0
-    if np.any(small):
-        xs = x[small]
-        log_half = np.log(0.5 * xs)
-        i0, s0, i1, s1 = _horner(0.25 * xs * xs, _ASCENDING)
-        k0[small] = s0 - log_half * i0
-        k1[small] = 1.0 / xs + 0.5 * xs * (log_half * i1 - s1)
-    for (lo, hi), table in _K01_CHEB.items():
-        piece = (x > lo) & (x <= hi)
+    out = np.empty_like(w)
+    for (lo, hi), table in _K0_CHEB.items():
+        piece = (w.real > lo) & (w.real <= hi)
         if np.any(piece):
-            xp = x[piece]
+            wp = w[piece]
             mid, half = 0.5 * (1.0 / lo + 1.0 / hi), 0.5 * (1.0 / lo - 1.0 / hi)
-            k0[piece], k1[piece] = chebval((1.0 / xp - mid) / half, table) \
-                * (np.exp(-xp) / np.sqrt(xp))
-    return k0, k1
+            out[piece] = chebval((1.0 / wp - mid) / half, table) * (np.exp(-wp) / np.sqrt(wp))
+    return out
 
 
 def _k0_laplace(w):
@@ -346,7 +335,7 @@ def _k0_complex(w):
     out = np.empty_like(w)
     if not np.all(far):
         ws = w[~far]
-        i0, s0 = _horner(0.25 * ws * ws, _ASCENDING[:, :2])
+        i0, s0 = _horner(0.25 * ws * ws, _ASCENDING)
         out[~far] = s0 - np.log(0.5 * ws) * i0
     if np.any(far):
         out[far] = _k0_laplace(w[far])
@@ -361,27 +350,19 @@ def macdonald_k0(w):
     so is |w| > 2 with |w| + Re w < 2, next to the cut, which no evaluation
     here covers.
 
-    A nearly real w, Re w > 0 and |Im w| <= _REAL_K0_RATIO |w|, takes the
-    Taylor series of K0 about x = Re w from the real K0 and K1 (K0' = -K1,
-    K1' = -K0 - K1/x):
-    K0(x + iy) = K0 - iy K1 - (y^2/2)(K0 + K1/x) + (iy^3/6)(K1 + K0/x + 2K1/x^2).
-    With y <= 1e-7 x the omitted y^4 term is below 1e-17 of K0 up to
-    x = 700.  Every other w with |w| <= 2 takes the ascending series
-    K0 = S_0 - log(w/2) I0 (DLMF 10.31.2), and the rest the Laplace
-    integral of :func:`_k0_laplace`.
+    A nearly real w, Re w > 2 and |Im w| <= _REAL_K0_RATIO |w|, takes the
+    Chebyshev series of :func:`_k0_chebyshev`.  Every other w with |w| <= 2
+    takes the ascending series K0 = S_0 - log(w/2) I0 (DLMF 10.31.2), and
+    the rest the Laplace integral of :func:`_k0_laplace`.
     """
     w_arr = np.asarray(w, dtype=complex)
-    x, y, size = w_arr.real, w_arr.imag, np.abs(w_arr)
+    x, size = w_arr.real, np.abs(w_arr)
     if np.any(size == 0.0):
         raise ValueError("K0 has a logarithmic singularity at w = 0")
-    near = (x > 0.0) & (np.abs(y) <= _REAL_K0_RATIO * size)
+    near = (x > 2.0) & (np.abs(w_arr.imag) <= _REAL_K0_RATIO * size)
     out = np.empty(w_arr.shape, dtype=complex)
     if np.any(near):
-        xn, yn = x[near], y[near]
-        k0, k1 = _k0_k1(xn)
-        y2 = yn * yn
-        out.real[near] = k0 - 0.5 * y2 * (k0 + k1 / xn)
-        out.imag[near] = yn * (y2 / 6.0 * (k1 + (k0 + 2.0 * k1 / xn) / xn) - k1)
+        out[near] = _k0_chebyshev(w_arr[near])
     if not np.all(near):
         out[~near] = _k0_complex(w_arr[~near])
     out[x > _K0_UNDERFLOW_RE] = 0.0
@@ -393,29 +374,22 @@ def macdonald_k0(w):
 def bessel_i0(w):
     """Modified Bessel function I0 (entire).
 
-    For |w| <= 2 the ascending series of _ASCENDING.  I0 is even, so
-    further out w is taken with Re w >= 0: where |w| - Re w <= 2 the
-    ascending series, summed as far as |w| needs, loses at most a factor e^2
-    to cancellation; elsewhere I0(w) = i sgn(Im w) (K0(w) - K0(-w)) / pi
-    (DLMF 10.34.2), both K0 from :func:`_k0_laplace`, whose strip
-    |w| + Re(-w) > 2 is then wide enough.
+    I0 is even, so w is taken with Re w >= 0.  Where |w| - Re w <= 2 the
+    ascending series of :func:`_i0_series`, summed as far as |w| needs,
+    loses at most a factor e^2 to cancellation; elsewhere
+    I0(w) = i sgn(Im w) (K0(w) - K0(-w)) / pi (DLMF 10.34.2), both K0 from
+    :func:`_k0_laplace`, whose strip |w| + Re(-w) > 2 is then wide enough.
     """
     w_arr = np.asarray(w, dtype=complex)
-    small = np.abs(w_arr) <= 2.0
+    v = np.where(w_arr.real < 0.0, -w_arr, w_arr)
+    far = np.abs(v) - v.real > 2.0
     out = np.empty(w_arr.shape, dtype=complex)
-    ws = w_arr[small]
-    out[small] = _horner(0.25 * ws * ws, _ASCENDING[:, 0])
-    if not np.all(small):
-        v = w_arr[~small]
-        v = np.where(v.real < 0.0, -v, v)
-        far = np.abs(v) - v.real > 2.0
-        i0 = np.empty_like(v)
-        if not np.all(far):
-            vs = v[~far]
-            i0[~far] = _i0_series(vs, 0.5 * float(np.max(np.abs(vs))))
+    if not np.all(far):
+        vs = v[~far]
+        out[~far] = _i0_series(vs, 0.5 * float(np.max(np.abs(vs))))
+    if np.any(far):
         vf = v[far]
-        i0[far] = (1j / math.pi) * np.sign(vf.imag) * (_k0_laplace(vf) - _k0_laplace(-vf))
-        out[~small] = i0
+        out[far] = (1j / math.pi) * np.sign(vf.imag) * (_k0_laplace(vf) - _k0_laplace(-vf))
     if out.ndim == 0:
         return complex(out)
     return out
@@ -468,15 +442,8 @@ def erfcx(w):
 
 
 def erf(w) -> complex:
-    """Error function of one complex w: its Maclaurin series for |w| <= 2, else from erfcx."""
+    """Error function of one complex w: sign (1 - e^(-v^2) erfcx(v)), v = sign w, Re v >= 0."""
     w = complex(w)
-    if abs(w) <= 2.0:
-        total, term, n = w, w, 0
-        while abs(term) > 1e-17 * abs(total):
-            n += 1
-            term *= -w * w / n
-            total += term / (2 * n + 1)
-        return 2.0 / math.sqrt(math.pi) * total
     sign = 1.0 if w.real >= 0.0 else -1.0
     v = sign * w
     return sign * (1.0 - cmath.exp(-v * v) * complex(erfcx(v)))
@@ -552,7 +519,8 @@ def z0_kernel(z: complex, n, rho, ctx: SheetContext):
     series of the layer kernel (``greens.layer_green_modal``) take their
     sheet logic from here.  A closed mode away from its threshold has a
     nearly real kappa_n, and the same |Im w| / |w| at every rho, so
-    :func:`macdonald_k0` takes its whole column from real functions.
+    :func:`macdonald_k0` takes its whole column with Re w > 2 from the
+    Chebyshev series.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr <= 0.0):

@@ -628,6 +628,49 @@ class TestMain:
         assert capsys.readouterr().err == "config error: quadrature order must be >= 2\n"
         assert not out.exists()
 
+    def test_empty_output_path_exit_two_before_any_pole(self, tmp_path, capsys, monkeypatch):
+        def no_pole(*args, **kwargs):
+            raise AssertionError("a pole was computed")
+
+        monkeypatch.setattr("layres.cli.find_pole", no_pole)
+        monkeypatch.chdir(tmp_path)
+        path = _write(tmp_path, "pole.cfg", "[run]\nmode = pole\nl = 2\n[coupling]\n"
+                      "beta = 0.4\n" + DISK_SURFACE.strip()
+                      + "\n[numerics]\norder = 4\n[output]\npath =\n")
+        assert main(["pole", "--config", path]) == 2
+        assert capsys.readouterr().err == "config error: [output] path is empty\n"
+        assert sorted(os.listdir(tmp_path)) == ["pole.cfg"]
+
+    def test_config_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "bytes.cfg"
+        path.write_bytes(b"\xff\xfe[run]\nmode = validate\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "can't decode byte 0xff" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("surface, numerics, n_cut", [
+        (DISK_SURFACE.replace("1.0 0.0 1.0", "0.50001 0.0 1.0") + "delta = 1\n", "",
+         "2763103"),
+        (DISK_SURFACE, "n_cut = 1000000000\n", "1000000000"),
+    ], ids=["disk-next-to-the-wire", "n_cut-override"])
+    def test_oversized_mode_table_exit_one(self, tmp_path, capsys, monkeypatch,
+                                           surface, numerics, n_cut):
+        # the refused tables would take 0.7 and 256 GB; no eta_l is evaluated
+        def no_pole(*args, **kwargs):
+            raise AssertionError("a pole was computed")
+
+        monkeypatch.setattr("layres.cli.find_pole", no_pole)
+        out = tmp_path / "pole.csv"
+        path = _write(tmp_path, "pole.cfg", "[run]\nmode = pole\nl = 2\n[coupling]\n"
+                      "beta = 0.4\n" + surface.strip()
+                      + f"\n[numerics]\norder = 4\n{numerics}")
+        assert main(["pole", "--config", path, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: n_cut = {n_cut} modes on 16 nodes (r_min = ")
+        assert f"need a mode table of {16 * int(n_cut)} entries; the limit is 5000000" in err
+        assert not out.exists()
+
 
 _DELTAS = ("0.02 0.025834166841814936 0.033370208820536512 0.043104577110797224 "
            "0.055678541836310623 0.071920436965411033 0.092900228395033188 0.12")

@@ -74,3 +74,27 @@ def test_tolerance(tmp_path, capsys):
     assert compare_outputs.main(["--tol", "1", str(a), str(b)]) == 1
     assert capsys.readouterr().out == ("rows: 2 vs 3\ncolumn im_z: max |delta| = inf\n"
                                        "column status: 1 of 2 rows differ\n")
+
+
+def test_directories(tmp_path, capsys):
+    # a.csv agrees, b.json differs, c.csv is on one side only, notes.txt is not compared
+    a, b = tmp_path / "A", tmp_path / "B"
+    a.mkdir()
+    b.mkdir()
+    for d in (a, b):
+        (d / "a.csv").write_text(CSV.format(path=d / "a.csv"))
+        (d / "notes.txt").write_text(str(d))
+    (a / "b.json").write_text(_json(a, -3.2257837584953791e-11))
+    (b / "b.json").write_text(_json(b, -3.2e-11))
+    (a / "c.csv").write_text(CSV.format(path=a / "c.csv"))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "== a.csv\nidentical\n== b.json\ncolumn delta: max |delta| = 0\n"
+        "column im_z: max |delta| = 2.58e-13\n"
+        f"== c.csv\nmissing in {b}\n")
+    (a / "c.csv").unlink()
+    assert compare_outputs.main(["--tol", "1e-12", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "== a.csv\nidentical\n== b.json\nagree within 1e-12\n"
+    with pytest.raises(SystemExit):
+        compare_outputs.main([str(a), str(a / "a.csv")])
+    assert "both be directories" in capsys.readouterr().err

@@ -41,12 +41,14 @@ def k0_integral_oracle(w: float) -> float:
 
 def k0_scaled_integral_oracle(w: complex) -> complex:
     # K0(w) = e^-w int_0^inf exp(-w (cosh t - 1)) dt for Re w > 0; the scaled
-    # integrand has no underflow, and beyond t = 2 it is below e^(-3 Re w)
+    # integrand has no underflow, and beyond t = top it is below e^-40; the
+    # imaginary part, some 1e-7 of the real one, needs only 1e-16 of it absolute
     def part(t, trig):
         return math.exp(-w.real * (math.cosh(t) - 1.0)) * trig(-w.imag * (math.cosh(t) - 1.0))
 
-    re = quad(part, 0.0, 2.0, args=(math.cos,), epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
-    im = quad(part, 0.0, 2.0, args=(math.sin,), epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+    top = max(2.0, math.acosh(1.0 + 40.0 / w.real))
+    re = quad(part, 0.0, top, args=(math.cos,), epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+    im = quad(part, 0.0, top, args=(math.sin,), epsabs=1e-16 * re, epsrel=1.2e-14, limit=200)[0]
     return complex(re, im) * complex(np.exp(-w))
 
 
@@ -119,11 +121,11 @@ class TestMacdonaldK0:
         assert macdonald_k0(701.0) == 0.0
         assert macdonald_k0(690.0) != 0.0
 
-    @pytest.mark.parametrize("x", [300.0, 500.0])
+    @pytest.mark.parametrize("x", [300.0, 500.0, 0.5, 1.9, 2.1, 7.9, 8.1, 50.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_nearly_real_argument_vs_integral(self, x, sign):
-        # at |Im w| = 1e-7 Re w the y^3 term of the real-function series is
-        # 2e-14 of K0 at x = 500, beyond the tolerance
+        # |Im w| = 1e-7 Re w, the largest ratio macdonald_k0 sends to the
+        # Chebyshev series, on both sides of the piece edges x = 2 and x = 8
         w = complex(x, sign * 1e-7 * x)
         want = k0_scaled_integral_oracle(w)
         assert abs(macdonald_k0(w) - want) < 1e-14 * abs(want)
@@ -307,7 +309,7 @@ class TestZ0Kernel:
     @pytest.mark.parametrize("ratio", [1e-9, 1e-8, 1e-7])
     def test_closed_columns_match_complex_kv(self, ratio):
         # Im z = -2 ratio (n^2 - Re z) puts |Im kappa_n| / |kappa_n| at about
-        # ratio for a closed n; columns at or below the guard take real k0/k1
+        # ratio for a closed n; columns at or below the guard take the Chebyshev series
         rho = np.geomspace(0.05, 3.0, 40)
         n = np.arange(3, 120)
         for sign in (1.0, -1.0):
@@ -323,7 +325,7 @@ class TestZ0Kernel:
 
     def test_mixed_columns_on_the_second_sheet(self):
         # k = 2: two open columns (kv plus the I0 term), closed columns near
-        # their threshold through complex kv, and guarded ones through k0/k1
+        # their threshold through complex kv, and guarded ones through the Chebyshev series
         ctx = second_sheet(2)
         z, rho, n = 7.7 - 1e-4j, np.array([0.1, 0.35, 0.9]), np.arange(1, 80)
         kap = kappa_n(z, n, ctx)
@@ -366,13 +368,14 @@ class TestAgainstScipy:
     the test suite and the benchmark reach.  Where scipy is the less
     accurate of the two (against mpmath), the bound is scipy's error."""
 
-    def test_real_k0_k1(self):
-        x = np.geomspace(1e-6, 2.5e4, 4000)
-        k0, k1 = specfun._k0_k1(x)
-        live = x < 700.0  # beyond, both are below 1e-300 (macdonald_k0 returns 0)
-        assert np.max(np.abs(k0[live] / special.k0(x[live]) - 1.0)) < 3e-15
-        assert np.max(np.abs(k1[live] / special.k1(x[live]) - 1.0)) < 3e-15
-        assert np.all(k0[~live] < 1e-300) and np.all(k1[~live] < 1e-300)
+    def test_real_k0(self):
+        # the Chebyshev pieces; x <= 2 takes the ascending series of test_complex_k0
+        x = np.geomspace(2.0, 2.5e4, 4000)[1:]
+        k0 = specfun._k0_chebyshev(x.astype(complex))
+        assert np.all(k0.imag == 0.0)
+        live = x < 700.0  # beyond, K0 is below 1e-300 (macdonald_k0 returns 0)
+        assert np.max(np.abs(k0.real[live] / special.k0(x[live]) - 1.0)) < 3e-15
+        assert np.all(k0.real[~live] < 1e-300)
 
     def test_complex_k0(self):
         # the rounding of e^-w makes K0 relatively uncertain by about |w| ulp
@@ -443,11 +446,11 @@ class TestAgainstMpmath:
 
 def test_chebyshev_table_regenerates():
     pytest.importorskip("mpmath")
-    path = Path(__file__).resolve().parents[1] / "tools" / "k01_chebyshev.py"
-    spec = importlib.util.spec_from_file_location("k01_chebyshev", path)
+    path = Path(__file__).resolve().parents[1] / "tools" / "k0_chebyshev.py"
+    spec = importlib.util.spec_from_file_location("k0_chebyshev", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     tables = tool.table()
-    assert tables.keys() == specfun._K01_CHEB.keys()
+    assert tables.keys() == specfun._K0_CHEB.keys()
     for piece, coeffs in tables.items():
-        assert np.allclose(coeffs, specfun._K01_CHEB[piece], rtol=1e-15, atol=0.0), piece
+        assert np.allclose(coeffs, specfun._K0_CHEB[piece], rtol=1e-15, atol=0.0), piece

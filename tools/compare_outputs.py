@@ -10,12 +10,18 @@ and exits 1.  With ``--tol X`` a numeric column or metadata value whose
 largest |delta| is at most X agrees, and so does a text column with no
 differing row; neither is printed, and when nothing else differs the tool
 prints ``agree within X`` and exits 0.
+
+When A and B are directories, every ``*.csv`` and ``*.json`` name found in
+either is compared as above, after a line ``== name``; a file present on
+one side only is a difference.  The exit code is 0 only if every file
+agrees.
 """
 
 import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 _PATH_KEY = "config path"
 
@@ -100,6 +106,22 @@ def differences(text_a: str, text_b: str, tol: float | None = None) -> list[str]
     return out
 
 
+def _compare(path_a, path_b, tol: float | None) -> bool:
+    """Print how two output files compare; True when they agree."""
+    texts = []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    found = differences(*texts, tol=tol)
+    if found:
+        print("\n".join(found))
+    elif _without_path(texts[0]) == _without_path(texts[1]):
+        print("identical")
+    else:
+        print(f"agree within {tol:g}")
+    return not found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tol", type=float, metavar="X",
@@ -107,18 +129,22 @@ def main(argv=None) -> int:
     parser.add_argument("a")
     parser.add_argument("b")
     args = parser.parse_args(argv)
-    texts = []
-    for path in (args.a, args.b):
-        with open(path, encoding="utf-8") as fh:
-            texts.append(fh.read())
-    found = differences(*texts, tol=args.tol)
-    if found:
-        print("\n".join(found))
-    elif _without_path(texts[0]) == _without_path(texts[1]):
-        print("identical")
-    else:
-        print(f"agree within {args.tol:g}")
-    return 1 if found else 0
+    a, b = Path(args.a), Path(args.b)
+    if a.is_dir() != b.is_dir():
+        parser.error("A and B must both be files or both be directories")
+    if not a.is_dir():
+        return 0 if _compare(a, b, args.tol) else 1
+    names = sorted({p.name for d in (a, b) for p in d.iterdir() if p.suffix in (".csv", ".json")})
+    agree = True
+    for name in names:
+        print(f"== {name}")
+        missing = [d for d in (a, b) if not (d / name).is_file()]
+        if missing:
+            print(f"missing in {missing[0]}")
+            agree = False
+        elif not _compare(a / name, b / name, args.tol):
+            agree = False
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
-"""Chebyshev coefficients of sqrt(x) e^x K_nu(x), nu = 0 and 1, on x >= 2.
+"""Chebyshev coefficients of sqrt(x) e^x K_0(x) on x >= 2.
 
 Two pieces, [2, 8] and [8, oo), each in the variable t that maps 1/x
 linearly onto [-1, 1] (t = 16/x - 1 on [8, oo)).  The coefficients are
 computed with mpmath at 40 digits by the discrete orthogonality of T_k on
 Chebyshev points and rounded to double; each piece keeps as many as leave
-the first omitted one below 2e-18.  ``layres.specfun._K01_CHEB`` holds the
+the first omitted one below 2e-18.  ``layres.specfun._K0_CHEB`` holds the
 table this prints, and a test regenerates it.
 
-    python tools/k01_chebyshev.py
+    python tools/k0_chebyshev.py
 """
 
 import math
@@ -20,16 +20,15 @@ NODES = 40
 
 
 def chebyshev_coefficients(lo, hi, terms, nodes=NODES):
-    """[c_k(K_0), c_k(K_1)] for k < terms on [lo, hi], as Python floats."""
+    """c_k for k < terms on [lo, hi], as Python floats."""
     with mpmath.workdps(40):
         mid = (1 / mpmath.mpf(lo) + (0 if math.isinf(hi) else 1 / mpmath.mpf(hi))) / 2
         half = 1 / mpmath.mpf(lo) - mid
         theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / nodes for j in range(nodes)]
         x = [1 / (mid + half * mpmath.cos(a)) for a in theta]
-        f = [[mpmath.sqrt(v) * mpmath.exp(v) * mpmath.besselk(nu, v) for v in x] for nu in (0, 1)]
-        return [[float((2 if k else 1) * mpmath.fsum(fv * mpmath.cos(k * a)
-                                                    for fv, a in zip(f[nu], theta)) / nodes)
-                 for nu in (0, 1)]
+        f = [mpmath.sqrt(v) * mpmath.exp(v) * mpmath.besselk(0, v) for v in x]
+        return [float((2 if k else 1) * mpmath.fsum(fv * mpmath.cos(k * a)
+                                                   for fv, a in zip(f, theta)) / nodes)
                 for k in range(terms)]
 
 
@@ -39,10 +38,10 @@ def table():
 
 
 if __name__ == "__main__":
-    print("_K01_CHEB = {")
+    print("_K0_CHEB = {")
     for (lo, hi), coeffs in table().items():
         print(f"    ({lo!r}, {'math.inf' if math.isinf(hi) else repr(hi)}): np.array([")
-        for c0, c1 in coeffs:
-            print(f"        [{c0!r}, {c1!r}],")
+        for c in coeffs:
+            print(f"        {c!r},")
         print("    ]),")
     print("}")
