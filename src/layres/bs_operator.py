@@ -57,13 +57,14 @@ _COND_LIMIT = 1e12
 
 _GAMMA_FLOOR = 1e-10
 
-#: Largest n_nodes * n_cut of a state: the rank sum holds an n_nodes x n_cut
-#: complex mode table (80 MB at the limit), and a surface next to the wire
-#: axis or a huge n_cut would ask for gigabytes.
-_MAX_MODE_TABLE = 5_000_000
+#: Most entries of a dense table: the n_nodes x n_cut complex mode table of
+#: the rank sum (80 MB at the limit) and the n_nodes x n_nodes matrices of the
+#: pair layout and of every assembly.  A surface next to the wire axis, a huge
+#: n_cut or a quadrature order of 48 or more would ask for gigabytes.
+_MAX_TABLE_ENTRIES = 5_000_000
 
 #: Duffy points per modal-basis batch; one batch holds a whole folded disk
-#: row up to order 29, and an unfolded row up to order 23
+#: row up to order 29, and an unfolded row up to order 22
 _BATCH_POINTS = 1 << 15
 
 
@@ -422,22 +423,19 @@ def _pair_orbits(group: np.ndarray):
     """Representative pairs and the n x n index of the pair orbits of ``group``.
 
     A pair orbit is that of (i, j) under the group and transposition; its
-    representative is its smallest pair, so i < j.  ``index`` points every
-    off-diagonal pair at its representative and the diagonal one past the
-    last.
+    representative is its smallest pair, so i <= j, and the orbit of a
+    coincident pair (i, i) holds coincident pairs only.  ``index`` points
+    every pair at its representative.
     """
     rep, col = _orbit_map(group)
     n = len(rep)
     key = rep[:, None] * n + col
     key = np.minimum(key, key.T)
     own = key.ravel() == np.arange(n * n)
-    own[::n + 1] = False
     rows, cols = np.divmod(np.flatnonzero(own), n)
     slot = np.zeros(n * n, dtype=np.intp)
     slot[own] = np.arange(len(rows))
-    index = slot[key]
-    index[np.diag_indices(n)] = len(rows)
-    return rows, cols, index
+    return rows, cols, slot[key]
 
 
 @dataclass(frozen=True)
@@ -445,19 +443,17 @@ class PairLayout:
     """Everything z-independent of the free-kernel assembly on one rule.
 
     ``rows``, ``cols`` are the node pairs whose kernel value is evaluated,
-    one per pair orbit of the kernel group (:func:`pair_layout`), and
-    ``diag`` one node per distinct x3, where the diagonal limit is
-    evaluated.  ``index`` (n x n) points every off-diagonal pair at its
-    representative and every diagonal entry at the slot of its x3 after
-    them.  ``corr_inv`` and ``corr_lin`` swap the plain Nystrom values of
-    the model kernels 1/(4 pi |x - x'|) and |x - x'| for their product
-    integrals (:func:`singular_part_matrix`): p_inv / w - 1/(4 pi r) and
-    p_lin / w - r, with w the rule weights and the model zero on the diagonal.
+    one per pair orbit of the kernel group (:func:`pair_layout`), the
+    coincident pairs (i, i) of the diagonal among them.  ``index`` (n x n)
+    points every pair at its representative.  ``corr_inv`` and ``corr_lin``
+    swap the plain Nystrom values of the model kernels 1/(4 pi |x - x'|)
+    and |x - x'| for their product integrals (:func:`singular_part_matrix`):
+    p_inv / w - 1/(4 pi r) and p_lin / w - r, with w the rule weights and
+    the model zero on the diagonal.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    diag: np.ndarray
     index: np.ndarray
     corr_inv: np.ndarray
     corr_lin: np.ndarray
@@ -468,9 +464,9 @@ class PairLayout:
         The map x -> delta x + (1 - delta) x0 with the same order and
         parameter nodes is a similarity: it carries every isometry of the
         rule along with the same node permutation and keeps equal x3 equal,
-        so the node group, its kernel subgroup, the pairs and the diagonal
-        nodes stay; p_inv scales by delta, p_lin by delta^3, w by delta^2
-        and r by delta, so corr_inv scales by 1/delta and corr_lin by delta.
+        so the node group, its kernel subgroup and the pairs stay; p_inv
+        scales by delta, p_lin by delta^3, w by delta^2 and r by delta, so
+        corr_inv scales by 1/delta and corr_lin by delta.
         """
         return replace(self, corr_inv=self.corr_inv / delta,
                        corr_lin=delta * self.corr_lin)
@@ -480,14 +476,18 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
     """Pairs to evaluate and singular corrections of ``rule`` (see :class:`PairLayout`).
 
     The node group (:func:`_node_group`) is found once here.  The kernel
-    depends on the in-plane separation, x3 and x3', so its pairs are grouped
-    under the elements that keep every node's x3 (they keep the 3D distance
-    too, hence the in-plane one), and its diagonal limit depends on x3
-    alone.  The corrections come from
-    :func:`singular_part_matrix` under the whole group.  Coincident nodes
-    (a parametrization that folds onto itself) are rejected.
+    depends on the in-plane separation, x3 and x3', so its pairs, the
+    coincident ones included, are grouped under the elements that keep
+    every node's x3 (they keep the 3D distance too, hence the in-plane
+    one).  The corrections come from :func:`singular_part_matrix` under the
+    whole group.  A rule with more than _MAX_TABLE_ENTRIES node pairs is
+    refused before any n x n array exists, and so are coincident nodes (a
+    parametrization that folds onto itself).
     """
     n = rule.n_nodes
+    if n * n > _MAX_TABLE_ENTRIES:
+        raise ValueError(f"quadrature order {rule.order} has {n} nodes, whose pair "
+                         f"tables need {n * n} entries; the limit is {_MAX_TABLE_ENTRIES}")
     nodes = rule.nodes
     r = _node_distances(nodes)
     off = ~np.eye(n, dtype=bool)
@@ -497,13 +497,11 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
     x3 = nodes[:, 2]
     keeps_x3 = np.all(np.abs(x3[group] - x3) <= 1e-14 * np.max(np.abs(x3)), axis=1)
     rows, cols, index = _pair_orbits(group[keeps_x3])
-    _, diag, slot = np.unique(x3, return_index=True, return_inverse=True)
-    index[np.diag_indices(n)] += slot
     inv_r = np.zeros((n, n))
     inv_r[off] = 1.0 / (4.0 * math.pi * r[off])
     p_inv, p_lin = singular_part_matrix(rule, group=group)
     w = rule.weights
-    return PairLayout(rows, cols, diag, index, p_inv / w - inv_r, p_lin / w - r)
+    return PairLayout(rows, cols, index, p_inv / w - inv_r, p_lin / w - r)
 
 
 def assemble_free(z: complex, state: SystemState) -> np.ndarray:
@@ -605,8 +603,8 @@ class SystemState:
 
     ``l`` names eps_l; a second-sheet ``ctx`` whose window J_k misses eps_l is
     refused, and so is an ``n_cut`` below k there, or one whose mode table
-    would hold more than _MAX_MODE_TABLE entries.  Holds the mode cutoff, the
-    z-independent pair layout of ``rule`` and its Ewald tables, so only the
+    would hold more than _MAX_TABLE_ENTRIES entries.  Holds the mode cutoff,
+    the z-independent pair layout of ``rule`` and its Ewald tables, so only the
     z-dependent kernel values are recomputed per z.  Without a
     ``layout`` the state builds one on ``rule`` itself.  ``delta`` is the scaling
     parameter of ``rule``, which a pole found on this state records;
@@ -633,24 +631,23 @@ class SystemState:
             raise ValueError(f"n_cut = {self.n_cut} is below the window index k = "
                              f"{self.ctx.k}: it would drop open channels")
         entries = self.n_cut * self.rule.n_nodes
-        if entries > _MAX_MODE_TABLE:
+        if entries > _MAX_TABLE_ENTRIES:
             raise ValueError(f"n_cut = {self.n_cut} modes on {self.rule.n_nodes} nodes "
                              f"(r_min = {geometry.r_min(self.rule.surface):.3g}) need a "
-                             f"mode table of {entries} entries; the limit is {_MAX_MODE_TABLE}")
+                             f"mode table of {entries} entries; "
+                             f"the limit is {_MAX_TABLE_ENTRIES}")
         if self.layout is None:
             self.layout = pair_layout(self.rule)
 
     @cached_property
     def tables(self) -> EwaldTables:
-        """Ewald tables of the layout's pairs, then (d, d) for its diagonal nodes d.
+        """Ewald tables of the layout's pairs, the coincident ones included.
 
         Built at the first assembly.  Their split is chosen from the largest
         in-plane separation (:meth:`EwaldSplit.for_separation`), with re_top
         the window top (k+1)^2.
         """
-        nodes, layout = self.rule.nodes, self.layout
-        x = nodes[np.concatenate([layout.rows, layout.diag])]
-        xp = nodes[np.concatenate([layout.cols, layout.diag])]
+        x, xp = self.rule.nodes[self.layout.rows], self.rule.nodes[self.layout.cols]
         rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
         split = EwaldSplit.for_separation(float(np.max(rho)), (self.ctx.k + 1) ** 2)
         return EwaldTables(x, xp, split)

@@ -343,7 +343,7 @@ def _emit(config, header, rows, extra):
 
 
 def _plot_script(config: RunConfig) -> str:
-    csv = config.path
+    csv = config.path.replace("'", "''")  # gnuplot's escape inside single quotes
     return "\n".join([
         "# gnuplot script; run: gnuplot <this file>",
         "set datafile separator ','",

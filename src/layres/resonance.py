@@ -21,7 +21,7 @@ from .bs_operator import PairLayout, SystemState, assemble_A_l, assemble_free, \
     bs_determinant, eta_l, mode_vector, pair_layout
 from .geometry import QuadratureRule, Surface, build_quadrature, scale_surface
 from .greens import chi_n
-from .specfun import PSI_ONE, SpectralParams, gamma_n, second_sheet
+from .specfun import SpectralParams, gamma_n, second_sheet
 
 __all__ = [
     "EigenvalueInfo",
@@ -300,41 +300,27 @@ def mu_lowest_order(state: SystemState) -> complex:
         np.sum(rule.weights * w_l * (w_l + beta * (a @ w_l))))
 
 
-def _iota(l_eps: float, n: int, alpha: float) -> float:
-    return (2.0 * math.pi * alpha + math.log(math.sqrt(l_eps - n**2) / 2.0)
-            - PSI_ONE) / (2.0 * math.pi)
-
-
 def im_mu_closed_form(state: SystemState) -> float:
     """Closed-form lowest order of Im mu(delta); always <= 0 for small delta.
 
-    pi xi_alpha beta^2 sum_{n <= k} ( [8 iota Re Im + ((Re)^2 - (Im)^2)]
-                                        of (w_l, w_n) over (iota_{l,n}^2 + 1/16)
-                                      + (int_Sigma w_l chi_n)^2 ),
-    i.e. Im 4 pi xi beta^2 [ Gamma_n(eps_l)^(-1) (w_l, w_n)^2 ] for the mode
-    couplings, written through Gamma_n(eps_l) = iota_{l,n} - i/4 -- with the
-    analytic (bilinear) square of the pairing, whose imaginary part enters
-    at the same order because w_n is complex on the second sheet for
-    n <= k -- plus the open-channel spectral-density limit of the dressed
-    term.  Everything reduces to scalar surface integrals; no operator is
-    assembled, keeping this route independent of eta_l.
+    pi xi_alpha beta^2 sum_{n <= k} [ 4 Im(Gamma_n(eps_l)^(-1) (w_l, w_n)^2)
+                                      + (int_Sigma w_l chi_n)^2 ]:
+    the mode couplings of mu, with the analytic (bilinear) square of the
+    pairing, whose imaginary part enters at the same order because w_n is
+    complex on the second sheet for n <= k, plus the open-channel
+    spectral-density limit of the dressed term.  Everything reduces to
+    scalar surface integrals; no operator is assembled, keeping this route
+    independent of eta_l.
     """
     params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
-    eps_l, k = params.eigenvalue(l), ctx.k
-    w = rule.weights
-    w_l = mode_vector(complex(eps_l), l, rule, ctx)
-    open_modes = np.arange(1, k + 1)
-    w_open = mode_vector(complex(eps_l), open_modes, rule, ctx)
-    chi_open = chi_n(open_modes, rule.nodes[:, 2])
-    total = 0.0
-    for n in range(1, k + 1):
-        pair = complex(np.sum(w * w_l * w_open[:, n - 1]))
-        a, b = pair.real, pair.imag
-        iota = _iota(eps_l, n, params.alpha)
-        coupling = float(np.real(np.sum(w * w_l * chi_open[:, n - 1])))
-        total += (8.0 * iota * a * b + (a * a - b * b)) / (iota**2 + 0.0625)
-        total += coupling**2
-    return math.pi * params.xi_alpha * params.beta**2 * total
+    eps_l = complex(params.eigenvalue(l))
+    open_modes = np.arange(1, ctx.k + 1)
+    weighted = rule.weights * mode_vector(eps_l, l, rule, ctx)
+    pairings = weighted @ mode_vector(eps_l, open_modes, rule, ctx)
+    couplings = (weighted @ chi_n(open_modes, rule.nodes[:, 2])).real
+    mode_terms = (pairings**2 / gamma_n(eps_l, open_modes, ctx, params)).imag
+    return math.pi * params.xi_alpha * params.beta**2 * float(
+        np.sum(4.0 * mode_terms + couplings**2))
 
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:

@@ -277,7 +277,6 @@ def _shift(p):
 def _with_pairs(layout, group):
     """``layout`` with the pairs of ``group`` (rows are node permutations)."""
     rows, cols, index = _pair_orbits(np.asarray(group))
-    index[np.diag_indices(len(index))] += np.diagonal(layout.index) - len(layout.rows)
     return dataclasses.replace(layout, rows=rows, cols=cols, index=index)
 
 
@@ -286,10 +285,11 @@ def _all_pairs(layout, n):
 
 
 #: order-12 surfaces with their group size, integrated rows and kernel pairs
+#: (the coincident ones included)
 GROUPS = [
-    (DISK, 24, 12, 534), (CAP, 24, 12, 534), (RECT, 4, 36, 5184),
-    (FLAT_RECT, 4, 36, 2628), (SLANTED, 4, 36, 10296), (TILTED, 24, 12, 5184),
-    (ELLIPSE, 2, 72, 5184)]
+    (DISK, 24, 12, 546), (CAP, 24, 12, 546), (RECT, 4, 36, 5256),
+    (FLAT_RECT, 4, 36, 2664), (SLANTED, 4, 36, 10440), (TILTED, 24, 12, 5256),
+    (ELLIPSE, 2, 72, 5256)]
 GROUP_IDS = ["disk", "cap", "rectangle", "flat-rectangle", "slanted-rectangle",
              "tilted-disk", "ellipse"]
 
@@ -371,7 +371,7 @@ class TestSingularBuild:
         got = pair_layout(build_quadrature(surface, 8)).scaled(delta)
         want = pair_layout(build_quadrature(scale_surface(surface, delta), 8))
         assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
-        assert np.array_equal(got.diag, want.diag) and np.array_equal(got.index, want.index)
+        assert np.array_equal(got.index, want.index)
         assert _rel_max(got.corr_inv, want.corr_inv) < 1e-12
         assert _rel_max(got.corr_lin, want.corr_lin) < 1e-12
 
@@ -392,7 +392,7 @@ class TestNodeGroup:
         layout = pair_layout(rule)
         assert len(integrated) == n_rows
         assert len(layout.rows) == n_pairs
-        assert np.all(layout.rows < layout.cols)
+        assert np.all(layout.rows <= layout.cols)
 
     def test_elements_are_distinct_permutations(self):
         group = _node_group(build_quadrature(DISK, 6))
@@ -402,17 +402,15 @@ class TestNodeGroup:
 
     def test_tabulated_rule_gets_the_identity(self):
         # no reflection of the slanted rectangle keeps x3, so the kernel
-        # subgroup is the identity: every upper-triangle pair is evaluated
+        # subgroup is the identity: every upper-triangle pair, the diagonal
+        # included, is evaluated
         rule = build_quadrature(SLANTED, 3)
         assert len(_node_group(rule)) == 4
         layout = pair_layout(rule)
-        rows, cols = np.triu_indices(9, 1)
+        rows, cols = np.triu_indices(9)
         assert np.array_equal(layout.rows, rows) and np.array_equal(layout.cols, cols)
-        x3, slot = np.unique(rule.nodes[:, 2], return_inverse=True)
-        assert np.array_equal(rule.nodes[layout.diag, 2], x3)
-        index = np.full((9, 9), len(rows))
+        index = np.empty((9, 9), dtype=int)
         index[rows, cols] = index[cols, rows] = np.arange(len(rows))
-        index[np.diag_indices(9)] += slot
         assert np.array_equal(layout.index, index)
 
     def test_forced_x3_changing_reflection_is_wrong(self):
@@ -421,7 +419,7 @@ class TestNodeGroup:
         rule = build_quadrature(RECT, 12)
         layout = pair_layout(rule)
         group = _node_group(rule)
-        assert len(group) == 4 and len(layout.rows) == 5184
+        assert len(group) == 4 and len(layout.rows) == 5256
         forced = _with_pairs(layout, group)
         z = PARAMS.eigenvalue(3) - 0.001 - 1e-4j
         got = assemble_free(z, _state(rule, second_sheet(2), 3, layout=forced)) / rule.weights
@@ -475,10 +473,7 @@ class TestPairLayout:
         assert st.tables is tables and tables.split.re_top == 9.0
         z = 100.0 - 0.3j
         wide = EwaldSplit(tables.split.eta, tables.split.j_max, z.real)
-        layout = st.layout
-        x = rule.nodes[np.concatenate([layout.rows, layout.diag])]
-        xp = rule.nodes[np.concatenate([layout.cols, layout.diag])]
-        wide_tables = EwaldTables(x, xp, wide)
+        wide_tables = EwaldTables(rule.nodes[st.layout.rows], rule.nodes[st.layout.cols], wide)
         assert len(wide_tables.image_u) > len(tables.image_u)
         got = EwaldGreen(z, tables.split, ctx).pairs(tables)
         want = EwaldGreen(z, wide, ctx).pairs(wide_tables)
@@ -659,8 +654,8 @@ class TestEtaL:
             eta_l(-5.0, st)
 
     def test_tables_built_once_per_state(self, monkeypatch):
-        # the pairs and the diagonal are tabulated together, in one table, at
-        # the first eta_l; later z only evaluate it
+        # the pairs, the coincident ones included, are tabulated in one table
+        # at the first eta_l; later z only evaluate it
         built = []
         init = EwaldTables.__init__
 
@@ -672,7 +667,7 @@ class TestEtaL:
         st = SystemState(PARAMS, build_quadrature(SMALL, 8), second_sheet(1), 2)
         for dz in (-0.001 - 1e-4j, -0.002 - 1e-4j, -0.003 - 2e-4j):
             eta_l(PARAMS.eigenvalue(2) + dz, st)
-        assert built == [len(st.layout.rows) + len(st.layout.diag)]
+        assert built == [len(st.layout.rows)]
 
     def test_one_kernel_call_per_assembly(self, small_state, monkeypatch):
         # the diagonal is the coincident pairs of the state's one table: each

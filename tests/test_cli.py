@@ -9,7 +9,7 @@ import pytest
 
 import layres
 from layres import SpectralParams, resonance
-from layres.cli import ConfigError, _write_json, main, parse_config, run
+from layres.cli import ConfigError, _plot_script, _write_json, main, parse_config, run
 
 MINIMAL = """
 [run]
@@ -201,6 +201,12 @@ class TestSweepMode:
         assert "column('im_mu')" in script and "im_mu_closed_form" in script
         assert str(out) in script
 
+    def test_plot_script_doubles_single_quotes(self):
+        # gnuplot reads '' as one ' inside a single-quoted string
+        cfg = parse_config(MINIMAL + "[output]\npath = it's.csv\n")
+        plots = [ln for ln in _plot_script(cfg).splitlines() if "using 'delta'" in ln]
+        assert len(plots) == 2
+        assert all("'it''s.csv' using" in ln for ln in plots)
 
     def test_failed_point_is_null_in_json(self, tmp_path, monkeypatch):
         real = resonance.find_pole
@@ -669,6 +675,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: n_cut = {n_cut} modes on 16 nodes (r_min = ")
         assert f"need a mode table of {16 * int(n_cut)} entries; the limit is 5000000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order, refused", [(48, True), (47, False)])
+    def test_quadrature_order_past_the_table_limit_exit_one(self, tmp_path, capsys,
+                                                            monkeypatch, order, refused):
+        # 48^4 node pairs exceed the 5e6 table entries, 47^4 do not; the
+        # distance matrix, the first n x n array, is never built on either side
+        class Reached(Exception):
+            pass
+
+        def no_distances(nodes):
+            raise Reached
+
+        monkeypatch.setattr("layres.bs_operator._node_distances", no_distances)
+        out = tmp_path / "pole.csv"
+        path = _write(tmp_path, "pole.cfg", "[run]\nmode = pole\nl = 2\n[coupling]\n"
+                      "beta = 0.4\n" + DISK_SURFACE.strip() + "\ndelta = 0.08\n")
+        argv = ["pole", "--config", path, "--output", str(out), "--quad-order", str(order)]
+        if not refused:
+            with pytest.raises(Reached):
+                main(argv)
+            return
+        assert main(argv) == 1
+        n = order * order
+        assert capsys.readouterr().err == (
+            f"error: quadrature order 48 has {n} nodes, whose pair tables need {n * n} "
+            "entries; the limit is 5000000\n")
         assert not out.exists()
 
 

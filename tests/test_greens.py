@@ -233,20 +233,21 @@ class TestEwaldGreen:
             assert abs(v2 - gd) < 2e-5
             assert abs(v2 - gd) < 0.2 * abs(v1 - gd) + 1e-10
 
-    @pytest.mark.parametrize("surface, order, z, ctx, distinct", [
-        ("disk", 16, 4.0 - 1e-3j, second_sheet(1), 1),
-        ("rectangle", 16, 9.5 - 1e-3j, second_sheet(2), 16),
-        ("rectangle", 12, -2.0, first_sheet(), 12)],
+    @pytest.mark.parametrize("surface, order, z, ctx, orbits", [
+        ("disk", 16, 4.0 - 1e-3j, second_sheet(1), 16),
+        ("rectangle", 16, 9.5 - 1e-3j, second_sheet(2), 128),
+        ("rectangle", 12, -2.0, first_sheet(), 72)],
         ids=["disk", "rectangle", "rectangle-first-sheet"])
-    def test_regularized_diag_once_per_x3(self, surface, order, z, ctx, distinct):
-        # the state tabulates the diagonal once per distinct x3, as coincident
-        # pairs after the others, and the layout's index takes every node to
-        # its slot: bitwise the value of each node on its own
+    def test_regularized_diag_once_per_node_orbit(self, surface, order, z, ctx, orbits):
+        # the state tabulates one coincident pair (i, i) per node orbit of the
+        # kernel group, like any other pair orbit, and the layout's index takes
+        # every diagonal entry to its orbit: bitwise the value of each node on
+        # its own
         rule = build_quadrature(SURFACES[surface], order)
         state = SystemState(SWEEP_PARAMS, rule, ctx, 2 if ctx.k == 1 else 3)
         layout, tables = state.layout, state.tables
-        assert len(layout.diag) == len(np.unique(rule.nodes[:, 2])) == distinct
-        assert np.array_equal(tables.coincident, len(layout.rows) + np.arange(distinct))
+        assert np.array_equal(tables.coincident, np.flatnonzero(layout.rows == layout.cols))
+        assert len(tables.coincident) == orbits
         ew = EwaldGreen(z, tables.split, ctx)
         values = ew.pairs(tables)
         each = [ew.regularized_diag(x) for x in rule.nodes]

@@ -6,6 +6,7 @@ import pytest
 
 from layres import bs_operator, resonance
 from layres.geometry import disk
+from layres.greens import chi_n
 from layres.resonance import (
     ConvergenceError,
     PoleResult,
@@ -366,6 +367,25 @@ class TestImClosedForm:
         cf = im_mu_closed_form(st)
         assert cf < 0.0
         assert 0.75 < res.mu.imag / cf < 1.25
+
+    @pytest.mark.parametrize("l", [2, 3], ids=["k1", "k2"])
+    def test_matches_the_expansion_per_open_mode(self, l):
+        # Gamma_n(eps_l) = iota - i/4 for n <= k, so with the pairing p:
+        # 4 Im(p^2 / Gamma_n) = (8 iota Re p Im p + (Re p)^2 - (Im p)^2) / (iota^2 + 1/16)
+        st = pole_state(BASE, 0.08, l, PARAMS, order=6)
+        rule, ctx, eps = st.rule, st.ctx, PARAMS.eigenvalue(l)
+        w_l = rule.weights * bs_operator.mode_vector(complex(eps), l, rule, ctx)
+        want = 0.0
+        for n in range(1, ctx.k + 1):
+            p = complex(np.sum(w_l * bs_operator.mode_vector(complex(eps), n, rule, ctx)))
+            iota = (2.0 * math.pi * PARAMS.alpha + math.log(math.sqrt(eps - n * n) / 2.0)
+                    + EULER_GAMMA) / (2.0 * math.pi)
+            coupling = float(np.real(np.sum(w_l * chi_n(n, rule.nodes[:, 2]))))
+            want += (8.0 * iota * p.real * p.imag + p.real**2 - p.imag**2) \
+                / (iota**2 + 0.0625) + coupling**2
+        want *= math.pi * PARAMS.xi_alpha * PARAMS.beta**2
+        assert ctx.k == l - 1
+        assert abs(im_mu_closed_form(st) - want) <= 1e-14 * abs(want)
 
     def test_exactly_even_in_beta(self):
         st = pole_state(BASE, 0.05, 2, PARAMS, order=6)
