@@ -46,6 +46,7 @@ __all__ = [
     "eta_l",
     "bs_determinant",
     "default_mode_cutoff",
+    "mode_cutoff",
 ]
 
 #: A 1-norm condition number above this means M_l = I - beta (R_SigmaSigma + A_l) is
@@ -544,6 +545,27 @@ def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
     return max(ctx.k + 40, int(math.ceil(-math.log(tail_tol) / rmin)))
 
 
+def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, tail_tol: float = 1e-12,
+                n_cut: int | None = None) -> int:
+    """``n_cut``, or :func:`default_mode_cutoff` when it is None, checked against ``rule``.
+
+    On the second sheet an ``n_cut`` below k is refused, and so is any
+    cutoff whose mode table would hold more than _MAX_TABLE_ENTRIES entries.
+    """
+    if n_cut is None:
+        n_cut = default_mode_cutoff(rule, ctx, tail_tol)
+    elif ctx.second and n_cut < ctx.k:
+        raise ValueError(f"n_cut = {n_cut} is below the window index k = "
+                         f"{ctx.k}: it would drop open channels")
+    entries = n_cut * rule.n_nodes
+    if entries > _MAX_TABLE_ENTRIES:
+        raise ValueError(f"n_cut = {n_cut} modes on {rule.n_nodes} nodes "
+                         f"(r_min = {geometry.r_min(rule.surface):.3g}) need a "
+                         f"mode table of {entries} entries; "
+                         f"the limit is {_MAX_TABLE_ENTRIES}")
+    return n_cut
+
+
 def _rank_sum(z, state: SystemState, modes: np.ndarray):
     """sum_n Gamma_n(z)^(-1) w_n w_n^T as one product (W / g) W^T, W = [w_n]."""
     g = gamma_n(z, modes, state.ctx, state.params)
@@ -602,13 +624,12 @@ class SystemState:
     """Everything needed to evaluate eta_l / the determinant at a point z.
 
     ``l`` names eps_l; a second-sheet ``ctx`` whose window J_k misses eps_l is
-    refused, and so is an ``n_cut`` below k there, or one whose mode table
-    would hold more than _MAX_TABLE_ENTRIES entries.  Holds the mode cutoff,
-    the z-independent pair layout of ``rule`` and its Ewald tables, so only the
-    z-dependent kernel values are recomputed per z.  Without a
-    ``layout`` the state builds one on ``rule`` itself.  ``delta`` is the scaling
-    parameter of ``rule``, which a pole found on this state records;
-    :mod:`resonance` passes the layout of the unscaled rule scaled to it.
+    refused, and so is an ``n_cut`` that :func:`mode_cutoff` refuses.  Holds
+    the mode cutoff, the z-independent pair layout of ``rule`` and its Ewald
+    tables, so only the z-dependent kernel values are recomputed per z.
+    Without a ``layout`` the state builds one on ``rule`` itself.  ``delta``
+    is the scaling parameter of ``rule``, which a pole found on this state
+    records; :mod:`resonance` passes the layout of the unscaled rule scaled to it.
     """
 
     params: SpectralParams
@@ -625,17 +646,7 @@ class SystemState:
         if self.ctx.second and not lo < eps_l < hi:
             raise ValueError(f"l = {self.l}: eps_l = {eps_l} lies outside the window "
                              f"J_{self.ctx.k} = ({lo:g}, {hi:g}) of the second sheet")
-        if self.n_cut is None:
-            self.n_cut = default_mode_cutoff(self.rule, self.ctx, self.tail_tol)
-        elif self.ctx.second and self.n_cut < self.ctx.k:
-            raise ValueError(f"n_cut = {self.n_cut} is below the window index k = "
-                             f"{self.ctx.k}: it would drop open channels")
-        entries = self.n_cut * self.rule.n_nodes
-        if entries > _MAX_TABLE_ENTRIES:
-            raise ValueError(f"n_cut = {self.n_cut} modes on {self.rule.n_nodes} nodes "
-                             f"(r_min = {geometry.r_min(self.rule.surface):.3g}) need a "
-                             f"mode table of {entries} entries; "
-                             f"the limit is {_MAX_TABLE_ENTRIES}")
+        self.n_cut = mode_cutoff(self.rule, self.ctx, self.tail_tol, self.n_cut)
         if self.layout is None:
             self.layout = pair_layout(self.rule)
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bs_operator import PairLayout, SystemState, assemble_A_l, assemble_free, \
-    bs_determinant, eta_l, mode_vector, pair_layout
-from .geometry import QuadratureRule, Surface, build_quadrature, scale_surface
+from .bs_operator import SystemState, assemble_A_l, assemble_free, bs_determinant, eta_l, \
+    mode_cutoff, mode_vector, pair_layout
+from .geometry import Surface, build_quadrature, scale_surface
 from .greens import chi_n
 from .specfun import SpectralParams, gamma_n, second_sheet
 
@@ -114,24 +114,28 @@ def embedded_eigenvalues(params: SpectralParams, n_range) -> list[EigenvalueInfo
     return out
 
 
-def _window(l: int, params: SpectralParams) -> int:
-    """Window index k of eps_l; :func:`window_index` rejects a discrete eps_l."""
-    return window_index(params.eigenvalue(l))
+def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
+                  params: SpectralParams, order: int, tail_tol: float,
+                  n_cut: int | None) -> Iterator[SystemState]:
+    """States of eps_l at each of ``deltas``, on the second sheet of its window.
 
-
-def _delta_state(base_rule: QuadratureRule, layout: PairLayout, delta: float, l: int,
-                 params: SpectralParams, tail_tol: float,
-                 n_cut: int | None) -> SystemState:
-    """State of eps_l at ``delta`` from the unscaled rule and its layout: one homothety.
-
-    The rule is rebuilt on the scaled surface, the layout scaled by
-    :meth:`PairLayout.scaled`.
+    Everything the arguments decide is refused before any n x n array
+    exists: a discrete eps_l before any rule, then, in delta order, each
+    delta-copy's surface check and :func:`mode_cutoff`.  Only then is the
+    pair layout of the order-``order`` rule on ``surface`` built, once, and
+    each state made with its :meth:`PairLayout.scaled` copy, one at a time,
+    so that each state and its Ewald tables are freed with its pole.
     """
-    rule = base_rule if delta == 1.0 else \
-        build_quadrature(scale_surface(base_rule.surface, delta), base_rule.order)
-    return SystemState(params, rule, second_sheet(_window(l, params)), l,
-                       tail_tol=tail_tol, n_cut=n_cut, layout=layout.scaled(delta),
-                       delta=delta)
+    ctx = second_sheet(window_index(params.eigenvalue(l)))
+    base_rule = build_quadrature(surface, order)
+    copies = []
+    for d in deltas:
+        rule = base_rule if d == 1.0 else build_quadrature(scale_surface(surface, d), order)
+        copies.append((d, rule, mode_cutoff(rule, ctx, tail_tol, n_cut)))
+    layout = pair_layout(base_rule)
+    for d, rule, cut in copies:
+        yield SystemState(params, rule, ctx, l, tail_tol=tail_tol, n_cut=cut,
+                          layout=layout.scaled(d), delta=d)
 
 
 def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
@@ -139,43 +143,28 @@ def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
                n_cut: int | None = None) -> SystemState:
     """System state on the scaled surface, on the second sheet of eps_l's window.
 
-    The pair layout is built on the order-``order`` rule of the unscaled
-    ``surface`` and scaled to delta, the only delta the pole routines read.
+    The one state of :func:`_delta_states` at ``delta``: its refusals come
+    before the pair layout, which is built on the order-``order`` rule of
+    the unscaled ``surface`` and scaled to delta.
     """
-    _window(l, params)  # a discrete eps_l is refused before any layout is built
-    base_rule = build_quadrature(surface, order)
-    return _delta_state(base_rule, pair_layout(base_rule), delta, l, params, tail_tol,
-                        n_cut)
+    return next(_delta_states(surface, [delta], l, params, order, tail_tol, n_cut))
 
 
-def _blind_step(z0: complex, f0: complex) -> complex:
-    """Second secant point z0 + 1e-7 max(1, |z0|), whatever f is."""
-    return z0 + 1e-7 * max(1.0, abs(z0))
+def _secant(f: Callable[[complex], complex], z0: complex, f0: complex, z1: complex,
+            tol: float, max_iter: int, step_tol: float) -> tuple[complex, complex, int]:
+    """Secant iteration on f from z0, where f is f0, and z1.
 
-
-def _secant(f: Callable[[complex], complex], seed: complex, tol: float, max_iter: int,
-            first_step: Callable[[complex, complex], complex],
-            step_tol: float) -> tuple[complex, complex, int]:
-    """Secant iteration on f from (seed, first_step(seed, f(seed))).
-
-    One evaluation per point.  Stops at the first point whose |f| is below
-    ``tol`` and whose step from the point before is at most ``step_tol``
-    (the seed's step counts as infinite), and returns (z, f(z), secant
-    steps taken after the two start points).
+    One evaluation per point after z0.  Stops at the first point after z0
+    whose |f| is below ``tol`` and whose step from the point before is at
+    most ``step_tol``, and returns (z, f(z), secant steps taken after the
+    two start points).
     """
-    def done(step, fz):
-        return abs(fz) < tol and abs(step) <= step_tol
-
-    z0 = seed = complex(seed)
-    f0 = f(z0)
-    if done(math.inf, f0):
-        return z0, f0, 0
-    z1 = first_step(z0, f0)
+    seed = z0
     if not cmath.isfinite(z1):
         raise _stalled(seed, 0, z0, f0)
     f1 = f(z1)
     steps = 0
-    while not done(z1 - z0, f1):
+    while not (abs(f1) < tol and abs(z1 - z0) <= step_tol):
         step = f1 * (z1 - z0) / (f1 - f0) if f1 != f0 else math.inf
         if steps == max_iter or not cmath.isfinite(step):
             raise _stalled(seed, steps, z1, f1)
@@ -192,22 +181,16 @@ def _stalled(seed: complex, steps: int, z: complex, fz: complex) -> ConvergenceE
                             f"stopped at z = {z} with |f| = {abs(fz):.3g}")
 
 
-def _window_root(state: SystemState, seed: complex | None, seed_offset: complex,
-                 tol: float, locate: Callable[[complex, dict], tuple]) -> PoleResult:
-    """Root in J_k of the state's eps_l, from ``locate(seed, diagnostics)``.
+def _pole_result(state: SystemState, z: complex, residual: float, iterations: int,
+                 diagnostics: dict) -> PoleResult:
+    """Pole of the state's eps_l at the root z of a search; a root outside J_k is refused.
 
-    ``locate`` returns (z, residual, iterations).  The search starts from
-    ``seed``, or from eps_l + seed_offset when it is None.  ``diagnostics``
-    starts with n_cut and n_nodes; ``locate`` may add to it.
+    Its ``diagnostics`` are n_cut, n_nodes and then those of the search.
     """
-    if tol < 1e-12:
-        raise ValueError("tolerance below 1e-12 is not resolvable")
     eps_l, k = state.params.eigenvalue(state.l), state.ctx.k
-    diagnostics: dict = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes}
-    z, residual, iterations = locate(eps_l + seed_offset if seed is None else seed,
-                                     diagnostics)
     if not (k**2 < z.real < (k + 1) ** 2):
         raise ConvergenceError(f"root {z} escaped the window J_{k}")
+    diagnostics = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes, **diagnostics}
     return PoleResult(z=z, mu=z - eps_l, l=state.l, k=k, delta=state.delta,
                       residual=residual, iterations=iterations, diagnostics=diagnostics)
 
@@ -221,19 +204,23 @@ def find_pole(state: SystemState, seed: complex | None = None,
     z = F(z) = l^2 + (z - l^2) exp(-4 pi eta_l(z)).  F contracts by
     |4 pi beta (z - l^2) theta_l'|, small since theta_l is O(delta^2).  The
     secant runs on g(z) = z - F(z) = (z - l^2)(1 - exp(-4 pi eta_l(z))) from
-    the seed and F(seed), stops at the first point with |g| < tol and
-    returns F there, z - g, at no further eta_l.  The residual |g| is the
-    distance in z from that point to F of it.  A point with |4 pi eta_l| >= 1
-    is refused: g vanishes there only because z = l^2 or exp(-4 pi eta_l) = 1.
+    the seed and F(seed), stops at the first point with |g| < tol, the seed
+    included, and returns F there, z - g, at no further eta_l.  The residual
+    |g| is the distance in z from that point to F of it.  A point with
+    |4 pi eta_l| >= 1 is refused: g vanishes there only because z = l^2 or
+    exp(-4 pi eta_l) = 1.
     ``diagnostics`` of the result describe the whole search: the number of
     eta_l evaluations, the worst condition number of the guarded solve and
     ``contraction``, the estimate |1 - (g1 - g0)/(z1 - z0)| of |F'| from the
     last two points.
     """
+    if tol < 1e-12:
+        raise ValueError("tolerance below 1e-12 is not resolvable")
     l2 = state.l**2
+    diagnostics: dict = {}
     last: list = []
 
-    def g(z, diagnostics):
+    def g(z):
         diagnostics["eta_evaluations"] = diagnostics.get("eta_evaluations", 0) + 1
         eta = eta_l(z, state, diagnostics=diagnostics)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -245,15 +232,16 @@ def find_pole(state: SystemState, seed: complex | None = None,
         last[:] = z, gz, eta
         return gz
 
-    def locate(seed, diagnostics):
-        z, gz, steps = _secant(lambda z: g(z, diagnostics), seed, tol, max_iter,
-                               lambda z, gz: z - gz, math.inf)
-        if not abs(4.0 * math.pi * last[2]) < 1.0:
-            raise ConvergenceError(f"root iteration stopped at z = {z}, where g vanishes "
-                                   f"but eta_l = {last[2]:.3g} is not 0")
-        return z - gz, abs(gz), steps
-
-    return _window_root(state, seed, 0.0, tol, locate)
+    z0 = complex(state.params.eigenvalue(state.l) if seed is None else seed)
+    g0 = g(z0)
+    if abs(g0) < tol:  # the seed is the root
+        z, gz, steps = z0, g0, 0
+    else:
+        z, gz, steps = _secant(g, z0, g0, z0 - g0, tol, max_iter, math.inf)
+    if not abs(4.0 * math.pi * last[2]) < 1.0:
+        raise ConvergenceError(f"root iteration stopped at z = {z}, where g vanishes "
+                               f"but eta_l = {last[2]:.3g} is not 0")
+    return _pole_result(state, z - gz, abs(gz), steps, diagnostics)
 
 
 def find_determinant_root(state: SystemState, seed: complex | None = None,
@@ -267,14 +255,15 @@ def find_determinant_root(state: SystemState, seed: complex | None = None,
     slope, so the second point is the blind z0 + 1e-7 max(1, |z0|).  The
     secant stops when both |f| and the last step are below ``tol``.
     """
+    if tol < 1e-12:
+        raise ValueError("tolerance below 1e-12 is not resolvable")
+
     def f(z):
         return gamma_n(z, state.l, state.ctx, state.params) * bs_determinant(z, state)
 
-    def locate(seed, diagnostics):
-        z, fz, steps = _secant(f, seed, tol, max_iter, _blind_step, tol)
-        return z, abs(fz), steps
-
-    return _window_root(state, seed, -1e-4 - 1e-5j, tol, locate)
+    z0 = complex(state.params.eigenvalue(state.l) - 1e-4 - 1e-5j if seed is None else seed)
+    z, fz, steps = _secant(f, z0, f(z0), z0 + 1e-7 * max(1.0, abs(z0)), tol, max_iter, tol)
+    return _pole_result(state, z, abs(fz), steps, {})
 
 
 def mu_lowest_order(state: SystemState) -> complex:
@@ -357,15 +346,15 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
                 tol: float = 1e-12) -> SweepResult:
     """Locate the pole at each delta and fit |Re mu|, |Im mu| power laws.
 
-    The pair layout of the order-``order`` rule on the unscaled ``surface``
-    is built once; each delta gets a state with its scaled copy, as in
-    :func:`pole_state`.  ``n_cut`` fixes the mode cutoff of every point; by
-    default each point takes its own.  Every point after the first converged
-    one is seeded from the previous pole by the law Re mu = O(delta^2),
-    z = eps_l + mu_prev (delta / delta_prev)^2.  Points whose root iteration
-    fails are recorded in ``failures`` and left out of the fits; fewer than
-    MIN_SWEEP_POINTS deltas are refused before the first pole.  A fit whose
-    values are not all positive is (nan, nan, nan).
+    The states come from :func:`_delta_states`, as in :func:`pole_state`:
+    a refusal at any delta comes before the pair layout and the first pole,
+    and the layout is built once.  ``n_cut`` fixes the mode cutoff of every
+    point; by default each point takes its own.  Every point after the first
+    converged one is seeded from the previous pole by the law
+    Re mu = O(delta^2), z = eps_l + mu_prev (delta / delta_prev)^2.  Points
+    whose root iteration fails are recorded in ``failures`` and left out of
+    the fits; fewer than MIN_SWEEP_POINTS deltas are refused before the
+    first pole.  A fit whose values are not all positive is (nan, nan, nan).
     """
     deltas = list(deltas)
     if len(deltas) < MIN_SWEEP_POINTS:
@@ -373,21 +362,17 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
                          f"got {len(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly increasing")
-    _window(l, params)  # a discrete eps_l is refused before any layout is built
-    base_rule = build_quadrature(surface, order)
-    layout = pair_layout(base_rule)
     eps_l = params.eigenvalue(l)
     poles, closed, failures = [], [], []
-    for d in deltas:
-        st = _delta_state(base_rule, layout, d, l, params, tail_tol, n_cut)
+    for st in _delta_states(surface, deltas, l, params, order, tail_tol, n_cut):
         seed = None
         if poles:
             prev = poles[-1]
-            seed = eps_l + prev.mu * (d / prev.delta) ** 2
+            seed = eps_l + prev.mu * (st.delta / prev.delta) ** 2
         try:
             res = find_pole(st, seed=seed, tol=tol)
         except ArithmeticError as exc:
-            failures.append((d, str(exc)))
+            failures.append((st.delta, str(exc)))
             continue
         poles.append(res)
         closed.append(im_mu_closed_form(st))

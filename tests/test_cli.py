@@ -677,6 +677,27 @@ class TestMain:
         assert f"need a mode table of {16 * int(n_cut)} entries; the limit is 5000000" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, delta_line", [("pole", "delta = 1"),
+                                                  ("sweep", "deltas = 0.5 0.6 0.8 1.0")])
+    def test_oversized_mode_table_refused_before_the_layout(self, tmp_path, capsys,
+                                                            monkeypatch, mode, delta_line):
+        # the sweep's only refused delta is its last: no pole is solved and no
+        # singular product integral computed before the refusal
+        def not_reached(*args, **kwargs):
+            raise AssertionError("work was done before the refusal")
+
+        monkeypatch.setattr("layres.bs_operator._product_rows", not_reached)
+        monkeypatch.setattr(resonance, "find_pole", not_reached)
+        out = tmp_path / f"{mode}.csv"
+        path = _write(tmp_path, "near.cfg", f"[run]\nmode = {mode}\nl = 2\n[coupling]\n"
+                      "beta = 0.4\n" + DISK_SURFACE.replace("1.0 0.0 1.0", "0.50001 0.0 1.0")
+                      + f"{delta_line}\n[numerics]\norder = 4\n")
+        assert main([mode, "--config", path, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_cut = 2763103 modes on 16 nodes (r_min = ")
+        assert "need a mode table of 44209648 entries; the limit is 5000000" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("order, refused", [(48, True), (47, False)])
     def test_quadrature_order_past_the_table_limit_exit_one(self, tmp_path, capsys,
                                                             monkeypatch, order, refused):

@@ -317,6 +317,20 @@ class TestRootDriver:
             route(state4, max_iter=1)
 
 
+def test_determinant_seed_on_the_root_still_steps(state4, monkeypatch):
+    # the determinant route stops on |f| and the last step together, so a
+    # seed on the root is left for the blind point and found again two
+    # secant steps later (the eta route stops there at once, see above)
+    root = PARAMS.eigenvalue(2) - 0.01 - 0.001j
+    _linear_routes(monkeypatch, root)
+    points = []
+    monkeypatch.setattr(resonance, "bs_determinant",
+                        lambda z, state: points.append(z) or z - root)
+    res = find_determinant_root(state4, seed=root)
+    assert points[:2] == [root, root + 1e-7 * abs(root)]
+    assert res.z == pytest.approx(root, abs=1e-15) and res.iterations == 2
+
+
 class TestLowestOrder:
     def test_agrees_with_pole_at_small_delta(self):
         st = pole_state(BASE, 0.02, 2, PARAMS, order=8)
@@ -467,7 +481,7 @@ class TestSweep:
         def no_pole(*args, **kwargs):
             raise AssertionError("a pole was computed")
 
-        for name in ("pair_layout", "_delta_state", "find_pole"):
+        for name in ("pair_layout", "_delta_states", "find_pole"):
             monkeypatch.setattr(resonance, name, no_pole)
         with pytest.raises(ValueError, match="at least 4 deltas"):
             sweep_delta(2, [0.02, 0.04, 0.08], BASE, PARAMS, order=4)

@@ -2,7 +2,9 @@
 
 ``perfbench/spans.py`` wraps public calls by module attribute from outside;
 a renamed or removed name breaks a traced benchmark run.  These checks load
-that file as it is and look every wrapped name up on its owner.  An import
+that file as it is and look every wrapped name up on its owner, and a pole
+and a sweep run under its tracer must make a span of every wrapped name but
+the few that no pole or sweep calls.  An import
 a module does not use is allowed only for such a wrapped name.  The program
 calls no scipy function; the list of them stays here, empty, so that a
 scipy call added shows as an edit to it.
@@ -23,15 +25,18 @@ SPANS = ROOT / "perfbench" / "spans.py"
 SOURCES = sorted((ROOT / "src" / "layres").glob("*.py"))
 
 
-def _targets():
+MODULES = dict(cli=cli, resonance=resonance, bs_operator=bs_operator, geometry=geometry,
+               greens=greens, specfun=specfun)
+
+
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.targets(cli=cli, resonance=resonance, bs_operator=bs_operator,
-                         geometry=geometry, greens=greens, specfun=specfun)
+    return spans
 
 
-TARGETS = [(name, owner, attr) for name, owner, attr, _ in _targets()]
+TARGETS = [(name, owner, attr) for name, owner, attr, _ in _spans().targets(**MODULES)]
 
 
 @pytest.mark.parametrize("name, owner, attr", TARGETS,
@@ -88,3 +93,29 @@ def test_scipy_surface_is_pinned():
     found = {path.stem: _scipy_calls(ast.parse(path.read_text(encoding="utf-8")))
              for path in SOURCES}
     assert {stem: calls for stem, calls in found.items() if calls} == SCIPY_CALLS
+
+
+#: traced calls that only ``validate`` mode or nothing at all makes
+UNTRACED_BY_POLE_AND_SWEEP = {"greens.EwaldGreen.regularized_diag",
+                              "greens.calibrate_tail_constant",
+                              "resonance.fit_power_law", "resonance.im_mu_closed_form"}
+
+
+def test_pole_and_sweep_reach_every_other_traced_name(tmp_path, monkeypatch):
+    # a traced call that the program stops making zeroes its per-layer
+    # metrics without any error; every name a pole or sweep should reach is
+    # checked here by running both under the tracer itself
+    for _, owner, attr in TARGETS:  # monkeypatch restores each one afterwards
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tracer = _spans().Tracer()
+    tracer.install(MODULES)
+    surface = "[surface]\nfamily = disk\ncenter = 1 0 1\nnormal = 0 0 1\nradius = 0.5\n"
+    for mode, delta_line in [("pole", "delta = 0.08"),
+                             ("sweep", "deltas = 0.02 0.035 0.06 0.1")]:
+        path = tmp_path / f"{mode}.cfg"
+        path.write_text(f"[run]\nmode = {mode}\nl = 2\n[coupling]\nbeta = 0.4\n{surface}"
+                        f"{delta_line}\n[numerics]\norder = 4\n", encoding="utf-8")
+        assert cli.main([mode, "--config", str(path),
+                         "--output", str(tmp_path / f"{mode}.csv")]) == 0
+    traced = {name for name, _, _ in TARGETS}
+    assert {span[0] for span in tracer.spans} == traced - UNTRACED_BY_POLE_AND_SWEEP
