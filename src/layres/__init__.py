@@ -13,12 +13,11 @@ cli         config-driven command line front end
 
 __version__ = "0.1.0"
 
-from .specfun import SpectralParams, SheetContext, Sheet, first_sheet, second_sheet
+from .specfun import SpectralParams, SheetContext, first_sheet, second_sheet
 
 __all__ = [
     "SpectralParams",
     "SheetContext",
-    "Sheet",
     "first_sheet",
     "second_sheet",
     "__version__",

@@ -29,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import geometry, specfun
 from .geometry import QuadratureRule
-from .greens import EwaldGreen, EwaldSplit, EwaldTables, chi_n
+from .greens import _MAX_TABLE_ENTRIES, EwaldGreen, EwaldSplit, EwaldTables, chi_n
 from .specfun import SheetContext, SpectralParams, gamma_n
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "SystemState",
     "PairLayout",
     "singular_part_matrix",
+    "check_pair_tables",
     "pair_layout",
     "assemble_free",
     "mode_vector",
@@ -45,7 +46,6 @@ __all__ = [
     "assemble_alpha",
     "eta_l",
     "bs_determinant",
-    "default_mode_cutoff",
     "mode_cutoff",
 ]
 
@@ -56,13 +56,10 @@ __all__ = [
 #: is never accepted above the limit.
 _COND_LIMIT = 1e12
 
-_GAMMA_FLOOR = 1e-10
+#: the one matrix a guarded solve inverts, named in its error and its cond[...] key
+_M_L = "I - beta (R_SigmaSigma + A_l)"
 
-#: Most entries of a dense table: the n_nodes x n_cut complex mode table of
-#: the rank sum (80 MB at the limit) and the n_nodes x n_nodes matrices of the
-#: pair layout and of every assembly.  A surface next to the wire axis, a huge
-#: n_cut or a quadrature order of 48 or more would ask for gigabytes.
-_MAX_TABLE_ENTRIES = 5_000_000
+_GAMMA_FLOOR = 1e-10
 
 #: Duffy points per modal-basis batch; one batch holds a whole folded disk
 #: row up to order 29, and an unfolded row up to order 22
@@ -473,6 +470,18 @@ class PairLayout:
                        corr_lin=delta * self.corr_lin)
 
 
+def check_pair_tables(order: int) -> None:
+    """Refuse a quadrature order whose n x n pair tables exceed _MAX_TABLE_ENTRIES.
+
+    A tensor rule of that order has n = order^2 nodes, so order 48 and above
+    is refused; it decides this from the order alone, before any rule exists.
+    """
+    n = order * order
+    if n * n > _MAX_TABLE_ENTRIES:
+        raise ValueError(f"quadrature order {order} has {n} nodes, whose pair "
+                         f"tables need {n * n} entries; the limit is {_MAX_TABLE_ENTRIES}")
+
+
 def pair_layout(rule: QuadratureRule) -> PairLayout:
     """Pairs to evaluate and singular corrections of ``rule`` (see :class:`PairLayout`).
 
@@ -481,14 +490,12 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
     coincident ones included, are grouped under the elements that keep
     every node's x3 (they keep the 3D distance too, hence the in-plane
     one).  The corrections come from :func:`singular_part_matrix` under the
-    whole group.  A rule with more than _MAX_TABLE_ENTRIES node pairs is
-    refused before any n x n array exists, and so are coincident nodes (a
+    whole group.  An order that :func:`check_pair_tables` refuses is refused
+    before any n x n array exists, and so are coincident nodes (a
     parametrization that folds onto itself).
     """
+    check_pair_tables(rule.order)
     n = rule.n_nodes
-    if n * n > _MAX_TABLE_ENTRIES:
-        raise ValueError(f"quadrature order {rule.order} has {n} nodes, whose pair "
-                         f"tables need {n * n} entries; the limit is {_MAX_TABLE_ENTRIES}")
     nodes = rule.nodes
     r = _node_distances(nodes)
     off = ~np.eye(n, dtype=bool)
@@ -538,22 +545,18 @@ def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.nd
     return specfun.z0_kernel(z, n, rho, ctx)[at_rho] * chi_n(n, x3)[at_x3] / (2.0 * math.pi)
 
 
-def default_mode_cutoff(rule: QuadratureRule, ctx: SheetContext,
-                        tail_tol: float = 1e-12) -> int:
-    """n_max = max(k + 40, ceil(-ln tail_tol / r_min)) for the rank sums."""
-    rmin = geometry.r_min(rule.surface)
-    return max(ctx.k + 40, int(math.ceil(-math.log(tail_tol) / rmin)))
-
-
 def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, tail_tol: float = 1e-12,
                 n_cut: int | None = None) -> int:
-    """``n_cut``, or :func:`default_mode_cutoff` when it is None, checked against ``rule``.
+    """Mode cutoff of the rank sums on ``rule``: ``n_cut``, checked, or one from ``tail_tol``.
 
-    On the second sheet an ``n_cut`` below k is refused, and so is any
-    cutoff whose mode table would hold more than _MAX_TABLE_ENTRIES entries.
+    Without ``n_cut`` it is max(k + 40, ceil(-ln tail_tol / r_min)), where
+    the mode tail e^(-n r_min) falls below tail_tol.  On the second sheet an
+    ``n_cut`` below k is refused, and so is any cutoff whose mode table
+    would hold more than _MAX_TABLE_ENTRIES entries.
     """
     if n_cut is None:
-        n_cut = default_mode_cutoff(rule, ctx, tail_tol)
+        rmin = geometry.r_min(rule.surface)
+        n_cut = max(ctx.k + 40, int(math.ceil(-math.log(tail_tol) / rmin)))
     elif ctx.second and n_cut < ctx.k:
         raise ValueError(f"n_cut = {n_cut} is below the window index k = "
                          f"{ctx.k}: it would drop open channels")
@@ -589,7 +592,7 @@ def assemble_alpha(z: complex, state: SystemState) -> np.ndarray:
     return assemble_free(z, state) + _rank_sum(z, state, np.arange(1, state.n_cut + 1))
 
 
-def _guarded_solve(e, rhs, what: str, diagnostics: dict | None = None):
+def _guarded_solve(e, rhs, diagnostics: dict | None = None):
     """Solution of (I - e) x = rhs, refused when cond_1(I - e) exceeds _COND_LIMIT.
 
     With ||e||_1 < 1 the Neumann series bounds ||(I - e)^(-1)||_1 by
@@ -611,10 +614,10 @@ def _guarded_solve(e, rhs, what: str, diagnostics: dict | None = None):
         except np.linalg.LinAlgError:  # exactly singular
             cond = math.inf
         if not cond <= _COND_LIMIT:
-            raise IllConditionedError(f"{what}: condition number {cond:.3e} exceeds 1e12")
+            raise IllConditionedError(f"{_M_L}: condition number {cond:.3e} exceeds 1e12")
         x = inv @ rhs
     if diagnostics is not None:
-        key = f"cond[{what}]"
+        key = f"cond[{_M_L}]"
         diagnostics[key] = max(diagnostics.get(key, 0.0), cond)
     return x
 
@@ -655,12 +658,12 @@ class SystemState:
         """Ewald tables of the layout's pairs, the coincident ones included.
 
         Built at the first assembly.  Their split is chosen from the largest
-        in-plane separation (:meth:`EwaldSplit.for_separation`), with re_top
-        the window top (k+1)^2.
+        in-plane separation and the window of the state's sheet
+        (:meth:`EwaldSplit.for_separation`).
         """
         x, xp = self.rule.nodes[self.layout.rows], self.rule.nodes[self.layout.cols]
         rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
-        split = EwaldSplit.for_separation(float(np.max(rho)), (self.ctx.k + 1) ** 2)
+        split = EwaldSplit.for_separation(float(np.max(rho)), self.ctx)
         return EwaldTables(x, xp, split)
 
 
@@ -676,7 +679,7 @@ def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> co
     beta = params.beta
     e = beta * (assemble_free(z, state) + assemble_A_l(z, state))
     w_l = mode_vector(z, l, rule, ctx)
-    t_w = _guarded_solve(e, w_l, "I - beta (R_SigmaSigma + A_l)", diagnostics)
+    t_w = _guarded_solve(e, w_l, diagnostics)
     return gl - beta * complex(np.sum(rule.weights * w_l * t_w))
 
 

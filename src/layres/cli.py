@@ -63,8 +63,8 @@ import numpy as np
 from . import __version__
 from .geometry import Surface, SurfaceValidationError, disk, rectangle_patch, \
     spherical_cap, with_anchor
-from .greens import EwaldGreen, EwaldSplit, calibrate_tail_constant, k0_cosine_sum, \
-    layer_green_modal
+from .greens import _MAX_TABLE_ENTRIES, EwaldGreen, EwaldSplit, calibrate_tail_constant, \
+    k0_cosine_sum, layer_green_modal
 # calibrate_tail_constant, fit_power_law and im_mu_closed_form are unused here
 # but stay importable as cli attributes: perfbench/spans.py wraps every name it
 # traces on this module, and tests/test_trace_targets.py checks that they resolve
@@ -443,7 +443,7 @@ def _validate_checks(params: SpectralParams):
     worst, rho = 0.0, float(np.hypot(*(x - xp)[:2]))
     for z, ctx in ((2.5 + 0.3j, first_sheet(1)), (2.5 - 0.3j, second_sheet(1)),
                    (6.0 + 0.2j, first_sheet(2)), (6.0 - 0.2j, second_sheet(2))):
-        ewald = EwaldGreen(z, EwaldSplit.for_separation(rho, (ctx.k + 1) ** 2), ctx)
+        ewald = EwaldGreen(z, EwaldSplit.for_separation(rho, ctx), ctx)
         for pair in (xp, x + np.array([1e-2, 0.0, 0.0])):
             want = layer_green_modal(z, x, pair, ctx)
             worst = max(worst, abs(ewald(x, pair) - want) / max(1.0, abs(want)))
@@ -518,6 +518,10 @@ def _check(config: RunConfig):
             raise ConfigError(f"n_cut = {config.n_cut} is below the window index k = {k} "
                               f"of eps_l = {eps}: it would drop open channels")
     if config.mode == "eigenvalues":
+        rows = config.n_max - config.n_min + 1
+        if rows > _MAX_TABLE_ENTRIES:
+            raise ConfigError(f"n_min..n_max = {config.n_min}..{config.n_max} asks for "
+                              f"{rows} rows; the limit is {_MAX_TABLE_ENTRIES}")
         for n in range(config.n_min, config.n_max + 1):
             eps = config.params.eigenvalue(n)
             try:

@@ -202,9 +202,8 @@ def _positive(value, key: str) -> float:
     return value
 
 
-def rectangle_patch(center, direction1, direction2, length1: float, length2: float,
-                    name: str = "rectangle") -> Surface:
-    """Planar rectangle patch spanned by two orthogonal in-plane directions."""
+def rectangle_patch(center, direction1, direction2, length1: float, length2: float) -> Surface:
+    """Planar rectangle patch spanned by two orthogonal in-plane directions, named "rectangle"."""
     length1, length2 = _positive(length1, "length1"), _positive(length2, "length2")
     c = np.asarray(center, float)
     u1 = np.asarray(direction1, float)
@@ -214,7 +213,7 @@ def rectangle_patch(center, direction1, direction2, length1: float, length2: flo
     u1 = u1 / np.linalg.norm(u1)
     u2 = u2 - u1 * (u1 @ u2)
     u2 /= np.linalg.norm(u2)
-    _refuse_axis_crossing(name, c, u1, u2,
+    _refuse_axis_crossing("rectangle", c, u1, u2,
                           lambda s1, s2: abs(s1) <= 0.5 * length1 and abs(s2) <= 0.5 * length2)
 
     def param_map(q1, q2):
@@ -227,16 +226,16 @@ def rectangle_patch(center, direction1, direction2, length1: float, length2: flo
         return np.broadcast_to(length2 * u2, np.broadcast_shapes(np.shape(q1), np.shape(q2)) + (3,))
 
     dom = ((-0.5, 0.5), (-0.5, 0.5))
-    return Surface(name=name, param_map=param_map, tangent1=tangent1, tangent2=tangent2,
+    return Surface(name="rectangle", param_map=param_map, tangent1=tangent1, tangent2=tangent2,
                    domain=dom, x0=_centroid_x0(param_map, dom))
 
 
-def disk(center, normal, radius: float, name: str = "disk") -> Surface:
-    """Planar disk of given radius; parameters (u, theta) in [0,1] x [0,2pi]."""
+def disk(center, normal, radius: float) -> Surface:
+    """Planar disk of given radius, named "disk"; parameters (u, theta) in [0,1] x [0,2pi]."""
     c = np.asarray(center, float)
     e1, e2, _ = _orthonormal_frame(normal)
     R = _positive(radius, "radius")
-    _refuse_axis_crossing(name, c, e1, e2, lambda s1, s2: np.hypot(s1, s2) <= R)
+    _refuse_axis_crossing("disk", c, e1, e2, lambda s1, s2: np.hypot(s1, s2) <= R)
 
     def param_map(u, th):
         return (c
@@ -251,15 +250,14 @@ def disk(center, normal, radius: float, name: str = "disk") -> Surface:
         return np.multiply.outer(-R * u * np.sin(th), e1) + np.multiply.outer(R * u * np.cos(th), e2)
 
     dom = ((0.0, 1.0), (0.0, 2.0 * np.pi))
-    return Surface(name=name, param_map=param_map, tangent1=tangent1, tangent2=tangent2,
+    return Surface(name="disk", param_map=param_map, tangent1=tangent1, tangent2=tangent2,
                    domain=dom, x0=c, periodic2=True)
 
 
-def spherical_cap(sphere_center, radius: float, polar_angle: float, axis=(0.0, 0.0, 1.0),
-                  name: str = "spherical_cap") -> Surface:
-    """Cap of a sphere: polar angle in [0, polar_angle] around ``axis``."""
+def spherical_cap(sphere_center, radius: float, polar_angle: float) -> Surface:
+    """Cap of a sphere, named "spherical_cap": polar angle in [0, polar_angle] from +x3."""
     c = np.asarray(sphere_center, float)
-    e1, e2, a3 = _orthonormal_frame(axis)
+    e1, e2, a3 = _orthonormal_frame((0.0, 0.0, 1.0))
     R, th0 = _positive(radius, "radius"), float(polar_angle)
     if not 0.0 < th0 <= np.pi:
         raise ValueError("polar_angle must be in (0, pi]")
@@ -281,7 +279,7 @@ def spherical_cap(sphere_center, radius: float, polar_angle: float, axis=(0.0, 0
 
     dom = ((0.0, th0), (0.0, 2.0 * np.pi))
     # centroid of the parameter rectangle sits at mid polar angle, phi = pi
-    return Surface(name=name, param_map=param_map, tangent1=tangent1, tangent2=tangent2,
+    return Surface(name="spherical_cap", param_map=param_map, tangent1=tangent1, tangent2=tangent2,
                    domain=dom, x0=_centroid_x0(param_map, dom), periodic2=True)
 
 

@@ -58,6 +58,12 @@ _ETA_FLOOR = 0.15
 _ETA_RE_TOP = 7.0
 #: largest spectral truncation order the geometry may ask for
 _J_MAX = 32
+#: Most entries of a dense table or series a run may ask for: the mode series
+#: here, and elsewhere the n_nodes x n_cut mode table of the rank sum (80 MB of
+#: complex entries at the limit), the n_nodes x n_nodes pair tables and the
+#: rows of an eigenvalue listing.  A surface next to the wire axis, a huge
+#: n_cut or a quadrature order of 48 or more would ask for gigabytes.
+_MAX_TABLE_ENTRIES = 5_000_000
 
 
 def chi_n(n, x3):
@@ -121,8 +127,8 @@ def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
     mode vectors' building block Z0 (:func:`specfun.z0_kernel`), which on
     the second sheet carries the open modes' i pi I0 term.  By default it
     sums ceil(37/rho) + k + 40 modes, enough for the tail e^(-rho n) to fall
-    below e^(-37); more than 5 000 000 is refused.  Requires an in-plane
-    separation rho > 0.
+    below e^(-37); more than _MAX_TABLE_ENTRIES is refused.  Requires an
+    in-plane separation rho > 0.
     """
     ctx = ctx or first_sheet()
     rho = float(_pair_geometry(x, xp)[0])
@@ -131,7 +137,7 @@ def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
                          "(use EwaldGreen for vertically aligned pairs)")
     if n_max is None:
         n_max = math.ceil(37.0 / rho) + ctx.k + 40
-        if n_max > 5_000_000:
+        if n_max > _MAX_TABLE_ENTRIES:
             raise ValueError(f"separation rho = {rho:g} needs n_max = {n_max}; "
                              "use EwaldGreen for nearly coincident in-plane points")
     elif n_max < 1:
@@ -172,9 +178,10 @@ def _spectral_x_max(j_max: int) -> float:
 class EwaldSplit:
     """Ewald parameter eta, spectral truncation j_max, and the ranges they need.
 
-    ``re_top`` sizes the ranges.  The spectral part keeps
-    ceil(sqrt(re_top + 42/eta)) + 2 modes, which leaves each omitted one
-    below e^(-42) of its Gaussian scale, and the image charges beyond
+    ``re_top`` sizes the ranges; :meth:`for_separation` takes it from the
+    window of a sheet, a split built directly may take any.  The spectral
+    part keeps ceil(sqrt(re_top + 42/eta)) + 2 modes, which leaves each
+    omitted one below e^(-42) of its Gaussian scale, and the image charges beyond
     r_cut = 2 sqrt(eta (40 + re_top eta)) are below 1e-14 of the kernel
     scale.  A larger Re z is served too: what the ranges leave out grows
     like e^(eta Re z), as does the rounding error of the open channels'
@@ -199,19 +206,23 @@ class EwaldSplit:
         return 2.0 * math.sqrt(self.eta * _spectral_x_max(self.j_max))
 
     @classmethod
-    def for_separation(cls, rho: float, re_top: float) -> "EwaldSplit":
-        """The split for in-plane separations up to ``rho``, chosen from the geometry.
+    def for_separation(cls, rho: float, ctx: SheetContext) -> "EwaldSplit":
+        """The split for in-plane separations up to ``rho`` in the window of ``ctx``.
 
-        eta is the smallest value in [_ETA_FLOOR, cap] whose j_max = _J_MAX
-        spectral radius admits rho, rounded radius included: a smaller eta
-        keeps fewer images and more (cheap, tabulated) spectral modes.  Then
-        j_max is the smallest order whose radius at that eta still admits
-        rho.  The cap is min(1, 7 / re_top): a larger eta multiplies the
-        cancellation of the open channels by e^(eta Re z), which past e^7
-        spoils the kernel in the windows J_k, k >= 3.  Where the cap lies
-        below _ETA_FLOOR it is the floor too, and a rho beyond the radius at
-        the cap is refused.
+        Its ranges are sized for Re z up to the window top re_top = (k+1)^2
+        (:attr:`SheetContext.window`), so every open mode n <= k is a
+        spectral one (n_spectral > k), as the second sheet's continuation
+        needs.  eta is the smallest value in [_ETA_FLOOR, cap] whose
+        j_max = _J_MAX spectral radius admits rho, rounded radius included:
+        a smaller eta keeps fewer images and more (cheap, tabulated) spectral
+        modes.  Then j_max is the smallest order whose radius at that eta
+        still admits rho.  The cap is min(1, 7 / re_top): a larger eta
+        multiplies the cancellation of the open channels by e^(eta Re z),
+        which past e^7 spoils the kernel in the windows J_k, k >= 3.  Where
+        the cap lies below _ETA_FLOOR it is the floor too, and a rho beyond
+        the radius at the cap is refused.
         """
+        re_top = ctx.window[1]
         x_top = _spectral_x_max(_J_MAX)
         cap = _ETA_RE_TOP / max(re_top, _ETA_RE_TOP)  # min(1, 7 / re_top)
         eta = max(min(_ETA_FLOOR, cap), rho * rho / (4.0 * x_top))
@@ -301,8 +312,8 @@ class EwaldGreen:
             # E1(x e^(-2 pi i)) = E1(x) + 2 pi i (DLMF 6.4).  The recurrence
             # carries it as 2 pi i (-beta)^j / j!, so Phi_n gains
             # i pi I0(rho sqrt(beta)): the kernel gains (i/2) I0 chi_n chi_n'.
-            # Every open mode is a spectral one: n_spectral >= sqrt(re_top) + 2,
-            # and every caller takes re_top = (k+1)^2.
+            # Every open mode is a spectral one: a split of this window
+            # (EwaldSplit.for_separation) has n_spectral >= sqrt(re_top) + 2.
             d[0, :self.ctx.k] += 2j * math.pi
         pw = 1.0
         for j in range(1, j_max + 1):

@@ -17,8 +17,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bs_operator import SystemState, assemble_A_l, assemble_free, bs_determinant, eta_l, \
-    mode_cutoff, mode_vector, pair_layout
+from .bs_operator import SystemState, assemble_A_l, assemble_free, bs_determinant, \
+    check_pair_tables, eta_l, mode_cutoff, mode_vector, pair_layout
 from .geometry import Surface, build_quadrature, scale_surface
 from .greens import chi_n
 from .specfun import SpectralParams, gamma_n, second_sheet
@@ -120,13 +120,15 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
     """States of eps_l at each of ``deltas``, on the second sheet of its window.
 
     Everything the arguments decide is refused before any n x n array
-    exists: a discrete eps_l before any rule, then, in delta order, each
-    delta-copy's surface check and :func:`mode_cutoff`.  Only then is the
-    pair layout of the order-``order`` rule on ``surface`` built, once, and
-    each state made with its :meth:`PairLayout.scaled` copy, one at a time,
-    so that each state and its Ewald tables are freed with its pole.
+    exists: a discrete eps_l and then an order whose pair tables are too
+    large (:func:`check_pair_tables`) before any rule, then, in delta order,
+    each delta-copy's surface check and :func:`mode_cutoff`.  Only then is
+    the pair layout of the order-``order`` rule on ``surface`` built, once,
+    and each state made with its :meth:`PairLayout.scaled` copy, one at a
+    time, so that each state and its Ewald tables are freed with its pole.
     """
     ctx = second_sheet(window_index(params.eigenvalue(l)))
+    check_pair_tables(order)
     base_rule = build_quadrature(surface, order)
     copies = []
     for d in deltas:
@@ -187,8 +189,8 @@ def _pole_result(state: SystemState, z: complex, residual: float, iterations: in
 
     Its ``diagnostics`` are n_cut, n_nodes and then those of the search.
     """
-    eps_l, k = state.params.eigenvalue(state.l), state.ctx.k
-    if not (k**2 < z.real < (k + 1) ** 2):
+    eps_l, k, (lo, hi) = state.params.eigenvalue(state.l), state.ctx.k, state.ctx.window
+    if not lo < z.real < hi:
         raise ConvergenceError(f"root {z} escaped the window J_{k}")
     diagnostics = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes, **diagnostics}
     return PoleResult(z=z, mu=z - eps_l, l=state.l, k=k, delta=state.delta,

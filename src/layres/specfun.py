@@ -21,7 +21,6 @@ second sheet (see :func:`nudge_off_axis`).
 from __future__ import annotations
 
 import cmath
-import enum
 import functools
 import math
 from dataclasses import dataclass, field
@@ -32,7 +31,6 @@ from numpy.polynomial.chebyshev import chebval
 __all__ = [
     "EULER_GAMMA",
     "PSI_ONE",
-    "Sheet",
     "SheetContext",
     "SpectralParams",
     "BranchPointError",
@@ -53,8 +51,11 @@ EULER_GAMMA = 0.5772156649015329
 #: psi(1) = -gamma; the paper's 2D point-interaction constant.
 PSI_ONE = -EULER_GAMMA
 
-#: K0 underflows double precision far before this; returning exact 0 is policy.
-_K0_UNDERFLOW_RE = 700.0
+#: Edge of the double range for values of size e^(+-w): K0 underflows far
+#: before Re w = 700 and is returned as exact 0 past it (policy), and the
+#: series of I0 and E1, which grow like e^|w| on them, refuse |w| > 700,
+#: where the value comes within e^16 of overflow or passes it.
+_EXP_RANGE = 700.0
 
 #: largest |Im w| / |w| for which macdonald_k0 takes K0(w) from its Chebyshev series
 _REAL_K0_RATIO = 1e-7
@@ -163,29 +164,22 @@ class BranchPointError(ValueError):
     """Spectral parameter sits exactly on a branch point z = n^2."""
 
 
-class Sheet(enum.Enum):
-    FIRST = "first"
-    SECOND = "second"
-
-
 @dataclass(frozen=True)
 class SheetContext:
-    """Which sheet a z-dependent quantity lives on.
+    """Which sheet a z-dependent quantity lives on: the window index k and a flag.
 
-    The second sheet is always the continuation through the spectral window
-    J_k = (k^2, (k+1)^2); modes n <= k carry the continuation corrections.
+    ``second`` selects the continuation through the spectral window
+    J_k = (k^2, (k+1)^2), whose open modes n <= k carry the continuation
+    corrections; without it the quantity is on the first sheet, where k
+    still sizes what depends on the window (:attr:`window`).
     """
 
     k: int
-    sheet: Sheet = Sheet.FIRST
+    second: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"window index k must be a positive integer, got {self.k!r}")
-
-    @property
-    def second(self) -> bool:
-        return self.sheet is Sheet.SECOND
 
     @property
     def window(self) -> tuple[float, float]:
@@ -193,11 +187,11 @@ class SheetContext:
 
 
 def first_sheet(k: int = 1) -> SheetContext:
-    return SheetContext(k=k, sheet=Sheet.FIRST)
+    return SheetContext(k)
 
 
 def second_sheet(k: int) -> SheetContext:
-    return SheetContext(k=k, sheet=Sheet.SECOND)
+    return SheetContext(k, second=True)
 
 
 @dataclass(frozen=True)
@@ -265,6 +259,22 @@ def _series_terms(r: float, tol: float) -> int:
         term *= r / n
         top = max(top, term)
     return n
+
+
+def _series_radius(name: str, x) -> float:
+    """max |x| of the arguments of a series that grows like e^|x|, each |x| <= 700.
+
+    A larger one is refused before any term count: its value is within e^16
+    of overflow or past it, and the count would grow with |x|.
+    """
+    size = np.abs(x)
+    r = float(np.max(size))
+    if r > _EXP_RANGE:
+        big = complex(x[np.argmax(size)])
+        raise ValueError(f"{name}({big:g}) is out of range: on its series |{name}| grows "
+                         f"like e^|x|, which past |x| = {_EXP_RANGE:g} nears or leaves "
+                         "the double range")
+    return r
 
 
 def _horner(x, coeffs):
@@ -365,7 +375,7 @@ def macdonald_k0(w):
         out[near] = _k0_chebyshev(w_arr[near])
     if not np.all(near):
         out[~near] = _k0_complex(w_arr[~near])
-    out[x > _K0_UNDERFLOW_RE] = 0.0
+    out[x > _EXP_RANGE] = 0.0
     if out.ndim == 0:
         return complex(out)
     return out
@@ -379,6 +389,8 @@ def bessel_i0(w):
     loses at most a factor e^2 to cancellation; elsewhere
     I0(w) = i sgn(Im w) (K0(w) - K0(-w)) / pi (DLMF 10.34.2), both K0 from
     :func:`_k0_laplace`, whose strip |w| + Re(-w) > 2 is then wide enough.
+    On the series, where |I0| grows like e^|w|, a w with |w| > 700 is at
+    the edge of the double range or past it and refused with a ValueError.
     """
     w_arr = np.asarray(w, dtype=complex)
     v = np.where(w_arr.real < 0.0, -w_arr, w_arr)
@@ -386,7 +398,7 @@ def bessel_i0(w):
     out = np.empty(w_arr.shape, dtype=complex)
     if not np.all(far):
         vs = v[~far]
-        out[~far] = _i0_series(vs, 0.5 * float(np.max(np.abs(vs))))
+        out[~far] = _i0_series(vs, 0.5 * _series_radius("I0", vs))
     if np.any(far):
         vf = v[far]
         out[far] = (1j / math.pi) * np.sign(vf.imag) * (_k0_laplace(vf) - _k0_laplace(-vf))
@@ -403,7 +415,9 @@ def exp1(z):
     2e-15 relative.  Elsewhere E1 = e^-z int_0^oo e^-s / (z + s) ds
     (DLMF 6.2.2) by the Gauss-Laguerre rule of :func:`_laguerre_rule`, whose
     value is a convergent of the continued fraction of E1 (DLMF 6.9.1); it
-    is within about 1.2e-15 there.
+    is within about 1.2e-15 there.  On the series, where |E1| grows like
+    e^|z| / |z|, a z with |z| > 700 is at the edge of the double range or
+    past it and refused with a ValueError.
     """
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape, dtype=complex)
@@ -412,7 +426,7 @@ def exp1(z):
         x = z[series]
         term = x.copy()  # (-1)^(k+1) x^k / (k k!), from k = 1
         total = x.copy()
-        for k in range(1, _series_terms(float(np.max(np.abs(x))), 1e-17)):
+        for k in range(1, _series_terms(_series_radius("E1", x), 1e-17)):
             term *= x
             term *= -k / (k + 1) ** 2
             total += term

@@ -19,8 +19,8 @@ from layres.bs_operator import (
     assemble_alpha,
     assemble_free,
     bs_determinant,
-    default_mode_cutoff,
     eta_l,
+    mode_cutoff,
     mode_vector,
     pair_layout,
     singular_part_matrix,
@@ -612,7 +612,7 @@ class TestRankSums:
         # ceil(-ln 1e-12 / r_min), at least k + 40: one mode more or less moves a
         # pole by about exp(-n_cut r_min), below what the pole gates resolve
         rule = build_quadrature(scale_surface(surface, delta), 4)
-        assert default_mode_cutoff(rule, second_sheet(k), tail_tol=1e-12) == expected
+        assert mode_cutoff(rule, second_sheet(k), tail_tol=1e-12) == expected
 
 
 class TestEtaL:

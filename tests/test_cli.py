@@ -698,18 +698,21 @@ class TestMain:
         assert "need a mode table of 44209648 entries; the limit is 5000000" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("order, refused", [(48, True), (47, False)])
+    @pytest.mark.parametrize("order, refused", [(48, True), (47, False), (2000, True)])
     def test_quadrature_order_past_the_table_limit_exit_one(self, tmp_path, capsys,
                                                             monkeypatch, order, refused):
         # 48^4 node pairs exceed the 5e6 table entries, 47^4 do not; the
-        # distance matrix, the first n x n array, is never built on either side
+        # distance matrix, the first n x n array, is never built on either side,
+        # and a refused order builds no rule (at order 2000 the rules took 858 MB)
         class Reached(Exception):
             pass
 
-        def no_distances(nodes):
+        def not_reached(*args):
             raise Reached
 
-        monkeypatch.setattr("layres.bs_operator._node_distances", no_distances)
+        monkeypatch.setattr("layres.bs_operator._node_distances", not_reached)
+        if refused:
+            monkeypatch.setattr(resonance, "build_quadrature", not_reached)
         out = tmp_path / "pole.csv"
         path = _write(tmp_path, "pole.cfg", "[run]\nmode = pole\nl = 2\n[coupling]\n"
                       "beta = 0.4\n" + DISK_SURFACE.strip() + "\ndelta = 0.08\n")
@@ -721,8 +724,42 @@ class TestMain:
         assert main(argv) == 1
         n = order * order
         assert capsys.readouterr().err == (
-            f"error: quadrature order 48 has {n} nodes, whose pair tables need {n * n} "
+            f"error: quadrature order {order} has {n} nodes, whose pair tables need {n * n} "
             "entries; the limit is 5000000\n")
+        assert not out.exists()
+
+    def test_eigenvalue_range_past_the_table_limit_exit_two(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # 10^8 rows would exhaust memory; the range is refused before any eps_n
+        def no_window(value):
+            raise AssertionError("an eigenvalue was classified")
+
+        monkeypatch.setattr("layres.cli.window_index", no_window)
+        out = tmp_path / "eig.csv"
+        path = _write(tmp_path, "eig.cfg", MINIMAL.replace("n_max = 5", "n_max = 100000000"))
+        assert main(["eigenvalues", "--config", path, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: n_min..n_max = 1..100000000 asks for 100000000 rows; "
+            "the limit is 5000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, function", [("--seed-re=1e300", "E1"),
+                                                ("--seed-re=-1e300", "I0")])
+    def test_huge_seed_exit_one(self, tmp_path, flag, function):
+        # the series of E1 (the Ewald kernel) or I0 (the open-mode vectors)
+        # meets |x| ~ 1e299 and refuses it; its term count used to run without
+        # end, so the run is a child process that a timeout stops
+        out = tmp_path / "pole.csv"
+        path = _write(tmp_path, "pole.cfg", "[run]\nmode = pole\nl = 2\n[coupling]\n"
+                      "beta = 0.4\n" + DISK_SURFACE.strip() + "\n[numerics]\norder = 4\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(layres.__file__).resolve().parent.parent))
+        child = subprocess.run([sys.executable, "-m", "layres.cli", "pole", "--config", path,
+                               "--output", str(out), flag], env=env, capture_output=True,
+                               text=True, timeout=60)
+        assert child.returncode == 1
+        last = child.stderr.splitlines()[-1]
+        assert last.startswith(f"error: {function}(") and "is out of range" in last
+        assert "Traceback" not in child.stderr
         assert not out.exists()
 
 

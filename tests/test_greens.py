@@ -37,16 +37,16 @@ FIRST = first_sheet()
 
 def ewald(z, ctx=FIRST, rho=0.6):
     """The kernel at z under the split a state takes for pairs up to rho apart in-plane."""
-    return EwaldGreen(z, EwaldSplit.for_separation(rho, (ctx.k + 1) ** 2), ctx)
+    return EwaldGreen(z, EwaldSplit.for_separation(rho, ctx), ctx)
 
 
-def widest_admitted(re_top):
+def widest_admitted(ctx):
     """The widest separation EwaldSplit.for_separation admits (lo) and one it refuses (hi)."""
     lo, hi = 0.0, 10.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         try:
-            EwaldSplit.for_separation(mid, re_top)
+            EwaldSplit.for_separation(mid, ctx)
             lo = mid
         except ValueError:
             hi = mid
@@ -310,11 +310,13 @@ class TestEwaldGreen:
         # the kernel within 2e-13 of the mode series across J_k on both
         # sheets; a wider pair is refused with that split's radius (eta up
         # to 1 used to be admitted, off by 1e-7 at k = 4 and 1e14 at k = 7)
-        re_top = (k + 1) ** 2
-        lo, hi = widest_admitted(re_top)
-        split = EwaldSplit.for_separation(lo, re_top)
+        lo, hi = widest_admitted(second_sheet(k))
+        split = EwaldSplit.for_separation(lo, second_sheet(k))
+        # sized for the whole window, with every open mode n <= k among the
+        # spectral ones, which the second sheet's 2 pi i continuation needs
+        assert split.re_top == (k + 1) ** 2 and split.n_spectral > k
         with pytest.raises(ValueError, match=f"spectral radius {split.rho_max:.3f}"):
-            EwaldSplit.for_separation(hi, re_top)
+            EwaldSplit.for_separation(hi, second_sheet(k))
         sheets = [(first_sheet(k), im) for im in (1e-3, 0.3)] \
             + [(second_sheet(k), im) for im in (-1e-3, -0.3)]
         for t in (0.05, 0.5, 0.95):
@@ -331,9 +333,8 @@ class TestEwaldGreen:
         # the 2 pi i on the open modes' E1 adds, through the spectral
         # polynomial, (i/2) sum_{n<=k} I0(-kappa_n rho) chi_n chi_n' to the
         # first sheet: checked against that sum at every admitted separation
-        re_top = (k + 1) ** 2
-        widest = widest_admitted(re_top)[0]
-        split = EwaldSplit.for_separation(widest, re_top)
+        widest = widest_admitted(second_sheet(k))[0]
+        split = EwaldSplit.for_separation(widest, second_sheet(k))
         n = np.arange(1, k + 1)
         x = np.array([1.0, 0.0, 1.3])
         for t in (0.05, 0.5, 0.95):
@@ -391,14 +392,14 @@ class TestEwaldTables:
     def test_split_from_the_geometry(self):
         # eta at the floor while it admits rho, then the smallest eta that
         # does; j_max the smallest order that admits rho at that eta
-        near = EwaldSplit.for_separation(0.6, 9.0)
+        near = EwaldSplit.for_separation(0.6, second_sheet(2))
         assert near.eta == 0.15 and near.rho_max >= 0.6
         assert EwaldSplit(0.15, near.j_max - 1, 9.0).rho_max < 0.6
-        wide = EwaldSplit.for_separation(3.0, 9.0)
+        wide = EwaldSplit.for_separation(3.0, second_sheet(2))
         assert 0.15 < wide.eta < 1.0 and wide.j_max == 32
         assert wide.rho_max == pytest.approx(3.0, rel=1e-12)
         with pytest.raises(ValueError, match="spectral radius"):
-            EwaldSplit.for_separation(4.2, 9.0)
+            EwaldSplit.for_separation(4.2, second_sheet(2))
 
     def test_images_reach_r_cut(self):
         # the image range follows r_cut: every image inside it is kept, and a
@@ -406,7 +407,7 @@ class TestEwaldTables:
         z, ctx = 8.9 - 1e-3j, second_sheet(2)
         x = np.array([[1.0, 0.2, 0.3], [1.0, 0.2, 2.9], [1.3, 0.0, 1.5]])
         xp = np.array([[1.2, 0.1, 2.8], [1.0, 0.6, 0.2], [1.0, 0.0, 1.4]])
-        split = EwaldSplit.for_separation(0.5, 9.0)
+        split = EwaldSplit.for_separation(0.5, second_sheet(2))
         wide = EwaldSplit(split.eta, split.j_max, 200.0)
         tables = EwaldTables(x, xp, split)
         u_cut = split.r_cut / (2.0 * math.sqrt(split.eta))
@@ -421,7 +422,7 @@ class TestEwaldTables:
         # of a first- and a second-sheet kernel
         x = np.array([[1.0, 0.2, 0.3], [1.0, 0.2, 2.9], [1.3, 0.0, 1.5]])
         xp = np.array([[1.2, 0.1, 2.8], [1.0, 0.6, 0.2], [1.0, 0.0, 1.4]])
-        split = EwaldSplit.for_separation(0.5, 9.0)
+        split = EwaldSplit.for_separation(0.5, second_sheet(2))
         tables = EwaldTables(x, xp, split)
         for ctx, z in ((first_sheet(2), 8.9 + 1e-3j), (second_sheet(2), 8.9 - 1e-3j)):
             ew = EwaldGreen(z, split, ctx)
@@ -430,7 +431,7 @@ class TestEwaldTables:
             assert np.max(np.abs(got - [ew(x[i], xp[i]) for i in range(3)])) < 1e-15
 
     def test_tables_of_another_split_refused(self):
-        split = EwaldSplit.for_separation(0.5, 9.0)
+        split = EwaldSplit.for_separation(0.5, second_sheet(2))
         tables = EwaldTables(X, XP, split)
         with pytest.raises(ValueError, match="another Ewald split"):
             EwaldGreen(8.9 - 1e-3j, EwaldSplit(1.0, 32, 9.0), second_sheet(2)).pairs(tables)

@@ -1,5 +1,8 @@
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,6 @@ from layres.specfun import (
     gamma_from_gap,
     EULER_GAMMA,
     BranchPointError,
-    Sheet,
     SheetContext,
     SpectralParams,
     bessel_i0,
@@ -88,7 +90,7 @@ class TestSpectralParams:
 class TestSheetContext:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            SheetContext(k=0, sheet=Sheet.SECOND)
+            SheetContext(k=0, second=True)
 
     def test_window(self):
         assert second_sheet(2).window == (4.0, 9.0)
@@ -159,6 +161,26 @@ class TestBesselI0:
     def test_series_oracle_complex(self):
         for w in [0.3, 2.0 + 1.0j, -1.5 + 0.5j, 4.0j]:
             assert bessel_i0(w) == pytest.approx(i0_series_oracle(w), rel=1e-12)
+
+
+def test_series_arguments_past_700_refused_at_once():
+    # the series of E1 and I0 grow like e^|x|; at |x| = 800 they returned NaN
+    # and at 1e300 their term count never ended, so the calls run in a child
+    # process that a timeout stops
+    code = ("from layres.specfun import bessel_i0, exp1\n"
+            "for f, x in ((exp1, -800.0), (exp1, -1e300), (bessel_i0, 800.0), "
+            "(bessel_i0, 1e300)):\n"
+            "    try:\n        print(f(x))\n"
+            "    except ValueError as exc:\n        print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(specfun.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    tail = "like e^|x|, which past |x| = 700 nears or leaves the double range"
+    assert out.stdout.splitlines() == [
+        f"E1(-800+0j) is out of range: on its series |E1| grows {tail}",
+        f"E1(-1e+300+0j) is out of range: on its series |E1| grows {tail}",
+        f"I0(800+0j) is out of range: on its series |I0| grows {tail}",
+        f"I0(1e+300+0j) is out of range: on its series |I0| grows {tail}"]
 
 
 class TestKappaN:
@@ -435,6 +457,23 @@ class TestAgainstMpmath:
         want = np.array([complex(mp.exp(mp.mpc(v.real, v.imag) ** 2)
                                  * mp.erfc(mp.mpc(v.real, v.imag))) for v in w])
         assert np.max(np.abs(erfcx(w) / want - 1.0)) < 2e-15
+
+    def test_largest_series_arguments(self, mp):
+        # |x| just inside 700 across each series region, its edges included;
+        # I0 relative to its scale e^|Re w| / sqrt|w|, as near its zeros
+        r = 699.9999
+        edge = math.acos(2.0 / r - 1.0)  # |z| + Re z = 2
+        z = r * np.exp(1j * np.concatenate([np.linspace(edge, math.pi, 7),
+                                            -np.linspace(edge, math.pi, 7)]))
+        z = np.append(z, [-r + 1e-30j, -r - 1e-30j])  # both sides of the cut
+        want = np.array([complex(mp.expint(1, mp.mpc(v.real, v.imag))) for v in z])
+        assert np.max(np.abs(exp1(z) / want - 1.0)) < 1e-14
+        edge = math.acos(1.0 - 2.0 / r)  # |w| - |Re w| = 2
+        w = r * np.exp(1j * np.linspace(-edge, edge, 9))
+        w = np.concatenate([w, -w])
+        want = np.array([complex(mp.besseli(0, mp.mpc(v.real, v.imag))) for v in w])
+        scale = np.exp(np.abs(w.real)) / np.sqrt(np.abs(w))
+        assert np.max(np.abs(bessel_i0(w) - want) / scale) < 1e-14
 
     def test_k0_and_i0_on_the_imaginary_axis(self, mp):
         w = 1j * np.geomspace(1e-3, 35.0, 60)

@@ -7,7 +7,8 @@ and a sweep run under its tracer must make a span of every wrapped name but
 the few that no pole or sweep calls.  An import
 a module does not use is allowed only for such a wrapped name.  The program
 calls no scipy function; the list of them stays here, empty, so that a
-scipy call added shows as an edit to it.
+scipy call added shows as an edit to it.  So does a knob: every parameter
+with a default and every dataclass field given a value is listed here.
 """
 
 import ast
@@ -93,6 +94,66 @@ def test_scipy_surface_is_pinned():
     found = {path.stem: _scipy_calls(ast.parse(path.read_text(encoding="utf-8")))
              for path in SOURCES}
     assert {stem: calls for stem, calls in found.items() if calls} == SCIPY_CALLS
+
+
+#: module.function or module.class -> its parameters with a default, or its
+#: dataclass fields given a value (40 in all)
+SETTABLE = {
+    "bs_operator._node_group": ("dist",),
+    "bs_operator.singular_part_matrix": ("duffy_order", "group"),
+    "bs_operator.mode_cutoff": ("tail_tol", "n_cut"),
+    "bs_operator._guarded_solve": ("diagnostics",),
+    "bs_operator.SystemState": ("tail_tol", "n_cut", "layout", "delta"),
+    "bs_operator.eta_l": ("diagnostics",),
+    "cli.RunConfig": ("seed", "surface_lines"),
+    "cli.main": ("argv",),
+    "geometry.Surface": ("periodic2", "r_min"),
+    "greens.layer_green_modal": ("ctx", "n_max"),
+    "greens.calibrate_tail_constant": ("z", "rho", "n_max"),
+    "resonance.pole_state": ("order", "tail_tol", "n_cut"),
+    "resonance.find_pole": ("seed", "tol", "max_iter"),
+    "resonance.find_determinant_root": ("seed", "tol", "max_iter"),
+    "resonance.sweep_delta": ("order", "tail_tol", "n_cut", "tol"),
+    "specfun._ascending_table": ("terms",),
+    "specfun._laguerre_rule": ("n",),
+    "specfun.SheetContext": ("second",),
+    "specfun.first_sheet": ("k",),
+    "specfun.SpectralParams": ("xi_alpha",),
+    "specfun.kappa_n": ("ctx",),
+}
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _settable(tree, prefix=""):
+    """{qualified name: settable names} of every function and class under ``tree``."""
+    found = {}
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.update(_settable(node, prefix))
+            continue
+        if isinstance(node, ast.ClassDef):
+            names = [st.target.id for st in node.body if _is_dataclass(node)
+                     and isinstance(st, ast.AnnAssign) and st.value is not None]
+        else:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if names:
+            found[prefix + node.name] = tuple(names)
+        found.update(_settable(node, f"{prefix}{node.name}."))
+    return found
+
+
+def test_settable_surface_is_pinned():
+    found = {f"{path.stem}.{name}": names for path in SOURCES
+             for name, names in _settable(ast.parse(path.read_text(encoding="utf-8"))).items()}
+    assert found == SETTABLE
 
 
 #: traced calls that only ``validate`` mode or nothing at all makes
