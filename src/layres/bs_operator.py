@@ -168,13 +168,15 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
     stacked, so the parametrization and the Jacobian are evaluated once per
     row.  ``orders`` are the Gauss-Legendre orders (n_u, n_v) of the Duffy
     variables: u runs from the node to the base of a sub-triangle, v along
-    that base.  The kernel is integrated against the modal bases, Legendre
-    polynomials in q1 and in q2 or the trigonometric basis in a periodic q2,
-    built by recurrence as (p, N) arrays; two fixed p x p maps
-    (:func:`_legendre_map`, :func:`_trig_map`) then take the p x p moments to
-    the cardinal basis of the nodes.  A row with more than _BATCH_POINTS
-    points (a folded disk row above order 29) has its bases evaluated in
-    batches of that size, to bound the memory they take.
+    that base.  On an affine surface the integrand is a polynomial in u, so
+    n_u = p + 1 is exact there (:func:`_duffy_orders`).  The kernel is
+    integrated against the modal bases, Legendre polynomials in q1 and in q2
+    or the trigonometric basis in a periodic q2, built by recurrence as
+    (p, N) arrays; two fixed p x p maps (:func:`_legendre_map`,
+    :func:`_trig_map`) then take the p x p moments to the cardinal basis of
+    the nodes.  A row with more than _BATCH_POINTS points (a folded disk
+    row above order 29) has its bases evaluated in batches of that size, to
+    bound the memory they take.
 
     A row whose node is fixed by a reflection h in ``group`` that moves only
     one parameter index (every node keeps its q1 index, or every node keeps
@@ -356,18 +358,46 @@ def _orbit_map(group: np.ndarray):
     return rep, col
 
 
+def _is_affine(surface: geometry.Surface) -> bool:
+    """Whether the surface is x(corner) + dq1 t1 + dq2 t2 with a Legendre basis in q2.
+
+    Both tangents must be constant over the check grid to rounding, and the
+    map must equal that affine form there, which also catches tangents that
+    disagree with the map.  A periodic q2 is refused: its trigonometric
+    basis is not a polynomial along a Duffy ray.
+    """
+    if surface.periodic2:
+        return False
+    g1, g2 = geometry._param_grid(surface, geometry._CHECK_GRID)
+    t1, t2 = surface.tangent1(g1, g2), surface.tangent2(g1, g2)
+    c1, c2 = t1[0, 0], t2[0, 0]
+    if not (np.allclose(t1, c1, rtol=0.0, atol=1e-12 * np.linalg.norm(c1))
+            and np.allclose(t2, c2, rtol=0.0, atol=1e-12 * np.linalg.norm(c2))):
+        return False
+    pts = surface.param_map(g1, g2)
+    (a1, _), (a2, _) = surface.domain
+    affine = pts[0, 0] + np.multiply.outer(g1 - a1, c1) + np.multiply.outer(g2 - a2, c2)
+    return np.allclose(pts, affine, rtol=0.0, atol=1e-12 * np.max(np.abs(pts)))
+
+
 def _duffy_orders(rule: QuadratureRule, group: np.ndarray) -> tuple[int, int]:
     """Default (radial, angular) Duffy orders of :func:`singular_part_matrix`.
 
-    The radial order max(2p, 24) resolves the curved parametrizations (the
-    disk in polar form, the cap).  After the Duffy map the angular integrand
-    is a smooth 1/|e(v)| times the basis, so max(p + 4, 16) points hold the
-    matrices within 1e-13 of a 3p rule on disks, caps and flat patches.  A
-    periodic q2 without the one-node q2 shift in ``group`` (an elliptic disk)
-    keeps the radial order in both: there p + 4 angular points leave 2.6e-7
-    at p = 12.
+    On an affine surface (:func:`_is_affine`) r is u |J e(v)| along each
+    Duffy ray, and the Jacobian is constant, so the radial integrands
+    u (1/r) P_a P_b and u r P_a P_b of p_inv and p_lin are polynomials in u
+    of degree 2p - 2 and 2p: p + 1 Gauss points integrate them exactly.
+    The curved parametrizations (the disk in polar form, the cap) take
+    max(2p, 24).  After the Duffy map the angular integrand is a smooth
+    1/|e(v)| times the basis, so max(p + 4, 16) points hold the matrices
+    within 1e-13 of a 3p rule on disks, caps and flat patches.  A periodic
+    q2 without the one-node q2 shift in ``group`` (an elliptic disk) keeps
+    the radial order in both: there p + 4 angular points leave 2.6e-7 at
+    p = 12.
     """
     p = rule.order
+    if _is_affine(rule.surface):
+        return p + 1, max(p + 4, 16)
     radial = max(2 * p, 24)
     if rule.surface.periodic2 and not np.any(np.all(group == _q2_shift(rule), axis=1)):
         return radial, radial
@@ -397,8 +427,9 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
     the odd-in-r part 1/(4 pi r) - z r/(8 pi) of the nearest Yukawa image,
     leaving a remainder the plain rule integrates to high order.  The Duffy
     rule takes ``duffy_order`` Gauss points in both of its variables, or by
-    default :func:`_duffy_orders`: fewer along the base of each sub-triangle
-    than towards it.
+    default :func:`_duffy_orders`: p + 1 towards the base of each
+    sub-triangle on an affine surface, where that is exact, and max(2p, 24)
+    on a curved one; max(p + 4, 16) along the base.
 
     Only one row per orbit of ``group`` (:func:`_node_group` of the rule
     when not given) is integrated; the others follow from
@@ -525,8 +556,12 @@ def assemble_free(z: complex, state: SystemState) -> np.ndarray:
     """
     layout, tables = state.layout, state.tables
     mat = EwaldGreen(z, tables.split, state.ctx).pairs(tables)[layout.index]
-    mat += layout.corr_inv - z / (8.0 * math.pi) * layout.corr_lin
-    return mat * state.rule.weights
+    # in place, so one n x n temporary lives beside the result: eta_l holds
+    # A_l meanwhile
+    lin = z / (8.0 * math.pi) * layout.corr_lin
+    mat += np.subtract(layout.corr_inv, lin, out=lin)
+    mat *= state.rule.weights
+    return mat
 
 
 def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.ndarray:
@@ -677,7 +712,9 @@ def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> co
     params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     gl = gamma_n(z, l, ctx, params)
     beta = params.beta
-    e = beta * (assemble_free(z, state) + assemble_A_l(z, state))
+    # the rank sum first: its mode vectors refuse a z out of range before
+    # the Ewald kernel overflows on it
+    e = beta * (assemble_A_l(z, state) + assemble_free(z, state))
     w_l = mode_vector(z, l, rule, ctx)
     t_w = _guarded_solve(e, w_l, diagnostics)
     return gl - beta * complex(np.sum(rule.weights * w_l * t_w))

@@ -304,9 +304,10 @@ class EwaldGreen:
         eta, j_max = self.split.eta, self.split.j_max
         beta = np.arange(1, self.split.n_spectral + 1) ** 2 - self.z
         x = beta * eta
-        emx = np.exp(-x)
         d = np.empty((j_max + 1, len(beta)), dtype=complex)
+        # E1 first: it refuses an x out of its range before exp(-x) overflows
         d[0] = exp1(x)
+        emx = np.exp(-x)
         if self.ctx.second:
             # E1 of the open modes n <= k continued across its cut,
             # E1(x e^(-2 pi i)) = E1(x) + 2 pi i (DLMF 6.4).  The recurrence

@@ -284,6 +284,38 @@ def _all_pairs(layout, n):
     return _with_pairs(layout, [np.arange(n)])
 
 
+def _patch(bend, tangent_bend):
+    """Square x = c + q1 L e1 + q2 L e2 + bend q1 q2 L e3 on [-1/2, 1/2]^2.
+
+    Its tangents carry ``tangent_bend`` in place of ``bend``, so a zero
+    ``tangent_bend`` gives constant tangents that disagree with a bent map.
+    """
+    c, (e1, e2, e3), length = np.array([1.0, 0.0, 1.0]), np.eye(3), 0.4
+
+    def param_map(q1, q2):
+        return (c + np.multiply.outer(q1 * length, e1) + np.multiply.outer(q2 * length, e2)
+                + np.multiply.outer(bend * q1 * q2 * length, e3))
+
+    def tangent1(q1, q2):
+        return (np.multiply.outer(length + 0.0 * q1 * q2, e1)
+                + np.multiply.outer(tangent_bend * q2 * length + 0.0 * q1, e3))
+
+    def tangent2(q1, q2):
+        return (np.multiply.outer(length + 0.0 * q1 * q2, e2)
+                + np.multiply.outer(tangent_bend * q1 * length + 0.0 * q2, e3))
+
+    return Surface(name="patch", param_map=param_map, tangent1=tangent1,
+                   tangent2=tangent2, domain=((-0.5, 0.5), (-0.5, 0.5)), x0=c)
+
+
+#: surfaces whose Duffy rule takes p + 1 radial points, and some that do not
+AFFINE = [RECT, FLAT_RECT, SLANTED, scale_surface(RECT, 0.05)]
+AFFINE_IDS = ["rectangle", "flat-rectangle", "slanted-rectangle", "scaled-rectangle"]
+CURVED = [DISK, TILTED, CAP, ELLIPSE, _patch(0.1, 0.1), _patch(0.1, 0.0)]
+CURVED_IDS = ["disk", "tilted-disk", "cap", "ellipse", "bent-patch",
+              "bent-map-flat-tangents"]
+
+
 #: order-12 surfaces with their group size, integrated rows and kernel pairs
 #: (the coincident ones included)
 GROUPS = [
@@ -321,15 +353,35 @@ class TestSingularBuild:
     @pytest.mark.parametrize("surface", [DISK, TILTED, CAP, RECT],
                              ids=["disk", "tilted-disk", "cap", "rectangle"])
     def test_angular_duffy_order_holds_the_matrices(self, surface, order):
-        # p + 4 points along the base of each sub-triangle, 2p towards it,
-        # against 3p in both Duffy variables
+        # p + 4 points along the base of each sub-triangle, 2p towards it on
+        # a curved map and p + 1 on the affine rectangle, against 3p in both
+        # Duffy variables
         rule = build_quadrature(surface, order)
         group = _node_group(rule)
-        assert _duffy_orders(rule, group) == (2 * order, order + 4)
+        radial = order + 1 if surface is RECT else 2 * order
+        assert _duffy_orders(rule, group) == (radial, order + 4)
         got = singular_part_matrix(rule, group=group)
         want = singular_part_matrix(rule, 3 * order, group=group)
         assert _rel_max(got[0], want[0]) < 1e-13
         assert _rel_max(got[1], want[1]) < 1e-13
+
+    @pytest.mark.parametrize("order", [3, 6, 12, 16])
+    @pytest.mark.parametrize("surface", AFFINE, ids=AFFINE_IDS)
+    def test_affine_patch_takes_p_plus_one_radial_points(self, surface, order):
+        # along a Duffy ray of an affine map r is linear in u, so the radial
+        # integrands are polynomials of degree 2p - 2 (p_inv) and 2p (p_lin)
+        rule = build_quadrature(surface, order)
+        group = _node_group(rule)
+        assert _duffy_orders(rule, group) == (order + 1, max(order + 4, 16))
+        got = singular_part_matrix(rule, group=group)
+        want = singular_part_matrix(rule, max(3 * order, 48), group=group)
+        assert _rel_max(got[0], want[0]) < 1e-13
+        assert _rel_max(got[1], want[1]) < 1e-13
+
+    @pytest.mark.parametrize("surface", CURVED, ids=CURVED_IDS)
+    def test_curved_map_keeps_the_radial_order(self, surface):
+        rule = build_quadrature(surface, 12)
+        assert _duffy_orders(rule, _node_group(rule))[0] == 24
 
     def test_periodic_surface_without_rotation_keeps_the_radial_order(self):
         # p + 4 angular points leave 2.6e-7 on the elliptic disk at order 12

@@ -748,17 +748,18 @@ class TestMain:
     def test_huge_seed_exit_one(self, tmp_path, flag, function):
         # the series of E1 (the Ewald kernel) or I0 (the open-mode vectors)
         # meets |x| ~ 1e299 and refuses it; its term count used to run without
-        # end, so the run is a child process that a timeout stops
+        # end, so the run is a child process that a timeout stops.  Under
+        # -W error, no numpy overflow warning comes before the refusal
         out = tmp_path / "pole.csv"
         path = _write(tmp_path, "pole.cfg", "[run]\nmode = pole\nl = 2\n[coupling]\n"
                       "beta = 0.4\n" + DISK_SURFACE.strip() + "\n[numerics]\norder = 4\n")
         env = dict(os.environ, PYTHONPATH=str(Path(layres.__file__).resolve().parent.parent))
-        child = subprocess.run([sys.executable, "-m", "layres.cli", "pole", "--config", path,
-                               "--output", str(out), flag], env=env, capture_output=True,
-                               text=True, timeout=60)
+        child = subprocess.run([sys.executable, "-W", "error", "-m", "layres.cli", "pole",
+                                "--config", path, "--output", str(out), flag], env=env,
+                               capture_output=True, text=True, timeout=60)
         assert child.returncode == 1
-        last = child.stderr.splitlines()[-1]
-        assert last.startswith(f"error: {function}(") and "is out of range" in last
+        [line] = child.stderr.splitlines()
+        assert line.startswith(f"error: {function}(") and "is out of range" in line
         assert "Traceback" not in child.stderr
         assert not out.exists()
 
