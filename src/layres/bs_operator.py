@@ -47,7 +47,11 @@ __all__ = [
     "eta_l",
     "bs_determinant",
     "mode_cutoff",
+    "TAIL_TOL",
 ]
+
+#: default bound on the mode tail e^(-n r_min) that the mode cutoff drops
+TAIL_TOL = 1e-12
 
 #: A 1-norm condition number above this means M_l = I - beta (R_SigmaSigma + A_l) is
 #: singular to working precision (z on the spectrum of the impurity problem without
@@ -60,6 +64,10 @@ _COND_LIMIT = 1e12
 _M_L = "I - beta (R_SigmaSigma + A_l)"
 
 _GAMMA_FLOOR = 1e-10
+
+#: largest |w_n| the rank sum squares: e^350, whose square stays e^9.8 below
+#: the double range, like the e^700 edge of specfun's series
+_MODE_VECTOR_MAX = math.exp(0.5 * specfun._EXP_RANGE)
 
 #: Duffy points per modal-basis batch; one batch holds a whole folded disk
 #: row up to order 29, and an unfolded row up to order 22
@@ -580,7 +588,7 @@ def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.nd
     return specfun.z0_kernel(z, n, rho, ctx)[at_rho] * chi_n(n, x3)[at_x3] / (2.0 * math.pi)
 
 
-def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, tail_tol: float = 1e-12,
+def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, tail_tol: float = TAIL_TOL,
                 n_cut: int | None = None) -> int:
     """Mode cutoff of the rank sums on ``rule``: ``n_cut``, checked, or one from ``tail_tol``.
 
@@ -605,7 +613,13 @@ def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, tail_tol: float = 1e-12
 
 
 def _rank_sum(z, state: SystemState, modes: np.ndarray):
-    """sum_n Gamma_n(z)^(-1) w_n w_n^T as one product (W / g) W^T, W = [w_n]."""
+    """sum_n Gamma_n(z)^(-1) w_n w_n^T as one product (W / g) W^T, W = [w_n].
+
+    A mode vector above _MODE_VECTOR_MAX is refused before the product
+    squares it.  Only an open mode n <= k can get there: on the second sheet
+    its i pi I0(-kappa_n rho) grows like e^(Re kappa_n rho), which a z far
+    from the real axis makes large; every other w_n decays in rho.
+    """
     g = gamma_n(z, modes, state.ctx, state.params)
     small = np.abs(g) < _GAMMA_FLOOR
     if np.any(small):
@@ -613,6 +627,13 @@ def _rank_sum(z, state: SystemState, modes: np.ndarray):
         raise PoleCollisionError(f"Gamma_{modes[k]}(z) = {g[k]:.3e} at z = {z}; "
                                  f"mode {modes[k]} sits on its eigenvalue")
     w = mode_vector(z, modes, state.rule, state.ctx)
+    open_ = modes <= state.ctx.k
+    size = np.max(np.abs(w[:, open_]), axis=0, initial=0.0)
+    if np.any(size > _MODE_VECTOR_MAX):
+        n = modes[open_][np.argmax(size)]
+        raise ValueError(f"w_{n}({complex(z):g}) is out of range: the rank sum squares the "
+                         f"mode vectors, and past |w_n| = e^{0.5 * specfun._EXP_RANGE:g} "
+                         "their squares near or leave the double range")
     return (w / g) @ w.T * state.rule.weights
 
 
@@ -627,7 +648,7 @@ def assemble_alpha(z: complex, state: SystemState) -> np.ndarray:
     return assemble_free(z, state) + _rank_sum(z, state, np.arange(1, state.n_cut + 1))
 
 
-def _guarded_solve(e, rhs, diagnostics: dict | None = None):
+def _guarded_solve(e, rhs, diagnostics: dict | None):
     """Solution of (I - e) x = rhs, refused when cond_1(I - e) exceeds _COND_LIMIT.
 
     With ||e||_1 < 1 the Neumann series bounds ||(I - e)^(-1)||_1 by
@@ -662,7 +683,8 @@ class SystemState:
     """Everything needed to evaluate eta_l / the determinant at a point z.
 
     ``l`` names eps_l; a second-sheet ``ctx`` whose window J_k misses eps_l is
-    refused, and so is an ``n_cut`` that :func:`mode_cutoff` refuses.  Holds
+    refused, and so is an ``n_cut`` that :func:`mode_cutoff` refuses; without
+    one the state takes the cutoff of :func:`mode_cutoff`'s TAIL_TOL.  Holds
     the mode cutoff, the z-independent pair layout of ``rule`` and its Ewald
     tables, so only the z-dependent kernel values are recomputed per z.
     Without a ``layout`` the state builds one on ``rule`` itself.  ``delta``
@@ -674,7 +696,6 @@ class SystemState:
     rule: QuadratureRule
     ctx: SheetContext
     l: int
-    tail_tol: float = 1e-12
     n_cut: int | None = None
     layout: PairLayout | None = field(default=None, repr=False)
     delta: float = 1.0
@@ -684,7 +705,7 @@ class SystemState:
         if self.ctx.second and not lo < eps_l < hi:
             raise ValueError(f"l = {self.l}: eps_l = {eps_l} lies outside the window "
                              f"J_{self.ctx.k} = ({lo:g}, {hi:g}) of the second sheet")
-        self.n_cut = mode_cutoff(self.rule, self.ctx, self.tail_tol, self.n_cut)
+        self.n_cut = mode_cutoff(self.rule, self.ctx, n_cut=self.n_cut)
         if self.layout is None:
             self.layout = pair_layout(self.rule)
 

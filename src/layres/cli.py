@@ -42,8 +42,11 @@ computation starts.  Recognized layout::
 
 A key is one ``_KEYS`` entry (section, parser, default), so a new key is one
 entry there, plus a ``RunConfig`` field if a run reads it; a surface family
-is one ``_FAMILIES`` entry.  Every output file echoes the resolved config,
-``RunConfig.resolved``, in its ``#`` header.
+is one ``_FAMILIES`` entry.  The ``[numerics]`` defaults shown are the
+library's own, ``resonance.DEFAULT_ORDER``, ``bs_operator.TAIL_TOL`` and
+``resonance.ROOT_TOL``, which is also the finest ``root_tol`` accepted.
+Every output file echoes the resolved config, ``RunConfig.resolved``, in
+its ``#`` header.
 
 Exit codes: 0 success, 1 computation failure, 2 configuration error.
 """
@@ -56,11 +59,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
+from .bs_operator import TAIL_TOL
 from .geometry import Surface, SurfaceValidationError, disk, rectangle_patch, \
     spherical_cap, with_anchor
 from .greens import _MAX_TABLE_ENTRIES, EwaldGreen, EwaldSplit, calibrate_tail_constant, \
@@ -68,8 +72,8 @@ from .greens import _MAX_TABLE_ENTRIES, EwaldGreen, EwaldSplit, calibrate_tail_c
 # calibrate_tail_constant, fit_power_law and im_mu_closed_form are unused here
 # but stay importable as cli attributes: perfbench/spans.py wraps every name it
 # traces on this module, and tests/test_trace_targets.py checks that they resolve
-from .resonance import MIN_SWEEP_POINTS, embedded_eigenvalues, find_pole, \
-    fit_power_law, im_mu_closed_form, pole_state, sweep_delta, window_index
+from .resonance import DEFAULT_ORDER, MIN_SWEEP_POINTS, ROOT_TOL, embedded_eigenvalues, \
+    find_pole, fit_power_law, im_mu_closed_form, pole_state, sweep_delta, window_index
 from .specfun import SpectralParams, first_sheet, gamma_from_gap, macdonald_k0, \
     second_sheet
 
@@ -104,8 +108,8 @@ class RunConfig:
     path: str | None  # None: run() names it after the mode that runs
     format: str
     emit_plot_script: bool
+    surface_lines: dict  # [surface] key -> text as written
     seed: complex | None = None
-    surface_lines: dict = field(default_factory=dict)  # [surface] key -> text as written
 
     @property
     def resolved(self) -> dict:
@@ -173,9 +177,9 @@ _KEYS = {
     ("coupling", "beta"): (_as_float, _REQUIRED),
     ("surface", "delta"): (_as_float, 0.08),
     ("surface", "deltas"): (_as_floats, tuple(np.geomspace(0.02, 0.12, 8).tolist())),
-    ("numerics", "order"): (_as_int, 16),
-    ("numerics", "tail_tol"): (_as_float, 1e-12),
-    ("numerics", "root_tol"): (_as_float, 1e-12),
+    ("numerics", "order"): (_as_int, DEFAULT_ORDER),
+    ("numerics", "tail_tol"): (_as_float, TAIL_TOL),
+    ("numerics", "root_tol"): (_as_float, ROOT_TOL),
     ("numerics", "n_cut"): (_as_int, None),
     ("output", "path"): (_as_text, None),
     ("output", "format"): (_as_text, "csv"),
@@ -497,8 +501,8 @@ def _check(config: RunConfig):
         raise ConfigError("quadrature order must be >= 2")
     if not 0.0 < config.tail_tol < 1.0:
         raise ConfigError(f"tail_tol must lie in (0, 1), got {config.tail_tol}")
-    if not config.root_tol >= 1e-12:
-        raise ConfigError(f"root_tol below 1e-12 is not resolvable, got {config.root_tol}")
+    if not config.root_tol >= ROOT_TOL:
+        raise ConfigError(f"root_tol below {ROOT_TOL:g} is not resolvable, got {config.root_tol}")
     if config.n_cut is not None and config.n_cut < 1:
         raise ConfigError(f"n_cut must be >= 1, got {config.n_cut}")
     if config.format not in _WRITERS:

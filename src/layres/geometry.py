@@ -72,9 +72,6 @@ class Surface:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         _validate_surface(self)
 
-    def points(self, q1, q2) -> np.ndarray:
-        return self.param_map(np.asarray(q1, float), np.asarray(q2, float))
-
     def jacobian(self, q1, q2) -> np.ndarray:
         t1 = self.tangent1(np.asarray(q1, float), np.asarray(q2, float))
         t2 = self.tangent2(np.asarray(q1, float), np.asarray(q2, float))
@@ -98,10 +95,6 @@ class QuadratureRule:
     @property
     def n_nodes(self) -> int:
         return len(self.weights)
-
-    @property
-    def area(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def _param_grid(surface: Surface, n: int):
@@ -290,7 +283,7 @@ def with_anchor(surface: Surface, x0) -> Surface:
     """
     s = copy.copy(surface)
     object.__setattr__(s, "x0", np.asarray(x0, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(s.points(*_param_grid(s, _CHECK_GRID))))))
+    scale = max(1.0, float(np.max(np.abs(s.param_map(*_param_grid(s, _CHECK_GRID))))))
     if _search_min(s, lambda p: np.linalg.norm(p - s.x0, axis=-1)) > 1e-8 * scale:
         raise SurfaceValidationError(f"x0 of surface {s.name!r} does not lie on the surface")
     return s

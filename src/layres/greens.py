@@ -119,18 +119,18 @@ def _pair_geometry(x, xp):
     return rho, np.abs(x[..., 2] - xp[..., 2]), x[..., 2] + xp[..., 2]
 
 
-def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
+def layer_green_modal(z: complex, x, xp, ctx: SheetContext,
                       n_max: int | None = None) -> complex:
     """Layer kernel as its mode series (single point pair): the reference for EwaldGreen.
 
     (1/2 pi) sum_{n <= n_max} Z0(z, n, rho) chi_n(x3) chi_n(x3') with the
     mode vectors' building block Z0 (:func:`specfun.z0_kernel`), which on
-    the second sheet carries the open modes' i pi I0 term.  By default it
+    the second sheet carries the open modes' i pi I0 term; ``ctx`` names the
+    sheet, and sizes the default mode count by its k.  By default it
     sums ceil(37/rho) + k + 40 modes, enough for the tail e^(-rho n) to fall
     below e^(-37); more than _MAX_TABLE_ENTRIES is refused.  Requires an
     in-plane separation rho > 0.
     """
-    ctx = ctx or first_sheet()
     rho = float(_pair_geometry(x, xp)[0])
     if rho == 0.0:
         raise ValueError("mode series diverges termwise at rho = 0 "
@@ -147,17 +147,18 @@ def layer_green_modal(z: complex, x, xp, ctx: SheetContext | None = None,
     return complex(np.sum(z0_kernel(z, n, rho, ctx) * chi)) / _TWO_PI
 
 
-def calibrate_tail_constant(z: complex = -2.0, rho: float = 0.3,
-                            n_max: int = 2000) -> float:
+def calibrate_tail_constant() -> float:
     """Empirical constant C with |tail(n_max)| <= C |z| / n_max for the mode series.
 
-    A diagnostic only; no run reports it, and truncation itself is
-    exponential in rho.
+    At z = -2 on the first sheet, in-plane separation rho = 0.3 and
+    n_max = 2000 modes, against 8 n_max.  A diagnostic only; no run reports
+    it, and truncation itself is exponential in rho.
     """
+    z, rho, n_max = -2.0, 0.3, 2000
     x = np.array([1.0, 0.0, 1.3])
     xp = np.array([1.0 + rho, 0.0, 0.9])
-    coarse = layer_green_modal(z, x, xp, n_max=n_max)
-    fine = layer_green_modal(z, x, xp, n_max=8 * n_max)
+    coarse = layer_green_modal(z, x, xp, first_sheet(), n_max=n_max)
+    fine = layer_green_modal(z, x, xp, first_sheet(), n_max=8 * n_max)
     return abs(coarse - fine) * n_max / max(abs(z), 1.0)
 
 
@@ -261,7 +262,8 @@ class EwaldTables:
         n = np.arange(1, split.n_spectral + 1)
         self.cos_diff = np.cos(np.multiply.outer(a_minus, n)) \
             - np.cos(np.multiply.outer(a_plus, n))
-        self.powers = (rho * rho)[:, None] ** np.arange(split.j_max + 1)
+        # complex once here: a real table would be cast at every kernel evaluation
+        self.powers = ((rho * rho)[:, None] ** np.arange(split.j_max + 1)).astype(complex)
         index, dist, sign = [], [], []
         for a, s in ((a_minus, 1.0), (a_plus, -1.0)):
             # every m that can bring |a + 2 pi m| below r_cut
@@ -342,8 +344,7 @@ class EwaldGreen:
         # f(R) / R with f(R) = e^{-sR} erfc(R/2 sqrt(eta) - s sqrt(eta)) + (s -> -s), via erfcx
         sv = self.s * math.sqrt(self.split.eta)
         u = tables.image_u
-        both = erfcx(np.concatenate([u - sv, u + sv]))
-        f = tables.image_weight * (both[:len(u)] + both[len(u):])
+        f = tables.image_weight * (erfcx(u - sv) + erfcx(u + sv))
         size = len(spectral)
         real = (np.bincount(tables.image_pair, f.real, size)
                 + 1j * np.bincount(tables.image_pair, f.imag, size)) \

@@ -17,8 +17,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bs_operator import SystemState, assemble_A_l, assemble_free, bs_determinant, \
-    check_pair_tables, eta_l, mode_cutoff, mode_vector, pair_layout
+from .bs_operator import TAIL_TOL, SystemState, assemble_A_l, assemble_free, \
+    bs_determinant, check_pair_tables, eta_l, mode_cutoff, mode_vector, pair_layout
 from .geometry import Surface, build_quadrature, scale_surface
 from .greens import chi_n
 from .specfun import SpectralParams, gamma_n, second_sheet
@@ -39,10 +39,18 @@ __all__ = [
     "sweep_delta",
     "fit_power_law",
     "MIN_SWEEP_POINTS",
+    "ROOT_TOL",
+    "DEFAULT_ORDER",
 ]
 
 #: fewest converged poles a sweep fits its power laws to
 MIN_SWEEP_POINTS = 4
+#: finest root tolerance a search resolves, and the default of every search
+ROOT_TOL = 1e-12
+#: quadrature order of a state or sweep that names none
+DEFAULT_ORDER = 16
+#: secant steps a root search takes before it gives up
+_MAX_ITER = 50
 
 
 class ThresholdCollisionError(ValueError):
@@ -136,12 +144,11 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
         copies.append((d, rule, mode_cutoff(rule, ctx, tail_tol, n_cut)))
     layout = pair_layout(base_rule)
     for d, rule, cut in copies:
-        yield SystemState(params, rule, ctx, l, tail_tol=tail_tol, n_cut=cut,
-                          layout=layout.scaled(d), delta=d)
+        yield SystemState(params, rule, ctx, l, n_cut=cut, layout=layout.scaled(d), delta=d)
 
 
 def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
-               order: int = 16, tail_tol: float = 1e-12,
+               order: int = DEFAULT_ORDER, tail_tol: float = TAIL_TOL,
                n_cut: int | None = None) -> SystemState:
     """System state on the scaled surface, on the second sheet of eps_l's window.
 
@@ -153,13 +160,13 @@ def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
 
 
 def _secant(f: Callable[[complex], complex], z0: complex, f0: complex, z1: complex,
-            tol: float, max_iter: int, step_tol: float) -> tuple[complex, complex, int]:
+            tol: float, step_tol: float) -> tuple[complex, complex, int]:
     """Secant iteration on f from z0, where f is f0, and z1.
 
     One evaluation per point after z0.  Stops at the first point after z0
     whose |f| is below ``tol`` and whose step from the point before is at
     most ``step_tol``, and returns (z, f(z), secant steps taken after the
-    two start points).
+    two start points).  More than _MAX_ITER steps are refused.
     """
     seed = z0
     if not cmath.isfinite(z1):
@@ -168,7 +175,7 @@ def _secant(f: Callable[[complex], complex], z0: complex, f0: complex, z1: compl
     steps = 0
     while not (abs(f1) < tol and abs(z1 - z0) <= step_tol):
         step = f1 * (z1 - z0) / (f1 - f0) if f1 != f0 else math.inf
-        if steps == max_iter or not cmath.isfinite(step):
+        if steps == _MAX_ITER or not cmath.isfinite(step):
             raise _stalled(seed, steps, z1, f1)
         z0, f0 = z1, f1
         z1 = z1 - step
@@ -198,7 +205,7 @@ def _pole_result(state: SystemState, z: complex, residual: float, iterations: in
 
 
 def find_pole(state: SystemState, seed: complex | None = None,
-              tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
+              tol: float = ROOT_TOL) -> PoleResult:
     """Second-sheet pole z_l(delta) at the l and delta of ``state``, from eps_l.
 
     For l > k, Gamma_l(z) = (2 pi alpha - psi(1) + ln(sqrt(z - l^2) / 2i)) / 2 pi
@@ -210,14 +217,14 @@ def find_pole(state: SystemState, seed: complex | None = None,
     included, and returns F there, z - g, at no further eta_l.  The residual
     |g| is the distance in z from that point to F of it.  A point with
     |4 pi eta_l| >= 1 is refused: g vanishes there only because z = l^2 or
-    exp(-4 pi eta_l) = 1.
+    exp(-4 pi eta_l) = 1, and so is a ``tol`` below ROOT_TOL.
     ``diagnostics`` of the result describe the whole search: the number of
     eta_l evaluations, the worst condition number of the guarded solve and
     ``contraction``, the estimate |1 - (g1 - g0)/(z1 - z0)| of |F'| from the
     last two points.
     """
-    if tol < 1e-12:
-        raise ValueError("tolerance below 1e-12 is not resolvable")
+    if tol < ROOT_TOL:
+        raise ValueError(f"tolerance below {ROOT_TOL:g} is not resolvable")
     l2 = state.l**2
     diagnostics: dict = {}
     last: list = []
@@ -239,7 +246,7 @@ def find_pole(state: SystemState, seed: complex | None = None,
     if abs(g0) < tol:  # the seed is the root
         z, gz, steps = z0, g0, 0
     else:
-        z, gz, steps = _secant(g, z0, g0, z0 - g0, tol, max_iter, math.inf)
+        z, gz, steps = _secant(g, z0, g0, z0 - g0, tol, math.inf)
     if not abs(4.0 * math.pi * last[2]) < 1.0:
         raise ConvergenceError(f"root iteration stopped at z = {z}, where g vanishes "
                                f"but eta_l = {last[2]:.3g} is not 0")
@@ -247,7 +254,7 @@ def find_pole(state: SystemState, seed: complex | None = None,
 
 
 def find_determinant_root(state: SystemState, seed: complex | None = None,
-                          tol: float = 1e-12, max_iter: int = 50) -> PoleResult:
+                          tol: float = ROOT_TOL) -> PoleResult:
     """Same pole from the full determinant; independent of the eta_l route.
 
     The determinant has a Gamma_l^(-1) pole sitting at eps_l, so the root
@@ -257,14 +264,14 @@ def find_determinant_root(state: SystemState, seed: complex | None = None,
     slope, so the second point is the blind z0 + 1e-7 max(1, |z0|).  The
     secant stops when both |f| and the last step are below ``tol``.
     """
-    if tol < 1e-12:
-        raise ValueError("tolerance below 1e-12 is not resolvable")
+    if tol < ROOT_TOL:
+        raise ValueError(f"tolerance below {ROOT_TOL:g} is not resolvable")
 
     def f(z):
         return gamma_n(z, state.l, state.ctx, state.params) * bs_determinant(z, state)
 
     z0 = complex(state.params.eigenvalue(state.l) - 1e-4 - 1e-5j if seed is None else seed)
-    z, fz, steps = _secant(f, z0, f(z0), z0 + 1e-7 * max(1.0, abs(z0)), tol, max_iter, tol)
+    z, fz, steps = _secant(f, z0, f(z0), z0 + 1e-7 * max(1.0, abs(z0)), tol, tol)
     return _pole_result(state, z, abs(fz), steps, {})
 
 
@@ -306,8 +313,10 @@ def im_mu_closed_form(state: SystemState) -> float:
     params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     eps_l = complex(params.eigenvalue(l))
     open_modes = np.arange(1, ctx.k + 1)
-    weighted = rule.weights * mode_vector(eps_l, l, rule, ctx)
-    pairings = weighted @ mode_vector(eps_l, open_modes, rule, ctx)
+    table = mode_vector(eps_l, np.concatenate([[l], open_modes]), rule, ctx)
+    weighted = rule.weights * table[:, 0]
+    # contiguous: numpy sums a product with a strided operand in another order
+    pairings = weighted @ np.ascontiguousarray(table[:, 1:])
     couplings = (weighted @ chi_n(open_modes, rule.nodes[:, 2])).real
     mode_terms = (pairings**2 / gamma_n(eps_l, open_modes, ctx, params)).imag
     return math.pi * params.xi_alpha * params.beta**2 * float(
@@ -344,8 +353,8 @@ def _fit_if_positive(points) -> tuple[float, float, float]:
 
 
 def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: SpectralParams,
-                order: int = 16, tail_tol: float = 1e-12, n_cut: int | None = None,
-                tol: float = 1e-12) -> SweepResult:
+                order: int = DEFAULT_ORDER, tail_tol: float = TAIL_TOL,
+                n_cut: int | None = None, tol: float = ROOT_TOL) -> SweepResult:
     """Locate the pole at each delta and fit |Re mu|, |Im mu| power laws.
 
     The states come from :func:`_delta_states`, as in :func:`pole_state`:

@@ -65,13 +65,14 @@ _REAL_K0_RATIO = 1e-7
 _AXIS_NUDGE = 1e-250
 
 
-def _ascending_table(terms: int = 13):
+def _ascending_table():
     """Coefficients in q = w^2/4 of the ascending sums of I0 and K0, for |w| <= 2.
 
-    Columns c_m = 1 / (m!)^2 and c_m psi(m+1), psi(m+1) = H_m - gamma.
-    Their sums i_0 and S_0 give K0 = S_0 - log(w/2) i_0 (DLMF 10.31.2).
-    The first omitted term is below 3e-20.
+    Columns c_m = 1 / (m!)^2 and c_m psi(m+1), psi(m+1) = H_m - gamma, for
+    the 13 terms m < 13.  Their sums i_0 and S_0 give K0 = S_0 - log(w/2) i_0
+    (DLMF 10.31.2).  The first omitted term is below 3e-20.
     """
+    terms = 13
     psi = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, terms + 1))]) - EULER_GAMMA
     m = np.arange(terms)
     c = np.array([1.0 / math.factorial(k) ** 2 for k in m])
@@ -86,13 +87,14 @@ _LAPLACE_WEIGHTS = np.where(_LAPLACE_S2 == 0.0, 0.2, 0.4) * np.exp(-_LAPLACE_S2)
 
 
 @functools.cache
-def _laguerre_rule(n: int = 96):
-    """Nodes and weights of the n-point Gauss-Laguerre rule (Golub-Welsch), built at first use.
+def _laguerre_rule():
+    """Nodes and weights of the 96-point Gauss-Laguerre rule (Golub-Welsch), built at first use.
 
     exp1 applies it off its series region.  The n-point value is the n-th
     convergent of the continued fraction of E1, which converges slowest on
-    the edge |z| + Re z = 2 of that region, where 96 points suffice.
+    the edge |z| + Re z = 2 of that region, where n = 96 points suffice.
     """
+    n = 96
     off = np.arange(1.0, n)
     nodes, vectors = np.linalg.eigh(np.diag(2.0 * np.arange(n) + 1.0)
                                     + np.diag(off, 1) + np.diag(off, -1))
@@ -389,8 +391,9 @@ def bessel_i0(w):
     loses at most a factor e^2 to cancellation; elsewhere
     I0(w) = i sgn(Im w) (K0(w) - K0(-w)) / pi (DLMF 10.34.2), both K0 from
     :func:`_k0_laplace`, whose strip |w| + Re(-w) > 2 is then wide enough.
-    On the series, where |I0| grows like e^|w|, a w with |w| > 700 is at
-    the edge of the double range or past it and refused with a ValueError.
+    On the series, where |I0| grows like e^|w|, a w with |w| > 700, and
+    elsewhere, where it grows like e^(Re w), a w with Re w > 700 is at the
+    edge of the double range or past it and refused with a ValueError.
     """
     w_arr = np.asarray(w, dtype=complex)
     v = np.where(w_arr.real < 0.0, -w_arr, w_arr)
@@ -401,6 +404,11 @@ def bessel_i0(w):
         out[~far] = _i0_series(vs, 0.5 * _series_radius("I0", vs))
     if np.any(far):
         vf = v[far]
+        top = int(np.argmax(vf.real))
+        if vf[top].real > _EXP_RANGE:
+            raise ValueError(f"I0({complex(vf[top]):g}) is out of range: off its series "
+                             f"|I0| grows like e^(Re w), which past Re w = {_EXP_RANGE:g} "
+                             "nears or leaves the double range")
         out[far] = (1j / math.pi) * np.sign(vf.imag) * (_k0_laplace(vf) - _k0_laplace(-vf))
     if out.ndim == 0:
         return complex(out)
@@ -463,17 +471,17 @@ def erf(w) -> complex:
     return sign * (1.0 - cmath.exp(-v * v) * complex(erfcx(v)))
 
 
-def kappa_n(z: complex, n, ctx: SheetContext | None = None):
+def kappa_n(z: complex, n, ctx: SheetContext):
     """Longitudinal decay rate kappa_n(z) = -i sqrt(z - n^2), Im sqrt > 0.
 
     Re kappa_n > 0 away from the mode's cut [n^2, oo); for real z < n^2 the
     value is the positive root sqrt(n^2 - z).  Real z >= n^2 is resolved by
     the sheet convention of ``ctx`` (+i0 on the first sheet, -i0 on the
-    second); ``ctx=None`` means first sheet.  ``n`` may be an array of mode
+    second).  ``n`` may be an array of mode
     indices; the result then has its shape.
     """
     n = _modes_off_branch(z, n)
-    z = nudge_off_axis(z, ctx or first_sheet())
+    z = nudge_off_axis(z, ctx)
     return -1j * im_positive_sqrt(z - n * n)
 
 

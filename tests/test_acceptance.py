@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
+from layres.bs_operator import TAIL_TOL
 from layres.geometry import disk
 from layres.greens import k0_cosine_sum, layer_green_modal
 from layres.resonance import (
@@ -166,10 +167,10 @@ def test_criterion_8_discretization_convergence(pole16):
                           n_cut=2 * state16.n_cut)
     res_2n = find_pole(state_2n, seed=eta_root.z)
     d_modes = abs(res_2n.z - eta_root.z)
-    _report(8, d_order < 1e-6 and d_modes < state16.tail_tol,
+    _report(8, d_order < 1e-6 and d_modes < TAIL_TOL,
             f"order 16->32 moves pole {d_order:.2e} (<1e-6); "
             f"n_max {state16.n_cut}->{2 * state16.n_cut} moves it "
-            f"{d_modes:.2e} (<{state16.tail_tol:.0e})")
+            f"{d_modes:.2e} (<{TAIL_TOL:.0e})")
 
 
 def test_criterion_9_derivative_law():

@@ -204,7 +204,7 @@ class TestAssembleFree:
         mat = assemble_free(z, st) / rule.weights \
             - layout.corr_inv + z / (8.0 * math.pi) * layout.corr_lin
         for i, j in zip(*np.nonzero(~np.eye(rule.n_nodes, dtype=bool))):
-            want = layer_green_modal(z, rule.nodes[i], rule.nodes[j])
+            want = layer_green_modal(z, rule.nodes[i], rule.nodes[j], first_sheet())
             assert mat[i, j] == pytest.approx(want, abs=1e-12)
 
     def test_positive_definite_below_spectrum(self, rule12, state12):

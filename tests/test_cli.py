@@ -744,12 +744,18 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, function", [("--seed-re=1e300", "E1"),
-                                                ("--seed-re=-1e300", "I0")])
+                                                ("--seed-re=-1e300", "I0"),
+                                                ("--seed-im=1e6", "I0"),
+                                                ("--seed-im=-3e5", "w_1"),
+                                                ("--seed-im=-1e300", "I0")])
     def test_huge_seed_exit_one(self, tmp_path, flag, function):
         # the series of E1 (the Ewald kernel) or I0 (the open-mode vectors)
         # meets |x| ~ 1e299 and refuses it; its term count used to run without
-        # end, so the run is a child process that a timeout stops.  Under
-        # -W error, no numpy overflow warning comes before the refusal
+        # end, so the run is a child process that a timeout stops.  A huge
+        # imaginary seed makes I0 grow like e^(Re x) off its series, which is
+        # refused past Re x = 700, or below that the open-mode vector w_1,
+        # which the rank sum would square.  Under -W error, no numpy overflow
+        # warning comes before the refusal
         out = tmp_path / "pole.csv"
         path = _write(tmp_path, "pole.cfg", "[run]\nmode = pole\nl = 2\n[coupling]\n"
                       "beta = 0.4\n" + DISK_SURFACE.strip() + "\n[numerics]\norder = 4\n")

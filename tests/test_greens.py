@@ -114,14 +114,14 @@ class TestLayerGreenSplit:
         for _ in range(5):
             x = np.array([1 + rng.random(), rng.random(), 0.5 + 2 * rng.random()])
             xp = np.array([1 + rng.random(), rng.random(), 0.5 + 2 * rng.random()])
-            a = layer_green_modal(-2.0, x, xp)
-            b = layer_green_modal(-2.0, xp, x)
+            a = layer_green_modal(-2.0, x, xp, FIRST)
+            b = layer_green_modal(-2.0, xp, x, FIRST)
             assert a == pytest.approx(b, abs=1e-12)
 
     @pytest.mark.parametrize("x3p", [1e-9, math.pi - 1e-9])
     def test_dirichlet_walls(self, x3p):
         xp = np.array([0.6, -0.1, x3p])
-        assert abs(layer_green_modal(-2.0, X, xp)) < 1e-8
+        assert abs(layer_green_modal(-2.0, X, xp, FIRST)) < 1e-8
 
     def test_edge_of_the_wedge(self):
         eps = 1e-8
@@ -131,8 +131,8 @@ class TestLayerGreenSplit:
 
     def test_conjugation_symmetry(self):
         z = 1.5 + 0.4j
-        a = layer_green_modal(np.conj(z), X, XP)
-        b = np.conj(layer_green_modal(z, X, XP))
+        a = layer_green_modal(np.conj(z), X, XP, FIRST)
+        b = np.conj(layer_green_modal(z, X, XP, FIRST))
         assert a == pytest.approx(b, abs=1e-13)
 
     def test_truncation_robustness(self):
@@ -155,16 +155,16 @@ class TestLayerGreenSplit:
 
     def test_mode_count_checks(self):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
-            layer_green_modal(-2.0, X, XP, n_max=0)
+            layer_green_modal(-2.0, X, XP, FIRST, n_max=0)
         # rho = 1e-6 would need 3.7e7 modes by default
         with pytest.raises(ValueError, match=r"rho = 1e-06 needs n_max = 370000\d\d; "
                                              r"use EwaldGreen for nearly coincident"):
-            layer_green_modal(-2.0, X, X + np.array([1e-6, 0.0, 0.1]))
+            layer_green_modal(-2.0, X, X + np.array([1e-6, 0.0, 0.1]), FIRST)
 
     def test_in_plane_coincidence_rejected(self):
         above = np.array([1.0, 0.2, 0.7])
         with pytest.raises(ValueError, match="diverges termwise at rho = 0"):
-            layer_green_modal(-2.0, X, above)
+            layer_green_modal(-2.0, X, above, FIRST)
 
     def test_tail_constant_is_small(self):
         assert 0.0 <= calibrate_tail_constant() < 1e-6
@@ -188,7 +188,7 @@ class TestEwaldGreen:
         ew = ewald(-2.0)
         for r in (1e-2, 1e-3):
             xp = X + np.array([r, 0.0, 0.0])
-            assert abs(ew(X, xp) - layer_green_modal(-2.0, X, xp)) < 1e-10
+            assert abs(ew(X, xp) - layer_green_modal(-2.0, X, xp, FIRST)) < 1e-10
 
     def test_vertical_pairs_supported(self):
         # rho = 0 with x3 separation: the mode series cannot do this, Ewald
@@ -196,7 +196,7 @@ class TestEwaldGreen:
         xp = np.array([1.0, 0.2, 0.9])
         ew = ewald(-2.0)
         val = ew(X, xp)
-        near = layer_green_modal(-2.0, X, np.array([1.0 + 1e-4, 0.2, 0.9]))
+        near = layer_green_modal(-2.0, X, np.array([1.0 + 1e-4, 0.2, 0.9]), FIRST)
         assert abs(val - near) < 1e-6
 
     def test_edge_of_the_wedge(self):

@@ -171,8 +171,9 @@ class TestFindPole:
         g0 = (seed - 4) * complex(-np.expm1(-4.0 * math.pi))
         stop = seed - g0
         g1 = abs(g0) * math.exp(-4.0 * math.pi)  # F contracts by exp(-4 pi)
-        with pytest.raises(ConvergenceError) as info:
-            find_pole(st, max_iter=0)
+        with monkeypatch.context() as patch, pytest.raises(ConvergenceError) as info:
+            patch.setattr(resonance, "_MAX_ITER", 0)
+            find_pole(st)
         assert str(info.value) == (f"root iteration failed after 0 steps from z = {seed}: "
                                    f"stopped at z = {stop} with |f| = {g1:.3g}")
         # eta has no root, so F has only its spurious fixed point l^2 = 4, the
@@ -254,11 +255,12 @@ class TestFindPole:
         assert n_fixed_point == fixed_point.diagnostics["eta_evaluations"] == 2 < len(calls)
         assert fixed_point.iterations == 0
 
-    def test_iteration_budget_exhausted(self, pole_08):
+    def test_iteration_budget_exhausted(self, pole_08, monkeypatch):
         res, st = pole_08
         assert res.iterations >= 1
+        monkeypatch.setattr(resonance, "_MAX_ITER", res.iterations - 1)
         with pytest.raises(ConvergenceError):
-            find_pole(st, max_iter=res.iterations - 1)
+            find_pole(st)
 
     def test_above_axis_result_rejected(self):
         with pytest.raises(ArithmeticError):
@@ -313,8 +315,9 @@ class TestRootDriver:
         if route is find_pole:
             monkeypatch.setattr(resonance, "eta_l",
                                 lambda z, state, diagnostics=None: z - root)
+        monkeypatch.setattr(resonance, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="root iteration failed"):
-            route(state4, max_iter=1)
+            route(state4)
 
 
 def test_determinant_seed_on_the_root_still_steps(state4, monkeypatch):

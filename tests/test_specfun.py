@@ -185,20 +185,21 @@ def test_series_arguments_past_700_refused_at_once():
 
 class TestKappaN:
     def test_below_threshold_real(self):
-        assert kappa_n(0.0, 2) == pytest.approx(2.0, abs=1e-15)
+        assert kappa_n(0.0, 2, first_sheet()) == pytest.approx(2.0, abs=1e-15)
 
     def test_above_threshold_first_sheet(self):
         # z = 2.5, n = 1: kappa = -i sqrt(1.5)
-        val = kappa_n(2.5, 1)
+        val = kappa_n(2.5, 1, first_sheet())
         assert val == pytest.approx(-1j * math.sqrt(1.5), abs=1e-14)
 
     def test_conjugation_symmetry(self):
         z = 1.5 + 0.1j
-        assert kappa_n(np.conj(z), 1) == pytest.approx(np.conj(kappa_n(z, 1)), abs=1e-15)
+        assert kappa_n(np.conj(z), 1, first_sheet()) == pytest.approx(
+            np.conj(kappa_n(z, 1, first_sheet())), abs=1e-15)
 
     def test_branch_point_rejected(self):
         with pytest.raises(BranchPointError):
-            kappa_n(4.0, 2)
+            kappa_n(4.0, 2, first_sheet())
 
     def test_re_kappa_positive_off_cut(self):
         rng = np.random.default_rng(7)
@@ -207,7 +208,7 @@ class TestKappaN:
             for n in (1, 2, 5):
                 if z.real >= n * n and abs(z.imag) < 1e-12:
                     continue
-                assert kappa_n(z, n).real > 0.0
+                assert kappa_n(z, n, first_sheet()).real > 0.0
 
 
 class TestImPositiveSqrt:
@@ -474,6 +475,18 @@ class TestAgainstMpmath:
         want = np.array([complex(mp.besseli(0, mp.mpc(v.real, v.imag))) for v in w])
         scale = np.exp(np.abs(w.real)) / np.sqrt(np.abs(w))
         assert np.max(np.abs(bessel_i0(w) - want) / scale) < 1e-14
+
+    def test_i0_off_its_series_up_to_re_700(self, mp):
+        # off the series (|w| - Re w > 2) |I0| grows like e^(Re w): Re w just
+        # below 700 is evaluated, and just past it refused before exp overflows
+        w = 699.9999 + np.array([60.0, 300.0, 2000.0]) * 1j
+        w = np.concatenate([w, -w, w.conj()])
+        want = np.array([complex(mp.besseli(0, mp.mpc(v.real, v.imag))) for v in w])
+        assert np.max(np.abs(bessel_i0(w) / want - 1.0)) < 1e-14
+        for v in (700.0001 + 60j, -700.0001 - 2000j):
+            with np.errstate(over="raise", invalid="raise"), \
+                    pytest.raises(ValueError, match=r"off its series .* past Re w = 700 "):
+                bessel_i0(v)
 
     def test_k0_and_i0_on_the_imaginary_axis(self, mp):
         w = 1j * np.geomspace(1e-3, 35.0, 60)

@@ -97,29 +97,24 @@ def test_scipy_surface_is_pinned():
 
 
 #: module.function or module.class -> its parameters with a default, or its
-#: dataclass fields given a value (40 in all)
+#: dataclass fields given a value (28 in all)
 SETTABLE = {
     "bs_operator._node_group": ("dist",),
     "bs_operator.singular_part_matrix": ("duffy_order", "group"),
     "bs_operator.mode_cutoff": ("tail_tol", "n_cut"),
-    "bs_operator._guarded_solve": ("diagnostics",),
-    "bs_operator.SystemState": ("tail_tol", "n_cut", "layout", "delta"),
+    "bs_operator.SystemState": ("n_cut", "layout", "delta"),
     "bs_operator.eta_l": ("diagnostics",),
-    "cli.RunConfig": ("seed", "surface_lines"),
+    "cli.RunConfig": ("seed",),
     "cli.main": ("argv",),
     "geometry.Surface": ("periodic2", "r_min"),
-    "greens.layer_green_modal": ("ctx", "n_max"),
-    "greens.calibrate_tail_constant": ("z", "rho", "n_max"),
+    "greens.layer_green_modal": ("n_max",),
     "resonance.pole_state": ("order", "tail_tol", "n_cut"),
-    "resonance.find_pole": ("seed", "tol", "max_iter"),
-    "resonance.find_determinant_root": ("seed", "tol", "max_iter"),
+    "resonance.find_pole": ("seed", "tol"),
+    "resonance.find_determinant_root": ("seed", "tol"),
     "resonance.sweep_delta": ("order", "tail_tol", "n_cut", "tol"),
-    "specfun._ascending_table": ("terms",),
-    "specfun._laguerre_rule": ("n",),
     "specfun.SheetContext": ("second",),
     "specfun.first_sheet": ("k",),
     "specfun.SpectralParams": ("xi_alpha",),
-    "specfun.kappa_n": ("ctx",),
 }
 
 
@@ -154,6 +149,29 @@ def test_settable_surface_is_pinned():
     found = {f"{path.stem}.{name}": names for path in SOURCES
              for name, names in _settable(ast.parse(path.read_text(encoding="utf-8"))).items()}
     assert found == SETTABLE
+
+
+def test_numerics_defaults_are_the_library_constants():
+    # each default has one definition; the config keys and the signatures
+    # hold that object itself, not a literal of the same value
+    keys = {key: default for (section, key), (_, default) in cli._KEYS.items()
+            if section == "numerics"}
+    assert keys["order"] is resonance.DEFAULT_ORDER
+    assert keys["tail_tol"] is bs_operator.TAIL_TOL
+    assert keys["root_tol"] is resonance.ROOT_TOL
+    expected = {
+        resonance.pole_state: {"order": resonance.DEFAULT_ORDER,
+                               "tail_tol": bs_operator.TAIL_TOL},
+        resonance.sweep_delta: {"order": resonance.DEFAULT_ORDER,
+                                "tail_tol": bs_operator.TAIL_TOL, "tol": resonance.ROOT_TOL},
+        resonance.find_pole: {"tol": resonance.ROOT_TOL},
+        resonance.find_determinant_root: {"tol": resonance.ROOT_TOL},
+        bs_operator.mode_cutoff: {"tail_tol": bs_operator.TAIL_TOL},
+    }
+    for function, defaults in expected.items():
+        parameters = inspect.signature(function).parameters
+        for name, constant in defaults.items():
+            assert parameters[name].default is constant, (function.__name__, name)
 
 
 #: traced calls that only ``validate`` mode or nothing at all makes
