@@ -312,6 +312,7 @@ def _metadata(config: RunConfig, extra: dict) -> list[str]:
 
 
 def _write_csv(path, header, rows, meta):
+    """Metadata, header and rows; each row is written as it is taken from ``rows``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in meta:
             fh.write(line + "\n")
@@ -363,9 +364,11 @@ def _plot_script(config: RunConfig) -> str:
 
 
 def _run_eigenvalues(config: RunConfig) -> int:
-    info = embedded_eigenvalues(config.params, range(config.n_min, config.n_max + 1))
-    rows = [(i.n, i.value, i.kind, -1 if i.window is None else i.window)
-            for i in info]
+    # one n at a time, so that the CSV writer streams the rows; _check has
+    # already refused every n of the range that would fail
+    rows = ((i.n, i.value, i.kind, -1 if i.window is None else i.window)
+            for n in range(config.n_min, config.n_max + 1)
+            for i in embedded_eigenvalues(config.params, (n,)))
     _emit(config, ("n", "eps_n", "class", "window"),
           rows, {"xi_alpha": config.params.xi_alpha})
     return 0

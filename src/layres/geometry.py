@@ -7,16 +7,20 @@ Every ``Surface`` checks on a dense parameter grid that it stays in the layer
 0 <= x3 <= pi, touching a wall at most on its rim, with a nondegenerate
 Jacobian, and searches its distance to the wire axis once (``r_min``, which
 must exceed 1e-6); a disk or rectangle that the axis crosses is refused in
-closed form first.  Only :func:`with_anchor` searches for x0 on the surface:
-the families put x0 there, and a delta-copy keeps it as its fixed point.
-Both searches are one zoom grid on numpy alone (:func:`_search_min`).
+closed form first.  A delta-copy (:func:`scale_surface`) is not checked
+again: the homothety keeps the layer, the walls and the Jacobian's sign, so
+only its r_min is searched, for every delta of a sweep in one batch.  Only
+:func:`with_anchor` searches for x0 on the surface: the families put x0
+there, and a delta-copy keeps it as its fixed point.  Every search is one
+zoom grid on numpy alone over a batch of residuals (:func:`_search_min`);
+a surface's r_min and :func:`with_anchor`'s distance are batches of one.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -115,7 +119,7 @@ def _validate_surface(surface: Surface) -> None:
     interior = pts[1:-1, 1:-1, 2]
     if interior.size and (np.any(interior <= tol) or np.any(interior >= LAYER_HEIGHT - tol)):
         raise SurfaceValidationError(f"surface {surface.name!r} touches a wall in its interior")
-    rmin = _search_min(surface, lambda p: np.hypot(p[..., 0], p[..., 1]))
+    (rmin,) = _search_min(surface, lambda p, _: _axis_distance(p), np.empty((1, 0))).tolist()
     if not rmin > 1e-6:
         raise SurfaceValidationError(f"surface {surface.name!r} touches the wire axis")
     object.__setattr__(surface, "r_min", rmin)
@@ -124,34 +128,67 @@ def _validate_surface(surface: Surface) -> None:
         raise SurfaceValidationError(f"surface {surface.name!r} has a degenerate Jacobian")
 
 
-def _search_min(surface: Surface, residual) -> float:
-    """min of residual(x(q)) over the domain, by a zoom grid on numpy alone.
+def _search_min(surface: Surface, residual, params: np.ndarray) -> np.ndarray:
+    """min of residual(x(q), c) over the domain for each row c of ``params``, by a zoom grid.
 
-    Start at the argmin of a 96 x 96 grid of the domain, with h one grid
-    step.  Then evaluate a 9 x 9 grid of +-h around the best point so far,
-    clipped to the domain, and divide h by 4 until it falls below 1e-15 of
-    the domain width.  No gradient is taken, so a minimum on the domain's
-    edge or corner, on a periodic seam, or at a kink (|x - x0| = 0) is found
-    like an interior one.  Returns the least value evaluated, so never more
-    than the grid minimum.
+    One search on numpy alone for a batch of B residuals.  Row b starts at
+    the argmin of residual(x, params[b]) over a 96 x 96 grid of the domain,
+    with h one grid step: x is evaluated once and the residual one row at a
+    time, so no (B, 96, 96) array is made.  Then every row evaluates a
+    9 x 9 grid of +-h around its best point so far, clipped to the domain,
+    in one param_map call of shape (B, 9, 9) with ``params`` reshaped to
+    (B, 1, 1, ...), and h is divided by 4 until it falls below 1e-15 of the
+    domain width.  Each row does the arithmetic of a search of its own: the
+    same grids, residuals and first argmin.  No gradient is taken, so a
+    minimum on the domain's edge or corner, on a periodic seam, or at a kink
+    (|x - x0| = 0) is found like an interior one.  Returns the least value
+    evaluated per row, so never more than the row's grid minimum.
     """
-    n = 96
+    n, m, size = 96, 9, len(params)
     g1, g2 = _param_grid(surface, n)
-    f = residual(surface.param_map(g1, g2))
-    k = np.argmin(f)
-    best, q = f.flat[k], np.array([g1.flat[k], g2.flat[k]])
+    pts = surface.param_map(g1, g2)
+    best, q = np.empty(size), np.empty((size, 2))
+    for b, c in enumerate(params):
+        f = residual(pts, c)
+        k = np.argmin(f)
+        best[b], q[b] = f.flat[k], (g1.flat[k], g2.flat[k])
     lo, hi = np.array(surface.domain, dtype=float).T
-    offsets = np.linspace(-1.0, 1.0, 9)
+    steps = np.outer(hi - lo, np.linspace(-1.0, 1.0, m))
+    batch = np.reshape(params, (size, 1, 1) + np.shape(params)[1:])
+    rows = np.arange(size)
     ratio = 1.0 / (n - 1)  # h / domain width
     while ratio >= 1e-15:
-        axes = np.clip(q[:, None] + ratio * np.outer(hi - lo, offsets), lo[:, None], hi[:, None])
-        z1, z2 = np.meshgrid(*axes, indexing="ij")
-        f = residual(surface.param_map(z1, z2))
-        k = np.argmin(f)
-        if f.flat[k] < best:
-            best, q = f.flat[k], np.array([z1.flat[k], z2.flat[k]])
+        axes = np.clip(q[:, :, None] + ratio * steps, lo[:, None], hi[:, None])
+        z1 = np.repeat(axes[:, 0, :, None], m, axis=2)
+        z2 = np.repeat(axes[:, 1, None, :], m, axis=1)
+        f = residual(surface.param_map(z1, z2), batch).reshape(size, -1)
+        k = f.argmin(axis=1)
+        fk = f[rows, k]
+        better = fk < best
+        best = np.where(better, fk, best)
+        q = np.where(better[:, None], np.stack([axes[rows, 0, k // m], axes[rows, 1, k % m]], 1), q)
         ratio /= 4.0
-    return float(best)
+    return best
+
+
+def _axis_distance(p: np.ndarray) -> np.ndarray:
+    """Distance of the points p (..., 2 or 3) to the wire axis x1 = x2 = 0."""
+    return np.hypot(p[..., 0], p[..., 1])
+
+
+def _axis_distances(surface: Surface, deltas: Sequence[float]) -> list[float]:
+    """r_min of the copy x -> delta x + (1 - delta) x0 of the surface, for each delta.
+
+    One :func:`_search_min` over the batch; the copy's points are made from
+    the surface's as :func:`scale_surface`'s map makes them, so each value is
+    the one the surface check of that copy alone finds.
+    """
+    x0 = surface.x0[:2]
+
+    def residual(p, delta):
+        return _axis_distance(delta * p[..., :2] + (1.0 - delta) * x0)
+
+    return _search_min(surface, residual, np.reshape(deltas, (-1, 1))).tolist()
 
 
 def _orthonormal_frame(normal: np.ndarray):
@@ -284,23 +321,45 @@ def with_anchor(surface: Surface, x0) -> Surface:
     s = copy.copy(surface)
     object.__setattr__(s, "x0", np.asarray(x0, dtype=float))
     scale = max(1.0, float(np.max(np.abs(s.param_map(*_param_grid(s, _CHECK_GRID))))))
-    if _search_min(s, lambda p: np.linalg.norm(p - s.x0, axis=-1)) > 1e-8 * scale:
+    (dist,) = _search_min(s, lambda p, a: np.linalg.norm(p - a, axis=-1), s.x0[None])
+    if dist > 1e-8 * scale:
         raise SurfaceValidationError(f"x0 of surface {s.name!r} does not lie on the surface")
     return s
 
 
-def scale_surface(surface: Surface, delta: float) -> Surface:
-    """Shrink the surface toward its anchor: x_delta(q) = delta x(q) + (1-delta) x0.
+def scale_surface(surface: Surface, deltas: Sequence[float]) -> Iterator[Surface]:
+    """The copies x_delta(q) = delta x(q) + (1-delta) x0 of the surface, in delta order.
 
-    The homothety keeps x0, stays in the (convex) layer and scales Jacobians
-    and areas by delta^2.  The copy is a new Surface, so it is checked in
-    full: the layer and wall grid, the r_min search and the Jacobian check.
+    The homothety keeps all that the surface check tests but r_min: the
+    layer is convex, so a copy stays in it; an interior point's x3 is
+    delta times one strictly between the walls plus (1 - delta) times x0's
+    in [0, pi], so it stays strictly between them; and the Jacobian is
+    scaled by delta^2 > 0.  So a copy is not checked again (delta = 1 gives
+    the surface itself).  The r_min of every other delta in (0, 1) is
+    searched at the call, in one batched search (:func:`_axis_distances`),
+    and the copies are made as the iterator reaches them: it refuses a
+    delta outside (0, 1], or a copy whose r_min is not above 1e-6 (it
+    touches the wire axis), only there, so a caller that checks each copy
+    before taking the next refuses in delta order.
+    """
+    deltas = list(deltas)
+    inside = [d for d in deltas if 0.0 < d < 1.0]
+    found = dict(zip(inside, _axis_distances(surface, inside))) if inside else {}
+    return (surface if d == 1.0 else _homothety(surface, d, found.get(d)) for d in deltas)
+
+
+def _homothety(surface: Surface, delta: float, rmin: float | None) -> Surface:
+    """The copy at ``delta``, whose r_min was searched, made without the surface check.
+
+    Made as :func:`with_anchor` makes its copy (copy.copy); a delta outside
+    (0, 1] and a copy that touches the wire axis are refused.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must satisfy 0 < delta <= 1")
-    if delta == 1.0:
-        return surface
-    x0 = surface.x0.copy()
+    name = f"{surface.name}@delta={delta:g}"
+    if not rmin > 1e-6:
+        raise SurfaceValidationError(f"surface {name!r} touches the wire axis")
+    x0 = surface.x0
     base_map, base_t1, base_t2 = surface.param_map, surface.tangent1, surface.tangent2
 
     def param_map(q1, q2):
@@ -312,9 +371,11 @@ def scale_surface(surface: Surface, delta: float) -> Surface:
     def tangent2(q1, q2):
         return delta * base_t2(q1, q2)
 
-    return Surface(name=f"{surface.name}@delta={delta:g}", param_map=param_map,
-                   tangent1=tangent1, tangent2=tangent2, domain=surface.domain, x0=x0,
-                   periodic2=surface.periodic2)
+    s = copy.copy(surface)
+    for key, value in (("name", name), ("param_map", param_map), ("tangent1", tangent1),
+                       ("tangent2", tangent2), ("r_min", rmin)):
+        object.__setattr__(s, key, value)
+    return s
 
 
 def build_quadrature(surface: Surface, order: int) -> QuadratureRule:
@@ -355,8 +416,10 @@ def build_quadrature(surface: Surface, order: int) -> QuadratureRule:
 def r_min(surface: Surface) -> float:
     """Minimum distance of the surface to the wire axis |x_perp| = 0.
 
-    Searched once when the surface is checked (``Surface.r_min``, by the zoom
-    grid of ``_search_min``); exact for the built-in analytic families at the
+    Searched once (``Surface.r_min``, by the zoom grid of ``_search_min``):
+    when the surface is checked, or, for a delta-copy, in the one batched
+    search of its :func:`scale_surface` call, which finds the value a search
+    on the copy alone finds.  Exact for the built-in analytic families at the
     1e-9 level, and never above the minimum over the 96 x 96 start grid.
     """
     return surface.r_min

@@ -130,17 +130,21 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
     Everything the arguments decide is refused before any n x n array
     exists: a discrete eps_l and then an order whose pair tables are too
     large (:func:`check_pair_tables`) before any rule, then, in delta order,
-    each delta-copy's surface check and :func:`mode_cutoff`.  Only then is
-    the pair layout of the order-``order`` rule on ``surface`` built, once,
-    and each state made with its :meth:`PairLayout.scaled` copy, one at a
-    time, so that each state and its Ewald tables are freed with its pole.
+    each delta-copy's axis refusal and :func:`mode_cutoff`.  The copies come
+    from one :func:`scale_surface` call, which searches the r_min of every
+    delta at once and checks nothing else of a copy (the homothety keeps the
+    rest of the surface check), and refuses a copy only when it is taken.
+    Only then is the pair layout of the order-``order`` rule on ``surface``
+    built, once, and each state made with its :meth:`PairLayout.scaled`
+    copy, one at a time, so that each state and its Ewald tables are freed
+    with its pole.
     """
     ctx = second_sheet(window_index(params.eigenvalue(l)))
     check_pair_tables(order)
     base_rule = build_quadrature(surface, order)
     copies = []
-    for d in deltas:
-        rule = base_rule if d == 1.0 else build_quadrature(scale_surface(surface, d), order)
+    for d, copy in zip(deltas, scale_surface(surface, deltas)):
+        rule = base_rule if d == 1.0 else build_quadrature(copy, order)
         copies.append((d, rule, mode_cutoff(rule, ctx, tail_tol, n_cut)))
     layout = pair_layout(base_rule)
     for d, rule, cut in copies:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,24 @@ class TestEigenvaluesMode:
         assert run(cfg) == 0
         assert out.read_bytes() == first
         assert b"\r" not in first
+
+    def test_long_listing_streams_its_rows(self, tmp_path):
+        # the rows are written as they are made: 8.1 MB of CSV at a memory
+        # peak far below the 49 MiB of a listing held whole before writing
+        out = tmp_path / "eig.csv"
+        cfg = parse_config(MINIMAL.replace("n_max = 5", "n_max = 200000")
+                           + f"[output]\npath = {out}\n")
+        tracemalloc.start()
+        try:
+            assert run(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        body = out.read_text(encoding="utf-8").split("n,eps_n,class,window\n")[1]
+        listing = resonance.embedded_eigenvalues(cfg.params, range(1, 200001))
+        assert body == "".join(f"{i.n},{i.value:.17g},{i.kind},{i.window or -1}\n"
+                               for i in listing)
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "eig.json"

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from layres import geometry
+from layres import cli, geometry, resonance
 from layres.geometry import (
     Surface,
     SurfaceValidationError,
@@ -16,6 +17,7 @@ from layres.geometry import (
     spherical_cap,
     with_anchor,
 )
+from layres.specfun import SpectralParams
 
 
 def make_disk(radius=0.5):
@@ -164,12 +166,12 @@ class TestScaling:
     def test_area_scales_quadratically(self, delta):
         s = make_disk()
         a0 = build_quadrature(s, 16).weights.sum()
-        a = build_quadrature(scale_surface(s, delta), 16).weights.sum()
+        a = build_quadrature(next(scale_surface(s, [delta])), 16).weights.sum()
         assert a == pytest.approx(delta**2 * a0, rel=1e-10)
 
     def test_anchor_is_fixed_point(self):
         s = with_anchor(make_disk(), (1.5, 0.0, 1.0))
-        sd = scale_surface(s, 0.25)
+        sd = next(scale_surface(s, [0.25]))
         # the anchor stays put; every other point contracts toward it
         q = build_quadrature(s, 6)
         qd = build_quadrature(sd, 6)
@@ -180,13 +182,13 @@ class TestScaling:
 
     def test_delta_one_is_identity(self):
         s = make_disk()
-        assert scale_surface(s, 1.0) is s
+        assert next(scale_surface(s, [1.0])) is s
 
     def test_invalid_delta(self):
         s = make_disk()
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                scale_surface(s, bad)
+                next(scale_surface(s, [bad]))
 
     def test_copy_reaching_the_axis_refused(self):
         # a non-convex base: shrinking toward x0 pulls the far side onto the
@@ -194,14 +196,14 @@ class TestScaling:
         s = half_cylinder()
         assert r_min(s) == pytest.approx(0.5, abs=1e-9)
         with pytest.raises(SurfaceValidationError, match="touches the wire axis"):
-            scale_surface(s, 0.5)
-        assert r_min(scale_surface(s, 0.9)) == pytest.approx(0.4, abs=1e-9)
-        assert r_min(scale_surface(s, 0.3)) == pytest.approx(0.2, abs=1e-9)
+            next(scale_surface(s, [0.5]))
+        assert r_min(next(scale_surface(s, [0.9]))) == pytest.approx(0.4, abs=1e-9)
+        assert r_min(next(scale_surface(s, [0.3]))) == pytest.approx(0.2, abs=1e-9)
 
     def test_scaling_cannot_escape_constraints(self):
         # anchor on the rim closest to the axis: shrinking keeps r_min positive
         s = with_anchor(make_disk(), (0.5, 0.0, 1.0))
-        sd = scale_surface(s, 0.1)
+        sd = next(scale_surface(s, [0.1]))
         assert r_min(sd) > 0.0
 
 
@@ -211,7 +213,7 @@ class TestRMin:
 
     def test_scaled_disk_r_min(self):
         # center fixed, rim contracts: r_min = 1 - 0.5 delta
-        sd = scale_surface(make_disk(), 0.2)
+        sd = next(scale_surface(make_disk(), [0.2]))
         assert r_min(sd) == pytest.approx(0.9, abs=1e-9)
 
     def test_offset_rectangle(self):
@@ -271,13 +273,88 @@ class TestChecksRunOnce:
 
         base, n = searches(make_disk)
         assert n == 1  # r_min; the anchor is the center by construction
-        copy, n = searches(lambda: scale_surface(base, 0.08))
-        assert n == 1  # only the copy's r_min
-        _, n = searches(lambda: r_min(copy))
+        copies, n = searches(lambda: list(scale_surface(base, DEFAULT_DELTAS)))
+        assert n == 1  # one batched r_min search for all 8 copies
+        _, n = searches(lambda: [r_min(c) for c in copies])
         assert n == 0
         anchored, n = searches(lambda: with_anchor(base, (1.5, 0.0, 1.0)))
         assert n == 1  # only the outside anchor; r_min is carried over
         assert r_min(anchored) == r_min(base)
+        _, n = searches(lambda: resonance.sweep_delta(2, DEFAULT_DELTAS, base,
+                                                      SpectralParams(0.0, 0.4), order=4))
+        assert n == 1  # a sweep of 8 deltas searches its copies once
+
+
+#: the CLI's default sweep, the 8 deltas of the acceptance and benchmark sweeps
+DEFAULT_DELTAS = cli._KEYS["surface", "deltas"][1]
+SWEEP_RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0, 1, 0),
+                             direction2=(0, 0, 1), length1=0.6, length2=0.6)
+
+
+class TestDeltaCopies:
+    """The copies of one ``scale_surface`` call: one batched r_min search, no other check."""
+
+    @pytest.mark.parametrize("surface", [make_disk(), SWEEP_RECT], ids=["disk", "rectangle"])
+    @pytest.mark.parametrize("deltas", [DEFAULT_DELTAS, (0.05, 0.1, 0.2, 0.4)],
+                             ids=["default", "rect-sweep"])
+    def test_batch_equals_one_delta_at_a_time(self, surface, deltas):
+        batch = [c.r_min for c in scale_surface(surface, deltas)]
+        assert batch == [next(scale_surface(surface, [d])).r_min for d in deltas]
+
+    @pytest.mark.parametrize("surface, deltas", [
+        (make_disk(), DEFAULT_DELTAS),
+        (disk(center=(1.0, 0.0, math.pi / 2), normal=(0.0, 0.0, 1.0), radius=0.5),
+         DEFAULT_DELTAS),
+        (SWEEP_RECT, DEFAULT_DELTAS + (0.05, 0.1, 0.2, 0.4)),
+        (spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=0.6, polar_angle=0.9),
+         DEFAULT_DELTAS + (0.5, 0.9)),
+        (spherical_cap(sphere_center=(1.0, 0.0, 1.0), radius=0.5, polar_angle=math.pi),
+         DEFAULT_DELTAS),
+        (with_anchor(make_disk(), (1.5, 0.0, 1.0)), DEFAULT_DELTAS + (0.25, 0.9)),
+        (with_anchor(make_disk(), (0.5, 0.0, 1.0)), DEFAULT_DELTAS + (0.1, 0.9)),
+        (half_cylinder(), (0.3, 0.9)),
+    ], ids=["disk", "midplane-disk", "rectangle", "cap", "sphere", "anchored-far-rim",
+            "anchored-near-rim", "half-cylinder"])
+    def test_full_check_passes_on_every_copy(self, surface, deltas):
+        # the homothety keeps the layer, the walls and the Jacobian's sign, so a
+        # copy is not checked again; the full check, run here, agrees
+        for copy in scale_surface(surface, deltas):
+            found = copy.r_min
+            geometry._validate_surface(copy)
+            assert copy.r_min == found
+
+    def test_batch_memory_is_one_start_grid(self):
+        def peak(deltas):
+            tracemalloc.start()
+            try:
+                list(scale_surface(make_disk(), deltas))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(DEFAULT_DELTAS) <= peak(DEFAULT_DELTAS[:1]) + 2**19
+
+    @pytest.mark.parametrize("deltas, message", [
+        ([0.3, 0.4, 0.499, 0.5], "n_cut = 27632 modes on 256 nodes \\(r_min = 0.001\\) need a "
+                                 "mode table of 7073792 entries; the limit is 5000000"),
+        ([0.3, 0.4, 0.5, 0.6], "surface 'half-cylinder@delta=0.5' touches the wire axis"),
+    ], ids=["mode-table-first", "axis"])
+    def test_sweep_refuses_the_first_faulty_delta(self, deltas, message):
+        # delta = 0.499 comes within 1e-3 of the wire and delta = 0.5 reaches it;
+        # the copies are refused one by one, so the first fault is named
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            resonance.sweep_delta(2, deltas, half_cylinder(), SpectralParams(0.0, 0.4),
+                                  order=16)
+
+    def test_refusal_waits_for_its_copy(self):
+        copies = scale_surface(half_cylinder(), [0.3, 0.5, 1.5])
+        assert next(copies).r_min == pytest.approx(0.2, abs=1e-9)
+        with pytest.raises(SurfaceValidationError, match="touches the wire axis"):
+            next(copies)
+        copies = scale_surface(half_cylinder(), [0.9, 1.5, 0.5])
+        next(copies)
+        with pytest.raises(ValueError, match="delta must satisfy"):
+            next(copies)
 
 
 class TestTabulated:
