@@ -8,8 +8,12 @@ singularity subtraction: the non-smooth 1/(4 pi r) - z r/(8 pi) part is
 integrated semi-analytically over the surface (apex-Duffy transform in
 parameter space) and the C^2 remainder enters at its diagonal limit.
 
-The wire enters through the mode vectors w_n(z) = omega_n(z)|_Sigma, all
-retained modes from one call of :func:`mode_vector`.
+The wire enters through the mode vectors w_n(z) = omega_n(z)|_Sigma.  An
+evaluation of eta_l takes all of them, the rank sum's and w_l, from one
+table, one call of :func:`mode_vector` (:func:`mode_table`).  The rank sum
+keeps the modes up to :func:`mode_cutoff`, past which its terms
+Gamma_n^(-1) w_n w_n^T, products of two factors e^(-kappa_n r_min), have
+decayed below TAIL_TOL.
 
 Pairing convention (consequential): the pairings written (w_n(zbar), . ) are
 implemented as the *bilinear* form sum_i w_i u_i v_i without conjugation,
@@ -42,6 +46,7 @@ __all__ = [
     "pair_layout",
     "assemble_free",
     "mode_vector",
+    "mode_table",
     "assemble_A_l",
     "assemble_alpha",
     "eta_l",
@@ -50,7 +55,8 @@ __all__ = [
     "TAIL_TOL",
 ]
 
-#: default bound on the mode tail e^(-n r_min) that the mode cutoff drops
+#: default bound on e^(-2 kappa_n r_min), the size of the first rank-sum term
+#: that the mode cutoff drops
 TAIL_TOL = 1e-12
 
 #: A 1-norm condition number above this means M_l = I - beta (R_SigmaSigma + A_l) is
@@ -588,18 +594,24 @@ def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.nd
     return specfun.z0_kernel(z, n, rho, ctx)[at_rho] * chi_n(n, x3)[at_x3] / (2.0 * math.pi)
 
 
-def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, tail_tol: float = TAIL_TOL,
-                n_cut: int | None = None) -> int:
+def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, eps_l: float,
+                tail_tol: float = TAIL_TOL, n_cut: int | None = None) -> int:
     """Mode cutoff of the rank sums on ``rule``: ``n_cut``, checked, or one from ``tail_tol``.
 
-    Without ``n_cut`` it is max(k + 40, ceil(-ln tail_tol / r_min)), where
-    the mode tail e^(-n r_min) falls below tail_tol.  On the second sheet an
-    ``n_cut`` below k is refused, and so is any cutoff whose mode table
-    would hold more than _MAX_TABLE_ENTRIES entries.
+    A rank-sum term Gamma_n^(-1) w_n w_n^T is a product of two mode vectors,
+    each of size about e^(-kappa_n r_min) (K0(x) ~ sqrt(pi/2x) e^(-x),
+    Abramowitz & Stegun 9.7.2), with kappa_n = sqrt(n^2 - eps_l) at the
+    pole.  Without ``n_cut`` the cutoff is the smallest whose first dropped
+    mode has e^(-2 kappa r_min) <= tail_tol, in closed form
+    ceil(sqrt(max(eps_l, 0) + (L / 2 r_min)^2)) - 1 with L = -ln tail_tol,
+    and at least k and 1.  A negative eps_l (eps_1 on the first sheet) has
+    kappa_n >= n, so 0 in its place keeps enough modes.  On the second
+    sheet an ``n_cut`` below k is refused, and so is any cutoff whose mode
+    table would hold more than _MAX_TABLE_ENTRIES entries.
     """
     if n_cut is None:
-        rmin = geometry.r_min(rule.surface)
-        n_cut = max(ctx.k + 40, int(math.ceil(-math.log(tail_tol) / rmin)))
+        tail = -math.log(tail_tol) / (2.0 * geometry.r_min(rule.surface))
+        n_cut = max(ctx.k, 1, math.ceil(math.sqrt(max(eps_l, 0.0) + tail * tail)) - 1)
     elif ctx.second and n_cut < ctx.k:
         raise ValueError(f"n_cut = {n_cut} is below the window index k = "
                          f"{ctx.k}: it would drop open channels")
@@ -612,13 +624,25 @@ def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, tail_tol: float = TAIL_
     return n_cut
 
 
-def _rank_sum(z, state: SystemState, modes: np.ndarray):
-    """sum_n Gamma_n(z)^(-1) w_n w_n^T as one product (W / g) W^T, W = [w_n].
+def mode_table(z: complex, state: SystemState) -> np.ndarray:
+    """w_n(z) for n = 1 .. max(n_cut, l), column n - 1: one :func:`mode_vector` call.
 
-    A mode vector above _MODE_VECTOR_MAX is refused before the product
-    squares it.  Only an open mode n <= k can get there: on the second sheet
-    its i pi I0(-kappa_n rho) grows like e^(Re kappa_n rho), which a z far
-    from the real axis makes large; every other w_n decays in rho.
+    The rank sum of A_l takes its columns n <= n_cut, n != l, and w_l is
+    column l - 1, also where a given n_cut lies below l.
+    """
+    return mode_vector(z, np.arange(1, max(state.n_cut, state.l) + 1), state.rule, state.ctx)
+
+
+def _rank_sum(z, state: SystemState, modes: np.ndarray, w: np.ndarray):
+    """sum_n Gamma_n(z)^(-1) w_n w_n^T as one product (W / g) W^T, W = ``w``.
+
+    ``w`` holds the mode vectors of ``modes`` as columns, C-contiguous like
+    a table of :func:`mode_vector`: BLAS sums a strided operand in another
+    order.  A mode on its eigenvalue is refused first, then a mode vector
+    above _MODE_VECTOR_MAX, before the product squares it.  Only an
+    open mode n <= k can get there: on the second sheet its
+    i pi I0(-kappa_n rho) grows like e^(Re kappa_n rho), which a z far from
+    the real axis makes large; every other w_n decays in rho.
     """
     g = gamma_n(z, modes, state.ctx, state.params)
     small = np.abs(g) < _GAMMA_FLOOR
@@ -626,7 +650,6 @@ def _rank_sum(z, state: SystemState, modes: np.ndarray):
         k = int(np.argmax(small))
         raise PoleCollisionError(f"Gamma_{modes[k]}(z) = {g[k]:.3e} at z = {z}; "
                                  f"mode {modes[k]} sits on its eigenvalue")
-    w = mode_vector(z, modes, state.rule, state.ctx)
     open_ = modes <= state.ctx.k
     size = np.max(np.abs(w[:, open_]), axis=0, initial=0.0)
     if np.any(size > _MODE_VECTOR_MAX):
@@ -637,15 +660,21 @@ def _rank_sum(z, state: SystemState, modes: np.ndarray):
     return (w / g) @ w.T * state.rule.weights
 
 
-def assemble_A_l(z: complex, state: SystemState) -> np.ndarray:
-    """Nystrom matrix of A_l(z) = sum_{n != l} Gamma_n(z)^(-1) <w_n, . > w_n over n <= n_cut."""
+def assemble_A_l(z: complex, state: SystemState, table: np.ndarray) -> np.ndarray:
+    """Nystrom matrix of A_l(z) = sum_{n != l} Gamma_n(z)^(-1) <w_n, . > w_n over n <= n_cut.
+
+    ``table`` is the :func:`mode_table` of ``state`` at z.
+    """
     modes = np.arange(1, state.n_cut + 1)
-    return _rank_sum(z, state, modes[modes != state.l])
+    keep = modes != state.l
+    return _rank_sum(z, state, modes[keep], table[:, :state.n_cut].compress(keep, axis=1))
 
 
 def assemble_alpha(z: complex, state: SystemState) -> np.ndarray:
     """Nystrom matrix of R_alpha = R_SigmaSigma + sum_{n <= n_cut} Gamma_n^(-1) <w_n, .> w_n."""
-    return assemble_free(z, state) + _rank_sum(z, state, np.arange(1, state.n_cut + 1))
+    modes = np.arange(1, state.n_cut + 1)
+    return assemble_free(z, state) + _rank_sum(
+        z, state, modes, mode_vector(z, modes, state.rule, state.ctx))
 
 
 def _guarded_solve(e, rhs, diagnostics: dict | None):
@@ -705,7 +734,7 @@ class SystemState:
         if self.ctx.second and not lo < eps_l < hi:
             raise ValueError(f"l = {self.l}: eps_l = {eps_l} lies outside the window "
                              f"J_{self.ctx.k} = ({lo:g}, {hi:g}) of the second sheet")
-        self.n_cut = mode_cutoff(self.rule, self.ctx, n_cut=self.n_cut)
+        self.n_cut = mode_cutoff(self.rule, self.ctx, eps_l, n_cut=self.n_cut)
         if self.layout is None:
             self.layout = pair_layout(self.rule)
 
@@ -733,10 +762,16 @@ def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> co
     params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
     gl = gamma_n(z, l, ctx, params)
     beta = params.beta
+    table = mode_table(z, state)
+    # a copy, so that the table is freed before the Ewald kernel's
+    # temporaries, the memory peak of an eta_l
+    w_l = table[:, l - 1].copy()
     # the rank sum first: its mode vectors refuse a z out of range before
     # the Ewald kernel overflows on it
-    e = beta * (assemble_A_l(z, state) + assemble_free(z, state))
-    w_l = mode_vector(z, l, rule, ctx)
+    e = assemble_A_l(z, state, table)
+    del table
+    e += assemble_free(z, state)
+    e *= beta
     t_w = _guarded_solve(e, w_l, diagnostics)
     return gl - beta * complex(np.sum(rule.weights * w_l * t_w))
 

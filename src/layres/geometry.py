@@ -316,10 +316,14 @@ def spherical_cap(sphere_center, radius: float, polar_angle: float) -> Surface:
 def with_anchor(surface: Surface, x0) -> Surface:
     """The checked surface, r_min included, with another scaling anchor.
 
-    Only the distance of x0 to the surface is searched; it must be ~0.
+    x0 must be finite, and then only its distance to the surface is
+    searched; it must be ~0.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise SurfaceValidationError(f"x0 = {x0} of surface {surface.name!r} is not finite")
     s = copy.copy(surface)
-    object.__setattr__(s, "x0", np.asarray(x0, dtype=float))
+    object.__setattr__(s, "x0", x0)
     scale = max(1.0, float(np.max(np.abs(s.param_map(*_param_grid(s, _CHECK_GRID))))))
     (dist,) = _search_min(s, lambda p, a: np.linalg.norm(p - a, axis=-1), s.x0[None])
     if dist > 1e-8 * scale:

@@ -18,7 +18,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bs_operator import TAIL_TOL, SystemState, assemble_A_l, assemble_free, \
-    bs_determinant, check_pair_tables, eta_l, mode_cutoff, mode_vector, pair_layout
+    bs_determinant, check_pair_tables, eta_l, mode_cutoff, mode_table, mode_vector, \
+    pair_layout
 from .geometry import Surface, build_quadrature, scale_surface
 from .greens import chi_n
 from .specfun import SpectralParams, gamma_n, second_sheet
@@ -139,13 +140,14 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
     copy, one at a time, so that each state and its Ewald tables are freed
     with its pole.
     """
-    ctx = second_sheet(window_index(params.eigenvalue(l)))
+    eps_l = params.eigenvalue(l)
+    ctx = second_sheet(window_index(eps_l))
     check_pair_tables(order)
     base_rule = build_quadrature(surface, order)
     copies = []
     for d, copy in zip(deltas, scale_surface(surface, deltas)):
         rule = base_rule if d == 1.0 else build_quadrature(copy, order)
-        copies.append((d, rule, mode_cutoff(rule, ctx, tail_tol, n_cut)))
+        copies.append((d, rule, mode_cutoff(rule, ctx, eps_l, tail_tol, n_cut)))
     layout = pair_layout(base_rule)
     for d, rule, cut in copies:
         yield SystemState(params, rule, ctx, l, n_cut=cut, layout=layout.scaled(d), delta=d)
@@ -291,13 +293,15 @@ def mu_lowest_order(state: SystemState) -> complex:
     which is what the expansion of theta_l actually produces; for n > k they
     coincide with the modulus squares, for the open channels n <= k the
     difference feeds the imaginary part.  The two beta-terms are
-    (w_l, (R_SigmaSigma + A_l) w_l), from the matrices that eta_l solves with.
+    (w_l, (R_SigmaSigma + A_l) w_l), from the matrices that eta_l solves with,
+    and w_l is taken from the same mode table as A_l.
     """
-    params, rule, ctx, l = state.params, state.rule, state.ctx, state.l
+    params, rule, l = state.params, state.rule, state.l
     beta = params.beta
     eps_l = complex(params.eigenvalue(l))
-    w_l = mode_vector(eps_l, l, rule, ctx)
-    a = assemble_free(eps_l, state) + assemble_A_l(eps_l, state)
+    table = mode_table(eps_l, state)
+    w_l = table[:, l - 1]
+    a = assemble_free(eps_l, state) + assemble_A_l(eps_l, state, table)
     return 4.0 * math.pi * params.xi_alpha * beta * complex(
         np.sum(rule.weights * w_l * (w_l + beta * (a @ w_l))))
 

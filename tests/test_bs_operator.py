@@ -21,6 +21,7 @@ from layres.bs_operator import (
     bs_determinant,
     eta_l,
     mode_cutoff,
+    mode_table,
     mode_vector,
     pair_layout,
     singular_part_matrix,
@@ -46,6 +47,9 @@ CAP = spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=0.6, polar_angle=0.9)
 RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0.0, 1.0, 0.0),
                        direction2=(0.0, 0.0, 1.0), length1=0.6, length2=0.6)
 TILTED = disk(center=(1.0, 0.0, 1.0), normal=(1.0, 0.0, 1.0), radius=0.5)
+#: 4.3 from the wire; alpha = 0.3 puts eps_2 = 3.97 just below the top of J_1
+FAR_DISK = disk(center=(4.8, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
+FAR_PARAMS = SpectralParams(alpha=0.3, beta=0.4)
 FLAT_RECT = rectangle_patch(center=(1.0, 0.0, 1.0), direction1=(1.0, 0.0, 0.0),
                             direction2=(0.0, 1.0, 0.0), length1=0.6, length2=0.4)
 #: neither side is horizontal, so no reflection keeps x3
@@ -175,6 +179,16 @@ def _rel_max(a, b):
 def _state(rule, ctx=None, l=1, **kwargs):
     """State of eps_l on ``rule``; the first sheet by default."""
     return SystemState(PARAMS, rule, ctx or first_sheet(), l, **kwargs)
+
+
+def _a_l(z, state):
+    """A_l of ``state`` at z from its own mode table, as eta_l assembles it."""
+    return assemble_A_l(z, state, mode_table(z, state))
+
+
+def _term(n, eps_l, r_min):
+    """e^(-2 kappa_n r_min), the size of the rank-sum term of mode n."""
+    return math.exp(-2.0 * math.sqrt(n * n - eps_l) * r_min)
 
 
 @pytest.fixture(scope="module")
@@ -617,7 +631,7 @@ class TestRankSums:
         st = _state(rule, ctx, 2, n_cut=12)
         full = assemble_alpha(-2.0, st)
         free = assemble_free(-2.0, st)
-        a_2 = assemble_A_l(-2.0, st)
+        a_2 = _a_l(-2.0, st)
         assert np.max(np.abs((full - free - a_2) / rule.weights)) < 1e-13
 
     def test_a_l_norm_scales_with_area(self):
@@ -625,13 +639,13 @@ class TestRankSums:
         norms = []
         for d in deltas:
             r = build_quadrature(next(scale_surface(DISK, [d])), 6)
-            norms.append(_op_norm(assemble_A_l(-2.0, _state(r, n_cut=20)), r.weights))
+            norms.append(_op_norm(_a_l(-2.0, _state(r, n_cut=20)), r.weights))
         slope = np.polyfit(np.log(deltas), np.log(norms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_rank_bound(self):
         rule = build_quadrature(SMALL, 6)
-        op = assemble_A_l(-2.0, _state(rule, n_cut=15))
+        op = _a_l(-2.0, _state(rule, n_cut=15))
         rank = np.linalg.matrix_rank(op / rule.weights, tol=1e-13)
         assert rank <= 14
 
@@ -647,7 +661,7 @@ class TestRankSums:
         rule = build_quadrature(RECT, 6)
         ctx = second_sheet(2)
         z = PARAMS.eigenvalue(3) - 0.002 - 1e-4j
-        got = assemble_A_l(z, _state(rule, ctx, 3, n_cut=60)) / rule.weights
+        got = _a_l(z, _state(rule, ctx, 3, n_cut=60)) / rule.weights
         want = np.zeros((rule.n_nodes, rule.n_nodes), dtype=complex)
         for n in range(1, 61):
             if n != 3:
@@ -655,16 +669,48 @@ class TestRankSums:
                 want += np.multiply.outer(w, w) / gamma_n(z, n, ctx, PARAMS)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-14
 
-    @pytest.mark.parametrize("surface, delta, k, expected", [
-        (RECT, 1.0, 2, 277), (RECT, 0.4, 2, 277), (RECT, 0.05, 2, 277),
-        (DISK, 1.0, 1, 56), (DISK, 0.08, 1, 41), (TILTED, 1.0, 1, 43),
+    @pytest.mark.parametrize("surface, delta, params, l, k, expected", [
+        (RECT, 1.0, PARAMS, 3, 2, 138), (RECT, 0.4, PARAMS, 3, 2, 138),
+        (RECT, 0.05, PARAMS, 3, 2, 138), (DISK, 1.0, PARAMS, 2, 1, 27),
+        (DISK, 0.08, PARAMS, 2, 1, 14), (TILTED, 1.0, PARAMS, 2, 1, 21),
+        # at delta = 0.2, e^(-2 n r_min) would drop mode 3, but kappa_3 = 2.24 keeps it
+        (FAR_DISK, 1.0, FAR_PARAMS, 2, 1, 3), (FAR_DISK, 0.2, FAR_PARAMS, 2, 1, 3),
     ], ids=["rectangle-1", "rectangle-0.4", "rectangle-0.05", "disk-1", "disk-0.08",
-            "tilted-1"])
-    def test_default_mode_cutoff(self, surface, delta, k, expected):
-        # ceil(-ln 1e-12 / r_min), at least k + 40: one mode more or less moves a
-        # pole by about exp(-n_cut r_min), below what the pole gates resolve
+            "tilted-1", "far-1", "far-0.2"])
+    def test_default_mode_cutoff(self, surface, delta, params, l, k, expected):
+        # a rank-sum term is a product of two factors e^(-kappa_n r_min): the
+        # cutoff is the smallest whose first dropped term has
+        # e^(-2 kappa r_min) <= 1e-12, below what the pole gates resolve
         rule = build_quadrature(next(scale_surface(surface, [delta])), 4)
-        assert mode_cutoff(rule, second_sheet(k), tail_tol=1e-12) == expected
+        eps_l = params.eigenvalue(l)
+        n_cut = mode_cutoff(rule, second_sheet(k), eps_l, tail_tol=1e-12)
+        assert n_cut == expected
+        r_min = rule.surface.r_min
+        assert _term(n_cut + 1, eps_l, r_min) <= 1e-12 < _term(n_cut, eps_l, r_min)
+
+    def test_negative_eigenvalue_far_from_the_wire(self):
+        # eps_1 = -0.26 on the first sheet, r_min = 100.5: kappa_n >= n, so the
+        # cutoff takes max(eps_1, 0) and never the root of a negative number
+        far = disk(center=(101.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
+        rule = build_quadrature(far, 4)
+        eps_1 = PARAMS.eigenvalue(1)
+        assert eps_1 < 0.0 and rule.surface.r_min >= 100.0
+        n_cut = mode_cutoff(rule, first_sheet(), eps_1)
+        assert n_cut == 1
+        assert _term(2, eps_1, rule.surface.r_min) <= 1e-12
+
+    def test_cutoff_next_to_the_wire_is_closed_form(self):
+        # r_min = 1e-5 asks for n_cut = 1381551, which a search mode by mode
+        # would reach only after as many steps; the refusal names the value
+        near = disk(center=(0.50001, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
+        rule = build_quadrature(near, 4)
+        eps_2 = PARAMS.eigenvalue(2)
+        with pytest.raises(ValueError, match="need a mode table") as info:
+            mode_cutoff(rule, second_sheet(1), eps_2)
+        n_cut = int(str(info.value).split()[2])
+        assert n_cut == 1381551
+        r_min = rule.surface.r_min
+        assert _term(n_cut + 1, eps_2, r_min) <= 1e-12 < _term(n_cut, eps_2, r_min)
 
 
 class TestEtaL:
@@ -698,12 +744,66 @@ class TestEtaL:
 
     def test_ill_conditioned_guard(self, rule12, state12):
         # beta = 1 / lambda_max(R + A_1) makes M_1 = I - beta (R + A_1) singular
-        op = assemble_free(-5.0, state12) + assemble_A_l(-5.0, state12)
+        op = assemble_free(-5.0, state12) + _a_l(-5.0, state12)
         lam = np.linalg.eigvals(op).real.max()
         st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12, first_sheet(), 1,
                          layout=state12.layout)
         with pytest.raises(IllConditionedError, match=r"I - beta \(R_SigmaSigma \+ A_l\)"):
             eta_l(-5.0, st)
+
+    def test_one_mode_table_per_eta(self, small_state, monkeypatch):
+        # the rank sum's mode vectors and w_l come from one mode_vector call
+        calls = []
+        real = bs_operator.mode_vector
+
+        def counted(z, n, *args):
+            calls.append(np.asarray(n))
+            return real(z, n, *args)
+
+        monkeypatch.setattr(bs_operator, "mode_vector", counted)
+        eta_l(PARAMS.eigenvalue(2) - 0.001 - 1e-4j, small_state)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.arange(1, small_state.n_cut + 1))
+
+    @staticmethod
+    def _explicit_states():
+        """(state, z): a disk, a rectangle, and the rectangle's n_cut = 2 below l = 3."""
+        rect = build_quadrature(next(scale_surface(RECT, [0.2])), 4)
+        z3 = PARAMS.eigenvalue(3) - 0.002 - 1e-4j
+        return [(SystemState(PARAMS, build_quadrature(SMALL, 8), second_sheet(1), 2,
+                             n_cut=20), PARAMS.eigenvalue(2) - 0.001 - 1e-4j),
+                (SystemState(PARAMS, rect, second_sheet(2), 3, n_cut=60), z3),
+                (SystemState(PARAMS, rect, second_sheet(2), 3, n_cut=2), z3)]
+
+    def test_w_l_is_column_l_of_the_table(self, monkeypatch):
+        # the right-hand side of the guarded solve is w_l itself, also where
+        # the table reaches past n_cut to hold it
+        seen = []
+        real = bs_operator._guarded_solve
+
+        def recorded(e, rhs, diagnostics):
+            seen.append(rhs)
+            return real(e, rhs, diagnostics)
+
+        monkeypatch.setattr(bs_operator, "_guarded_solve", recorded)
+        for st, z in self._explicit_states():
+            eta_l(z, st)
+            assert np.array_equal(seen.pop(), mode_vector(z, st.l, st.rule, st.ctx))
+
+    def test_one_table_matches_two_calls_bitwise(self):
+        # eta_l from one table equals, bit for bit, eta_l assembled from one
+        # mode_vector call for the rank sum's modes n != l and one for w_l
+        for st, z in self._explicit_states():
+            params, rule, ctx, l = st.params, st.rule, st.ctx, st.l
+            modes = np.arange(1, st.n_cut + 1)
+            modes = modes[modes != l]
+            a_l = bs_operator._rank_sum(z, st, modes, mode_vector(z, modes, rule, ctx))
+            e = params.beta * (a_l + assemble_free(z, st))
+            w_l = mode_vector(z, l, rule, ctx)
+            t_w = bs_operator._guarded_solve(e, w_l, None)
+            want = gamma_n(z, l, ctx, params) - params.beta * complex(
+                np.sum(rule.weights * w_l * t_w))
+            assert eta_l(z, st) == want
 
     def test_tables_built_once_per_state(self, monkeypatch):
         # the pairs, the coincident ones included, are tabulated in one table
@@ -761,7 +861,7 @@ class TestEtaL:
         assert calls == ["solve"]
         key = "cond[I - beta (R_SigmaSigma + A_l)]"
         assert list(diagnostics) == [key]
-        e = PARAMS.beta * (assemble_free(z, small_state) + assemble_A_l(z, small_state))
+        e = PARAMS.beta * (assemble_free(z, small_state) + _a_l(z, small_state))
         enorm = np.linalg.norm(e, 1)
         assert enorm < 1.0
         exact = np.linalg.cond(np.eye(len(e)) - e, 1)
@@ -771,7 +871,7 @@ class TestEtaL:
         # beta = -2 / lambda_max(R + A_1): ||E||_1 >= 2 certifies nothing, yet
         # M_1 = I + 2 (R + A_1) / lambda_max is well conditioned, since R + A_1
         # is positive definite below the spectrum
-        op = assemble_free(-5.0, state12) + assemble_A_l(-5.0, state12)
+        op = assemble_free(-5.0, state12) + _a_l(-5.0, state12)
         lam = np.linalg.eigvals(op).real.max()
         params = SpectralParams(alpha=0.0, beta=-2.0 / lam)
         st = SystemState(params, rule12, first_sheet(), 1, layout=state12.layout)
@@ -803,7 +903,7 @@ class TestDeterminant:
         n = rule.n_nodes
         eye = np.eye(n, dtype=complex)
         free = assemble_free(z, st)
-        a_l = assemble_A_l(z, st)
+        a_l = _a_l(z, st)
         r_a = assemble_alpha(z, st)
         lu_b = lu_factor(eye - beta * free)
         g_a = lu_solve(lu_b, a_l)
@@ -834,7 +934,7 @@ class TestDeterminant:
         rule, ctx, params, beta, l = st.rule, st.ctx, st.params, st.params.beta, st.l
         eye = np.eye(rule.n_nodes)
         free = assemble_free(z, st)
-        m_l = eye - beta * (free + assemble_A_l(z, st))
+        m_l = eye - beta * (free + _a_l(z, st))
         r_a = assemble_alpha(z, st)
         lhs = gamma_n(z, l, ctx, params) * np.linalg.det(eye - beta * r_a)
         rhs = eta_l(z, st) * np.linalg.det(m_l)

@@ -676,12 +676,12 @@ class TestMain:
 
     @pytest.mark.parametrize("surface, numerics, n_cut", [
         (DISK_SURFACE.replace("1.0 0.0 1.0", "0.50001 0.0 1.0") + "delta = 1\n", "",
-         "2763103"),
+         "1381551"),
         (DISK_SURFACE, "n_cut = 1000000000\n", "1000000000"),
     ], ids=["disk-next-to-the-wire", "n_cut-override"])
     def test_oversized_mode_table_exit_one(self, tmp_path, capsys, monkeypatch,
                                            surface, numerics, n_cut):
-        # the refused tables would take 0.7 and 256 GB; no eta_l is evaluated
+        # the refused tables would take 0.35 and 256 GB; no eta_l is evaluated
         def no_pole(*args, **kwargs):
             raise AssertionError("a pole was computed")
 
@@ -713,8 +713,8 @@ class TestMain:
                       + f"{delta_line}\n[numerics]\norder = 4\n")
         assert main([mode, "--config", path, "--output", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: n_cut = 2763103 modes on 16 nodes (r_min = ")
-        assert "need a mode table of 44209648 entries; the limit is 5000000" in err
+        assert err.startswith("error: n_cut = 1381551 modes on 16 nodes (r_min = ")
+        assert "need a mode table of 22104816 entries; the limit is 5000000" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("order, refused", [(48, True), (47, False), (2000, True)])

@@ -45,11 +45,13 @@ def test_compare_outputs(tmp_path, capsys, fmt):
     out = capsys.readouterr().out
     if fmt == "csv":
         assert "column delta: max |delta| = 0\n" in out
-        assert "column im_z: max |delta| = inf\n" in out  # nan in one file only
+        # nan in one file only
+        assert "column im_z: max |delta| = inf, max |delta|/|A| = inf\n" in out
         assert "column status: 1 of 2 rows differ\n" in out
         assert "config path" not in out
     else:
-        assert out == "column delta: max |delta| = 0\ncolumn im_z: max |delta| = inf\n"
+        assert out == ("column delta: max |delta| = 0\n"
+                       "column im_z: max |delta| = inf, max |delta|/|A| = inf\n")
 
 
 def test_tolerance(tmp_path, capsys):
@@ -72,7 +74,8 @@ def test_tolerance(tmp_path, capsys):
     b.write_text(b_text.replace("0.04,2.7391,nan,failed", "0.04,2.7391,-1e-12,ok")
                  + "0.06,2.7,0,ok\n")
     assert compare_outputs.main(["--tol", "1", str(a), str(b)]) == 1
-    assert capsys.readouterr().out == ("rows: 2 vs 3\ncolumn im_z: max |delta| = inf\n"
+    assert capsys.readouterr().out == ("rows: 2 vs 3\n"
+                                       "column im_z: max |delta| = inf, max |delta|/|A| = inf\n"
                                        "column status: 1 of 2 rows differ\n")
 
 
@@ -90,7 +93,7 @@ def test_directories(tmp_path, capsys):
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out == (
         "== a.csv\nidentical\n== b.json\ncolumn delta: max |delta| = 0\n"
-        "column im_z: max |delta| = 2.58e-13\n"
+        "column im_z: max |delta| = 2.58e-13, max |delta|/|A| = 0.00799\n"
         f"== c.csv\nmissing in {b}\n")
     (a / "c.csv").unlink()
     assert compare_outputs.main(["--tol", "1e-12", str(a), str(b)]) == 0
@@ -98,3 +101,25 @@ def test_directories(tmp_path, capsys):
     with pytest.raises(SystemExit):
         compare_outputs.main([str(a), str(a / "a.csv")])
     assert "both be directories" in capsys.readouterr().err
+
+
+def test_relative_width_moves(tmp_path, capsys):
+    # the largest relative move of a width can sit in another row than its
+    # largest absolute move; --tol still bounds the absolute one
+    head = "# layres 0.1.0\n# config path = {}\ndelta,im_z,im_mu,re_z\n"
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(head.format(a) + "0.02,-1e-10,-2e-10,2.7\n0.04,-1e-20,-3e-20,2.8\n")
+    b.write_text(head.format(b) + "0.02,-1.0000000001e-10,-2e-10,2.7000000000000006\n"
+                 "0.04,-1.01e-20,0,2.8\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "column delta: max |delta| = 0\n"
+        "column im_z: max |delta| = 1e-20, max |delta|/|A| = 0.01\n"
+        "column im_mu: max |delta| = 3e-20, max |delta|/|A| = 1\n"
+        "column re_z: max |delta| = 4.44e-16\n")
+    assert compare_outputs.main(["--tol", "1e-15", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "agree within 1e-15\n"
+    assert compare_outputs.main(["--tol", "1e-20", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "column im_mu: max |delta| = 3e-20, max |delta|/|A| = 1\n"
+        "column re_z: max |delta| = 4.44e-16\n")

@@ -103,6 +103,16 @@ class TestFactories:
         with pytest.raises(SurfaceValidationError, match="does not lie on the surface"):
             with_anchor(make_disk(), anchor)
 
+    @pytest.mark.parametrize("anchor", [(math.nan, 0.0, 1.0), (1.2, math.nan, 1.0),
+                                        (1.2, 0.0, math.nan), (math.inf, 0.0, 1.0)],
+                             ids=["nan-x1", "nan-x2", "nan-x3", "inf-x1"])
+    def test_non_finite_anchor_rejected(self, anchor):
+        # a NaN distance compared with the tolerance is False, so without this
+        # check a NaN anchor passed and its delta-copies failed for another reason
+        with pytest.raises(SurfaceValidationError,
+                           match="^x0 = .* of surface 'disk' is not finite$"):
+            with_anchor(make_disk(), anchor)
+
     def test_anchor_on_rim_accepted(self):
         s = with_anchor(make_disk(), (1.5, 0.0, 1.0))
         assert np.allclose(s.x0, [1.5, 0.0, 1.0])
@@ -335,12 +345,12 @@ class TestDeltaCopies:
         assert peak(DEFAULT_DELTAS) <= peak(DEFAULT_DELTAS[:1]) + 2**19
 
     @pytest.mark.parametrize("deltas, message", [
-        ([0.3, 0.4, 0.499, 0.5], "n_cut = 27632 modes on 256 nodes \\(r_min = 0.001\\) need a "
-                                 "mode table of 7073792 entries; the limit is 5000000"),
+        ([0.3, 0.4, 0.4995, 0.5], "n_cut = 27631 modes on 256 nodes \\(r_min = 0.0005\\) need "
+                                  "a mode table of 7073536 entries; the limit is 5000000"),
         ([0.3, 0.4, 0.5, 0.6], "surface 'half-cylinder@delta=0.5' touches the wire axis"),
     ], ids=["mode-table-first", "axis"])
     def test_sweep_refuses_the_first_faulty_delta(self, deltas, message):
-        # delta = 0.499 comes within 1e-3 of the wire and delta = 0.5 reaches it;
+        # delta = 0.4995 comes within 5e-4 of the wire and delta = 0.5 reaches it;
         # the copies are refused one by one, so the first fault is named
         with pytest.raises(ValueError, match=f"^{message}$"):
             resonance.sweep_delta(2, deltas, half_cylinder(), SpectralParams(0.0, 0.4),

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from layres import bs_operator, resonance
-from layres.geometry import disk
+from layres.bs_operator import SystemState
+from layres.geometry import disk, rectangle_patch
 from layres.greens import chi_n
 from layres.resonance import (
     ConvergenceError,
@@ -26,6 +27,11 @@ from layres.specfun import EULER_GAMMA, SpectralParams, first_sheet, gamma_from_
 PARAMS = SpectralParams(alpha=0.0, beta=0.4)
 BASE = disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
 SYM = disk(center=(1.0, 0.0, math.pi / 2), normal=(0.0, 0.0, 1.0), radius=0.5)
+#: the benchmark's rectangle, 0.1 from the wire
+WIRE_RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0.0, 1.0, 0.0),
+                            direction2=(0.0, 0.0, 1.0), length1=0.6, length2=0.6)
+#: 4.3 from the wire; alpha = 0.3 puts eps_2 = 3.97 just below the top of J_1
+FAR = disk(center=(4.8, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +340,42 @@ def test_determinant_seed_on_the_root_still_steps(state4, monkeypatch):
     assert res.z == pytest.approx(root, abs=1e-15) and res.iterations == 2
 
 
+class TestModeCutoff:
+    @pytest.mark.parametrize("surface, params, l, delta, order, n_cut", [
+        (BASE, PARAMS, 2, 0.02, 14, 14), (BASE, PARAMS, 2, 0.12, 14, 14),
+        (WIRE_RECT, PARAMS, 3, 0.05, 12, 138), (WIRE_RECT, PARAMS, 3, 0.4, 12, 138),
+        (FAR, SpectralParams(alpha=0.3, beta=0.4), 2, 1.0, 8, 3),
+    ], ids=["disk-0.02", "disk-0.12", "rectangle-0.05", "rectangle-0.4", "far-disk"])
+    def test_pole_at_the_default_cutoff_is_converged(self, surface, params, l, delta,
+                                                     order, n_cut):
+        # the modes past the default cutoff, e^(-2 kappa_n r_min) <= 1e-12, do
+        # not move the pole: twice as many give it again
+        st = pole_state(surface, delta, l, params, order=order)
+        assert st.n_cut == n_cut
+        doubled = SystemState(params, st.rule, st.ctx, l, n_cut=2 * n_cut,
+                              layout=st.layout, delta=delta)
+        a, b = find_pole(st), find_pole(doubled)
+        assert abs(a.z - b.z) <= 1e-15
+        assert abs(a.mu.imag - b.mu.imag) <= 1e-12 * abs(a.mu.imag)
+
+
 class TestLowestOrder:
+    def test_one_mode_table(self, monkeypatch):
+        # w_l and the rank sum of A_l come from one mode_vector call
+        st = pole_state(BASE, 0.05, 2, PARAMS, order=6)
+        calls = []
+        real = bs_operator.mode_vector
+
+        def counted(z, n, *args):
+            calls.append(np.asarray(n))
+            return real(z, n, *args)
+
+        monkeypatch.setattr(bs_operator, "mode_vector", counted)
+        monkeypatch.setattr(resonance, "mode_vector", counted)
+        mu_lowest_order(st)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.arange(1, st.n_cut + 1))
+
     def test_agrees_with_pole_at_small_delta(self):
         st = pole_state(BASE, 0.02, 2, PARAMS, order=8)
         res = find_pole(st)

@@ -6,10 +6,12 @@ When the files agree byte for byte apart from that line it prints
 ``identical`` and exits 0.  Otherwise it prints the largest |delta| of each
 numeric column and of each numeric metadata value, and every other
 difference (a text column or metadata value, the columns, the row count),
-and exits 1.  With ``--tol X`` a numeric column or metadata value whose
-largest |delta| is at most X agrees, and so does a text column with no
-differing row; neither is printed, and when nothing else differs the tool
-prints ``agree within X`` and exits 0.
+and exits 1.  Beside the widths ``im_z`` and ``im_mu`` it also prints their
+largest relative move |delta| / |A|, A the value in the first file.  With
+``--tol X`` a numeric column or metadata value whose largest |delta| is at
+most X agrees, and so does a text column with no differing row; neither is
+printed, and when nothing else differs the tool prints ``agree within X``
+and exits 0.
 
 When A and B are directories, every ``*.csv`` and ``*.json`` name found in
 either is compared as above, after a line ``== name``; a file present on
@@ -24,6 +26,8 @@ import sys
 from pathlib import Path
 
 _PATH_KEY = "config path"
+#: columns whose largest |delta| / |A| is printed beside their largest |delta|
+_RELATIVE = ("im_z", "im_mu")
 
 
 def _without_path(text: str) -> list[str]:
@@ -62,6 +66,14 @@ def _delta(a, b) -> float:
     return abs(a - b) if a != b else 0.0
 
 
+def _relative(a, b) -> float:
+    """|delta| / |a|; a move away from 0, nan or inf is an infinite one."""
+    delta = _delta(a, b)
+    if delta == 0.0:
+        return 0.0
+    return delta / abs(a) if math.isfinite(delta) and a != 0.0 else math.inf
+
+
 def differences(text_a: str, text_b: str, tol: float | None = None) -> list[str]:
     """Lines describing how two outputs differ; empty when they are identical.
 
@@ -98,7 +110,11 @@ def differences(text_a: str, text_b: str, tol: float | None = None) -> list[str]
         if all(na is not None and nb is not None for na, nb in numbers):
             worst = max((_delta(na, nb) for na, nb in numbers), default=0.0)
             if not agree(worst):
-                out.append(f"column {name}: max |delta| = {worst:.3g}")
+                line = f"column {name}: max |delta| = {worst:.3g}"
+                if name in _RELATIVE:
+                    rel = max((_relative(na, nb) for na, nb in numbers), default=0.0)
+                    line += f", max |delta|/|A| = {rel:.3g}"
+                out.append(line)
         else:
             differ = sum(a != b for a, b in values)
             if differ or tol is None:
