@@ -502,7 +502,7 @@ class PairLayout:
     corr_lin: np.ndarray
 
     def scaled(self, delta: float) -> "PairLayout":
-        """Layout of the delta-image of the rule under :func:`geometry.scale_surface`.
+        """Layout of the delta-image of the rule (:meth:`geometry.QuadratureRule.scaled`).
 
         The map x -> delta x + (1 - delta) x0 with the same order and
         parameter nodes is a similarity: it carries every isometry of the
@@ -610,7 +610,7 @@ def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, eps_l: float,
     table would hold more than _MAX_TABLE_ENTRIES entries.
     """
     if n_cut is None:
-        tail = -math.log(tail_tol) / (2.0 * geometry.r_min(rule.surface))
+        tail = -math.log(tail_tol) / (2.0 * geometry.r_min(rule))
         n_cut = max(ctx.k, 1, math.ceil(math.sqrt(max(eps_l, 0.0) + tail * tail)) - 1)
     elif ctx.second and n_cut < ctx.k:
         raise ValueError(f"n_cut = {n_cut} is below the window index k = "
@@ -618,7 +618,7 @@ def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, eps_l: float,
     entries = n_cut * rule.n_nodes
     if entries > _MAX_TABLE_ENTRIES:
         raise ValueError(f"n_cut = {n_cut} modes on {rule.n_nodes} nodes "
-                         f"(r_min = {geometry.r_min(rule.surface):.3g}) need a "
+                         f"(r_min = {geometry.r_min(rule):.3g}) need a "
                          f"mode table of {entries} entries; "
                          f"the limit is {_MAX_TABLE_ENTRIES}")
     return n_cut
@@ -716,9 +716,12 @@ class SystemState:
     one the state takes the cutoff of :func:`mode_cutoff`'s TAIL_TOL.  Holds
     the mode cutoff, the z-independent pair layout of ``rule`` and its Ewald
     tables, so only the z-dependent kernel values are recomputed per z.
-    Without a ``layout`` the state builds one on ``rule`` itself.  ``delta``
-    is the scaling parameter of ``rule``, which a pole found on this state
-    records; :mod:`resonance` passes the layout of the unscaled rule scaled to it.
+    Without a ``layout`` the state builds one on ``rule`` itself, which
+    holds for a rule built on its own surface; a
+    :meth:`geometry.QuadratureRule.scaled` rule takes the layout of the
+    unscaled rule scaled to it, as :mod:`resonance` passes it.  ``delta`` is
+    the scaling parameter of ``rule``, which a pole found on this state
+    records.
     """
 
     params: SpectralParams

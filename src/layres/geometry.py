@@ -7,9 +7,10 @@ Every ``Surface`` checks on a dense parameter grid that it stays in the layer
 0 <= x3 <= pi, touching a wall at most on its rim, with a nondegenerate
 Jacobian, and searches its distance to the wire axis once (``r_min``, which
 must exceed 1e-6); a disk or rectangle that the axis crosses is refused in
-closed form first.  A delta-copy (:func:`scale_surface`) is not checked
-again: the homothety keeps the layer, the walls and the Jacobian's sign, so
-only its r_min is searched, for every delta of a sweep in one batch.  Only
+closed form first.  A delta-copy is no surface of its own: the homothety
+keeps the layer, the walls and the Jacobian's sign, so only its r_min is
+searched (:func:`scale_surface`, for every delta of a sweep in one batch),
+and its rule is the surface's scaled (:meth:`QuadratureRule.scaled`).  Only
 :func:`with_anchor` searches for x0 on the surface: the families put x0
 there, and a delta-copy keeps it as its fixed point.  Every search is one
 zoom grid on numpy alone over a batch of residuals (:func:`_search_min`);
@@ -19,7 +20,7 @@ a surface's r_min and :func:`with_anchor`'s distance are batches of one.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -84,13 +85,18 @@ class Surface:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor-product Nystrom rule on a surface; weights carry the area Jacobian."""
+    """Tensor-product Nystrom rule on a surface; weights carry the area Jacobian.
+
+    ``r_min`` is the distance of the rule's surface to the wire axis: the
+    surface's own, or that of the delta-copy a :meth:`scaled` rule lies on.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     param_nodes: np.ndarray
     surface: Surface
     order: int
+    r_min: float
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
@@ -99,6 +105,22 @@ class QuadratureRule:
     @property
     def n_nodes(self) -> int:
         return len(self.weights)
+
+    def scaled(self, delta: float, r_min: float) -> "QuadratureRule":
+        """The rule on the copy x -> delta x + (1 - delta) x0 of ``surface``, at distance ``r_min``.
+
+        Same order and parameter nodes; the nodes are delta x + (1 - delta)
+        x0, bitwise those of the rule built on the copy's parametrization,
+        and the weights delta^2 w, since the copy's Jacobian is delta^2
+        times the surface's.  ``surface`` stays the unscaled one, so its
+        parameter domain holds; the copy's pair layout is the surface's
+        scaled (``bs_operator.PairLayout.scaled``).  delta = 1 gives the
+        rule itself.  ``r_min`` comes from :func:`scale_surface`.
+        """
+        if delta == 1.0:
+            return self
+        return replace(self, nodes=delta * self.nodes + (1.0 - delta) * self.surface.x0,
+                       weights=delta**2 * self.weights, r_min=r_min)
 
 
 def _param_grid(surface: Surface, n: int):
@@ -180,8 +202,9 @@ def _axis_distances(surface: Surface, deltas: Sequence[float]) -> list[float]:
     """r_min of the copy x -> delta x + (1 - delta) x0 of the surface, for each delta.
 
     One :func:`_search_min` over the batch; the copy's points are made from
-    the surface's as :func:`scale_surface`'s map makes them, so each value is
-    the one the surface check of that copy alone finds.
+    the surface's as the copy's parametrization delta x(q) + (1 - delta) x0
+    makes them, so each value is the one the surface check of that copy
+    alone finds.
     """
     x0 = surface.x0[:2]
 
@@ -331,55 +354,37 @@ def with_anchor(surface: Surface, x0) -> Surface:
     return s
 
 
-def scale_surface(surface: Surface, deltas: Sequence[float]) -> Iterator[Surface]:
-    """The copies x_delta(q) = delta x(q) + (1-delta) x0 of the surface, in delta order.
+def scale_surface(surface: Surface, deltas: Sequence[float]) -> Iterator[float]:
+    """r_min of the copies x_delta(q) = delta x(q) + (1-delta) x0 of the surface, in delta order.
 
     The homothety keeps all that the surface check tests but r_min: the
     layer is convex, so a copy stays in it; an interior point's x3 is
     delta times one strictly between the walls plus (1 - delta) times x0's
     in [0, pi], so it stays strictly between them; and the Jacobian is
-    scaled by delta^2 > 0.  So a copy is not checked again (delta = 1 gives
-    the surface itself).  The r_min of every other delta in (0, 1) is
-    searched at the call, in one batched search (:func:`_axis_distances`),
-    and the copies are made as the iterator reaches them: it refuses a
-    delta outside (0, 1], or a copy whose r_min is not above 1e-6 (it
-    touches the wire axis), only there, so a caller that checks each copy
-    before taking the next refuses in delta order.
+    scaled by delta^2 > 0.  So a copy is not checked again, and no surface
+    of it is made: its rule is the surface's rule scaled
+    (:meth:`QuadratureRule.scaled`).  The r_min of every delta in (0, 1)
+    is searched at the call, in one batched search
+    (:func:`_axis_distances`); delta = 1 gives the surface's own.  The
+    iterator refuses a delta outside (0, 1], or a copy whose r_min is not
+    above 1e-6 (it touches the wire axis), only when it reaches it, so a
+    caller that checks each copy before taking the next refuses in delta
+    order.
     """
     deltas = list(deltas)
     inside = [d for d in deltas if 0.0 < d < 1.0]
     found = dict(zip(inside, _axis_distances(surface, inside))) if inside else {}
-    return (surface if d == 1.0 else _homothety(surface, d, found.get(d)) for d in deltas)
+    found[1.0] = surface.r_min
+    return (_copy_r_min(surface.name, d, found.get(d)) for d in deltas)
 
 
-def _homothety(surface: Surface, delta: float, rmin: float | None) -> Surface:
-    """The copy at ``delta``, whose r_min was searched, made without the surface check.
-
-    Made as :func:`with_anchor` makes its copy (copy.copy); a delta outside
-    (0, 1] and a copy that touches the wire axis are refused.
-    """
+def _copy_r_min(name: str, delta: float, rmin: float | None) -> float:
+    """The searched r_min of the copy at ``delta``, refused outside (0, 1] or on the axis."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must satisfy 0 < delta <= 1")
-    name = f"{surface.name}@delta={delta:g}"
     if not rmin > 1e-6:
-        raise SurfaceValidationError(f"surface {name!r} touches the wire axis")
-    x0 = surface.x0
-    base_map, base_t1, base_t2 = surface.param_map, surface.tangent1, surface.tangent2
-
-    def param_map(q1, q2):
-        return delta * base_map(q1, q2) + (1.0 - delta) * x0
-
-    def tangent1(q1, q2):
-        return delta * base_t1(q1, q2)
-
-    def tangent2(q1, q2):
-        return delta * base_t2(q1, q2)
-
-    s = copy.copy(surface)
-    for key, value in (("name", name), ("param_map", param_map), ("tangent1", tangent1),
-                       ("tangent2", tangent2), ("r_min", rmin)):
-        object.__setattr__(s, key, value)
-    return s
+        raise SurfaceValidationError(f"surface '{name}@delta={delta:g}' touches the wire axis")
+    return rmin
 
 
 def build_quadrature(surface: Surface, order: int) -> QuadratureRule:
@@ -414,16 +419,18 @@ def build_quadrature(surface: Surface, order: int) -> QuadratureRule:
         param_nodes=np.stack([g1.reshape(-1), g2.reshape(-1)], axis=1),
         surface=surface,
         order=order,
+        r_min=surface.r_min,
     )
 
 
-def r_min(surface: Surface) -> float:
-    """Minimum distance of the surface to the wire axis |x_perp| = 0.
+def r_min(shape: Surface | QuadratureRule) -> float:
+    """Minimum distance of a surface, or of a rule's surface, to the wire axis |x_perp| = 0.
 
     Searched once (``Surface.r_min``, by the zoom grid of ``_search_min``):
     when the surface is checked, or, for a delta-copy, in the one batched
     search of its :func:`scale_surface` call, which finds the value a search
-    on the copy alone finds.  Exact for the built-in analytic families at the
-    1e-9 level, and never above the minimum over the 96 x 96 start grid.
+    on the copy alone finds, and carried by its :meth:`QuadratureRule.scaled`
+    rule.  Exact for the built-in analytic families at the 1e-9 level, and
+    never above the minimum over the 96 x 96 start grid.
     """
-    return surface.r_min
+    return shape.r_min

@@ -41,6 +41,7 @@ __all__ = [
     "fit_power_law",
     "MIN_SWEEP_POINTS",
     "ROOT_TOL",
+    "ROOT_REL_TOL",
     "DEFAULT_ORDER",
 ]
 
@@ -48,6 +49,8 @@ __all__ = [
 MIN_SWEEP_POINTS = 4
 #: finest root tolerance a search resolves, and the default of every search
 ROOT_TOL = 1e-12
+#: error of a pole, relative to its |Im mu|, at which its search stops (find_pole)
+ROOT_REL_TOL = 2e-9
 #: quadrature order of a state or sweep that names none
 DEFAULT_ORDER = 16
 #: secant steps a root search takes before it gives up
@@ -131,22 +134,23 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
     Everything the arguments decide is refused before any n x n array
     exists: a discrete eps_l and then an order whose pair tables are too
     large (:func:`check_pair_tables`) before any rule, then, in delta order,
-    each delta-copy's axis refusal and :func:`mode_cutoff`.  The copies come
-    from one :func:`scale_surface` call, which searches the r_min of every
-    delta at once and checks nothing else of a copy (the homothety keeps the
-    rest of the surface check), and refuses a copy only when it is taken.
-    Only then is the pair layout of the order-``order`` rule on ``surface``
-    built, once, and each state made with its :meth:`PairLayout.scaled`
-    copy, one at a time, so that each state and its Ewald tables are freed
-    with its pole.
+    each delta-copy's axis refusal and :func:`mode_cutoff`.  The r_min of
+    the copies come from one :func:`scale_surface` call, which searches
+    every delta at once and checks nothing else of a copy (the homothety
+    keeps the rest of the surface check), and refuses a copy only when it
+    is taken.  The order-``order`` rule on ``surface`` is built once, and
+    each copy's rule is it scaled (:meth:`QuadratureRule.scaled`).
+    Only then is the pair layout of the unscaled rule built, once, and each
+    state made with its :meth:`PairLayout.scaled` copy, one at a time, so
+    that each state and its Ewald tables are freed with its pole.
     """
     eps_l = params.eigenvalue(l)
     ctx = second_sheet(window_index(eps_l))
     check_pair_tables(order)
     base_rule = build_quadrature(surface, order)
     copies = []
-    for d, copy in zip(deltas, scale_surface(surface, deltas)):
-        rule = base_rule if d == 1.0 else build_quadrature(copy, order)
+    for d, rmin in zip(deltas, scale_surface(surface, deltas)):
+        rule = base_rule.scaled(d, rmin)
         copies.append((d, rule, mode_cutoff(rule, ctx, eps_l, tail_tol, n_cut)))
     layout = pair_layout(base_rule)
     for d, rule, cut in copies:
@@ -166,20 +170,21 @@ def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
 
 
 def _secant(f: Callable[[complex], complex], z0: complex, f0: complex, z1: complex,
-            tol: float, step_tol: float) -> tuple[complex, complex, int]:
+            stop: Callable[[complex, complex, complex, complex], object]
+            ) -> tuple[complex, complex, int, object]:
     """Secant iteration on f from z0, where f is f0, and z1.
 
-    One evaluation per point after z0.  Stops at the first point after z0
-    whose |f| is below ``tol`` and whose step from the point before is at
-    most ``step_tol``, and returns (z, f(z), secant steps taken after the
-    two start points).  More than _MAX_ITER steps are refused.
+    One evaluation per point after z0.  Stops at the first point z after z0
+    for which ``stop(z_before, f(z_before), z, f(z))`` is true, and returns
+    (z, f(z), secant steps taken after the two start points, that value of
+    ``stop``).  More than _MAX_ITER steps are refused.
     """
     seed = z0
     if not cmath.isfinite(z1):
         raise _stalled(seed, 0, z0, f0)
     f1 = f(z1)
     steps = 0
-    while not (abs(f1) < tol and abs(z1 - z0) <= step_tol):
+    while not (reason := stop(z0, f0, z1, f1)):
         step = f1 * (z1 - z0) / (f1 - f0) if f1 != f0 else math.inf
         if steps == _MAX_ITER or not cmath.isfinite(step):
             raise _stalled(seed, steps, z1, f1)
@@ -187,7 +192,7 @@ def _secant(f: Callable[[complex], complex], z0: complex, f0: complex, z1: compl
         z1 = z1 - step
         f1 = f(z1)
         steps += 1
-    return z1, f1, steps
+    return z1, f1, steps, reason
 
 
 def _stalled(seed: complex, steps: int, z: complex, fz: complex) -> ConvergenceError:
@@ -219,43 +224,80 @@ def find_pole(state: SystemState, seed: complex | None = None,
     z = F(z) = l^2 + (z - l^2) exp(-4 pi eta_l(z)).  F contracts by
     |4 pi beta (z - l^2) theta_l'|, small since theta_l is O(delta^2).  The
     secant runs on g(z) = z - F(z) = (z - l^2)(1 - exp(-4 pi eta_l(z))) from
-    the seed and F(seed), stops at the first point with |g| < tol, the seed
-    included, and returns F there, z - g, at no further eta_l.  The residual
-    |g| is the distance in z from that point to F of it.  A point with
-    |4 pi eta_l| >= 1 is refused: g vanishes there only because z = l^2 or
-    exp(-4 pi eta_l) = 1, and so is a ``tol`` below ROOT_TOL.
+    the seed and F(seed), and returns F(z) = z - g at the point z where it
+    stops, at no further eta_l.  The contraction of F between those first
+    two points z0 and z1, q = |F(z1) - F(z0)| / |z1 - z0| =
+    |1 - (g1 - g0) / (z1 - z0)| (later points sit at the rounding floor of
+    g, where a slope is noise), puts F(z) within q |g| / (1 - q) of the
+    fixed point; q is nan where F(z0) rounds to z0, and the estimate is
+    infinite unless q < 1.  The search stops at the first point with
+    |g| < tol that meets one of three criteria:
+
+    - ``"relative"``: that estimate is at most ROOT_REL_TOL |Im(F(z) - eps_l)|,
+      so it is small against the width Im mu;
+    - ``"floor"``: |g| is at its rounding floor: it is above half the |g|
+      before, or the estimate is below the double epsilon times |z - l^2|;
+    - ``"exact"``: g is 0.  Only this one stops at the seed, where q is not
+      known.
+
+    The residual |g| is the distance in z from that point to F of it.  A
+    point with |4 pi eta_l| >= 1 is refused: g vanishes there only because
+    z = l^2 or exp(-4 pi eta_l) = 1, and so is a ``tol`` below ROOT_TOL.
     ``diagnostics`` of the result describe the whole search: the number of
-    eta_l evaluations, the worst condition number of the guarded solve and
-    ``contraction``, the estimate |1 - (g1 - g0)/(z1 - z0)| of |F'| from the
-    last two points.
+    eta_l evaluations, the worst condition number of the guarded solve,
+    ``contraction`` q, ``stop`` the criterion and ``root_error``, the
+    estimate q |g| / (1 - q) at a relative stop and 0 at an exact one.  At
+    the floor it is |g| itself: a q measured where g is rounding noise is
+    noise too, so the pole is known to the floor the search reached.
     """
     if tol < ROOT_TOL:
         raise ValueError(f"tolerance below {ROOT_TOL:g} is not resolvable")
     l2 = state.l**2
+    eps_l = state.params.eigenvalue(state.l)
     diagnostics: dict = {}
-    last: list = []
+    last_eta = [0j]
 
     def g(z):
         diagnostics["eta_evaluations"] = diagnostics.get("eta_evaluations", 0) + 1
         eta = eta_l(z, state, diagnostics=diagnostics)
         with np.errstate(over="ignore", invalid="ignore"):
             gz = (z - l2) * complex(-np.expm1(-4.0 * math.pi * eta))
+        last_eta[0] = eta
         if not cmath.isfinite(gz):  # exp overflowed; an infinite g stops the secant
             return complex(math.inf)
-        if last and z != last[0]:
-            diagnostics["contraction"] = abs(1.0 - (gz - last[1]) / (z - last[0]))
-        last[:] = z, gz, eta
         return gz
 
-    z0 = complex(state.params.eigenvalue(state.l) if seed is None else seed)
+    def root_error(gz):
+        q = diagnostics["contraction"]
+        return q * abs(gz) / (1.0 - q) if q < 1.0 else math.inf
+
+    def stop(z0, g0, z, gz):
+        """The criterion that ends the search at z, the point after z0, or None."""
+        if "contraction" not in diagnostics:  # z0 is the seed and z = F(z0)
+            finite = z != z0 and cmath.isfinite(gz)
+            diagnostics["contraction"] = abs(1.0 - (gz - g0) / (z - z0)) if finite else math.nan
+        if gz == 0:
+            return "exact"
+        if not abs(gz) < tol:
+            return None
+        error = root_error(gz)
+        if error <= ROOT_REL_TOL * abs((z - gz - eps_l).imag):
+            return "relative"
+        if abs(gz) > 0.5 * abs(g0) or error < np.finfo(float).eps * abs(z - l2):
+            return "floor"
+        return None
+
+    z0 = complex(eps_l if seed is None else seed)
     g0 = g(z0)
-    if abs(g0) < tol:  # the seed is the root
-        z, gz, steps = z0, g0, 0
+    if g0 == 0:  # the seed is the root
+        z, gz, steps, diagnostics["stop"] = z0, g0, 0, "exact"
     else:
-        z, gz, steps = _secant(g, z0, g0, z0 - g0, tol, math.inf)
-    if not abs(4.0 * math.pi * last[2]) < 1.0:
+        z, gz, steps, diagnostics["stop"] = _secant(g, z0, g0, z0 - g0, stop)
+    # at an exact stop |g| is 0
+    diagnostics["root_error"] = root_error(gz) if diagnostics["stop"] == "relative" else abs(gz)
+    if not abs(4.0 * math.pi * last_eta[0]) < 1.0:
         raise ConvergenceError(f"root iteration stopped at z = {z}, where g vanishes "
-                               f"but eta_l = {last[2]:.3g} is not 0")
+                               f"but eta_l = {last_eta[0]:.3g} is not 0")
     return _pole_result(state, z - gz, abs(gz), steps, diagnostics)
 
 
@@ -276,8 +318,11 @@ def find_determinant_root(state: SystemState, seed: complex | None = None,
     def f(z):
         return gamma_n(z, state.l, state.ctx, state.params) * bs_determinant(z, state)
 
+    def stop(z0, f0, z, fz):
+        return abs(fz) < tol and abs(z - z0) <= tol
+
     z0 = complex(state.params.eigenvalue(state.l) - 1e-4 - 1e-5j if seed is None else seed)
-    z, fz, steps = _secant(f, z0, f(z0), z0 + 1e-7 * max(1.0, abs(z0)), tol, tol)
+    z, fz, steps, _ = _secant(f, z0, f(z0), z0 + 1e-7 * max(1.0, abs(z0)), stop)
     return _pole_result(state, z, abs(fz), steps, {})
 
 
@@ -360,6 +405,38 @@ def _fit_if_positive(points) -> tuple[float, float, float]:
     return (math.nan,) * 3
 
 
+def _predicted_pole(eps_l: float, poles: Sequence[PoleResult], delta: float) -> complex:
+    """eps_l + delta^2 P(delta), P through mu / delta^2 of the last three poles, cut short.
+
+    mu = c2 delta^2 + c3 delta^3 + c4 delta^4: Re mu is O(delta^2), and the
+    delta^3 term is the 1/(4 pi r) self-interaction of R_SigmaSigma over a
+    surface of area delta^2.  P is summed in Newton's form from the last
+    pole back, f[d1] + f[d1, d2](delta - d1) + f[d1, d2, d3](delta - d1)(delta - d2)
+    with f = mu / delta^2, and a term is taken only while it is smaller than
+    the one before.  So one pole gives mu_1 (delta / d1)^2, and the powers
+    (2, 3) and (2, 3, 4) come in only where the series converges: the mu of
+    poles at the rounding floor of their search is noise that the higher
+    terms amplify by the distance to delta over the spread of the poles.
+    The predictor of a predictor-corrector continuation (Allgower & Georg,
+    Introduction to Numerical Continuation Methods, ch. 2), whose corrector
+    is :func:`find_pole`.
+    """
+    last = poles[:-4:-1]
+    nodes = [res.delta for res in last]
+    coefficients = [res.mu / res.delta**2 for res in last]
+    for order in range(1, len(nodes)):  # divided differences, in place
+        for i in range(len(nodes) - 1, order - 1, -1):
+            coefficients[i] = ((coefficients[i] - coefficients[i - 1])
+                               / (nodes[i] - nodes[i - order]))
+    total, before, basis = 0.0, math.inf, 1.0
+    for coefficient, node in zip(coefficients, nodes):
+        term = coefficient * basis
+        if not abs(term) < before:
+            break
+        total, before, basis = total + term, abs(term), basis * (delta - node)
+    return eps_l + delta**2 * total
+
+
 def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: SpectralParams,
                 order: int = DEFAULT_ORDER, tail_tol: float = TAIL_TOL,
                 n_cut: int | None = None, tol: float = ROOT_TOL) -> SweepResult:
@@ -369,8 +446,8 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
     a refusal at any delta comes before the pair layout and the first pole,
     and the layout is built once.  ``n_cut`` fixes the mode cutoff of every
     point; by default each point takes its own.  Every point after the first
-    converged one is seeded from the previous pole by the law
-    Re mu = O(delta^2), z = eps_l + mu_prev (delta / delta_prev)^2.  Points
+    converged one is seeded from the poles before it
+    (:func:`_predicted_pole`), the first from eps_l.  Points
     whose root iteration fails are recorded in ``failures`` and left out of
     the fits; fewer than MIN_SWEEP_POINTS deltas are refused before the
     first pole.  A fit whose values are not all positive is (nan, nan, nan).
@@ -384,10 +461,7 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
     eps_l = params.eigenvalue(l)
     poles, closed, failures = [], [], []
     for st in _delta_states(surface, deltas, l, params, order, tail_tol, n_cut):
-        seed = None
-        if poles:
-            prev = poles[-1]
-            seed = eps_l + prev.mu * (st.delta / prev.delta) ** 2
+        seed = _predicted_pole(eps_l, poles, st.delta) if poles else None
         try:
             res = find_pole(st, seed=seed, tol=tol)
         except ArithmeticError as exc:

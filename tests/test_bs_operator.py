@@ -31,17 +31,17 @@ from layres.geometry import (
     build_quadrature,
     disk,
     rectangle_patch,
-    scale_surface,
     spherical_cap,
     with_anchor,
 )
 from layres.greens import EwaldGreen, EwaldSplit, EwaldTables, layer_green_modal
 from layres.specfun import BranchPointError, SpectralParams, first_sheet, gamma_n, \
     second_sheet
+from surface_copies import copy_surface
 
 PARAMS = SpectralParams(alpha=0.0, beta=0.4)
 DISK = disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
-SMALL = next(scale_surface(DISK, [0.08]))
+SMALL = copy_surface(DISK, 0.08)
 SYM_DISK = disk(center=(1.0, 0.0, math.pi / 2), normal=(0.0, 0.0, 1.0), radius=0.3)
 CAP = spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=0.6, polar_angle=0.9)
 RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0.0, 1.0, 0.0),
@@ -323,7 +323,7 @@ def _patch(bend, tangent_bend):
 
 
 #: surfaces whose Duffy rule takes p + 1 radial points, and some that do not
-AFFINE = [RECT, FLAT_RECT, SLANTED, next(scale_surface(RECT, [0.05]))]
+AFFINE = [RECT, FLAT_RECT, SLANTED, copy_surface(RECT, 0.05)]
 AFFINE_IDS = ["rectangle", "flat-rectangle", "slanted-rectangle", "scaled-rectangle"]
 CURVED = [DISK, TILTED, CAP, ELLIPSE, _patch(0.1, 0.1), _patch(0.1, 0.0)]
 CURVED_IDS = ["disk", "tilted-disk", "cap", "ellipse", "bent-patch",
@@ -342,7 +342,7 @@ GROUP_IDS = ["disk", "cap", "rectangle", "flat-rectangle", "slanted-rectangle",
 
 class TestSingularBuild:
     @pytest.mark.parametrize("surface, symmetric", [
-        (DISK, True), (CAP, True), (next(scale_surface(CAP, [0.02])), True),
+        (DISK, True), (CAP, True), (copy_surface(CAP, 0.02), True),
         (with_anchor(DISK, (1.3, 0.2, 1.0)), True), (RECT, False), (ELLIPSE, False)],
         ids=["disk", "cap", "scaled-cap", "anchored-disk", "rectangle", "ellipse"])
     def test_rotation_orbits_detected_from_surface(self, surface, symmetric):
@@ -435,7 +435,7 @@ class TestSingularBuild:
     @pytest.mark.parametrize("delta", [0.02, 0.08])
     def test_homothety_matches_direct_build(self, surface, delta):
         got = pair_layout(build_quadrature(surface, 8)).scaled(delta)
-        want = pair_layout(build_quadrature(next(scale_surface(surface, [delta])), 8))
+        want = pair_layout(build_quadrature(copy_surface(surface, delta), 8))
         assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
         assert np.array_equal(got.index, want.index)
         assert _rel_max(got.corr_inv, want.corr_inv) < 1e-12
@@ -547,7 +547,7 @@ class TestPairLayout:
 
     def test_mode_cutoff_below_window_index_refused(self):
         # l = 3 lies in J_2: n_cut = 1 would drop the open channel n = 2
-        rule = build_quadrature(next(scale_surface(RECT, [0.2])), 4)
+        rule = build_quadrature(copy_surface(RECT, 0.2), 4)
         with pytest.raises(ValueError, match="n_cut = 1 is below the window index k = 2"):
             SystemState(PARAMS, rule, second_sheet(2), 3, n_cut=1)
         assert SystemState(PARAMS, rule, second_sheet(2), 3, n_cut=2).n_cut == 2
@@ -594,7 +594,7 @@ class TestModeVector:
         deltas = np.array([0.02, 0.04, 0.08])
         norms = []
         for d in deltas:
-            r = build_quadrature(next(scale_surface(DISK, [d])), 8)
+            r = build_quadrature(copy_surface(DISK, d), 8)
             norms.append(abs(_norm_sq(mode_vector(z, 1, r, first_sheet()), r.weights)))
         slope = np.polyfit(np.log(deltas), np.log(norms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.05)
@@ -638,7 +638,7 @@ class TestRankSums:
         deltas = np.array([0.02, 0.04, 0.08])
         norms = []
         for d in deltas:
-            r = build_quadrature(next(scale_surface(DISK, [d])), 6)
+            r = build_quadrature(copy_surface(DISK, d), 6)
             norms.append(_op_norm(_a_l(-2.0, _state(r, n_cut=20)), r.weights))
         slope = np.polyfit(np.log(deltas), np.log(norms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
@@ -681,7 +681,7 @@ class TestRankSums:
         # a rank-sum term is a product of two factors e^(-kappa_n r_min): the
         # cutoff is the smallest whose first dropped term has
         # e^(-2 kappa r_min) <= 1e-12, below what the pole gates resolve
-        rule = build_quadrature(next(scale_surface(surface, [delta])), 4)
+        rule = build_quadrature(copy_surface(surface, delta), 4)
         eps_l = params.eigenvalue(l)
         n_cut = mode_cutoff(rule, second_sheet(k), eps_l, tail_tol=1e-12)
         assert n_cut == expected
@@ -768,7 +768,7 @@ class TestEtaL:
     @staticmethod
     def _explicit_states():
         """(state, z): a disk, a rectangle, and the rectangle's n_cut = 2 below l = 3."""
-        rect = build_quadrature(next(scale_surface(RECT, [0.2])), 4)
+        rect = build_quadrature(copy_surface(RECT, 0.2), 4)
         z3 = PARAMS.eigenvalue(3) - 0.002 - 1e-4j
         return [(SystemState(PARAMS, build_quadrature(SMALL, 8), second_sheet(1), 2,
                              n_cut=20), PARAMS.eigenvalue(2) - 0.001 - 1e-4j),

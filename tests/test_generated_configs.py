@@ -8,8 +8,9 @@ invariants: Re z inside the window J_k of eps_l, and Im z < 0 up to the
 pole's own resolution.  The residual of a pole is |z - F(z)| at the last
 point of its search (``resonance.find_pole``), a distance in z, so the sign
 of a smaller Im z is not resolved: far from the wire Im mu falls to 1e-24
-while the residual is near 1e-15.  The fixed sweep ``FAR_DISK`` has such a pole: Im z = -1.0e-24
-beside a residual of 2.2e-15 at delta = 0.000329.
+while the residual is near 1e-16.  The fixed sweep ``FAR_DISK`` has such a pole: Im z = -1.0e-24
+beside a residual of 3.4e-16 at delta = 0.000329, where its search stops on the rounding
+floor of |g|.
 
 ``l`` is drawn from 2-7: eps_1 = xi_alpha + 1 < 1 for every alpha, so an
 l = 1 config is always the same discrete-eigenvalue refusal, and the fixed
@@ -42,7 +43,8 @@ from pathlib import Path
 if __name__ == "__main__":  # run as a script: import layres from this checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from layres.cli import main
+from layres.cli import main, parse_config
+from layres.resonance import sweep_delta
 from layres.specfun import SpectralParams
 
 N_CONFIGS = 100
@@ -150,6 +152,20 @@ def test_generated_configs_keep_the_exit_code_contract(tmp_path):
     codes = _run_batch(SEED, N_CONFIGS, ORDERS, tmp_path)
     # the batch reaches both poles and config refusals, not one outcome only
     assert codes.count(0) >= 20 and codes.count(2) >= 5, codes
+
+
+def test_unresolved_poles_stop_on_the_floor():
+    # FAR_DISK's Im z is -1e-24 at its first three deltas and -1.7e-15 at
+    # the last: no error within reach of |g| is small against either, so
+    # each search ends at the rounding floor of g, says so, and reports that
+    # floor as its error; where it is above |Im z| the sign is not resolved
+    _, l, params, deltas, text = _text(*FAR_DISK)
+    config = parse_config(text)
+    sweep = sweep_delta(l, deltas, config.surface, params, order=config.order)
+    assert not sweep.failures
+    assert [res.diagnostics["stop"] for res in sweep.poles] == ["floor"] * 4
+    for res in sweep.poles[:3]:
+        assert abs(res.z.imag) < 1e-23 < res.diagnostics["root_error"] == res.residual
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from layres.geometry import (
     with_anchor,
 )
 from layres.specfun import SpectralParams
+from surface_copies import copy_surface
 
 
 def make_disk(radius=0.5):
@@ -176,15 +177,34 @@ class TestScaling:
     def test_area_scales_quadratically(self, delta):
         s = make_disk()
         a0 = build_quadrature(s, 16).weights.sum()
-        a = build_quadrature(next(scale_surface(s, [delta])), 16).weights.sum()
+        a = build_quadrature(copy_surface(s, delta), 16).weights.sum()
         assert a == pytest.approx(delta**2 * a0, rel=1e-10)
+
+    @pytest.mark.parametrize("surface", [make_disk(), with_anchor(make_disk(), (1.5, 0.0, 1.0)),
+                                         rectangle_patch(center=(0.1, 0.0, 1.0),
+                                                         direction1=(0, 1, 0),
+                                                         direction2=(0, 0, 1),
+                                                         length1=0.6, length2=0.6)],
+                             ids=["disk", "anchored-disk", "rectangle"])
+    def test_scaled_rule_is_the_copy_rule(self, surface):
+        # the rule built on the copy's own parametrization has bitwise the
+        # scaled nodes, and weights within rounding of delta^2 w: its
+        # Jacobian is |delta t1 x delta t2|
+        rule = build_quadrature(surface, 12)
+        for delta, found in zip(DEFAULT_DELTAS, scale_surface(surface, DEFAULT_DELTAS)):
+            scaled = rule.scaled(delta, found)
+            direct = build_quadrature(copy_surface(surface, delta), 12)
+            assert np.array_equal(scaled.nodes, direct.nodes)
+            assert np.array_equal(scaled.param_nodes, direct.param_nodes)
+            assert np.max(np.abs(scaled.weights / direct.weights - 1.0)) <= 1e-15
+            assert scaled.r_min == found == direct.r_min
+            assert (scaled.order, scaled.surface) == (12, surface)
 
     def test_anchor_is_fixed_point(self):
         s = with_anchor(make_disk(), (1.5, 0.0, 1.0))
-        sd = next(scale_surface(s, [0.25]))
         # the anchor stays put; every other point contracts toward it
         q = build_quadrature(s, 6)
-        qd = build_quadrature(sd, 6)
+        qd = q.scaled(0.25, next(scale_surface(s, [0.25])))
         expected = 0.25 * q.nodes + 0.75 * np.array([1.5, 0.0, 1.0])
         assert np.allclose(qd.nodes, expected, atol=1e-14)
         d = np.linalg.norm(qd.nodes - np.array([1.5, 0.0, 1.0]), axis=1)
@@ -192,7 +212,9 @@ class TestScaling:
 
     def test_delta_one_is_identity(self):
         s = make_disk()
-        assert next(scale_surface(s, [1.0])) is s
+        assert next(scale_surface(s, [1.0])) == s.r_min
+        rule = build_quadrature(s, 4)
+        assert rule.scaled(1.0, s.r_min) is rule
 
     def test_invalid_delta(self):
         s = make_disk()
@@ -207,14 +229,13 @@ class TestScaling:
         assert r_min(s) == pytest.approx(0.5, abs=1e-9)
         with pytest.raises(SurfaceValidationError, match="touches the wire axis"):
             next(scale_surface(s, [0.5]))
-        assert r_min(next(scale_surface(s, [0.9]))) == pytest.approx(0.4, abs=1e-9)
-        assert r_min(next(scale_surface(s, [0.3]))) == pytest.approx(0.2, abs=1e-9)
+        assert next(scale_surface(s, [0.9])) == pytest.approx(0.4, abs=1e-9)
+        assert next(scale_surface(s, [0.3])) == pytest.approx(0.2, abs=1e-9)
 
     def test_scaling_cannot_escape_constraints(self):
         # anchor on the rim closest to the axis: shrinking keeps r_min positive
         s = with_anchor(make_disk(), (0.5, 0.0, 1.0))
-        sd = next(scale_surface(s, [0.1]))
-        assert r_min(sd) > 0.0
+        assert next(scale_surface(s, [0.1])) > 0.0
 
 
 class TestRMin:
@@ -223,8 +244,7 @@ class TestRMin:
 
     def test_scaled_disk_r_min(self):
         # center fixed, rim contracts: r_min = 1 - 0.5 delta
-        sd = next(scale_surface(make_disk(), [0.2]))
-        assert r_min(sd) == pytest.approx(0.9, abs=1e-9)
+        assert next(scale_surface(make_disk(), [0.2])) == pytest.approx(0.9, abs=1e-9)
 
     def test_offset_rectangle(self):
         s = rectangle_patch(center=(2.0, 0.0, 1.0), direction1=(0, 1, 0),
@@ -283,10 +303,11 @@ class TestChecksRunOnce:
 
         base, n = searches(make_disk)
         assert n == 1  # r_min; the anchor is the center by construction
-        copies, n = searches(lambda: list(scale_surface(base, DEFAULT_DELTAS)))
+        found, n = searches(lambda: list(scale_surface(base, DEFAULT_DELTAS)))
         assert n == 1  # one batched r_min search for all 8 copies
-        _, n = searches(lambda: [r_min(c) for c in copies])
-        assert n == 0
+        rule = build_quadrature(base, 4)
+        _, n = searches(lambda: [r_min(rule.scaled(d, f)) for d, f in zip(DEFAULT_DELTAS, found)])
+        assert n == 0  # a scaled rule carries its r_min
         anchored, n = searches(lambda: with_anchor(base, (1.5, 0.0, 1.0)))
         assert n == 1  # only the outside anchor; r_min is carried over
         assert r_min(anchored) == r_min(base)
@@ -302,14 +323,18 @@ SWEEP_RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0, 1, 0),
 
 
 class TestDeltaCopies:
-    """The copies of one ``scale_surface`` call: one batched r_min search, no other check."""
+    """The copies of one ``scale_surface`` call: one batched r_min search, no other check.
+
+    No copy is a surface in the program; the full check of one is run here on
+    the copy built by the test (``surface_copies.copy_surface``).
+    """
 
     @pytest.mark.parametrize("surface", [make_disk(), SWEEP_RECT], ids=["disk", "rectangle"])
     @pytest.mark.parametrize("deltas", [DEFAULT_DELTAS, (0.05, 0.1, 0.2, 0.4)],
                              ids=["default", "rect-sweep"])
     def test_batch_equals_one_delta_at_a_time(self, surface, deltas):
-        batch = [c.r_min for c in scale_surface(surface, deltas)]
-        assert batch == [next(scale_surface(surface, [d])).r_min for d in deltas]
+        batch = list(scale_surface(surface, deltas))
+        assert batch == [next(scale_surface(surface, [d])) for d in deltas]
 
     @pytest.mark.parametrize("surface, deltas", [
         (make_disk(), DEFAULT_DELTAS),
@@ -327,11 +352,10 @@ class TestDeltaCopies:
             "anchored-near-rim", "half-cylinder"])
     def test_full_check_passes_on_every_copy(self, surface, deltas):
         # the homothety keeps the layer, the walls and the Jacobian's sign, so a
-        # copy is not checked again; the full check, run here, agrees
-        for copy in scale_surface(surface, deltas):
-            found = copy.r_min
-            geometry._validate_surface(copy)
-            assert copy.r_min == found
+        # copy is not checked again; the full check of the copy surface,
+        # which its constructor runs, agrees and finds the same r_min
+        for delta, found in zip(deltas, scale_surface(surface, deltas)):
+            assert copy_surface(surface, delta).r_min == found
 
     def test_batch_memory_is_one_start_grid(self):
         def peak(deltas):
@@ -358,7 +382,7 @@ class TestDeltaCopies:
 
     def test_refusal_waits_for_its_copy(self):
         copies = scale_surface(half_cylinder(), [0.3, 0.5, 1.5])
-        assert next(copies).r_min == pytest.approx(0.2, abs=1e-9)
+        assert next(copies) == pytest.approx(0.2, abs=1e-9)
         with pytest.raises(SurfaceValidationError, match="touches the wire axis"):
             next(copies)
         copies = scale_surface(half_cylinder(), [0.9, 1.5, 0.5])

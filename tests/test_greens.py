@@ -372,7 +372,7 @@ class TestEwaldTables:
         k = int(math.floor(math.sqrt(eps)))
         rng = np.random.default_rng(3)
         for delta in deltas:
-            rule = build_quadrature(next(scale_surface(base.surface, [delta])), order)
+            rule = base.scaled(delta, next(scale_surface(base.surface, [delta])))
             state = SystemState(SWEEP_PARAMS, rule, second_sheet(k), l,
                                 layout=layout.scaled(delta), delta=delta)
             tables = state.tables

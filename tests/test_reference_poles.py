@@ -4,14 +4,18 @@ Each workload of ``perfbench/workloads.py`` writes its seed-0 config, the
 CLI runs it, and every pole of the output passes the benchmark's own gate:
 |z - z_ref| <= 1e-12 against ``perfbench/reference.json``, Im z < 0,
 Re z in J_k and, on the acceptance sweep, the fitted exponents.  The same
-in-process run counts the eta_l evaluations and keeps every pole's
-diagnostics.  The benchmark files are only read.
+in-process run counts the eta_l evaluations, keeps every pole's
+diagnostics and re-solves each pole from where its search stopped until
+|g| stops falling, to hold the search to its own error estimate.  The
+benchmark files are only read.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from layres import bs_operator, cli, resonance
@@ -21,7 +25,9 @@ WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py
 
 #: most eta_l evaluations a seed-0 run may make; upper bounds, so that a
 #: later saving keeps them true
-MAX_ETA = {"sweep_disk12": 21, "pole_disk16": 3, "sweep_rect_wire12": 12}
+MAX_ETA = {"sweep_disk12": 17, "pole_disk16": 3, "sweep_rect_wire12": 12}
+#: the criteria that end a pole search (``resonance.find_pole``)
+STOPS = {"relative", "floor", "exact"}
 
 
 def _workloads():
@@ -36,21 +42,46 @@ WL = _workloads()
 REFERENCE = WL.load_reference()
 
 
+def _floor_pole(z, state):
+    """F(z) - the pole - at the least |g| of secant steps from z, taken until |g| stops falling.
+
+    The iteration of ``find_pole`` on g(z) = z - F(z) = (z - l^2)(1 - exp(-4 pi eta_l)),
+    started from z and F(z), with no stop but the rounding floor of |g|.
+    """
+    l2 = state.l**2
+
+    def g(z):
+        return (z - l2) * complex(-np.expm1(-4.0 * math.pi * bs_operator.eta_l(z, state)))
+
+    points = [(z, g(z))]
+    points.append((z - points[0][1], g(z - points[0][1])))
+    while points[-1][1] != 0 and abs(points[-1][1]) < abs(points[-2][1]):
+        (z0, g0), (z1, g1) = points[-2:]
+        z2 = z1 - g1 * (z1 - z0) / (g1 - g0)
+        points.append((z2, g(z2)))
+    z, gz = min(points, key=lambda point: abs(point[1]))
+    return z - gz
+
+
 def _run(directory, name):
-    """(meta, rows, eta_l evaluations, PoleResults) of the seed-0 run of ``name``."""
+    """(meta, rows, eta_l evaluations, PoleResults, floor poles) of the seed-0 run of ``name``.
+
+    The floor pole of each result is :func:`_floor_pole` from its z, on its state.
+    """
     workload = WL.WORKLOADS[name]
     out = directory / f"{name}.csv"
     config = directory / f"{name}.cfg"
     config.write_text(workload.config(0, str(out)), encoding="utf-8")
-    calls, poles = [], []
+    calls, poles, floors = [], [], []
     find_pole = resonance.find_pole
 
     def eta(*args, **kwargs):
         calls.append(args[0])
         return bs_operator.eta_l(*args, **kwargs)
 
-    def recorded(*args, **kwargs):
-        poles.append(find_pole(*args, **kwargs))
+    def recorded(state, *args, **kwargs):
+        poles.append(find_pole(state, *args, **kwargs))
+        floors.append(_floor_pole(poles[-1].z, state))
         return poles[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -58,7 +89,7 @@ def _run(directory, name):
         mp.setattr(resonance, "find_pole", recorded)
         mp.setattr(cli, "find_pole", recorded)
         assert main([workload.mode, "--config", str(config)]) == 0
-    return (*WL.read_csv(out), len(calls), poles)
+    return (*WL.read_csv(out), len(calls), poles, floors)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +107,7 @@ def seed_zero(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
 def test_seed_zero_poles_match_reference(seed_zero, name):
     workload = WL.WORKLOADS[name]
-    meta, rows, _, _ = seed_zero(name)
+    meta, rows, _, _, _ = seed_zero(name)
     verdicts = WL.check_poles(workload, meta, rows, REFERENCE[name])
     assert len(verdicts) == len(workload.deltas)
     assert verdicts == dict.fromkeys(verdicts), verdicts
@@ -84,7 +115,7 @@ def test_seed_zero_poles_match_reference(seed_zero, name):
 
 @pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
 def test_seed_zero_eta_evaluations(seed_zero, name):
-    _, _, evaluations, poles = seed_zero(name)
+    _, _, evaluations, poles, _ = seed_zero(name)
     assert len(poles) == len(WL.WORKLOADS[name].deltas)
     assert evaluations == sum(res.diagnostics["eta_evaluations"] for res in poles)
     assert evaluations <= MAX_ETA[name]
@@ -92,6 +123,18 @@ def test_seed_zero_eta_evaluations(seed_zero, name):
 
 @pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
 def test_seed_zero_fixed_point_contracts(seed_zero, name):
-    # the last secant slope estimates |F'| = |4 pi beta (z - l^2) theta_l'|
+    # the first two points estimate |F'| = |4 pi beta (z - l^2) theta_l'|
     for res in seed_zero(name)[3]:
         assert res.diagnostics["contraction"] < 0.1
+
+
+@pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
+def test_seed_zero_poles_within_their_error_estimate(seed_zero, name):
+    # every search stops on a named criterion, and its pole lies within its
+    # own error estimate of the pole solved to the floor of |g|; z itself is
+    # held to the spacing of doubles at z, 4.4e-16 in Re z, on top of that
+    for res, floor in zip(*seed_zero(name)[3:]):
+        assert res.diagnostics["stop"] in STOPS
+        assert abs(res.z - floor) <= res.diagnostics["root_error"] \
+            + sys.float_info.epsilon * abs(res.z)
+        assert abs(res.z.imag - floor.imag) <= 1e-10 * abs(floor.imag)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -119,6 +120,10 @@ class TestFindPole:
         res = find_pole(st)
         assert res.z.real == pytest.approx(PARAMS.eigenvalue(2), abs=1e-12)
         assert abs(res.z.imag) < 1e-12
+        # Im mu is 0, so no error is small against it: the search ends at the
+        # rounding floor of g and reports that floor as its error
+        assert res.diagnostics["stop"] == "floor"
+        assert res.diagnostics["root_error"] == res.residual < 1e-15
 
     def test_delta_comes_from_the_state(self, pole_08):
         res, st = pole_08
@@ -223,6 +228,22 @@ class TestFindPole:
         res = find_pole(st, seed=root)
         assert (res.z, res.residual, res.iterations) == (root, 0.0, 0)
         assert res.diagnostics["eta_evaluations"] == 1
+        assert (res.diagnostics["stop"], res.diagnostics["root_error"]) == ("exact", 0.0)
+        assert "contraction" not in res.diagnostics
+
+    def test_tolerance_alone_does_not_stop(self, monkeypatch):
+        # F(z) = root + q (z - root) with q = 1/4, from a seed 1.2e-12 off the
+        # root: |g| is below ROOT_TOL at F(seed) already, but q |g| / (1 - q)
+        # is not small against Im mu = -1e-6, so the search takes a step
+        st = pole_state(BASE, 0.08, 2, PARAMS, order=4)
+        root, q = PARAMS.eigenvalue(2) + 1e-4 - 1e-6j, 0.25
+        monkeypatch.setattr(resonance, "eta_l", lambda z, state, diagnostics=None:
+                            -cmath.log((root - 4 + q * (z - root)) / (z - 4)) / (4 * math.pi))
+        res = find_pole(st, seed=root + 1.2e-12)
+        assert res.iterations == 1 and res.diagnostics["stop"] == "relative"
+        assert res.diagnostics["contraction"] == pytest.approx(q, rel=1e-3)
+        assert res.diagnostics["root_error"] <= resonance.ROOT_REL_TOL * 1e-6
+        assert abs(res.z - root) <= 1e-21  # one spacing of doubles at Im z = -1e-6
 
     def test_flat_determinant_stops_at_the_blind_point(self, monkeypatch):
         # Gamma_l det has no known slope: its second point stays z0 + 1e-7 |z0|
@@ -559,7 +580,8 @@ class TestSweep:
         cold = [find_pole(pole_state(BASE, d, 2, PARAMS, order=6)) for d in deltas]
         for w, c in zip(warm.poles, cold):
             assert abs(w.z - c.z) < 1e-12
-        # points after the first start from the delta^2 extrapolation
+        # points after the first start from the predictor through the poles
+        # before them
         assert sum(w.diagnostics["eta_evaluations"] for w in warm.poles[1:]) \
             < sum(c.diagnostics["eta_evaluations"] for c in cold[1:])
 
@@ -579,6 +601,36 @@ class TestSweep:
         # a flat eta drives F to its spurious fixed point l^2 (see above)
         assert sw.failures[0][1].startswith("root iteration stopped at z = (4+0j)")
         assert [res.delta for res in sw.poles] == [0.02, 0.06, 0.1, 0.12]
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_predictor_reproduces_its_powers(self, count):
+        # mu = c2 delta^2 + c3 delta^3 + c4 delta^4 is predicted exactly from
+        # three poles, its first two powers from two and c2 delta^2 from one;
+        # only the last three poles count
+        eps = PARAMS.eigenvalue(2)
+        powers = [(2, -5e-3 - 1e-7j), (3, 2e-2 + 3e-7j), (4, -0.1 - 2e-6j)][:min(count, 3)]
+
+        def mu(d):
+            return sum(c * d**p for p, c in powers)
+
+        deltas = [0.01, 0.02, 0.03, 0.05][-count:]
+        poles = [PoleResult(z=eps + mu(d), mu=mu(d), l=2, k=1, delta=d, residual=0.0,
+                            iterations=0, diagnostics={}) for d in deltas]
+        predicted = resonance._predicted_pole(eps, poles, 0.08)
+        assert abs(predicted - (eps + mu(0.08))) <= 1e-15 * abs(mu(0.08)) + 4.5e-16
+
+    def test_predictor_stops_where_its_series_diverges(self):
+        # poles at the rounding floor, 1e-16 off mu = c2 delta^2, at deltas
+        # below 2e-4: their divided differences are noise, which the cubic
+        # through them carries to delta = 0.15 as a miss of 0.34, 3000 times
+        # mu; its last Newton term is larger than the one before, so it is
+        # left out, and the miss is 4 % of mu
+        eps, c2 = PARAMS.eigenvalue(2), -5e-3 - 1e-7j
+        poles = [PoleResult(z=eps + c2 * d * d + e, mu=c2 * d * d + e, l=2, k=1, delta=d,
+                            residual=0.0, iterations=0, diagnostics={})
+                 for d, e in [(1e-5, 1e-16), (2e-5, -1e-16), (2e-4, 1e-16)]]
+        predicted = resonance._predicted_pole(eps, poles, 0.15)
+        assert abs(predicted - eps - c2 * 0.15**2) < 0.05 * abs(c2 * 0.15**2)
 
     def test_unsorted_deltas_rejected(self):
         with pytest.raises(ValueError):
