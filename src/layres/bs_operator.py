@@ -149,13 +149,15 @@ def _graded_triangles(corners):
 
     ``corners`` are the four window corners relative to the apex, in
     metric-scaled coordinates.  The base of each corner triangle is cut
-    geometrically around the foot of the apex perpendicular.
+    geometrically around the foot of the apex perpendicular.  A corner
+    triangle is skipped when it is flat to rounding, |c1 x c2| <= 1e-14
+    |c1| |c2|: relative, so that a small surface keeps all of its own.
     """
     e1, e2 = [], []
     for t in range(4):
         c1, c2 = corners[t], corners[(t + 1) % 4]
         cross = c1[0] * c2[1] - c1[1] * c2[0]
-        if abs(cross) < 1e-14:
+        if abs(cross) <= 1e-14 * np.hypot(*c1) * np.hypot(*c2):
             continue
         edge = c2 - c1
         length = float(np.hypot(*edge))
@@ -179,18 +181,20 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
     """Rows ``rows`` of (p_inv, p_lin), each row one batched kernel evaluation.
 
     The apex-Duffy points of all graded sub-triangles around the node are
-    stacked, so the parametrization and the Jacobian are evaluated once per
-    row.  ``orders`` are the Gauss-Legendre orders (n_u, n_v) of the Duffy
-    variables: u runs from the node to the base of a sub-triangle, v along
-    that base.  On an affine surface the integrand is a polynomial in u, so
-    n_u = p + 1 is exact there (:func:`_duffy_orders`).  The kernel is
-    integrated against the modal bases, Legendre polynomials in q1 and in q2
-    or the trigonometric basis in a periodic q2, built by recurrence as
-    (p, N) arrays; two fixed p x p maps (:func:`_legendre_map`,
-    :func:`_trig_map`) then take the p x p moments to the cardinal basis of
-    the nodes.  A row with more than _BATCH_POINTS points (a folded disk
-    row above order 29) has its bases evaluated in batches of that size, to
-    bound the memory they take.
+    stacked, so the parametrization and the surface's closed-form Jacobian
+    are evaluated once per row, and no tangent at a Duffy point.  ``orders``
+    are the Gauss-Legendre orders (n_u, n_v) of the Duffy variables: u runs
+    from the node to the base of a sub-triangle, v along that base.  On an
+    affine surface the integrand is a polynomial in u, so n_u = p + 1 is
+    exact there (:func:`_duffy_orders`).  The kernel is integrated against
+    the modal bases, Legendre polynomials in q1 and in q2 or the
+    trigonometric basis in a periodic q2, built by recurrence as (p, N)
+    arrays; two fixed p x p maps (:func:`_legendre_map`, :func:`_trig_map`)
+    then take the p x p moments to the cardinal basis of the nodes.  A row's
+    points and bases are freed before the next row's are made, and a row
+    with more than _BATCH_POINTS points (a folded disk row above order 29)
+    has its bases evaluated in batches of that size, to bound the memory
+    they take.
 
     A row whose node is fixed by a reflection h in ``group`` that moves only
     one parameter index (every node keeps its q1 index, or every node keeps
@@ -220,9 +224,13 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
     u = xu[:, None, None]
     v = xv[None, :, None]
     wu = np.outer(wu, wv) * xu[:, None]
-    p_inv = np.empty((len(rows), n))
-    p_lin = np.empty((len(rows), n))
-    for k, i in enumerate(rows):
+
+    def kernel_points(i, fold_axes):
+        """Basis coordinates (t1, t2) and weights of the two kernels at row i's Duffy points.
+
+        Only the sub-triangles that the folds along ``fold_axes`` keep are
+        integrated.  The points themselves are freed on return.
+        """
         q1, q2 = rule.param_nodes[i]
         h = np.array([np.linalg.norm(surf.tangent1(q1, q2)),
                       np.linalg.norm(surf.tangent2(q1, q2))])
@@ -231,10 +239,7 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
         corners = h * np.array([[a1 - q1, lo2], [b1 - q1, lo2],
                                 [b1 - q1, hi2], [a1 - q1, hi2]])
         e1, e2 = _graded_triangles(corners)
-        fixed = group[:, i] == i
-        folds = [(axis, group[np.argmax(only & fixed)])
-                 for axis, only in enumerate(moves_only) if np.any(only & fixed)]
-        for axis, _ in folds:
+        for axis in fold_axes:
             negative = e1[:, axis] + e2[:, axis] < 0.0
             e1, e2 = e1[negative], e2[negative]
         det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -242,19 +247,31 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
         offset = u * ((1.0 - v) * e1[:, None, None, :] + v * e2[:, None, None, :]) / h
         qq1 = (q1 + offset[..., 0]).ravel()
         qq2 = (q2 + offset[..., 1]).ravel()
-        r = np.linalg.norm(surf.param_map(qq1, qq2) - rule.nodes[i], axis=-1)
+        d = surf.param_map(qq1, qq2) - rule.nodes[i]
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
         c = (det[:, None, None] * wu).ravel() * surf.jacobian(qq1, qq2) / (h[0] * h[1])
-        c_inv, c_lin = c / r, c * r
-        t1 = (2.0 * qq1 - a1 - b1) / (b1 - a1)
-        t2 = scale2 * (qq2 - origin2)
+        return (2.0 * qq1 - a1 - b1) / (b1 - a1), scale2 * (qq2 - origin2), c / r, c * r
+
+    def moments(i, fold_axes):
+        """(p, p) moments of row i's two kernels; its bases are freed on return."""
+        t1, t2, c_inv, c_lin = kernel_points(i, fold_axes)
         acc_inv = np.zeros((p, p))
         acc_lin = np.zeros((p, p))
-        for b in range(0, len(c), _BATCH_POINTS):
+        for b in range(0, len(c_inv), _BATCH_POINTS):
             part = slice(b, b + _BATCH_POINTS)
             f1 = _legendre_basis(t1[part], p)
             f2 = basis2(t2[part], p).T
             acc_inv += (f1 * c_inv[part]) @ f2
             acc_lin += (f1 * c_lin[part]) @ f2
+        return acc_inv, acc_lin
+
+    p_inv = np.empty((len(rows), n))
+    p_lin = np.empty((len(rows), n))
+    for k, i in enumerate(rows):
+        fixed = group[:, i] == i
+        folds = [(axis, group[np.argmax(only & fixed)])
+                 for axis, only in enumerate(moves_only) if np.any(only & fixed)]
+        acc_inv, acc_lin = moments(i, [axis for axis, _ in folds])
         row_inv = (map1.T @ acc_inv @ map2).ravel()
         row_lin = (map1.T @ acc_lin @ map2).ravel()
         for _, mirror in folds:
@@ -266,7 +283,8 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
 
 
 def _node_distances(nodes: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
+    d = nodes[:, None, :] - nodes[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", d, d))
 
 
 def _candidate_symmetries(rule: QuadratureRule):
@@ -375,21 +393,21 @@ def _orbit_map(group: np.ndarray):
 def _is_affine(surface: geometry.Surface) -> bool:
     """Whether the surface is x(corner) + dq1 t1 + dq2 t2 with a Legendre basis in q2.
 
-    Both tangents must be constant over the check grid to rounding, and the
-    map must equal that affine form there, which also catches tangents that
-    disagree with the map.  A periodic q2 is refused: its trigonometric
-    basis is not a polynomial along a Duffy ray.
+    t1 and t2 are the tangents at the corner, the only point where tangents
+    are evaluated.  The map must equal that affine form over the check grid
+    to rounding, which also catches corner tangents that disagree with the
+    map, and the Jacobian must be constant there.  A periodic q2 is refused:
+    its trigonometric basis is not a polynomial along a Duffy ray.
     """
     if surface.periodic2:
         return False
     g1, g2 = geometry._param_grid(surface, geometry._CHECK_GRID)
-    t1, t2 = surface.tangent1(g1, g2), surface.tangent2(g1, g2)
-    c1, c2 = t1[0, 0], t2[0, 0]
-    if not (np.allclose(t1, c1, rtol=0.0, atol=1e-12 * np.linalg.norm(c1))
-            and np.allclose(t2, c2, rtol=0.0, atol=1e-12 * np.linalg.norm(c2))):
+    (a1, _), (a2, _) = surface.domain
+    c1, c2 = surface.tangent1(a1, a2), surface.tangent2(a1, a2)
+    jac = surface.jacobian(g1, g2)
+    if not np.allclose(jac, jac[0, 0], rtol=0.0, atol=1e-12 * jac[0, 0]):
         return False
     pts = surface.param_map(g1, g2)
-    (a1, _), (a2, _) = surface.domain
     affine = pts[0, 0] + np.multiply.outer(g1 - a1, c1) + np.multiply.outer(g2 - a2, c2)
     return np.allclose(pts, affine, rtol=0.0, atol=1e-12 * np.max(np.abs(pts)))
 
@@ -453,12 +471,13 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
     if group is None:
         group = _node_group(rule)
     orders = _duffy_orders(rule, group) if duffy_order is None else (duffy_order,) * 2
-    rep, col = _orbit_map(group)
     # the distinct representatives; np.unique without index outputs would
     # import numpy.ma (about 15 ms) on its first call
-    rows = np.flatnonzero(np.bincount(rep))
-    at = np.searchsorted(rows, rep)[:, None]
+    rows = np.flatnonzero(np.bincount(group.min(axis=0)))
     p_inv, p_lin = _product_rows(rule, rows, orders, group)
+    # the n x n column map only now, so that it is not held beside a row's bases
+    rep, col = _orbit_map(group)
+    at = np.searchsorted(rows, rep)[:, None]
     return p_inv[at, col], p_lin[at, col]
 
 

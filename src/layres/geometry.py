@@ -1,16 +1,18 @@
 """Parametrized impurity surfaces, the delta-scaling family and quadrature.
 
 Three analytic families are built in (planar rectangle patch, planar disk,
-spherical cap); each carries closed-form tangents so Jacobians are exact,
-and each refuses a size (radius, length1, length2) that is not positive.
+spherical cap); each carries closed-form tangents and a closed-form area
+Jacobian (rectangle length1 length2, disk R^2 u, cap R^2 sin theta), and
+each refuses a size (radius, length1, length2) that is not positive.
 Every ``Surface`` checks on a dense parameter grid that it stays in the layer
-0 <= x3 <= pi, touching a wall at most on its rim, with a nondegenerate
-Jacobian, and searches its distance to the wire axis once (``r_min``, which
-must exceed 1e-6); a disk or rectangle that the axis crosses is refused in
-closed form first.  A delta-copy is no surface of its own: the homothety
-keeps the layer, the walls and the Jacobian's sign, so only its r_min is
-searched (:func:`scale_surface`, for every delta of a sweep in one batch),
-and its rule is the surface's scaled (:meth:`QuadratureRule.scaled`).  Only
+0 <= x3 <= pi, touching a wall at most on its rim, that its Jacobian equals
+|t1 x t2| and is nondegenerate, and searches its distance to the wire axis
+once (``r_min``, which must exceed 1e-6); a disk or rectangle that the axis
+crosses is refused in closed form first.  A delta-copy is no surface of its
+own: the homothety keeps the layer, the walls and the Jacobian's sign, so
+only its r_min is searched (:func:`scale_surface`, for every delta of a
+sweep in one batch), and its rule is the surface's scaled
+(:meth:`QuadratureRule.scaled`).  Only
 :func:`with_anchor` searches for x0 on the surface: the families put x0
 there, and a delta-copy keeps it as its fixed point.  Every search is one
 zoom grid on numpy alone over a batch of residuals (:func:`_search_min`);
@@ -50,10 +52,13 @@ class SurfaceValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Surface:
-    """Graph surface q in U -> x(q) in the layer, with analytic tangents.
+    """Graph surface q in U -> x(q) in the layer, with analytic tangents and Jacobian.
 
     ``param_map``, ``tangent1`` and ``tangent2`` accept array arguments
-    (broadcasting over q1, q2) and return stacked (..., 3) coordinates.
+    (broadcasting over q1, q2) and return stacked (..., 3) coordinates;
+    ``jacobian`` returns the area element |t1 x t2| in closed form, of the
+    broadcast shape of q1 and q2.  The check compares it with |t1 x t2| once,
+    on its grid, so product integration evaluates the closed form alone.
     ``domain`` is the parameter rectangle ((q1min, q1max), (q2min, q2max)).
     ``x0`` is the anchor of the delta-scaling and lies on the surface (checked
     by :func:`with_anchor`).  ``r_min`` is the distance to the wire axis.
@@ -63,6 +68,7 @@ class Surface:
     param_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
     tangent1: Callable[[np.ndarray, np.ndarray], np.ndarray]
     tangent2: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], tuple[float, float]]
     x0: np.ndarray
     #: second parameter is periodic over its domain (disk/cap azimuth); the
@@ -76,11 +82,6 @@ class Surface:
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         _validate_surface(self)
-
-    def jacobian(self, q1, q2) -> np.ndarray:
-        t1 = self.tangent1(np.asarray(q1, float), np.asarray(q2, float))
-        t2 = self.tangent2(np.asarray(q1, float), np.asarray(q2, float))
-        return np.linalg.norm(np.cross(t1, t2), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,12 @@ def _validate_surface(surface: Surface) -> None:
     if not rmin > 1e-6:
         raise SurfaceValidationError(f"surface {surface.name!r} touches the wire axis")
     object.__setattr__(surface, "r_min", rmin)
-    jac = surface.jacobian(g1[1:-1, 1:-1], g2[1:-1, 1:-1])
-    if jac.size and np.min(jac) <= 0.0:
+    jac = surface.jacobian(g1, g2)
+    cross = np.linalg.norm(np.cross(surface.tangent1(g1, g2), surface.tangent2(g1, g2)), axis=-1)
+    if np.shape(jac) != cross.shape or not np.allclose(jac, cross, rtol=tol,
+                                                       atol=tol * np.max(cross)):
+        raise SurfaceValidationError(f"surface {surface.name!r}: its jacobian is not |t1 x t2|")
+    if jac[1:-1, 1:-1].size and np.min(jac[1:-1, 1:-1]) <= 0.0:
         raise SurfaceValidationError(f"surface {surface.name!r} has a degenerate Jacobian")
 
 
@@ -278,9 +283,12 @@ def rectangle_patch(center, direction1, direction2, length1: float, length2: flo
     def tangent2(q1, q2):
         return np.broadcast_to(length2 * u2, np.broadcast_shapes(np.shape(q1), np.shape(q2)) + (3,))
 
+    def jacobian(q1, q2):
+        return np.full(np.broadcast_shapes(np.shape(q1), np.shape(q2)), length1 * length2)
+
     dom = ((-0.5, 0.5), (-0.5, 0.5))
     return Surface(name="rectangle", param_map=param_map, tangent1=tangent1, tangent2=tangent2,
-                   domain=dom, x0=_centroid_x0(param_map, dom))
+                   jacobian=jacobian, domain=dom, x0=_centroid_x0(param_map, dom))
 
 
 def disk(center, normal, radius: float) -> Surface:
@@ -302,9 +310,12 @@ def disk(center, normal, radius: float) -> Surface:
     def tangent2(u, th):
         return np.multiply.outer(-R * u * np.sin(th), e1) + np.multiply.outer(R * u * np.cos(th), e2)
 
+    def jacobian(u, th):
+        return np.broadcast_to(R * R * u, np.broadcast_shapes(np.shape(u), np.shape(th)))
+
     dom = ((0.0, 1.0), (0.0, 2.0 * np.pi))
     return Surface(name="disk", param_map=param_map, tangent1=tangent1, tangent2=tangent2,
-                   domain=dom, x0=c, periodic2=True)
+                   jacobian=jacobian, domain=dom, x0=c, periodic2=True)
 
 
 def spherical_cap(sphere_center, radius: float, polar_angle: float) -> Surface:
@@ -330,10 +341,13 @@ def spherical_cap(sphere_center, radius: float, polar_angle: float) -> Surface:
         return (np.multiply.outer(-R * np.sin(th) * np.sin(ph), e1)
                 + np.multiply.outer(R * np.sin(th) * np.cos(ph), e2))
 
+    def jacobian(th, ph):
+        return np.broadcast_to(R * R * np.sin(th), np.broadcast_shapes(np.shape(th), np.shape(ph)))
+
     dom = ((0.0, th0), (0.0, 2.0 * np.pi))
     # centroid of the parameter rectangle sits at mid polar angle, phi = pi
     return Surface(name="spherical_cap", param_map=param_map, tangent1=tangent1, tangent2=tangent2,
-                   domain=dom, x0=_centroid_x0(param_map, dom), periodic2=True)
+                   jacobian=jacobian, domain=dom, x0=_centroid_x0(param_map, dom), periodic2=True)
 
 
 def with_anchor(surface: Surface, x0) -> Surface:

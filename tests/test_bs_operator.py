@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,8 +75,11 @@ def _ellipse(a=0.5, b=0.3, center=(1.0, 0.0, 1.0)):
         return np.multiply.outer(-a * u * np.sin(th), ex) + \
             np.multiply.outer(b * u * np.cos(th), ey)
 
+    def jacobian(u, th):
+        return a * b * u * np.ones_like(th)
+
     return Surface(name="ellipse", param_map=param_map, tangent1=tangent1,
-                   tangent2=tangent2, domain=((0.0, 1.0), (0.0, 2.0 * np.pi)),
+                   tangent2=tangent2, jacobian=jacobian, domain=((0.0, 1.0), (0.0, 2.0 * np.pi)),
                    x0=c, periodic2=True)
 
 
@@ -137,7 +141,7 @@ def _reference_singular(rule, duffy_order):
             c1 = np.array([h1 * (corners[t][0] - q1), h2 * (corners[t][1] - q2)])
             c2 = np.array([h1 * (corners[(t + 1) % 4][0] - q1),
                            h2 * (corners[(t + 1) % 4][1] - q2)])
-            if abs(c1[0] * c2[1] - c1[1] * c2[0]) < 1e-14:
+            if abs(c1[0] * c2[1] - c1[1] * c2[0]) <= 1e-14 * np.hypot(*c1) * np.hypot(*c2):
                 continue
             edge = c2 - c1
             length = float(np.hypot(*edge))
@@ -269,18 +273,22 @@ class TestAssembleFree:
         assert abs(vals[0] - vals[1]) < 1e-5
 
     def test_coincident_nodes_rejected(self):
-        # x(q) = c + |q1| L u1 + q2 L u2 folds the square onto its right half:
         # a valid surface whose Gauss nodes q1 and -q1 coincide
-        c, u1, u2, length = np.array([1.0, 0.0, 1.0]), np.eye(3)[0], np.eye(3)[1], 0.4
-        folded = Surface(
-            name="folded",
-            param_map=lambda q1, q2: c + np.multiply.outer(np.abs(q1) * length, u1)
-            + np.multiply.outer(q2 * length, u2),
-            tangent1=lambda q1, q2: np.multiply.outer(np.sign(q1) * length + 0.0 * q2, u1),
-            tangent2=lambda q1, q2: np.multiply.outer(length + 0.0 * (q1 + q2), u2),
-            domain=((-0.5, 0.5), (-0.5, 0.5)), x0=c)
         with pytest.raises(ValueError, match="quadrature nodes must be pairwise distinct"):
-            assemble_free(-2.0, _state(build_quadrature(folded, 4)))
+            assemble_free(-2.0, _state(build_quadrature(_folded(), 4)))
+
+
+def _folded():
+    """x(q) = c + |q1| L u1 + q2 L u2: the square folded onto its right half."""
+    c, u1, u2, length = np.array([1.0, 0.0, 1.0]), np.eye(3)[0], np.eye(3)[1], 0.4
+    return Surface(
+        name="folded",
+        param_map=lambda q1, q2: c + np.multiply.outer(np.abs(q1) * length, u1)
+        + np.multiply.outer(q2 * length, u2),
+        tangent1=lambda q1, q2: np.multiply.outer(np.sign(q1) * length + 0.0 * q2, u1),
+        tangent2=lambda q1, q2: np.multiply.outer(length + 0.0 * (q1 + q2), u2),
+        jacobian=lambda q1, q2: np.abs(np.sign(q1)) * length**2 + 0.0 * q2,
+        domain=((-0.5, 0.5), (-0.5, 0.5)), x0=c)
 
 
 def _shift(p):
@@ -318,8 +326,13 @@ def _patch(bend, tangent_bend):
         return (np.multiply.outer(length + 0.0 * q1 * q2, e2)
                 + np.multiply.outer(tangent_bend * q1 * length + 0.0 * q2, e3))
 
+    def jacobian(q1, q2):
+        # |t1 x t2| of t1 = L (e1 + b q2 e3), t2 = L (e2 + b q1 e3)
+        return length**2 * np.sqrt(1.0 + tangent_bend**2 * (q1 * q1 + q2 * q2))
+
     return Surface(name="patch", param_map=param_map, tangent1=tangent1,
-                   tangent2=tangent2, domain=((-0.5, 0.5), (-0.5, 0.5)), x0=c)
+                   tangent2=tangent2, jacobian=jacobian, domain=((-0.5, 0.5), (-0.5, 0.5)),
+                   x0=c)
 
 
 #: surfaces whose Duffy rule takes p + 1 radial points, and some that do not
@@ -440,6 +453,68 @@ class TestSingularBuild:
         assert np.array_equal(got.index, want.index)
         assert _rel_max(got.corr_inv, want.corr_inv) < 1e-12
         assert _rel_max(got.corr_lin, want.corr_lin) < 1e-12
+
+    @pytest.mark.parametrize("surface", [ELLIPSE, _patch(0.1, 0.1), _patch(0.1, 0.0),
+                                         _folded(), copy_surface(RECT, 0.05)],
+                             ids=["ellipse", "bent-patch", "bent-map-flat-tangents",
+                                  "folded", "scaled-rectangle"])
+    def test_fixture_jacobian_is_the_tangent_cross_product(self, surface):
+        (a1, b1), (a2, b2) = surface.domain
+        g1, g2 = np.meshgrid(np.linspace(a1, b1, 37), np.linspace(a2, b2, 53), indexing="ij")
+        cross = np.cross(surface.tangent1(g1, g2), surface.tangent2(g1, g2))
+        assert np.allclose(surface.jacobian(g1, g2), np.linalg.norm(cross, axis=-1),
+                           rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("surface", [DISK, RECT, CAP], ids=["disk", "rectangle", "cap"])
+    def test_no_tangent_at_the_duffy_points(self, surface):
+        # the Duffy points take the closed-form Jacobian; tangents are taken
+        # at single nodes, the affine check's corner and the isometry probes
+        sizes = []
+
+        def counted(tangent):
+            def call(q1, q2):
+                sizes.append(np.broadcast(q1, q2).size)
+                return tangent(q1, q2)
+            return call
+
+        counting = dataclasses.replace(surface, tangent1=counted(surface.tangent1),
+                                       tangent2=counted(surface.tangent2))
+        rule = build_quadrature(counting, 12)
+        sizes.clear()
+        singular_part_matrix(rule)
+        assert sizes and max(sizes) <= rule.n_nodes
+
+    def test_build_memory_peak(self):
+        # the order-16 disk of a one-pole run.  A row holds only its basis
+        # coordinates and kernel weights beside its bases, and the n x n column
+        # map is made after the rows: 4.16 MiB, where 5.13 MiB was the peak of
+        # a row that also held its points, offsets and distances
+        rule = build_quadrature(DISK, 16)
+        group = _node_group(rule)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            singular_part_matrix(rule, group=group)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
+
+    @pytest.mark.parametrize("make", [
+        lambda size: disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=size),
+        lambda size: rectangle_patch(center=(1.0, 0.0, 1.0), direction1=(1, 0, 0),
+                                     direction2=(0, 1, 0), length1=1.2 * size,
+                                     length2=0.8 * size),
+    ], ids=["disk", "rectangle"])
+    def test_small_surface_keeps_every_sub_triangle(self, make):
+        # p_inv scales as R and p_lin as R^3; the coordinates cancel to about
+        # 1e-16 / R relative.  A corner triangle dropped by an absolute bound
+        # on its area put p_inv off by 3e-2 at R = 1e-6
+        want_inv, want_lin = singular_part_matrix(build_quadrature(make(0.5), 8))
+        for size in (1e-3, 1e-4, 1e-5, 1e-6, 3e-7, 1e-7):
+            got_inv, got_lin = singular_part_matrix(build_quadrature(make(size), 8))
+            assert _rel_max(got_inv / size, want_inv / 0.5) <= 3e-14 / size
+            assert _rel_max(got_lin / size**3, want_lin / 0.5**3) <= 3e-14 / size
 
 
 class TestNodeGroup:

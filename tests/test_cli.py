@@ -196,6 +196,19 @@ class TestPoleMode:
         assert 1.0 < float(row["re_z"]) < 4.0
         assert float(row["residual"]) < 1e-12
 
+    def test_tiny_disk_exit_zero(self, tmp_path):
+        # radius 1e-12: an absolute bound on the area of product integration's
+        # corner triangles dropped every one of them, and the run exited 1
+        out = tmp_path / "tiny.csv"
+        path = _write(tmp_path, "tiny.cfg",
+                      "[run]\nmode = pole\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      + DISK_SURFACE.strip().replace("radius = 0.5", "radius = 1e-12")
+                      + "\ndelta = 0.5\n[numerics]\norder = 6\n")
+        assert main(["pole", "--config", path, "--output", str(out)]) == 0
+        body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        row = dict(zip(body[0].split(","), body[1].split(",")))
+        assert float(row["im_z"]) <= 0.0 and 1.0 < float(row["re_z"]) < 4.0
+
 
 class TestSweepMode:
     def test_sweep_with_plot_script(self, tmp_path):

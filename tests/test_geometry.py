@@ -40,8 +40,11 @@ def half_cylinder(radius=0.5):
         return np.stack([-radius * np.sin(q2), radius * np.cos(q2), np.zeros_like(q1)],
                         axis=-1)
 
+    def jacobian(q1, q2):
+        return np.full(np.broadcast_shapes(np.shape(q1), np.shape(q2)), radius)
+
     return Surface(name="half-cylinder", param_map=param_map, tangent1=tangent1,
-                   tangent2=tangent2, domain=((1.0, 2.0), (0.0, np.pi)),
+                   tangent2=tangent2, jacobian=jacobian, domain=((1.0, 2.0), (0.0, np.pi)),
                    x0=(radius, 0.0, 1.5))
 
 
@@ -145,6 +148,38 @@ class TestFactories:
     def test_family_anchor_on_surface(self, surface, anchor):
         # the families put x0 on the surface by construction; nothing else checks it
         assert np.array_equal(surface.x0, surface.param_map(*np.array(anchor)))
+
+
+class TestJacobians:
+    @pytest.mark.parametrize("surface", [
+        make_disk(),
+        disk(center=(1.0, 0.0, 1.0), normal=(1.0, 0.0, 1.0), radius=0.5),
+        rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0, 1, 0), direction2=(0, 0, 1),
+                        length1=0.6, length2=0.6),
+        rectangle_patch(center=(1.0, 0.0, 1.2), direction1=(1, 0, 1), direction2=(0, 1, 1),
+                        length1=0.6, length2=0.4),
+        spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=0.6, polar_angle=0.9),
+        spherical_cap(sphere_center=(1.5, 0.0, 1.5), radius=0.4, polar_angle=math.pi),
+        half_cylinder(),
+        copy_surface(make_disk(), 0.08),
+        copy_surface(half_cylinder(), 0.3),
+    ], ids=["disk", "tilted-disk", "rectangle", "slanted-rectangle", "cap", "whole-sphere",
+            "half-cylinder", "disk-copy", "half-cylinder-copy"])
+    def test_closed_form_is_the_tangent_cross_product(self, surface):
+        # on a grid unlike the surface check's, edges included
+        (a1, b1), (a2, b2) = surface.domain
+        g1, g2 = np.meshgrid(np.linspace(a1, b1, 37), np.linspace(a2, b2, 53), indexing="ij")
+        jac = surface.jacobian(g1, g2)
+        cross = np.cross(surface.tangent1(g1, g2), surface.tangent2(g1, g2))
+        assert jac.shape == g1.shape
+        assert np.allclose(jac, np.linalg.norm(cross, axis=-1), rtol=1e-13, atol=0.0)
+
+    def test_wrong_closed_form_refused(self):
+        # R u is the disk's Jacobian divided by R; the check names the surface
+        radius = 0.5
+        with pytest.raises(SurfaceValidationError, match="surface 'disk': its jacobian is not"):
+            dataclasses.replace(make_disk(radius),
+                                jacobian=lambda u, th: radius * u * np.ones_like(th))
 
 
 class TestAreas:
