@@ -25,7 +25,7 @@ assembled object analytic in z on each sheet, which the root finders rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -504,34 +504,38 @@ def _pair_orbits(group: np.ndarray):
 class PairLayout:
     """Everything z-independent of the free-kernel assembly on one rule.
 
-    ``rows``, ``cols`` are the node pairs whose kernel value is evaluated,
-    one per pair orbit of the kernel group (:func:`pair_layout`), the
-    coincident pairs (i, i) of the diagonal among them.  ``index`` (n x n)
-    points every pair at its representative.  ``corr_inv`` and ``corr_lin``
-    swap the plain Nystrom values of the model kernels 1/(4 pi |x - x'|)
-    and |x - x'| for their product integrals (:func:`singular_part_matrix`):
-    p_inv / w - 1/(4 pi r) and p_lin / w - r, with w the rule weights and
-    the model zero on the diagonal.
+    ``rule`` is the rule the layout belongs to: the unscaled one of
+    :func:`pair_layout`, or a delta-copy's, which only :meth:`scaled` makes
+    together with its corrections.  ``rows``, ``cols`` are the node pairs
+    whose kernel value is evaluated, one per pair orbit of the kernel group
+    (:func:`pair_layout`), the coincident pairs (i, i) of the diagonal among
+    them.  ``index`` (n x n) points every pair at its representative.
+    ``corr_inv`` and ``corr_lin`` swap the plain Nystrom values of the model
+    kernels 1/(4 pi |x - x'|) and |x - x'| for their product integrals
+    (:func:`singular_part_matrix`): p_inv / w - 1/(4 pi r) and p_lin / w - r,
+    with w the rule weights and the model zero on the diagonal.
     """
 
+    rule: QuadratureRule
     rows: np.ndarray
     cols: np.ndarray
     index: np.ndarray
     corr_inv: np.ndarray
     corr_lin: np.ndarray
 
-    def scaled(self, delta: float) -> "PairLayout":
-        """Layout of the delta-image of the rule (:meth:`geometry.QuadratureRule.scaled`).
+    def scaled(self, delta: float, r_min: float) -> "PairLayout":
+        """Layout of the delta-copy of the rule, at distance ``r_min`` from the wire.
 
-        The map x -> delta x + (1 - delta) x0 with the same order and
-        parameter nodes is a similarity: it carries every isometry of the
-        rule along with the same node permutation and keeps equal x3 equal,
-        so the node group, its kernel subgroup and the pairs stay; p_inv
-        scales by delta, p_lin by delta^3, w by delta^2 and r by delta, so
-        corr_inv scales by 1/delta and corr_lin by delta.
+        Its rule is :meth:`geometry.QuadratureRule.scaled`.  The map
+        x -> delta x + (1 - delta) x0 with the same order and parameter
+        nodes is a similarity: it carries every isometry of the rule along
+        with the same node permutation and keeps equal x3 equal, so the node
+        group, its kernel subgroup and the pairs stay; p_inv scales by
+        delta, p_lin by delta^3, w by delta^2 and r by delta, so corr_inv
+        scales by 1/delta and corr_lin by delta.
         """
-        return replace(self, corr_inv=self.corr_inv / delta,
-                       corr_lin=delta * self.corr_lin)
+        return replace(self, rule=self.rule.scaled(delta, r_min),
+                       corr_inv=self.corr_inv / delta, corr_lin=delta * self.corr_lin)
 
 
 def check_pair_tables(order: int) -> None:
@@ -556,8 +560,13 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
     one).  The corrections come from :func:`singular_part_matrix` under the
     whole group.  An order that :func:`check_pair_tables` refuses is refused
     before any n x n array exists, and so are coincident nodes (a
-    parametrization that folds onto itself).
+    parametrization that folds onto itself).  So is a delta-copy's rule,
+    first: its layout is the unscaled one's :meth:`PairLayout.scaled`.
     """
+    if rule.delta != 1.0:
+        raise ValueError(f"pair_layout takes an unscaled rule, not the copy at delta = "
+                         f"{rule.delta:g}: that copy's layout is PairLayout.scaled of the "
+                         "unscaled rule's")
     check_pair_tables(rule.order)
     n = rule.n_nodes
     nodes = rule.nodes
@@ -573,7 +582,7 @@ def pair_layout(rule: QuadratureRule) -> PairLayout:
     inv_r[off] = 1.0 / (4.0 * math.pi * r[off])
     p_inv, p_lin = singular_part_matrix(rule, group=group)
     w = rule.weights
-    return PairLayout(rows, cols, index, p_inv / w - inv_r, p_lin / w - r)
+    return PairLayout(rule, rows, cols, index, p_inv / w - inv_r, p_lin / w - r)
 
 
 def assemble_free(z: complex, state: SystemState) -> np.ndarray:
@@ -626,8 +635,11 @@ def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, eps_l: float,
     and at least k and 1.  A negative eps_l (eps_1 on the first sheet) has
     kappa_n >= n, so 0 in its place keeps enough modes.  On the second
     sheet an ``n_cut`` below k is refused, and so is any cutoff whose mode
-    table would hold more than _MAX_TABLE_ENTRIES entries.
+    table would hold more than _MAX_TABLE_ENTRIES entries.  A ``tail_tol``
+    outside (0, 1), NaN included, is refused first.
     """
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     if n_cut is None:
         tail = -math.log(tail_tol) / (2.0 * geometry.r_min(rule))
         n_cut = max(ctx.k, 1, math.ceil(math.sqrt(max(eps_l, 0.0) + tail * tail)) - 1)
@@ -733,23 +745,18 @@ class SystemState:
     ``l`` names eps_l; a second-sheet ``ctx`` whose window J_k misses eps_l is
     refused, and so is an ``n_cut`` that :func:`mode_cutoff` refuses; without
     one the state takes the cutoff of :func:`mode_cutoff`'s TAIL_TOL.  Holds
-    the mode cutoff, the z-independent pair layout of ``rule`` and its Ewald
-    tables, so only the z-dependent kernel values are recomputed per z.
-    Without a ``layout`` the state builds one on ``rule`` itself, which
-    holds for a rule built on its own surface; a
-    :meth:`geometry.QuadratureRule.scaled` rule takes the layout of the
-    unscaled rule scaled to it, as :mod:`resonance` passes it.  ``delta`` is
-    the scaling parameter of ``rule``, which a pole found on this state
-    records.
+    the mode cutoff, the z-independent ``layout`` and its Ewald tables, so
+    only the z-dependent kernel values are recomputed per z.  The state's
+    rule is the layout's: :func:`pair_layout` of an unscaled rule, or its
+    :meth:`PairLayout.scaled` on a delta-copy, whose ``rule.delta`` a pole
+    found on this state records.
     """
 
     params: SpectralParams
-    rule: QuadratureRule
+    layout: PairLayout
     ctx: SheetContext
     l: int
     n_cut: int | None = None
-    layout: PairLayout | None = field(default=None, repr=False)
-    delta: float = 1.0
 
     def __post_init__(self):
         eps_l, (lo, hi) = self.params.eigenvalue(self.l), self.ctx.window
@@ -757,8 +764,11 @@ class SystemState:
             raise ValueError(f"l = {self.l}: eps_l = {eps_l} lies outside the window "
                              f"J_{self.ctx.k} = ({lo:g}, {hi:g}) of the second sheet")
         self.n_cut = mode_cutoff(self.rule, self.ctx, eps_l, n_cut=self.n_cut)
-        if self.layout is None:
-            self.layout = pair_layout(self.rule)
+
+    @property
+    def rule(self) -> QuadratureRule:
+        """The layout's rule."""
+        return self.layout.rule
 
     @cached_property
     def tables(self) -> EwaldTables:

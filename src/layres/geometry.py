@@ -12,7 +12,9 @@ crosses is refused in closed form first.  A delta-copy is no surface of its
 own: the homothety keeps the layer, the walls and the Jacobian's sign, so
 only its r_min is searched (:func:`scale_surface`, for every delta of a
 sweep in one batch), and its rule is the surface's scaled
-(:meth:`QuadratureRule.scaled`).  Only
+(:meth:`QuadratureRule.scaled`), which records its delta; a state
+reaches that rule only through the copy's pair layout
+(``bs_operator.PairLayout.scaled``).  Only
 :func:`with_anchor` searches for x0 on the surface: the families put x0
 there, and a delta-copy keeps it as its fixed point.  Every search is one
 zoom grid on numpy alone over a batch of residuals (:func:`_search_min`);
@@ -90,6 +92,7 @@ class QuadratureRule:
 
     ``r_min`` is the distance of the rule's surface to the wire axis: the
     surface's own, or that of the delta-copy a :meth:`scaled` rule lies on.
+    ``delta`` is the scaling parameter of that copy, 1 on the surface itself.
     """
 
     nodes: np.ndarray
@@ -98,6 +101,7 @@ class QuadratureRule:
     surface: Surface
     order: int
     r_min: float
+    delta: float
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
@@ -114,14 +118,17 @@ class QuadratureRule:
         x0, bitwise those of the rule built on the copy's parametrization,
         and the weights delta^2 w, since the copy's Jacobian is delta^2
         times the surface's.  ``surface`` stays the unscaled one, so its
-        parameter domain holds; the copy's pair layout is the surface's
-        scaled (``bs_operator.PairLayout.scaled``).  delta = 1 gives the
-        rule itself.  ``r_min`` comes from :func:`scale_surface`.
+        parameter domain holds, and the copy's ``delta`` is this rule's
+        times ``delta``, so a copy of a copy is the copy of their product.
+        delta = 1 gives the rule itself.  ``r_min`` comes from
+        :func:`scale_surface`.  A state takes a copy's rule only inside its
+        pair layout, ``bs_operator.PairLayout.scaled``, which scales the
+        singular corrections with it.
         """
         if delta == 1.0:
             return self
         return replace(self, nodes=delta * self.nodes + (1.0 - delta) * self.surface.x0,
-                       weights=delta**2 * self.weights, r_min=r_min)
+                       weights=delta**2 * self.weights, r_min=r_min, delta=self.delta * delta)
 
 
 def _param_grid(surface: Surface, n: int):
@@ -434,6 +441,7 @@ def build_quadrature(surface: Surface, order: int) -> QuadratureRule:
         surface=surface,
         order=order,
         r_min=surface.r_min,
+        delta=1.0,
     )
 
 

@@ -139,10 +139,11 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
     every delta at once and checks nothing else of a copy (the homothety
     keeps the rest of the surface check), and refuses a copy only when it
     is taken.  The order-``order`` rule on ``surface`` is built once, and
-    each copy's rule is it scaled (:meth:`QuadratureRule.scaled`).
+    each copy's cutoff is taken on it scaled (:meth:`QuadratureRule.scaled`).
     Only then is the pair layout of the unscaled rule built, once, and each
-    state made with its :meth:`PairLayout.scaled` copy, one at a time, so
-    that each state and its Ewald tables are freed with its pole.
+    state made with its :meth:`PairLayout.scaled` copy, which carries the
+    copy's rule, one at a time, so that each state and its Ewald tables are
+    freed with its pole.
     """
     eps_l = params.eigenvalue(l)
     ctx = second_sheet(window_index(eps_l))
@@ -150,11 +151,11 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
     base_rule = build_quadrature(surface, order)
     copies = []
     for d, rmin in zip(deltas, scale_surface(surface, deltas)):
-        rule = base_rule.scaled(d, rmin)
-        copies.append((d, rule, mode_cutoff(rule, ctx, eps_l, tail_tol, n_cut)))
+        cut = mode_cutoff(base_rule.scaled(d, rmin), ctx, eps_l, tail_tol, n_cut)
+        copies.append((d, rmin, cut))
     layout = pair_layout(base_rule)
-    for d, rule, cut in copies:
-        yield SystemState(params, rule, ctx, l, n_cut=cut, layout=layout.scaled(d), delta=d)
+    for d, rmin, cut in copies:
+        yield SystemState(params, layout.scaled(d, rmin), ctx, l, n_cut=cut)
 
 
 def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
@@ -211,7 +212,7 @@ def _pole_result(state: SystemState, z: complex, residual: float, iterations: in
     if not lo < z.real < hi:
         raise ConvergenceError(f"root {z} escaped the window J_{k}")
     diagnostics = {"n_cut": state.n_cut, "n_nodes": state.rule.n_nodes, **diagnostics}
-    return PoleResult(z=z, mu=z - eps_l, l=state.l, k=k, delta=state.delta,
+    return PoleResult(z=z, mu=z - eps_l, l=state.l, k=k, delta=state.rule.delta,
                       residual=residual, iterations=iterations, diagnostics=diagnostics)
 
 
@@ -242,7 +243,7 @@ def find_pole(state: SystemState, seed: complex | None = None,
 
     The residual |g| is the distance in z from that point to F of it.  A
     point with |4 pi eta_l| >= 1 is refused: g vanishes there only because
-    z = l^2 or exp(-4 pi eta_l) = 1, and so is a ``tol`` below ROOT_TOL.
+    z = l^2 or exp(-4 pi eta_l) = 1, and so is a ``tol`` below ROOT_TOL or NaN.
     ``diagnostics`` of the result describe the whole search: the number of
     eta_l evaluations, the worst condition number of the guarded solve,
     ``contraction`` q, ``stop`` the criterion and ``root_error``, the
@@ -250,7 +251,7 @@ def find_pole(state: SystemState, seed: complex | None = None,
     the floor it is |g| itself: a q measured where g is rounding noise is
     noise too, so the pole is known to the floor the search reached.
     """
-    if tol < ROOT_TOL:
+    if not tol >= ROOT_TOL:
         raise ValueError(f"tolerance below {ROOT_TOL:g} is not resolvable")
     l2 = state.l**2
     eps_l = state.params.eigenvalue(state.l)
@@ -310,9 +311,10 @@ def find_determinant_root(state: SystemState, seed: complex | None = None,
     the default seed sits slightly off eps_l because the assembled rank sum
     itself is singular exactly at the eigenvalue.  The product has no known
     slope, so the second point is the blind z0 + 1e-7 max(1, |z0|).  The
-    secant stops when both |f| and the last step are below ``tol``.
+    secant stops when both |f| and the last step are below ``tol``, which
+    must be at least ROOT_TOL.
     """
-    if tol < ROOT_TOL:
+    if not tol >= ROOT_TOL:
         raise ValueError(f"tolerance below {ROOT_TOL:g} is not resolvable")
 
     def f(z):
@@ -461,11 +463,11 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
     eps_l = params.eigenvalue(l)
     poles, closed, failures = [], [], []
     for st in _delta_states(surface, deltas, l, params, order, tail_tol, n_cut):
-        seed = _predicted_pole(eps_l, poles, st.delta) if poles else None
+        seed = _predicted_pole(eps_l, poles, st.rule.delta) if poles else None
         try:
             res = find_pole(st, seed=seed, tol=tol)
         except ArithmeticError as exc:
-            failures.append((st.delta, str(exc)))
+            failures.append((st.rule.delta, str(exc)))
             continue
         poles.append(res)
         closed.append(im_mu_closed_form(st))

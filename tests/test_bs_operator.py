@@ -32,6 +32,7 @@ from layres.geometry import (
     build_quadrature,
     disk,
     rectangle_patch,
+    scale_surface,
     spherical_cap,
     with_anchor,
 )
@@ -180,9 +181,9 @@ def _rel_max(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def _state(rule, ctx=None, l=1, **kwargs):
-    """State of eps_l on ``rule``; the first sheet by default."""
-    return SystemState(PARAMS, rule, ctx or first_sheet(), l, **kwargs)
+def _state(layout, ctx=None, l=1, **kwargs):
+    """State of eps_l on the rule of ``layout``; the first sheet by default."""
+    return SystemState(PARAMS, layout, ctx or first_sheet(), l, **kwargs)
 
 
 def _a_l(z, state):
@@ -202,13 +203,13 @@ def rule12():
 
 @pytest.fixture(scope="module")
 def state12(rule12):
-    return _state(rule12)
+    return _state(pair_layout(rule12))
 
 
 @pytest.fixture(scope="module")
 def small_state():
     ctx = second_sheet(1)
-    return SystemState(PARAMS, build_quadrature(SMALL, 8), ctx, 2)
+    return SystemState(PARAMS, pair_layout(build_quadrature(SMALL, 8)), ctx, 2)
 
 
 class TestAssembleFree:
@@ -217,7 +218,7 @@ class TestAssembleFree:
         # kernel at the node pair
         z = -2.0
         rule = build_quadrature(DISK, 6)
-        st = _state(rule)
+        st = _state(pair_layout(rule))
         layout = st.layout
         mat = assemble_free(z, st) / rule.weights \
             - layout.corr_inv + z / (8.0 * math.pi) * layout.corr_lin
@@ -267,7 +268,7 @@ class TestAssembleFree:
         vals = []
         for p in (12, 24):
             r = build_quadrature(DISK, p)
-            op = assemble_free(-5.0, _state(r))
+            op = assemble_free(-5.0, _state(pair_layout(r)))
             f = fn(r.nodes)
             vals.append(np.sum(r.weights * f * (op @ f)))
         assert abs(vals[0] - vals[1]) < 1e-5
@@ -275,7 +276,7 @@ class TestAssembleFree:
     def test_coincident_nodes_rejected(self):
         # a valid surface whose Gauss nodes q1 and -q1 coincide
         with pytest.raises(ValueError, match="quadrature nodes must be pairwise distinct"):
-            assemble_free(-2.0, _state(build_quadrature(_folded(), 4)))
+            assemble_free(-2.0, _state(pair_layout(build_quadrature(_folded(), 4))))
 
 
 def _folded():
@@ -447,8 +448,11 @@ class TestSingularBuild:
     @pytest.mark.parametrize("surface", [DISK, CAP, RECT], ids=["disk", "cap", "rectangle"])
     @pytest.mark.parametrize("delta", [0.02, 0.08])
     def test_homothety_matches_direct_build(self, surface, delta):
-        got = pair_layout(build_quadrature(surface, 8)).scaled(delta)
+        got = pair_layout(build_quadrature(surface, 8)).scaled(
+            delta, next(scale_surface(surface, [delta])))
         want = pair_layout(build_quadrature(copy_surface(surface, delta), 8))
+        assert np.array_equal(got.rule.nodes, want.rule.nodes)
+        assert got.rule.delta == delta and got.rule.r_min == want.rule.r_min
         assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
         assert np.array_equal(got.index, want.index)
         assert _rel_max(got.corr_inv, want.corr_inv) < 1e-12
@@ -563,8 +567,8 @@ class TestNodeGroup:
         assert len(group) == 4 and len(layout.rows) == 5256
         forced = _with_pairs(layout, group)
         z = PARAMS.eigenvalue(3) - 0.001 - 1e-4j
-        got = assemble_free(z, _state(rule, second_sheet(2), 3, layout=forced)) / rule.weights
-        want = assemble_free(z, _state(rule, second_sheet(2), 3, layout=layout)) / rule.weights
+        got = assemble_free(z, _state(forced, second_sheet(2), 3)) / rule.weights
+        want = assemble_free(z, _state(layout, second_sheet(2), 3)) / rule.weights
         assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4
 
 
@@ -579,8 +583,8 @@ class TestPairLayout:
         layout = pair_layout(rule)
         every = _all_pairs(layout, rule.n_nodes)
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
-        got = assemble_free(z, _state(rule, second_sheet(1), 2, layout=layout)) / rule.weights
-        want = assemble_free(z, _state(rule, second_sheet(1), 2, layout=every)) / rule.weights
+        got = assemble_free(z, _state(layout, second_sheet(1), 2)) / rule.weights
+        want = assemble_free(z, _state(every, second_sheet(1), 2)) / rule.weights
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
     def test_tilted_disk_is_rotation_symmetric_but_not_kernel_symmetric(self):
@@ -591,16 +595,27 @@ class TestPairLayout:
         assert any(np.array_equal(g, _shift(6)) for g in group)
         every = _all_pairs(pair_layout(rule), rule.n_nodes)
         forced = _with_pairs(every, group)
-        got = assemble_free(-2.0, _state(rule, layout=forced)) / rule.weights
-        want = assemble_free(-2.0, _state(rule, layout=every)) / rule.weights
+        got = assemble_free(-2.0, _state(forced)) / rule.weights
+        want = assemble_free(-2.0, _state(every)) / rule.weights
         assert np.linalg.norm(got - want) / np.linalg.norm(want) > 1e-4
 
     def test_state_caches_layout(self, small_state):
-        # the state builds its layout once; a layout passed in is kept
+        # a state keeps the layout it is given and reads its rule from it
         layout = small_state.layout
         assert isinstance(layout, PairLayout)
-        st = SystemState(PARAMS, small_state.rule, small_state.ctx, 2, layout=layout)
+        st = SystemState(PARAMS, layout, small_state.ctx, 2)
         assert st.layout is layout
+        assert st.rule is layout.rule
+
+    def test_copy_rule_refused_before_any_pair_table(self, monkeypatch):
+        # a delta-copy's rule reaches a layout only through PairLayout.scaled,
+        # which scales the corrections with it; pair_layout refuses it first
+        rule = build_quadrature(SMALL, 8)
+        copy = rule.scaled(0.08, next(scale_surface(SMALL, [0.08])))
+        monkeypatch.setattr(bs_operator, "_node_distances",
+                            lambda nodes: pytest.fail("an n x n array was built"))
+        with pytest.raises(ValueError, match=r"delta = 0\.08: .*PairLayout\.scaled"):
+            pair_layout(copy)
 
     def test_state_tables_serve_every_z(self):
         # built once per state and sized for J_k; far above the window top
@@ -609,7 +624,7 @@ class TestPairLayout:
         tall = rectangle_patch(center=(0.1, 0.0, 1.2), direction1=(0.0, 1.0, 0.0),
                                direction2=(0.0, 0.0, 1.0), length1=0.6, length2=1.6)
         rule, ctx = build_quadrature(tall, 6), second_sheet(2)
-        st = SystemState(PARAMS, rule, ctx, 3)
+        st = SystemState(PARAMS, pair_layout(rule), ctx, 3)
         tables = st.tables
         assert st.tables is tables and tables.split.re_top == 9.0
         z = 100.0 - 0.3j
@@ -624,8 +639,8 @@ class TestPairLayout:
         # l = 3 lies in J_2: n_cut = 1 would drop the open channel n = 2
         rule = build_quadrature(copy_surface(RECT, 0.2), 4)
         with pytest.raises(ValueError, match="n_cut = 1 is below the window index k = 2"):
-            SystemState(PARAMS, rule, second_sheet(2), 3, n_cut=1)
-        assert SystemState(PARAMS, rule, second_sheet(2), 3, n_cut=2).n_cut == 2
+            SystemState(PARAMS, pair_layout(rule), second_sheet(2), 3, n_cut=1)
+        assert SystemState(PARAMS, pair_layout(rule), second_sheet(2), 3, n_cut=2).n_cut == 2
 
 
 def _norm_sq(w, weights) -> complex:
@@ -703,7 +718,7 @@ class TestRankSums:
         # mode changes nothing, while for l = 1 it removes the leading term
         rule = build_quadrature(SYM_DISK, 6)
         ctx = first_sheet()
-        st = _state(rule, ctx, 2, n_cut=12)
+        st = _state(pair_layout(rule), ctx, 2, n_cut=12)
         full = assemble_alpha(-2.0, st)
         free = assemble_free(-2.0, st)
         a_2 = _a_l(-2.0, st)
@@ -714,20 +729,20 @@ class TestRankSums:
         norms = []
         for d in deltas:
             r = build_quadrature(copy_surface(DISK, d), 6)
-            norms.append(_op_norm(_a_l(-2.0, _state(r, n_cut=20)), r.weights))
+            norms.append(_op_norm(_a_l(-2.0, _state(pair_layout(r), n_cut=20)), r.weights))
         slope = np.polyfit(np.log(deltas), np.log(norms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_rank_bound(self):
         rule = build_quadrature(SMALL, 6)
-        op = _a_l(-2.0, _state(rule, n_cut=15))
+        op = _a_l(-2.0, _state(pair_layout(rule), n_cut=15))
         rank = np.linalg.matrix_rank(op / rule.weights, tol=1e-13)
         assert rank <= 14
 
     def test_mode_cutoff_doubling_converged(self, small_state):
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         a = eta_l(z, small_state)
-        st2 = SystemState(PARAMS, small_state.rule, small_state.ctx, 2,
+        st2 = SystemState(PARAMS, small_state.layout, small_state.ctx, 2,
                           n_cut=2 * small_state.n_cut)
         b = eta_l(z, st2)
         assert abs(a - b) < 1e-10
@@ -736,7 +751,7 @@ class TestRankSums:
         rule = build_quadrature(RECT, 6)
         ctx = second_sheet(2)
         z = PARAMS.eigenvalue(3) - 0.002 - 1e-4j
-        got = _a_l(z, _state(rule, ctx, 3, n_cut=60)) / rule.weights
+        got = _a_l(z, _state(pair_layout(rule), ctx, 3, n_cut=60)) / rule.weights
         want = np.zeros((rule.n_nodes, rule.n_nodes), dtype=complex)
         for n in range(1, 61):
             if n != 3:
@@ -792,7 +807,7 @@ class TestEtaL:
     def test_symmetric_plane_decouples(self):
         # impurity on the x3 = pi/2 midplane: w_2 = 0, so eta_2 = Gamma_2
         rule = build_quadrature(SYM_DISK, 8)
-        st = SystemState(PARAMS, rule, second_sheet(1), 2)
+        st = SystemState(PARAMS, pair_layout(rule), second_sheet(1), 2)
         z = PARAMS.eigenvalue(2) - 0.002 - 1e-4j
         assert abs(eta_l(z, st) - gamma_n(z, 2, st.ctx, PARAMS)) < 1e-25
 
@@ -800,7 +815,7 @@ class TestEtaL:
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         vals = []
         for p in (8, 12):
-            st = SystemState(PARAMS, build_quadrature(SMALL, p), second_sheet(1), 2)
+            st = SystemState(PARAMS, pair_layout(build_quadrature(SMALL, p)), second_sheet(1), 2)
             vals.append(eta_l(z, st))
         assert abs(vals[0] - vals[1]) < 1e-9
 
@@ -821,8 +836,8 @@ class TestEtaL:
         # beta = 1 / lambda_max(R + A_1) makes M_1 = I - beta (R + A_1) singular
         op = assemble_free(-5.0, state12) + _a_l(-5.0, state12)
         lam = np.linalg.eigvals(op).real.max()
-        st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12, first_sheet(), 1,
-                         layout=state12.layout)
+        st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), state12.layout,
+                         first_sheet(), 1)
         with pytest.raises(IllConditionedError, match=r"I - beta \(R_SigmaSigma \+ A_l\)"):
             eta_l(-5.0, st)
 
@@ -843,10 +858,10 @@ class TestEtaL:
     @staticmethod
     def _explicit_states():
         """(state, z): a disk, a rectangle, and the rectangle's n_cut = 2 below l = 3."""
-        rect = build_quadrature(copy_surface(RECT, 0.2), 4)
+        rect = pair_layout(build_quadrature(copy_surface(RECT, 0.2), 4))
         z3 = PARAMS.eigenvalue(3) - 0.002 - 1e-4j
-        return [(SystemState(PARAMS, build_quadrature(SMALL, 8), second_sheet(1), 2,
-                             n_cut=20), PARAMS.eigenvalue(2) - 0.001 - 1e-4j),
+        return [(SystemState(PARAMS, pair_layout(build_quadrature(SMALL, 8)), second_sheet(1),
+                             2, n_cut=20), PARAMS.eigenvalue(2) - 0.001 - 1e-4j),
                 (SystemState(PARAMS, rect, second_sheet(2), 3, n_cut=60), z3),
                 (SystemState(PARAMS, rect, second_sheet(2), 3, n_cut=2), z3)]
 
@@ -891,7 +906,7 @@ class TestEtaL:
             init(self, x, *args)
 
         monkeypatch.setattr(EwaldTables, "__init__", counted)
-        st = SystemState(PARAMS, build_quadrature(SMALL, 8), second_sheet(1), 2)
+        st = SystemState(PARAMS, pair_layout(build_quadrature(SMALL, 8)), second_sheet(1), 2)
         for dz in (-0.001 - 1e-4j, -0.002 - 1e-4j, -0.003 - 2e-4j):
             eta_l(PARAMS.eigenvalue(2) + dz, st)
         assert built == [len(st.layout.rows)]
@@ -949,7 +964,7 @@ class TestEtaL:
         op = assemble_free(-5.0, state12) + _a_l(-5.0, state12)
         lam = np.linalg.eigvals(op).real.max()
         params = SpectralParams(alpha=0.0, beta=-2.0 / lam)
-        st = SystemState(params, rule12, first_sheet(), 1, layout=state12.layout)
+        st = SystemState(params, state12.layout, first_sheet(), 1)
         e = params.beta * op
         assert np.linalg.norm(e, 1) > 1.0
         m_l = np.eye(rule12.n_nodes) - e
@@ -967,7 +982,7 @@ class TestEtaL:
 class TestDeterminant:
     def test_small_beta_near_one(self, rule12):
         weak = SpectralParams(alpha=0.0, beta=1e-8)
-        st = SystemState(weak, rule12, first_sheet(), 1, n_cut=10)
+        st = SystemState(weak, pair_layout(rule12), first_sheet(), 1, n_cut=10)
         assert bs_determinant(-5.0, st) == pytest.approx(1.0, abs=1e-5)
 
     def test_factorization_identity(self, small_state):
@@ -1003,8 +1018,8 @@ class TestDeterminant:
         else:
             # I - beta R is singular here (cond 2e15), M_1 is not
             lam = np.linalg.eigvals(assemble_free(-5.0, state12)).real.max()
-            st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), rule12,
-                             first_sheet(), 1, layout=state12.layout)
+            st = SystemState(SpectralParams(alpha=0.0, beta=1.0 / lam), state12.layout,
+                             first_sheet(), 1)
             z = -5.0
         rule, ctx, params, beta, l = st.rule, st.ctx, st.params, st.params.beta, st.l
         eye = np.eye(rule.n_nodes)
@@ -1019,8 +1034,9 @@ class TestDeterminant:
         # det is continuous from above (sheet I) to below (sheet II)
         eps = 1e-7
         lam = 1.9
-        st_up = SystemState(PARAMS, rule12, first_sheet(), 2, n_cut=45)
-        st_dn = SystemState(PARAMS, rule12, second_sheet(1), 2, n_cut=45)
+        layout = pair_layout(rule12)
+        st_up = SystemState(PARAMS, layout, first_sheet(), 2, n_cut=45)
+        st_dn = SystemState(PARAMS, layout, second_sheet(1), 2, n_cut=45)
         up = bs_determinant(lam + 1j * eps, st_up)
         dn = bs_determinant(lam - 1j * eps, st_dn)
         assert abs(up - dn) < 1e-5 * abs(up)

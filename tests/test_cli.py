@@ -245,7 +245,7 @@ class TestSweepMode:
         real = resonance.find_pole
 
         def fail_at_0035(state, **kwargs):
-            if state.delta == 0.035:
+            if state.rule.delta == 0.035:
                 raise resonance.ConvergenceError("forced failure")
             return real(state, **kwargs)
 

@@ -244,7 +244,7 @@ class TestEwaldGreen:
         # every diagonal entry to its orbit: bitwise the value of each node on
         # its own
         rule = build_quadrature(SURFACES[surface], order)
-        state = SystemState(SWEEP_PARAMS, rule, ctx, 2 if ctx.k == 1 else 3)
+        state = SystemState(SWEEP_PARAMS, pair_layout(rule), ctx, 2 if ctx.k == 1 else 3)
         layout, tables = state.layout, state.tables
         assert np.array_equal(tables.coincident, np.flatnonzero(layout.rows == layout.cols))
         assert len(tables.coincident) == orbits
@@ -372,9 +372,10 @@ class TestEwaldTables:
         k = int(math.floor(math.sqrt(eps)))
         rng = np.random.default_rng(3)
         for delta in deltas:
-            rule = base.scaled(delta, next(scale_surface(base.surface, [delta])))
-            state = SystemState(SWEEP_PARAMS, rule, second_sheet(k), l,
-                                layout=layout.scaled(delta), delta=delta)
+            state = SystemState(SWEEP_PARAMS,
+                                layout.scaled(delta, next(scale_surface(base.surface, [delta]))),
+                                second_sheet(k), l)
+            rule = state.rule
             tables = state.tables
             assert state.tables is tables
             assert tables.split.eta == 0.15 and tables.split.re_top == (k + 1) ** 2

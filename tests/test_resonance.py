@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from layres import bs_operator, resonance
-from layres.bs_operator import SystemState
-from layres.geometry import disk, rectangle_patch
+from layres.bs_operator import SystemState, pair_layout
+from layres.geometry import build_quadrature, disk, rectangle_patch, scale_surface
 from layres.greens import chi_n
 from layres.resonance import (
     ConvergenceError,
@@ -23,7 +23,8 @@ from layres.resonance import (
     sweep_delta,
     window_index,
 )
-from layres.specfun import EULER_GAMMA, SpectralParams, first_sheet, gamma_from_gap, gamma_n
+from layres.specfun import EULER_GAMMA, SpectralParams, first_sheet, gamma_from_gap, \
+    gamma_n, second_sheet
 
 PARAMS = SpectralParams(alpha=0.0, beta=0.4)
 BASE = disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
@@ -127,8 +128,21 @@ class TestFindPole:
 
     def test_delta_comes_from_the_state(self, pole_08):
         res, st = pole_08
-        assert st.delta == 0.08 and res.delta == 0.08
+        assert st.rule.delta == 0.08 and res.delta == 0.08
         assert find_determinant_root(st).delta == 0.08
+
+    def test_copy_state_is_made_from_its_layout(self, pole_08):
+        # the copy's rule and corrections come together from PairLayout.scaled,
+        # whose state gives pole_state's pole bit for bit; the copy's rule
+        # alone is refused, since the unscaled surface and the scaled nodes
+        # would give it corrections of neither
+        res, _ = pole_08
+        base = build_quadrature(BASE, 8)
+        rmin = next(scale_surface(BASE, [0.08]))
+        st = SystemState(PARAMS, pair_layout(base).scaled(0.08, rmin), second_sheet(1), 2)
+        assert find_pole(st).z == res.z
+        with pytest.raises(ValueError, match="PairLayout.scaled"):
+            pair_layout(base.scaled(0.08, rmin))
 
     def test_state_names_its_eigenvalue(self, pole_08):
         res, st = pole_08
@@ -324,8 +338,10 @@ class TestRootDriver:
         assert res.diagnostics["n_nodes"] == 16
 
     def test_tolerance_below_floor_rejected(self, route, state4):
-        with pytest.raises(ValueError, match="not resolvable"):
-            route(state4, tol=1e-13)
+        # every comparison with nan is false, so it must not pass as a tolerance
+        for tol in (1e-13, math.nan):
+            with pytest.raises(ValueError, match="not resolvable"):
+                route(state4, tol=tol)
 
     def test_root_outside_window_raises(self, route, state4, monkeypatch):
         # eps_2 lies in J_1 = (1, 4); the only root lies in J_2
@@ -373,11 +389,18 @@ class TestModeCutoff:
         # not move the pole: twice as many give it again
         st = pole_state(surface, delta, l, params, order=order)
         assert st.n_cut == n_cut
-        doubled = SystemState(params, st.rule, st.ctx, l, n_cut=2 * n_cut,
-                              layout=st.layout, delta=delta)
+        doubled = SystemState(params, st.layout, st.ctx, l, n_cut=2 * n_cut)
         a, b = find_pole(st), find_pole(doubled)
         assert abs(a.z - b.z) <= 1e-15
         assert abs(a.mu.imag - b.mu.imag) <= 1e-12 * abs(a.mu.imag)
+
+    @pytest.mark.parametrize("tail_tol", [1e12, 10.0, 1.0, 0.0, -1.0, math.nan],
+                             ids=["1e12", "10", "1", "0", "-1", "nan"])
+    def test_tail_tol_outside_unit_interval_refused(self, tail_tol):
+        # -ln tail_tol is squared, so a tail_tol above 1 would take the
+        # cutoff of its reciprocal; 0, negatives and nan have no logarithm
+        with pytest.raises(ValueError, match=r"tail_tol must lie in \(0, 1\), got "):
+            pole_state(BASE, 0.08, 2, PARAMS, order=6, tail_tol=tail_tol)
 
 
 class TestLowestOrder:
@@ -594,7 +617,7 @@ class TestSweep:
     def test_failed_point_recorded(self, monkeypatch):
         eta = resonance.eta_l
         monkeypatch.setattr(resonance, "eta_l", lambda z, state, diagnostics=None:
-                            _flat_eta(z, state) if state.delta == 0.035
+                            _flat_eta(z, state) if state.rule.delta == 0.035
                             else eta(z, state, diagnostics=diagnostics))
         sw = sweep_delta(2, [0.02, 0.035, 0.06, 0.1, 0.12], BASE, PARAMS, order=6)
         assert [d for d, _ in sw.failures] == [0.035]

@@ -97,12 +97,12 @@ def test_scipy_surface_is_pinned():
 
 
 #: module.function or module.class -> its parameters with a default, or its
-#: dataclass fields given a value (28 in all)
+#: dataclass fields given a value (26 in all)
 SETTABLE = {
     "bs_operator._node_group": ("dist",),
     "bs_operator.singular_part_matrix": ("duffy_order", "group"),
     "bs_operator.mode_cutoff": ("tail_tol", "n_cut"),
-    "bs_operator.SystemState": ("n_cut", "layout", "delta"),
+    "bs_operator.SystemState": ("n_cut",),
     "bs_operator.eta_l": ("diagnostics",),
     "cli.RunConfig": ("seed",),
     "cli.main": ("argv",),
