@@ -237,13 +237,31 @@ class EwaldSplit:
         return next(split for split in splits if split.rho_max >= rho)
 
 
+def _sine_products(x3, x3p, n_modes):
+    """2 sin(n x3) sin(n x3') = cos(n a-) - cos(n a+) of each pair, n = 1..n_modes.
+
+    One sine per distinct height of both ends and mode, gathered to the
+    pairs.  The product is formed in place, so that one pair table is held
+    beside the result, and the height index is freed with this frame.
+    """
+    # np.unique without index outputs would import numpy.ma (about 15 ms)
+    # on its first call
+    heights, at = np.unique(np.concatenate((x3, x3p)), return_inverse=True)
+    sine = np.sin(np.multiply.outer(heights, np.arange(1, n_modes + 1)))
+    out = sine[at[:len(x3)]]
+    out *= 2.0
+    out *= sine[at[len(x3):]]
+    return out
+
+
 class EwaldTables:
     """Everything z-independent of :meth:`EwaldGreen.pairs` for the pairs x, xp.
 
     x and xp are points of shape (3,) or (N, 3), paired row by row; the
     tables are flat, one entry per pair.  For one split: the spectral table
-    cos(n a-) - cos(n a+) over its modes, the powers rho^(2j) up to its
-    j_max, and the image charges a-/+ + 2 pi m at distance 0 < R < r_cut,
+    cos(n a-) - cos(n a+) = 2 sin(n x3) sin(n x3') over its modes, taken
+    from one sine per distinct height and mode, the powers rho^(2j) up to
+    its j_max, and the image charges a-/+ + 2 pi m at distance 0 < R < r_cut,
     each as pair index, R / (2 sqrt(eta)) and weight +-e^(-R^2 / 4 eta) / R
     (+ for a-, - for a+).  Nothing in them depends on the sheet.
     ``coincident`` indexes the pairs with x = x', whose singular m = 0 image
@@ -259,9 +277,8 @@ class EwaldTables:
                              f"j_max = {split.j_max} spectral radius {split.rho_max:.3f}")
         self.split = split
         self.coincident = np.flatnonzero((rho == 0.0) & (a_minus == 0.0))
-        n = np.arange(1, split.n_spectral + 1)
-        self.cos_diff = np.cos(np.multiply.outer(a_minus, n)) \
-            - np.cos(np.multiply.outer(a_plus, n))
+        self.cos_diff = _sine_products(*np.broadcast_arrays(x[:, 2], xp[:, 2]),
+                                       split.n_spectral)
         # complex once here: a real table would be cast at every kernel evaluation
         self.powers = ((rho * rho)[:, None] ** np.arange(split.j_max + 1)).astype(complex)
         index, dist, sign = [], [], []

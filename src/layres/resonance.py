@@ -170,6 +170,12 @@ def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
     return next(_delta_states(surface, [delta], l, params, order, tail_tol, n_cut))
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a root tolerance below ROOT_TOL, NaN included."""
+    if not tol >= ROOT_TOL:
+        raise ValueError(f"tolerance below {ROOT_TOL:g} is not resolvable")
+
+
 def _secant(f: Callable[[complex], complex], z0: complex, f0: complex, z1: complex,
             stop: Callable[[complex, complex, complex, complex], object]
             ) -> tuple[complex, complex, int, object]:
@@ -251,8 +257,7 @@ def find_pole(state: SystemState, seed: complex | None = None,
     the floor it is |g| itself: a q measured where g is rounding noise is
     noise too, so the pole is known to the floor the search reached.
     """
-    if not tol >= ROOT_TOL:
-        raise ValueError(f"tolerance below {ROOT_TOL:g} is not resolvable")
+    _check_tol(tol)
     l2 = state.l**2
     eps_l = state.params.eigenvalue(state.l)
     diagnostics: dict = {}
@@ -314,8 +319,7 @@ def find_determinant_root(state: SystemState, seed: complex | None = None,
     secant stops when both |f| and the last step are below ``tol``, which
     must be at least ROOT_TOL.
     """
-    if not tol >= ROOT_TOL:
-        raise ValueError(f"tolerance below {ROOT_TOL:g} is not resolvable")
+    _check_tol(tol)
 
     def f(z):
         return gamma_n(z, state.l, state.ctx, state.params) * bs_determinant(z, state)
@@ -451,8 +455,9 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
     converged one is seeded from the poles before it
     (:func:`_predicted_pole`), the first from eps_l.  Points
     whose root iteration fails are recorded in ``failures`` and left out of
-    the fits; fewer than MIN_SWEEP_POINTS deltas are refused before the
-    first pole.  A fit whose values are not all positive is (nan, nan, nan).
+    the fits; fewer than MIN_SWEEP_POINTS deltas, and a ``tol`` that
+    :func:`find_pole` refuses, are refused before the pair layout.  A fit
+    whose values are not all positive is (nan, nan, nan).
     """
     deltas = list(deltas)
     if len(deltas) < MIN_SWEEP_POINTS:
@@ -460,6 +465,7 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
                          f"got {len(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly increasing")
+    _check_tol(tol)
     eps_l = params.eigenvalue(l)
     poles, closed, failures = [], [], []
     for st in _delta_states(surface, deltas, l, params, order, tail_tol, n_cut):

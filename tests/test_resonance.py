@@ -574,6 +574,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="at least 4 deltas"):
             sweep_delta(2, [0.02, 0.04, 0.08], BASE, PARAMS, order=4)
 
+    @pytest.mark.parametrize("tol", [1e-13, math.nan], ids=["below-floor", "nan"])
+    def test_unresolvable_tolerance_refused_before_the_layout(self, tol, monkeypatch):
+        # find_pole's refusal, made by the sweep before it builds anything
+        layouts = []
+        layout = bs_operator.pair_layout
+        monkeypatch.setattr(resonance, "pair_layout",
+                            lambda rule: layouts.append(rule) or layout(rule))
+        with pytest.raises(ValueError, match="tolerance below 1e-12 is not resolvable"):
+            sweep_delta(2, [0.02, 0.04, 0.08, 0.12], BASE, PARAMS, order=6, tol=tol)
+        assert layouts == []
+
     def test_discrete_mode_refused_before_any_layout(self, monkeypatch):
         def no_layout(*args, **kwargs):
             raise AssertionError("a layout was built")
