@@ -76,7 +76,7 @@ _GAMMA_FLOOR = 1e-10
 _MODE_VECTOR_MAX = math.exp(0.5 * specfun._EXP_RANGE)
 
 #: Duffy points per modal-basis batch; one batch holds a whole folded disk
-#: row up to order 29, and an unfolded row up to order 22
+#: row up to order 38, and an unfolded disk row up to order 27
 _BATCH_POINTS = 1 << 15
 
 
@@ -192,7 +192,7 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
     arrays; two fixed p x p maps (:func:`_legendre_map`, :func:`_trig_map`)
     then take the p x p moments to the cardinal basis of the nodes.  A row's
     points and bases are freed before the next row's are made, and a row
-    with more than _BATCH_POINTS points (a folded disk row above order 29)
+    with more than _BATCH_POINTS points (a folded disk row above order 38)
     has its bases evaluated in batches of that size, to bound the memory
     they take.
 
@@ -419,21 +419,25 @@ def _duffy_orders(rule: QuadratureRule, group: np.ndarray) -> tuple[int, int]:
     Duffy ray, and the Jacobian is constant, so the radial integrands
     u (1/r) P_a P_b and u r P_a P_b of p_inv and p_lin are polynomials in u
     of degree 2p - 2 and 2p: p + 1 Gauss points integrate them exactly.
-    The curved parametrizations (the disk in polar form, the cap) take
-    max(2p, 24).  After the Duffy map the angular integrand is a smooth
-    1/|e(v)| times the basis, so max(p + 4, 16) points hold the matrices
-    within 1e-13 of a 3p rule on disks, caps and flat patches.  A periodic
-    q2 without the one-node q2 shift in ``group`` (an elliptic disk) keeps
-    the radial order in both: there p + 4 angular points leave 2.6e-7 at
-    p = 12.
+    After the Duffy map the angular integrand is a smooth 1/|e(v)| times the
+    basis, so max(p + 4, 16) angular points hold the matrices within 1e-13
+    of a 3p rule on disks, caps and flat patches.  The curved
+    parametrizations (the disk in polar form, the cap) take max(p + 4, 16)
+    radial points too.  That is sized by the pole, not by the matrices: the
+    pole sees them only through the smooth weighted density, and it stays
+    within 1e-13 of the pole of a 3p build on disks, tilted disks and caps
+    at orders 8-16 and delta up to 0.9, while the matrices move by up to
+    2e-6 of their largest entry.  p + 1 radial points are not enough there:
+    they move a cap pole at order 8 by about 1e-10.  A periodic q2 without
+    the one-node q2 shift in ``group`` (an elliptic disk) takes max(2p, 24)
+    in both: there p + 4 angular points leave 2.6e-7 at p = 12.
     """
     p = rule.order
     if _is_affine(rule.surface):
         return p + 1, max(p + 4, 16)
-    radial = max(2 * p, 24)
     if rule.surface.periodic2 and not np.any(np.all(group == _q2_shift(rule), axis=1)):
-        return radial, radial
-    return radial, max(p + 4, 16)
+        return max(2 * p, 24), max(2 * p, 24)
+    return max(p + 4, 16), max(p + 4, 16)
 
 
 def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
@@ -460,8 +464,9 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
     leaving a remainder the plain rule integrates to high order.  The Duffy
     rule takes ``duffy_order`` Gauss points in both of its variables, or by
     default :func:`_duffy_orders`: p + 1 towards the base of each
-    sub-triangle on an affine surface, where that is exact, and max(2p, 24)
-    on a curved one; max(p + 4, 16) along the base.
+    sub-triangle on an affine surface, where that is exact, and
+    max(p + 4, 16) on a curved one, which holds the pole (not each matrix
+    entry) within 1e-13 of a 3p rule; max(p + 4, 16) along the base.
 
     Only one row per orbit of ``group`` (:func:`_node_group` of the rule
     when not given) is integrated; the others follow from

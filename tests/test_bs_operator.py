@@ -37,6 +37,7 @@ from layres.geometry import (
     with_anchor,
 )
 from layres.greens import EwaldGreen, EwaldSplit, EwaldTables, layer_green_modal
+from layres.resonance import find_pole, pole_state
 from layres.specfun import BranchPointError, SpectralParams, first_sheet, gamma_n, \
     second_sheet
 from surface_copies import copy_surface
@@ -49,6 +50,8 @@ CAP = spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=0.6, polar_angle=0.9)
 RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0.0, 1.0, 0.0),
                        direction2=(0.0, 0.0, 1.0), length1=0.6, length2=0.6)
 TILTED = disk(center=(1.0, 0.0, 1.0), normal=(1.0, 0.0, 1.0), radius=0.5)
+#: a cap larger than a hemisphere, whose pole is the most sensitive to its Duffy rule
+WIDE_CAP = spherical_cap(sphere_center=(1.2, 0.0, 1.5), radius=0.6, polar_angle=2.3)
 #: 4.3 from the wire; alpha = 0.3 puts eps_2 = 3.97 just below the top of J_1
 FAR_DISK = disk(center=(4.8, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
 FAR_PARAMS = SpectralParams(alpha=0.3, beta=0.4)
@@ -377,19 +380,29 @@ class TestSingularBuild:
         for got, want in zip(orbit, every):
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
+    @pytest.mark.parametrize("surface", [DISK, ELLIPSE], ids=["disk", "ellipse"])
+    def test_batched_bases_match_one_batch(self, surface, monkeypatch):
+        # a few hundred points per batch splits every row: the disk's rows
+        # are folded, the ellipse's are integrated whole
+        rule = build_quadrature(surface, 8)
+        want = singular_part_matrix(rule)
+        monkeypatch.setattr(bs_operator, "_BATCH_POINTS", 300)
+        got = singular_part_matrix(rule)
+        assert _rel_max(got[0], want[0]) < 1e-14
+        assert _rel_max(got[1], want[1]) < 1e-14
+
     @pytest.mark.parametrize("order", [12, 16])
     @pytest.mark.parametrize("surface", [DISK, TILTED, CAP, RECT],
                              ids=["disk", "tilted-disk", "cap", "rectangle"])
     def test_angular_duffy_order_holds_the_matrices(self, surface, order):
-        # p + 4 points along the base of each sub-triangle, 2p towards it on
-        # a curved map and p + 1 on the affine rectangle, against 3p in both
-        # Duffy variables
+        # p + 4 points along the base of each sub-triangle against 3p; both
+        # take 3p towards the base, so that only the angular order differs
         rule = build_quadrature(surface, order)
         group = _node_group(rule)
-        radial = order + 1 if surface is RECT else 2 * order
-        assert _duffy_orders(rule, group) == (radial, order + 4)
-        got = singular_part_matrix(rule, group=group)
-        want = singular_part_matrix(rule, 3 * order, group=group)
+        assert _duffy_orders(rule, group)[1] == order + 4
+        rows = np.flatnonzero(np.bincount(group.min(axis=0)))
+        got = _product_rows(rule, rows, (3 * order, order + 4), group)
+        want = _product_rows(rule, rows, (3 * order, 3 * order), group)
         assert _rel_max(got[0], want[0]) < 1e-13
         assert _rel_max(got[1], want[1]) < 1e-13
 
@@ -408,8 +421,25 @@ class TestSingularBuild:
 
     @pytest.mark.parametrize("surface", CURVED, ids=CURVED_IDS)
     def test_curved_map_keeps_the_radial_order(self, surface):
+        # the angular order max(p + 4, 16) serves radially too, except on
+        # the ellipse (below)
         rule = build_quadrature(surface, 12)
-        assert _duffy_orders(rule, _node_group(rule))[0] == 24
+        want = (24, 24) if surface is ELLIPSE else (16, 16)
+        assert _duffy_orders(rule, _node_group(rule)) == want
+
+    @pytest.mark.parametrize("order", [8, 12, 16])
+    @pytest.mark.parametrize("surface", [DISK, TILTED, WIDE_CAP],
+                             ids=["disk", "tilted-disk", "wide-cap"])
+    def test_curved_radial_order_holds_the_pole(self, surface, order, monkeypatch):
+        # the pole at delta = 0.9 and strong coupling, against a build with 3p
+        # points in both Duffy variables, to a tenth of the 1e-12 pole gate;
+        # p + 1 radial points move the wide cap's order-8 pole by 7.6e-11
+        params = SpectralParams(alpha=0.145, beta=0.902)
+        got = find_pole(pole_state(surface, 0.9, 4, params, order=order))
+        monkeypatch.setattr(bs_operator, "_duffy_orders",
+                            lambda rule, group: (3 * rule.order, 3 * rule.order))
+        want = find_pole(pole_state(surface, 0.9, 4, params, order=order))
+        assert abs(got.z - want.z) <= 1e-13
 
     def test_periodic_surface_without_rotation_keeps_the_radial_order(self):
         # p + 4 angular points leave 2.6e-7 on the elliptic disk at order 12

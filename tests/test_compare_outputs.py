@@ -123,3 +123,28 @@ def test_relative_width_moves(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "column im_mu: max |delta| = 3e-20, max |delta|/|A| = 1\n"
         "column re_z: max |delta| = 4.44e-16\n")
+
+
+def test_largest_pole_move_is_named(tmp_path, capsys):
+    # the generated layout: exit codes beside one output per config; the
+    # largest |delta z| and the largest relative Im z move sit in different files
+    head = ("# layres 0.1.0\n# config path = {}\n# config order = {}\n"
+            "# config surface.family = {}\ndelta,re_z,im_z,status\n")
+    a, b = tmp_path / "A", tmp_path / "B"
+    for d in (a, b):
+        d.mkdir()
+        (d / "generated_s1.csv").write_text("# seed = 1\nconfig,mode,exit\n"
+                                            "generated_s1_000,sweep,0\ngenerated_s1_001,pole,0\n")
+    rows = {"000": ("0.02,2.7,-1e-10,ok\n0.8615,2.6,-1e-3,ok\n",
+                    "0.02,2.7,-1e-10,ok\n0.8615,2.6,-1.0000001e-3,ok\n"),
+            "001": ("0.5,15.7,-2e-12,ok\n", "0.5,15.7,-2.00002e-12,ok\n")}
+    for i, family, order in (("000", "spherical_cap", 8), ("001", "disk", 12)):
+        for d, body in zip((a, b), rows[i]):
+            name = d / f"generated_s1_{i}.csv"
+            name.write_text(head.format(name, order, family) + body)
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["== generated_s1.csv", "identical"]
+    assert out[-2:] == [
+        "largest |delta z| = 1e-10 in generated_s1_000.csv (spherical_cap, order 8, delta 0.8615)",
+        "largest |delta im_z|/|A| = 1e-05 in generated_s1_001.csv (disk, order 12, delta 0.5)"]

@@ -16,7 +16,10 @@ and exits 0.
 When A and B are directories, every ``*.csv`` and ``*.json`` name found in
 either is compared as above, after a line ``== name``; a file present on
 one side only is a difference.  The exit code is 0 only if every file
-agrees.
+agrees.  If some pole moved, two last lines name the row with the largest
+|delta z| (from ``re_z`` and ``im_z``) and the row with the largest
+relative move of ``im_z``: the file, the surface family, the quadrature
+order and the row's delta.
 """
 
 import argparse
@@ -74,17 +77,21 @@ def _relative(a, b) -> float:
     return delta / abs(a) if math.isfinite(delta) and a != 0.0 else math.inf
 
 
-def differences(text_a: str, text_b: str, tol: float | None = None) -> list[str]:
-    """Lines describing how two outputs differ; empty when they are identical.
+def differences(text_a: str, text_b: str, tol: float | None = None):
+    """(lines describing how two outputs differ, their largest pole moves).
 
-    With ``tol``, numbers whose largest |delta| is at most ``tol`` agree, and
-    so do text columns that do not differ.
+    The lines are empty when the outputs are identical.  With ``tol``,
+    numbers whose largest |delta| is at most ``tol`` agree, and so do text
+    columns that do not differ.  The pole moves are those of
+    ``_largest_moves``, or None when the outputs are identical, when either
+    lacks a numeric ``re_z`` or ``im_z`` column, or when they have no rows
+    or different numbers of rows.
     """
     def agree(delta):
         return tol is not None and delta <= tol
 
     if _without_path(text_a) == _without_path(text_b):
-        return []
+        return [], None
     meta_a, columns_a, rows_a = _parse(text_a)
     meta_b, columns_b, rows_b = _parse(text_b)
     out = []
@@ -101,6 +108,7 @@ def differences(text_a: str, text_b: str, tol: float | None = None) -> list[str]
         out.append(f"columns: {columns_a} vs {columns_b}")
     if len(rows_a) != len(rows_b):
         out.append(f"rows: {len(rows_a)} vs {len(rows_b)}")
+    numeric = {}  # the columns numeric in both, as (a, b) per row
     for j, name in enumerate(columns_a):
         if name not in columns_b:
             continue
@@ -108,6 +116,7 @@ def differences(text_a: str, text_b: str, tol: float | None = None) -> list[str]
         values = [(row_a[j], row_b[jb]) for row_a, row_b in zip(rows_a, rows_b)]
         numbers = [(_number(a), _number(b)) for a, b in values]
         if all(na is not None and nb is not None for na, nb in numbers):
+            numeric[name] = numbers
             worst = max((_delta(na, nb) for na, nb in numbers), default=0.0)
             if not agree(worst):
                 line = f"column {name}: max |delta| = {worst:.3g}"
@@ -119,16 +128,51 @@ def differences(text_a: str, text_b: str, tol: float | None = None) -> list[str]
             differ = sum(a != b for a, b in values)
             if differ or tol is None:
                 out.append(f"column {name}: {differ} of {len(values)} rows differ")
-    return out
+    if not rows_a or len(rows_a) != len(rows_b) or not {"re_z", "im_z"} <= numeric.keys():
+        return out, None
+    return out, _largest_moves(meta_a, numeric)
 
 
-def _compare(path_a, path_b, tol: float | None) -> bool:
-    """Print how two output files compare; True when they agree."""
+def _largest_moves(meta: dict, numeric: dict):
+    """((largest |delta z|, where), (largest |delta im_z| / |A|, where)).
+
+    ``numeric`` holds the numeric columns of two outputs as (a, b) per row.
+    ``where`` names the surface family, the quadrature order and the row's
+    delta, as far as the first output records them.
+    """
+    context = [meta.get("config surface.family")]
+    if "config order" in meta:
+        context.append(f"order {meta['config order']}")
+
+    def where(i):
+        delta = numeric["delta"][i][0] if "delta" in numeric else math.nan
+        return ", ".join(filter(None, context + ([] if math.isnan(delta) else
+                                                 [f"delta {delta:.6g}"])))
+
+    moves = []
+    for move in ([math.hypot(_delta(*re), _delta(*im))
+                  for re, im in zip(numeric["re_z"], numeric["im_z"])],
+                 [_relative(*im) for im in numeric["im_z"]]):
+        i = max(range(len(move)), key=move.__getitem__)
+        moves.append((move[i], where(i)))
+    return tuple(moves)
+
+
+def _compare(path_a, path_b, tol: float | None, moves: list) -> bool:
+    """Print how two output files compare; True when they agree.
+
+    Their largest pole moves, if any, are appended to ``moves`` with the
+    file's name in each ``where``.
+    """
     texts = []
     for path in (path_a, path_b):
         with open(path, encoding="utf-8") as fh:
             texts.append(fh.read())
-    found = differences(*texts, tol=tol)
+    found, largest = differences(*texts, tol=tol)
+    if largest:
+        name = Path(path_a).name
+        moves.append(tuple((value, f"{name} ({where})" if where else name)
+                           for value, where in largest))
     if found:
         print("\n".join(found))
     elif _without_path(texts[0]) == _without_path(texts[1]):
@@ -149,7 +193,8 @@ def main(argv=None) -> int:
     if a.is_dir() != b.is_dir():
         parser.error("A and B must both be files or both be directories")
     if not a.is_dir():
-        return 0 if _compare(a, b, args.tol) else 1
+        return 0 if _compare(a, b, args.tol, []) else 1
+    moves = []
     names = sorted({p.name for d in (a, b) for p in d.iterdir() if p.suffix in (".csv", ".json")})
     agree = True
     for name in names:
@@ -158,8 +203,12 @@ def main(argv=None) -> int:
         if missing:
             print(f"missing in {missing[0]}")
             agree = False
-        elif not _compare(a / name, b / name, args.tol):
+        elif not _compare(a / name, b / name, args.tol, moves):
             agree = False
+    if any(dz > 0.0 for (dz, _), _ in moves):
+        for k, label in enumerate(("|delta z|", "|delta im_z|/|A|")):
+            value, where = max((move[k] for move in moves), key=lambda vw: vw[0])
+            print(f"largest {label} = {value:.3g} in {where}")
     return 0 if agree else 1
 
 
