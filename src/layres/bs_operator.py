@@ -76,7 +76,7 @@ _GAMMA_FLOOR = 1e-10
 _MODE_VECTOR_MAX = math.exp(0.5 * specfun._EXP_RANGE)
 
 #: Duffy points per modal-basis batch; one batch holds a whole folded disk
-#: row up to order 38, and an unfolded disk row up to order 27
+#: row up to order 40, and an unfolded disk row up to order 29
 _BATCH_POINTS = 1 << 15
 
 
@@ -184,17 +184,16 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
     stacked, so the parametrization and the surface's closed-form Jacobian
     are evaluated once per row, and no tangent at a Duffy point.  ``orders``
     are the Gauss-Legendre orders (n_u, n_v) of the Duffy variables: u runs
-    from the node to the base of a sub-triangle, v along that base.  On an
-    affine surface the integrand is a polynomial in u, so n_u = p + 1 is
-    exact there (:func:`_duffy_orders`).  The kernel is integrated against
-    the modal bases, Legendre polynomials in q1 and in q2 or the
-    trigonometric basis in a periodic q2, built by recurrence as (p, N)
-    arrays; two fixed p x p maps (:func:`_legendre_map`, :func:`_trig_map`)
-    then take the p x p moments to the cardinal basis of the nodes.  A row's
-    points and bases are freed before the next row's are made, and a row
-    with more than _BATCH_POINTS points (a folded disk row above order 38)
-    has its bases evaluated in batches of that size, to bound the memory
-    they take.
+    from the node to the base of a sub-triangle, v along that base;
+    :func:`singular_part_matrix` gives both :func:`_duffy_order`.  The
+    kernel is integrated against the modal bases, Legendre polynomials in
+    q1 and in q2 or the trigonometric basis in a periodic q2, built by
+    recurrence as (p, N) arrays; two fixed p x p maps
+    (:func:`_legendre_map`, :func:`_trig_map`) then take the p x p moments
+    to the cardinal basis of the nodes.  A row's points and bases are freed
+    before the next row's are made, and a row with more than _BATCH_POINTS
+    points (a folded disk row above order 40) has its bases evaluated in
+    batches of that size, to bound the memory they take.
 
     A row whose node is fixed by a reflection h in ``group`` that moves only
     one parameter index (every node keeps its q1 index, or every node keeps
@@ -320,9 +319,14 @@ def _is_isometry(rule: QuadratureRule, perm, param_map, dist) -> bool:
     nodes, the tangent lengths and the Jacobian.  Then it acts on the
     surface as an isometry that keeps the rule, the integrand of row g[i]
     of the singular matrices is that of row i carried along, and so is
-    the cardinal basis (its nodes are symmetric).
+    the cardinal basis (its nodes are symmetric).  Both distance checks
+    allow the rounding of the coordinates, 64 eps max|x|, besides 1e-12 of
+    the largest distance: a surface much smaller than its distance from
+    the origin keeps its group.
     """
-    if not np.allclose(dist[np.ix_(perm, perm)], dist, rtol=0.0, atol=1e-12 * dist.max()):
+    floor = 64.0 * np.finfo(float).eps * np.max(np.abs(rule.nodes))
+    if not np.allclose(dist[np.ix_(perm, perm)], dist, rtol=0.0,
+                       atol=max(1e-12 * dist.max(), floor)):
         return False
     surf = rule.surface
     # off-node probes; the prefilter has covered the nodes
@@ -338,8 +342,9 @@ def _is_isometry(rule: QuadratureRule, perm, param_map, dist) -> bool:
         return norm2 + np.sum(points * points, axis=1) - 2.0 * nodes @ points.T
 
     d2 = sq_dist(surf.param_map(g1, g2))
-    if not np.allclose(sq_dist(surf.param_map(m1, m2))[perm], d2,
-                       rtol=0.0, atol=1e-12 * d2.max()):
+    d2_max = d2.max()
+    if not np.allclose(sq_dist(surf.param_map(m1, m2))[perm], d2, rtol=0.0,
+                       atol=max(1e-12 * d2_max, 4.0 * floor * math.sqrt(d2_max))):
         return False
 
     def metric(a, b):
@@ -390,54 +395,28 @@ def _orbit_map(group: np.ndarray):
     return rep, col
 
 
-def _is_affine(surface: geometry.Surface) -> bool:
-    """Whether the surface is x(corner) + dq1 t1 + dq2 t2 with a Legendre basis in q2.
+def _duffy_order(rule: QuadratureRule, group: np.ndarray) -> int:
+    """Gauss points in each Duffy variable of :func:`singular_part_matrix`.
 
-    t1 and t2 are the tangents at the corner, the only point where tangents
-    are evaluated.  The map must equal that affine form over the check grid
-    to rounding, which also catches corner tangents that disagree with the
-    map, and the Jacobian must be constant there.  A periodic q2 is refused:
-    its trigonometric basis is not a polynomial along a Duffy ray.
-    """
-    if surface.periodic2:
-        return False
-    g1, g2 = geometry._param_grid(surface, geometry._CHECK_GRID)
-    (a1, _), (a2, _) = surface.domain
-    c1, c2 = surface.tangent1(a1, a2), surface.tangent2(a1, a2)
-    jac = surface.jacobian(g1, g2)
-    if not np.allclose(jac, jac[0, 0], rtol=0.0, atol=1e-12 * jac[0, 0]):
-        return False
-    pts = surface.param_map(g1, g2)
-    affine = pts[0, 0] + np.multiply.outer(g1 - a1, c1) + np.multiply.outer(g2 - a2, c2)
-    return np.allclose(pts, affine, rtol=0.0, atol=1e-12 * np.max(np.abs(pts)))
-
-
-def _duffy_orders(rule: QuadratureRule, group: np.ndarray) -> tuple[int, int]:
-    """Default (radial, angular) Duffy orders of :func:`singular_part_matrix`.
-
-    On an affine surface (:func:`_is_affine`) r is u |J e(v)| along each
-    Duffy ray, and the Jacobian is constant, so the radial integrands
-    u (1/r) P_a P_b and u r P_a P_b of p_inv and p_lin are polynomials in u
-    of degree 2p - 2 and 2p: p + 1 Gauss points integrate them exactly.
-    After the Duffy map the angular integrand is a smooth 1/|e(v)| times the
-    basis, so max(p + 4, 16) angular points hold the matrices within 1e-13
-    of a 3p rule on disks, caps and flat patches.  The curved
-    parametrizations (the disk in polar form, the cap) take max(p + 4, 16)
-    radial points too.  That is sized by the pole, not by the matrices: the
-    pole sees them only through the smooth weighted density, and it stays
-    within 1e-13 of the pole of a 3p build on disks, tilted disks and caps
-    at orders 8-16 and delta up to 0.9, while the matrices move by up to
-    2e-6 of their largest entry.  p + 1 radial points are not enough there:
-    they move a cap pole at order 8 by about 1e-10.  A periodic q2 without
-    the one-node q2 shift in ``group`` (an elliptic disk) takes max(2p, 24)
-    in both: there p + 4 angular points leave 2.6e-7 at p = 12.
+    m = max(p + 2, 14) on every surface.  On an affine map r is u |J e(v)|
+    along each Duffy ray and the Jacobian is constant, so the radial
+    integrands u (1/r) P_a P_b and u r P_a P_b are polynomials in u of
+    degree 2p - 2 and 2p, which p + 1 points already integrate exactly;
+    after the Duffy map the angular integrand is a smooth 1/|e(v)| times
+    the basis.  On curved maps the rule is sized by the pole, not by the
+    matrices: the pole sees them only through the smooth weighted density.
+    On a cap wider than a hemisphere, the most sensitive surface known, the
+    pole stays within 6.6e-14 of that of a 3p build at orders 6-20, delta
+    0.5-1 and l 2-5, while the matrices move by up to 1.7e-4 of their
+    largest entry.  Both terms are needed there: a floor of 13 moves a pole
+    at order 10 by 5.8e-13, and max(p + 1, 14) one at order 13 by 3.5e-13.
+    A periodic q2 without the one-node q2 shift in ``group`` (an elliptic
+    disk) takes max(2p, 24): there m moves a pole by up to 1.2e-12.
     """
     p = rule.order
-    if _is_affine(rule.surface):
-        return p + 1, max(p + 4, 16)
     if rule.surface.periodic2 and not np.any(np.all(group == _q2_shift(rule), axis=1)):
-        return max(2 * p, 24), max(2 * p, 24)
-    return max(p + 4, 16), max(p + 4, 16)
+        return max(2 * p, 24)
+    return max(p + 2, 14)
 
 
 def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
@@ -462,11 +441,10 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
     Both matrices are z-independent; together they let the assembly subtract
     the odd-in-r part 1/(4 pi r) - z r/(8 pi) of the nearest Yukawa image,
     leaving a remainder the plain rule integrates to high order.  The Duffy
-    rule takes ``duffy_order`` Gauss points in both of its variables, or by
-    default :func:`_duffy_orders`: p + 1 towards the base of each
-    sub-triangle on an affine surface, where that is exact, and
-    max(p + 4, 16) on a curved one, which holds the pole (not each matrix
-    entry) within 1e-13 of a 3p rule; max(p + 4, 16) along the base.
+    rule takes ``duffy_order`` Gauss points in both of its variables, by
+    default :func:`_duffy_order`, max(p + 2, 14): exact on an affine map,
+    and on a curved one holding the pole (not each matrix entry) within
+    1e-13 of a 3p rule.
 
     Only one row per orbit of ``group`` (:func:`_node_group` of the rule
     when not given) is integrated; the others follow from
@@ -475,11 +453,11 @@ def singular_part_matrix(rule: QuadratureRule, duffy_order: int | None = None,
     """
     if group is None:
         group = _node_group(rule)
-    orders = _duffy_orders(rule, group) if duffy_order is None else (duffy_order,) * 2
+    order = _duffy_order(rule, group) if duffy_order is None else duffy_order
     # the distinct representatives; np.unique without index outputs would
     # import numpy.ma (about 15 ms) on its first call
     rows = np.flatnonzero(np.bincount(group.min(axis=0)))
-    p_inv, p_lin = _product_rows(rule, rows, orders, group)
+    p_inv, p_lin = _product_rows(rule, rows, (order, order), group)
     # the n x n column map only now, so that it is not held beside a row's bases
     rep, col = _orbit_map(group)
     at = np.searchsorted(rows, rep)[:, None]

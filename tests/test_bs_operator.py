@@ -12,7 +12,7 @@ from layres.bs_operator import (
     PairLayout,
     PoleCollisionError,
     SystemState,
-    _duffy_orders,
+    _duffy_order,
     _node_group,
     _pair_orbits,
     _product_rows,
@@ -339,12 +339,28 @@ def _patch(bend, tangent_bend):
                    x0=c)
 
 
-#: surfaces whose Duffy rule takes p + 1 radial points, and some that do not
+#: affine maps, on which p + 1 radial Duffy points are exact, and curved ones
 AFFINE = [RECT, FLAT_RECT, SLANTED, copy_surface(RECT, 0.05)]
 AFFINE_IDS = ["rectangle", "flat-rectangle", "slanted-rectangle", "scaled-rectangle"]
 CURVED = [DISK, TILTED, CAP, ELLIPSE, _patch(0.1, 0.1), _patch(0.1, 0.0)]
 CURVED_IDS = ["disk", "tilted-disk", "cap", "ellipse", "bent-patch",
               "bent-map-flat-tangents"]
+
+#: (surface, order, delta, l, alpha) of the poles that hold the Duffy order:
+#: delta = 0.9 and l = 4 at orders 8-16 on disks and the wide cap, at order
+#: 12 on flat, bent and elliptic surfaces, and two wide-cap poles at delta = 1
+#: that a floor of 13 (order 10) and max(p + 1, 14) points (order 13) move
+#: by 2.3e-13 and 3.5e-13
+DUFFY_POLES = [
+    *(pytest.param(surface, order, 0.9, 4, 0.145, id=f"{name}-{order}")
+      for name, surface in (("disk", DISK), ("tilted-disk", TILTED), ("wide-cap", WIDE_CAP))
+      for order in (8, 12, 16)),
+    *(pytest.param(surface, 12, 0.9, 4, 0.145, id=f"{name}-12")
+      for name, surface in (("rectangle", RECT), ("slanted-rectangle", SLANTED),
+                            ("bent-patch", _patch(0.1, 0.1)), ("ellipse", ELLIPSE))),
+    pytest.param(WIDE_CAP, 10, 1.0, 3, 0.0, id="wide-cap-l3-delta1-10"),
+    pytest.param(WIDE_CAP, 13, 1.0, 5, 0.0, id="wide-cap-l5-delta1-13"),
+]
 
 
 #: order-12 surfaces with their group size, integrated rows and kernel pairs
@@ -392,16 +408,18 @@ class TestSingularBuild:
         assert _rel_max(got[1], want[1]) < 1e-14
 
     @pytest.mark.parametrize("order", [12, 16])
-    @pytest.mark.parametrize("surface", [DISK, TILTED, CAP, RECT],
-                             ids=["disk", "tilted-disk", "cap", "rectangle"])
+    @pytest.mark.parametrize("surface", [RECT], ids=["rectangle"])
     def test_angular_duffy_order_holds_the_matrices(self, surface, order):
-        # p + 4 points along the base of each sub-triangle against 3p; both
-        # take 3p towards the base, so that only the angular order differs
+        # the default points along the base of each sub-triangle against 3p;
+        # both take 3p towards the base, so that only the angular order
+        # differs.  On curved maps the angular order alone moves the matrices
+        # by up to 5.7e-12, and the pole test below holds it instead
         rule = build_quadrature(surface, order)
         group = _node_group(rule)
-        assert _duffy_orders(rule, group)[1] == order + 4
+        m = _duffy_order(rule, group)
+        assert m == max(order + 2, 14)
         rows = np.flatnonzero(np.bincount(group.min(axis=0)))
-        got = _product_rows(rule, rows, (3 * order, order + 4), group)
+        got = _product_rows(rule, rows, (3 * order, m), group)
         want = _product_rows(rule, rows, (3 * order, 3 * order), group)
         assert _rel_max(got[0], want[0]) < 1e-13
         assert _rel_max(got[1], want[1]) < 1e-13
@@ -413,7 +431,7 @@ class TestSingularBuild:
         # integrands are polynomials of degree 2p - 2 (p_inv) and 2p (p_lin)
         rule = build_quadrature(surface, order)
         group = _node_group(rule)
-        assert _duffy_orders(rule, group) == (order + 1, max(order + 4, 16))
+        assert _duffy_order(rule, group) >= order + 1
         got = singular_part_matrix(rule, group=group)
         want = singular_part_matrix(rule, max(3 * order, 48), group=group)
         assert _rel_max(got[0], want[0]) < 1e-13
@@ -421,31 +439,29 @@ class TestSingularBuild:
 
     @pytest.mark.parametrize("surface", CURVED, ids=CURVED_IDS)
     def test_curved_map_keeps_the_radial_order(self, surface):
-        # the angular order max(p + 4, 16) serves radially too, except on
-        # the ellipse (below)
+        # curved maps take the one order max(p + 2, 14) too, except the
+        # ellipse (below)
         rule = build_quadrature(surface, 12)
-        want = (24, 24) if surface is ELLIPSE else (16, 16)
-        assert _duffy_orders(rule, _node_group(rule)) == want
+        want = 24 if surface is ELLIPSE else 14
+        assert _duffy_order(rule, _node_group(rule)) == want
 
-    @pytest.mark.parametrize("order", [8, 12, 16])
-    @pytest.mark.parametrize("surface", [DISK, TILTED, WIDE_CAP],
-                             ids=["disk", "tilted-disk", "wide-cap"])
-    def test_curved_radial_order_holds_the_pole(self, surface, order, monkeypatch):
-        # the pole at delta = 0.9 and strong coupling, against a build with 3p
-        # points in both Duffy variables, to a tenth of the 1e-12 pole gate;
-        # p + 1 radial points move the wide cap's order-8 pole by 7.6e-11
-        params = SpectralParams(alpha=0.145, beta=0.902)
-        got = find_pole(pole_state(surface, 0.9, 4, params, order=order))
-        monkeypatch.setattr(bs_operator, "_duffy_orders",
-                            lambda rule, group: (3 * rule.order, 3 * rule.order))
-        want = find_pole(pole_state(surface, 0.9, 4, params, order=order))
+    @pytest.mark.parametrize("surface, order, delta, l, alpha", DUFFY_POLES)
+    def test_curved_radial_order_holds_the_pole(self, surface, order, delta, l, alpha,
+                                                monkeypatch):
+        # the pole at strong coupling, against a build with 3p points in both
+        # Duffy variables, to a tenth of the 1e-12 pole gate; p + 1 points
+        # move the wide cap's order-8 pole by 7.5e-11
+        params = SpectralParams(alpha=alpha, beta=0.902)
+        got = find_pole(pole_state(surface, delta, l, params, order=order))
+        monkeypatch.setattr(bs_operator, "_duffy_order", lambda rule, group: 3 * rule.order)
+        want = find_pole(pole_state(surface, delta, l, params, order=order))
         assert abs(got.z - want.z) <= 1e-13
 
     def test_periodic_surface_without_rotation_keeps_the_radial_order(self):
-        # p + 4 angular points leave 2.6e-7 on the elliptic disk at order 12
+        # max(p + 2, 14) points move a pole of the elliptic disk by up to 1.2e-12
         rule = build_quadrature(ELLIPSE, 8)
         group = _node_group(rule)
-        assert _duffy_orders(rule, group) == (24, 24)
+        assert _duffy_order(rule, group) == 24
         got = singular_part_matrix(rule, group=group)
         want = singular_part_matrix(rule, 24, group=group)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -502,7 +518,7 @@ class TestSingularBuild:
     @pytest.mark.parametrize("surface", [DISK, RECT, CAP], ids=["disk", "rectangle", "cap"])
     def test_no_tangent_at_the_duffy_points(self, surface):
         # the Duffy points take the closed-form Jacobian; tangents are taken
-        # at single nodes, the affine check's corner and the isometry probes
+        # at single nodes and the isometry probes
         sizes = []
 
         def counted(tangent):
@@ -568,6 +584,28 @@ class TestNodeGroup:
         assert len(integrated) == n_rows
         assert len(layout.rows) == n_pairs
         assert np.all(layout.rows <= layout.cols)
+
+    @pytest.mark.parametrize("make", [
+        lambda size: disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=size),
+        lambda size: rectangle_patch(center=(1.0, 0.0, 1.0), direction1=(1, 0, 0),
+                                     direction2=(0, 1, 0), length1=1.2 * size,
+                                     length2=0.8 * size),
+        lambda size: spherical_cap(sphere_center=(1.2, 0.0, 0.6), radius=size,
+                                   polar_angle=0.9),
+        lambda size: disk(center=(50.0, 0.0, 1.0), normal=(1.0, 0.0, 1.0), radius=size),
+    ], ids=["disk", "rectangle", "cap", "far-tilted-disk"])
+    def test_small_surface_keeps_its_group(self, make):
+        # the coordinates carry rounding of about eps |x|, which a bound
+        # relative to the surface's own size alone refused below about
+        # 1e-4 |x|: the disk's group fell from 16 to 1, so it took the
+        # ellipse's Duffy rule and evaluated every kernel pair
+        def group_and_pairs(size):
+            rule = build_quadrature(make(size), 8)
+            return len(_node_group(rule)), len(pair_layout(rule).rows)
+
+        want = group_and_pairs(0.5)
+        for size in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+            assert group_and_pairs(size) == want
 
     def test_elements_are_distinct_permutations(self):
         group = _node_group(build_quadrature(DISK, 6))
