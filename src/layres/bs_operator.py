@@ -44,6 +44,7 @@ __all__ = [
     "singular_part_matrix",
     "check_pair_tables",
     "pair_layout",
+    "pair_nodes",
     "assemble_free",
     "mode_vector",
     "mode_table",
@@ -521,6 +522,16 @@ class PairLayout:
                        corr_inv=self.corr_inv / delta, corr_lin=delta * self.corr_lin)
 
 
+def pair_nodes(layout: PairLayout, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes x, x' of the layout's pairs on ``rule`` and their widest in-plane separation.
+
+    ``rule`` is the layout's own or a delta-copy of it (:meth:`QuadratureRule.scaled`),
+    whose widest pair is the one its state's Ewald split is chosen for.
+    """
+    x, xp = rule.nodes[layout.rows], rule.nodes[layout.cols]
+    return x, xp, float(np.max(np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])))
+
+
 def check_pair_tables(order: int) -> None:
     """Refuse a quadrature order whose n x n pair tables exceed _MAX_TABLE_ENTRIES.
 
@@ -761,10 +772,8 @@ class SystemState:
         in-plane separation and the window of the state's sheet
         (:meth:`EwaldSplit.for_separation`).
         """
-        x, xp = self.rule.nodes[self.layout.rows], self.rule.nodes[self.layout.cols]
-        rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
-        split = EwaldSplit.for_separation(float(np.max(rho)), self.ctx)
-        return EwaldTables(x, xp, split)
+        x, xp, rho = pair_nodes(self.layout, self.rule)
+        return EwaldTables(x, xp, EwaldSplit.for_separation(rho, self.ctx))
 
 
 def eta_l(z: complex, state: SystemState, diagnostics: dict | None = None) -> complex:

@@ -120,15 +120,20 @@ class QuadratureRule:
         times the surface's.  ``surface`` stays the unscaled one, so its
         parameter domain holds, and the copy's ``delta`` is this rule's
         times ``delta``, so a copy of a copy is the copy of their product.
-        delta = 1 gives the rule itself.  ``r_min`` comes from
+        delta = 1 gives the rule itself, and a delta so small that a weight
+        underflows to 0 is refused.  ``r_min`` comes from
         :func:`scale_surface`.  A state takes a copy's rule only inside its
         pair layout, ``bs_operator.PairLayout.scaled``, which scales the
         singular corrections with it.
         """
         if delta == 1.0:
             return self
+        weights = delta**2 * self.weights
+        if not np.all(weights > 0.0):
+            raise ValueError(f"delta = {delta} is too small: the copy's quadrature weights "
+                             "delta^2 w underflow to 0")
         return replace(self, nodes=delta * self.nodes + (1.0 - delta) * self.surface.x0,
-                       weights=delta**2 * self.weights, r_min=r_min, delta=self.delta * delta)
+                       weights=weights, r_min=r_min, delta=self.delta * delta)
 
 
 def _param_grid(surface: Surface, n: int):

@@ -19,9 +19,9 @@ import numpy as np
 
 from .bs_operator import TAIL_TOL, SystemState, assemble_A_l, assemble_free, \
     bs_determinant, check_pair_tables, eta_l, mode_cutoff, mode_table, mode_vector, \
-    pair_layout
+    pair_layout, pair_nodes
 from .geometry import Surface, build_quadrature, scale_surface
-from .greens import chi_n
+from .greens import EwaldSplit, chi_n
 from .specfun import SpectralParams, gamma_n, second_sheet
 
 __all__ = [
@@ -140,8 +140,10 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
     keeps the rest of the surface check), and refuses a copy only when it
     is taken.  The order-``order`` rule on ``surface`` is built once, and
     each copy's cutoff is taken on it scaled (:meth:`QuadratureRule.scaled`).
-    Only then is the pair layout of the unscaled rule built, once, and each
-    state made with its :meth:`PairLayout.scaled` copy, which carries the
+    Only then is the pair layout of the unscaled rule built, once, and a
+    copy whose widest pair exceeds the Ewald spectral radius refused
+    (:meth:`EwaldSplit.for_separation` on :func:`pair_nodes`).  Then each
+    state is made with its :meth:`PairLayout.scaled` copy, which carries the
     copy's rule, one at a time, so that each state and its Ewald tables are
     freed with its pole.
     """
@@ -154,6 +156,8 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
         cut = mode_cutoff(base_rule.scaled(d, rmin), ctx, eps_l, tail_tol, n_cut)
         copies.append((d, rmin, cut))
     layout = pair_layout(base_rule)
+    for d, rmin, _ in copies:  # a copy wider than the Ewald spectral radius
+        EwaldSplit.for_separation(pair_nodes(layout, base_rule.scaled(d, rmin))[2], ctx)
     for d, rmin, cut in copies:
         yield SystemState(params, layout.scaled(d, rmin), ctx, l, n_cut=cut)
 
@@ -243,7 +247,9 @@ def find_pole(state: SystemState, seed: complex | None = None,
     - ``"relative"``: that estimate is at most ROOT_REL_TOL |Im(F(z) - eps_l)|,
       so it is small against the width Im mu;
     - ``"floor"``: |g| is at its rounding floor: it is above half the |g|
-      before, or the estimate is below the double epsilon times |z - l^2|;
+      before, or the estimate is below the double epsilon times |z - l^2|,
+      or z rounds to l^2 (|z - l^2| <= 4 eps l^2), where g vanishes whatever
+      eta_l is and shrinks with every step;
     - ``"exact"``: g is 0.  Only this one stops at the seed, where q is not
       known.
 
@@ -289,7 +295,8 @@ def find_pole(state: SystemState, seed: complex | None = None,
         error = root_error(gz)
         if error <= ROOT_REL_TOL * abs((z - gz - eps_l).imag):
             return "relative"
-        if abs(gz) > 0.5 * abs(g0) or error < np.finfo(float).eps * abs(z - l2):
+        eps = np.finfo(float).eps
+        if abs(gz) > 0.5 * abs(g0) or error < eps * abs(z - l2) or abs(z - l2) <= 4 * eps * l2:
             return "floor"
         return None
 

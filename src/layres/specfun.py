@@ -86,6 +86,12 @@ _LAPLACE_S2 = (0.2 * np.arange(31)) ** 2
 _LAPLACE_WEIGHTS = np.where(_LAPLACE_S2 == 0.0, 0.2, 0.4) * np.exp(-_LAPLACE_S2)
 
 
+def _laplace_sum(w):
+    """sum_j W_j (1 + s_j^2/2w)^(-1/2): the trapezoidal sum of :func:`_k0_laplace`,
+    which is sqrt(2w) e^w K0(w)."""
+    return np.sum(_LAPLACE_WEIGHTS / np.sqrt(1.0 + _LAPLACE_S2 / (2.0 * w[..., None])), axis=-1)
+
+
 @functools.cache
 def _laguerre_rule():
     """Nodes and weights of the 96-point Gauss-Laguerre rule (Golub-Welsch), built at first use.
@@ -118,48 +124,32 @@ def _weideman_coefficients(n: int):
 
 _WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_coefficients(40)
 
-#: Chebyshev coefficients of sqrt(x) e^x K0(x) on the pieces [lo, hi] of
-#: x >= 2, in t mapping 1/x linearly onto [-1, 1]; generated by
-#: tools/k0_chebyshev.py
-_K0_CHEB = {
-    (2.0, 8.0): np.array([
-        1.2117802604833603,
-        -0.02235652605699819,
-        0.0007734181154693858,
-        -4.281006688886099e-05,
-        3.0817001738629747e-06,
-        -2.639367222009665e-07,
-        2.563713036403469e-08,
-        -2.7427055499002012e-09,
-        3.1694296580974997e-10,
-        -3.902353286962184e-11,
-        5.068040698188575e-12,
-        -6.889574741007871e-13,
-        9.744978497825918e-14,
-        -1.4273328418845485e-14,
-        2.156412571021463e-15,
-        -3.3496542551495625e-16,
-        5.3352602169529114e-17,
-        -8.693669980890753e-18,
-    ]),
-    (8.0, math.inf): np.array([
-        1.243990650868462,
-        -0.009174852691025696,
-        0.00014445509317750059,
-        -4.01361417543571e-06,
-        1.5678318108523108e-07,
-        -7.770110438521738e-09,
-        4.6111825761797177e-10,
-        -3.158592997860566e-11,
-        2.435018039365041e-12,
-        -2.0743313873983479e-13,
-        1.925787280589917e-14,
-        -1.927554805838956e-15,
-        2.0621980291978182e-16,
-        -2.3416851175792425e-17,
-        2.8059028106430423e-18,
-    ]),
-}
+
+def _k0_chebyshev_table():
+    """Chebyshev coefficients of sqrt(x) e^x K0(x) on the pieces [lo, hi] of x >= 2.
+
+    Each piece is in t mapping 1/x linearly onto [-1, 1] and keeps as many
+    coefficients as leave the first omitted one below 2e-18.  They come from
+    :func:`_laplace_sum` at the 40 Chebyshev points theta_j = pi (2j+1)/80,
+    by the discrete orthogonality of T_k there: each cos(k theta_j) is taken
+    at its exact phase and each coefficient summed by math.fsum, which keeps
+    them within 2e-16 of their 40-digit values.
+    """
+    nodes = 40
+    odd = 2 * np.arange(nodes) + 1
+    table = {}
+    for lo, hi, terms in ((2.0, 8.0, 18), (8.0, math.inf, 15)):
+        mid, half = 0.5 * (1.0 / lo + 1.0 / hi), 0.5 * (1.0 / lo - 1.0 / hi)
+        x = 1.0 / (mid + half * np.cos(math.pi / (2 * nodes) * odd))
+        f = _laplace_sum(x) * (math.sqrt(0.5) / nodes)
+        phase = np.outer(np.arange(terms), odd) % (4 * nodes)  # exact, in [0, 4 nodes)
+        coeffs = np.array([math.fsum(row) for row in np.cos(math.pi / (2 * nodes) * phase) * f])
+        coeffs[1:] *= 2.0
+        table[lo, hi] = coeffs
+    return table
+
+
+_K0_CHEB = _k0_chebyshev_table()
 
 
 class BranchPointError(ValueError):
@@ -330,28 +320,11 @@ def _k0_laplace(w):
 
     K0(w) = e^-w (2w)^(-1/2) int e^(-s^2) (1 + s^2/2w)^(-1/2) ds over the
     real line (DLMF 10.32.8 with t = s^2), by the trapezoidal rule on
-    s = 0, 0.2, ..., 6.  The integrand is analytic in the strip
-    |Im s| < (|w| + Re w)^(1/2), which keeps the rule within about 3e-16
-    of K0 relative, times max(1, |w|) for the rounding of e^-w.
+    s = 0, 0.2, ..., 6 (:func:`_laplace_sum`).  The integrand is analytic in
+    the strip |Im s| < (|w| + Re w)^(1/2), which keeps the rule within about
+    3e-16 of K0 relative, times max(1, |w|) for the rounding of e^-w.
     """
-    return np.exp(-w) * np.sqrt(0.5 / w) * np.sum(
-        _LAPLACE_WEIGHTS / np.sqrt(1.0 + _LAPLACE_S2 / (2.0 * w[..., None])), axis=-1)
-
-
-def _k0_complex(w):
-    """K0 of a 1-d array w: the ascending series for |w| <= 2, else :func:`_k0_laplace`."""
-    size = np.abs(w)
-    far = size > 2.0
-    if np.any(far & (size + w.real < 2.0)):
-        raise ValueError("K0 is not evaluated next to its cut: |w| > 2 with |w| + Re w < 2")
-    out = np.empty_like(w)
-    if not np.all(far):
-        ws = w[~far]
-        i0, s0 = _horner(0.25 * ws * ws, _ASCENDING)
-        out[~far] = s0 - np.log(0.5 * ws) * i0
-    if np.any(far):
-        out[far] = _k0_laplace(w[far])
-    return out
+    return np.exp(-w) * np.sqrt(0.5 / w) * _laplace_sum(w)
 
 
 def macdonald_k0(w):
@@ -371,12 +344,20 @@ def macdonald_k0(w):
     x, size = w_arr.real, np.abs(w_arr)
     if np.any(size == 0.0):
         raise ValueError("K0 has a logarithmic singularity at w = 0")
+    far = size > 2.0
+    if np.any(far & (size + x < 2.0)):
+        raise ValueError("K0 is not evaluated next to its cut: |w| > 2 with |w| + Re w < 2")
     near = (x > 2.0) & (np.abs(w_arr.imag) <= _REAL_K0_RATIO * size)
+    laplace = far & ~near
     out = np.empty(w_arr.shape, dtype=complex)
     if np.any(near):
         out[near] = _k0_chebyshev(w_arr[near])
-    if not np.all(near):
-        out[~near] = _k0_complex(w_arr[~near])
+    if not np.all(far):
+        ws = w_arr[~far]
+        i0, s0 = _horner(0.25 * ws * ws, _ASCENDING)
+        out[~far] = s0 - np.log(0.5 * ws) * i0
+    if np.any(laplace):
+        out[laplace] = _k0_laplace(w_arr[laplace])
     out[x > _EXP_RANGE] = 0.0
     if out.ndim == 0:
         return complex(out)

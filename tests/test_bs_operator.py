@@ -909,6 +909,13 @@ class TestEtaL:
         with pytest.raises(IllConditionedError, match=r"I - beta \(R_SigmaSigma \+ A_l\)"):
             eta_l(-5.0, st)
 
+    def test_singular_matrix_refused(self):
+        # I - e = 0 has no inverse: its condition number is infinite
+        with pytest.raises(IllConditionedError) as info:
+            bs_operator._guarded_solve(np.eye(3), np.ones(3), None)
+        assert str(info.value) == ("I - beta (R_SigmaSigma + A_l): condition number inf "
+                                   "exceeds 1e12")
+
     def test_one_mode_table_per_eta(self, small_state, monkeypatch):
         # the rank sum's mode vectors and w_l come from one mode_vector call
         calls = []

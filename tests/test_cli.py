@@ -577,8 +577,8 @@ class TestMain:
 
     def test_wide_surface_in_a_high_window_exit_one(self, tmp_path, capsys, monkeypatch):
         # eps_7 lies in J_6, where eta is capped at 7/49 and the spectral
-        # radius is 1.569: the 2.88-wide disk is refused at the first eta_l,
-        # before any secant step (it used to exit 0 on kernels off by 1.6e-3)
+        # radius is 1.569: the 2.88-wide disk is refused before any eta_l
+        # (it used to exit 0 on kernels off by 1.6e-3)
         calls = []
         real = resonance.eta_l
 
@@ -595,7 +595,64 @@ class TestMain:
         assert main(["pole", "--config", path, "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "spectral radius 1.569 at eta = 0.1429" in err
-        assert len(calls) == 1 and not out.exists()
+        assert not calls and not out.exists()
+
+    def test_wide_copy_in_a_sweep_is_refused_before_any_pole(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # only the delta = 1 copy (pair separation 4.954) is wider than the
+        # spectral radius 4.152; its refusal comes before the smaller deltas' poles
+        calls = []
+        monkeypatch.setattr(resonance, "find_pole", lambda *a, **k: calls.append(a))
+        out = tmp_path / "wide.csv"
+        path = _write(tmp_path, "wide.cfg",
+                      "[run]\nmode = sweep\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      "[surface]\nfamily = disk\ncenter = 3 0 1.5\nnormal = 0 0 1\n"
+                      "radius = 2.5\ndeltas = 0.1 0.3 0.6 1.0\n[numerics]\norder = 12\n")
+        assert main(["sweep", "--config", path, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: pair separation rho = 4.954 exceeds the j_max = 32 "
+                       "spectral radius 4.152 at eta = 1\n")
+        assert not calls and not out.exists()
+
+    @pytest.mark.parametrize("mode", ["pole", "sweep"])
+    def test_underflowing_delta_exit_one(self, tmp_path, capsys, monkeypatch, mode):
+        # delta^2 w underflows to 0: refused by name before the pair layout
+        monkeypatch.setattr(resonance, "pair_layout", None)
+        out = tmp_path / "tiny.csv"
+        path = _write(tmp_path, "tiny.cfg",
+                      f"[run]\nmode = {mode}\nl = 2\n[coupling]\nbeta = 0.4\n"
+                      + DISK_SURFACE.strip()
+                      + "\ndelta = 1e-300\ndeltas = 5e-324 1e-300 0.1 0.2\n"
+                      "[numerics]\norder = 4\n")
+        assert main([mode, "--config", path, "--output", str(out)]) == 1
+        tiny = "1e-300" if mode == "pole" else "5e-324"
+        assert capsys.readouterr().err == (f"error: delta = {tiny} is too small: the copy's "
+                                           "quadrature weights delta^2 w underflow to 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, old, new, message", [
+        ("pole", "beta = 0.4", "beta = abc", "line 5: beta must be a finite number, got 'abc'"),
+        ("pole", "order = 4", "order = 4.5", "line 13: order must be an integer, got '4.5'"),
+        ("pole", "order = 4", "order = 4\n[output]\nemit_plot_script = maybe",
+         "line 15: emit_plot_script must be true/false, got 'maybe'"),
+        ("pole", "l = 2", "l = 2\nverbose", "line 4: expected 'key = value', got 'verbose'"),
+        ("pole", "radius = 0.5\n", "", "surface family 'disk' is missing the 'radius' key"),
+        ("pole", "family = disk", "family = torus", "line 7: unknown surface family 'torus'"),
+        ("pole", "delta = 0.08", "delta = 2", "delta must lie in (0, 1], got 2.0"),
+        ("eigenvalues", "l = 2", "l = 2\nn_min = 0", "need 1 <= n_min <= n_max, got 0..5"),
+        ("pole", "order = 4", "order = 4\n[output]\nformat = xml",
+         "output format must be csv or json, got 'xml'"),
+    ], ids=["float", "int", "bool", "no-equals", "missing-radius", "unknown-family",
+            "delta-above-one", "n-min-zero", "unknown-format"])
+    def test_config_refusal_exit_two(self, tmp_path, capsys, mode, old, new, message):
+        text = ("[run]\nmode = pole\nl = 2\n[coupling]\nbeta = 0.4\n" + DISK_SURFACE.strip()
+                + "\ndelta = 0.08\n[numerics]\norder = 4\n")
+        assert old in text
+        out = tmp_path / "out.csv"
+        path = _write(tmp_path, "bad.cfg", text.replace(old, new))
+        assert main([mode, "--config", path, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("alpha", ["-60", "-56.5"])

@@ -150,6 +150,22 @@ class TestFactories:
         assert np.array_equal(surface.x0, surface.param_map(*np.array(anchor)))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: spherical_cap(sphere_center=(0.3, 0.0, 1.5), radius=0.6, polar_angle=2.0),
+     SurfaceValidationError, "surface 'spherical_cap' touches the wire axis"),
+    (lambda: rectangle_patch(center=(1, 0, 0), direction1=(1, 0, 0), direction2=(0, 1, 0),
+                             length1=0.4, length2=0.4),
+     SurfaceValidationError, "surface 'rectangle' touches a wall in its interior"),
+    (lambda: spherical_cap(sphere_center=(1.2, 0.0, 1.5), radius=0.6, polar_angle=4.0),
+     ValueError, "polar_angle must be in (0, pi]"),
+    (lambda: build_quadrature(make_disk(), 1), ValueError, "quadrature order must be >= 2"),
+], ids=["cap-across-the-axis", "rectangle-on-the-wall", "polar-angle-above-pi", "order-one"])
+def test_refusal(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
 class TestJacobians:
     @pytest.mark.parametrize("surface", [
         make_disk(),
@@ -256,6 +272,13 @@ class TestScaling:
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 next(scale_surface(s, [bad]))
+
+    @pytest.mark.parametrize("delta", [1e-300, 5e-324])
+    def test_underflowing_weights_refused_by_name(self, delta):
+        rule = build_quadrature(make_disk(), 4)
+        with pytest.raises(ValueError, match=rf"^delta = {delta} is too small: the copy's "
+                                             r"quadrature weights delta\^2 w underflow to 0$"):
+            rule.scaled(delta, 1.0)
 
     def test_copy_reaching_the_axis_refused(self):
         # a non-convex base: shrinking toward x0 pulls the far side onto the

@@ -7,7 +7,8 @@ import pytest
 
 from layres import bs_operator, resonance
 from layres.bs_operator import SystemState, pair_layout
-from layres.geometry import build_quadrature, disk, rectangle_patch, scale_surface
+from layres.geometry import build_quadrature, disk, rectangle_patch, scale_surface, \
+    spherical_cap
 from layres.greens import chi_n
 from layres.resonance import (
     ConvergenceError,
@@ -34,6 +35,9 @@ WIRE_RECT = rectangle_patch(center=(0.1, 0.0, 1.0), direction1=(0.0, 1.0, 0.0),
                             direction2=(0.0, 0.0, 1.0), length1=0.6, length2=0.6)
 #: 4.3 from the wire; alpha = 0.3 puts eps_2 = 3.97 just below the top of J_1
 FAR = disk(center=(4.8, 0.0, 1.0), normal=(0.0, 0.0, 1.0), radius=0.5)
+#: a whole sphere whose search for the l = 5 pole at delta = 1 runs onto z = l^2
+SPHERE = spherical_cap(sphere_center=(2.0, 0.0, 1.5), radius=0.6, polar_angle=math.pi)
+SPHERE_PARAMS = SpectralParams(alpha=0.2, beta=3.0)
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +300,23 @@ class TestFindPole:
         assert n_fixed_point == fixed_point.diagnostics["eta_evaluations"] == 2 < len(calls)
         assert fixed_point.iterations == 0
 
+    @pytest.mark.parametrize("order", [6, 16])
+    def test_spurious_root_at_l_squared_ends_the_search(self, order, monkeypatch):
+        # g = (z - l^2)(1 - exp(-4 pi eta_l)) vanishes at z = l^2 = 25 whatever
+        # eta_l is; the search reaches it and used to run all 50 steps there
+        calls = []
+        real = resonance.eta_l
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        st = pole_state(SPHERE, 1.0, 5, SPHERE_PARAMS, order=order)
+        monkeypatch.setattr(resonance, "eta_l", counted)
+        with pytest.raises(ConvergenceError, match="g vanishes|escaped the window J_4"):
+            find_pole(st)
+        assert len(calls) <= 15 and abs(calls[-1] - 25.0) < 1e-13
+
     def test_iteration_budget_exhausted(self, pole_08, monkeypatch):
         res, st = pole_08
         assert res.iterations >= 1
@@ -508,6 +529,17 @@ class TestImClosedForm:
         # square of a ~1e-16 residue
         st = pole_state(SYM, 0.08, 2, PARAMS, order=8)
         assert abs(im_mu_closed_form(st)) < 1e-30
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: embedded_eigenvalues(PARAMS, [0]), "mode indices start at 1"),
+    (lambda: sweep_delta(5, [0.1, 0.3, 0.6, 1.0], SPHERE, SPHERE_PARAMS, order=6),
+     "only 3 poles converged; need >= 4 to fit"),
+], ids=["mode-index-zero", "too-few-poles"])
+def test_refusal(call, message):
+    with pytest.raises((ValueError, ArithmeticError)) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestFitPowerLaw:

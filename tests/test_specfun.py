@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import os
 import subprocess
@@ -7,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy import special
 from scipy.integrate import quad
 from scipy.special import iv, kv
@@ -488,21 +488,29 @@ class TestAgainstMpmath:
                     pytest.raises(ValueError, match=r"off its series .* past Re w = 700 "):
                 bessel_i0(v)
 
+    def test_near_real_k0(self, mp):
+        # the Chebyshev series, built at import from the Laplace sum, against
+        # 40 digits: sqrt(x) e^x K0(x) on both pieces up to x = 1e4, and K0
+        # itself from macdonald_k0 where it is above the underflow policy
+        x = np.geomspace(2.0, 1e4, 800)[1:]
+        with mp.workdps(40):
+            k0_mp = [mp.besselk(0, v) for v in x]
+            want = np.array([float(mp.sqrt(v) * mp.exp(v) * k) for v, k in zip(x, k0_mp)])
+        scaled = np.empty_like(x)
+        for (lo, hi), table in specfun._K0_CHEB.items():
+            piece = (x > lo) & (x <= hi)
+            mid, half = 0.5 * (1.0 / lo + 1.0 / hi), 0.5 * (1.0 / lo - 1.0 / hi)
+            scaled[piece] = chebval((1.0 / x[piece] - mid) / half, table)
+        assert np.max(np.abs(scaled / want - 1.0)) < 1.5e-15
+        live = x <= 700.0
+        k0 = macdonald_k0(x[live])
+        assert np.all(k0.imag == 0.0)
+        want = np.array([float(k) for k in k0_mp])[live]
+        assert np.max(np.abs(k0.real / want - 1.0)) < 1.5e-15
+
     def test_k0_and_i0_on_the_imaginary_axis(self, mp):
         w = 1j * np.geomspace(1e-3, 35.0, 60)
         k0 = np.array([complex(mp.besselk(0, mp.mpc(0, v.imag))) for v in w])
         i0 = np.array([complex(mp.besseli(0, mp.mpc(0, v.imag))) for v in w])
         assert np.max(np.abs(macdonald_k0(w) / k0 - 1.0) / np.maximum(1.0, np.abs(w))) < 1e-15
         assert np.max(np.abs(bessel_i0(w) - i0) / np.sqrt(np.maximum(1.0, np.abs(w)))) < 1e-15
-
-
-def test_chebyshev_table_regenerates():
-    pytest.importorskip("mpmath")
-    path = Path(__file__).resolve().parents[1] / "tools" / "k0_chebyshev.py"
-    spec = importlib.util.spec_from_file_location("k0_chebyshev", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    tables = tool.table()
-    assert tables.keys() == specfun._K0_CHEB.keys()
-    for piece, coeffs in tables.items():
-        assert np.allclose(coeffs, specfun._K0_CHEB[piece], rtol=1e-15, atol=0.0), piece
