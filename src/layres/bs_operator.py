@@ -56,8 +56,8 @@ __all__ = [
     "TAIL_TOL",
 ]
 
-#: default bound on e^(-2 kappa_n r_min), the size of the first rank-sum term
-#: that the mode cutoff drops
+#: bound on e^(-2 kappa_n r_min), the size of the first rank-sum term that the
+#: mode cutoff drops
 TAIL_TOL = 1e-12
 
 #: A 1-norm condition number above this means M_l = I - beta (R_SigmaSigma + A_l) is
@@ -617,25 +617,22 @@ def mode_vector(z: complex, n, rule: QuadratureRule, ctx: SheetContext) -> np.nd
 
 
 def mode_cutoff(rule: QuadratureRule, ctx: SheetContext, eps_l: float,
-                tail_tol: float = TAIL_TOL, n_cut: int | None = None) -> int:
-    """Mode cutoff of the rank sums on ``rule``: ``n_cut``, checked, or one from ``tail_tol``.
+                n_cut: int | None = None) -> int:
+    """Mode cutoff of the rank sums on ``rule``: ``n_cut``, checked, or one from TAIL_TOL.
 
     A rank-sum term Gamma_n^(-1) w_n w_n^T is a product of two mode vectors,
     each of size about e^(-kappa_n r_min) (K0(x) ~ sqrt(pi/2x) e^(-x),
     Abramowitz & Stegun 9.7.2), with kappa_n = sqrt(n^2 - eps_l) at the
     pole.  Without ``n_cut`` the cutoff is the smallest whose first dropped
-    mode has e^(-2 kappa r_min) <= tail_tol, in closed form
-    ceil(sqrt(max(eps_l, 0) + (L / 2 r_min)^2)) - 1 with L = -ln tail_tol,
+    mode has e^(-2 kappa r_min) <= TAIL_TOL, in closed form
+    ceil(sqrt(max(eps_l, 0) + (L / 2 r_min)^2)) - 1 with L = -ln TAIL_TOL,
     and at least k and 1.  A negative eps_l (eps_1 on the first sheet) has
     kappa_n >= n, so 0 in its place keeps enough modes.  On the second
     sheet an ``n_cut`` below k is refused, and so is any cutoff whose mode
-    table would hold more than _MAX_TABLE_ENTRIES entries.  A ``tail_tol``
-    outside (0, 1), NaN included, is refused first.
+    table would hold more than _MAX_TABLE_ENTRIES entries.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     if n_cut is None:
-        tail = -math.log(tail_tol) / (2.0 * geometry.r_min(rule))
+        tail = -math.log(TAIL_TOL) / (2.0 * geometry.r_min(rule))
         n_cut = max(ctx.k, 1, math.ceil(math.sqrt(max(eps_l, 0.0) + tail * tail)) - 1)
     elif ctx.second and n_cut < ctx.k:
         raise ValueError(f"n_cut = {n_cut} is below the window index k = "
@@ -738,9 +735,10 @@ class SystemState:
 
     ``l`` names eps_l; a second-sheet ``ctx`` whose window J_k misses eps_l is
     refused, and so is an ``n_cut`` that :func:`mode_cutoff` refuses; without
-    one the state takes the cutoff of :func:`mode_cutoff`'s TAIL_TOL.  Holds
-    the mode cutoff, the z-independent ``layout`` and its Ewald tables, so
-    only the z-dependent kernel values are recomputed per z.  The state's
+    one the state takes the cutoff of TAIL_TOL.  ``n_cut`` is the one cutoff
+    override, for a convergence check against twice the cutoff.  Holds the
+    mode cutoff, the z-independent ``layout`` and its Ewald tables, so only
+    the z-dependent kernel values are recomputed per z.  The state's
     rule is the layout's: :func:`pair_layout` of an unscaled rule, or its
     :meth:`PairLayout.scaled` on a delta-copy, whose ``rule.delta`` a pole
     found on this state records.

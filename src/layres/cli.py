@@ -31,9 +31,6 @@ computation starts.  Recognized layout::
 
     [numerics]
     order = 16
-    tail_tol = 1e-12
-    root_tol = 1e-12
-    n_cut = 60             # optional mode-sum override
 
     [output]
     path = run.csv         # default layres_<mode>.<format>, for the mode that runs
@@ -42,9 +39,10 @@ computation starts.  Recognized layout::
 
 A key is one ``_KEYS`` entry (section, parser, default), so a new key is one
 entry there, plus a ``RunConfig`` field if a run reads it; a surface family
-is one ``_FAMILIES`` entry.  The ``[numerics]`` defaults shown are the
-library's own, ``resonance.DEFAULT_ORDER``, ``bs_operator.TAIL_TOL`` and
-``resonance.ROOT_TOL``, which is also the finest ``root_tol`` accepted.
+is one ``_FAMILIES`` entry.  The ``[numerics]`` default shown is the
+library's own, ``resonance.DEFAULT_ORDER``; the mode cutoff and the root
+gate are the library's constants ``bs_operator.TAIL_TOL`` and
+``resonance.ROOT_TOL``, which no config sets.
 Every output file echoes the resolved config, ``RunConfig.resolved``, in
 its ``#`` header.
 
@@ -64,7 +62,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .bs_operator import TAIL_TOL
 from .geometry import Surface, SurfaceValidationError, disk, rectangle_patch, \
     spherical_cap, with_anchor
 from .greens import _MAX_TABLE_ENTRIES, EwaldGreen, EwaldSplit, calibrate_tail_constant, \
@@ -72,8 +69,8 @@ from .greens import _MAX_TABLE_ENTRIES, EwaldGreen, EwaldSplit, calibrate_tail_c
 # calibrate_tail_constant, fit_power_law and im_mu_closed_form are unused here
 # but stay importable as cli attributes: perfbench/spans.py wraps every name it
 # traces on this module, and tests/test_trace_targets.py checks that they resolve
-from .resonance import DEFAULT_ORDER, MIN_SWEEP_POINTS, ROOT_TOL, embedded_eigenvalues, \
-    find_pole, fit_power_law, im_mu_closed_form, pole_state, sweep_delta, window_index
+from .resonance import DEFAULT_ORDER, MIN_SWEEP_POINTS, embedded_eigenvalues, find_pole, \
+    fit_power_law, im_mu_closed_form, pole_state, sweep_delta, window_index
 from .specfun import SpectralParams, first_sheet, gamma_from_gap, macdonald_k0, \
     second_sheet
 
@@ -102,9 +99,6 @@ class RunConfig:
     delta: float
     deltas: tuple
     order: int
-    tail_tol: float
-    root_tol: float
-    n_cut: int | None
     path: str | None  # None: run() names it after the mode that runs
     format: str
     emit_plot_script: bool
@@ -178,9 +172,6 @@ _KEYS = {
     ("surface", "delta"): (_as_float, 0.08),
     ("surface", "deltas"): (_as_floats, tuple(np.geomspace(0.02, 0.12, 8).tolist())),
     ("numerics", "order"): (_as_int, DEFAULT_ORDER),
-    ("numerics", "tail_tol"): (_as_float, TAIL_TOL),
-    ("numerics", "root_tol"): (_as_float, ROOT_TOL),
-    ("numerics", "n_cut"): (_as_int, None),
     ("output", "path"): (_as_text, None),
     ("output", "format"): (_as_text, "csv"),
     ("output", "emit_plot_script"): (_as_bool, False),
@@ -376,9 +367,8 @@ def _run_eigenvalues(config: RunConfig) -> int:
 
 def _run_pole(config: RunConfig) -> int:
     state = pole_state(config.surface, config.delta, config.l, config.params,
-                       order=config.order, tail_tol=config.tail_tol,
-                       n_cut=config.n_cut)
-    res = find_pole(state, seed=config.seed, tol=config.root_tol)
+                       order=config.order)
+    res = find_pole(state, seed=config.seed)
     rows = [(res.l, res.k, res.delta, res.z.real, res.z.imag, res.mu.real,
              res.mu.imag, res.residual, res.iterations)]
     _emit(config,
@@ -391,8 +381,7 @@ def _run_pole(config: RunConfig) -> int:
 
 def _run_sweep(config: RunConfig) -> int:
     sweep = sweep_delta(config.l, config.deltas, config.surface, config.params,
-                        order=config.order, tail_tol=config.tail_tol,
-                        n_cut=config.n_cut, tol=config.root_tol)
+                        order=config.order)
     converged = {res.delta: (res, cf)
                  for res, cf in zip(sweep.poles, sweep.closed_form_im)}
     nan = float("nan")
@@ -502,12 +491,6 @@ def _check(config: RunConfig):
         raise ConfigError(f"need 1 <= n_min <= n_max, got {config.n_min}..{config.n_max}")
     if config.order < 2:
         raise ConfigError("quadrature order must be >= 2")
-    if not 0.0 < config.tail_tol < 1.0:
-        raise ConfigError(f"tail_tol must lie in (0, 1), got {config.tail_tol}")
-    if not config.root_tol >= ROOT_TOL:
-        raise ConfigError(f"root_tol below {ROOT_TOL:g} is not resolvable, got {config.root_tol}")
-    if config.n_cut is not None and config.n_cut < 1:
-        raise ConfigError(f"n_cut must be >= 1, got {config.n_cut}")
     if config.format not in _WRITERS:
         raise ConfigError(f"output format must be csv or json, got {config.format!r}")
     if config.emit_plot_script and config.format != "csv":
@@ -518,12 +501,9 @@ def _check(config: RunConfig):
             raise ConfigError(f"mode {config.mode} needs a [surface] section with a family")
         eps = config.params.eigenvalue(config.l)
         try:
-            k = window_index(eps)
+            window_index(eps)
         except ValueError as exc:
             raise ConfigError(f"l = {config.l}: eps_l = {eps}: {exc}") from None
-        if config.n_cut is not None and config.n_cut < k:
-            raise ConfigError(f"n_cut = {config.n_cut} is below the window index k = {k} "
-                              f"of eps_l = {eps}: it would drop open channels")
     if config.mode == "eigenvalues":
         rows = config.n_max - config.n_min + 1
         if rows > _MAX_TABLE_ENTRIES:
@@ -578,15 +558,13 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, help="cap BLAS thread count")
     parser.add_argument("--seed-re", type=float, help="pole-mode root seed, real part")
     parser.add_argument("--seed-im", type=float, help="pole-mode root seed, imaginary part")
-    parser.add_argument("--quad-order", type=int, help="override [numerics] order")
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config(fh.read())
         config.mode = args.mode
-        config.path = args.output or config.path
-        if args.quad_order is not None:
-            config.order = args.quad_order
+        if args.output is not None:
+            config.path = args.output
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         for flag, value in (("--seed-re", args.seed_re), ("--seed-im", args.seed_im)):

@@ -366,16 +366,20 @@ def with_anchor(surface: Surface, x0) -> Surface:
     """The checked surface, r_min included, with another scaling anchor.
 
     x0 must be finite, and then only its distance to the surface is
-    searched; it must be ~0.
+    searched; it may be 1e-8 of the surface's extent on the check grid (the
+    diagonal of its bounding box), or the rounding of its coordinates,
+    64 eps max|x|, where that is larger.
     """
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise SurfaceValidationError(f"x0 = {x0} of surface {surface.name!r} is not finite")
     s = copy.copy(surface)
     object.__setattr__(s, "x0", x0)
-    scale = max(1.0, float(np.max(np.abs(s.param_map(*_param_grid(s, _CHECK_GRID))))))
+    pts = s.param_map(*_param_grid(s, _CHECK_GRID)).reshape(-1, 3)
+    extent = float(np.linalg.norm(np.ptp(pts, axis=0)))
+    floor = 64.0 * np.finfo(float).eps * float(np.max(np.abs(pts)))
     (dist,) = _search_min(s, lambda p, a: np.linalg.norm(p - a, axis=-1), s.x0[None])
-    if dist > 1e-8 * scale:
+    if dist > max(1e-8 * extent, floor):
         raise SurfaceValidationError(f"x0 of surface {s.name!r} does not lie on the surface")
     return s
 

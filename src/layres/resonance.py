@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bs_operator import TAIL_TOL, SystemState, assemble_A_l, assemble_free, \
+from .bs_operator import SystemState, assemble_A_l, assemble_free, \
     bs_determinant, check_pair_tables, eta_l, mode_cutoff, mode_table, mode_vector, \
     pair_layout, pair_nodes
 from .geometry import Surface, build_quadrature, scale_surface
@@ -47,7 +47,7 @@ __all__ = [
 
 #: fewest converged poles a sweep fits its power laws to
 MIN_SWEEP_POINTS = 4
-#: finest root tolerance a search resolves, and the default of every search
+#: the root gate of every search: a search stops only where |f| < ROOT_TOL
 ROOT_TOL = 1e-12
 #: error of a pole, relative to its |Im mu|, at which its search stops (find_pole)
 ROOT_REL_TOL = 2e-9
@@ -127,8 +127,7 @@ def embedded_eigenvalues(params: SpectralParams, n_range) -> list[EigenvalueInfo
 
 
 def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
-                  params: SpectralParams, order: int, tail_tol: float,
-                  n_cut: int | None) -> Iterator[SystemState]:
+                  params: SpectralParams, order: int) -> Iterator[SystemState]:
     """States of eps_l at each of ``deltas``, on the second sheet of its window.
 
     Everything the arguments decide is refused before any n x n array
@@ -153,7 +152,7 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
     base_rule = build_quadrature(surface, order)
     copies = []
     for d, rmin in zip(deltas, scale_surface(surface, deltas)):
-        cut = mode_cutoff(base_rule.scaled(d, rmin), ctx, eps_l, tail_tol, n_cut)
+        cut = mode_cutoff(base_rule.scaled(d, rmin), ctx, eps_l)
         copies.append((d, rmin, cut))
     layout = pair_layout(base_rule)
     for d, rmin, _ in copies:  # a copy wider than the Ewald spectral radius
@@ -163,21 +162,14 @@ def _delta_states(surface: Surface, deltas: Sequence[float], l: int,
 
 
 def pole_state(surface: Surface, delta: float, l: int, params: SpectralParams,
-               order: int = DEFAULT_ORDER, tail_tol: float = TAIL_TOL,
-               n_cut: int | None = None) -> SystemState:
+               order: int = DEFAULT_ORDER) -> SystemState:
     """System state on the scaled surface, on the second sheet of eps_l's window.
 
     The one state of :func:`_delta_states` at ``delta``: its refusals come
     before the pair layout, which is built on the order-``order`` rule of
     the unscaled ``surface`` and scaled to delta.
     """
-    return next(_delta_states(surface, [delta], l, params, order, tail_tol, n_cut))
-
-
-def _check_tol(tol: float) -> None:
-    """Refuse a root tolerance below ROOT_TOL, NaN included."""
-    if not tol >= ROOT_TOL:
-        raise ValueError(f"tolerance below {ROOT_TOL:g} is not resolvable")
+    return next(_delta_states(surface, [delta], l, params, order))
 
 
 def _secant(f: Callable[[complex], complex], z0: complex, f0: complex, z1: complex,
@@ -226,8 +218,7 @@ def _pole_result(state: SystemState, z: complex, residual: float, iterations: in
                       residual=residual, iterations=iterations, diagnostics=diagnostics)
 
 
-def find_pole(state: SystemState, seed: complex | None = None,
-              tol: float = ROOT_TOL) -> PoleResult:
+def find_pole(state: SystemState, seed: complex | None = None) -> PoleResult:
     """Second-sheet pole z_l(delta) at the l and delta of ``state``, from eps_l.
 
     For l > k, Gamma_l(z) = (2 pi alpha - psi(1) + ln(sqrt(z - l^2) / 2i)) / 2 pi
@@ -242,7 +233,7 @@ def find_pole(state: SystemState, seed: complex | None = None,
     g, where a slope is noise), puts F(z) within q |g| / (1 - q) of the
     fixed point; q is nan where F(z0) rounds to z0, and the estimate is
     infinite unless q < 1.  The search stops at the first point with
-    |g| < tol that meets one of three criteria:
+    |g| < ROOT_TOL that meets one of three criteria:
 
     - ``"relative"``: that estimate is at most ROOT_REL_TOL |Im(F(z) - eps_l)|,
       so it is small against the width Im mu;
@@ -255,7 +246,7 @@ def find_pole(state: SystemState, seed: complex | None = None,
 
     The residual |g| is the distance in z from that point to F of it.  A
     point with |4 pi eta_l| >= 1 is refused: g vanishes there only because
-    z = l^2 or exp(-4 pi eta_l) = 1, and so is a ``tol`` below ROOT_TOL or NaN.
+    z = l^2 or exp(-4 pi eta_l) = 1.
     ``diagnostics`` of the result describe the whole search: the number of
     eta_l evaluations, the worst condition number of the guarded solve,
     ``contraction`` q, ``stop`` the criterion and ``root_error``, the
@@ -263,7 +254,6 @@ def find_pole(state: SystemState, seed: complex | None = None,
     the floor it is |g| itself: a q measured where g is rounding noise is
     noise too, so the pole is known to the floor the search reached.
     """
-    _check_tol(tol)
     l2 = state.l**2
     eps_l = state.params.eigenvalue(state.l)
     diagnostics: dict = {}
@@ -290,7 +280,7 @@ def find_pole(state: SystemState, seed: complex | None = None,
             diagnostics["contraction"] = abs(1.0 - (gz - g0) / (z - z0)) if finite else math.nan
         if gz == 0:
             return "exact"
-        if not abs(gz) < tol:
+        if not abs(gz) < ROOT_TOL:
             return None
         error = root_error(gz)
         if error <= ROOT_REL_TOL * abs((z - gz - eps_l).imag):
@@ -314,8 +304,7 @@ def find_pole(state: SystemState, seed: complex | None = None,
     return _pole_result(state, z - gz, abs(gz), steps, diagnostics)
 
 
-def find_determinant_root(state: SystemState, seed: complex | None = None,
-                          tol: float = ROOT_TOL) -> PoleResult:
+def find_determinant_root(state: SystemState, seed: complex | None = None) -> PoleResult:
     """Same pole from the full determinant; independent of the eta_l route.
 
     The determinant has a Gamma_l^(-1) pole sitting at eps_l, so the root
@@ -323,16 +312,14 @@ def find_determinant_root(state: SystemState, seed: complex | None = None,
     the default seed sits slightly off eps_l because the assembled rank sum
     itself is singular exactly at the eigenvalue.  The product has no known
     slope, so the second point is the blind z0 + 1e-7 max(1, |z0|).  The
-    secant stops when both |f| and the last step are below ``tol``, which
-    must be at least ROOT_TOL.
+    secant stops when both |f| and the last step are below ROOT_TOL.
     """
-    _check_tol(tol)
 
     def f(z):
         return gamma_n(z, state.l, state.ctx, state.params) * bs_determinant(z, state)
 
     def stop(z0, f0, z, fz):
-        return abs(fz) < tol and abs(z - z0) <= tol
+        return abs(fz) < ROOT_TOL and abs(z - z0) <= ROOT_TOL
 
     z0 = complex(state.params.eigenvalue(state.l) - 1e-4 - 1e-5j if seed is None else seed)
     z, fz, steps, _ = _secant(f, z0, f(z0), z0 + 1e-7 * max(1.0, abs(z0)), stop)
@@ -451,20 +438,17 @@ def _predicted_pole(eps_l: float, poles: Sequence[PoleResult], delta: float) -> 
 
 
 def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: SpectralParams,
-                order: int = DEFAULT_ORDER, tail_tol: float = TAIL_TOL,
-                n_cut: int | None = None, tol: float = ROOT_TOL) -> SweepResult:
+                order: int = DEFAULT_ORDER) -> SweepResult:
     """Locate the pole at each delta and fit |Re mu|, |Im mu| power laws.
 
     The states come from :func:`_delta_states`, as in :func:`pole_state`:
     a refusal at any delta comes before the pair layout and the first pole,
-    and the layout is built once.  ``n_cut`` fixes the mode cutoff of every
-    point; by default each point takes its own.  Every point after the first
-    converged one is seeded from the poles before it
-    (:func:`_predicted_pole`), the first from eps_l.  Points
-    whose root iteration fails are recorded in ``failures`` and left out of
-    the fits; fewer than MIN_SWEEP_POINTS deltas, and a ``tol`` that
-    :func:`find_pole` refuses, are refused before the pair layout.  A fit
-    whose values are not all positive is (nan, nan, nan).
+    and the layout is built once.  Each point takes its own mode cutoff.
+    Every point after the first converged one is seeded from the poles
+    before it (:func:`_predicted_pole`), the first from eps_l.  Points whose
+    root iteration fails are recorded in ``failures`` and left out of the
+    fits; fewer than MIN_SWEEP_POINTS deltas are refused before the pair
+    layout.  A fit whose values are not all positive is (nan, nan, nan).
     """
     deltas = list(deltas)
     if len(deltas) < MIN_SWEEP_POINTS:
@@ -472,13 +456,12 @@ def sweep_delta(l: int, deltas: Sequence[float], surface: Surface, params: Spect
                          f"got {len(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly increasing")
-    _check_tol(tol)
     eps_l = params.eigenvalue(l)
     poles, closed, failures = [], [], []
-    for st in _delta_states(surface, deltas, l, params, order, tail_tol, n_cut):
+    for st in _delta_states(surface, deltas, l, params, order):
         seed = _predicted_pole(eps_l, poles, st.rule.delta) if poles else None
         try:
-            res = find_pole(st, seed=seed, tol=tol)
+            res = find_pole(st, seed=seed)
         except ArithmeticError as exc:
             failures.append((st.rule.delta, str(exc)))
             continue

@@ -201,6 +201,9 @@ class SpectralParams:
     xi_alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"coupling {name} must be finite, got {getattr(self, name)}")
         if self.beta == 0.0:
             raise ValueError("surface coupling beta must be nonzero")
         try:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from layres.bs_operator import TAIL_TOL
+from layres.bs_operator import TAIL_TOL, SystemState
 from layres.geometry import disk
 from layres.greens import k0_cosine_sum, layer_green_modal
 from layres.resonance import (
@@ -163,8 +163,8 @@ def test_criterion_8_discretization_convergence(pole16):
     res32 = find_pole(state32, seed=eta_root.z)
     d_order = abs(res32.z - eta_root.z)
 
-    state_2n = pole_state(DISK, 0.08, 2, PARAMS, order=16,
-                          n_cut=2 * state16.n_cut)
+    state_2n = SystemState(PARAMS, state16.layout, state16.ctx, 2,
+                           n_cut=2 * state16.n_cut)
     res_2n = find_pole(state_2n, seed=eta_root.z)
     d_modes = abs(res_2n.z - eta_root.z)
     _report(8, d_order < 1e-6 and d_modes < TAIL_TOL,

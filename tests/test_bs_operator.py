@@ -841,7 +841,7 @@ class TestRankSums:
         # e^(-2 kappa r_min) <= 1e-12, below what the pole gates resolve
         rule = build_quadrature(copy_surface(surface, delta), 4)
         eps_l = params.eigenvalue(l)
-        n_cut = mode_cutoff(rule, second_sheet(k), eps_l, tail_tol=1e-12)
+        n_cut = mode_cutoff(rule, second_sheet(k), eps_l)
         assert n_cut == expected
         r_min = rule.surface.r_min
         assert _term(n_cut + 1, eps_l, r_min) <= 1e-12 < _term(n_cut, eps_l, r_min)

@@ -37,10 +37,8 @@ class TestParseConfig:
         assert cfg.mode == "eigenvalues"
         assert cfg.l == 2 and cfg.order == 16
         assert cfg.format == "csv"
-        assert cfg.tail_tol == 1e-12 and cfg.root_tol == 1e-12
         # defaults are materialized and echoed
         assert cfg.resolved["order"] == 16
-        assert cfg.resolved["n_cut"] == "auto"
 
     def test_unknown_key_names_line(self):
         text = "[coupling]\nbetta = 0.4\n"
@@ -308,10 +306,9 @@ class TestMain:
         assert "betta" in capsys.readouterr().err
 
     def test_output_and_order_overrides(self, tmp_path):
-        path = _write(tmp_path, "eig.cfg", MINIMAL)
+        path = _write(tmp_path, "eig.cfg", MINIMAL + "[numerics]\norder = 8\n")
         out = tmp_path / "cli.csv"
-        assert main(["eigenvalues", "--config", path,
-                     "--output", str(out), "--quad-order", "8"]) == 0
+        assert main(["eigenvalues", "--config", path, "--output", str(out)]) == 0
         text = out.read_text()
         assert "# config order = 8" in text
         assert "# config path = " + str(out) in text
@@ -443,14 +440,21 @@ class TestMain:
     ], ids=["deltas", "n_cut", "tail_tol", "root_tol", "root_tol-inf"])
     def test_out_of_range_numerics_exit_two(self, tmp_path, capsys, surface_line,
                                             numerics_line):
+        # the mode cutoff and the root gate are library constants; a config
+        # that still sets one is refused like any unknown key, on its own line
         out = tmp_path / "sweep.csv"
-        path = _write(tmp_path, "range.cfg",
-                      "[run]\nmode = sweep\nl = 2\n[coupling]\nbeta = 0.4\n"
-                      + DISK_SURFACE.strip() + f"\n{surface_line}\n"
-                      f"[numerics]\norder = 6\n{numerics_line}\n")
+        text = ("[run]\nmode = sweep\nl = 2\n[coupling]\nbeta = 0.4\n"
+                + DISK_SURFACE.strip() + f"\n{surface_line}\n"
+                f"[numerics]\norder = 6\n{numerics_line}\n")
+        path = _write(tmp_path, "range.cfg", text)
         assert main(["sweep", "--config", path, "--output", str(out)]) == 2
-        key = (surface_line or numerics_line).split(" = ")[0]
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if surface_line:
+            assert surface_line.split(" = ")[0] in err
+        else:
+            key = numerics_line.split(" = ")[0]
+            assert err == (f"config error: line {len(text.splitlines())}: "
+                           f"unknown key {key!r} in [numerics]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -545,23 +549,6 @@ class TestMain:
         assert main(["pole", "--config", path, "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "l must be >= 1" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("mode, delta_line", [("pole", "delta = 0.2"),
-                                                  ("sweep", "deltas = 0.05 0.1 0.2 0.4")])
-    def test_mode_cutoff_below_window_index_exit_two(self, tmp_path, capsys, mode,
-                                                     delta_line):
-        # l = 3 lies in J_2; n_cut = 1 used to drop the open channel n = 2 and
-        # exit 0 with a wrong Im mu
-        out = tmp_path / "cut.csv"
-        path = _write(tmp_path, "cut.cfg",
-                      f"[run]\nmode = {mode}\nl = 3\n[coupling]\nbeta = 0.4\n"
-                      "[surface]\nfamily = rectangle\ncenter = 0.1 0 1\n"
-                      "direction1 = 0 1 0\ndirection2 = 0 0 1\nlength1 = 0.6\n"
-                      f"length2 = 0.6\n{delta_line}\n[numerics]\norder = 8\nn_cut = 1\n")
-        assert main([mode, "--config", path, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and "n_cut = 1" in err and "k = 2" in err
         assert not out.exists()
 
     def test_value_error_maps_to_exit_one(self, tmp_path, capsys):
@@ -714,13 +701,11 @@ class TestMain:
         assert kept.read_text() == "kept\n"
         assert not (tmp_path / "missing").exists()
 
-    @pytest.mark.parametrize("config_order, flag_order",
-                             [(1, None), (16, 1)], ids=["config", "flag"])
-    def test_order_below_two_exit_two(self, tmp_path, capsys, config_order, flag_order):
+    @pytest.mark.parametrize("config_order", [1], ids=["config"])
+    def test_order_below_two_exit_two(self, tmp_path, capsys, config_order):
         path = _write(tmp_path, "eig.cfg", MINIMAL + f"[numerics]\norder = {config_order}\n")
-        flags = [] if flag_order is None else ["--quad-order", str(flag_order)]
         out = tmp_path / "eig.csv"
-        assert main(["eigenvalues", "--config", path, "--output", str(out), *flags]) == 2
+        assert main(["eigenvalues", "--config", path, "--output", str(out)]) == 2
         assert capsys.readouterr().err == "config error: quadrature order must be >= 2\n"
         assert not out.exists()
 
@@ -737,6 +722,14 @@ class TestMain:
         assert capsys.readouterr().err == "config error: [output] path is empty\n"
         assert sorted(os.listdir(tmp_path)) == ["pole.cfg"]
 
+    def test_empty_output_flag_exit_two(self, tmp_path, capsys, monkeypatch):
+        # an empty --output is refused, not replaced by the config's path
+        monkeypatch.chdir(tmp_path)
+        path = _write(tmp_path, "eig.cfg", MINIMAL + "[output]\npath = kept.csv\n")
+        assert main(["eigenvalues", "--config", path, "--output", ""]) == 2
+        assert capsys.readouterr().err == "config error: [output] path is empty\n"
+        assert sorted(os.listdir(tmp_path)) == ["eig.cfg"]
+
     def test_config_not_utf8_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bytes.cfg"
         path.write_bytes(b"\xff\xfe[run]\nmode = validate\n")
@@ -745,22 +738,19 @@ class TestMain:
         assert err.startswith("config error: ") and "can't decode byte 0xff" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("surface, numerics, n_cut", [
-        (DISK_SURFACE.replace("1.0 0.0 1.0", "0.50001 0.0 1.0") + "delta = 1\n", "",
-         "1381551"),
-        (DISK_SURFACE, "n_cut = 1000000000\n", "1000000000"),
-    ], ids=["disk-next-to-the-wire", "n_cut-override"])
+    @pytest.mark.parametrize("surface, n_cut", [
+        (DISK_SURFACE.replace("1.0 0.0 1.0", "0.50001 0.0 1.0") + "delta = 1\n", "1381551"),
+    ], ids=["disk-next-to-the-wire"])
     def test_oversized_mode_table_exit_one(self, tmp_path, capsys, monkeypatch,
-                                           surface, numerics, n_cut):
-        # the refused tables would take 0.35 and 256 GB; no eta_l is evaluated
+                                           surface, n_cut):
+        # the refused table would take 0.35 GB; no eta_l is evaluated
         def no_pole(*args, **kwargs):
             raise AssertionError("a pole was computed")
 
         monkeypatch.setattr("layres.cli.find_pole", no_pole)
         out = tmp_path / "pole.csv"
         path = _write(tmp_path, "pole.cfg", "[run]\nmode = pole\nl = 2\n[coupling]\n"
-                      "beta = 0.4\n" + surface.strip()
-                      + f"\n[numerics]\norder = 4\n{numerics}")
+                      "beta = 0.4\n" + surface.strip() + "\n[numerics]\norder = 4\n")
         assert main(["pole", "--config", path, "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: n_cut = {n_cut} modes on 16 nodes (r_min = ")
@@ -805,8 +795,9 @@ class TestMain:
             monkeypatch.setattr(resonance, "build_quadrature", not_reached)
         out = tmp_path / "pole.csv"
         path = _write(tmp_path, "pole.cfg", "[run]\nmode = pole\nl = 2\n[coupling]\n"
-                      "beta = 0.4\n" + DISK_SURFACE.strip() + "\ndelta = 0.08\n")
-        argv = ["pole", "--config", path, "--output", str(out), "--quad-order", str(order)]
+                      "beta = 0.4\n" + DISK_SURFACE.strip()
+                      + f"\ndelta = 0.08\n[numerics]\norder = {order}\n")
+        argv = ["pole", "--config", path, "--output", str(out)]
         if not refused:
             with pytest.raises(Reached):
                 main(argv)
@@ -874,9 +865,6 @@ _EIGENVALUES_HEADER = """\
 # config delta = 0.080000000000000002
 # config deltas = {deltas}
 # config order = 16
-# config tail_tol = 9.9999999999999998e-13
-# config root_tol = 9.9999999999999998e-13
-# config n_cut = auto
 # config path = layres_eigenvalues.csv
 # config format = csv
 # config emit_plot_script = False
@@ -894,9 +882,6 @@ _POLE_HEADER = """\
 # config delta = 0.080000000000000002
 # config deltas = {deltas}
 # config order = 5
-# config tail_tol = 9.9999999999999998e-13
-# config root_tol = 9.9999999999999998e-13
-# config n_cut = 30
 # config path = {path}
 # config format = csv
 # config emit_plot_script = False
@@ -907,7 +892,7 @@ _POLE_HEADER = """\
 # config surface.anchor = 1.1 0.0 1.0
 # config surface.delta = 0.08
 # config seed = (3.3-0.001j)
-# n_max = 30
+# n_max = 13
 # n_nodes = 25
 """
 
@@ -922,9 +907,6 @@ _VALIDATE_HEADER = """\
 # config delta = 0.080000000000000002
 # config deltas = {deltas}
 # config order = 16
-# config tail_tol = 9.9999999999999998e-13
-# config root_tol = 9.9999999999999998e-13
-# config n_cut = auto
 # config path = layres_validate.json
 # config format = json
 # config emit_plot_script = False
@@ -953,9 +935,9 @@ class TestMetadataHeader:
                       "[run]\nmode = pole\nl = 2\n[coupling]\nalpha = 0.05\nbeta = 0.4\n"
                       "[surface]\nfamily = disk\ncenter = 1.0 0.0 1.0\n"
                       "normal = 0.0 0.0 1.0\nradius = 0.3\nanchor = 1.1 0.0 1.0\n"
-                      "delta = 0.08\n[numerics]\norder = 4\nn_cut = 30\n")
+                      "delta = 0.08\n[numerics]\norder = 5\n")
         out = tmp_path / "pole.csv"
-        assert main(["pole", "--config", path, "--output", str(out), "--quad-order", "5",
+        assert main(["pole", "--config", path, "--output", str(out),
                      "--seed-re", "3.3", "--seed-im", "-0.001"]) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert [ln for ln in lines if ln.startswith("#")] == self._want(_POLE_HEADER, out)

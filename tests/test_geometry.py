@@ -121,6 +121,25 @@ class TestFactories:
         s = with_anchor(make_disk(), (1.5, 0.0, 1.0))
         assert np.allclose(s.x0, [1.5, 0.0, 1.0])
 
+    def test_anchor_off_a_tiny_disk_rejected(self):
+        # 5e-9 off the plane is 5 radii: the tolerance follows the surface's
+        # own extent
+        tiny = make_disk(radius=1e-9)
+        with pytest.raises(SurfaceValidationError, match="does not lie on the surface"):
+            with_anchor(tiny, (1.0, 0.0, 1.0 + 5e-9))
+
+    @pytest.mark.parametrize("center, normal, anchor", [
+        ((1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 1.0)),
+        ((1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0000000010000000, 0.0, 1.0)),
+        ((3.0, 2.0, 0.7), (0.657, -0.568, 0.496), (2.9999999993459907, 1.9999999992435136, 0.7)),
+    ], ids=["centre", "rim", "tilted-rim"])
+    def test_anchor_on_a_tiny_disk_accepted(self, center, normal, anchor):
+        # the tilted rim point, rounded from the exact one, is 2.2e-16 off the
+        # nearest point the search finds: 8 times 1e-8 of the extent, inside
+        # the rounding floor 64 eps max|x|
+        tiny = disk(center=center, normal=normal, radius=1e-9)
+        assert np.array_equal(with_anchor(tiny, anchor).x0, anchor)
+
     @pytest.mark.parametrize("make, key", [
         (lambda size: make_disk(radius=size), "radius"),
         (lambda size: spherical_cap(sphere_center=(1.5, 0.0, 1.5), radius=size,

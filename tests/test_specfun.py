@@ -86,6 +86,15 @@ class TestSpectralParams:
         with pytest.raises(ValueError, match="beta"):
             SpectralParams(alpha=0.0, beta=0.0)
 
+    @pytest.mark.parametrize("alpha, beta, name", [
+        (0.0, math.nan, "beta"), (0.0, math.inf, "beta"),
+        (math.nan, 0.4, "alpha"), (math.inf, 0.4, "alpha"),
+    ], ids=["beta-nan", "beta-inf", "alpha-nan", "alpha-inf"])
+    def test_non_finite_coupling_rejected(self, alpha, beta, name):
+        # refused by name, before xi_alpha is formed from alpha
+        with pytest.raises(ValueError, match=f"^coupling {name} must be finite, got "):
+            SpectralParams(alpha=alpha, beta=beta)
+
 
 class TestSheetContext:
     def test_k_must_be_positive(self):

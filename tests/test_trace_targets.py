@@ -8,7 +8,8 @@ the few that no pole or sweep calls.  An import
 a module does not use is allowed only for such a wrapped name.  The program
 calls no scipy function; the list of them stays here, empty, so that a
 scipy call added shows as an edit to it.  So does a knob: every parameter
-with a default and every dataclass field given a value is listed here.
+with a default, every dataclass field given a value, every config key and
+every command-line option is listed here.
 """
 
 import ast
@@ -97,21 +98,21 @@ def test_scipy_surface_is_pinned():
 
 
 #: module.function or module.class -> its parameters with a default, or its
-#: dataclass fields given a value (26 in all)
+#: dataclass fields given a value (18 in all)
 SETTABLE = {
     "bs_operator._node_group": ("dist",),
     "bs_operator.singular_part_matrix": ("duffy_order", "group"),
-    "bs_operator.mode_cutoff": ("tail_tol", "n_cut"),
+    "bs_operator.mode_cutoff": ("n_cut",),
     "bs_operator.SystemState": ("n_cut",),
     "bs_operator.eta_l": ("diagnostics",),
     "cli.RunConfig": ("seed",),
     "cli.main": ("argv",),
     "geometry.Surface": ("periodic2", "r_min"),
     "greens.layer_green_modal": ("n_max",),
-    "resonance.pole_state": ("order", "tail_tol", "n_cut"),
-    "resonance.find_pole": ("seed", "tol"),
-    "resonance.find_determinant_root": ("seed", "tol"),
-    "resonance.sweep_delta": ("order", "tail_tol", "n_cut", "tol"),
+    "resonance.pole_state": ("order",),
+    "resonance.find_pole": ("seed",),
+    "resonance.find_determinant_root": ("seed",),
+    "resonance.sweep_delta": ("order",),
     "specfun.SheetContext": ("second",),
     "specfun.first_sheet": ("k",),
     "specfun.SpectralParams": ("xi_alpha",),
@@ -151,27 +152,38 @@ def test_settable_surface_is_pinned():
     assert found == SETTABLE
 
 
+#: the config keys, ``section.key`` in ``cli._KEYS`` order (22 in all)
+CONFIG_KEYS = (
+    "run.mode", "run.l", "run.n_min", "run.n_max", "coupling.alpha", "coupling.beta",
+    "surface.delta", "surface.deltas", "numerics.order", "output.path", "output.format",
+    "output.emit_plot_script", "surface.family", "surface.center", "surface.normal",
+    "surface.radius", "surface.polar_angle", "surface.direction1", "surface.direction2",
+    "surface.length1", "surface.length2", "surface.anchor",
+)
+
+#: the arguments ``cli.main`` declares, in order
+OPTIONS = ("mode", "--config", "--output", "--threads", "--seed-re", "--seed-im")
+
+
+def test_config_keys_are_pinned():
+    assert tuple(f"{section}.{key}" for section, key in cli._KEYS) == CONFIG_KEYS
+
+
+def test_command_line_options_are_pinned():
+    tree = ast.parse(inspect.getsource(cli.main))
+    found = tuple(arg.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+                  for arg in node.args)
+    assert found == OPTIONS
+
+
 def test_numerics_defaults_are_the_library_constants():
-    # each default has one definition; the config keys and the signatures
+    # each default has one definition; the config key and the signatures
     # hold that object itself, not a literal of the same value
-    keys = {key: default for (section, key), (_, default) in cli._KEYS.items()
-            if section == "numerics"}
-    assert keys["order"] is resonance.DEFAULT_ORDER
-    assert keys["tail_tol"] is bs_operator.TAIL_TOL
-    assert keys["root_tol"] is resonance.ROOT_TOL
-    expected = {
-        resonance.pole_state: {"order": resonance.DEFAULT_ORDER,
-                               "tail_tol": bs_operator.TAIL_TOL},
-        resonance.sweep_delta: {"order": resonance.DEFAULT_ORDER,
-                                "tail_tol": bs_operator.TAIL_TOL, "tol": resonance.ROOT_TOL},
-        resonance.find_pole: {"tol": resonance.ROOT_TOL},
-        resonance.find_determinant_root: {"tol": resonance.ROOT_TOL},
-        bs_operator.mode_cutoff: {"tail_tol": bs_operator.TAIL_TOL},
-    }
-    for function, defaults in expected.items():
-        parameters = inspect.signature(function).parameters
-        for name, constant in defaults.items():
-            assert parameters[name].default is constant, (function.__name__, name)
+    assert cli._KEYS["numerics", "order"][1] is resonance.DEFAULT_ORDER
+    for function in (resonance.pole_state, resonance.sweep_delta):
+        order = inspect.signature(function).parameters["order"]
+        assert order.default is resonance.DEFAULT_ORDER, function.__name__
 
 
 #: traced calls that only ``validate`` mode or nothing at all makes
