@@ -283,8 +283,21 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
 
 
 def _node_distances(nodes: np.ndarray) -> np.ndarray:
-    d = nodes[:, None, :] - nodes[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+    """(n, n) Euclidean distances between the rows of ``nodes`` (n, 3).
+
+    The squared differences are summed in place one coordinate at a time,
+    so the peak is two (n, n) arrays and no (n, n, 3) difference array.
+    They are summed as (x1^2 + x3^2) + x2^2, the order of numpy's einsum
+    over the (n, n, 3) difference array (numpy 2.4, x86-64), so that the
+    distances equal that form's bit for bit.
+    """
+    n = len(nodes)
+    sq, d = np.zeros((n, n)), np.empty((n, n))
+    for x in nodes.T[[0, 2, 1]]:
+        np.subtract.outer(x, x, out=d)
+        d *= d
+        sq += d
+    return np.sqrt(sq, out=sq)
 
 
 def _candidate_symmetries(rule: QuadratureRule):

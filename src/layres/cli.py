@@ -46,12 +46,18 @@ gate are the library's constants ``bs_operator.TAIL_TOL`` and
 Every output file echoes the resolved config, ``RunConfig.resolved``, in
 its ``#`` header.
 
+:func:`main`, the process entry, first sets glibc's allocator to keep freed
+memory for reuse (:func:`_keep_freed_memory`), so a one-shot run does not
+page-fault the temporaries of every Duffy row and every eta_l afresh.
+Library callers of the other modules keep glibc's defaults.
+
 Exit codes: 0 success, 1 computation failure, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import errno
 import json
 import math
@@ -550,7 +556,32 @@ def run(config: RunConfig) -> int:
         return 1
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed memory of this process for reuse.
+
+    With glibc's defaults a numpy temporary above 128 KiB is mapped and
+    unmapped on every use, and a freed heap top is returned to the system,
+    until glibc's dynamic thresholds have adapted.  A one-shot process never
+    gets there, so every Duffy row, eta_l and Ewald table build page-faults
+    its temporaries afresh.  With this policy allocations up to 32 MiB come
+    from the heap, and the heap keeps up to 128 MiB of free top.  Where libc
+    has no ``mallopt`` (macOS, Windows, other libcs) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # M_MMAP_THRESHOLD (-3) at glibc's largest value on 64-bit systems,
+        # which also turns off its dynamic adjustment; M_TRIM_THRESHOLD (-1)
+        mallopt(-3, 32 << 20)
+        mallopt(-1, 128 << 20)
+    # OSError: no libc handle; TypeError: CDLL(None) on Windows;
+    # AttributeError: no mallopt
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = argparse.ArgumentParser(prog="layres", description=__doc__.split("\n")[0])
     parser.add_argument("mode", choices=_RUNNERS)
     parser.add_argument("--config", required=True, help="path to the config file")

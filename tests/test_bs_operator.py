@@ -567,6 +567,43 @@ class TestSingularBuild:
             assert _rel_max(got_lin / size**3, want_lin / 0.5**3) <= 3e-14 / size
 
 
+class TestNodeDistances:
+    # the rules of the benchmark workloads sweep_disk12, pole_disk16 and
+    # sweep_rect_wire12
+    @pytest.mark.parametrize("surface, order", [(DISK, 12), (DISK, 16), (RECT, 12)],
+                             ids=["disk12", "disk16", "rect12"])
+    @pytest.mark.parametrize("delta", [1.0, 0.3])
+    def test_equal_to_the_difference_array_form(self, surface, order, delta):
+        rule = build_quadrature(surface, order)
+        if delta != 1.0:
+            rule = rule.scaled(delta, next(scale_surface(surface, [delta])))
+        d = rule.nodes[:, None, :] - rule.nodes[None, :, :]
+        want = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+        assert np.array_equal(bs_operator._node_distances(rule.nodes), want)
+
+    def test_sum_order(self):
+        # on the benchmark rules one coordinate difference is 0, so only a
+        # surface that spans all three pins the order of the sum
+        nodes = build_quadrature(CAP, 8).nodes
+        d1, d2, d3 = (np.subtract.outer(x, x) for x in nodes.T)
+        want = np.sqrt((d1 * d1 + d3 * d3) + d2 * d2)
+        assert not np.array_equal(np.sqrt((d1 * d1 + d2 * d2) + d3 * d3), want)
+        assert np.array_equal(bs_operator._node_distances(nodes), want)
+
+    def test_peak_is_two_square_arrays(self):
+        # the (n, n, 3) difference array and its einsum took about 7 n^2
+        nodes = build_quadrature(DISK, 16).nodes
+        n = len(nodes)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bs_operator._node_distances(nodes)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
+
+
 class TestNodeGroup:
     @pytest.mark.parametrize("surface, size, n_rows, n_pairs", GROUPS, ids=GROUP_IDS)
     def test_group_rows_and_pairs(self, surface, size, n_rows, n_pairs, monkeypatch):

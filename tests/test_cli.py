@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import layres
-from layres import SpectralParams, resonance
+from layres import SpectralParams, cli, resonance
 from layres.cli import ConfigError, _plot_script, _write_json, main, parse_config, run
 
 MINIMAL = """
@@ -960,3 +962,111 @@ def test_import_leaves_out_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_VALIDATE = "[run]\nmode = validate\n[coupling]\nbeta = 0.4\n"
+
+
+class _Libc:
+    """A libc handle whose ``mallopt`` appends (param, value) to ``log``."""
+
+    def __init__(self, log):
+        def mallopt(param, value):
+            log.append(("mallopt", param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+class TestAllocatorPolicy:
+    def test_main_sets_it_once_before_parsing(self, tmp_path, monkeypatch):
+        log = []
+        parse = cli.parse_config
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: log.append(("CDLL", name)) or _Libc(log))
+        monkeypatch.setattr(cli, "parse_config",
+                            lambda text: log.append(("parse",)) or parse(text))
+        monkeypatch.setattr(cli, "run", lambda config: log.append(("run",)) or 0)
+        assert main(["validate", "--config", _write(tmp_path, "v.cfg", _VALIDATE)]) == 0
+        # M_MMAP_THRESHOLD = -3 at glibc's 32 MiB maximum, M_TRIM_THRESHOLD = -1
+        assert log == [("CDLL", None), ("mallopt", -3, 32 << 20),
+                       ("mallopt", -1, 128 << 20), ("parse",), ("run",)]
+
+    @pytest.mark.parametrize("fails", [OSError, TypeError, None],
+                             ids=["no-handle", "windows", "no-mallopt"])
+    def test_silent_without_mallopt(self, fails, tmp_path, monkeypatch, capsys):
+        def cdll(name):
+            if fails is None:
+                return object()
+            raise fails("no libc")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(cli, "run", lambda config: 0)
+        assert main(["validate", "--config", _write(tmp_path, "v.cfg", _VALIDATE)]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_library_leaves_the_allocator_alone(self):
+        # every mallopt lookup on any libc handle is seen, from before the
+        # import on; the policy itself is the control
+        code = """if True:
+            import ctypes
+            seen = []
+            lookup = ctypes.CDLL.__getattr__
+            def spy(self, name):
+                seen.append(name)
+                return lookup(self, name)
+            ctypes.CDLL.__getattr__ = spy
+            from layres import SpectralParams, cli
+            from layres.geometry import disk
+            from layres.resonance import find_pole, pole_state
+            surface = disk((1.0, 0.0, 1.0), (0.0, 0.0, 1.0), 0.5)
+            find_pole(pole_state(surface, 0.08, 2, SpectralParams(0.0, 0.4), order=6))
+            print("mallopt" in seen)
+            cli._keep_freed_memory()
+            print("mallopt" in seen)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(layres.__file__).resolve().parent.parent))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["False", "True"]
+
+
+_FAULTS = """if True:
+    import resource, sys
+    from layres import cli
+    if sys.argv[2] == "off":
+        cli._keep_freed_memory = lambda: None
+    inner, faults = cli.run, []
+    def counted(config):
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            return inner(config)
+        finally:
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+    cli.run = counted
+    assert cli.main(["sweep", "--config", sys.argv[1], "--output", sys.argv[3]]) == 0
+    print(faults[0])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's")
+def test_policy_cuts_the_page_faults_of_a_run(tmp_path, monkeypatch):
+    # the benchmark's order-12 rectangle sweep, each side in a fresh process:
+    # without the policy its temporaries are faulted in afresh on every
+    # Duffy row and eta_l (about 6x the faults of the run with it)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    config = _write(tmp_path, "rect.cfg",
+                    workloads.WORKLOADS["sweep_rect_wire12"].config(0, "unused.csv"))
+    env = dict(os.environ, PYTHONPATH=str(Path(layres.__file__).resolve().parent.parent),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    procs = {side: subprocess.Popen(
+        [sys.executable, "-c", _FAULTS, config, side, str(tmp_path / f"{side}.csv")],
+        env=env, stdout=subprocess.PIPE, text=True) for side in ("on", "off")}
+    out = {side: proc.communicate(timeout=120)[0] for side, proc in procs.items()}
+    assert all(proc.returncode == 0 for proc in procs.values())
+    assert int(out["on"]) < 0.5 * int(out["off"])
