@@ -1042,9 +1042,10 @@ class TestEtaL:
             assemble_free(PARAMS.eigenvalue(2) + dz, small_state)
         assert calls == ["pairs"] * 3
 
-    def test_one_factorization_per_eta(self, small_state, monkeypatch):
-        # ||E||_1 < 1 certifies M_l: one solve, no inverse, and the recorded
-        # Neumann bound never lies below the exact condition number
+    def test_no_factorization_below_half(self, small_state, monkeypatch):
+        # ||E||_1 <= 1/2: the Neumann series gives t, with no solve, inverse or
+        # other factorization, and its recorded bound never lies below the
+        # exact condition number
         calls = []
 
         def counted(name):
@@ -1055,19 +1056,72 @@ class TestEtaL:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("solve", "inv"):
+        for name in ("solve", "inv", "pinv", "lstsq", "det", "slogdet", "qr", "cholesky"):
             monkeypatch.setattr(np.linalg, name, counted(name))
         z = PARAMS.eigenvalue(2) - 0.001 - 1e-4j
         diagnostics = {}
-        eta_l(z, small_state, diagnostics)
-        assert calls == ["solve"]
+        eta = eta_l(z, small_state, diagnostics)
+        assert calls == []
+        monkeypatch.undo()
         key = "cond[I - beta (R_SigmaSigma + A_l)]"
-        assert list(diagnostics) == [key]
+        assert list(diagnostics) == [key, "neumann_terms"]
         e = PARAMS.beta * (assemble_free(z, small_state) + _a_l(z, small_state))
         enorm = np.linalg.norm(e, 1)
-        assert enorm < 1.0
+        assert enorm <= 0.5
         exact = np.linalg.cond(np.eye(len(e)) - e, 1)
         assert exact <= diagnostics[key] <= exact * (1.0 + enorm) / (1.0 - enorm)
+        assert 2 <= diagnostics["neumann_terms"] < 53
+        w_l = mode_vector(z, 2, small_state.rule, small_state.ctx)
+        theta = np.sum(small_state.rule.weights * w_l * np.linalg.solve(np.eye(len(e)) - e, w_l))
+        direct = gamma_n(z, 2, small_state.ctx, PARAMS) - PARAMS.beta * theta
+        assert abs(eta - direct) <= 1e-14 * abs(PARAMS.beta * theta)
+
+    def test_norm_above_half_takes_the_inverse(self, rule12, state12, monkeypatch):
+        # beta = 3 / (4 ||R + A_1||_1): ||E||_1 = 3/4 would bound cond_1, yet
+        # the series is left for the inverse, which records the exact cond_1
+        op = assemble_free(-5.0, state12) + _a_l(-5.0, state12)
+        params = SpectralParams(alpha=0.0, beta=0.75 / np.linalg.norm(op, 1))
+        st = SystemState(params, state12.layout, first_sheet(), 1)
+        assert 0.5 < np.linalg.norm(params.beta * op, 1) < 1.0
+        m_l = np.eye(rule12.n_nodes) - params.beta * op
+        exact = np.linalg.cond(m_l, 1)
+        calls = []
+        real = np.linalg.inv
+
+        def counted(a):
+            calls.append("inv")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        diagnostics = {}
+        eta = eta_l(-5.0, st, diagnostics)
+        assert calls == ["inv"]
+        cond = diagnostics["cond[I - beta (R_SigmaSigma + A_l)]"]
+        assert cond == pytest.approx(exact, rel=1e-12)
+        assert diagnostics["neumann_terms"] == 0
+        w_l = mode_vector(-5.0, 1, rule12, first_sheet())
+        direct = gamma_n(-5.0, 1, first_sheet(), params) \
+            - params.beta * np.sum(rule12.weights * w_l * np.linalg.solve(m_l, w_l))
+        assert eta == pytest.approx(direct, rel=1e-12)
+
+    def test_zero_matrix_returns_the_rhs(self):
+        # q = 0: one term, the rhs itself, and cond_1 = 1, with no 0 / 0
+        rhs = np.array([1.0, -2.0 + 1j, 0.5j])
+        diagnostics = {}
+        with np.errstate(all="raise"):
+            x = bs_operator._guarded_solve(np.zeros((3, 3)), rhs, diagnostics)
+        assert np.array_equal(x, rhs)
+        assert diagnostics == {"cond[I - beta (R_SigmaSigma + A_l)]": 1.0, "neumann_terms": 1}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rhs_stops_at_the_cap(self, bad):
+        # a tail bound that is not finite certifies nothing: the series runs
+        # to its 53 terms and stops there
+        e = np.full((3, 3), 0.1)
+        diagnostics = {}
+        x = bs_operator._guarded_solve(e, np.array([bad, 1.0, 1.0]), diagnostics)
+        assert diagnostics["neumann_terms"] == 53
+        assert not np.any(np.isfinite(x))
 
     def test_failed_certificate_takes_the_exact_condition(self, rule12, state12):
         # beta = -2 / lambda_max(R + A_1): ||E||_1 >= 2 certifies nothing, yet

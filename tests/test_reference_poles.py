@@ -64,15 +64,16 @@ def _floor_pole(z, state):
 
 
 def _run(directory, name):
-    """(meta, rows, eta_l evaluations, PoleResults, floor poles) of the seed-0 run of ``name``.
+    """(meta, rows, eta_l evaluations, PoleResults, floor poles, states) of the seed-0 run.
 
-    The floor pole of each result is :func:`_floor_pole` from its z, on its state.
+    The floor pole of each result is :func:`_floor_pole` from its z, on its
+    state, the one ``find_pole`` searched.
     """
     workload = WL.WORKLOADS[name]
     out = directory / f"{name}.csv"
     config = directory / f"{name}.cfg"
     config.write_text(workload.config(0, str(out)), encoding="utf-8")
-    calls, poles, floors = [], [], []
+    calls, poles, floors, states = [], [], [], []
     find_pole = resonance.find_pole
 
     def eta(*args, **kwargs):
@@ -81,6 +82,7 @@ def _run(directory, name):
 
     def recorded(state, *args, **kwargs):
         poles.append(find_pole(state, *args, **kwargs))
+        states.append(state)
         floors.append(_floor_pole(poles[-1].z, state))
         return poles[-1]
 
@@ -89,7 +91,7 @@ def _run(directory, name):
         mp.setattr(resonance, "find_pole", recorded)
         mp.setattr(cli, "find_pole", recorded)
         assert main([workload.mode, "--config", str(config)]) == 0
-    return (*WL.read_csv(out), len(calls), poles, floors)
+    return (*WL.read_csv(out), len(calls), poles, floors, states)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +109,7 @@ def seed_zero(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
 def test_seed_zero_poles_match_reference(seed_zero, name):
     workload = WL.WORKLOADS[name]
-    meta, rows, _, _, _ = seed_zero(name)
+    meta, rows = seed_zero(name)[:2]
     verdicts = WL.check_poles(workload, meta, rows, REFERENCE[name])
     assert len(verdicts) == len(workload.deltas)
     assert verdicts == dict.fromkeys(verdicts), verdicts
@@ -115,7 +117,7 @@ def test_seed_zero_poles_match_reference(seed_zero, name):
 
 @pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
 def test_seed_zero_eta_evaluations(seed_zero, name):
-    _, _, evaluations, poles, _ = seed_zero(name)
+    evaluations, poles = seed_zero(name)[2:4]
     assert len(poles) == len(WL.WORKLOADS[name].deltas)
     assert evaluations == sum(res.diagnostics["eta_evaluations"] for res in poles)
     assert evaluations <= MAX_ETA[name]
@@ -133,8 +135,29 @@ def test_seed_zero_poles_within_their_error_estimate(seed_zero, name):
     # every search stops on a named criterion, and its pole lies within its
     # own error estimate of the pole solved to the floor of |g|; z itself is
     # held to the spacing of doubles at z, 4.4e-16 in Re z, on top of that
-    for res, floor in zip(*seed_zero(name)[3:]):
+    for res, floor in zip(*seed_zero(name)[3:5]):
         assert res.diagnostics["stop"] in STOPS
         assert abs(res.z - floor) <= res.diagnostics["root_error"] \
             + sys.float_info.epsilon * abs(res.z)
         assert abs(res.z.imag - floor.imag) <= 1e-10 * abs(floor.imag)
+
+
+@pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
+def test_seed_zero_neumann_series_matches_a_solve(seed_zero, name):
+    # at eps_l and at each pole the guarded solve sums the Neumann series of
+    # M_l in at most 12 terms, and theta_l from it lies within 1e-14 of the
+    # theta_l of a dense solve, relative to |theta_l|
+    _, _, _, poles, _, states = seed_zero(name)
+    for res, state in zip(poles, states):
+        assert 0 < res.diagnostics["neumann_terms"] <= 12
+        weights, l = state.rule.weights, state.l
+        for z in (state.params.eigenvalue(l), res.z):
+            table = bs_operator.mode_table(z, state)
+            w_l = table[:, l - 1]
+            e = state.params.beta * (bs_operator.assemble_A_l(z, state, table)
+                                     + bs_operator.assemble_free(z, state))
+            diagnostics = {}
+            t_w = bs_operator._guarded_solve(e, w_l, diagnostics)
+            assert 0 < diagnostics["neumann_terms"] <= 12
+            theta = np.sum(weights * w_l * np.linalg.solve(np.eye(len(e)) - e, w_l))
+            assert abs(np.sum(weights * w_l * t_w) - theta) <= 1e-14 * abs(theta)

@@ -178,8 +178,8 @@ class TestFindPole:
         assert points[1] == z0 - g0
 
     def test_diagnostics_cover_every_evaluation(self, traced_pole_12):
-        # the worst condition number of each solve over the whole search,
-        # not the last evaluation's
+        # the worst condition number of each solve and the most Neumann
+        # terms over the whole search, not the last evaluation's
         res, st, points = traced_pole_12
         per_point = []
         for z in points:
@@ -189,6 +189,7 @@ class TestFindPole:
         key = "cond[I - beta (R_SigmaSigma + A_l)]"
         assert [k for k in res.diagnostics if k.startswith("cond[")] == [key]
         assert res.diagnostics[key] == max(d[key] for d in per_point)
+        assert res.diagnostics["neumann_terms"] == max(d["neumann_terms"] for d in per_point)
         assert res.diagnostics["n_nodes"] == 144
 
     def test_flat_eta_raises_convergence_error(self, monkeypatch):
