@@ -182,7 +182,8 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
 
     The apex-Duffy points of all graded sub-triangles around the node are
     stacked, so the parametrization and the surface's closed-form Jacobian
-    are evaluated once per row, and no tangent at a Duffy point.  ``orders``
+    are evaluated once per row, and the tangents once per build, at the
+    rows' nodes: none at a Duffy point.  ``orders``
     are the Gauss-Legendre orders (n_u, n_v) of the Duffy variables: u runs
     from the node to the base of a sub-triangle, v along that base;
     :func:`singular_part_matrix` gives both :func:`_duffy_order`.  The
@@ -223,16 +224,18 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
     u = xu[:, None, None]
     v = xv[None, :, None]
     wu = np.outer(wu, wv) * xu[:, None]
+    q = rule.param_nodes[rows].T
+    # tangent lengths sqrt(t . t) by a matrix product: bitwise np.linalg.norm of each vector
+    lengths = np.sqrt([(t[:, None, :] @ t[:, :, None]).ravel()
+                       for t in (surf.tangent1(*q), surf.tangent2(*q))]).T
 
-    def kernel_points(i, fold_axes):
+    def kernel_points(i, h, fold_axes):
         """Basis coordinates (t1, t2) and weights of the two kernels at row i's Duffy points.
 
         Only the sub-triangles that the folds along ``fold_axes`` keep are
         integrated.  The points themselves are freed on return.
         """
         q1, q2 = rule.param_nodes[i]
-        h = np.array([np.linalg.norm(surf.tangent1(q1, q2)),
-                      np.linalg.norm(surf.tangent2(q1, q2))])
         # window relative to the node; a periodic one is recentred on it
         lo2, hi2 = (-0.5 * span2, 0.5 * span2) if surf.periodic2 else (a2 - q2, b2 - q2)
         corners = h * np.array([[a1 - q1, lo2], [b1 - q1, lo2],
@@ -251,9 +254,9 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
         c = (det[:, None, None] * wu).ravel() * surf.jacobian(qq1, qq2) / (h[0] * h[1])
         return (2.0 * qq1 - a1 - b1) / (b1 - a1), scale2 * (qq2 - origin2), c / r, c * r
 
-    def moments(i, fold_axes):
+    def moments(i, h, fold_axes):
         """(p, p) moments of row i's two kernels; its bases are freed on return."""
-        t1, t2, c_inv, c_lin = kernel_points(i, fold_axes)
+        t1, t2, c_inv, c_lin = kernel_points(i, h, fold_axes)
         acc_inv = np.zeros((p, p))
         acc_lin = np.zeros((p, p))
         for b in range(0, len(c_inv), _BATCH_POINTS):
@@ -270,7 +273,7 @@ def _product_rows(rule: QuadratureRule, rows, orders: tuple[int, int], group: np
         fixed = group[:, i] == i
         folds = [(axis, group[np.argmax(only & fixed)])
                  for axis, only in enumerate(moves_only) if np.any(only & fixed)]
-        acc_inv, acc_lin = moments(i, [axis for axis, _ in folds])
+        acc_inv, acc_lin = moments(i, lengths[k], [axis for axis, _ in folds])
         row_inv = (map1.T @ acc_inv @ map2).ravel()
         row_lin = (map1.T @ acc_lin @ map2).ravel()
         for _, mirror in folds:

@@ -1,14 +1,15 @@
 """Parametrized impurity surfaces, the delta-scaling family and quadrature.
 
 Three analytic families are built in (planar rectangle patch, planar disk,
-spherical cap); each carries closed-form tangents and a closed-form area
-Jacobian (rectangle length1 length2, disk R^2 u, cap R^2 sin theta), and
-each refuses a size (radius, length1, length2) that is not positive.
-Every ``Surface`` checks on a dense parameter grid that it stays in the layer
-0 <= x3 <= pi, touching a wall at most on its rim, that its Jacobian equals
-|t1 x t2| and is nondegenerate, and searches its distance to the wire axis
-once (``r_min``, which must exceed 1e-6); a disk or rectangle that the axis
-crosses is refused in closed form first.  A delta-copy is no surface of its
+spherical cap); each is its map and a closed-form area Jacobian (rectangle
+length1 length2, disk R^2 u, cap R^2 sin theta), and each refuses a size
+(radius, length1, length2) that is not positive.  Every ``Surface`` takes
+its tangents from its map by a complex step, and checks on a dense
+parameter grid that it stays in the layer 0 <= x3 <= pi, touching a wall at
+most on its rim, that its Jacobian equals |t1 x t2| of the map and is
+nondegenerate, and searches its distance to the wire axis once (``r_min``,
+which must exceed 1e-6); a disk or rectangle that the axis crosses is
+refused in closed form first.  A delta-copy is no surface of its
 own: the homothety keeps the layer, the walls and the Jacobian's sign, so
 only its r_min is searched (:func:`scale_surface`, for every delta of a
 sweep in one batch), and its rule is the surface's scaled
@@ -47,6 +48,9 @@ LAYER_HEIGHT = np.pi
 #: grid of the layer, wall and Jacobian checks
 _CHECK_GRID = 48
 
+#: complex step of the tangents; a power of two, so q + ih and the division by h are exact
+_STEP = 2.0**-100
+
 
 class SurfaceValidationError(ValueError):
     """Surface is degenerate, leaves the layer or touches the wire axis."""
@@ -54,13 +58,15 @@ class SurfaceValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Surface:
-    """Graph surface q in U -> x(q) in the layer, with analytic tangents and Jacobian.
+    """Graph surface q in U -> x(q) in the layer: its map and its area Jacobian.
 
-    ``param_map``, ``tangent1`` and ``tangent2`` accept array arguments
-    (broadcasting over q1, q2) and return stacked (..., 3) coordinates;
+    ``param_map`` accepts real or complex array arguments (broadcasting over
+    q1, q2) and returns stacked (..., 3) coordinates.  The tangents are its
+    complex-step derivatives (:meth:`tangent1`), so it must be analytic and
+    numpy must evaluate it at complex parameters (no ``np.hypot``, ``np.abs``).
     ``jacobian`` returns the area element |t1 x t2| in closed form, of the
-    broadcast shape of q1 and q2.  The check compares it with |t1 x t2| once,
-    on its grid, so product integration evaluates the closed form alone.
+    broadcast shape of q1 and q2, since product integration evaluates it at
+    every Duffy point; the check compares it with |t1 x t2| once, on its grid.
     ``domain`` is the parameter rectangle ((q1min, q1max), (q2min, q2max)).
     ``x0`` is the anchor of the delta-scaling and lies on the surface (checked
     by :func:`with_anchor`).  ``r_min`` is the distance to the wire axis.
@@ -68,8 +74,6 @@ class Surface:
 
     name: str
     param_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    tangent1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    tangent2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], tuple[float, float]]
     x0: np.ndarray
@@ -84,6 +88,14 @@ class Surface:
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         _validate_surface(self)
+
+    def tangent1(self, q1, q2) -> np.ndarray:
+        """dx/dq1 = Im x(q1 + ih, q2) / h: no difference is taken, so it is exact to rounding."""
+        return self.param_map(q1 + 1j * _STEP, q2).imag / _STEP
+
+    def tangent2(self, q1, q2) -> np.ndarray:
+        """dx/dq2 = Im x(q1, q2 + ih) / h, as :meth:`tangent1`."""
+        return self.param_map(q1, q2 + 1j * _STEP).imag / _STEP
 
 
 @dataclass(frozen=True)
@@ -159,7 +171,12 @@ def _validate_surface(surface: Surface) -> None:
         raise SurfaceValidationError(f"surface {surface.name!r} touches the wire axis")
     object.__setattr__(surface, "r_min", rmin)
     jac = surface.jacobian(g1, g2)
-    cross = np.linalg.norm(np.cross(surface.tangent1(g1, g2), surface.tangent2(g1, g2)), axis=-1)
+    try:
+        t1, t2 = surface.tangent1(g1, g2), surface.tangent2(g1, g2)
+    except TypeError as err:
+        raise SurfaceValidationError(f"surface {surface.name!r}: its param_map must accept "
+                                     "complex parameters (its tangents are complex steps)") from err
+    cross = np.linalg.norm(np.cross(t1, t2), axis=-1)
     if np.shape(jac) != cross.shape or not np.allclose(jac, cross, rtol=tol,
                                                        atol=tol * np.max(cross)):
         raise SurfaceValidationError(f"surface {surface.name!r}: its jacobian is not |t1 x t2|")
@@ -289,18 +306,12 @@ def rectangle_patch(center, direction1, direction2, length1: float, length2: flo
     def param_map(q1, q2):
         return c + np.multiply.outer(q1 * length1, u1) + np.multiply.outer(q2 * length2, u2)
 
-    def tangent1(q1, q2):
-        return np.broadcast_to(length1 * u1, np.broadcast_shapes(np.shape(q1), np.shape(q2)) + (3,))
-
-    def tangent2(q1, q2):
-        return np.broadcast_to(length2 * u2, np.broadcast_shapes(np.shape(q1), np.shape(q2)) + (3,))
-
     def jacobian(q1, q2):
         return np.full(np.broadcast_shapes(np.shape(q1), np.shape(q2)), length1 * length2)
 
     dom = ((-0.5, 0.5), (-0.5, 0.5))
-    return Surface(name="rectangle", param_map=param_map, tangent1=tangent1, tangent2=tangent2,
-                   jacobian=jacobian, domain=dom, x0=_centroid_x0(param_map, dom))
+    return Surface(name="rectangle", param_map=param_map, jacobian=jacobian, domain=dom,
+                   x0=_centroid_x0(param_map, dom))
 
 
 def disk(center, normal, radius: float) -> Surface:
@@ -315,19 +326,12 @@ def disk(center, normal, radius: float) -> Surface:
                 + np.multiply.outer(R * u * np.cos(th), e1)
                 + np.multiply.outer(R * u * np.sin(th), e2))
 
-    def tangent1(u, th):
-        return np.multiply.outer(R * np.cos(th) * np.ones_like(u), e1) + \
-            np.multiply.outer(R * np.sin(th) * np.ones_like(u), e2)
-
-    def tangent2(u, th):
-        return np.multiply.outer(-R * u * np.sin(th), e1) + np.multiply.outer(R * u * np.cos(th), e2)
-
     def jacobian(u, th):
         return np.broadcast_to(R * R * u, np.broadcast_shapes(np.shape(u), np.shape(th)))
 
     dom = ((0.0, 1.0), (0.0, 2.0 * np.pi))
-    return Surface(name="disk", param_map=param_map, tangent1=tangent1, tangent2=tangent2,
-                   jacobian=jacobian, domain=dom, x0=c, periodic2=True)
+    return Surface(name="disk", param_map=param_map, jacobian=jacobian, domain=dom, x0=c,
+                   periodic2=True)
 
 
 def spherical_cap(sphere_center, radius: float, polar_angle: float) -> Surface:
@@ -336,7 +340,7 @@ def spherical_cap(sphere_center, radius: float, polar_angle: float) -> Surface:
     e1, e2, a3 = _orthonormal_frame((0.0, 0.0, 1.0))
     R, th0 = _positive(radius, "radius"), float(polar_angle)
     if not 0.0 < th0 <= np.pi:
-        raise ValueError("polar_angle must be in (0, pi]")
+        raise SurfaceValidationError("polar_angle must be in (0, pi]")
 
     def param_map(th, ph):
         return (c
@@ -344,22 +348,13 @@ def spherical_cap(sphere_center, radius: float, polar_angle: float) -> Surface:
                 + np.multiply.outer(R * np.sin(th) * np.sin(ph), e2)
                 + np.multiply.outer(R * np.cos(th), a3))
 
-    def tangent1(th, ph):
-        return (np.multiply.outer(R * np.cos(th) * np.cos(ph), e1)
-                + np.multiply.outer(R * np.cos(th) * np.sin(ph), e2)
-                + np.multiply.outer(-R * np.sin(th), a3))
-
-    def tangent2(th, ph):
-        return (np.multiply.outer(-R * np.sin(th) * np.sin(ph), e1)
-                + np.multiply.outer(R * np.sin(th) * np.cos(ph), e2))
-
     def jacobian(th, ph):
         return np.broadcast_to(R * R * np.sin(th), np.broadcast_shapes(np.shape(th), np.shape(ph)))
 
     dom = ((0.0, th0), (0.0, 2.0 * np.pi))
     # centroid of the parameter rectangle sits at mid polar angle, phi = pi
-    return Surface(name="spherical_cap", param_map=param_map, tangent1=tangent1, tangent2=tangent2,
-                   jacobian=jacobian, domain=dom, x0=_centroid_x0(param_map, dom), periodic2=True)
+    return Surface(name="spherical_cap", param_map=param_map, jacobian=jacobian, domain=dom,
+                   x0=_centroid_x0(param_map, dom), periodic2=True)
 
 
 def with_anchor(surface: Surface, x0) -> Surface:

@@ -17,15 +17,8 @@ def copy_surface(surface: Surface, delta: float) -> Surface:
     def param_map(q1, q2):
         return delta * surface.param_map(q1, q2) + (1.0 - delta) * x0
 
-    def tangent1(q1, q2):
-        return delta * surface.tangent1(q1, q2)
-
-    def tangent2(q1, q2):
-        return delta * surface.tangent2(q1, q2)
-
     def jacobian(q1, q2):
         return delta**2 * surface.jacobian(q1, q2)
 
     return Surface(name=f"{surface.name}@delta={delta:g}", param_map=param_map,
-                   tangent1=tangent1, tangent2=tangent2, jacobian=jacobian,
-                   domain=surface.domain, x0=x0, periodic2=surface.periodic2)
+                   jacobian=jacobian, domain=surface.domain, x0=x0, periodic2=surface.periodic2)

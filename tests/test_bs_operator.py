@@ -71,20 +71,11 @@ def _ellipse(a=0.5, b=0.3, center=(1.0, 0.0, 1.0)):
         return c + np.multiply.outer(a * u * np.cos(th), ex) + \
             np.multiply.outer(b * u * np.sin(th), ey)
 
-    def tangent1(u, th):
-        return np.multiply.outer(a * np.cos(th) * np.ones_like(u), ex) + \
-            np.multiply.outer(b * np.sin(th) * np.ones_like(u), ey)
-
-    def tangent2(u, th):
-        return np.multiply.outer(-a * u * np.sin(th), ex) + \
-            np.multiply.outer(b * u * np.cos(th), ey)
-
     def jacobian(u, th):
         return a * b * u * np.ones_like(th)
 
-    return Surface(name="ellipse", param_map=param_map, tangent1=tangent1,
-                   tangent2=tangent2, jacobian=jacobian, domain=((0.0, 1.0), (0.0, 2.0 * np.pi)),
-                   x0=c, periodic2=True)
+    return Surface(name="ellipse", param_map=param_map, jacobian=jacobian,
+                   domain=((0.0, 1.0), (0.0, 2.0 * np.pi)), x0=c, periodic2=True)
 
 
 ELLIPSE = _ellipse()
@@ -283,15 +274,19 @@ class TestAssembleFree:
 
 
 def _folded():
-    """x(q) = c + |q1| L u1 + q2 L u2: the square folded onto its right half."""
+    """x(q) = c + |q1| L u1 + q2 L u2: the square folded onto its right half.
+
+    |q1| is written sqrt(q1 q1), whose complex step has the derivative
+    sign(q1) (np.abs has none); its Jacobian L^2 holds off the fold line,
+    which has measure zero.
+    """
     c, u1, u2, length = np.array([1.0, 0.0, 1.0]), np.eye(3)[0], np.eye(3)[1], 0.4
     return Surface(
         name="folded",
-        param_map=lambda q1, q2: c + np.multiply.outer(np.abs(q1) * length, u1)
+        param_map=lambda q1, q2: c + np.multiply.outer(np.sqrt(q1 * q1) * length, u1)
         + np.multiply.outer(q2 * length, u2),
-        tangent1=lambda q1, q2: np.multiply.outer(np.sign(q1) * length + 0.0 * q2, u1),
-        tangent2=lambda q1, q2: np.multiply.outer(length + 0.0 * (q1 + q2), u2),
-        jacobian=lambda q1, q2: np.abs(np.sign(q1)) * length**2 + 0.0 * q2,
+        jacobian=lambda q1, q2: np.full(np.broadcast_shapes(np.shape(q1), np.shape(q2)),
+                                        length**2),
         domain=((-0.5, 0.5), (-0.5, 0.5)), x0=c)
 
 
@@ -310,41 +305,27 @@ def _all_pairs(layout, n):
     return _with_pairs(layout, [np.arange(n)])
 
 
-def _patch(bend, tangent_bend):
-    """Square x = c + q1 L e1 + q2 L e2 + bend q1 q2 L e3 on [-1/2, 1/2]^2.
-
-    Its tangents carry ``tangent_bend`` in place of ``bend``, so a zero
-    ``tangent_bend`` gives constant tangents that disagree with a bent map.
-    """
+def _patch(bend):
+    """Square x = c + q1 L e1 + q2 L e2 + bend q1 q2 L e3 on [-1/2, 1/2]^2."""
     c, (e1, e2, e3), length = np.array([1.0, 0.0, 1.0]), np.eye(3), 0.4
 
     def param_map(q1, q2):
         return (c + np.multiply.outer(q1 * length, e1) + np.multiply.outer(q2 * length, e2)
                 + np.multiply.outer(bend * q1 * q2 * length, e3))
 
-    def tangent1(q1, q2):
-        return (np.multiply.outer(length + 0.0 * q1 * q2, e1)
-                + np.multiply.outer(tangent_bend * q2 * length + 0.0 * q1, e3))
-
-    def tangent2(q1, q2):
-        return (np.multiply.outer(length + 0.0 * q1 * q2, e2)
-                + np.multiply.outer(tangent_bend * q1 * length + 0.0 * q2, e3))
-
     def jacobian(q1, q2):
         # |t1 x t2| of t1 = L (e1 + b q2 e3), t2 = L (e2 + b q1 e3)
-        return length**2 * np.sqrt(1.0 + tangent_bend**2 * (q1 * q1 + q2 * q2))
+        return length**2 * np.sqrt(1.0 + bend**2 * (q1 * q1 + q2 * q2))
 
-    return Surface(name="patch", param_map=param_map, tangent1=tangent1,
-                   tangent2=tangent2, jacobian=jacobian, domain=((-0.5, 0.5), (-0.5, 0.5)),
-                   x0=c)
+    return Surface(name="patch", param_map=param_map, jacobian=jacobian,
+                   domain=((-0.5, 0.5), (-0.5, 0.5)), x0=c)
 
 
 #: affine maps, on which p + 1 radial Duffy points are exact, and curved ones
 AFFINE = [RECT, FLAT_RECT, SLANTED, copy_surface(RECT, 0.05)]
 AFFINE_IDS = ["rectangle", "flat-rectangle", "slanted-rectangle", "scaled-rectangle"]
-CURVED = [DISK, TILTED, CAP, ELLIPSE, _patch(0.1, 0.1), _patch(0.1, 0.0)]
-CURVED_IDS = ["disk", "tilted-disk", "cap", "ellipse", "bent-patch",
-              "bent-map-flat-tangents"]
+CURVED = [DISK, TILTED, CAP, ELLIPSE, _patch(0.1)]
+CURVED_IDS = ["disk", "tilted-disk", "cap", "ellipse", "bent-patch"]
 
 #: (surface, order, delta, l, alpha) of the poles that hold the Duffy order:
 #: delta = 0.9 and l = 4 at orders 8-16 on disks and the wide cap, at order
@@ -357,7 +338,7 @@ DUFFY_POLES = [
       for order in (8, 12, 16)),
     *(pytest.param(surface, 12, 0.9, 4, 0.145, id=f"{name}-12")
       for name, surface in (("rectangle", RECT), ("slanted-rectangle", SLANTED),
-                            ("bent-patch", _patch(0.1, 0.1)), ("ellipse", ELLIPSE))),
+                            ("bent-patch", _patch(0.1)), ("ellipse", ELLIPSE))),
     pytest.param(WIDE_CAP, 10, 1.0, 3, 0.0, id="wide-cap-l3-delta1-10"),
     pytest.param(WIDE_CAP, 13, 1.0, 5, 0.0, id="wide-cap-l5-delta1-13"),
 ]
@@ -477,7 +458,8 @@ class TestSingularBuild:
         points = []
 
         def counted(q1, q2):
-            points.append(np.size(q1))
+            if not np.iscomplexobj(q1) and not np.iscomplexobj(q2):  # not a tangent
+                points.append(np.size(q1))
             return surface.param_map(q1, q2)
 
         counting = dataclasses.replace(
@@ -504,10 +486,9 @@ class TestSingularBuild:
         assert _rel_max(got.corr_inv, want.corr_inv) < 1e-12
         assert _rel_max(got.corr_lin, want.corr_lin) < 1e-12
 
-    @pytest.mark.parametrize("surface", [ELLIPSE, _patch(0.1, 0.1), _patch(0.1, 0.0),
-                                         _folded(), copy_surface(RECT, 0.05)],
-                             ids=["ellipse", "bent-patch", "bent-map-flat-tangents",
-                                  "folded", "scaled-rectangle"])
+    @pytest.mark.parametrize("surface", [ELLIPSE, _patch(0.1), _folded(),
+                                         copy_surface(RECT, 0.05)],
+                             ids=["ellipse", "bent-patch", "folded", "scaled-rectangle"])
     def test_fixture_jacobian_is_the_tangent_cross_product(self, surface):
         (a1, b1), (a2, b2) = surface.domain
         g1, g2 = np.meshgrid(np.linspace(a1, b1, 37), np.linspace(a2, b2, 53), indexing="ij")
@@ -517,22 +498,41 @@ class TestSingularBuild:
 
     @pytest.mark.parametrize("surface", [DISK, RECT, CAP], ids=["disk", "rectangle", "cap"])
     def test_no_tangent_at_the_duffy_points(self, surface):
-        # the Duffy points take the closed-form Jacobian; tangents are taken
-        # at single nodes and the isometry probes
-        sizes = []
+        # the Duffy points take the closed-form Jacobian; tangents, the
+        # complex-valued param_map calls, are taken at the nodes and the
+        # isometry probes
+        calls = []
 
-        def counted(tangent):
-            def call(q1, q2):
-                sizes.append(np.broadcast(q1, q2).size)
-                return tangent(q1, q2)
-            return call
+        def counted(q1, q2):
+            calls.append((np.iscomplexobj(q1) or np.iscomplexobj(q2), np.broadcast(q1, q2).size))
+            return surface.param_map(q1, q2)
 
-        counting = dataclasses.replace(surface, tangent1=counted(surface.tangent1),
-                                       tangent2=counted(surface.tangent2))
-        rule = build_quadrature(counting, 12)
-        sizes.clear()
+        rule = build_quadrature(dataclasses.replace(surface, param_map=counted), 12)
+        calls.clear()
         singular_part_matrix(rule)
-        assert sizes and max(sizes) <= rule.n_nodes
+        tangents = [size for complex_valued, size in calls if complex_valued]
+        real = [size for complex_valued, size in calls if not complex_valued]
+        # the Duffy points went through the counted map, as real parameters
+        assert tangents and max(tangents) <= rule.n_nodes < max(real)
+
+    @pytest.mark.parametrize("surface", [DISK, RECT], ids=["disk", "rectangle"])
+    def test_one_tangent_call_per_build(self, surface):
+        # the tangent lengths of every row come from one call per tangent
+        rule = build_quadrature(surface, 8)
+        group = _node_group(rule)
+        rows = np.unique(group.min(axis=0))
+        complex_calls = []
+
+        def counted(q1, q2):
+            if np.iscomplexobj(q1) or np.iscomplexobj(q2):
+                complex_calls.append(np.broadcast(q1, q2).size)
+            return surface.param_map(q1, q2)
+
+        counting = dataclasses.replace(
+            rule, surface=dataclasses.replace(surface, param_map=counted))
+        complex_calls.clear()
+        _product_rows(counting, rows, (16, 16), group)
+        assert complex_calls == [len(rows), len(rows)]
 
     def test_build_memory_peak(self):
         # the order-16 disk of a one-pole run.  A row holds only its basis

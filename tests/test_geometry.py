@@ -31,21 +31,30 @@ def half_cylinder(radius=0.5):
         q1, q2 = np.broadcast_arrays(q1, q2)
         return np.stack([radius * np.cos(q2), radius * np.sin(q2), q1], axis=-1)
 
-    def tangent1(q1, q2):
-        q1, q2 = np.broadcast_arrays(q1, q2)
-        return np.stack([np.zeros_like(q1), np.zeros_like(q1), np.ones_like(q1)], axis=-1)
-
-    def tangent2(q1, q2):
-        q1, q2 = np.broadcast_arrays(q1, q2)
-        return np.stack([-radius * np.sin(q2), radius * np.cos(q2), np.zeros_like(q1)],
-                        axis=-1)
-
     def jacobian(q1, q2):
         return np.full(np.broadcast_shapes(np.shape(q1), np.shape(q2)), radius)
 
-    return Surface(name="half-cylinder", param_map=param_map, tangent1=tangent1,
-                   tangent2=tangent2, jacobian=jacobian, domain=((1.0, 2.0), (0.0, np.pi)),
-                   x0=(radius, 0.0, 1.5))
+    return Surface(name="half-cylinder", param_map=param_map, jacobian=jacobian,
+                   domain=((1.0, 2.0), (0.0, np.pi)), x0=(radius, 0.0, 1.5))
+
+
+def square(fold=lambda q1: q1, lift=lambda q1, q2: 0.0 * q1 * q2):
+    """x = c + L fold(q1) e1 + L q2 e2 + L lift(q1, q2) e3 on [-1/2, 1/2]^2, Jacobian L^2.
+
+    The Jacobian is that of the flat square whatever ``fold`` and ``lift``
+    make of the map.
+    """
+    c, (e1, e2, e3), length = np.array([1.0, 0.0, 1.0]), np.eye(3), 0.4
+
+    def param_map(q1, q2):
+        return (c + np.multiply.outer(fold(q1) * length, e1) + np.multiply.outer(q2 * length, e2)
+                + np.multiply.outer(lift(q1, q2) * length, e3))
+
+    def jacobian(q1, q2):
+        return np.full(np.broadcast_shapes(np.shape(q1), np.shape(q2)), length**2)
+
+    return Surface(name="square", param_map=param_map, jacobian=jacobian,
+                   domain=((-0.5, 0.5), (-0.5, 0.5)), x0=c)
 
 
 class TestFactories:
@@ -176,9 +185,19 @@ class TestFactories:
                              length1=0.4, length2=0.4),
      SurfaceValidationError, "surface 'rectangle' touches a wall in its interior"),
     (lambda: spherical_cap(sphere_center=(1.2, 0.0, 1.5), radius=0.6, polar_angle=4.0),
-     ValueError, "polar_angle must be in (0, pi]"),
+     SurfaceValidationError, "polar_angle must be in (0, pi]"),
     (lambda: build_quadrature(make_disk(), 1), ValueError, "quadrature order must be >= 2"),
-], ids=["cap-across-the-axis", "rectangle-on-the-wall", "polar-angle-above-pi", "order-one"])
+    # a bent map whose Jacobian is the flat one
+    (lambda: square(lift=lambda q1, q2: 0.1 * q1 * q2),
+     SurfaceValidationError, "surface 'square': its jacobian is not |t1 x t2|"),
+    # np.abs is not analytic: its complex step gives t1 = 0
+    (lambda: square(fold=np.abs),
+     SurfaceValidationError, "surface 'square': its jacobian is not |t1 x t2|"),
+    (lambda: square(lift=lambda q1, q2: 0.1 * np.hypot(q1, q2)), SurfaceValidationError,
+     "surface 'square': its param_map must accept complex parameters "
+     "(its tangents are complex steps)"),
+], ids=["cap-across-the-axis", "rectangle-on-the-wall", "polar-angle-above-pi", "order-one",
+        "bent-map-flat-jacobian", "abs-map", "hypot-map"])
 def test_refusal(build, error, message):
     with pytest.raises(error) as info:
         build()
@@ -215,6 +234,75 @@ class TestJacobians:
         with pytest.raises(SurfaceValidationError, match="surface 'disk': its jacobian is not"):
             dataclasses.replace(make_disk(radius),
                                 jacobian=lambda u, th: radius * u * np.ones_like(th))
+
+
+def disk_tangents(normal, radius):
+    """The closed-form tangents ``disk`` carried before they came from its map."""
+    e1, e2, _ = geometry._orthonormal_frame(normal)
+
+    def tangent1(u, th):
+        return np.multiply.outer(radius * np.cos(th) * np.ones_like(u), e1) + \
+            np.multiply.outer(radius * np.sin(th) * np.ones_like(u), e2)
+
+    def tangent2(u, th):
+        return np.multiply.outer(-radius * u * np.sin(th), e1) + \
+            np.multiply.outer(radius * u * np.cos(th), e2)
+
+    return tangent1, tangent2
+
+
+def rectangle_tangents(direction1, direction2, length1, length2):
+    """The closed-form tangents ``rectangle_patch`` carried before they came from its map."""
+    u1 = np.asarray(direction1, float) / np.linalg.norm(direction1)
+    u2 = np.asarray(direction2, float) - u1 * (u1 @ np.asarray(direction2, float))
+    u2 /= np.linalg.norm(u2)
+
+    def tangent1(q1, q2):
+        return np.broadcast_to(length1 * u1, np.broadcast_shapes(np.shape(q1), np.shape(q2)) + (3,))
+
+    def tangent2(q1, q2):
+        return np.broadcast_to(length2 * u2, np.broadcast_shapes(np.shape(q1), np.shape(q2)) + (3,))
+
+    return tangent1, tangent2
+
+
+def cap_tangents(radius):
+    """The closed-form tangents ``spherical_cap`` carried before they came from its map."""
+    e1, e2, a3 = geometry._orthonormal_frame((0.0, 0.0, 1.0))
+
+    def tangent1(th, ph):
+        return (np.multiply.outer(radius * np.cos(th) * np.cos(ph), e1)
+                + np.multiply.outer(radius * np.cos(th) * np.sin(ph), e2)
+                + np.multiply.outer(-radius * np.sin(th), a3))
+
+    def tangent2(th, ph):
+        return (np.multiply.outer(-radius * np.sin(th) * np.sin(ph), e1)
+                + np.multiply.outer(radius * np.sin(th) * np.cos(ph), e2))
+
+    return tangent1, tangent2
+
+
+@pytest.mark.parametrize("surface, closed_forms", [
+    (disk(center=(1.0, 0.0, 1.0), normal=(1.0, 0.0, 1.0), radius=0.5),
+     disk_tangents((1.0, 0.0, 1.0), 0.5)),
+    (rectangle_patch(center=(1.0, 0.0, 1.2), direction1=(1, 0, 1), direction2=(0, 1, 1),
+                     length1=0.6, length2=0.4),
+     rectangle_tangents((1, 0, 1), (0, 1, 1), 0.6, 0.4)),
+    (spherical_cap(sphere_center=(1.2, 0.0, 1.5), radius=0.6, polar_angle=2.3),
+     cap_tangents(0.6)),
+], ids=["tilted-disk", "slanted-rectangle", "wide-cap"])
+def test_complex_step_tangents_are_the_closed_forms(surface, closed_forms):
+    # bitwise equal with this numpy; 2 ulp of the tangent's length allow
+    # another libm's complex sin and cos
+    (a1, b1), (a2, b2) = surface.domain
+    rng = np.random.default_rng(7)
+    q1, q2 = rng.uniform(a1, b1, 2000), rng.uniform(a2, b2, 2000)
+    for got, closed_form in zip((surface.tangent1(q1, q2), surface.tangent2(q1, q2)),
+                                closed_forms):
+        want = closed_form(q1, q2)
+        ulp = np.spacing(np.linalg.norm(want, axis=-1))[:, None]
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2.0 * ulp)
 
 
 class TestAreas:

@@ -141,6 +141,25 @@ class TestMacdonaldK0:
         want = k0_scaled_integral_oracle(w)
         assert abs(macdonald_k0(w) - want) < 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("l, k", [(2, 1), (3, 2)])
+    def test_near_real_route_on_closed_modes(self, l, k):
+        # w = kappa_n rho of the closed modes n <= 40, Im z from -1e-10 to
+        # -1e-6 below eps_l, as the mode tables of a pole search reach them;
+        # all such w with |w| > 2 take the Chebyshev series.  Against the
+        # Laplace sum (5e-16 from mpmath) it is at most 1.1e-15 off in Re K0
+        # and 1.1e-13 relative in Im K0; the bounds are twice that
+        params = SpectralParams(alpha=0.0, beta=0.4)
+        rho = np.linspace(0.05, 1.5, 30)
+        n = np.arange(k + 1, 41)
+        for im_z in -np.geomspace(1e-10, 1e-6, 5):
+            kappa = kappa_n(params.eigenvalue(l) + 1j * im_z, n, second_sheet(k))
+            w = np.multiply.outer(rho, kappa).ravel()
+            w = w[(np.abs(w) > 2.0) & (w.real <= 700.0)]
+            assert np.all(np.abs(w.imag) <= specfun._REAL_K0_RATIO * np.abs(w))
+            got, want = macdonald_k0(w), specfun._k0_laplace(w)
+            assert np.max(np.abs(got.real - want.real) / np.abs(want.real)) <= 2.2e-15
+            assert np.max(np.abs(got.imag - want.imag) / np.abs(want.imag)) <= 2.2e-13
+
     def test_complex_argument_vs_series(self):
         # K0 via the defining relation K0 = lim of the series representation:
         # cross-check at a modest complex point using the Wronskian-free
