@@ -25,6 +25,7 @@ a surface's r_min and :func:`with_anchor`'s distance are batches of one.
 from __future__ import annotations
 
 import copy
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
@@ -63,7 +64,8 @@ class Surface:
     ``param_map`` accepts real or complex array arguments (broadcasting over
     q1, q2) and returns stacked (..., 3) coordinates.  The tangents are its
     complex-step derivatives (:meth:`tangent1`), so it must be analytic and
-    numpy must evaluate it at complex parameters (no ``np.hypot``, ``np.abs``).
+    numpy must evaluate it at complex parameters (no ``np.hypot``, ``np.abs``,
+    nor a cast of the parameters to float).
     ``jacobian`` returns the area element |t1 x t2| in closed form, of the
     broadcast shape of q1 and q2, since product integration evaluates it at
     every Duffy point; the check compares it with |t1 x t2| once, on its grid.
@@ -171,11 +173,19 @@ def _validate_surface(surface: Surface) -> None:
         raise SurfaceValidationError(f"surface {surface.name!r} touches the wire axis")
     object.__setattr__(surface, "r_min", rmin)
     jac = surface.jacobian(g1, g2)
-    try:
-        t1, t2 = surface.tangent1(g1, g2), surface.tangent2(g1, g2)
-    except TypeError as err:
+    with warnings.catch_warnings():
+        # a map that casts its parameters to float drops the step with this warning
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            stepped = (surface.param_map(g1 + 1j * _STEP, g2),
+                       surface.param_map(g1, g2 + 1j * _STEP))
+            analytic = all(np.iscomplexobj(x) for x in stepped)
+        except (TypeError, np.exceptions.ComplexWarning):
+            analytic = False
+    if not analytic:
         raise SurfaceValidationError(f"surface {surface.name!r}: its param_map must accept "
-                                     "complex parameters (its tangents are complex steps)") from err
+                                     "complex parameters (its tangents are complex steps)")
+    t1, t2 = (x.imag / _STEP for x in stepped)  # tangent1, tangent2
     cross = np.linalg.norm(np.cross(t1, t2), axis=-1)
     if np.shape(jac) != cross.shape or not np.allclose(jac, cross, rtol=tol,
                                                        atol=tol * np.max(cross)):

@@ -261,9 +261,12 @@ class EwaldTables:
     tables are flat, one entry per pair.  For one split: the spectral table
     cos(n a-) - cos(n a+) = 2 sin(n x3) sin(n x3') over its modes, taken
     from one sine per distinct height and mode, the powers rho^(2j) up to
-    its j_max, and the image charges a-/+ + 2 pi m at distance 0 < R < r_cut,
-    each as pair index, R / (2 sqrt(eta)) and weight +-e^(-R^2 / 4 eta) / R
-    (+ for a-, - for a+).  Nothing in them depends on the sheet.
+    its j_max, and the image charges a-/+ + 2 pi m at distance 0 < R < r_cut.
+    Each image is a pair index ``image_pair``, a weight ``image_weight`` =
+    +-e^(-R^2 / 4 eta) / R (+ for a-, - for a+) and an index ``image_at``
+    into ``image_u``, the sorted distinct u = R / (2 sqrt(eta)): pairs with
+    the same rho and a-/+ share their whole row of images, so on a rectangle
+    about half the images repeat a u.  Nothing in them depends on the sheet.
     ``coincident`` indexes the pairs with x = x', whose singular m = 0 image
     is left out like every R = 0.  Separations beyond the split's rho_max are
     refused.
@@ -294,8 +297,9 @@ class EwaldTables:
                 sign.append(np.full(len(keep), s))
         dist = np.concatenate(dist)
         self.image_pair = np.concatenate(index)
-        self.image_u = dist / (2.0 * math.sqrt(split.eta))
         self.image_weight = np.concatenate(sign) * np.exp(-dist * dist / (4.0 * split.eta)) / dist
+        self.image_u, self.image_at = np.unique(dist / (2.0 * math.sqrt(split.eta)),
+                                                return_inverse=True)
 
 
 class EwaldGreen:
@@ -354,14 +358,18 @@ class EwaldGreen:
         singularity.  The m = 0 image of the a_minus sum carries the
         singularity; the tables leave it out, and its regularized value is
         (pi/2) f'(0) with f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
+        The image charges take erfcx once per distinct distance of the
+        tables, and each image its own value of it: the same numbers, in
+        the same order, as a call at every image.
         """
         if tables.split != self.split:
             raise ValueError("the tables were built for another Ewald split")
         spectral = 2.0 * np.sum(tables.cos_diff * (tables.powers @ self._poly), axis=-1)
-        # f(R) / R with f(R) = e^{-sR} erfc(R/2 sqrt(eta) - s sqrt(eta)) + (s -> -s), via erfcx
+        # f(R) / R with f(R) = e^{-sR} erfc(R/2 sqrt(eta) - s sqrt(eta)) + (s -> -s), via
+        # erfcx at each distinct u = R/2 sqrt(eta), gathered to the images
         sv = self.s * math.sqrt(self.split.eta)
         u = tables.image_u
-        f = tables.image_weight * (erfcx(u - sv) + erfcx(u + sv))
+        f = tables.image_weight * (erfcx(u - sv) + erfcx(u + sv))[tables.image_at]
         size = len(spectral)
         real = (np.bincount(tables.image_pair, f.real, size)
                 + 1j * np.bincount(tables.image_pair, f.imag, size)) \

@@ -735,7 +735,7 @@ class TestPairLayout:
         z = 100.0 - 0.3j
         wide = EwaldSplit(tables.split.eta, tables.split.j_max, z.real)
         wide_tables = EwaldTables(rule.nodes[st.layout.rows], rule.nodes[st.layout.cols], wide)
-        assert len(wide_tables.image_u) > len(tables.image_u)
+        assert len(wide_tables.image_at) > len(tables.image_at)
         got = EwaldGreen(z, tables.split, ctx).pairs(tables)
         want = EwaldGreen(z, wide, ctx).pairs(wide_tables)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

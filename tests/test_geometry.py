@@ -196,12 +196,21 @@ class TestFactories:
     (lambda: square(lift=lambda q1, q2: 0.1 * np.hypot(q1, q2)), SurfaceValidationError,
      "surface 'square': its param_map must accept complex parameters "
      "(its tangents are complex steps)"),
+    # the cast drops the step with a ComplexWarning, and t1 = 0
+    (lambda: square(fold=lambda q1: np.asarray(q1, dtype=float)), SurfaceValidationError,
+     "surface 'square': its param_map must accept complex parameters "
+     "(its tangents are complex steps)"),
+    # no warning, but the step comes back real
+    (lambda: square(fold=np.real, lift=lambda q1, q2: 0.0), SurfaceValidationError,
+     "surface 'square': its param_map must accept complex parameters "
+     "(its tangents are complex steps)"),
 ], ids=["cap-across-the-axis", "rectangle-on-the-wall", "polar-angle-above-pi", "order-one",
-        "bent-map-flat-jacobian", "abs-map", "hypot-map"])
-def test_refusal(build, error, message):
+        "bent-map-flat-jacobian", "abs-map", "hypot-map", "float-cast-map", "real-part-map"])
+def test_refusal(build, error, message, recwarn):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+    assert not [w.message for w in recwarn]
 
 
 class TestJacobians:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import kv
 
-from layres.bs_operator import SystemState, pair_layout
+from layres import greens
+from layres.bs_operator import SystemState, pair_layout, pair_nodes
 from layres.geometry import build_quadrature, disk, rectangle_patch, scale_surface
 from layres.greens import (
     EwaldGreen,
@@ -452,7 +454,7 @@ class TestEwaldTables:
         tables = EwaldTables(x, xp, split)
         u_cut = split.r_cut / (2.0 * math.sqrt(split.eta))
         assert np.all(tables.image_u < u_cut)
-        assert len(EwaldTables(x, xp, wide).image_u) > len(tables.image_u)
+        assert len(EwaldTables(x, xp, wide).image_at) > len(tables.image_at)
         got = EwaldGreen(z, split, ctx).pairs(tables)
         want = EwaldGreen(z, wide, ctx)(x, xp)
         assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
@@ -475,6 +477,79 @@ class TestEwaldTables:
         tables = EwaldTables(X, XP, split)
         with pytest.raises(ValueError, match="another Ewald split"):
             EwaldGreen(8.9 - 1e-3j, EwaldSplit(1.0, 32, 9.0), second_sheet(2)).pairs(tables)
+
+
+def _dedup_cases():
+    """Tables of the pairs of an order-8 rule, each with the window's kernel, on both sheets."""
+    for surface in ("rectangle", "disk", "tilted-disk"):
+        layout = pair_layout(build_quadrature(SURFACES[surface], 8))
+        x, xp, rho = pair_nodes(layout, layout.rule)
+        for ctx, z in ((first_sheet(2), 8.9 + 1e-3j), (second_sheet(2), 8.9 - 1e-3j)):
+            split = EwaldSplit.for_separation(rho, ctx)
+            yield pytest.param(x, xp, EwaldTables(x, xp, split), EwaldGreen(z, split, ctx),
+                               id=f"{surface}-{'second' if ctx.second else 'first'}")
+
+
+DEDUP_CASES = list(_dedup_cases())
+
+
+class TestDistinctImages:
+    @pytest.mark.parametrize("x, xp, tables, ew", DEDUP_CASES)
+    def test_distinct_u_strictly_increase(self, x, xp, tables, ew):
+        assert len(tables.image_u) and np.all(np.diff(tables.image_u) > 0.0)
+        assert tables.image_at.shape == tables.image_pair.shape == tables.image_weight.shape
+
+    @pytest.mark.parametrize("x, xp, tables, ew", DEDUP_CASES)
+    def test_every_image_finds_its_own_u(self, x, xp, tables, ew):
+        # every image a-/+ + 2 pi m with 0 < R < r_cut, from an m range wider
+        # than any kept image, in the order of the tables: a- before a+, m
+        # ascending, pairs ascending
+        split = tables.split
+        rho = np.hypot(x[:, 0] - xp[:, 0], x[:, 1] - xp[:, 1])
+        pair, sign, u = [], [], []
+        for a, s in ((np.abs(x[:, 2] - xp[:, 2]), 1.0), (x[:, 2] + xp[:, 2], -1.0)):
+            for m in range(-8, 9):
+                R = np.hypot(rho, a + 2.0 * math.pi * m)
+                keep = np.flatnonzero((R > 0.0) & (R < split.r_cut))
+                pair.append(keep)
+                sign.append(np.full(len(keep), s))
+                u.append(R[keep] / (2.0 * math.sqrt(split.eta)))
+        assert np.array_equal(tables.image_pair, np.concatenate(pair))
+        assert np.array_equal(np.sign(tables.image_weight), np.concatenate(sign))
+        assert np.array_equal(tables.image_u[tables.image_at], np.concatenate(u))
+
+    @pytest.mark.parametrize("x, xp, tables, ew", DEDUP_CASES)
+    def test_pairs_are_those_of_erfcx_at_every_image(self, x, xp, tables, ew):
+        # the reference tables keep one u per image, so pairs calls erfcx at
+        # every image: the kernel of the distinct distances is the same to the bit
+        every = copy.copy(tables)
+        every.image_u = tables.image_u[tables.image_at]
+        every.image_at = np.arange(len(every.image_u))
+        assert len(every.image_u) > len(tables.image_u)
+        assert np.array_equal(ew.pairs(tables), ew.pairs(every))
+
+    def test_rectangle_takes_erfcx_once_per_distinct_u(self, monkeypatch):
+        # the benchmark rectangle at order 12: at each delta of its sweep
+        # (n_cut and split of the state) fewer than 0.55 of its images have
+        # a u of their own, and pairs passes erfcx two arguments per distinct u
+        surface, l, order, _ = SWEEPS["rectangle"]
+        layout = pair_layout(build_quadrature(SURFACES[surface], order))
+        k = int(math.floor(math.sqrt(SWEEP_PARAMS.eigenvalue(l))))
+        seen, erfcx = [], greens.erfcx
+
+        def counted(w):
+            seen.append(np.size(w))
+            return erfcx(w)
+
+        monkeypatch.setattr(greens, "erfcx", counted)
+        deltas = (0.05, 0.1, 0.2, 0.4)
+        for delta, r_min in zip(deltas, scale_surface(layout.rule.surface, deltas)):
+            state = SystemState(SWEEP_PARAMS, layout.scaled(delta, r_min), second_sheet(k), l)
+            tables = state.tables
+            assert len(tables.image_u) <= 0.55 * len(tables.image_at)
+            seen.clear()
+            EwaldGreen(SWEEP_PARAMS.eigenvalue(l) - 1e-4j, tables.split, state.ctx).pairs(tables)
+            assert 0 < sum(seen) <= 2 * len(tables.image_u)
 
 
 class TestResidueLaw:
