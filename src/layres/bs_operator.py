@@ -89,31 +89,45 @@ class IllConditionedError(ArithmeticError):
 
 
 def _legendre_basis(t, p):
-    """P_a(t) for a < p as a (p, N) array, by the three-term recurrence."""
+    """P_a(t) for a < p as a (p, N) array, by the three-term recurrence.
+
+    Each step ((2a + 1) t P_a - a P_(a-1)) / (a + 1) is computed in place in
+    its output row, with one scratch row: the same operations in the same
+    order as the expression, so the same bits.
+    """
     out = np.empty((p, len(t)))
     out[0] = 1.0
     out[1] = t
+    scratch = np.empty(len(t))
     for a in range(1, p - 1):
-        out[a + 1] = ((2 * a + 1) * t * out[a] - a * out[a - 1]) / (a + 1)
+        row = np.multiply(t, 2 * a + 1, out=out[a + 1])
+        row *= out[a]
+        row -= np.multiply(out[a - 1], a, out=scratch)
+        row /= a + 1
     return out
 
 
 def _trig_basis(psi, p):
     """[1, cos k psi, sin k psi for k < p/2, cos(p psi / 2) if p is even] as (p, N).
 
-    Built by angle addition.  These span the trigonometric interpolants on p
+    Built by angle addition, cos_prev cos psi - sin_prev sin psi and
+    sin_prev cos psi + cos_prev sin psi, in place in the output rows with
+    one scratch row.  These span the trigonometric interpolants on p
     equispaced nodes psi_j = 2 pi j / p.
     """
     out = np.empty((p, len(psi)))
     out[0] = 1.0
-    out[1] = np.cos(psi)
+    np.cos(psi, out=out[1])
     if p > 2:
-        out[2] = np.sin(psi)
+        np.sin(psi, out=out[2])
+    scratch = np.empty(len(psi))
     for k in range(2, p // 2 + 1):
         cos_prev, sin_prev = out[2 * k - 3], out[2 * k - 2]
-        out[2 * k - 1] = cos_prev * out[1] - sin_prev * out[2]
+        np.multiply(cos_prev, out[1], out=out[2 * k - 1])
+        out[2 * k - 1] -= np.multiply(sin_prev, out[2], out=scratch)
         if 2 * k < p:
-            out[2 * k] = sin_prev * out[1] + cos_prev * out[2]
+            np.multiply(sin_prev, out[1], out=out[2 * k])
+            out[2 * k] += np.multiply(cos_prev, out[2], out=scratch)
     return out
 
 
@@ -147,21 +161,26 @@ def _tensor_nodes(rule: QuadratureRule):
 def _graded_triangles(corners):
     """Edges (e1, e2), each (K, 2), of the sub-triangles fanning out from the apex.
 
-    ``corners`` are the four window corners relative to the apex, in
-    metric-scaled coordinates.  The base of each corner triangle is cut
-    geometrically around the foot of the apex perpendicular.  A corner
-    triangle is skipped when it is flat to rounding, |c1 x c2| <= 1e-14
-    |c1| |c2|: relative, so that a small surface keeps all of its own.
+    ``corners`` are the four corners of an axis-aligned window relative to
+    the apex, in metric-scaled coordinates.  The base of each corner
+    triangle is cut geometrically around the foot of the apex
+    perpendicular.  A corner triangle is skipped when it is flat to
+    rounding, |c1 x c2| <= 1e-14 |c1| |c2|: relative, so that a small
+    surface keeps all of its own.  The 2-vectors are lists of floats; only
+    the cuts are arrays.
     """
     e1, e2 = [], []
+    corners = corners.tolist()
     for t in range(4):
         c1, c2 = corners[t], corners[(t + 1) % 4]
         cross = c1[0] * c2[1] - c1[1] * c2[0]
         if abs(cross) <= 1e-14 * np.hypot(*c1) * np.hypot(*c2):
             continue
-        edge = c2 - c1
+        edge = (c2[0] - c1[0], c2[1] - c1[1])
         length = float(np.hypot(*edge))
-        t0 = min(max(-float(c1 @ edge) / length**2, 0.0), 1.0)
+        # an edge of the axis-aligned window has an exact zero component, so
+        # c1 . edge has one rounded product, as numpy's (maybe fused) dot has
+        t0 = min(max(-(c1[0] * edge[0] + c1[1] * edge[1]) / length**2, 0.0), 1.0)
         dist = abs(cross) / length
         cuts = {0.0, 1.0}
         if 0.0 < t0 < 1.0:
@@ -327,28 +346,36 @@ def _q2_shift(rule: QuadratureRule) -> np.ndarray:
                    axis=1).ravel()
 
 
-def _is_isometry(rule: QuadratureRule, perm, param_map, dist) -> bool:
-    """Whether a candidate of :func:`_candidate_symmetries` is an isometry.
+def _within(a, b, tol) -> bool:
+    """max |a - b| <= tol: np.allclose(a, b, rtol=0, atol=tol) in fewer passes.
 
-    It must keep the node-to-node distances ``dist`` (a cheap prefilter),
-    the squared distances from every node to probe points between the
-    nodes, the tangent lengths and the Jacobian.  Then it acts on the
-    surface as an isometry that keeps the rule, the integrand of row g[i]
-    of the singular matrices is that of row i carried along, and so is
-    the cardinal basis (its nodes are symmetric).  Both distance checks
-    allow the rounding of the coordinates, 64 eps max|x|, besides 1e-12 of
-    the largest distance: a surface much smaller than its distance from
-    the origin keeps its group.
+    A NaN difference makes the maximum NaN, which is refused, as allclose
+    refuses it.
+    """
+    return bool(np.max(np.abs(a - b)) <= tol)
+
+
+def _isometry_test(rule: QuadratureRule, dist):
+    """The test whether a candidate of :func:`_candidate_symmetries` is an isometry.
+
+    A candidate (perm, param_map) must keep the node-to-node distances
+    ``dist`` (a cheap prefilter), the squared distances from every node to
+    probe points between the nodes, the tangent lengths and the Jacobian.
+    Then it acts on the surface as an isometry that keeps the rule, the
+    integrand of row g[i] of the singular matrices is that of row i carried
+    along, and so is the cardinal basis (its nodes are symmetric).  Both
+    distance checks allow the rounding of the coordinates, 64 eps max|x|,
+    besides 1e-12 of the largest distance: a surface much smaller than its
+    distance from the origin keeps its group.  The probe grid, its squared
+    distances and its metric do not depend on the candidate and are built
+    once, here.
     """
     floor = 64.0 * np.finfo(float).eps * np.max(np.abs(rule.nodes))
-    if not np.allclose(dist[np.ix_(perm, perm)], dist, rtol=0.0,
-                       atol=max(1e-12 * dist.max(), floor)):
-        return False
+    dist_tol = max(1e-12 * dist.max(), floor)
     surf = rule.surface
     # off-node probes; the prefilter has covered the nodes
     g1, g2 = np.meshgrid(*(q[:-1] + np.diff(q) / math.pi for q in _tensor_nodes(rule)),
                          indexing="ij")
-    m1, m2 = param_map(g1, g2)
     centre = rule.nodes.mean(axis=0)
     nodes = rule.nodes - centre
     norm2 = np.sum(nodes * nodes, axis=1)[:, None]
@@ -357,32 +384,41 @@ def _is_isometry(rule: QuadratureRule, perm, param_map, dist) -> bool:
         points = points.reshape(-1, 3) - centre
         return norm2 + np.sum(points * points, axis=1) - 2.0 * nodes @ points.T
 
-    d2 = sq_dist(surf.param_map(g1, g2))
-    d2_max = d2.max()
-    if not np.allclose(sq_dist(surf.param_map(m1, m2))[perm], d2, rtol=0.0,
-                       atol=max(1e-12 * d2_max, 4.0 * floor * math.sqrt(d2_max))):
-        return False
-
     def metric(a, b):
         return np.stack([np.linalg.norm(surf.tangent1(a, b), axis=-1),
                          np.linalg.norm(surf.tangent2(a, b), axis=-1),
                          surf.jacobian(a, b)])
 
-    return np.allclose(metric(m1, m2), metric(g1, g2), rtol=1e-12, atol=0.0)
+    d2 = sq_dist(surf.param_map(g1, g2))
+    d2_max = d2.max()
+    d2_tol = max(1e-12 * d2_max, 4.0 * floor * math.sqrt(d2_max))
+    probe_metric = metric(g1, g2)
+
+    def is_isometry(perm, param_map) -> bool:
+        if not _within(dist[np.ix_(perm, perm)], dist, dist_tol):
+            return False
+        m1, m2 = param_map(g1, g2)
+        if not _within(sq_dist(surf.param_map(m1, m2))[perm], d2, d2_tol):
+            return False
+        return np.allclose(metric(m1, m2), probe_metric, rtol=1e-12, atol=0.0)
+
+    return is_isometry
 
 
 def _node_group(rule: QuadratureRule, dist: np.ndarray | None = None) -> np.ndarray:
     """Node permutations of the rule that act on its surface as isometries.
 
     One row per group element, the identity first: the closure of the
-    candidates that pass :func:`_is_isometry`, the identity alone when none
-    does.  ``dist`` is the node-to-node distance matrix.
+    candidates that pass :func:`_isometry_test`, the identity alone when
+    none does.  ``dist`` is the node-to-node distance matrix.  The test's
+    probes are built once for all candidates.
     """
     group = [np.arange(rule.n_nodes)]
     if dist is None:
         dist = _node_distances(rule.nodes)
+    is_isometry = _isometry_test(rule, dist)
     gens = [perm for perm, param_map in _candidate_symmetries(rule)
-            if _is_isometry(rule, perm, param_map, dist)]
+            if is_isometry(perm, param_map)]
     seen = {group[0].tobytes()}
     for g in group:  # grows until closed under the generators
         for s in gens:

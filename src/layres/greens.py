@@ -260,8 +260,9 @@ class EwaldTables:
     x and xp are points of shape (3,) or (N, 3), paired row by row; the
     tables are flat, one entry per pair.  For one split: the spectral table
     cos(n a-) - cos(n a+) = 2 sin(n x3) sin(n x3') over its modes, taken
-    from one sine per distinct height and mode, the powers rho^(2j) up to
-    its j_max, and the image charges a-/+ + 2 pi m at distance 0 < R < r_cut.
+    from one sine per distinct height and mode, the real powers rho^(2j) up
+    to its j_max (float64: the kernel multiplies them in real arithmetic),
+    and the image charges a-/+ + 2 pi m at distance 0 < R < r_cut.
     Each image is a pair index ``image_pair``, a weight ``image_weight`` =
     +-e^(-R^2 / 4 eta) / R (+ for a-, - for a+) and an index ``image_at``
     into ``image_u``, the sorted distinct u = R / (2 sqrt(eta)): pairs with
@@ -282,8 +283,7 @@ class EwaldTables:
         self.coincident = np.flatnonzero((rho == 0.0) & (a_minus == 0.0))
         self.cos_diff = _sine_products(*np.broadcast_arrays(x[:, 2], xp[:, 2]),
                                        split.n_spectral)
-        # complex once here: a real table would be cast at every kernel evaluation
-        self.powers = ((rho * rho)[:, None] ** np.arange(split.j_max + 1)).astype(complex)
+        self.powers = (rho * rho)[:, None] ** np.arange(split.j_max + 1)
         index, dist, sign = [], [], []
         for a, s in ((a_minus, 1.0), (a_plus, -1.0)):
             # every m that can bring |a + 2 pi m| below r_cut
@@ -347,7 +347,9 @@ class EwaldGreen:
         j = np.arange(j_max + 1)
         # Phi_n(rho) = 1/2 sum_j (-rho^2/4)^j / j! * d[j, n]
         fact = np.array([math.factorial(i) for i in j], dtype=float)
-        self._poly = 0.5 * ((-0.25) ** j / fact)[:, None] * d  # (J+1, N)
+        poly = 0.5 * ((-0.25) ** j / fact)[:, None] * d  # (J+1, N)
+        # real and imaginary parts side by side, for a real product with the powers
+        self._poly = np.concatenate((poly.real, poly.imag), axis=1)  # (J+1, 2N)
 
     def pairs(self, tables: EwaldTables):
         """Kernel values of the pairs of ``tables``, one per pair.
@@ -358,13 +360,20 @@ class EwaldGreen:
         singularity.  The m = 0 image of the a_minus sum carries the
         singularity; the tables leave it out, and its regularized value is
         (pi/2) f'(0) with f'(0) = -2 s erf(s sqrt(eta)) - 2 e^{z eta} / sqrt(pi eta).
-        The image charges take erfcx once per distinct distance of the
-        tables, and each image its own value of it: the same numbers, in
-        the same order, as a call at every image.
+        The spectral part is summed j first, in real arithmetic: one real
+        matrix product Phi = powers @ [Re poly | Im poly] of (pairs x
+        (j_max + 1)) by ((j_max + 1) x 2N), N the spectral modes, then
+        2 sum_n cos_diff Phi row by row, once for each half.  The image
+        charges take erfcx once per distinct distance of the tables, and
+        each image its own value of it: the same numbers, in the same
+        order, as a call at every image.
         """
         if tables.split != self.split:
             raise ValueError("the tables were built for another Ewald split")
-        spectral = 2.0 * np.sum(tables.cos_diff * (tables.powers @ self._poly), axis=-1)
+        phi = tables.powers @ self._poly
+        n = self.split.n_spectral
+        spectral = 2.0 * (np.einsum("pn,pn->p", tables.cos_diff, phi[:, :n])
+                          + 1j * np.einsum("pn,pn->p", tables.cos_diff, phi[:, n:]))
         # f(R) / R with f(R) = e^{-sR} erfc(R/2 sqrt(eta) - s sqrt(eta)) + (s -> -s), via
         # erfcx at each distinct u = R/2 sqrt(eta), gathered to the images
         sv = self.s * math.sqrt(self.split.eta)

@@ -604,7 +604,126 @@ class TestNodeDistances:
         assert peak <= 2.5 * n * n * 8
 
 
+def _same_bits(got, want) -> bool:
+    """Equal shapes, dtypes and bytes: -0.0 and 0.0 differ, as do NaN payloads."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and \
+        got.tobytes() == want.tobytes()
+
+
+def _legendre_expression(t, p):
+    """P_a(t) by ((2a + 1) t P_a - a P_(a-1)) / (a + 1), one new array per step."""
+    out = np.empty((p, len(t)))
+    out[0] = 1.0
+    out[1] = t
+    for a in range(1, p - 1):
+        out[a + 1] = ((2 * a + 1) * t * out[a] - a * out[a - 1]) / (a + 1)
+    return out
+
+
+def _trig_expression(psi, p):
+    """The trigonometric basis by the angle-addition formulas, one new array per step."""
+    out = np.empty((p, len(psi)))
+    out[0] = 1.0
+    out[1] = np.cos(psi)
+    if p > 2:
+        out[2] = np.sin(psi)
+    for k in range(2, p // 2 + 1):
+        cos_prev, sin_prev = out[2 * k - 3], out[2 * k - 2]
+        out[2 * k - 1] = cos_prev * out[1] - sin_prev * out[2]
+        if 2 * k < p:
+            out[2 * k] = sin_prev * out[1] + cos_prev * out[2]
+    return out
+
+
+def _graded_triangles_vectors(corners):
+    """The graded sub-triangles with every 2-vector a numpy array."""
+    e1, e2 = [], []
+    for t in range(4):
+        c1, c2 = corners[t], corners[(t + 1) % 4]
+        cross = c1[0] * c2[1] - c1[1] * c2[0]
+        if abs(cross) <= 1e-14 * np.hypot(*c1) * np.hypot(*c2):
+            continue
+        edge = c2 - c1
+        length = float(np.hypot(*edge))
+        t0 = min(max(-float(c1 @ edge) / length**2, 0.0), 1.0)
+        dist = abs(cross) / length
+        cuts = {0.0, 1.0}
+        if 0.0 < t0 < 1.0:
+            cuts.add(t0)
+        for sgn in (1.0, -1.0):
+            step = dist / length
+            while 0.0 < t0 + sgn * step < 1.0:
+                cuts.add(t0 + sgn * step)
+                step *= 2.0
+        cuts = np.array(sorted(cuts))[:, None]
+        e1.append(c1 + cuts[:-1] * edge)
+        e2.append(c1 + cuts[1:] * edge)
+    return np.concatenate(e1), np.concatenate(e2)
+
+
+def _window(q, h, domain=((-1.0, 1.0), (0.0, 2.0))):
+    """Metric-scaled window corners around the parameter point q, as _product_rows makes them."""
+    (a1, b1), (a2, b2) = domain
+    return h * np.array([[a1 - q[0], a2 - q[1]], [b1 - q[0], a2 - q[1]],
+                         [b1 - q[0], b2 - q[1]], [a1 - q[0], b2 - q[1]]])
+
+
+class TestLayoutBits:
+    # the pair layout's bases and sub-triangles are built in place and from
+    # floats; each must give the bits of the plain array expressions
+    @pytest.mark.parametrize("p", [2, 3, 12, 16, 47])
+    def test_legendre_basis_is_the_expression(self, p):
+        t = np.concatenate([[-1.0, 0.0, 1.0, -0.0, 0.5],
+                            np.random.default_rng(p).uniform(-1.0, 1.0, 500)])
+        assert _same_bits(bs_operator._legendre_basis(t, p), _legendre_expression(t, p))
+        # a strided view, as a batch of Duffy points is
+        assert _same_bits(bs_operator._legendre_basis(t[::3], p),
+                          _legendre_expression(t[::3], p))
+
+    @pytest.mark.parametrize("p", [2, 3, 12, 16, 47])
+    def test_trig_basis_is_the_expression(self, p):
+        psi = np.concatenate([[-math.pi, -1.0, 0.0, 1.0, math.pi, 0.5 * math.pi],
+                              np.random.default_rng(p).uniform(-math.pi, math.pi, 500)])
+        assert _same_bits(bs_operator._trig_basis(psi, p), _trig_expression(psi, p))
+
+    def test_graded_triangles_are_the_vector_form(self):
+        rng = np.random.default_rng(44)
+        windows = [_window(rng.uniform((-1.0, 0.0), (1.0, 2.0)), rng.uniform(0.01, 3.0, 2))
+                   for _ in range(200)]
+        windows += [
+            _window((-1.0, 0.7), (0.4, 1.3)),  # a node on an edge: one flat triangle
+            _window((1.0, 2.0), (0.4, 1.3)),  # a node at a corner: two flat triangles
+            # a corner triangle flat to rounding, not exactly: q1 one ulp inside
+            _window((np.nextafter(-1.0, 0.0), 0.7), (0.4, 1.3)),
+        ]
+        for corners in windows:
+            got, want = bs_operator._graded_triangles(corners), _graded_triangles_vectors(corners)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+        # the special windows reach the skip: 1, 2 and 1 flat corner
+        # triangles, the last flat to rounding only
+        crosses = [[c[t, 0] * c[(t + 1) % 4, 1] - c[t, 1] * c[(t + 1) % 4, 0]
+                    for t in range(4)] for c in windows[-3:]]
+        flat = [[abs(x) <= 1e-14 * np.hypot(*c[t]) * np.hypot(*c[(t + 1) % 4])
+                 for t, x in enumerate(row)] for c, row in zip(windows[-3:], crosses)]
+        assert list(map(sum, flat)) == [1, 2, 1]
+        assert all(x != 0.0 for x, f in zip(crosses[-1], flat[-1]) if f)
+
+
 class TestNodeGroup:
+    @pytest.mark.parametrize("tol", [1e-12, 3.0e-300, 0.25])
+    @pytest.mark.parametrize("where", ["at", "ulp-above", "nan"])
+    def test_max_abs_check_is_allclose(self, tol, where):
+        # max |a - b| <= tol decides as np.allclose(a, b, rtol=0, atol=tol)
+        a = np.zeros((3, 4))
+        b = a.copy()
+        b[1, 2] = {"at": tol, "ulp-above": np.nextafter(tol, np.inf), "nan": np.nan}[where]
+        b[0, 0] = -0.5 * tol
+        want = np.allclose(a, b, rtol=0.0, atol=tol)
+        assert want is (where == "at")
+        assert bs_operator._within(a, b, tol) is want
+        assert bs_operator._within(b, a, tol) is want
+
     @pytest.mark.parametrize("surface, size, n_rows, n_pairs", GROUPS, ids=GROUP_IDS)
     def test_group_rows_and_pairs(self, surface, size, n_rows, n_pairs, monkeypatch):
         rule = build_quadrature(surface, 12)
@@ -643,6 +762,38 @@ class TestNodeGroup:
         want = group_and_pairs(0.5)
         for size in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
             assert group_and_pairs(size) == want
+
+    @pytest.mark.parametrize("surface", [SMALL, SYM_DISK, WIDE_CAP, FAR_DISK],
+                             ids=["small-disk", "midplane-disk", "wide-cap", "far-disk"])
+    def test_other_fixtures_keep_their_group(self, surface):
+        # the fixtures that GROUPS leaves out: every one is a disk or cap
+        # whose 12 rotations and 2 reflections generate 24 elements
+        assert len(_node_group(build_quadrature(surface, 12))) == 24
+
+    def test_tiny_order_16_disk_keeps_its_pairs(self, monkeypatch):
+        # a disk of radius 1e-4 whose rounding floor was missing lost its
+        # group: 32 896 kernel pairs instead of the 1 224 of its 32 elements
+        rule = build_quadrature(disk(center=(1.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0),
+                                     radius=1e-4), 16)
+        assert len(_node_group(rule)) == 32
+        monkeypatch.setattr(bs_operator, "_product_rows", lambda rule, rows, orders, group: (
+            np.zeros((len(rows), rule.n_nodes)),) * 2)
+        assert len(pair_layout(rule).rows) == 1224
+
+    def test_probes_built_once(self):
+        # the probe grid's metric is taken once, and once more per candidate
+        # that passes both distance checks: the disk's q2 shift and q2
+        # reflection (its q1, the radius, has no reflection)
+        calls = []
+
+        def jacobian(q1, q2):
+            calls.append(np.shape(q1))
+            return DISK.jacobian(q1, q2)
+
+        rule = build_quadrature(dataclasses.replace(DISK, jacobian=jacobian), 12)
+        calls.clear()
+        assert len(_node_group(rule)) == 24
+        assert len(calls) == 3 and len(set(calls)) == 1
 
     def test_elements_are_distinct_permutations(self):
         group = _node_group(build_quadrature(DISK, 6))

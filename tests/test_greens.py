@@ -552,6 +552,66 @@ class TestDistinctImages:
             assert 0 < sum(seen) <= 2 * len(tables.image_u)
 
 
+def _complex_spectral_pairs(ew, tables):
+    """``ew.pairs(tables)`` with the spectral part the complex product 2 sum_n cos_diff (powers @ poly).
+
+    The rest of the kernel comes from ``ew.pairs`` with a zero spectral
+    polynomial.
+    """
+    n = ew.split.n_spectral
+    poly = ew._poly[:, :n] + 1j * ew._poly[:, n:]
+    spectral = 2.0 * np.sum(tables.cos_diff * (tables.powers.astype(complex) @ poly), axis=-1)
+    images = copy.copy(ew)
+    images._poly = np.zeros_like(ew._poly)
+    return images.pairs(tables) + spectral / (4.0 * math.pi ** 2)
+
+
+def _workload_tables():
+    """Tables of the three benchmark rules at their deltas, with eps_l's window index."""
+    cases = [("disk", 2, 12, tuple(np.geomspace(0.02, 0.12, 8))), ("disk", 2, 16, (0.08,)),
+             ("rectangle", 3, 12, (0.05, 0.1, 0.2, 0.4))]
+    for surface, l, order, deltas in cases:
+        layout = pair_layout(build_quadrature(SURFACES[surface], order))
+        eps = SWEEP_PARAMS.eigenvalue(l)
+        k = int(math.floor(math.sqrt(eps)))
+        for delta, r_min in zip(deltas, scale_surface(layout.rule.surface, deltas)):
+            state = SystemState(SWEEP_PARAMS, layout.scaled(delta, r_min), second_sheet(k), l)
+            yield pytest.param(state.tables, eps, k, id=f"{surface}{order}-{delta:.3g}")
+
+
+class TestRealSpectralSum:
+    def test_powers_are_real(self):
+        tables = EwaldTables(X, XP, EwaldSplit(0.5, 12, 4.0))
+        assert tables.powers.dtype == np.float64
+        assert tables.powers.shape == (1, 13)
+
+    @pytest.mark.parametrize("tables, eps, k", list(_workload_tables()))
+    def test_workload_pairs_are_the_complex_product(self, tables, eps, k):
+        # the real product rounds otherwise than the complex one, within
+        # 1e-15 of the kernel's largest value, on both sheets
+        for ctx, z in ((first_sheet(k), eps - 1e-3 + 1e-5j), (second_sheet(k), eps - 1e-3 - 1e-5j),
+                       (second_sheet(k), k * k + 0.3 - 0.02j)):
+            ew = EwaldGreen(z, tables.split, ctx)
+            got, want = ew.pairs(tables), _complex_spectral_pairs(ew, tables)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (z, ctx.second)
+
+    @pytest.mark.parametrize("z,ctx", [
+        (2.739 - 1e-8j, second_sheet(1)),
+        (2.739 + 1e-8j, FIRST),
+        (8.95 - 1e-8j, second_sheet(2)),
+        (7.739 + 1e-8j, FIRST),
+    ], ids=["J1-sheet2", "J1-sheet1", "J2-sheet2", "J2-sheet1"])
+    def test_widest_split_is_the_complex_product(self, z, ctx):
+        # eta = 1 and j_max = 32 near rho_max, as in
+        # test_spectral_radius_is_accurate: the powers reach rho_max^64
+        split = EwaldSplit(1.0, 32, z.real)
+        xp = np.array([[X[0], X[1] + 0.99 * split.rho_max, x3p] for x3p in (1.0, 2.9)])
+        tables = EwaldTables(X, xp, split)
+        ew = EwaldGreen(z, split, ctx)
+        got, want = ew.pairs(tables), _complex_spectral_pairs(ew, tables)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 class TestResidueLaw:
     def test_gamma_inverse_blowup_rate(self):
         # Gamma_l(z)/(z - eps_l) -> 1/(4 pi xi_alpha) near the eigenvalue

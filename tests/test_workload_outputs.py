@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from layres.cli import parse_config
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "workload_outputs.py"
@@ -56,3 +58,27 @@ def test_generated_batch_is_written(tmp_path):
             config = parse_config(text)
             _, rows = read_csv(output)
             assert len(rows) == (len(config.deltas) if mode == "sweep" else 1)
+
+
+def test_blas_threads_reach_every_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(workload_outputs, "GENERATED", ((5, 1, (3, 3)),))
+    seen = []
+
+    def run(args, env, **kwargs):
+        seen.append({var: env[var] for var in workload_outputs._BLAS_THREAD_VARS})
+        return workload_outputs.subprocess.CompletedProcess(args, 0, "", "")
+
+    monkeypatch.setattr(workload_outputs.subprocess, "run", run)
+    runs = len(workload_outputs.load_workloads().WORKLOADS) + 1
+    for argv, threads in (([], "1"), (["--blas-threads", "2"], "2")):
+        seen.clear()
+        assert workload_outputs.main([str(tmp_path), "--seeds", "0", *argv]) == 0
+        assert seen == [dict.fromkeys(workload_outputs._BLAS_THREAD_VARS, threads)] * runs
+
+
+def test_no_blas_threads_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        workload_outputs.main([str(tmp_path / "out"), "--blas-threads", "0"])
+    assert stop.value.code == 2
+    assert "--blas-threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,11 +1,11 @@
 """Write the CLI output of every benchmark workload and a generated batch.
 
-    python tools/workload_outputs.py OUT [--src DIR] [--seeds 0 1 2 3]
+    python tools/workload_outputs.py OUT [--src DIR] [--seeds 0 1 2 3] [--blas-threads N]
 
 For every workload of ``perfbench/workloads.py`` and every seed it writes
 ``OUT/<workload>_s<seed>.cfg`` and runs ``python -m layres.cli`` on it with
 ``layres`` imported from DIR (default: the ``src`` of this checkout) and
-BLAS on one thread; the run writes ``OUT/<workload>_s<seed>.csv``.
+BLAS on N threads (default 1); the run writes ``OUT/<workload>_s<seed>.csv``.
 ``workloads.py`` is only read.
 
 It then runs the fixed generated batches of GENERATED: all three surface
@@ -24,6 +24,10 @@ outputs of two source trees, say a parent commit and a change, are then
 compared by
 
     python tools/compare_outputs.py PARENT_OUT CHANGE_OUT
+
+and those of one tree at two thread counts (``--blas-threads 1`` and
+``--blas-threads 2``) the same way, to find the rows that depend on how
+BLAS splits its products.
 """
 
 import argparse
@@ -37,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
 GENERATOR_PY = ROOT / "tests" / "test_generated_configs.py"
-_ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: the fixed generated batches, (seed, count, (lowest, highest order))
 GENERATED = ((1, 60, (6, 12)), (2, 30, (12, 16)))
@@ -90,11 +94,16 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory that layres is imported from")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N",
+                        help="BLAS threads of every run (default 1)")
     args = parser.parse_args(argv)
+    if args.blas_threads < 1:
+        parser.error("--blas-threads must be at least 1")
     out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     # DIR alone on the path, so that no other layres is imported
-    env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": str(args.src.resolve())}
+    env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, str(args.blas_threads)),
+           "PYTHONPATH": str(args.src.resolve())}
     failed = []
     for workload in load_workloads().WORKLOADS.values():
         for seed in args.seeds:
